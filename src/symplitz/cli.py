@@ -39,8 +39,13 @@ def _get(cfg, key, path, required=True, default=None):
     return cfg[key]
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    """Type test for JSON numbers: JSON true/false load as bool, an int subclass."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _positive(value, path):
-    if not isinstance(value, (int, float)) or not value > 0:
+    if not _is_number(value) or not value > 0:
         _fail(path, f"must be a positive number, got {value!r}")
     return float(value)
 
@@ -63,7 +68,7 @@ def _n_list(cfg, path):
         _fail(f"{path}.n_list", "must be a nonempty list of integers")
     ns = []
     for i, v in enumerate(raw):
-        if not isinstance(v, int) or v < 1:
+        if not _is_number(v, int) or v < 1:
             _fail(f"{path}.n_list[{i}]", f"must be a positive integer, got {v!r}")
         ns.append(v)
     if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -73,11 +78,11 @@ def _n_list(cfg, path):
 
 def _grid(cfg, path, default_G=symbols.DEFAULT_GRID_G):
     obj = _get(cfg, "grid", path, required=False, default={"G": default_G})
-    if not isinstance(obj, dict) or "G" not in obj or not isinstance(obj["G"], int):
+    if not isinstance(obj, dict) or "G" not in obj:
         _fail(f"{path}.grid", 'must be an object {"G": <int>}')
     G = obj["G"]
-    if G < 2:
-        _fail(f"{path}.grid.G", f"must be >= 2, got {G}")
+    if not _is_number(G, int) or G < 2:
+        _fail(f"{path}.grid.G", f"must be an integer >= 2, got {G!r}")
     if G & (G - 1):
         print(f"warning: grid G = {G} is not a power of two", file=sys.stderr)
     return symbols.GridSpec(G)
@@ -88,6 +93,9 @@ def _symbol(cfg, path="config", *, needs_coefficients=True):
     if not isinstance(obj, dict):
         _fail(f"{path}.symbol", "must be an object")
     spath = f"{path}.symbol"
+    degree = obj.get("degree")
+    if degree is not None and (not _is_number(degree, int) or degree < 0):
+        _fail(f"{spath}.degree", f"must be a nonnegative integer, got {degree!r}")
     try:
         if "builder" in obj:
             name = obj["builder"]
@@ -95,13 +103,16 @@ def _symbol(cfg, path="config", *, needs_coefficients=True):
                 sym = symbols.constant_symbol(_matrix(_get(obj, "matrix", spath), f"{spath}.matrix"))
             elif name == "scalar":
                 coeffs = _get(obj, "coeffs", spath)
-                sym = symbols.scalar_symbol(coeffs, k=int(obj.get("k", 1)))
+                k = obj.get("k", 1)
+                if not _is_number(k, int) or k < 1:
+                    _fail(f"{spath}.k", f"must be a positive integer, got {k!r}")
+                sym = symbols.scalar_symbol(coeffs, k=k)
             elif name == "ab_family":
                 sym = symbols.ab_family(
                     _matrix(_get(obj, "a", spath), f"{spath}.a"),
                     _matrix(_get(obj, "b", spath), f"{spath}.b"),
                     _get(obj, "weights", spath),
-                    degree=obj.get("degree"),
+                    degree=degree,
                 )
             else:
                 _fail(f"{spath}.builder", f"unknown builder {name!r}")
@@ -112,8 +123,7 @@ def _symbol(cfg, path="config", *, needs_coefficients=True):
     except (SymplitzError, ValueError, KeyError, TypeError) as err:
         _fail(spath, str(err))
     if needs_coefficients and isinstance(sym, symbols.SampledSymbol):
-        degree = obj.get("degree")
-        if not isinstance(degree, int) or degree < 0:
+        if degree is None:
             _fail(
                 f"{spath}.degree",
                 "sampled symbols need an explicit nonnegative cosine-series degree "
@@ -135,7 +145,7 @@ def _test_function(cfg, base, path):
     try:
         if kind == "monomial":
             power = _get(obj, "power", fpath)
-            if not isinstance(power, int) or power < 0:
+            if not _is_number(power, int) or power < 0:
                 _fail(f"{fpath}.power", f"must be a nonnegative integer, got {power!r}")
             return szego.monomial(power)
         if kind == "polynomial":
@@ -157,6 +167,9 @@ def _interval(cfg, path):
     raw = _get(cfg, "interval", path)
     if not isinstance(raw, list) or len(raw) != 2:
         _fail(f"{path}.interval", "must be a list [a, b]")
+    for i, v in enumerate(raw):
+        if not _is_number(v):
+            _fail(f"{path}.interval[{i}]", f"must be a number, got {v!r}")
     a, b = float(raw[0]), float(raw[1])
     if not (0.0 <= a <= b):
         _fail(f"{path}.interval", f"must satisfy 0 <= a <= b, got [{a}, {b}]")
@@ -205,7 +218,7 @@ def cmd_spectrum(cfg, opts):
     else:
         sym = _symbol(cfg)
         n = _get(cfg, "n", "config")
-        if not isinstance(n, int) or n < 1:
+        if not _is_number(n, int) or n < 1:
             _fail("config.n", f"must be a positive integer, got {n!r}")
         T = toeplitz.assemble(sym, n)
         values = core.symplectic_eigenvalues(T)
@@ -337,7 +350,7 @@ def cmd_density(cfg, opts):
     sym = _symbol(cfg)
     grid = _grid(cfg, "config")
     n_max = _get(cfg, "n_max", "config")
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_number(n_max, int) or n_max < 1:
         _fail("config.n_max", f"must be a positive integer, got {n_max!r}")
     delta = _positive(_get(cfg, "delta", "config"), "config.delta")
     report = szego.density_check(sym, n_max, delta, grid, threads=opts["threads"])
@@ -365,13 +378,13 @@ def cmd_density(cfg, opts):
 def cmd_gchain_check(cfg, opts):
     sym = _symbol(cfg)
     n_max = _get(cfg, "n_max", "config")
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_number(n_max, int) or n_max < 1:
         _fail("config.n_max", f"must be a positive integer, got {n_max!r}")
     tol = _tolerance(cfg, "config", default=1e-10)
     first, records = toeplitz.gchain_sweep(sym, n_max, tol)
     worst = min(r.min_eigenvalue for r in records)
     checks = [_check("gchain_valid_up_to_n_max", worst, tol, first is None)]
-    rows = [(r.n, r.min_eigenvalue, r.ok) for r in sorted(records, key=lambda r: r.n)]
+    rows = [(r.n, r.min_eigenvalue, r.ok) for r in records]
     files = {"series.csv": _csv_bytes(["n", "min_eigenvalue", "ok"], rows)}
     summary = {
         "n_max": n_max,

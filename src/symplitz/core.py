@@ -274,9 +274,10 @@ class GMatrixCheck:
 def is_gmatrix(A, tol: float = 1e-10, *, sym_tol: float = SYM_TOL, pd_tol: float = PD_TOL) -> GMatrixCheck:
     """Test whether every symplectic eigenvalue is >= 1/2 (within tol).
 
-    The condition is equivalent to positive semidefiniteness of A + (i/2) J,
-    which embed_hermitian(A, J/2) exposes to a real eigensolve for
-    cross-checking.
+    The condition is equivalent to positive semidefiniteness of A + (i/2) J.
+    toeplitz.gchain_check tests that form directly on truncations, with a
+    complex Hermitian eigensolve; embed_hermitian(A, J/2) gives its real
+    embedding, the reference the tests compare both against.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:

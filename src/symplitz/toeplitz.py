@@ -2,16 +2,16 @@
 
 Truncations are plain dense ndarrays: the experiments need many moderate
 sizes rather than one huge one, so correctness and simplicity win over
-structured storage.  Complex arithmetic is confined to the quadratic-form
-comparison; every positivity question is answered by a real symmetric
-eigensolve, via the Hermitian embedding where a complex shift is involved.
+structured storage.  The covariance (G-chain) test is the one place where a
+complex shift enters: its verdicts come from a complex Cholesky factor and its
+witness from a complex Hermitian eigensolve, both of size 2kn.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from . import core
 from .errors import AliasingError, InvalidDimensionError, TruncationSizeError
 from .symbols import GridSpec, TrigMatrixPolynomial
 
@@ -104,14 +104,28 @@ class GChainCheck:
         return self.ok
 
 
+def _shifted_truncation(symbol: TrigMatrixPolynomial, n: int, max_dim: int) -> np.ndarray:
+    """T_n + (i/2) J as a complex array, with no dense J temporary.
+
+    Fortran order lets zpotrf factor it in place.
+    """
+    H = np.array(assemble(symbol, n, max_dim=max_dim), dtype=complex, order="F")
+    q = np.arange(0, H.shape[0], 2)
+    H[q, q + 1] += 0.5j
+    H[q + 1, q] -= 0.5j
+    return H
+
+
 def gchain_check(
     symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10, *, max_dim: int = MAX_DIM
 ) -> GChainCheck:
-    """Positivity of T_n + (i/2) J, tested through the real embedding."""
-    T = assemble(symbol, n, max_dim=max_dim)
-    J = core.symplectic_form(symbol.k * n)
-    E = core.embed_hermitian(T, 0.5 * J)
-    w0 = float(np.linalg.eigvalsh(E)[0])
+    """Positivity of T_n + (i/2) J, by one 2kn x 2kn complex Hermitian eigensolve.
+
+    The witness min_eigenvalue is the smallest eigenvalue of T_n + (i/2) J; the
+    truncation passes when it is >= -tol.  It equals the smallest eigenvalue of
+    the real embedding core.embed_hermitian(T_n, J/2), at half its size.
+    """
+    w0 = float(np.linalg.eigvalsh(_shifted_truncation(symbol, n, max_dim))[0])
     return GChainCheck(w0 >= -tol, n, w0)
 
 
@@ -120,43 +134,38 @@ def gchain_sweep(
 ):
     """Find the smallest failing truncation order up to n_max.
 
-    Returns (first_failing_n or None, records), where records lists every
-    GChainCheck evaluated.  Failure is monotone in n because each truncation
-    embeds as a principal submatrix of the next, so doubling followed by
-    bisection locates the first failure exactly.
+    Returns (first_failing_n or None, records).  T_n is the leading principal
+    submatrix of T_{n+1} and J is block diagonal, so one Cholesky factor of
+    H_m = T_m + (i/2) J + tol I decides every order up to m: it breaks down
+    at the first leading minor that is not positive definite, and that pivot
+    lies in the block of the first failing order.  The orders m = 1, 2, 4, ...
+    and finally n_max are factored until one breaks down, which keeps an early
+    failure cheap and assembles nothing beyond it.
+
+    first_failing_n is this pivot verdict.  records holds one GChainCheck, the
+    eigensolve witness from gchain_check at the reported order (n_max when
+    every order passes).  The two can disagree only when the witness lies
+    within rounding of -tol.
     """
     if n_max < 1:
         raise InvalidDimensionError(f"n_max must be >= 1, got {n_max}")
-    records = []
-
-    def probe(n):
-        res = gchain_check(symbol, n, tol, max_dim=max_dim)
-        records.append(res)
-        return res
-
-    last_pass = 0
+    orders = []
+    m = 1
+    while m < n_max:
+        orders.append(m)
+        m *= 2
+    orders.append(n_max)
     first_fail = None
-    n = 1
-    while n <= n_max:
-        if not probe(n):
-            first_fail = n
+    for m in orders:
+        H = _shifted_truncation(symbol, m, max_dim)
+        H.flat[:: H.shape[0] + 1] += tol
+        _, info = lapack.zpotrf(H, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            # info is the 1-based order of the first leading minor that fails
+            first_fail = (info - 1) // symbol.block_dim + 1
             break
-        last_pass = n
-        n *= 2
-    if first_fail is None:
-        if last_pass >= n_max:
-            return None, records
-        if probe(n_max):
-            return None, records
-        first_fail = n_max
-    lo, hi = last_pass, first_fail
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi, records
+    witness = gchain_check(symbol, n_max if first_fail is None else first_fail, tol, max_dim=max_dim)
+    return first_fail, [witness]
 
 
 def first_gchain_failure(

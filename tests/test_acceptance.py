@@ -157,7 +157,7 @@ def test_10_gchain_desk_equivalence():
         10,
         ok,
         f"margin symbol passes up to 32; violator first fails at n = {v_first} "
-        f"with embedding min eigenvalue {v_worst:.4f} < -1e-6",
+        f"with witness min eigenvalue {v_worst:.4f} < -1e-6",
     )
 
 

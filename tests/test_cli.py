@@ -225,6 +225,10 @@ class TestGChainCommand:
         summary = read_summary(tmp_path / "out")
         assert summary["first_failing_n"] == 3
         assert summary["worst_min_eigenvalue"] < -1e-6
+        # one row: the witness at the reported order
+        lines = (tmp_path / "out" / "series.csv").read_text().splitlines()
+        assert lines[0] == "n,min_eigenvalue,ok"
+        assert len(lines) == 2 and lines[1].startswith("3,") and lines[1].endswith(",0")
 
     def test_margin_symbol_passes(self, tmp_path):
         cfg = write_config(
@@ -279,6 +283,48 @@ class TestConfigErrors:
             },
         )
         assert run("szego", cfg, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize(
+        "command, field, path",
+        [
+            ("gchain-check", "tolerance", "config.tolerance"),
+            ("szego", "n_list", "config.n_list[0]"),
+            ("spectrum", "n", "config.n"),
+            ("gchain-check", "n_max", "config.n_max"),
+            ("szego", "grid.G", "config.grid.G"),
+            ("szego", "f.power", "config.f.power"),
+            ("szego", "symbol.degree", "config.symbol.degree"),
+            ("szego", "symbol.k", "config.symbol.k"),
+        ],
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, command, field, path):
+        cfg = {
+            "symbol": {"builder": "scalar", "coeffs": [0.6, 0.1]},
+            "f": {"kind": "monomial", "power": 1},
+            "grid": {"G": 64},
+            "n": 2,
+            "n_max": 8,
+            "n_list": [2, 4],
+        }
+        *parents, key = field.split(".")
+        target = cfg
+        for name in parents:
+            target = target[name]
+        target[key] = [True] if key == "n_list" else True
+        assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 2
+        assert path in capsys.readouterr().err
+
+    def test_non_numeric_interval(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]},
+                "n_list": [4],
+                "interval": ["x", 3.0],
+            },
+        )
+        assert run("counting", cfg, tmp_path / "out") == 2
+        assert "config.interval[0]" in capsys.readouterr().err
 
     def test_sampled_symbol_needs_degree_for_assembly(self, tmp_path):
         from symplitz import sample, scalar_symbol, symbol_to_json, GridSpec

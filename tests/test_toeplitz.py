@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, symbols, toeplitz
@@ -95,6 +96,9 @@ class TestGChain:
             res = toeplitz.gchain_check(s, n, tol=1e-10)
             assert res.ok
             assert abs(res.min_eigenvalue) <= 1e-12
+        # min eigenvalue 0 and -1e-12: both within tol, so every order passes
+        for d in (0.5, 0.5 - 1e-12):
+            assert toeplitz.gchain_sweep(symbols.constant_symbol(d * np.eye(2)), 7, tol=1e-10)[0] is None
 
     def test_identity_constant(self):
         res = toeplitz.gchain_check(symbols.constant_symbol(np.eye(2)), 4)
@@ -105,18 +109,58 @@ class TestGChain:
         s = symbols.scalar_symbol([0.6, 0.1])  # bottom curve dips to 0.4 < 1/2
         first, records = toeplitz.gchain_sweep(s, 32, tol=1e-6)
         assert first == 3
+        assert [r.n for r in records] == [3]
         worst = min(r.min_eigenvalue for r in records)
         assert worst < -1e-6
+        # the doubling stops at order 4, so an n_max beyond the guard is never assembled
+        assert toeplitz.gchain_sweep(s, 10**6, tol=1e-6, max_dim=16)[0] == 3
+        with pytest.raises(TruncationSizeError):
+            toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), 10**6, max_dim=16)
 
     def test_sweep_matches_sequential_scan(self):
-        s = symbols.scalar_symbol([0.55, 0.08])
-        first, _ = toeplitz.gchain_sweep(s, 24, tol=1e-9)
-        sequential = None
-        for n in range(1, 25):
-            if not toeplitz.gchain_check(s, n, tol=1e-9).ok:
-                sequential = n
-                break
-        assert first == sequential
+        cases = [
+            symbols.scalar_symbol([0.55, 0.08]),
+            symbols.scalar_symbol([0.57, 0.05, 0.02]),  # k = 1, degree 2: fails at 17
+            symbols.scalar_symbol([0.58, 0.05, 0.02]),  # passes up to 24
+            symbols.TrigMatrixPolynomial(0.2695 * matrix_symbol_k2().coeffs),  # k = 2: fails at 11
+        ]
+        for s in cases:
+            first, records = toeplitz.gchain_sweep(s, 24, tol=1e-9)
+            sequential = None
+            for n in range(1, 25):
+                if not toeplitz.gchain_check(s, n, tol=1e-9).ok:
+                    sequential = n
+                    break
+            assert first == sequential
+            assert [r.n for r in records] == [first or 24]
+
+    @pytest.mark.parametrize(
+        "coeffs, info, order",
+        [
+            ([0.4 * np.eye(2)], 2, 1),
+            ([np.diag([1.0, 1.0, 0.4, 0.4])], 4, 1),
+            ([np.eye(2), np.diag([0.9, 0.0])], 3, 2),
+            ([np.eye(2), np.diag([0.0, 0.9])], 4, 2),
+            ([np.eye(4), np.diag([0.9, 0.0, 0.0, 0.0])], 5, 2),
+            ([np.eye(4), np.diag([0.0, 0.0, 0.0, 0.9])], 8, 2),
+        ],
+    )
+    def test_failing_pivot_at_block_edge(self, coeffs, info, order):
+        # the first and last pivots of a 2k block map to that block's order
+        s = symbols.TrigMatrixPolynomial(np.stack(coeffs))
+        T = toeplitz.assemble(s, 4)
+        H = T + 0.5j * core.symplectic_form(T.shape[0] // 2) + 1e-10 * np.eye(T.shape[0])
+        assert lapack.zpotrf(H, lower=1)[1] == info
+        assert toeplitz.gchain_sweep(s, 8)[0] == order
+
+    def test_witness_matches_real_embedding(self, corpus):
+        for name, s in corpus.items():
+            for n in (1, 3, 8):
+                T = toeplitz.assemble(s, n)
+                E = core.embed_hermitian(T, 0.5 * core.symplectic_form(T.shape[0] // 2))
+                reference = np.linalg.eigvalsh(E)[0]
+                witness = toeplitz.gchain_check(s, n).min_eigenvalue
+                assert witness == pytest.approx(reference, abs=1e-12), name
 
     def test_margin_symbol_passes(self):
         s = symbols.scalar_symbol([0.7, 0.05])  # bottom curve stays at 0.6
