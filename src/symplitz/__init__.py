@@ -3,8 +3,9 @@
 The package bundles four layers: symplectic linear algebra (eigenvalues,
 Williamson normal form, numerical-range probing), matrix-valued symbols on
 the circle with their spectral curves, dense block Toeplitz truncations with
-structural checks, and the spectral-average / entropy-rate / counting /
-density experiments that tie truncation spectra to symbol-side integrals.
+structural checks, and the spectral-average (entropy rates included),
+counting and density experiments that tie truncation spectra to symbol-side
+integrals.
 """
 
 __version__ = "0.1.0"
@@ -25,10 +26,6 @@ from .core import (
     williamson,
 )
 from .entropy import (
-    EntropyReport,
-    entropy_rate_integral,
-    entropy_rate_report,
-    entropy_rate_sequence,
     entropy_test_function,
     mode_entropy,
     mode_entropy_shannon,

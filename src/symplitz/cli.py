@@ -4,7 +4,9 @@ Experiments are described by a JSON config file; results are emitted as CSV
 series plus a JSON summary, and every run writes a manifest listing the
 emitted files with content digests.  Exit codes: 0 all declared tolerances
 pass, 2 config error, 3 numerical-domain error, 4 tolerance or verification
-failure.  Serial runs (--threads 1, the default) are byte-reproducible.
+failure.  Every run is serial and byte-reproducible.  The szego verb with
+f = entropy and the entropy-rate verb run the same average-versus-integral
+report; entropy-rate names its columns and keys after the rate.
 """
 
 import argparse
@@ -48,6 +50,19 @@ def _positive(value, path):
     if not _is_number(value) or not value > 0:
         _fail(path, f"must be a positive number, got {value!r}")
     return float(value)
+
+
+def _number(value, path):
+    if not _is_number(value):
+        _fail(path, f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(raw, path, length=None):
+    """A nonempty JSON list of numbers, of the given length if one is given."""
+    if not isinstance(raw, list) or not raw or (length is not None and len(raw) != length):
+        _fail(path, f"must be a list of {length or 'one or more'} numbers, got {raw!r}")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(raw)]
 
 
 def _matrix(obj, path):
@@ -136,7 +151,7 @@ def _symbol(cfg, path="config", *, needs_coefficients=True):
     return sym
 
 
-def _test_function(cfg, base, path):
+def _test_function(cfg, opts, path):
     obj = _get(cfg, "f", path)
     if not isinstance(obj, dict) or "kind" not in obj:
         _fail(f"{path}.f", 'must be an object with a "kind" field')
@@ -149,13 +164,17 @@ def _test_function(cfg, base, path):
                 _fail(f"{fpath}.power", f"must be a nonnegative integer, got {power!r}")
             return szego.monomial(power)
         if kind == "polynomial":
-            return szego.polynomial(_get(obj, "coeffs", fpath))
+            return szego.polynomial(_numbers(_get(obj, "coeffs", fpath), f"{fpath}.coeffs"))
         if kind == "entropy":
-            return entropy.entropy_test_function(base)
+            return entropy.entropy_test_function(opts["base"], strict=opts["strict"])
         if kind == "hat":
-            return szego.hat(_get(obj, "left", fpath), _get(obj, "peak", fpath), _get(obj, "right", fpath))
+            return szego.hat(*(_number(_get(obj, key, fpath), f"{fpath}.{key}")
+                               for key in ("left", "peak", "right")))
         if kind == "indicator_smoothing":
-            return szego.indicator_smoothing(_get(obj, "interval", fpath), _get(obj, "eps", fpath))
+            return szego.indicator_smoothing(
+                _numbers(_get(obj, "interval", fpath), f"{fpath}.interval", 2),
+                _positive(_get(obj, "eps", fpath), f"{fpath}.eps"),
+            )
     except ConfigError:
         raise
     except (ValueError, TypeError) as err:
@@ -164,13 +183,7 @@ def _test_function(cfg, base, path):
 
 
 def _interval(cfg, path):
-    raw = _get(cfg, "interval", path)
-    if not isinstance(raw, list) or len(raw) != 2:
-        _fail(f"{path}.interval", "must be a list [a, b]")
-    for i, v in enumerate(raw):
-        if not _is_number(v):
-            _fail(f"{path}.interval[{i}]", f"must be a number, got {v!r}")
-    a, b = float(raw[0]), float(raw[1])
+    a, b = _numbers(_get(cfg, "interval", path), f"{path}.interval", 2)
     if not (0.0 <= a <= b):
         _fail(f"{path}.interval", f"must satisfy 0 <= a <= b, got [{a}, {b}]")
     return (a, b)
@@ -262,22 +275,26 @@ def _grid_check(report):
     return _check("grid_consistency", dev, bound, report.grid_consistent)
 
 
-def cmd_szego(cfg, opts):
-    sym = _symbol(cfg)
-    grid = _grid(cfg, "config")
-    ns = _n_list(cfg, "config")
-    f = _test_function(cfg, opts["base"], "config")
+def _convergence(cfg, sym, f, ns, grid, header):
+    """The average-versus-integral report shared by the szego and entropy-rate verbs."""
     tol = _tolerance(cfg, "config")
     report = szego.convergence_report(
         sym, f, ns, grid, tolerance=tol,
         grid_tolerance=_tolerance(cfg, "config", "grid_tolerance", 1e-8),
-        threads=opts["threads"],
     )
     checks = [_grid_check(report)]
     if tol is not None:
         checks.append(_check("gap_at_max_n", report.gaps[-1], tol, report.passed))
     rows = [(n, a, report.integral, g) for n, a, g in zip(report.ns, report.averages, report.gaps)]
-    files = {"series.csv": _csv_bytes(["n", "average", "integral", "gap"], rows)}
+    return report, checks, {"series.csv": _csv_bytes(header, rows)}
+
+
+def cmd_szego(cfg, opts):
+    sym = _symbol(cfg)
+    grid = _grid(cfg, "config")
+    ns = _n_list(cfg, "config")
+    f = _test_function(cfg, opts, "config")
+    report, checks, files = _convergence(cfg, sym, f, ns, grid, ["n", "average", "integral", "gap"])
     summary = {
         "f": report.f_name,
         "grid_G": report.grid_G,
@@ -294,26 +311,17 @@ def cmd_entropy_rate(cfg, opts):
     sym = _symbol(cfg)
     grid = _grid(cfg, "config")
     ns = _n_list(cfg, "config")
-    tol = _tolerance(cfg, "config")
-    report = entropy.entropy_rate_report(
-        sym, ns, grid, opts["base"], tolerance=tol,
-        grid_tolerance=_tolerance(cfg, "config", "grid_tolerance", 1e-8),
-        strict=opts["strict"], threads=opts["threads"],
-    )
-    checks = [_grid_check(report)]
-    if tol is not None:
-        checks.append(_check("gap_at_max_n", report.gaps[-1], tol, report.passed))
-    rows = [(n, r, report.integral, g) for n, r, g in zip(report.ns, report.rates, report.gaps)]
-    files = {"series.csv": _csv_bytes(["n", "rate", "integral", "gap"], rows)}
+    f = entropy.entropy_test_function(opts["base"], strict=opts["strict"])
+    report, checks, files = _convergence(cfg, sym, f, ns, grid, ["n", "rate", "integral", "gap"])
     summary = {
-        "base": report.base,
+        "base": str(opts["base"]),
         "grid_G": report.grid_G,
         "n_list": report.ns,
-        "rates": report.rates,
+        "rates": report.averages,
         "integral": report.integral,
         "integral_refined": report.integral_refined,
         "gaps": report.gaps,
-        "rate": report.rate,
+        "rate": report.integral,
     }
     return files, checks, summary
 
@@ -324,7 +332,7 @@ def cmd_counting(cfg, opts):
     ns = _n_list(cfg, "config")
     interval = _interval(cfg, "config")
     tol = _tolerance(cfg, "config")
-    traj = szego.truncated_spectra(sym, ns, threads=opts["threads"])
+    traj = szego.truncated_spectra(sym, ns)
     limit = szego.limit_measure(sym, interval, grid)
     report = szego.counting_ratio(traj, interval, limit=limit)
     smoothing = szego.smoothed_counting(sym, traj, interval, grid)
@@ -353,7 +361,7 @@ def cmd_density(cfg, opts):
     if not _is_number(n_max, int) or n_max < 1:
         _fail("config.n_max", f"must be a positive integer, got {n_max!r}")
     delta = _positive(_get(cfg, "delta", "config"), "config.delta")
-    report = szego.density_check(sym, n_max, delta, grid, threads=opts["threads"])
+    report = szego.density_check(sym, n_max, delta, grid)
     coverage_tol = _tolerance(cfg, "config", "coverage_tolerance", delta)
     escape_tol = _tolerance(cfg, "config", "escape_tolerance")
     checks = [
@@ -424,7 +432,6 @@ def _build_parser():
         default=None,
         help=f"output directory (default: ${ENV_OUT} or ./{DEFAULT_OUT})",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps (1 = serial)")
     clamp = parser.add_mutually_exclusive_group()
     clamp.add_argument("--strict", dest="strict", action="store_true", default=True,
                        help="error on sub-vacuum symplectic eigenvalues (default)")
@@ -458,14 +465,11 @@ def main(argv=None) -> int:
     config_digest = _sha256(raw)
     t_load = time.perf_counter() - t0
 
-    if args.threads < 1:
-        print(f"config error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 2
     base = args.base or cfg.get("base", "e")
     if base not in ("e", "2", 2):
         print(f"config error: config.base must be 'e' or '2', got {base!r}", file=sys.stderr)
         return 2
-    opts = {"threads": args.threads, "strict": args.strict, "base": base}
+    opts = {"strict": args.strict, "base": base}
 
     t1 = time.perf_counter()
     try:

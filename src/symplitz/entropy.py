@@ -1,20 +1,21 @@
-"""Von Neumann entropy of Gaussian covariance matrices and entropy rates.
+"""Von Neumann entropy of Gaussian covariance matrices.
 
 The entropy of a covariance matrix is a sum of per-mode contributions, one
 per symplectic eigenvalue: f(d) = (d + 1/2) log(d + 1/2) - (d - 1/2) log(d - 1/2)
 above the pure-state boundary d = 1/2 and zero at or below it.  Natural
 logarithms are the default; pass base=2 for bits.  Eigenvalues caught just
 below 1/2 by float noise are clamped to the boundary; genuine violations are
-an error in strict mode and a warning otherwise.
+an error in strict mode and a warning otherwise.  The entropy rate of a
+stationary chain is the Szego limit of this test function:
+``szego.convergence_report(symbol, entropy_test_function(base), ns, grid)``.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, symbols, szego, toeplitz
+from . import core, szego
 from .errors import DomainError
 
 _LN2 = math.log(2.0)
@@ -65,128 +66,38 @@ def mode_entropy_shannon(x, base="e"):
     return float(out) if np.isscalar(x) else out
 
 
+def entropy_test_function(
+    base="e", *, strict: bool = True, clamp_tol: float = CLAMP_TOL
+) -> szego.TestFunction:
+    """The per-mode entropy as a spectral-average test function, with the boundary clamp policy.
+
+    Values within ``clamp_tol`` below 1/2 count as the boundary (zero
+    entropy); values further below raise ``DomainError`` when ``strict``
+    and warn with ``RuntimeWarning`` otherwise.
+    """
+    _log_scale(base)  # reject a bad base here rather than at the first call
+
+    def fn(x):
+        bad = x < 0.5 - clamp_tol
+        if np.any(bad):
+            msg = (
+                f"{int(bad.sum())} symplectic eigenvalue(s) below the uncertainty "
+                f"bound 1/2 (min {float(x.min()):.6g}); not a valid Gaussian covariance"
+            )
+            if strict:
+                raise DomainError(msg)
+            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        return mode_entropy(x, base)
+
+    return szego.TestFunction(f"entropy(base={base})", fn, domain=(0.0, math.inf))
+
+
 def spectrum_entropy(values, base="e", *, strict: bool = True, clamp_tol: float = CLAMP_TOL) -> float:
     """Total entropy of a symplectic spectrum, with the boundary clamp policy."""
-    v = np.asarray(values, dtype=float)
-    bad = v < 0.5 - clamp_tol
-    if np.any(bad):
-        msg = (
-            f"{int(bad.sum())} symplectic eigenvalue(s) below the uncertainty "
-            f"bound 1/2 (min {float(v.min()):.6g}); not a valid Gaussian covariance"
-        )
-        if strict:
-            raise DomainError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return float(np.sum(mode_entropy(v, base)))
+    return float(np.sum(entropy_test_function(base, strict=strict, clamp_tol=clamp_tol)(values)))
 
 
 def state_entropy(A, base="e", *, strict: bool = True, clamp_tol: float = CLAMP_TOL) -> float:
     """Von Neumann entropy of the Gaussian state with covariance matrix A."""
     d = core.symplectic_eigenvalues(np.asarray(A, dtype=float))
     return spectrum_entropy(d, base, strict=strict, clamp_tol=clamp_tol)
-
-
-def entropy_test_function(base="e") -> szego.TestFunction:
-    """The per-mode entropy as a spectral-average test function."""
-    return szego.TestFunction(
-        f"entropy(base={base})", lambda x: mode_entropy(x, base), domain=(0.0, math.inf)
-    )
-
-
-def entropy_rate_sequence(
-    symbol,
-    n_list,
-    base="e",
-    *,
-    strict: bool = True,
-    clamp_tol: float = CLAMP_TOL,
-    max_dim: int = toeplitz.MAX_DIM,
-    threads: int = 1,
-):
-    """Per-order values of entropy(T_n) / n.  Returns (orders, values)."""
-    traj = szego.truncated_spectra(symbol, n_list, max_dim=max_dim, threads=threads)
-    rates = [
-        spectrum_entropy(traj.spectra[n], base, strict=strict, clamp_tol=clamp_tol) / n
-        for n in traj.ns
-    ]
-    return traj.ns, rates
-
-
-def entropy_rate_integral(
-    symbol,
-    grid: symbols.GridSpec = symbols.GridSpec(),
-    base="e",
-    *,
-    strict: bool = True,
-    clamp_tol: float = CLAMP_TOL,
-) -> float:
-    """Angular average of the pointwise state entropy of the symbol."""
-    curves = symbols.symplectic_curves(symbol, grid)
-    flat = curves.values.ravel()
-    bad = flat < 0.5 - clamp_tol
-    if np.any(bad):
-        msg = (
-            f"symbol dips below the uncertainty bound 1/2 at {int(bad.sum())} "
-            f"grid value(s) (min {float(flat.min()):.6g})"
-        )
-        if strict:
-            raise DomainError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return float(np.sum(mode_entropy(curves.values, base)) / grid.G)
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Per-order entropy rates against the symbol-side integral."""
-
-    base: str
-    grid_G: int
-    ns: list
-    rates: list
-    integral: float
-    integral_refined: float
-    gaps: list
-    tolerance: float | None
-    grid_tolerance: float
-    passed: bool | None
-    grid_consistent: bool
-
-    @property
-    def rate(self) -> float:
-        """The limit estimate reported by the experiment."""
-        return self.integral
-
-
-def entropy_rate_report(
-    symbol,
-    n_list,
-    grid: symbols.GridSpec = symbols.GridSpec(),
-    base="e",
-    *,
-    tolerance: float | None = None,
-    grid_tolerance: float = 1e-8,
-    strict: bool = True,
-    clamp_tol: float = CLAMP_TOL,
-    max_dim: int = toeplitz.MAX_DIM,
-    threads: int = 1,
-) -> EntropyReport:
-    """Entropy-rate experiment: sequence, integral, gaps, and consistency flags."""
-    ns, rates = entropy_rate_sequence(
-        symbol, n_list, base, strict=strict, clamp_tol=clamp_tol, max_dim=max_dim, threads=threads
-    )
-    integral = entropy_rate_integral(symbol, grid, base, strict=strict, clamp_tol=clamp_tol)
-    refined = entropy_rate_integral(symbol, grid.refined(), base, strict=strict, clamp_tol=clamp_tol)
-    gaps = [abs(r - integral) for r in rates]
-    return EntropyReport(
-        base=str(base),
-        grid_G=grid.G,
-        ns=ns,
-        rates=rates,
-        integral=integral,
-        integral_refined=refined,
-        gaps=gaps,
-        tolerance=tolerance,
-        grid_tolerance=grid_tolerance,
-        passed=None if tolerance is None else bool(gaps[-1] <= tolerance),
-        grid_consistent=abs(integral - refined) <= grid_tolerance * max(1.0, abs(integral)),
-    )

@@ -7,8 +7,6 @@ raw sequences are reported as computed, with no averaging acceleration, so
 the limit statements are checked exactly as formulated.
 """
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,14 +16,6 @@ from . import core, symbols, toeplitz
 from .errors import DomainError, IndexRangeError, PositivityError
 
 EPS_LADDER = (0.2, 0.1, 0.05)
-
-
-def _pmap(fn, items, threads=1):
-    items = list(items)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -99,9 +89,7 @@ class SpectrumTrajectory:
         return max(self.spectra)
 
 
-def truncated_spectra(
-    symbol, n_list, *, max_dim: int = toeplitz.MAX_DIM, threads: int = 1
-) -> SpectrumTrajectory:
+def truncated_spectra(symbol, n_list, *, max_dim: int = toeplitz.MAX_DIM) -> SpectrumTrajectory:
     """Per-order symplectic spectra, with the interlacing drift reported.
 
     For each fixed index the eigenvalue can only drift down (within float
@@ -123,7 +111,7 @@ def truncated_spectra(
                 where=n,
             ) from err
 
-    spectra = dict(zip(ns, _pmap(one, ns, threads)))
+    spectra = {n: one(n) for n in ns}
     violation = 0.0
     for n_prev, n_next in zip(ns, ns[1:]):
         shared = len(spectra[n_prev])
@@ -158,7 +146,6 @@ class SzegoReport:
     grid_tolerance: float
     passed: bool | None
     grid_consistent: bool
-    elapsed: float
 
 
 def convergence_report(
@@ -170,7 +157,6 @@ def convergence_report(
     tolerance: float | None = None,
     grid_tolerance: float = 1e-8,
     max_dim: int = toeplitz.MAX_DIM,
-    threads: int = 1,
 ) -> SzegoReport:
     """Run the average-versus-integral comparison over the given orders.
 
@@ -179,8 +165,7 @@ def convergence_report(
     symbols converge slowly on a grid), in which case the report should not
     be read as evidence either way.
     """
-    t0 = time.perf_counter()
-    traj = truncated_spectra(symbol, n_list, max_dim=max_dim, threads=threads)
+    traj = truncated_spectra(symbol, n_list, max_dim=max_dim)
     averages = [szego_average(traj.spectra[n], n, f) for n in traj.ns]
     integral = symbol_integral(symbol, f, grid)
     refined = symbol_integral(symbol, f, grid.refined())
@@ -199,7 +184,6 @@ def convergence_report(
         grid_tolerance=grid_tolerance,
         passed=passed,
         grid_consistent=grid_consistent,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -222,7 +206,6 @@ def min_trajectory(
     grid: symbols.GridSpec = symbols.GridSpec(),
     *,
     max_dim: int = toeplitz.MAX_DIM,
-    threads: int = 1,
 ) -> MinTrajectory:
     """Track d_m of the truncations; every fixed index converges to the
     grid infimum of the bottom symplectic curve."""
@@ -232,7 +215,7 @@ def min_trajectory(
             f"index m = {m} does not exist at the smallest order n = {ns[0]} "
             f"(spectrum has {symbol.k * ns[0]} entries)"
         )
-    traj = truncated_spectra(symbol, ns, max_dim=max_dim, threads=threads)
+    traj = truncated_spectra(symbol, ns, max_dim=max_dim)
     values = [float(traj.spectra[n][m - 1]) for n in ns]
     violation = 0.0
     for prev, nxt in zip(values, values[1:]):
@@ -344,7 +327,6 @@ def density_check(
     grid: symbols.GridSpec = symbols.GridSpec(),
     *,
     max_dim: int = toeplitz.MAX_DIM,
-    threads: int = 1,
 ) -> DensityReport:
     """Check that truncation spectra fill out the symbol's spectral values.
 
@@ -355,7 +337,7 @@ def density_check(
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    traj = truncated_spectra(symbol, range(1, n_max + 1), max_dim=max_dim, threads=threads)
+    traj = truncated_spectra(symbol, range(1, n_max + 1), max_dim=max_dim)
     curves = symbols.symplectic_curves(symbol, grid)
     sorted_curve_values = np.sort(curves.values.ravel())
     pool = np.sort(np.concatenate([traj.spectra[n] for n in traj.ns]))

@@ -163,12 +163,14 @@ def test_10_gchain_desk_equivalence():
 
 def test_11_entropy_rate():
     fam = symbols.ab_family(2.0 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(8), 8)
-    rep = entropy.entropy_rate_report(fam, [8, 16, 32, 64], GRID)
+    rep = szego.convergence_report(fam, entropy.entropy_test_function(), [8, 16, 32, 64], GRID)
     decreasing = all(a > b for a, b in zip(rep.gaps, rep.gaps[1:]))
     ok = rep.gaps[-1] <= 0.02 and decreasing
     A = random_gmatrix(2, [0.8, 2.5], seed=7)
-    ns, rates = entropy.entropy_rate_sequence(symbols.constant_symbol(A), [1, 4, 16])
-    const_gap = max(abs(r - entropy.state_entropy(A)) for r in rates)
+    const = szego.convergence_report(
+        symbols.constant_symbol(A), entropy.entropy_test_function(), [1, 4, 16], GRID
+    )
+    const_gap = max(abs(r - entropy.state_entropy(A)) for r in const.averages)
     ok = ok and const_gap <= 1e-12
     report(
         11,

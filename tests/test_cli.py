@@ -115,6 +115,40 @@ class TestSzegoCommand:
         )
         assert run("szego", cfg, tmp_path / "out") == 4
 
+    SUB_VACUUM = {
+        "symbol": {"builder": "scalar", "coeffs": [0.6, 0.1]},
+        "f": {"kind": "entropy"},
+        "n_list": [4, 8],
+        "grid": {"G": 64},
+    }
+
+    def test_entropy_strict_sub_vacuum_is_numerical_error(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", self.SUB_VACUUM)
+        assert run("szego", cfg, tmp_path / "out") == 3
+
+    def test_entropy_lenient_sub_vacuum_warns(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", self.SUB_VACUUM)
+        with pytest.warns(RuntimeWarning):
+            assert run("szego", cfg, tmp_path / "out", "--lenient") == 4
+        flagged = {c["name"]: c["passed"] for c in read_summary(tmp_path / "out")["checks"]}
+        assert flagged["grid_consistency"] is False
+
+    def test_entropy_matches_entropy_rate_verb(self, tmp_path):
+        cfg_dict = {
+            "symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]},
+            "f": {"kind": "entropy"},
+            "n_list": [4, 8, 16],
+            "grid": {"G": 256},
+        }
+        cfg = write_config(tmp_path / "c.json", cfg_dict)
+        assert run("szego", cfg, tmp_path / "szego", "--base", "2") == 0
+        assert run("entropy-rate", cfg, tmp_path / "rate", "--base", "2") == 0
+        szego, rate = read_summary(tmp_path / "szego"), read_summary(tmp_path / "rate")
+        assert szego["averages"] == rate["rates"]
+        assert szego["gaps"] == rate["gaps"]
+        assert szego["integral"] == rate["integral"] == rate["rate"]
+        assert szego["integral_refined"] == rate["integral_refined"]
+
 
 class TestEntropyRateCommand:
     def test_vacuum_rate(self, tmp_path):
@@ -295,6 +329,10 @@ class TestConfigErrors:
             ("szego", "f.power", "config.f.power"),
             ("szego", "symbol.degree", "config.symbol.degree"),
             ("szego", "symbol.k", "config.symbol.k"),
+            ("szego", "f.coeffs", "config.f.coeffs[1]"),
+            ("szego", "f.left", "config.f.left"),
+            ("szego", "f.interval", "config.f.interval[1]"),
+            ("szego", "f.eps", "config.f.eps"),
         ],
     )
     def test_boolean_is_not_a_number(self, tmp_path, capsys, command, field, path):
@@ -306,11 +344,20 @@ class TestConfigErrors:
             "n_max": 8,
             "n_list": [2, 4],
         }
-        *parents, key = field.split(".")
-        target = cfg
-        for name in parents:
-            target = target[name]
-        target[key] = [True] if key == "n_list" else True
+        test_functions = {
+            "f.coeffs": {"kind": "polynomial", "coeffs": [1.0, True]},
+            "f.left": {"kind": "hat", "left": True, "peak": 1.5, "right": 2.0},
+            "f.interval": {"kind": "indicator_smoothing", "interval": [1.0, True], "eps": 0.1},
+            "f.eps": {"kind": "indicator_smoothing", "interval": [1.0, 2.0], "eps": True},
+        }
+        if field in test_functions:
+            cfg["f"] = test_functions[field]
+        else:
+            *parents, key = field.split(".")
+            target = cfg
+            for name in parents:
+                target = target[name]
+            target[key] = [True] if key == "n_list" else True
         assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 2
         assert path in capsys.readouterr().err
 
@@ -325,6 +372,23 @@ class TestConfigErrors:
         )
         assert run("counting", cfg, tmp_path / "out") == 2
         assert "config.interval[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "interval, path",
+        [([1.0, 2.0, 3.0], "config.f.interval"), (5, "config.f.interval"), ([], "config.f.interval"),
+         (["x", 2.0], "config.f.interval[0]")],
+    )
+    def test_test_function_interval_shape(self, tmp_path, capsys, interval, path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]},
+                "f": {"kind": "indicator_smoothing", "interval": interval, "eps": 0.1},
+                "n_list": [4],
+            },
+        )
+        assert run("szego", cfg, tmp_path / "out") == 2
+        assert f"{path}:" in capsys.readouterr().err
 
     def test_sampled_symbol_needs_degree_for_assembly(self, tmp_path):
         from symplitz import sample, scalar_symbol, symbol_to_json, GridSpec

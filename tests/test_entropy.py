@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from symplitz import entropy, symbols
+from symplitz import entropy, symbols, szego
 from symplitz.errors import DomainError
 from conftest import random_gmatrix
 
@@ -98,21 +98,25 @@ class TestStateEntropy:
 
 
 class TestEntropyRate:
+    """The entropy rate is the Szego report run with the entropy test function."""
+
     def test_constant_symbol_rate_is_state_entropy(self):
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
         s = symbols.constant_symbol(A)
-        ns, rates = entropy.entropy_rate_sequence(s, [1, 2, 4, 8])
+        rep = szego.convergence_report(s, entropy.entropy_test_function(), [1, 2, 4, 8])
         expected = entropy.state_entropy(A)
-        np.testing.assert_allclose(rates, expected, atol=1e-12)
+        np.testing.assert_allclose(rep.averages, expected, atol=1e-12)
 
     def test_vacuum_rate_zero(self):
         s = symbols.constant_symbol(0.5 * np.eye(2))
-        _, rates = entropy.entropy_rate_sequence(s, [1, 4])
-        np.testing.assert_allclose(rates, 0.0, atol=1e-12)
+        rep = szego.convergence_report(s, entropy.entropy_test_function(), [1, 4])
+        np.testing.assert_allclose(rep.averages, 0.0, atol=1e-12)
 
     def test_integral_constant(self):
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
-        val = entropy.entropy_rate_integral(symbols.constant_symbol(A), symbols.GridSpec(64))
+        val = szego.symbol_integral(
+            symbols.constant_symbol(A), entropy.entropy_test_function(), symbols.GridSpec(64)
+        )
         assert val == pytest.approx(entropy.state_entropy(A), abs=1e-12)
 
     def test_integral_scalar_oracle(self):
@@ -120,37 +124,44 @@ class TestEntropyRate:
         # phi(theta) = 1 + 0.25 cos(theta) at 10x resolution, no matrices involved
         s = symbols.scalar_symbol([1.0, 0.125])
         G = 256
-        ours = entropy.entropy_rate_integral(s, symbols.GridSpec(G))
+        ours = szego.symbol_integral(s, entropy.entropy_test_function(), symbols.GridSpec(G))
         theta = -np.pi + 2.0 * np.pi * np.arange(10 * G) / (10 * G)
         oracle = float(np.mean(entropy.mode_entropy(1.0 + 0.25 * np.cos(theta))))
         assert ours == pytest.approx(oracle, abs=1e-12)
 
     def test_vacuum_symbol_integral_zero(self):
         s = symbols.constant_symbol(0.5 * np.eye(2))
-        assert entropy.entropy_rate_integral(s, symbols.GridSpec(32)) == pytest.approx(0.0, abs=1e-12)
+        val = szego.symbol_integral(s, entropy.entropy_test_function(), symbols.GridSpec(32))
+        assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_geometric_family_report(self, grid):
         fam = symbols.ab_family(2 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(8), 8)
-        rep = entropy.entropy_rate_report(fam, [8, 16, 32], grid, tolerance=0.02)
+        rep = szego.convergence_report(
+            fam, entropy.entropy_test_function(), [8, 16, 32], grid, tolerance=0.02
+        )
         assert rep.passed
         assert all(a > b for a, b in zip(rep.gaps, rep.gaps[1:]))
         assert rep.grid_consistent
-        assert rep.rate == rep.integral
+        assert rep.f_name == "entropy(base=e)"
 
     def test_base_consistency(self, grid):
         fam = symbols.ab_family(2 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(4), 4)
-        nat = entropy.entropy_rate_report(fam, [4, 8], symbols.GridSpec(256))
-        bits = entropy.entropy_rate_report(fam, [4, 8], symbols.GridSpec(256), base=2)
-        np.testing.assert_allclose(bits.rates, np.asarray(nat.rates) / math.log(2), atol=1e-12)
+        coarse = symbols.GridSpec(256)
+        nat = szego.convergence_report(fam, entropy.entropy_test_function(), [4, 8], coarse)
+        bits = szego.convergence_report(fam, entropy.entropy_test_function(base=2), [4, 8], coarse)
+        np.testing.assert_allclose(bits.averages, np.asarray(nat.averages) / math.log(2), atol=1e-12)
         assert bits.integral == pytest.approx(nat.integral / math.log(2), abs=1e-12)
 
     def test_strict_rejects_sub_vacuum_symbol(self):
         s = symbols.scalar_symbol([0.6, 0.1])  # bottom curve reaches 0.4
         with pytest.raises(DomainError):
-            entropy.entropy_rate_integral(s, symbols.GridSpec(64))
+            szego.symbol_integral(s, entropy.entropy_test_function(), symbols.GridSpec(64))
+        with pytest.raises(DomainError):
+            szego.convergence_report(s, entropy.entropy_test_function(), [4, 8], symbols.GridSpec(64))
 
     def test_lenient_warns_on_sub_vacuum_symbol(self):
         s = symbols.scalar_symbol([0.6, 0.1])
+        f = entropy.entropy_test_function(strict=False)
         with pytest.warns(RuntimeWarning):
-            val = entropy.entropy_rate_integral(s, symbols.GridSpec(64), strict=False)
+            val = szego.symbol_integral(s, f, symbols.GridSpec(64))
         assert val >= 0.0

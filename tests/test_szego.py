@@ -64,12 +64,6 @@ class TestTruncatedSpectra:
             szego.truncated_spectra(s, [16])
         assert exc.value.where == 16
 
-    def test_threads_match_serial(self):
-        serial = szego.truncated_spectra(PHI, [2, 5, 9], threads=1)
-        parallel = szego.truncated_spectra(PHI, [2, 5, 9], threads=4)
-        for n in serial.spectra:
-            np.testing.assert_array_equal(serial.spectra[n], parallel.spectra[n])
-
 
 class TestSzegoAverage:
     def test_constant_function_counts_modes(self):
@@ -125,13 +119,15 @@ class TestSymbolIntegral:
     def test_non_smooth_integrand_is_flagged(self, corpus):
         # boundary-crossing curve against the entropy kink: the convergence
         # report must mark the quadrature as unresolved rather than pass silently
-        rep = szego.convergence_report(
-            corpus["phi_violator"],
-            entropy.entropy_test_function(),
-            [4, 8],
-            symbols.GridSpec(2048),
-            grid_tolerance=1e-10,
-        )
+        # (the curve dips below 1/2, so the entropy must be taken leniently)
+        with pytest.warns(RuntimeWarning):
+            rep = szego.convergence_report(
+                corpus["phi_violator"],
+                entropy.entropy_test_function(strict=False),
+                [4, 8],
+                symbols.GridSpec(2048),
+                grid_tolerance=1e-10,
+            )
         assert not rep.grid_consistent
 
 
