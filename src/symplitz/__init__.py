@@ -18,7 +18,6 @@ from .core import (
     embed_hermitian,
     is_gmatrix,
     numerical_range_edge,
-    principal_sqrt,
     random_symplectic,
     symplectic_eigenvalues,
     symplectic_form,

@@ -65,9 +65,20 @@ def _numbers(raw, path, length=None):
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(raw)]
 
 
+def _nested_numbers(raw, path):
+    """Fail at the first entry of a (nested) JSON list that is not a number."""
+    if isinstance(raw, list):
+        for i, v in enumerate(raw):
+            if type(v) not in (int, float):  # exact types: a bool goes on to the check
+                _nested_numbers(v, f"{path}[{i}]")
+    elif not _is_number(raw):
+        _fail(path, f"must be a number, got {raw!r}")
+    return raw
+
+
 def _matrix(obj, path):
     try:
-        arr = np.asarray(obj, dtype=float)
+        arr = np.asarray(_nested_numbers(obj, path), dtype=float)
     except (TypeError, ValueError):
         _fail(path, "not a numeric matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -108,6 +119,9 @@ def _symbol(cfg, path="config", *, needs_coefficients=True):
     if not isinstance(obj, dict):
         _fail(f"{path}.symbol", "must be an object")
     spath = f"{path}.symbol"
+    for key in ("coeffs", "values", "weights"):
+        if key in obj:
+            _nested_numbers(obj[key], f"{spath}.{key}")
     degree = obj.get("degree")
     if degree is not None and (not _is_number(degree, int) or degree < 0):
         _fail(f"{spath}.degree", f"must be a nonnegative integer, got {degree!r}")
@@ -233,10 +247,13 @@ def cmd_spectrum(cfg, opts):
         n = _get(cfg, "n", "config")
         if not _is_number(n, int) or n < 1:
             _fail("config.n", f"must be a positive integer, got {n!r}")
+        dump = cfg.get("dump_truncation", False)
+        if not isinstance(dump, bool):
+            _fail("config.dump_truncation", f"must be true or false, got {dump!r}")
         T = toeplitz.assemble(sym, n)
         values = core.symplectic_eigenvalues(T)
         source = {"source": "symbol", "n": n, "k": sym.k}
-        if cfg.get("dump_truncation", False):
+        if dump:
             files["truncation.csv"] = toeplitz.matrix_csv_bytes(T)
     files["spectrum.csv"] = _csv_bytes(["index", "value"], list(enumerate(values, 1)))
     summary = {**source, "values": [float(v) for v in values]}

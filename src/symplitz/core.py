@@ -6,15 +6,19 @@ J2 = [[0, 1], [-1, 0]].  All routines work on plain float ndarrays; most of
 the spectral ones accept stacks of matrices with shape (..., 2k, 2k) and act
 on the last two axes.  Every function is pure and every stochastic one takes
 an explicit seed.
+
+One kernel serves the spectral routines: the Cholesky factor A = L L^T
+(whose breakdown is the positive-definiteness verdict) and the skew matrix
+K = L^T J L, similar to J A.  The symplectic spectrum is the singular values
+of K and the Williamson form comes from its real Schur form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import cho_solve, expm, schur, solve_triangular
 
 from .errors import (
-    DegeneracyError,
     DegeneratePairError,
     InvalidDimensionError,
     PairingError,
@@ -72,37 +76,39 @@ def _require_skew(C: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray
     return 0.5 * (C - Ct)
 
 
-def _eigh_pd(A: np.ndarray, pd_tol: float, what: str = "matrix"):
-    """Eigendecomposition of symmetric matrices, verified positive definite."""
-    w, V = np.linalg.eigh(A)
-    scale = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
-    bad = w[..., 0] <= pd_tol * scale
-    if np.any(bad):
-        if w.ndim == 1:
-            where = None
-            val = float(w[0])
-        else:
-            where = tuple(int(i) for i in np.argwhere(bad)[0])
-            val = float(w[..., 0][where])
-        raise PositivityError(
-            f"{what} is not positive definite (min eigenvalue {val:.6e})",
-            min_eigenvalue=val,
-            where=where,
-        )
-    return w, V
+def _factor(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors L with A = L L^T, for one matrix or a stack.
 
-
-def principal_sqrt(A, *, sym_tol: float = SYM_TOL, pd_tol: float = PD_TOL) -> np.ndarray:
-    """Symmetric positive definite square root, via one symmetric eigensolve.
-
-    Accepts a single matrix or a stack shaped (..., n, n).
+    Positive definiteness is decided by the factorization itself; only when
+    it breaks down does one eigensolve find the smallest eigenvalue to report,
+    located at the matrix of the stack with the smallest relative eigenvalue.
     """
-    A = np.asarray(A, dtype=float)
-    _square_dim(A)
-    A = _require_symmetric(A, sym_tol)
-    w, V = _eigh_pd(A, pd_tol)
-    S = (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
+    A = _require_symmetric(A, SYM_TOL)
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        pass
+    w = np.linalg.eigvalsh(A)
+    low = w[..., 0]
+    where = None
+    if low.ndim:
+        rel = low / np.maximum(np.abs(w).max(axis=-1), np.finfo(float).tiny)
+        where = tuple(int(i) for i in np.unravel_index(np.argmin(rel), rel.shape))
+        low = low[where]
+    val = float(low)
+    raise PositivityError(
+        f"matrix is not positive definite (min eigenvalue {val:.6e})",
+        min_eigenvalue=val,
+        where=where,
+    )
+
+
+def _skew_kernel(L: np.ndarray) -> np.ndarray:
+    """K = L^T J L, whose eigenvalues are +-i d_j; J L is a signed row swap."""
+    JL = np.empty_like(L)
+    JL[..., 0::2, :] = L[..., 1::2, :]
+    JL[..., 1::2, :] = -L[..., 0::2, :]
+    return np.swapaxes(L, -1, -2) @ JL
 
 
 def _pair_sorted(w: np.ndarray, pair_tol: float) -> np.ndarray:
@@ -119,61 +125,18 @@ def _pair_sorted(w: np.ndarray, pair_tol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def symplectic_eigenvalues(
-    A,
-    *,
-    sym_tol: float = SYM_TOL,
-    pd_tol: float = PD_TOL,
-    pair_tol: float = PAIR_TOL,
-) -> np.ndarray:
+def symplectic_eigenvalues(A) -> np.ndarray:
     """Symplectic spectrum d_1 <= ... <= d_k of a positive definite 2k x 2k matrix.
 
-    Computed through the skew kernel K = sqrt(A) J sqrt(A): the symmetric
-    matrix -K^2 has eigenvalues d_j^2, each of multiplicity two, so only
-    symmetric eigensolves are needed.  Accepts stacks (..., 2k, 2k) and
-    returns (..., k), ascending along the last axis.
+    With the Cholesky factor A = L L^T, the skew kernel K = L^T J L is
+    similar to J A, so its singular values are the d_j, each twice; nothing
+    is squared, and small d_j keep their relative accuracy.  Accepts stacks
+    (..., 2k, 2k) and returns (..., k), ascending along the last axis.
     """
     A = np.asarray(A, dtype=float)
-    n = _even_dim(A)
-    S = principal_sqrt(A, sym_tol=sym_tol, pd_tol=pd_tol)
-    J = symplectic_form(n // 2)
-    K = S @ J @ S
-    N = K @ np.swapaxes(K, -1, -2)  # equals -K^2 since K is skew
-    N = 0.5 * (N + np.swapaxes(N, -1, -2))
-    w = np.linalg.eigvalsh(N)
-    return np.sqrt(_pair_sorted(w, pair_tol))
-
-
-def _cluster_slices(w: np.ndarray, tol: float) -> list:
-    """Group ascending values into clusters separated by relative gaps > tol."""
-    cuts = [0]
-    for i in range(1, len(w)):
-        if (w[i] - w[i - 1]) > tol * max(abs(w[i]), np.finfo(float).tiny):
-            cuts.append(i)
-    cuts.append(len(w))
-    slices = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-    for sl in slices:
-        if (sl.stop - sl.start) % 2:
-            raise PairingError(
-                "eigenvalue cluster of odd size "
-                f"{sl.stop - sl.start}; multiplicity-2 structure violated"
-            )
-    return slices
-
-
-def _complement_in_span(E: np.ndarray, picked: list) -> np.ndarray:
-    """Orthonormal basis of span(E) minus span(picked); columns of E orthonormal."""
-    P = E.copy()
-    for v in picked:
-        P -= np.outer(v, v @ P)
-    U, s, _ = np.linalg.svd(P, full_matrices=False)
-    want = E.shape[1] - len(picked)
-    if int((s > 0.5).sum()) != want:
-        raise DegeneracyError(
-            "failed to re-orthonormalize a degenerate eigenspace; "
-            "perturbing the input slightly and retrying usually helps"
-        )
-    return U[:, :want]
+    _even_dim(A)
+    s = np.linalg.svd(_skew_kernel(_factor(A)), compute_uv=False)
+    return _pair_sorted(s[..., ::-1], PAIR_TOL)
 
 
 @dataclass(frozen=True)
@@ -195,65 +158,32 @@ class WilliamsonFactorization:
         return np.diag(np.repeat(self.spectrum, 2))
 
 
-def williamson(
-    A,
-    *,
-    sym_tol: float = SYM_TOL,
-    pd_tol: float = PD_TOL,
-    pair_tol: float = PAIR_TOL,
-    ortho_tol: float = ORTHO_TOL,
-) -> WilliamsonFactorization:
+def williamson(A) -> WilliamsonFactorization:
     """Williamson normal form of a positive definite matrix.
 
-    Builds an orthogonal basis that block-diagonalizes K = sqrt(A) J sqrt(A)
-    into rotation blocks d_j J2: for a unit eigenvector x of -K^2 with
-    eigenvalue d_j^2, the partner y = -K x / d_j completes an orthonormal
-    pair, and degenerate eigenspaces are deflated pair by pair.  The factor
-    is M = Lambda^{1/2} O^T A^{-1/2}.
+    K = L^T J L (with A = L L^T) is normal, so its real Schur form
+    K = O T O^T is block diagonal with 2 x 2 blocks d_j J2.  Each block is
+    oriented by swapping its two columns of O where T[2i, 2i+1] < 0, and the
+    blocks are sorted by d_j.  The factor is M = Lambda^{1/2} O^T L^{-1}.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise InvalidDimensionError("williamson expects a single matrix, not a stack")
     n = _even_dim(A)
-    k = n // 2
-    A = _require_symmetric(A, sym_tol)
-    w, V = _eigh_pd(A, pd_tol)
-    sq = np.sqrt(w)
-    S = (V * sq) @ V.T
-    Sinv = (V / sq) @ V.T
-    J = symplectic_form(k)
-    K = S @ J @ S
-    N = K @ K.T
-    N = 0.5 * (N + N.T)
-    ww, VV = np.linalg.eigh(N)
-
-    cols = []
-    ds = []
-    for sl in _cluster_slices(ww, pair_tol):
-        d = float(np.sqrt(np.mean(ww[sl])))
-        E = VV[:, sl]
-        picked = []
-        for _ in range((sl.stop - sl.start) // 2):
-            basis = _complement_in_span(E, picked)
-            x = basis[:, 0]
-            y = -(K @ x) / d
-            y /= np.linalg.norm(y)
-            picked += [x, y]
-            cols += [x, y]
-            ds.append(d)
-    O = np.column_stack(cols)
-    ortho_dev = float(np.abs(O.T @ O - np.eye(n)).max())
-    # eigenvalues clustered within pair_tol leak a deviation of that order
-    # into the pairing; only losses beyond it signal a genuine failure
-    if ortho_dev > max(ortho_tol, 100 * pair_tol):
-        raise DegeneracyError(
-            f"orthogonality loss {ortho_dev:.3e} while pairing eigenvectors; "
-            "perturbing the input slightly and retrying usually helps"
-        )
-
-    spectrum = np.asarray(ds)
+    L = _factor(A)
+    T, O = schur(_skew_kernel(L), output="real")
+    upper = np.diagonal(T, 1)[0::2]
+    lower = np.diagonal(T, -1)[0::2]
+    cols = np.arange(n).reshape(-1, 2)
+    flip = upper < 0
+    cols[flip] = cols[flip, ::-1]
+    d = 0.5 * np.abs(upper - lower)
+    order = np.argsort(d, kind="stable")
+    spectrum = d[order]
+    O = O[:, cols[order].ravel()]
     lam_half = np.repeat(np.sqrt(spectrum), 2)
-    M = (lam_half[:, None] * O.T) @ Sinv
+    M = lam_half[:, None] * solve_triangular(L, O, trans="T", lower=True).T
+    J = symplectic_form(n // 2)
     Lam = np.diag(np.repeat(spectrum, 2))
     diag_residual = float(np.linalg.norm(M @ A @ M.T - Lam, 2))
     symplectic_residual = float(np.linalg.norm(M @ J @ M.T - J, 2))
@@ -271,7 +201,7 @@ class GMatrixCheck:
         return self.ok
 
 
-def is_gmatrix(A, tol: float = 1e-10, *, sym_tol: float = SYM_TOL, pd_tol: float = PD_TOL) -> GMatrixCheck:
+def is_gmatrix(A, tol: float = 1e-10) -> GMatrixCheck:
     """Test whether every symplectic eigenvalue is >= 1/2 (within tol).
 
     The condition is equivalent to positive semidefiniteness of A + (i/2) J.
@@ -282,7 +212,7 @@ def is_gmatrix(A, tol: float = 1e-10, *, sym_tol: float = SYM_TOL, pd_tol: float
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise InvalidDimensionError("is_gmatrix expects a single matrix")
-    d = symplectic_eigenvalues(A, sym_tol=sym_tol, pd_tol=pd_tol)
+    d = symplectic_eigenvalues(A)
     d_min = float(d[0])
     return GMatrixCheck(d_min >= 0.5 - tol, d_min)
 
@@ -306,7 +236,7 @@ def embed_hermitian(S, C, *, tol: float = SYM_TOL) -> np.ndarray:
     return np.block([[S, -C], [C, S]])
 
 
-def symplectic_rayleigh(A, u, v, *, pair_tol: float = PAIR_TOL) -> float:
+def symplectic_rayleigh(A, u, v) -> float:
     """Pair energy (<u, A u> + <v, A v>) / 2 after normalizing <u, J v> to 1.
 
     Never falls below the smallest symplectic eigenvalue of A.
@@ -317,7 +247,7 @@ def symplectic_rayleigh(A, u, v, *, pair_tol: float = PAIR_TOL) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     s = float(u @ J @ v)
-    if abs(s) < pair_tol:
+    if abs(s) < PAIR_TOL:
         raise DegeneratePairError(f"symplectic pairing {s:.3e} is numerically zero")
     if s < 0.0:
         v = -v
@@ -350,14 +280,14 @@ def numerical_range_edge(
     seed: int = 0,
     *,
     max_iter: int = 25000,
-    pair_tol: float = PAIR_TOL,
 ) -> EdgeProbe:
     """Probe the lower edge of the symplectic numerical range of A.
 
     Draws ``samples`` seeded random pairs, keeps the best, then refines it by
     exact coordinate descent: for a fixed v the optimal u direction solves
-    A u = c J v, and symmetrically for v.  The descent value decreases
-    monotonically and its limit is the smallest symplectic eigenvalue.
+    A u = c J v (by the Cholesky factor of A), and symmetrically for v.  The
+    descent value decreases monotonically and its limit is the smallest
+    symplectic eigenvalue.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -372,7 +302,7 @@ def numerical_range_edge(
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
         try:
-            val = symplectic_rayleigh(A, u, v, pair_tol=pair_tol)
+            val = symplectic_rayleigh(A, u, v)
         except DegeneratePairError:
             continue
         if val < best_val:
@@ -381,8 +311,7 @@ def numerical_range_edge(
     if best_pair is None:
         raise DegeneratePairError("all sampled pairs were symplectically degenerate")
 
-    w, V = _eigh_pd(_require_symmetric(A, SYM_TOL), PD_TOL)
-    Ainv = (V / w) @ V.T
+    factor = (_factor(A), True)
     u, v = best_pair
     if float(u @ J @ v) < 0.0:
         v = -v
@@ -396,9 +325,9 @@ def numerical_range_edge(
     val = objective(u, v)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        u = Ainv @ (J @ v)
+        u = cho_solve(factor, J @ v, check_finite=False)
         u /= np.linalg.norm(u)
-        v = -(Ainv @ (J @ u))
+        v = -cho_solve(factor, J @ u, check_finite=False)
         v /= np.linalg.norm(v)
         new = objective(u, v)
         if val - new <= 1e-16 * max(1.0, abs(new)):
@@ -416,7 +345,7 @@ def numerical_range_edge(
     t = (a2 / a1) ** 0.25
     u = t * u
     v = v / t
-    value = symplectic_rayleigh(A, u, v, pair_tol=pair_tol)
+    value = symplectic_rayleigh(A, u, v)
     return EdgeProbe(value, u, v, float(best_val), iterations)
 
 

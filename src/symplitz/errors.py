@@ -31,11 +31,6 @@ class PairingError(SymplitzError, ArithmeticError):
     """Eigenvalues that should come in identical pairs failed to pair up."""
 
 
-class DegeneracyError(SymplitzError, ArithmeticError):
-    """Orthogonality loss inside a degenerate eigenspace; perturbing the
-    input slightly and retrying usually resolves this."""
-
-
 class DegeneratePairError(SymplitzError, ValueError):
     """Vector pair has numerically zero symplectic pairing."""
 

@@ -320,15 +320,18 @@ def symbol_to_json(symbol) -> dict:
 
 
 def symbol_from_json(obj: dict):
-    """Inverse of symbol_to_json."""
+    """Inverse of symbol_to_json; a declared ``k`` must be the integer mode count."""
     kind = obj.get("kind")
     if kind == "trig":
         symbol = TrigMatrixPolynomial(np.asarray(obj["coeffs"], dtype=float))
     elif kind == "sampled":
-        grid = GridSpec(int(obj["grid"]["G"]))
+        grid = GridSpec(obj["grid"]["G"])
         symbol = SampledSymbol(grid, np.asarray(obj["values"], dtype=float))
     else:
         raise ValueError(f"unknown symbol kind {kind!r}")
-    if "k" in obj and int(obj["k"]) != symbol.k:
-        raise ValueError(f"declared k = {obj['k']} does not match block size {symbol.block_dim}")
+    k = obj.get("k", symbol.k)
+    if not isinstance(k, int) or isinstance(k, bool) or k != symbol.k:
+        raise ValueError(
+            f"declared k = {k!r} must be the integer {symbol.k} (block size {symbol.block_dim})"
+        )
     return symbol

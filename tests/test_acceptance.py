@@ -217,3 +217,23 @@ def test_14_quadratic_form_identity():
         res = toeplitz.quadratic_form_check(s, xs, symbols.GridSpec(256))
         worst = max(worst, res.gap)
     report(14, worst <= 1e-10, f"100 random (symbol, sequence) pairs: worst gap {worst:.3e} (tol 1e-10)")
+
+
+@pytest.mark.parametrize("spread", [1e4, 1e5])
+def test_15_wide_spread(spread):
+    # a valid G-matrix whose spectrum spans 4-5 decades; squaring the
+    # spectrum (an eigensolve of -K^2) loses the pairing of the small d_j
+    d_true = np.array([0.5, 1.0, spread])
+    A = random_gmatrix(3, d_true, seed=15)
+    d = core.symplectic_eigenvalues(A)
+    fact = core.williamson(A)
+    err = float(np.abs(d / d_true - 1.0).max())
+    w_err = float(np.abs(fact.spectrum / d_true - 1.0).max())
+    diag = fact.diag_residual / np.linalg.norm(A, 2)
+    ok = err <= 1e-10 and w_err <= 1e-10 and diag <= core.FACT_TOL and fact.symplectic_residual <= core.FACT_TOL
+    report(
+        15,
+        ok,
+        f"spread {spread:.0e}: relative error {err:.3e}, Williamson {w_err:.3e} (tol 1e-10); "
+        f"residuals diag {diag:.3e}, symplectic {fact.symplectic_residual:.3e} (tol 1e-8)",
+    )

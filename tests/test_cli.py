@@ -333,6 +333,14 @@ class TestConfigErrors:
             ("szego", "f.left", "config.f.left"),
             ("szego", "f.interval", "config.f.interval[1]"),
             ("szego", "f.eps", "config.f.eps"),
+            ("spectrum", "matrix", "config.matrix[0][0]"),
+            ("szego", "symbol.coeffs", "config.symbol.coeffs[1]"),
+            ("szego", "symbol.trig.coeffs", "config.symbol.coeffs[0][1][1]"),
+            ("szego", "symbol.values", "config.symbol.values[1][0][0]"),
+            ("spectrum", "symbol.matrix", "config.symbol.matrix[1][1]"),
+            ("szego", "symbol.a", "config.symbol.a[0][0]"),
+            ("szego", "symbol.b", "config.symbol.b[1][1]"),
+            ("szego", "symbol.weights", "config.symbol.weights[0]"),
         ],
     )
     def test_boolean_is_not_a_number(self, tmp_path, capsys, command, field, path):
@@ -344,14 +352,26 @@ class TestConfigErrors:
             "n_max": 8,
             "n_list": [2, 4],
         }
-        test_functions = {
-            "f.coeffs": {"kind": "polynomial", "coeffs": [1.0, True]},
-            "f.left": {"kind": "hat", "left": True, "peak": 1.5, "right": 2.0},
-            "f.interval": {"kind": "indicator_smoothing", "interval": [1.0, True], "eps": 0.1},
-            "f.eps": {"kind": "indicator_smoothing", "interval": [1.0, 2.0], "eps": True},
+        ab = {"builder": "ab_family", "a": [[2.0, 0.0], [0.0, 2.0]], "b": [[0.5, 0.0], [0.0, 0.5]],
+              "weights": [0.5]}
+        overrides = {
+            "f.coeffs": ("f", {"kind": "polynomial", "coeffs": [1.0, True]}),
+            "f.left": ("f", {"kind": "hat", "left": True, "peak": 1.5, "right": 2.0}),
+            "f.interval": ("f", {"kind": "indicator_smoothing", "interval": [1.0, True], "eps": 0.1}),
+            "f.eps": ("f", {"kind": "indicator_smoothing", "interval": [1.0, 2.0], "eps": True}),
+            "matrix": ("matrix", [[True, 0.0], [0.0, True]]),
+            "symbol.coeffs": ("symbol", {"builder": "scalar", "coeffs": [0.6, True]}),
+            "symbol.trig.coeffs": ("symbol", {"kind": "trig", "coeffs": [[[1.0, 0.0], [0.0, True]]]}),
+            "symbol.values": ("symbol", {"kind": "sampled", "grid": {"G": 2}, "degree": 0,
+                                         "values": [[[1.0, 0.0], [0.0, 1.0]], [[True, 0.0], [0.0, 1.0]]]}),
+            "symbol.matrix": ("symbol", {"builder": "constant", "matrix": [[1.0, 0.0], [0.0, True]]}),
+            "symbol.a": ("symbol", {**ab, "a": [[True, 0.0], [0.0, 2.0]]}),
+            "symbol.b": ("symbol", {**ab, "b": [[0.5, 0.0], [0.0, True]]}),
+            "symbol.weights": ("symbol", {**ab, "weights": [True]}),
         }
-        if field in test_functions:
-            cfg["f"] = test_functions[field]
+        if field in overrides:
+            key, value = overrides[field]
+            cfg[key] = value
         else:
             *parents, key = field.split(".")
             target = cfg
@@ -389,6 +409,25 @@ class TestConfigErrors:
         )
         assert run("szego", cfg, tmp_path / "out") == 2
         assert f"{path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("G", [8.5, "8"])
+    def test_sampled_grid_needs_integer_G(self, tmp_path, capsys, G):
+        from symplitz import sample, scalar_symbol, symbol_to_json, GridSpec
+
+        sampled = symbol_to_json(sample(scalar_symbol([2.0, 0.5]), GridSpec(8)))
+        sampled.update(grid={"G": G}, degree=1)
+        cfg = write_config(tmp_path / "c.json", {"symbol": sampled, "n": 2})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config.symbol:" in capsys.readouterr().err
+
+    def test_dump_truncation_must_be_boolean(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n": 3, "dump_truncation": "no"},
+        )
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config.dump_truncation" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sampled_symbol_needs_degree_for_assembly(self, tmp_path):
         from symplitz import sample, scalar_symbol, symbol_to_json, GridSpec

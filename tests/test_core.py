@@ -33,33 +33,6 @@ class TestSymplecticForm:
             core.symplectic_form(0)
 
 
-class TestPrincipalSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(core.principal_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            core.principal_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14
-        )
-
-    def test_random_residual(self):
-        rng = np.random.default_rng(0)
-        A = random_pd(rng, 6)
-        S = core.principal_sqrt(A)
-        assert np.linalg.norm(S @ S - A, 2) <= 1e-12 * np.linalg.norm(A, 2)
-        np.testing.assert_allclose(S, S.T, atol=1e-14)
-
-    def test_non_pd_carries_eigenvalue(self):
-        A = np.diag([1.0, -2.0])
-        with pytest.raises(PositivityError) as exc:
-            core.principal_sqrt(A)
-        assert exc.value.min_eigenvalue == pytest.approx(-2.0)
-
-    def test_non_symmetric(self):
-        with pytest.raises(SymmetryError):
-            core.principal_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
 class TestSymplecticEigenvalues:
     def test_determinant_rule(self):
         rng = np.random.default_rng(1)
@@ -88,6 +61,23 @@ class TestSymplecticEigenvalues:
     def test_non_pd(self):
         with pytest.raises(PositivityError):
             core.symplectic_eigenvalues(np.diag([1.0, 0.0]))
+
+    def test_non_pd_carries_eigenvalue(self):
+        with pytest.raises(PositivityError) as exc:
+            core.symplectic_eigenvalues(np.diag([1.0, -2.0]))
+        assert exc.value.min_eigenvalue == pytest.approx(-2.0)
+        assert exc.value.where is None
+
+    def test_non_pd_in_stack_carries_location(self):
+        mats = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -2.0])])
+        with pytest.raises(PositivityError) as exc:
+            core.symplectic_eigenvalues(mats)
+        assert exc.value.min_eigenvalue == pytest.approx(-2.0)
+        assert exc.value.where == (2,)
+
+    def test_non_symmetric(self):
+        with pytest.raises(SymmetryError):
+            core.symplectic_eigenvalues(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_scaling(self):
         rng = np.random.default_rng(3)

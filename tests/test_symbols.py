@@ -271,3 +271,17 @@ class TestJson:
         obj["k"] = 3
         with pytest.raises(ValueError):
             symbols.symbol_from_json(obj)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, "1"])
+    def test_k_must_be_json_integer(self, k):
+        obj = symbols.symbol_to_json(symbols.scalar_symbol([1.0]))
+        obj["k"] = k
+        with pytest.raises(ValueError):
+            symbols.symbol_from_json(obj)
+
+    @pytest.mark.parametrize("G", [8.5, "8"])
+    def test_sampled_grid_needs_integer_G(self, G):
+        obj = symbols.symbol_to_json(symbols.sample(symbols.scalar_symbol([1.0]), symbols.GridSpec(8)))
+        obj["grid"]["G"] = G
+        with pytest.raises(GridError):
+            symbols.symbol_from_json(obj)
