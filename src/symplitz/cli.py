@@ -7,6 +7,11 @@ pass, 2 config error, 3 numerical-domain error, 4 tolerance or verification
 failure.  Every run is serial and byte-reproducible.  The szego verb with
 f = entropy and the entropy-rate verb run the same average-versus-integral
 report; entropy-rate names its columns and keys after the rate.
+
+One table, FIELDS, names each verb's config fields with their parsers and
+defaults; main parses the config against it before any numerics, and the
+verb functions receive parsed values.  Unknown fields, non-finite numbers
+and malformed values exit 2 with the field path.
 """
 
 import argparse
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -33,17 +39,57 @@ def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _get(cfg, key, path, required=True, default=None):
-    if key not in cfg:
-        if required:
+REQUIRED = object()  # field-table default of a field the config must give
+
+
+def _parse(obj, fields, path):
+    """Parse a JSON object against a field table {name: (parser, default)}.
+
+    Known fields are parsed first, in table order, so the first malformed one
+    is reported; then any other key is an unknown field.
+    """
+    if not isinstance(obj, dict):
+        _fail(path, "must be an object")
+    out = {}
+    for key, (parse, default) in fields.items():
+        if key in obj:
+            out[key] = parse(obj[key], f"{path}.{key}")
+        elif default is REQUIRED:
             _fail(f"{path}.{key}", "missing required field")
-        return default
-    return cfg[key]
+        else:
+            out[key] = default
+    for key in obj:
+        if key not in fields:
+            _fail(f"{path}.{key}", "unknown field")
+    return out
 
 
 def _is_number(value, types=(int, float)) -> bool:
-    """Type test for JSON numbers: JSON true/false load as bool, an int subclass."""
-    return isinstance(value, types) and not isinstance(value, bool)
+    """A finite JSON number: true/false load as bool, an int subclass, and
+    json.loads reads NaN and Infinity as floats."""
+    return isinstance(value, types) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _any(value, path):
+    return value
+
+
+def _integer(low, high=None):
+    """Parser of a JSON integer in [low, high]."""
+
+    def parse(value, path):
+        if not _is_number(value, int) or value < low or (high is not None and value > high):
+            _fail(path, f"must be an integer >= {low}{f' and <= {high}' if high else ''}, got {value!r}")
+        return value
+
+    return parse
+
+
+_count = _integer(1)
+_order = _integer(0)
+# a truncation under the size guard holds no larger block and reads no higher coefficient
+_block_count = _integer(1, toeplitz.MAX_DIM // 2)
+_degree = _integer(0, toeplitz.MAX_DIM // 2)
 
 
 def _positive(value, path):
@@ -54,7 +100,7 @@ def _positive(value, path):
 
 def _number(value, path):
     if not _is_number(value):
-        _fail(path, f"must be a number, got {value!r}")
+        _fail(path, f"must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -66,147 +112,140 @@ def _numbers(raw, path, length=None):
 
 
 def _nested_numbers(raw, path):
-    """Fail at the first entry of a (nested) JSON list that is not a number."""
+    """Fail at the first entry of a (nested) JSON list that is not a finite number."""
     if isinstance(raw, list):
         for i, v in enumerate(raw):
-            if type(v) not in (int, float):  # exact types: a bool goes on to the check
-                _nested_numbers(v, f"{path}[{i}]")
+            _nested_numbers(v, f"{path}[{i}]")
     elif not _is_number(raw):
-        _fail(path, f"must be a number, got {raw!r}")
+        _fail(path, f"must be a finite number, got {raw!r}")
     return raw
 
 
-def _matrix(obj, path):
+def _matrix(value, path):
     try:
-        arr = np.asarray(_nested_numbers(obj, path), dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(_nested_numbers(value, path), dtype=float)
+    except ValueError:
         _fail(path, "not a numeric matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         _fail(path, f"must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        _fail(path, "contains non-finite entries")
     return arr
 
 
-def _n_list(cfg, path):
-    raw = _get(cfg, "n_list", path)
-    if not isinstance(raw, list) or not raw:
-        _fail(f"{path}.n_list", "must be a nonempty list of integers")
-    ns = []
-    for i, v in enumerate(raw):
-        if not _is_number(v, int) or v < 1:
-            _fail(f"{path}.n_list[{i}]", f"must be a positive integer, got {v!r}")
-        ns.append(v)
+def _flag(value, path):
+    if not isinstance(value, bool):
+        _fail(path, f"must be true or false, got {value!r}")
+    return value
+
+
+def _base(value, path):
+    if value not in ("e", "2", 2):
+        _fail(path, f"must be 'e' or '2', got {value!r}")
+    return value
+
+
+def _n_list(value, path):
+    if not isinstance(value, list) or not value:
+        _fail(path, "must be a nonempty list of integers")
+    ns = [_count(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        _fail(f"{path}.n_list", "must be strictly ascending")
+        _fail(path, "must be strictly ascending")
     return ns
 
 
-def _grid(cfg, path, default_G=symbols.DEFAULT_GRID_G):
-    obj = _get(cfg, "grid", path, required=False, default={"G": default_G})
-    if not isinstance(obj, dict) or "G" not in obj:
-        _fail(f"{path}.grid", 'must be an object {"G": <int>}')
-    G = obj["G"]
-    if not _is_number(G, int) or G < 2:
-        _fail(f"{path}.grid.G", f"must be an integer >= 2, got {G!r}")
+def _interval(value, path):
+    a, b = _numbers(value, path, 2)
+    if not (0.0 <= a <= b):
+        _fail(path, f"must satisfy 0 <= a <= b, got [{a}, {b}]")
+    return (a, b)
+
+
+def _grid(value, path):
+    G = _parse(value, {"G": (_integer(2), REQUIRED)}, path)["G"]
     if G & (G - 1):
         print(f"warning: grid G = {G} is not a power of two", file=sys.stderr)
     return symbols.GridSpec(G)
 
 
-def _symbol(cfg, path="config", *, needs_coefficients=True):
-    obj = _get(cfg, "symbol", path)
-    if not isinstance(obj, dict):
-        _fail(f"{path}.symbol", "must be an object")
-    spath = f"{path}.symbol"
-    for key in ("coeffs", "values", "weights"):
-        if key in obj:
-            _nested_numbers(obj[key], f"{spath}.{key}")
-    degree = obj.get("degree")
-    if degree is not None and (not _is_number(degree, int) or degree < 0):
-        _fail(f"{spath}.degree", f"must be a nonnegative integer, got {degree!r}")
+def _form(value, path, tag, forms):
+    """An object whose ``tag`` field picks a row (constructor, fields) of ``forms``;
+    a library error from the constructor is reported at the object's path."""
+    if not isinstance(value, dict):
+        _fail(path, "must be an object")
+    name = value.get(tag)
+    if not isinstance(name, str) or name not in forms:
+        _fail(f"{path}.{tag}", f"unknown {tag} {name!r}")
+    make, fields = forms[name]
+    args = _parse(value, {tag: (_any, REQUIRED), **fields}, path)
+    del args[tag]
     try:
-        if "builder" in obj:
-            name = obj["builder"]
-            if name == "constant":
-                sym = symbols.constant_symbol(_matrix(_get(obj, "matrix", spath), f"{spath}.matrix"))
-            elif name == "scalar":
-                coeffs = _get(obj, "coeffs", spath)
-                k = obj.get("k", 1)
-                if not _is_number(k, int) or k < 1:
-                    _fail(f"{spath}.k", f"must be a positive integer, got {k!r}")
-                sym = symbols.scalar_symbol(coeffs, k=k)
-            elif name == "ab_family":
-                sym = symbols.ab_family(
-                    _matrix(_get(obj, "a", spath), f"{spath}.a"),
-                    _matrix(_get(obj, "b", spath), f"{spath}.b"),
-                    _get(obj, "weights", spath),
-                    degree=degree,
-                )
-            else:
-                _fail(f"{spath}.builder", f"unknown builder {name!r}")
-        else:
-            sym = symbols.symbol_from_json(obj)
-    except ConfigError:
-        raise
-    except (SymplitzError, ValueError, KeyError, TypeError) as err:
-        _fail(spath, str(err))
-    if needs_coefficients and isinstance(sym, symbols.SampledSymbol):
-        if degree is None:
-            _fail(
-                f"{spath}.degree",
-                "sampled symbols need an explicit nonnegative cosine-series degree "
-                "for truncation assembly",
-            )
-        try:
-            sym = sym.to_trig_polynomial(degree)
-        except SymplitzError as err:
-            _fail(f"{spath}.degree", str(err))
-    return sym
+        return make(**args)
+    except (SymplitzError, ValueError) as err:
+        _fail(path, str(err))
 
 
-def _test_function(cfg, opts, path):
-    obj = _get(cfg, "f", path)
-    if not isinstance(obj, dict) or "kind" not in obj:
-        _fail(f"{path}.f", 'must be an object with a "kind" field')
-    fpath = f"{path}.f"
-    kind = obj["kind"]
-    try:
-        if kind == "monomial":
-            power = _get(obj, "power", fpath)
-            if not _is_number(power, int) or power < 0:
-                _fail(f"{fpath}.power", f"must be a nonnegative integer, got {power!r}")
-            return szego.monomial(power)
-        if kind == "polynomial":
-            return szego.polynomial(_numbers(_get(obj, "coeffs", fpath), f"{fpath}.coeffs"))
-        if kind == "entropy":
-            return entropy.entropy_test_function(opts["base"], strict=opts["strict"])
-        if kind == "hat":
-            return szego.hat(*(_number(_get(obj, key, fpath), f"{fpath}.{key}")
-                               for key in ("left", "peak", "right")))
-        if kind == "indicator_smoothing":
-            return szego.indicator_smoothing(
-                _numbers(_get(obj, "interval", fpath), f"{fpath}.interval", 2),
-                _positive(_get(obj, "eps", fpath), f"{fpath}.eps"),
-            )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as err:
-        _fail(fpath, str(err))
-    _fail(f"{fpath}.kind", f"unknown test function kind {kind!r}")
+def _inline_symbol(kind, **fields):
+    """symbols.symbol_from_json; a sampled symbol becomes the cosine series of
+    its degree, which truncations need."""
+    sym = symbols.symbol_from_json({"kind": kind, **{key: v for key, v in fields.items() if v is not None}})
+    return sym if kind == "trig" else sym.to_trig_polynomial(fields["degree"])
 
 
-def _interval(cfg, path):
-    a, b = _numbers(_get(cfg, "interval", path), f"{path}.interval", 2)
-    if not (0.0 <= a <= b):
-        _fail(f"{path}.interval", f"must satisfy 0 <= a <= b, got [{a}, {b}]")
-    return (a, b)
+_NUMBERS = (_nested_numbers, REQUIRED)
+_MATRIX = (_matrix, REQUIRED)
+# Symbol forms, picked by the "builder" field or else by "kind": {name: (constructor, fields)}.
+SYMBOLS = {
+    "builder": {
+        "constant": (lambda matrix: symbols.constant_symbol(matrix), {"matrix": _MATRIX}),
+        "scalar": (symbols.scalar_symbol, {"coeffs": _NUMBERS, "k": (_block_count, 1)}),
+        "ab_family": (lambda a, b, weights, degree: symbols.ab_family(a, b, weights, degree),
+                      {"a": _MATRIX, "b": _MATRIX, "weights": _NUMBERS, "degree": (_degree, None)}),
+    },
+    "kind": {
+        "trig": (partial(_inline_symbol, "trig"), {"coeffs": _NUMBERS, "k": (_block_count, None)}),
+        "sampled": (partial(_inline_symbol, "sampled"),
+                    {"grid": (lambda v, p: _parse(v, {"G": (_any, REQUIRED)}, p), REQUIRED),
+                     "values": _NUMBERS, "k": (_block_count, None), "degree": (_degree, REQUIRED)}),
+    },
+}
 
 
-def _tolerance(cfg, path, key="tolerance", default=None):
-    if key not in cfg:
-        return default
-    return _positive(cfg[key], f"{path}.{key}")
+def _symbol(value, path):
+    tag = "builder" if isinstance(value, dict) and "builder" in value else "kind"
+    return _form(value, path, tag, SYMBOLS[tag])
+
+
+_NUMBER = (_number, REQUIRED)
+TEST_FUNCTIONS = {
+    "monomial": (szego.monomial, {"power": (_order, REQUIRED)}),
+    "polynomial": (szego.polynomial, {"coeffs": (_numbers, REQUIRED)}),
+    "hat": (szego.hat, {"left": _NUMBER, "peak": _NUMBER, "right": _NUMBER}),
+    "indicator_smoothing": (szego.indicator_smoothing,
+                            {"interval": (partial(_numbers, length=2), REQUIRED), "eps": (_positive, REQUIRED)}),
+    "entropy": (lambda: None, {}),  # None: built at run time from --base and --strict
+}
+
+_SYMBOL = (_symbol, REQUIRED)
+_GRID = (_grid, symbols.GridSpec(symbols.DEFAULT_GRID_G))
+_N_LIST = (_n_list, REQUIRED)
+_TOLERANCE = (_positive, None)
+_BASE = {"base": (_base, "e")}
+# Each verb's top-level fields, {name: (parser, REQUIRED or default)}.  The
+# verb's function is called with the parsed values as keywords, plus strict.
+FIELDS = {
+    "spectrum": {**_BASE, "matrix": (_matrix, None), "symbol": (_symbol, None), "n": (_count, None),
+                 "dump_truncation": (_flag, False)},
+    "williamson": {**_BASE, "matrix": _MATRIX, "tolerance": (_positive, core.FACT_TOL)},
+    "szego": {**_BASE, "symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
+              "f": (partial(_form, tag="kind", forms=TEST_FUNCTIONS), REQUIRED),
+              "tolerance": _TOLERANCE, "grid_tolerance": (_positive, 1e-8)},
+    "entropy-rate": {**_BASE, "symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
+                     "tolerance": _TOLERANCE, "grid_tolerance": (_positive, 1e-8)},
+    "counting": {**_BASE, "symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
+                 "interval": (_interval, REQUIRED), "tolerance": _TOLERANCE},
+    "density": {**_BASE, "symbol": _SYMBOL, "grid": _GRID, "n_max": (_count, REQUIRED),
+                "delta": (_positive, REQUIRED), "coverage_tolerance": _TOLERANCE, "escape_tolerance": _TOLERANCE},
+    "gchain-check": {**_BASE, "symbol": _SYMBOL, "n_max": (_count, REQUIRED), "tolerance": (_positive, 1e-10)},
+}
 
 
 def _fmt(x) -> str:
@@ -235,44 +274,33 @@ def _check(name, value, tolerance, passed) -> dict:
 # commands: each returns (files, checks, summary_core)
 
 
-def cmd_spectrum(cfg, opts):
+def cmd_spectrum(matrix, symbol, n, dump_truncation, **opts):
+    if (matrix is None) == (symbol is None):
+        _fail("config", "needs exactly one of matrix and symbol")
+    if symbol is not None and n is None:
+        _fail("config.n", "missing required field")
     files = {}
-    checks = []
-    if "matrix" in cfg:
-        A = _matrix(cfg["matrix"], "config.matrix")
-        values = core.symplectic_eigenvalues(A)
-        source = {"source": "matrix", "dim": int(A.shape[0])}
+    if matrix is not None:
+        values = core.symplectic_eigenvalues(matrix)
+        source = {"source": "matrix", "dim": int(matrix.shape[0])}
     else:
-        sym = _symbol(cfg)
-        n = _get(cfg, "n", "config")
-        if not _is_number(n, int) or n < 1:
-            _fail("config.n", f"must be a positive integer, got {n!r}")
-        dump = cfg.get("dump_truncation", False)
-        if not isinstance(dump, bool):
-            _fail("config.dump_truncation", f"must be true or false, got {dump!r}")
-        T = toeplitz.assemble(sym, n)
+        T = toeplitz.assemble(symbol, n)
         values = core.symplectic_eigenvalues(T)
-        source = {"source": "symbol", "n": n, "k": sym.k}
-        if dump:
+        source = {"source": "symbol", "n": n, "k": symbol.k}
+        if dump_truncation:
             files["truncation.csv"] = toeplitz.matrix_csv_bytes(T)
     files["spectrum.csv"] = _csv_bytes(["index", "value"], list(enumerate(values, 1)))
     summary = {**source, "values": [float(v) for v in values]}
-    return files, checks, summary
+    return files, [], summary
 
 
-def cmd_williamson(cfg, opts):
-    A = _matrix(_get(cfg, "matrix", "config"), "config.matrix")
-    tol = _tolerance(cfg, "config", default=core.FACT_TOL)
-    fact = core.williamson(A)
-    norm_A = float(np.linalg.norm(A, 2))
+def cmd_williamson(matrix, tolerance, **opts):
+    fact = core.williamson(matrix)
+    bound = tolerance * float(np.linalg.norm(matrix, 2))
     checks = [
-        _check("diag_residual", fact.diag_residual, tol * norm_A, fact.diag_residual <= tol * norm_A),
-        _check(
-            "symplectic_residual",
-            fact.symplectic_residual,
-            tol,
-            fact.symplectic_residual <= tol,
-        ),
+        _check("diag_residual", fact.diag_residual, bound, fact.diag_residual <= bound),
+        _check("symplectic_residual", fact.symplectic_residual, tolerance,
+               fact.symplectic_residual <= tolerance),
     ]
     files = {
         "spectrum.csv": _csv_bytes(["index", "value"], list(enumerate(fact.spectrum, 1))),
@@ -286,32 +314,25 @@ def cmd_williamson(cfg, opts):
     return files, checks, summary
 
 
-def _grid_check(report):
-    dev = abs(report.integral - report.integral_refined)
-    bound = report.grid_tolerance * max(1.0, abs(report.integral))
-    return _check("grid_consistency", dev, bound, report.grid_consistent)
-
-
-def _convergence(cfg, sym, f, ns, grid, header):
-    """The average-versus-integral report shared by the szego and entropy-rate verbs."""
-    tol = _tolerance(cfg, "config")
+def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, base, strict, f=None):
+    """The average-versus-integral report shared by the szego and entropy-rate
+    verbs; f None is the per-mode entropy."""
+    if f is None:
+        f = entropy.entropy_test_function(base, strict=strict)
     report = szego.convergence_report(
-        sym, f, ns, grid, tolerance=tol,
-        grid_tolerance=_tolerance(cfg, "config", "grid_tolerance", 1e-8),
+        symbol, f, n_list, grid, tolerance=tolerance, grid_tolerance=grid_tolerance
     )
-    checks = [_grid_check(report)]
-    if tol is not None:
-        checks.append(_check("gap_at_max_n", report.gaps[-1], tol, report.passed))
+    dev = abs(report.integral - report.integral_refined)
+    bound = grid_tolerance * max(1.0, abs(report.integral))
+    checks = [_check("grid_consistency", dev, bound, report.grid_consistent)]
+    if tolerance is not None:
+        checks.append(_check("gap_at_max_n", report.gaps[-1], tolerance, report.passed))
     rows = [(n, a, report.integral, g) for n, a, g in zip(report.ns, report.averages, report.gaps)]
     return report, checks, {"series.csv": _csv_bytes(header, rows)}
 
 
-def cmd_szego(cfg, opts):
-    sym = _symbol(cfg)
-    grid = _grid(cfg, "config")
-    ns = _n_list(cfg, "config")
-    f = _test_function(cfg, opts, "config")
-    report, checks, files = _convergence(cfg, sym, f, ns, grid, ["n", "average", "integral", "gap"])
+def cmd_szego(**fields):
+    report, checks, files = _convergence(["n", "average", "integral", "gap"], **fields)
     summary = {
         "f": report.f_name,
         "grid_G": report.grid_G,
@@ -324,14 +345,10 @@ def cmd_szego(cfg, opts):
     return files, checks, summary
 
 
-def cmd_entropy_rate(cfg, opts):
-    sym = _symbol(cfg)
-    grid = _grid(cfg, "config")
-    ns = _n_list(cfg, "config")
-    f = entropy.entropy_test_function(opts["base"], strict=opts["strict"])
-    report, checks, files = _convergence(cfg, sym, f, ns, grid, ["n", "rate", "integral", "gap"])
+def cmd_entropy_rate(**fields):
+    report, checks, files = _convergence(["n", "rate", "integral", "gap"], **fields)
     summary = {
-        "base": str(opts["base"]),
+        "base": str(fields["base"]),
         "grid_G": report.grid_G,
         "n_list": report.ns,
         "rates": report.averages,
@@ -343,20 +360,15 @@ def cmd_entropy_rate(cfg, opts):
     return files, checks, summary
 
 
-def cmd_counting(cfg, opts):
-    sym = _symbol(cfg)
-    grid = _grid(cfg, "config")
-    ns = _n_list(cfg, "config")
-    interval = _interval(cfg, "config")
-    tol = _tolerance(cfg, "config")
-    traj = szego.truncated_spectra(sym, ns)
-    limit = szego.limit_measure(sym, interval, grid)
+def cmd_counting(symbol, grid, n_list, interval, tolerance, **opts):
+    traj = szego.truncated_spectra(symbol, n_list)
+    limit = szego.limit_measure(symbol, interval, grid)
     report = szego.counting_ratio(traj, interval, limit=limit)
-    smoothing = szego.smoothed_counting(sym, traj, interval, grid)
+    smoothing = szego.smoothed_counting(symbol, traj, interval, grid)
     checks = []
-    if tol is not None:
+    if tolerance is not None:
         gap = abs(report.ratios[-1] - limit)
-        checks.append(_check("ratio_gap_at_max_n", gap, tol, gap <= tol))
+        checks.append(_check("ratio_gap_at_max_n", gap, tolerance, gap <= tolerance))
     rows = list(zip(report.ns, report.counts, report.ratios))
     files = {"series.csv": _csv_bytes(["n", "count", "ratio"], rows)}
     summary = {
@@ -371,23 +383,16 @@ def cmd_counting(cfg, opts):
     return files, checks, summary
 
 
-def cmd_density(cfg, opts):
-    sym = _symbol(cfg)
-    grid = _grid(cfg, "config")
-    n_max = _get(cfg, "n_max", "config")
-    if not _is_number(n_max, int) or n_max < 1:
-        _fail("config.n_max", f"must be a positive integer, got {n_max!r}")
-    delta = _positive(_get(cfg, "delta", "config"), "config.delta")
-    report = szego.density_check(sym, n_max, delta, grid)
-    coverage_tol = _tolerance(cfg, "config", "coverage_tolerance", delta)
-    escape_tol = _tolerance(cfg, "config", "escape_tolerance")
+def cmd_density(symbol, grid, n_max, delta, coverage_tolerance, escape_tolerance, **opts):
+    report = szego.density_check(symbol, n_max, delta, grid)
+    coverage_tolerance = coverage_tolerance or delta
     checks = [
-        _check("coverage_distance", report.coverage_distance, coverage_tol,
-               report.coverage_distance <= coverage_tol)
+        _check("coverage_distance", report.coverage_distance, coverage_tolerance,
+               report.coverage_distance <= coverage_tolerance)
     ]
-    if escape_tol is not None:
+    if escape_tolerance is not None:
         last = report.escape_ratios[n_max]
-        checks.append(_check("escape_at_n_max", last, escape_tol, last <= escape_tol))
+        checks.append(_check("escape_at_n_max", last, escape_tolerance, last <= escape_tolerance))
     rows = [(n, report.escape_ratios[n]) for n in sorted(report.escape_ratios)]
     files = {"escape.csv": _csv_bytes(["n", "escape_ratio"], rows)}
     summary = {
@@ -400,20 +405,15 @@ def cmd_density(cfg, opts):
     return files, checks, summary
 
 
-def cmd_gchain_check(cfg, opts):
-    sym = _symbol(cfg)
-    n_max = _get(cfg, "n_max", "config")
-    if not _is_number(n_max, int) or n_max < 1:
-        _fail("config.n_max", f"must be a positive integer, got {n_max!r}")
-    tol = _tolerance(cfg, "config", default=1e-10)
-    first, records = toeplitz.gchain_sweep(sym, n_max, tol)
+def cmd_gchain_check(symbol, n_max, tolerance, **opts):
+    first, records = toeplitz.gchain_sweep(symbol, n_max, tolerance)
     worst = min(r.min_eigenvalue for r in records)
-    checks = [_check("gchain_valid_up_to_n_max", worst, tol, first is None)]
+    checks = [_check("gchain_valid_up_to_n_max", worst, tolerance, first is None)]
     rows = [(r.n, r.min_eigenvalue, r.ok) for r in records]
     files = {"series.csv": _csv_bytes(["n", "min_eigenvalue", "ok"], rows)}
     summary = {
         "n_max": n_max,
-        "tolerance": tol,
+        "tolerance": tolerance,
         "first_failing_n": first,
         "worst_min_eigenvalue": worst,
         "certified": f"all truncations up to n = {n_max} pass" if first is None
@@ -470,27 +470,20 @@ def main(argv=None) -> int:
         with open(args.config, "rb") as fh:
             raw = fh.read()
         cfg = json.loads(raw.decode("utf-8"))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"config error: cannot read {args.config}: {err}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as err:
         print(f"config error: {args.config}:{err.lineno}:{err.colno}: {err.msg}", file=sys.stderr)
         return 2
-    if not isinstance(cfg, dict):
-        print("config error: top level must be a JSON object", file=sys.stderr)
-        return 2
     config_digest = _sha256(raw)
     t_load = time.perf_counter() - t0
 
-    base = args.base or cfg.get("base", "e")
-    if base not in ("e", "2", 2):
-        print(f"config error: config.base must be 'e' or '2', got {base!r}", file=sys.stderr)
-        return 2
-    opts = {"strict": args.strict, "base": base}
-
     t1 = time.perf_counter()
     try:
-        files, checks, summary_core = COMMANDS[args.command](cfg, opts)
+        fields = _parse(cfg, FIELDS[args.command], "config")
+        fields["base"] = args.base or fields["base"]
+        files, checks, summary_core = COMMANDS[args.command](strict=args.strict, **fields)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from scipy.linalg import cho_solve, expm, schur, solve_triangular
 
 from .errors import (
     DegeneratePairError,
+    DomainError,
     InvalidDimensionError,
     PairingError,
     PositivityError,
@@ -27,11 +28,8 @@ from .errors import (
 )
 
 SYM_TOL = 1e-12
-PD_TOL = 1e-12
 FACT_TOL = 1e-8
-RAY_TOL = 1e-9
 PAIR_TOL = 1e-8
-ORTHO_TOL = 1e-10
 
 
 def symplectic_form(k: int) -> np.ndarray:
@@ -58,13 +56,17 @@ def _even_dim(A: np.ndarray) -> int:
     return n
 
 
-def _require_symmetric(A: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    At = np.swapaxes(A, -1, -2)
-    dev = float(np.abs(A - At).max())
+def _require_finite(X: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(X).all():
+        raise DomainError(f"{what} has entries outside the float range")
+    return X
+
+
+def _require_symmetric(A: np.ndarray, tol: float, what: str = "matrix") -> None:
+    dev = float(np.abs(A - np.swapaxes(A, -1, -2)).max())
     scale = max(1.0, float(np.abs(A).max()))
     if dev > tol * scale:
         raise SymmetryError(f"{what} is not symmetric: max |A - A^T| = {dev:.3e}")
-    return 0.5 * (A + At)
 
 
 def _require_skew(C: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
@@ -82,8 +84,9 @@ def _factor(A: np.ndarray) -> np.ndarray:
     Positive definiteness is decided by the factorization itself; only when
     it breaks down does one eigensolve find the smallest eigenvalue to report,
     located at the matrix of the stack with the smallest relative eigenvalue.
+    Both read the lower triangle of A only.
     """
-    A = _require_symmetric(A, SYM_TOL)
+    _require_symmetric(_require_finite(A, "matrix"), SYM_TOL)
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -104,11 +107,17 @@ def _factor(A: np.ndarray) -> np.ndarray:
 
 
 def _skew_kernel(L: np.ndarray) -> np.ndarray:
-    """K = L^T J L, whose eigenvalues are +-i d_j; J L is a signed row swap."""
+    """K = L^T J L, whose eigenvalues are +-i d_j; J L is a signed row swap.
+
+    Entries of A near the top of the float range can overflow K; that raises
+    DomainError here rather than a failed eigensolve later.
+    """
     JL = np.empty_like(L)
     JL[..., 0::2, :] = L[..., 1::2, :]
     JL[..., 1::2, :] = -L[..., 0::2, :]
-    return np.swapaxes(L, -1, -2) @ JL
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.swapaxes(L, -1, -2) @ JL
+    return _require_finite(K, "skew kernel L^T J L")
 
 
 def _pair_sorted(w: np.ndarray, pair_tol: float) -> np.ndarray:
@@ -231,8 +240,9 @@ def embed_hermitian(S, C, *, tol: float = SYM_TOL) -> np.ndarray:
             f"blocks must be square matrices of equal shape, got {S.shape} and {C.shape}"
         )
     _square_dim(S)
-    S = _require_symmetric(S, tol, "symmetric part")
+    _require_symmetric(S, tol, "symmetric part")
     C = _require_skew(C, tol, "skew part")
+    S = 0.5 * (S + S.T)
     return np.block([[S, -C], [C, S]])
 
 

@@ -36,7 +36,7 @@ class GridSpec:
     def __post_init__(self):
         try:
             G = int(self.G)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise GridError(f"grid needs an integer node count, got {self.G!r}") from None
         if G != self.G or G < 2:
             raise GridError(f"grid needs an integer node count >= 2, got {self.G!r}")

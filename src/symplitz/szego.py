@@ -94,11 +94,13 @@ def truncated_spectra(symbol, n_list, *, max_dim: int = toeplitz.MAX_DIM) -> Spe
 
     For each fixed index the eigenvalue can only drift down (within float
     noise) as the order grows; the worst upward drift across consecutive
-    computed orders is recorded in ``monotonicity_violation``.
+    computed orders is recorded in ``monotonicity_violation``.  The largest
+    order is checked against ``max_dim`` before any eigensolve.
     """
     ns = sorted(set(int(n) for n in n_list))
     if not ns:
         raise ValueError("n_list must be nonempty")
+    toeplitz.truncation_dim(symbol, ns[-1], max_dim)
 
     def one(n):
         try:
@@ -245,7 +247,6 @@ class CountingReport:
     counts: list
     ratios: list
     limit: float | None = None
-    smoothing: dict | None = None
 
 
 def counting_ratio(trajectory: SpectrumTrajectory, interval, *, limit: float | None = None) -> CountingReport:
@@ -334,9 +335,11 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
+    Every order 1 .. n_max runs, so n_max is checked against ``max_dim`` first.
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
+    toeplitz.truncation_dim(symbol, n_max, max_dim)
     traj = truncated_spectra(symbol, range(1, n_max + 1), max_dim=max_dim)
     curves = symbols.symplectic_curves(symbol, grid)
     sorted_curve_values = np.sort(curves.values.ravel())

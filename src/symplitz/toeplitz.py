@@ -12,10 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import AliasingError, InvalidDimensionError, TruncationSizeError
+from .errors import AliasingError, DomainError, InvalidDimensionError, TruncationSizeError
 from .symbols import GridSpec, TrigMatrixPolynomial
 
 MAX_DIM = 4096
+
+
+def truncation_dim(symbol: TrigMatrixPolynomial, n: int, max_dim: int = MAX_DIM) -> int:
+    """Dimension 2kn of the order-n truncation, checked against the size guard."""
+    if n < 1:
+        raise InvalidDimensionError(f"truncation order must be >= 1, got {n}")
+    dim = symbol.block_dim * n
+    if dim > max_dim:
+        raise TruncationSizeError(f"truncation dimension 2kn = {dim} exceeds the guard {max_dim}")
+    return dim
 
 
 def assemble(symbol: TrigMatrixPolynomial, n: int, *, max_dim: int = MAX_DIM) -> np.ndarray:
@@ -29,12 +39,8 @@ def assemble(symbol: TrigMatrixPolynomial, n: int, *, max_dim: int = MAX_DIM) ->
             "assembly needs cosine-series coefficients; convert sampled symbols "
             "with to_trig_polynomial first"
         )
-    if n < 1:
-        raise InvalidDimensionError(f"truncation order must be >= 1, got {n}")
+    dim = truncation_dim(symbol, n, max_dim)
     b = symbol.block_dim
-    dim = b * n
-    if dim > max_dim:
-        raise TruncationSizeError(f"truncation dimension 2kn = {dim} exceeds the guard {max_dim}")
     T = np.zeros((dim, dim))
     for off in range(0, min(symbol.degree, n - 1) + 1):
         blk = symbol.coeffs[off]
@@ -107,9 +113,13 @@ class GChainCheck:
 def _shifted_truncation(symbol: TrigMatrixPolynomial, n: int, max_dim: int) -> np.ndarray:
     """T_n + (i/2) J as a complex array, with no dense J temporary.
 
-    Fortran order lets zpotrf factor it in place.
+    Fortran order lets zpotrf factor it in place.  Coefficients that overflow
+    in the truncation raise DomainError before any factorization.
     """
-    H = np.array(assemble(symbol, n, max_dim=max_dim), dtype=complex, order="F")
+    T = assemble(symbol, n, max_dim=max_dim)
+    if not np.isfinite(T).all():
+        raise DomainError(f"truncation of order n = {n} has entries outside the float range")
+    H = np.array(T, dtype=complex, order="F")
     q = np.arange(0, H.shape[0], 2)
     H[q, q + 1] += 0.5j
     H[q + 1, q] -= 0.5j

@@ -141,8 +141,10 @@ class TestSzegoCommand:
             "grid": {"G": 256},
         }
         cfg = write_config(tmp_path / "c.json", cfg_dict)
+        del cfg_dict["f"]
+        rate_cfg = write_config(tmp_path / "rate.json", cfg_dict)
         assert run("szego", cfg, tmp_path / "szego", "--base", "2") == 0
-        assert run("entropy-rate", cfg, tmp_path / "rate", "--base", "2") == 0
+        assert run("entropy-rate", rate_cfg, tmp_path / "rate", "--base", "2") == 0
         szego, rate = read_summary(tmp_path / "szego"), read_summary(tmp_path / "rate")
         assert szego["averages"] == rate["rates"]
         assert szego["gaps"] == rate["gaps"]
@@ -539,3 +541,74 @@ class TestDeterminismAndManifest:
         monkeypatch.setenv(cli.ENV_OUT, str(tmp_path / "envout"))
         assert cli.main(["spectrum", "--config", cfg]) == 0
         assert (tmp_path / "envout" / "spectrum.csv").exists()
+
+
+class TestFieldTable:
+    SZEGO = {
+        "symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]},
+        "f": {"kind": "monomial", "power": 2},
+        "n_list": [4],
+        "grid": {"G": 256},
+    }
+
+    def test_misspelled_field_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {**self.SZEGO, "tolerence": 1e-9})
+        assert run("szego", cfg, tmp_path / "out") == 2
+        assert "config.tolerence: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, path", [("symbol", "config.symbol.extra"), ("f", "config.f.extra"),
+                                           ("grid", "config.grid.extra")])
+    def test_unknown_field_inside_objects(self, tmp_path, capsys, key, path):
+        cfg = write_config(tmp_path / "c.json", {**self.SZEGO, key: {**self.SZEGO[key], "extra": 1}})
+        assert run("szego", cfg, tmp_path / "out") == 2
+        assert f"{path}: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeffs, tolerance, path", [
+        ("[2.0, NaN]", "0.5", "config.symbol.coeffs[1]"),
+        ("[2.0, 0.5]", "Infinity", "config.tolerance"),
+    ])
+    def test_non_finite_numbers(self, tmp_path, capsys, coeffs, tolerance, path):
+        # json.loads reads the raw tokens NaN and Infinity as floats
+        (tmp_path / "c.json").write_text(
+            f'{{"symbol": {{"builder": "scalar", "coeffs": {coeffs}}}, "f": {{"kind": "monomial", "power": 2}}, '
+            f'"n_list": [4], "grid": {{"G": 256}}, "tolerance": {tolerance}}}'
+        )
+        assert run("szego", str(tmp_path / "c.json"), tmp_path / "out") == 2
+        assert f"{path}:" in capsys.readouterr().err
+
+    def test_spectrum_needs_exactly_one_source(self, tmp_path, capsys):
+        both = {"matrix": [[2.0, 0.0], [0.0, 8.0]], "symbol": {"builder": "scalar", "coeffs": [2.0]}, "n": 2}
+        assert run("spectrum", write_config(tmp_path / "a.json", both), tmp_path / "out") == 2
+        assert run("spectrum", write_config(tmp_path / "b.json", {}), tmp_path / "out") == 2
+        assert "exactly one of matrix and symbol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("spectrum", {"n": 2}),
+        ("szego", {"f": {"kind": "monomial", "power": 1}, "n_list": [2], "grid": {"G": 16}}),
+        ("entropy-rate", {"n_list": [2], "grid": {"G": 16}}),
+        ("counting", {"n_list": [2], "interval": [0.0, 1.0], "grid": {"G": 16}}),
+        ("density", {"n_max": 2, "delta": 0.1, "grid": {"G": 16}}),
+        ("gchain-check", {"n_max": 2}),
+    ])
+    def test_overflowing_coefficients_exit_3(self, tmp_path, command, extra):
+        cfg = {"symbol": {"builder": "scalar", "coeffs": [1e308, 0.5]}, **extra}
+        assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 3
+
+    @pytest.mark.parametrize("command", ["spectrum", "williamson"])
+    def test_huge_matrix_entry_runs(self, tmp_path, command):
+        cfg = write_config(tmp_path / "c.json", {"matrix": [[1e308, 0.0], [0.0, 1.0]]})
+        assert run(command, cfg, tmp_path / "out") in (0, 4)
+        spectrum = read_summary(tmp_path / "out")["values" if command == "spectrum" else "spectrum"]
+        assert spectrum == pytest.approx([1e154], rel=1e-12)
+
+    def test_density_size_guard_before_any_spectrum(self, tmp_path, monkeypatch):
+        from symplitz import core
+
+        calls = []
+        monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: calls.append(A))
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_max": 10**9, "delta": 0.1},
+        )
+        assert run("density", cfg, tmp_path / "out") == 3
+        assert calls == []

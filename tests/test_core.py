@@ -309,3 +309,15 @@ class TestRandomSymplectic:
     def test_seed_determinism(self):
         np.testing.assert_array_equal(core.random_symplectic(2, seed=5), core.random_symplectic(2, seed=5))
         assert not np.array_equal(core.random_symplectic(2, seed=5), core.random_symplectic(2, seed=6))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_entry_is_domain_error(bad):
+    from symplitz.errors import DomainError
+
+    A = np.eye(4)
+    A[1, 1] = bad
+    with pytest.raises(DomainError):
+        core.symplectic_eigenvalues(A)
+    with pytest.raises(DomainError):
+        core.williamson(A)

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, entropy, symbols, szego
-from symplitz.errors import DomainError, IndexRangeError, PositivityError
+from symplitz.errors import DomainError, IndexRangeError, PositivityError, TruncationSizeError
 from conftest import random_gmatrix
 
 
@@ -287,3 +287,25 @@ class TestDensity:
     def test_invalid_delta(self):
         with pytest.raises(DomainError):
             szego.density_check(PHI, 4, 0.0, symbols.GridSpec(64))
+
+
+class TestSizeGuardFirst:
+    """The largest order is checked against max_dim before any eigensolve."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: seen.append(A))
+        return seen
+
+    def test_truncated_spectra(self, corpus, calls):
+        with pytest.raises(TruncationSizeError):
+            szego.truncated_spectra(corpus["matrix_k2"], [1, 2, 40], max_dim=64)
+        assert calls == []
+
+    def test_density_check(self, corpus, calls):
+        with pytest.raises(TruncationSizeError):
+            szego.density_check(corpus["matrix_k2"], 40, 0.1, symbols.GridSpec(64), max_dim=64)
+        with pytest.raises(TruncationSizeError):
+            szego.density_check(corpus["matrix_k2"], 10**9, 0.1, symbols.GridSpec(64))
+        assert calls == []

@@ -231,3 +231,13 @@ class TestSpectralInvariants:
         violator = symbols.scalar_symbol([0.6, 0.1])
         assert not symbols.is_g_symbol(violator, grid).ok
         assert toeplitz.first_gchain_failure(violator, 32, tol=1e-8) is not None
+
+
+def test_overflowing_truncation_is_domain_error():
+    from symplitz.errors import DomainError
+
+    huge = symbols.scalar_symbol([1e308, 0.5])  # the symmetrized coefficient overflows to inf
+    with pytest.raises(DomainError):
+        toeplitz.gchain_check(huge, 2)
+    with pytest.raises(DomainError):
+        toeplitz.gchain_sweep(huge, 4)
