@@ -1,7 +1,7 @@
 """Symplectic spectra of positive definite matrices and block Toeplitz truncations.
 
 The package bundles four layers: symplectic linear algebra (eigenvalues,
-Williamson normal form, numerical-range probing), matrix-valued symbols on
+Williamson normal form, numerical-range edge), matrix-valued symbols on
 the circle with their spectral curves, dense block Toeplitz truncations with
 structural checks, and the spectral-average (entropy rates included),
 counting and density experiments that tie truncation spectra to symbol-side
@@ -15,7 +15,6 @@ from .core import (
     EdgeProbe,
     GMatrixCheck,
     WilliamsonFactorization,
-    embed_hermitian,
     is_gmatrix,
     numerical_range_edge,
     random_symplectic,
@@ -75,10 +74,8 @@ from .toeplitz import (
     GChainCheck,
     QuadraticFormCheck,
     assemble,
-    first_gchain_failure,
     gchain_check,
     gchain_sweep,
     matrix_csv_bytes,
-    positive_definite_check,
     quadratic_form_check,
 )

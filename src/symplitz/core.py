@@ -10,13 +10,14 @@ an explicit seed.
 One kernel serves the spectral routines: the Cholesky factor A = L L^T
 (whose breakdown is the positive-definiteness verdict) and the skew matrix
 K = L^T J L, similar to J A.  The symplectic spectrum is the singular values
-of K and the Williamson form comes from its real Schur form.
+of K and the Williamson form comes from its real Schur form; the first pair of
+the Williamson factor is the lower edge of the symplectic numerical range.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, expm, schur, solve_triangular
+from scipy.linalg import expm, schur, solve_triangular
 
 from .errors import (
     DegeneratePairError,
@@ -67,15 +68,6 @@ def _require_symmetric(A: np.ndarray, tol: float, what: str = "matrix") -> None:
     scale = max(1.0, float(np.abs(A).max()))
     if dev > tol * scale:
         raise SymmetryError(f"{what} is not symmetric: max |A - A^T| = {dev:.3e}")
-
-
-def _require_skew(C: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    Ct = np.swapaxes(C, -1, -2)
-    dev = float(np.abs(C + Ct).max())
-    scale = max(1.0, float(np.abs(C).max()))
-    if dev > tol * scale:
-        raise SymmetryError(f"{what} is not skew-symmetric: max |C + C^T| = {dev:.3e}")
-    return 0.5 * (C - Ct)
 
 
 def _factor(A: np.ndarray) -> np.ndarray:
@@ -131,7 +123,7 @@ def _pair_sorted(w: np.ndarray, pair_tol: float) -> np.ndarray:
             f"(worst relative gap {float(gap.max()):.3e} > {pair_tol:.1e}); "
             "this indicates a numerics bug or a non-symplectic setup"
         )
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def symplectic_eigenvalues(A) -> np.ndarray:
@@ -186,7 +178,7 @@ def williamson(A) -> WilliamsonFactorization:
     cols = np.arange(n).reshape(-1, 2)
     flip = upper < 0
     cols[flip] = cols[flip, ::-1]
-    d = 0.5 * np.abs(upper - lower)
+    d = np.abs(0.5 * upper - 0.5 * lower)
     order = np.argsort(d, kind="stable")
     spectrum = d[order]
     O = O[:, cols[order].ravel()]
@@ -213,10 +205,9 @@ class GMatrixCheck:
 def is_gmatrix(A, tol: float = 1e-10) -> GMatrixCheck:
     """Test whether every symplectic eigenvalue is >= 1/2 (within tol).
 
-    The condition is equivalent to positive semidefiniteness of A + (i/2) J.
-    toeplitz.gchain_check tests that form directly on truncations, with a
-    complex Hermitian eigensolve; embed_hermitian(A, J/2) gives its real
-    embedding, the reference the tests compare both against.
+    The condition is equivalent to positive semidefiniteness of A + (i/2) J,
+    the form toeplitz.gchain_check tests directly on truncations with a
+    complex Hermitian eigensolve.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -224,26 +215,6 @@ def is_gmatrix(A, tol: float = 1e-10) -> GMatrixCheck:
     d = symplectic_eigenvalues(A)
     d_min = float(d[0])
     return GMatrixCheck(d_min >= 0.5 - tol, d_min)
-
-
-def embed_hermitian(S, C, *, tol: float = SYM_TOL) -> np.ndarray:
-    """Real 2n x 2n embedding [[S, -C], [C, S]] of the Hermitian matrix S + iC.
-
-    The embedding is positive semidefinite exactly when S + iC is, so
-    positivity of complex-shifted matrices reduces to a real symmetric
-    eigensolve.
-    """
-    S = np.asarray(S, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if S.ndim != 2 or C.ndim != 2 or S.shape != C.shape:
-        raise InvalidDimensionError(
-            f"blocks must be square matrices of equal shape, got {S.shape} and {C.shape}"
-        )
-    _square_dim(S)
-    _require_symmetric(S, tol, "symmetric part")
-    C = _require_skew(C, tol, "skew part")
-    S = 0.5 * (S + S.T)
-    return np.block([[S, -C], [C, S]])
 
 
 def symplectic_rayleigh(A, u, v) -> float:
@@ -270,93 +241,26 @@ def symplectic_rayleigh(A, u, v) -> float:
 
 @dataclass(frozen=True)
 class EdgeProbe:
-    """Lower-edge probe of the symplectic numerical range.
-
-    ``value`` is the refined minimum, achieved by the normalized pair
-    (u, v); ``sampled_min`` is the best value seen among the raw random
-    samples before refinement.
-    """
+    """Lower edge of the symplectic numerical range, with the pair (u, v) attaining it."""
 
     value: float
     u: np.ndarray
     v: np.ndarray
-    sampled_min: float
-    iterations: int
 
 
-def numerical_range_edge(
-    A,
-    samples: int = 200,
-    seed: int = 0,
-    *,
-    max_iter: int = 25000,
-) -> EdgeProbe:
-    """Probe the lower edge of the symplectic numerical range of A.
+def numerical_range_edge(A) -> EdgeProbe:
+    """Lower edge of the symplectic numerical range of A, with its witness pair.
 
-    Draws ``samples`` seeded random pairs, keeps the best, then refines it by
-    exact coordinate descent: for a fixed v the optimal u direction solves
-    A u = c J v (by the Cholesky factor of A), and symmetrically for v.  The
-    descent value decreases monotonically and its limit is the smallest
-    symplectic eigenvalue.
+    The edge is the smallest symplectic eigenvalue d_1 (Bhatia & Jain, J. Math.
+    Phys. 2015), attained by the first two rows u, v of the Williamson factor M:
+    M J M^T = J gives <u, J v> = 1 and M A M^T = Lambda gives pair energy d_1.
+    For a truncation T_n the edge is d_1(T_n), the m = 1 case of
+    szego.min_trajectory, which decreases in n to the grid infimum of the
+    bottom symplectic curve.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    A = np.asarray(A, dtype=float)
-    n = _even_dim(A)
-    J = symplectic_form(n // 2)
-    rng = np.random.default_rng(seed)
-
-    best_val = np.inf
-    best_pair = None
-    for _ in range(samples):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        try:
-            val = symplectic_rayleigh(A, u, v)
-        except DegeneratePairError:
-            continue
-        if val < best_val:
-            best_val = val
-            best_pair = (u, v)
-    if best_pair is None:
-        raise DegeneratePairError("all sampled pairs were symplectically degenerate")
-
-    factor = (_factor(A), True)
-    u, v = best_pair
-    if float(u @ J @ v) < 0.0:
-        v = -v
-
-    def objective(u, v):
-        a1 = float(u @ A @ u)
-        a2 = float(v @ A @ v)
-        s = float(u @ J @ v)
-        return np.sqrt(a1 * a2) / s
-
-    val = objective(u, v)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        u = cho_solve(factor, J @ v, check_finite=False)
-        u /= np.linalg.norm(u)
-        v = -cho_solve(factor, J @ u, check_finite=False)
-        v /= np.linalg.norm(v)
-        new = objective(u, v)
-        if val - new <= 1e-16 * max(1.0, abs(new)):
-            val = min(val, new)
-            break
-        val = new
-
-    # Rebalance so the plain pair energy of (u, v) equals the refined value.
-    s = float(u @ J @ v)
-    r = 1.0 / np.sqrt(s)
-    u = r * u
-    v = r * v
-    a1 = float(u @ A @ u)
-    a2 = float(v @ A @ v)
-    t = (a2 / a1) ** 0.25
-    u = t * u
-    v = v / t
-    value = symplectic_rayleigh(A, u, v)
-    return EdgeProbe(value, u, v, float(best_val), iterations)
+    M = williamson(A).M
+    u, v = M[0], M[1]
+    return EdgeProbe(symplectic_rayleigh(A, u, v), u, v)
 
 
 def random_symplectic(k: int, seed: int = 0) -> np.ndarray:

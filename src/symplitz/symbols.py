@@ -25,6 +25,8 @@ from .errors import (
 )
 
 DEFAULT_GRID_G = 4096
+# Entries a grid evaluation may allocate: as many as a 4096 x 4096 truncation.
+MAX_GRID_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,12 @@ class TrigMatrixPolynomial:
         return np.einsum("n,nij->ij", w, self.coeffs)
 
     def evaluate_grid(self, grid: GridSpec) -> np.ndarray:
+        entries = grid.G * max(self.block_dim**2, self.degree + 1)
+        if entries > MAX_GRID_ENTRIES:
+            raise GridError(
+                f"evaluating on G = {grid.G} nodes needs {entries} entries, "
+                f"over the budget {MAX_GRID_ENTRIES}"
+            )
         w = 2.0 * np.cos(np.outer(grid.nodes(), np.arange(self.degree + 1)))
         w[:, 0] = 1.0
         return np.einsum("gn,nij->gij", w, self.coeffs)

@@ -133,7 +133,7 @@ def gchain_check(
 
     The witness min_eigenvalue is the smallest eigenvalue of T_n + (i/2) J; the
     truncation passes when it is >= -tol.  It equals the smallest eigenvalue of
-    the real embedding core.embed_hermitian(T_n, J/2), at half its size.
+    the real symmetric embedding [[T_n, -J/2], [J/2, T_n]], at half its size.
     """
     w0 = float(np.linalg.eigvalsh(_shifted_truncation(symbol, n, max_dim))[0])
     return GChainCheck(w0 >= -tol, n, w0)
@@ -176,22 +176,6 @@ def gchain_sweep(
             break
     witness = gchain_check(symbol, n_max if first_fail is None else first_fail, tol, max_dim=max_dim)
     return first_fail, [witness]
-
-
-def first_gchain_failure(
-    symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10, *, max_dim: int = MAX_DIM
-):
-    """Smallest n <= n_max whose truncation fails the covariance test, or None."""
-    first, _ = gchain_sweep(symbol, n_max, tol, max_dim=max_dim)
-    return first
-
-
-def positive_definite_check(T, tol: float = 1e-12) -> bool:
-    """Min eigenvalue above tol times the spectral norm."""
-    T = np.asarray(T, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (T + T.T))
-    scale = max(abs(float(w[0])), abs(float(w[-1])))
-    return bool(w[0] > tol * scale)
 
 
 def matrix_csv_bytes(T) -> bytes:

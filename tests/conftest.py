@@ -19,6 +19,15 @@ def random_gmatrix(k, d_values, seed):
     return 0.5 * (A + A.T)
 
 
+def hermitian_embedding(S, C):
+    """Real embedding [[S, -C], [C, S]] of the Hermitian matrix S + iC.
+
+    It is positive semidefinite exactly when S + iC is, with the same
+    eigenvalues, each twice.
+    """
+    return np.block([[S, -C], [C, S]])
+
+
 def matrix_symbol_k1():
     a0 = np.array([[2.0, 0.3], [0.3, 1.5]])
     a1 = np.array([[0.2, 0.1], [0.1, -0.1]])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from symplitz import core, entropy, symbols, szego, toeplitz
+from symplitz.errors import DegeneratePairError
 from conftest import random_gmatrix, random_pd, symbol_corpus
 
 GRID = symbols.GridSpec(4096)
@@ -196,11 +197,16 @@ def test_13_numerical_range_edge():
         dim = int(rng.choice([4, 6, 8]))
         A = random_pd(rng, dim)
         d1 = float(core.symplectic_eigenvalues(A)[0])
-        probe = core.numerical_range_edge(A, samples=64, seed=1000 + i)
+        probe = core.numerical_range_edge(A)
         worst_err = max(worst_err, abs(probe.value - d1))
-        worst_viol = max(worst_viol, d1 - probe.sampled_min)
-    ok = worst_err <= 1e-4 and worst_viol <= 1e-9
-    report(13, ok, f"50 random dims 4-8: worst |edge - d_1| = {worst_err:.3e} (tol 1e-4), worst sample undershoot {worst_viol:.3e} (tol 1e-9)")
+        pairs = np.random.default_rng(1000 + i).standard_normal((64, 2, dim))
+        for u, v in pairs:
+            try:
+                worst_viol = max(worst_viol, d1 - core.symplectic_rayleigh(A, u, v))
+            except DegeneratePairError:
+                continue
+    ok = worst_err <= 1e-12 and worst_viol <= 1e-9
+    report(13, ok, f"50 random dims 4-8: worst |edge - d_1| = {worst_err:.3e} (tol 1e-12), worst random-pair undershoot {worst_viol:.3e} (tol 1e-9)")
 
 
 def test_14_quadratic_form_identity():

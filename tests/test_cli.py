@@ -601,6 +601,27 @@ class TestFieldTable:
         spectrum = read_summary(tmp_path / "out")["values" if command == "spectrum" else "spectrum"]
         assert spectrum == pytest.approx([1e154], rel=1e-12)
 
+    @pytest.mark.parametrize("command", ["spectrum", "williamson"])
+    def test_top_of_float_range_matrix(self, tmp_path, command):
+        # pair averages halve before they add, so d = 1e308 does not overflow
+        cfg = write_config(tmp_path / "c.json", {"matrix": [[1e308, 0.0], [0.0, 1e308]]})
+        assert run(command, cfg, tmp_path / "out") == 0
+        spectrum = read_summary(tmp_path / "out")["values" if command == "spectrum" else "spectrum"]
+        assert spectrum == pytest.approx([1e308], rel=1e-12)
+
+    def test_huge_grid_exits_3_before_evaluation(self, tmp_path, monkeypatch):
+        from symplitz import symbols
+
+        calls = []
+        monkeypatch.setattr(symbols.GridSpec, "nodes", lambda grid: calls.append(grid.G))
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "f": {"kind": "monomial", "power": 1},
+             "n_list": [2], "grid": {"G": 10**9}},
+        )
+        assert run("szego", cfg, tmp_path / "out") == 3
+        assert calls == []
+
     def test_density_size_guard_before_any_spectrum(self, tmp_path, monkeypatch):
         from symplitz import core
 

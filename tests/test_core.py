@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symplitz import core
+from symplitz import core, toeplitz
 from symplitz.errors import (
     DegeneratePairError,
     InvalidDimensionError,
@@ -9,7 +9,7 @@ from symplitz.errors import (
     PositivityError,
     SymmetryError,
 )
-from conftest import random_gmatrix, random_pd
+from conftest import hermitian_embedding, matrix_symbol_k2, random_gmatrix, random_pd
 
 
 class TestSymplecticForm:
@@ -192,34 +192,26 @@ class TestGMatrix:
             d = np.sort(0.5 + side * rng.uniform(0.02, 0.08, k))
             A = random_gmatrix(k, d, seed=i)
             direct = core.is_gmatrix(A, tol=1e-10).ok
-            E = core.embed_hermitian(A, 0.5 * core.symplectic_form(k))
+            E = hermitian_embedding(A, 0.5 * core.symplectic_form(k))
             embedded = bool(np.linalg.eigvalsh(E)[0] >= -1e-10)
             assert direct == embedded
 
 
 class TestEmbedHermitian:
     def test_vacuum_shift(self):
-        E = core.embed_hermitian(np.eye(2), 0.5 * core.symplectic_form(1))
+        E = hermitian_embedding(np.eye(2), 0.5 * core.symplectic_form(1))
         assert np.linalg.eigvalsh(E)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_skew_block_diagonal(self):
         S = np.array([[2.0, 0.5], [0.5, 1.0]])
-        E = core.embed_hermitian(S, np.zeros((2, 2)))
+        E = hermitian_embedding(S, np.zeros((2, 2)))
         np.testing.assert_array_equal(E[:2, :2], S)
         np.testing.assert_array_equal(E[2:, 2:], S)
         np.testing.assert_array_equal(E[:2, 2:], np.zeros((2, 2)))
 
     def test_boundary_gmatrix(self):
-        E = core.embed_hermitian(0.5 * np.eye(2), 0.5 * core.symplectic_form(1))
+        E = hermitian_embedding(0.5 * np.eye(2), 0.5 * core.symplectic_form(1))
         assert abs(np.linalg.eigvalsh(E)[0]) <= 1e-14
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidDimensionError):
-            core.embed_hermitian(np.eye(2), np.zeros((4, 4)))
-
-    def test_non_skew(self):
-        with pytest.raises(SymmetryError):
-            core.embed_hermitian(np.eye(2), np.eye(2))
 
 
 class TestSymplecticRayleigh:
@@ -272,27 +264,34 @@ class TestSymplecticRayleigh:
 
 class TestNumericalRangeEdge:
     def test_diagonal(self):
-        probe = core.numerical_range_edge(np.diag([1.2, 1.2, 3.0, 3.0]), samples=32, seed=0)
-        assert probe.value == pytest.approx(1.2, abs=1e-6)
+        probe = core.numerical_range_edge(np.diag([1.2, 1.2, 3.0, 3.0]))
+        assert probe.value == pytest.approx(1.2, abs=1e-12)
 
     def test_congruence_invariance(self):
         Lam = np.diag([0.9, 0.9, 2.0, 2.0])
         M = core.random_symplectic(2, seed=13)
         A = M @ Lam @ M.T
         A = 0.5 * (A + A.T)
-        probe = core.numerical_range_edge(A, samples=64, seed=1)
-        assert probe.value == pytest.approx(0.9, abs=1e-6)
+        probe = core.numerical_range_edge(A)
+        assert probe.value == pytest.approx(0.9, abs=1e-12)
 
     def test_identity(self):
-        probe = core.numerical_range_edge(np.eye(4), samples=16, seed=2)
-        assert probe.value == pytest.approx(1.0, abs=1e-8)
+        probe = core.numerical_range_edge(np.eye(4))
+        assert probe.value == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_achieves_value(self):
         rng = np.random.default_rng(10)
         A = random_pd(rng, 6)
-        probe = core.numerical_range_edge(A, samples=64, seed=3)
-        assert core.symplectic_rayleigh(A, probe.u, probe.v) == pytest.approx(probe.value, abs=1e-10)
-        assert probe.sampled_min >= probe.value - 1e-12
+        probe = core.numerical_range_edge(A)
+        assert core.symplectic_rayleigh(A, probe.u, probe.v) == pytest.approx(probe.value, abs=1e-12)
+
+    def test_truncation_witness(self):
+        T = toeplitz.assemble(matrix_symbol_k2(), 32)  # dim 128
+        d1 = core.symplectic_eigenvalues(T)[0]
+        probe = core.numerical_range_edge(T)
+        assert abs(probe.value - d1) <= 1e-12 * d1
+        J = core.symplectic_form(T.shape[0] // 2)
+        assert probe.u @ J @ probe.v == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRandomSymplectic:

@@ -71,6 +71,21 @@ class TestEvaluate:
             symbols.TrigMatrixPolynomial(np.zeros((1, 3, 3)))
 
 
+class TestGridBudget:
+    def test_huge_grid_refused_before_nodes(self, monkeypatch):
+        monkeypatch.setattr(symbols.GridSpec, "nodes", lambda grid: pytest.fail("grid nodes were allocated"))
+        with pytest.raises(GridError, match="budget"):
+            symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(10**9))
+
+    def test_budget_counts_blocks_and_degree(self, monkeypatch):
+        monkeypatch.setattr(symbols, "MAX_GRID_ENTRIES", 64)
+        assert symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(16)).shape == (16, 2, 2)
+        with pytest.raises(GridError):
+            symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(17))  # 17 (2k)^2 = 68
+        with pytest.raises(GridError):
+            symbols.scalar_symbol(np.full(8, 0.01)).evaluate_grid(symbols.GridSpec(9))  # 9 (degree + 1) = 72
+
+
 class TestFourierCoefficient:
     def test_sampled_constant(self):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -4,8 +4,8 @@ from scipy.linalg import lapack
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, symbols, toeplitz
-from symplitz.errors import AliasingError, InvalidDimensionError, TruncationSizeError
-from conftest import matrix_symbol_k2
+from symplitz.errors import AliasingError, InvalidDimensionError, PositivityError, TruncationSizeError
+from conftest import hermitian_embedding, matrix_symbol_k2
 
 
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta), k = 1
@@ -157,7 +157,7 @@ class TestGChain:
         for name, s in corpus.items():
             for n in (1, 3, 8):
                 T = toeplitz.assemble(s, n)
-                E = core.embed_hermitian(T, 0.5 * core.symplectic_form(T.shape[0] // 2))
+                E = hermitian_embedding(T, 0.5 * core.symplectic_form(T.shape[0] // 2))
                 reference = np.linalg.eigvalsh(E)[0]
                 witness = toeplitz.gchain_check(s, n).min_eigenvalue
                 assert witness == pytest.approx(reference, abs=1e-12), name
@@ -168,17 +168,20 @@ class TestGChain:
         assert first is None
         assert all(r.min_eigenvalue >= 0.1 - 1e-10 for r in records)
 
-    def test_first_gchain_failure_wrapper(self):
-        assert toeplitz.first_gchain_failure(symbols.scalar_symbol([0.6, 0.1]), 32, tol=1e-6) == 3
-        assert toeplitz.first_gchain_failure(PHI, 16) is None
+    def test_first_failing_order(self):
+        assert toeplitz.gchain_sweep(symbols.scalar_symbol([0.6, 0.1]), 32, tol=1e-6)[0] == 3
+        assert toeplitz.gchain_sweep(PHI, 16)[0] is None
 
 
 class TestPositiveDefiniteCheck:
+    """The positive-definiteness verdict is the Cholesky factor inside the spectrum."""
+
     def test_identity(self):
-        assert toeplitz.positive_definite_check(np.eye(4))
+        np.testing.assert_allclose(core.symplectic_eigenvalues(np.eye(4)), [1.0, 1.0], atol=1e-15)
 
     def test_zero(self):
-        assert not toeplitz.positive_definite_check(np.zeros((4, 4)))
+        with pytest.raises(PositivityError):
+            core.symplectic_eigenvalues(np.zeros((4, 4)))
 
     def test_tridiagonal_closed_form(self):
         n = 8
@@ -186,10 +189,12 @@ class TestPositiveDefiniteCheck:
         w = np.linalg.eigvalsh(T)
         closed = np.sort(2.0 + np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
         np.testing.assert_allclose(np.sort(w)[::2], closed, atol=1e-12)
-        assert toeplitz.positive_definite_check(T, tol=1e-12)
+        # T = T_n(2 + cos) kron I_2, so its symplectic spectrum is the same closed form
+        np.testing.assert_allclose(core.symplectic_eigenvalues(T), closed, atol=1e-12)
 
     def test_indefinite(self):
-        assert not toeplitz.positive_definite_check(np.diag([1.0, -0.5]))
+        with pytest.raises(PositivityError):
+            core.symplectic_eigenvalues(np.diag([1.0, -0.5]))
 
 
 class TestMatrixDump:
@@ -226,11 +231,11 @@ class TestSpectralInvariants:
         # clears 1/2 with margin: every truncation up to 32 passes
         margin = symbols.scalar_symbol([0.7, 0.05])
         assert symbols.is_g_symbol(margin, grid).ok
-        assert toeplitz.first_gchain_failure(margin, 32, tol=1e-8) is None
+        assert toeplitz.gchain_sweep(margin, 32, tol=1e-8)[0] is None
         # dips below 1/2 with margin: some truncation fails
         violator = symbols.scalar_symbol([0.6, 0.1])
         assert not symbols.is_g_symbol(violator, grid).ok
-        assert toeplitz.first_gchain_failure(violator, 32, tol=1e-8) is not None
+        assert toeplitz.gchain_sweep(violator, 32, tol=1e-8)[0] is not None
 
 
 def test_overflowing_truncation_is_domain_error():
