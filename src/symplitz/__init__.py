@@ -3,9 +3,10 @@
 The package bundles four layers: symplectic linear algebra (eigenvalues,
 Williamson normal form, numerical-range edge), matrix-valued symbols on
 the circle with their spectral curves, dense block Toeplitz truncations with
-structural checks, and the spectral-average (entropy rates included),
-counting and density experiments that tie truncation spectra to symbol-side
-integrals.
+structural checks, and the spectral-average and density experiments that tie
+truncation spectra to symbol-side integrals.  Entropy rates and eigenvalue
+counts are spectral averages too: of the per-mode entropy and of an interval
+indicator.
 """
 
 __version__ = "0.1.0"
@@ -50,22 +51,19 @@ from .symbols import (
     symplectic_curves,
 )
 from .szego import (
-    CountingReport,
     DensityReport,
     MinTrajectory,
     SpectrumTrajectory,
     SzegoReport,
     TestFunction,
     convergence_report,
-    counting_ratio,
     density_check,
     hat,
+    indicator,
     indicator_smoothing,
-    limit_measure,
     min_trajectory,
     monomial,
     polynomial,
-    smoothed_counting,
     symbol_integral,
     szego_average,
     truncated_spectra,

@@ -362,23 +362,32 @@ def cmd_entropy_rate(**fields):
 
 def cmd_counting(symbol, grid, n_list, interval, tolerance, **opts):
     traj = szego.truncated_spectra(symbol, n_list)
-    limit = szego.limit_measure(symbol, interval, grid)
-    report = szego.counting_ratio(traj, interval, limit=limit)
-    smoothing = szego.smoothed_counting(symbol, traj, interval, grid)
+    curves = symbols.symplectic_curves(symbol, grid)
+    f = szego.indicator(interval)
+    counts = [int(np.sum(f(traj.spectra[n]))) for n in traj.ns]
+    ratios = [szego.szego_average(traj.spectra[n], n, f) for n in traj.ns]
+    limit = szego.symbol_integral(curves, f)
+    n_max = traj.max_n()
+    smoothing = {}
+    for eps in szego.EPS_LADDER:
+        smooth = szego.indicator_smoothing(interval, eps)
+        smoothing[str(eps)] = {
+            "average": szego.szego_average(traj.spectra[n_max], n_max, smooth),
+            "integral": szego.symbol_integral(curves, smooth),
+        }
     checks = []
     if tolerance is not None:
-        gap = abs(report.ratios[-1] - limit)
+        gap = abs(ratios[-1] - limit)
         checks.append(_check("ratio_gap_at_max_n", gap, tolerance, gap <= tolerance))
-    rows = list(zip(report.ns, report.counts, report.ratios))
-    files = {"series.csv": _csv_bytes(["n", "count", "ratio"], rows)}
+    files = {"series.csv": _csv_bytes(["n", "count", "ratio"], list(zip(traj.ns, counts, ratios)))}
     summary = {
         "interval": list(interval),
         "grid_G": grid.G,
-        "n_list": report.ns,
-        "counts": report.counts,
-        "ratios": report.ratios,
+        "n_list": traj.ns,
+        "counts": counts,
+        "ratios": ratios,
         "limit_measure": limit,
-        "smoothing": {str(eps): vals for eps, vals in smoothing.items()},
+        "smoothing": smoothing,
     }
     return files, checks, summary
 
@@ -406,16 +415,15 @@ def cmd_density(symbol, grid, n_max, delta, coverage_tolerance, escape_tolerance
 
 
 def cmd_gchain_check(symbol, n_max, tolerance, **opts):
-    first, records = toeplitz.gchain_sweep(symbol, n_max, tolerance)
-    worst = min(r.min_eigenvalue for r in records)
-    checks = [_check("gchain_valid_up_to_n_max", worst, tolerance, first is None)]
-    rows = [(r.n, r.min_eigenvalue, r.ok) for r in records]
+    first, witness = toeplitz.gchain_sweep(symbol, n_max, tolerance)
+    checks = [_check("gchain_valid_up_to_n_max", witness.min_eigenvalue, tolerance, first is None)]
+    rows = [(witness.n, witness.min_eigenvalue, witness.ok)]
     files = {"series.csv": _csv_bytes(["n", "min_eigenvalue", "ok"], rows)}
     summary = {
         "n_max": n_max,
         "tolerance": tolerance,
         "first_failing_n": first,
-        "worst_min_eigenvalue": worst,
+        "worst_min_eigenvalue": witness.min_eigenvalue,
         "certified": f"all truncations up to n = {n_max} pass" if first is None
         else f"first failure at n = {first}",
     }

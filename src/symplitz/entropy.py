@@ -66,19 +66,17 @@ def mode_entropy_shannon(x, base="e"):
     return float(out) if np.isscalar(x) else out
 
 
-def entropy_test_function(
-    base="e", *, strict: bool = True, clamp_tol: float = CLAMP_TOL
-) -> szego.TestFunction:
+def entropy_test_function(base="e", *, strict: bool = True) -> szego.TestFunction:
     """The per-mode entropy as a spectral-average test function, with the boundary clamp policy.
 
-    Values within ``clamp_tol`` below 1/2 count as the boundary (zero
+    Values within ``CLAMP_TOL`` below 1/2 count as the boundary (zero
     entropy); values further below raise ``DomainError`` when ``strict``
     and warn with ``RuntimeWarning`` otherwise.
     """
     _log_scale(base)  # reject a bad base here rather than at the first call
 
     def fn(x):
-        bad = x < 0.5 - clamp_tol
+        bad = x < 0.5 - CLAMP_TOL
         if np.any(bad):
             msg = (
                 f"{int(bad.sum())} symplectic eigenvalue(s) below the uncertainty "
@@ -89,15 +87,15 @@ def entropy_test_function(
             warnings.warn(msg, RuntimeWarning, stacklevel=3)
         return mode_entropy(x, base)
 
-    return szego.TestFunction(f"entropy(base={base})", fn, domain=(0.0, math.inf))
+    return szego.TestFunction(f"entropy(base={base})", fn)
 
 
-def spectrum_entropy(values, base="e", *, strict: bool = True, clamp_tol: float = CLAMP_TOL) -> float:
+def spectrum_entropy(values, base="e", *, strict: bool = True) -> float:
     """Total entropy of a symplectic spectrum, with the boundary clamp policy."""
-    return float(np.sum(entropy_test_function(base, strict=strict, clamp_tol=clamp_tol)(values)))
+    return float(np.sum(entropy_test_function(base, strict=strict)(values)))
 
 
-def state_entropy(A, base="e", *, strict: bool = True, clamp_tol: float = CLAMP_TOL) -> float:
+def state_entropy(A, base="e", *, strict: bool = True) -> float:
     """Von Neumann entropy of the Gaussian state with covariance matrix A."""
     d = core.symplectic_eigenvalues(np.asarray(A, dtype=float))
-    return spectrum_entropy(d, base, strict=strict, clamp_tol=clamp_tol)
+    return spectrum_entropy(d, base, strict=strict)

@@ -47,8 +47,9 @@ class GridSpec:
     def nodes(self) -> np.ndarray:
         return -np.pi + (2.0 * np.pi / self.G) * np.arange(self.G)
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.G * factor)
+    def refined(self) -> "GridSpec":
+        """The grid with twice the nodes."""
+        return GridSpec(2 * self.G)
 
     def index_of(self, theta: float, tol: float = 1e-9) -> int:
         """Index of the node matching theta (mod 2 pi), or GridError if off-node."""
@@ -73,7 +74,8 @@ def _check_blocks(blocks: np.ndarray, what: str) -> np.ndarray:
     scale = max(1.0, float(np.abs(blocks).max()))
     if dev > core.SYM_TOL * scale:
         raise SymmetryError(f"{what} contains a non-symmetric block (max dev {dev:.3e})")
-    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    # halve before adding, so entries near the top of the float range do not overflow
+    return 0.5 * blocks + 0.5 * blocks.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ The central comparison is between the truncation-side averages
 (1/n) sum_j f(d_j) over the full kn-point symplectic spectrum of the order-n
 truncation and the symbol-side angular average of sum_j f(d_j(theta)).  The
 raw sequences are reported as computed, with no averaging acceleration, so
-the limit statements are checked exactly as formulated.
+the limit statements are checked exactly as formulated.  Every such pair goes
+through ``szego_average`` and ``symbol_integral``; counting is the case
+f = ``indicator(K)``, whose spectral sum is the number of eigenvalues in K and
+whose integral is the angular measure of {theta : d_j(theta) in K}.
 """
 
 from dataclasses import dataclass
@@ -20,21 +23,13 @@ EPS_LADDER = (0.2, 0.1, 0.05)
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar test function with an optional admissible domain."""
+    """Named scalar test function, applied elementwise to a float array."""
 
     name: str
     fn: Callable
-    domain: tuple | None = None
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.domain is not None:
-            lo, hi = self.domain
-            if np.any(x < lo) or np.any(x > hi):
-                raise DomainError(
-                    f"value outside the domain [{lo}, {hi}] of test function {self.name}"
-                )
-        return self.fn(x)
+        return self.fn(np.asarray(x, dtype=float))
 
 
 def monomial(power: int) -> TestFunction:
@@ -59,8 +54,22 @@ def hat(left: float, peak: float, right: float) -> TestFunction:
     )
 
 
+def indicator(interval) -> TestFunction:
+    """Indicator of the closed interval [a, b], 0 <= a <= b; endpoints count in.
+
+    Its spectral sum is the number of eigenvalues in [a, b], so its Szego
+    average is the counting ratio c_n / n and its symbol integral the grid
+    estimate of (1/2 pi) sum_j measure{theta : d_j(theta) in [a, b]}.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if not (0.0 <= a <= b):
+        raise DomainError(f"interval must satisfy 0 <= a <= b, got [{a}, {b}]")
+    return TestFunction(f"1[{a:g},{b:g}]", lambda x: ((x >= a) & (x <= b)).astype(float))
+
+
 def indicator_smoothing(interval, eps: float) -> TestFunction:
-    """Smoothed interval indicator exp(-dist(x, [a, b]) / eps)."""
+    """Smoothed interval indicator exp(-dist(x, [a, b]) / eps); it dominates
+    ``indicator([a, b])``, so its averages bound the counting ratios from above."""
     a, b = float(interval[0]), float(interval[1])
     if not (a <= b and eps > 0):
         raise ValueError(f"need a <= b and eps > 0, got [{a}, {b}], eps = {eps}")
@@ -89,22 +98,22 @@ class SpectrumTrajectory:
         return max(self.spectra)
 
 
-def truncated_spectra(symbol, n_list, *, max_dim: int = toeplitz.MAX_DIM) -> SpectrumTrajectory:
+def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     """Per-order symplectic spectra, with the interlacing drift reported.
 
     For each fixed index the eigenvalue can only drift down (within float
     noise) as the order grows; the worst upward drift across consecutive
     computed orders is recorded in ``monotonicity_violation``.  The largest
-    order is checked against ``max_dim`` before any eigensolve.
+    order is checked against ``toeplitz.MAX_DIM`` before any eigensolve.
     """
     ns = sorted(set(int(n) for n in n_list))
     if not ns:
         raise ValueError("n_list must be nonempty")
-    toeplitz.truncation_dim(symbol, ns[-1], max_dim)
+    toeplitz.truncation_dim(symbol, ns[-1])
 
     def one(n):
         try:
-            return core.symplectic_eigenvalues(toeplitz.assemble(symbol, n, max_dim=max_dim))
+            return core.symplectic_eigenvalues(toeplitz.assemble(symbol, n))
         except PositivityError as err:
             raise PositivityError(
                 f"truncation of order n = {n} is not positive definite "
@@ -122,15 +131,23 @@ def truncated_spectra(symbol, n_list, *, max_dim: int = toeplitz.MAX_DIM) -> Spe
     return SpectrumTrajectory(symbol.k, spectra, violation)
 
 
+def _mean(values, divisor: int, f: TestFunction) -> float:
+    """sum f(values) / divisor; a value that overflows or is NaN raises DomainError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.sum(f(values)) / divisor
+    if not np.isfinite(value):
+        raise DomainError(f"test function {f.name} gives the non-finite average {float(value)}")
+    return float(value)
+
+
 def szego_average(spectrum, n: int, f: TestFunction) -> float:
     """(1/n) sum_j f(d_j) over the full kn-point spectrum (divided by n, not nk)."""
-    return float(np.sum(f(np.asarray(spectrum, dtype=float))) / n)
+    return _mean(np.asarray(spectrum, dtype=float), n, f)
 
 
-def symbol_integral(symbol, f: TestFunction, grid: symbols.GridSpec = symbols.GridSpec()) -> float:
+def symbol_integral(curves: symbols.SymplecticCurves, f: TestFunction) -> float:
     """Angular average of sum_j f(d_j(theta)) by the periodic rectangle rule."""
-    curves = symbols.symplectic_curves(symbol, grid)
-    return float(np.sum(f(curves.values)) / grid.G)
+    return _mean(curves.values, curves.grid.G, f)
 
 
 @dataclass(frozen=True)
@@ -158,7 +175,6 @@ def convergence_report(
     *,
     tolerance: float | None = None,
     grid_tolerance: float = 1e-8,
-    max_dim: int = toeplitz.MAX_DIM,
 ) -> SzegoReport:
     """Run the average-versus-integral comparison over the given orders.
 
@@ -167,10 +183,10 @@ def convergence_report(
     symbols converge slowly on a grid), in which case the report should not
     be read as evidence either way.
     """
-    traj = truncated_spectra(symbol, n_list, max_dim=max_dim)
+    traj = truncated_spectra(symbol, n_list)
     averages = [szego_average(traj.spectra[n], n, f) for n in traj.ns]
-    integral = symbol_integral(symbol, f, grid)
-    refined = symbol_integral(symbol, f, grid.refined())
+    integral = symbol_integral(symbols.symplectic_curves(symbol, grid), f)
+    refined = symbol_integral(symbols.symplectic_curves(symbol, grid.refined()), f)
     gaps = [abs(a - integral) for a in averages]
     grid_consistent = abs(integral - refined) <= grid_tolerance * max(1.0, abs(integral))
     passed = None if tolerance is None else bool(gaps[-1] <= tolerance)
@@ -206,8 +222,6 @@ def min_trajectory(
     m: int,
     n_list,
     grid: symbols.GridSpec = symbols.GridSpec(),
-    *,
-    max_dim: int = toeplitz.MAX_DIM,
 ) -> MinTrajectory:
     """Track d_m of the truncations; every fixed index converges to the
     grid infimum of the bottom symplectic curve."""
@@ -217,7 +231,7 @@ def min_trajectory(
             f"index m = {m} does not exist at the smallest order n = {ns[0]} "
             f"(spectrum has {symbol.k * ns[0]} entries)"
         )
-    traj = truncated_spectra(symbol, ns, max_dim=max_dim)
+    traj = truncated_spectra(symbol, ns)
     values = [float(traj.spectra[n][m - 1]) for n in ns]
     violation = 0.0
     for prev, nxt in zip(values, values[1:]):
@@ -231,66 +245,6 @@ def min_trajectory(
         limit_gap=abs(values[-1] - limit),
         monotonicity_violation=violation,
     )
-
-
-@dataclass(frozen=True)
-class CountingReport:
-    """Counts of truncation eigenvalues inside a closed interval.
-
-    Interval endpoints are inclusive, so values landing exactly on an
-    endpoint count in.  ``limit`` is the grid estimate of the limiting
-    angular measure, when provided.
-    """
-
-    interval: tuple
-    ns: list
-    counts: list
-    ratios: list
-    limit: float | None = None
-
-
-def counting_ratio(trajectory: SpectrumTrajectory, interval, *, limit: float | None = None) -> CountingReport:
-    """Per-order counting ratios c_n(K) / n for a closed interval K."""
-    a, b = float(interval[0]), float(interval[1])
-    if not (0.0 <= a <= b):
-        raise DomainError(f"interval must satisfy 0 <= a <= b, got [{a}, {b}]")
-    ns = trajectory.ns
-    counts = [int(np.count_nonzero((trajectory.spectra[n] >= a) & (trajectory.spectra[n] <= b))) for n in ns]
-    ratios = [c / n for c, n in zip(counts, ns)]
-    return CountingReport(interval=(a, b), ns=ns, counts=counts, ratios=ratios, limit=limit)
-
-
-def limit_measure(symbol, interval, grid: symbols.GridSpec = symbols.GridSpec()) -> float:
-    """Grid estimate of (1/2 pi) sum_j measure{theta : d_j(theta) in K}."""
-    a, b = float(interval[0]), float(interval[1])
-    if not (0.0 <= a <= b):
-        raise DomainError(f"interval must satisfy 0 <= a <= b, got [{a}, {b}]")
-    curves = symbols.symplectic_curves(symbol, grid)
-    return float(np.count_nonzero((curves.values >= a) & (curves.values <= b)) / grid.G)
-
-
-def smoothed_counting(
-    symbol,
-    trajectory: SpectrumTrajectory,
-    interval,
-    grid: symbols.GridSpec = symbols.GridSpec(),
-    eps_ladder=EPS_LADDER,
-) -> dict:
-    """Cross-check of the counting limit through smoothed indicators.
-
-    For each eps the smoothed indicator dominates the sharp one, so the
-    counting ratio is bounded by the smoothed average, and the smoothed
-    integrals shrink toward the sharp limiting measure as eps decreases.
-    """
-    n_max = trajectory.max_n()
-    out = {}
-    for eps in eps_ladder:
-        f = indicator_smoothing(interval, eps)
-        out[eps] = {
-            "average": szego_average(trajectory.spectra[n_max], n_max, f),
-            "integral": symbol_integral(symbol, f, grid),
-        }
-    return out
 
 
 @dataclass(frozen=True)
@@ -326,8 +280,6 @@ def density_check(
     n_max: int,
     delta: float,
     grid: symbols.GridSpec = symbols.GridSpec(),
-    *,
-    max_dim: int = toeplitz.MAX_DIM,
 ) -> DensityReport:
     """Check that truncation spectra fill out the symbol's spectral values.
 
@@ -335,12 +287,13 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
-    Every order 1 .. n_max runs, so n_max is checked against ``max_dim`` first.
+    Every order 1 .. n_max runs, so n_max is checked against
+    ``toeplitz.MAX_DIM`` first.
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    toeplitz.truncation_dim(symbol, n_max, max_dim)
-    traj = truncated_spectra(symbol, range(1, n_max + 1), max_dim=max_dim)
+    toeplitz.truncation_dim(symbol, n_max)
+    traj = truncated_spectra(symbol, range(1, n_max + 1))
     curves = symbols.symplectic_curves(symbol, grid)
     sorted_curve_values = np.sort(curves.values.ravel())
     pool = np.sort(np.concatenate([traj.spectra[n] for n in traj.ns]))

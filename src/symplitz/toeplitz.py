@@ -12,23 +12,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import AliasingError, DomainError, InvalidDimensionError, TruncationSizeError
-from .symbols import GridSpec, TrigMatrixPolynomial
+from .errors import AliasingError, DomainError, GridError, InvalidDimensionError, TruncationSizeError
+from .symbols import MAX_GRID_ENTRIES, GridSpec, TrigMatrixPolynomial
 
 MAX_DIM = 4096
 
 
-def truncation_dim(symbol: TrigMatrixPolynomial, n: int, max_dim: int = MAX_DIM) -> int:
-    """Dimension 2kn of the order-n truncation, checked against the size guard."""
+def truncation_dim(symbol: TrigMatrixPolynomial, n: int) -> int:
+    """Dimension 2kn of the order-n truncation, checked against the size guard MAX_DIM."""
     if n < 1:
         raise InvalidDimensionError(f"truncation order must be >= 1, got {n}")
     dim = symbol.block_dim * n
-    if dim > max_dim:
-        raise TruncationSizeError(f"truncation dimension 2kn = {dim} exceeds the guard {max_dim}")
+    if dim > MAX_DIM:
+        raise TruncationSizeError(f"truncation dimension 2kn = {dim} exceeds the guard {MAX_DIM}")
     return dim
 
 
-def assemble(symbol: TrigMatrixPolynomial, n: int, *, max_dim: int = MAX_DIM) -> np.ndarray:
+def assemble(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """Dense 2kn x 2kn truncation with (i, j) block given by coefficient |i - j|.
 
     The result is symmetric, and the order-n truncation is exactly the leading
@@ -39,7 +39,7 @@ def assemble(symbol: TrigMatrixPolynomial, n: int, *, max_dim: int = MAX_DIM) ->
             "assembly needs cosine-series coefficients; convert sampled symbols "
             "with to_trig_polynomial first"
         )
-    dim = truncation_dim(symbol, n, max_dim)
+    dim = truncation_dim(symbol, n)
     b = symbol.block_dim
     T = np.zeros((dim, dim))
     for off in range(0, min(symbol.degree, n - 1) + 1):
@@ -62,18 +62,13 @@ class QuadraticFormCheck:
     gap: float
 
 
-def quadratic_form_check(
-    symbol: TrigMatrixPolynomial,
-    coefficients,
-    grid: GridSpec,
-    *,
-    max_dim: int = MAX_DIM,
-) -> QuadraticFormCheck:
+def quadratic_form_check(symbol: TrigMatrixPolynomial, coefficients, grid: GridSpec) -> QuadraticFormCheck:
     """Compare <x, T_m x> with the angular average of <x~(t), A(t) x~(t)>.
 
     ``coefficients`` holds the finitely supported sequence x_0 .. x_{m-1} as
     rows; x~(t) = sum x_j e^{i j t}.  The grid must resolve the product of
-    the symbol and the sequence, otherwise the rectangle rule aliases.
+    the symbol and the sequence, otherwise the rectangle rule aliases.  The
+    G x m phase array is checked against the grid budget before it is built.
     """
     xs = np.asarray(coefficients, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != symbol.block_dim:
@@ -87,7 +82,11 @@ def quadratic_form_check(
             f"G = {grid.G} cannot resolve symbol degree {symbol.degree} against "
             f"support {m}; need G > {needed}"
         )
-    T = assemble(symbol, m, max_dim=max_dim)
+    if grid.G * m > MAX_GRID_ENTRIES:
+        raise GridError(
+            f"phase array of G = {grid.G} nodes by support {m} exceeds the budget {MAX_GRID_ENTRIES}"
+        )
+    T = assemble(symbol, m)
     x = xs.ravel()
     lhs = float(x @ T @ x)
     phase = np.exp(1j * np.outer(grid.nodes(), np.arange(m)))
@@ -110,13 +109,13 @@ class GChainCheck:
         return self.ok
 
 
-def _shifted_truncation(symbol: TrigMatrixPolynomial, n: int, max_dim: int) -> np.ndarray:
+def _shifted_truncation(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """T_n + (i/2) J as a complex array, with no dense J temporary.
 
     Fortran order lets zpotrf factor it in place.  Coefficients that overflow
     in the truncation raise DomainError before any factorization.
     """
-    T = assemble(symbol, n, max_dim=max_dim)
+    T = assemble(symbol, n)
     if not np.isfinite(T).all():
         raise DomainError(f"truncation of order n = {n} has entries outside the float range")
     H = np.array(T, dtype=complex, order="F")
@@ -126,25 +125,21 @@ def _shifted_truncation(symbol: TrigMatrixPolynomial, n: int, max_dim: int) -> n
     return H
 
 
-def gchain_check(
-    symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10, *, max_dim: int = MAX_DIM
-) -> GChainCheck:
+def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GChainCheck:
     """Positivity of T_n + (i/2) J, by one 2kn x 2kn complex Hermitian eigensolve.
 
     The witness min_eigenvalue is the smallest eigenvalue of T_n + (i/2) J; the
     truncation passes when it is >= -tol.  It equals the smallest eigenvalue of
     the real symmetric embedding [[T_n, -J/2], [J/2, T_n]], at half its size.
     """
-    w0 = float(np.linalg.eigvalsh(_shifted_truncation(symbol, n, max_dim))[0])
+    w0 = float(np.linalg.eigvalsh(_shifted_truncation(symbol, n))[0])
     return GChainCheck(w0 >= -tol, n, w0)
 
 
-def gchain_sweep(
-    symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10, *, max_dim: int = MAX_DIM
-):
+def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
     """Find the smallest failing truncation order up to n_max.
 
-    Returns (first_failing_n or None, records).  T_n is the leading principal
+    Returns (first_failing_n or None, witness).  T_n is the leading principal
     submatrix of T_{n+1} and J is block diagonal, so one Cholesky factor of
     H_m = T_m + (i/2) J + tol I decides every order up to m: it breaks down
     at the first leading minor that is not positive definite, and that pivot
@@ -152,9 +147,9 @@ def gchain_sweep(
     and finally n_max are factored until one breaks down, which keeps an early
     failure cheap and assembles nothing beyond it.
 
-    first_failing_n is this pivot verdict.  records holds one GChainCheck, the
-    eigensolve witness from gchain_check at the reported order (n_max when
-    every order passes).  The two can disagree only when the witness lies
+    first_failing_n is this pivot verdict.  witness is the GChainCheck of the
+    eigensolve from gchain_check at the reported order (n_max when every
+    order passes).  The two can disagree only when the witness lies
     within rounding of -tol.
     """
     if n_max < 1:
@@ -167,15 +162,14 @@ def gchain_sweep(
     orders.append(n_max)
     first_fail = None
     for m in orders:
-        H = _shifted_truncation(symbol, m, max_dim)
+        H = _shifted_truncation(symbol, m)
         H.flat[:: H.shape[0] + 1] += tol
         _, info = lapack.zpotrf(H, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             # info is the 1-based order of the first leading minor that fails
             first_fail = (info - 1) // symbol.block_dim + 1
             break
-    witness = gchain_check(symbol, n_max if first_fail is None else first_fail, tol, max_dim=max_dim)
-    return first_fail, [witness]
+    return first_fail, gchain_check(symbol, n_max if first_fail is None else first_fail, tol)
 
 
 def matrix_csv_bytes(T) -> bytes:

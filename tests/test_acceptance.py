@@ -94,8 +94,9 @@ def test_05_constant_symbol_exactness():
     const = symbols.constant_symbol(A)
     traj = szego.truncated_spectra(const, range(1, 33))
     worst = 0.0
+    curves = symbols.symplectic_curves(const, GRID)
     for f in (szego.monomial(1), szego.monomial(2), entropy.entropy_test_function()):
-        integral = szego.symbol_integral(const, f, GRID)
+        integral = szego.symbol_integral(curves, f)
         for n in traj.ns:
             worst = max(worst, abs(szego.szego_average(traj.spectra[n], n, f) - integral))
     report(5, worst <= 1e-12, f"constant symbol, n <= 32, f in {{x, x^2, entropy}}: worst gap {worst:.3e} (tol 1e-12)")
@@ -135,7 +136,7 @@ def test_07_symbol_lower_bound(acceptance_corpus):
 
 
 def test_08_counting_ratio(phi_spectra):
-    ratio = szego.counting_ratio(phi_spectra, (2.0, 3.0)).ratios[-1]
+    ratio = szego.szego_average(phi_spectra.spectra[64], 64, szego.indicator((2.0, 3.0)))
     gap = abs(ratio - 0.5)  # analytic angular measure of {2 + cos >= 2} is 1/2
     report(8, gap <= 0.05, f"c_64([2,3])/64 = {ratio:.6f} vs analytic 1/2: gap {gap:.3e} (tol 0.05)")
 
@@ -150,9 +151,9 @@ def test_09_density():
 def test_10_gchain_desk_equivalence():
     margin = symbols.scalar_symbol([0.7, 0.05])  # bottom curve min 0.6
     violator = symbols.scalar_symbol([0.6, 0.1])  # bottom curve min 0.4
-    m_first, m_records = toeplitz.gchain_sweep(margin, 32, tol=1e-8)
-    v_first, v_records = toeplitz.gchain_sweep(violator, 32, tol=1e-6)
-    v_worst = min(r.min_eigenvalue for r in v_records)
+    m_first, _ = toeplitz.gchain_sweep(margin, 32, tol=1e-8)
+    v_first, v_witness = toeplitz.gchain_sweep(violator, 32, tol=1e-6)
+    v_worst = v_witness.min_eigenvalue
     ok = m_first is None and v_first is not None and v_first <= 32 and v_worst < -1e-6
     report(
         10,

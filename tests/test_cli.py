@@ -122,6 +122,17 @@ class TestSzegoCommand:
         "grid": {"G": 64},
     }
 
+    def test_non_finite_average_exits_3(self, tmp_path, capsys):
+        # (2 + cos)^700 overflows: no Infinity or NaN may reach summary.json
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "f": {"kind": "monomial", "power": 700},
+             "n_list": [4, 8], "grid": {"G": 64}},
+        )
+        assert run("szego", cfg, tmp_path / "out") == 3
+        assert "x^700" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_entropy_strict_sub_vacuum_is_numerical_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.SUB_VACUUM)
         assert run("szego", cfg, tmp_path / "out") == 3
@@ -229,6 +240,20 @@ class TestCountingCommand:
         assert summary["ratios"][-1] == pytest.approx(0.5, abs=0.05)
         assert summary["limit_measure"] == pytest.approx(0.5, abs=1e-2)
         assert set(summary["smoothing"]) == {"0.2", "0.1", "0.05"}
+
+    def test_curves_computed_once(self, tmp_path, monkeypatch):
+        from symplitz import symbols
+
+        calls = []
+        curves = symbols.symplectic_curves
+        monkeypatch.setattr(symbols, "symplectic_curves", lambda *args: calls.append(args) or curves(*args))
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [4, 8], "interval": [2.0, 3.0],
+             "grid": {"G": 64}},
+        )
+        assert run("counting", cfg, tmp_path / "out") == 0
+        assert len(calls) == 1
 
 
 class TestDensityCommand:
@@ -590,9 +615,17 @@ class TestFieldTable:
         ("density", {"n_max": 2, "delta": 0.1, "grid": {"G": 16}}),
         ("gchain-check", {"n_max": 2}),
     ])
-    def test_overflowing_coefficients_exit_3(self, tmp_path, command, extra):
+    def test_overflowing_coefficients_exit_3(self, tmp_path, capsys, command, extra):
+        # the symbol 1e308 + cos(theta) is finite and so are its spectra; only the
+        # sums of szego and entropy-rate overflow, and they exit 3 naming the test function
         cfg = {"symbol": {"builder": "scalar", "coeffs": [1e308, 0.5]}, **extra}
-        assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 3
+        overflows = {"szego": "x^1", "entropy-rate": "entropy(base=e)"}
+        assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == (3 if command in overflows else 0)
+        if command in overflows:
+            assert f"test function {overflows[command]}" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "summary.json").exists()
+        if command == "spectrum":
+            assert read_summary(tmp_path / "out")["values"] == pytest.approx([1e308, 1e308], rel=1e-15)
 
     @pytest.mark.parametrize("command", ["spectrum", "williamson"])
     def test_huge_matrix_entry_runs(self, tmp_path, command):

@@ -114,9 +114,8 @@ class TestEntropyRate:
 
     def test_integral_constant(self):
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
-        val = szego.symbol_integral(
-            symbols.constant_symbol(A), entropy.entropy_test_function(), symbols.GridSpec(64)
-        )
+        curves = symbols.symplectic_curves(symbols.constant_symbol(A), symbols.GridSpec(64))
+        val = szego.symbol_integral(curves, entropy.entropy_test_function())
         assert val == pytest.approx(entropy.state_entropy(A), abs=1e-12)
 
     def test_integral_scalar_oracle(self):
@@ -124,14 +123,14 @@ class TestEntropyRate:
         # phi(theta) = 1 + 0.25 cos(theta) at 10x resolution, no matrices involved
         s = symbols.scalar_symbol([1.0, 0.125])
         G = 256
-        ours = szego.symbol_integral(s, entropy.entropy_test_function(), symbols.GridSpec(G))
+        ours = szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(G)), entropy.entropy_test_function())
         theta = -np.pi + 2.0 * np.pi * np.arange(10 * G) / (10 * G)
         oracle = float(np.mean(entropy.mode_entropy(1.0 + 0.25 * np.cos(theta))))
         assert ours == pytest.approx(oracle, abs=1e-12)
 
     def test_vacuum_symbol_integral_zero(self):
         s = symbols.constant_symbol(0.5 * np.eye(2))
-        val = szego.symbol_integral(s, entropy.entropy_test_function(), symbols.GridSpec(32))
+        val = szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(32)), entropy.entropy_test_function())
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_geometric_family_report(self, grid):
@@ -155,7 +154,7 @@ class TestEntropyRate:
     def test_strict_rejects_sub_vacuum_symbol(self):
         s = symbols.scalar_symbol([0.6, 0.1])  # bottom curve reaches 0.4
         with pytest.raises(DomainError):
-            szego.symbol_integral(s, entropy.entropy_test_function(), symbols.GridSpec(64))
+            szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(64)), entropy.entropy_test_function())
         with pytest.raises(DomainError):
             szego.convergence_report(s, entropy.entropy_test_function(), [4, 8], symbols.GridSpec(64))
 
@@ -163,5 +162,5 @@ class TestEntropyRate:
         s = symbols.scalar_symbol([0.6, 0.1])
         f = entropy.entropy_test_function(strict=False)
         with pytest.warns(RuntimeWarning):
-            val = szego.symbol_integral(s, f, symbols.GridSpec(64))
+            val = szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(64)), f)
         assert val >= 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz as scalar_toeplitz
 
-from symplitz import core, entropy, symbols, szego
+from symplitz import core, entropy, symbols, szego, toeplitz
 from symplitz.errors import DomainError, IndexRangeError, PositivityError, TruncationSizeError
 from conftest import random_gmatrix
 
@@ -33,10 +33,6 @@ class TestTestFunctions:
         assert f(2.1) == pytest.approx(np.exp(-1.0))
         assert f(0.8) == pytest.approx(np.exp(-2.0))
 
-    def test_domain_enforced(self):
-        f = szego.TestFunction("capped", lambda x: x, domain=(0.0, 2.0))
-        with pytest.raises(DomainError):
-            f(3.0)
 
 
 class TestTruncatedSpectra:
@@ -81,27 +77,29 @@ class TestSzegoAverage:
         traj = szego.truncated_spectra(PHI, [3])
         assert szego.szego_average(traj.spectra[3], 3, szego.monomial(1)) == pytest.approx(2.0)
 
-    def test_domain_violation(self):
-        f = szego.TestFunction("capped", lambda x: x, domain=(0.0, 2.0))
-        with pytest.raises(DomainError):
-            szego.szego_average(np.array([1.0, 2.5]), 1, f)
+    def test_non_finite_average_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"x\^700"):
+            szego.szego_average(np.array([1.0, 3.0]), 1, szego.monomial(700))
+        nan = szego.TestFunction("nan", lambda x: np.full_like(x, np.nan))
+        with pytest.raises(DomainError, match="nan"):
+            szego.symbol_integral(symbols.symplectic_curves(PHI, symbols.GridSpec(16)), nan)
+
+
+def curves(symbol, G):
+    return symbols.symplectic_curves(symbol, symbols.GridSpec(G))
 
 
 class TestSymbolIntegral:
     def test_constant(self):
         A = np.diag([1.0, 1.0, 4.0, 4.0])
-        val = szego.symbol_integral(symbols.constant_symbol(A), szego.monomial(1), symbols.GridSpec(64))
+        val = szego.symbol_integral(curves(symbols.constant_symbol(A), 64), szego.monomial(1))
         assert val == pytest.approx(5.0, abs=1e-12)
 
     def test_scalar_first_moment(self):
-        assert szego.symbol_integral(PHI, szego.monomial(1), symbols.GridSpec(256)) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        assert szego.symbol_integral(curves(PHI, 256), szego.monomial(1)) == pytest.approx(2.0, abs=1e-12)
 
     def test_scalar_second_moment(self):
-        assert szego.symbol_integral(PHI, szego.monomial(2), symbols.GridSpec(256)) == pytest.approx(
-            4.5, abs=1e-12
-        )
+        assert szego.symbol_integral(curves(PHI, 256), szego.monomial(2)) == pytest.approx(4.5, abs=1e-12)
 
     def test_quadrature_stability(self, corpus):
         # the entropy function has unbounded slope at the vacuum boundary 1/2,
@@ -112,8 +110,8 @@ class TestSymbolIntegral:
             for f in (szego.monomial(2), entropy.entropy_test_function()):
                 if name == "phi_violator" and f.name.startswith("entropy"):
                     continue
-                a = szego.symbol_integral(s, f, symbols.GridSpec(2048))
-                b = szego.symbol_integral(s, f, symbols.GridSpec(4096))
+                a = szego.symbol_integral(curves(s, 2048), f)
+                b = szego.symbol_integral(curves(s, 4096), f)
                 assert abs(a - b) <= 1e-8, (name, f.name)
 
     def test_non_smooth_integrand_is_flagged(self, corpus):
@@ -205,53 +203,58 @@ class TestMinTrajectory:
 
 
 class TestCounting:
+    """Counting ratios c_n(K) / n are Szego averages of the indicator of K."""
+
+    @staticmethod
+    def ratios(traj, interval):
+        f = szego.indicator(interval)
+        return [szego.szego_average(traj.spectra[n], n, f) for n in traj.ns]
+
     def test_full_interval_counts_everything(self):
         traj = szego.truncated_spectra(PHI, [2, 5, 9])
-        rep = szego.counting_ratio(traj, (0.0, 10.0))
-        assert rep.ratios == [1.0, 1.0, 1.0]  # k = 1 exactly
-        assert szego.limit_measure(PHI, (0.0, 10.0), symbols.GridSpec(256)) == pytest.approx(1.0)
+        assert self.ratios(traj, (0.0, 10.0)) == [1.0, 1.0, 1.0]  # k = 1 exactly
+        assert szego.symbol_integral(curves(PHI, 256), szego.indicator((0.0, 10.0))) == pytest.approx(1.0)
 
     def test_half_measure(self):
         traj = szego.truncated_spectra(PHI, [64])
-        rep = szego.counting_ratio(traj, (2.0, 3.0))
-        assert abs(rep.ratios[-1] - 0.5) <= 0.05
-        limit = szego.limit_measure(PHI, (2.0, 3.0), symbols.GridSpec(4096))
+        assert abs(self.ratios(traj, (2.0, 3.0))[-1] - 0.5) <= 0.05
+        limit = szego.symbol_integral(curves(PHI, 4096), szego.indicator((2.0, 3.0)))
         assert limit == pytest.approx(0.5, abs=1e-3)
 
     def test_disjoint_interval(self):
         traj = szego.truncated_spectra(PHI, [4, 16])
-        rep = szego.counting_ratio(traj, (0.0, 0.5))
-        assert rep.ratios == [0.0, 0.0]
+        assert self.ratios(traj, (0.0, 0.5)) == [0.0, 0.0]
 
     def test_endpoints_inclusive(self):
-        traj = szego.SpectrumTrajectory(1, {1: np.array([2.0])}, 0.0)
-        assert szego.counting_ratio(traj, (2.0, 3.0)).counts == [1]
-        assert szego.counting_ratio(traj, (1.0, 2.0)).counts == [1]
-        assert szego.counting_ratio(traj, (2.0 + 1e-12, 3.0)).counts == [0]
+        d = np.array([2.0])
+        assert np.sum(szego.indicator((2.0, 3.0))(d)) == 1
+        assert np.sum(szego.indicator((1.0, 2.0))(d)) == 1
+        assert np.sum(szego.indicator((2.0 + 1e-12, 3.0))(d)) == 0
 
     def test_monotone_in_interval(self):
         traj = szego.truncated_spectra(PHI, [16])
-        small = szego.counting_ratio(traj, (1.8, 2.2)).counts[0]
-        big = szego.counting_ratio(traj, (1.5, 2.5)).counts[0]
+        small = np.sum(szego.indicator((1.8, 2.2))(traj.spectra[16]))
+        big = np.sum(szego.indicator((1.5, 2.5))(traj.spectra[16]))
         assert 0 <= small <= big <= 16
 
     def test_invalid_interval(self):
-        traj = szego.truncated_spectra(PHI, [2])
-        with pytest.raises(DomainError):
-            szego.counting_ratio(traj, (2.0, 1.0))
+        for interval in ((2.0, 1.0), (-1.0, 1.0)):
+            with pytest.raises(DomainError):
+                szego.indicator(interval)
 
     def test_smoothing_dominates_ratio(self):
-        grid = symbols.GridSpec(1024)
         traj = szego.truncated_spectra(PHI, [32])
+        grid_curves = curves(PHI, 1024)
         interval = (2.0, 3.0)
-        rep = szego.counting_ratio(traj, interval)
-        smooth = szego.smoothed_counting(PHI, traj, interval, grid)
-        limit = szego.limit_measure(PHI, interval, grid)
-        for eps in szego.EPS_LADDER:
-            assert rep.ratios[-1] <= smooth[eps]["average"] + 1e-12
-            assert smooth[eps]["integral"] >= limit - 1e-12
+        ratio = self.ratios(traj, interval)[-1]
+        limit = szego.symbol_integral(grid_curves, szego.indicator(interval))
+        integrals = []
+        for eps in sorted(szego.EPS_LADDER, reverse=True):
+            smooth = szego.indicator_smoothing(interval, eps)
+            assert ratio <= szego.szego_average(traj.spectra[32], 32, smooth) + 1e-12
+            integrals.append(szego.symbol_integral(grid_curves, smooth))
+            assert integrals[-1] >= limit - 1e-12
         # smoothed integrals tighten toward the sharp measure as eps shrinks
-        integrals = [smooth[eps]["integral"] for eps in sorted(szego.EPS_LADDER, reverse=True)]
         assert all(a >= b - 1e-12 for a, b in zip(integrals, integrals[1:]))
 
 
@@ -290,22 +293,23 @@ class TestDensity:
 
 
 class TestSizeGuardFirst:
-    """The largest order is checked against max_dim before any eigensolve."""
+    """The largest order is checked against toeplitz.MAX_DIM before any eigensolve."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
         monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: seen.append(A))
+        monkeypatch.setattr(toeplitz, "MAX_DIM", 64)
         return seen
 
     def test_truncated_spectra(self, corpus, calls):
         with pytest.raises(TruncationSizeError):
-            szego.truncated_spectra(corpus["matrix_k2"], [1, 2, 40], max_dim=64)
+            szego.truncated_spectra(corpus["matrix_k2"], [1, 2, 40])
         assert calls == []
 
     def test_density_check(self, corpus, calls):
         with pytest.raises(TruncationSizeError):
-            szego.density_check(corpus["matrix_k2"], 40, 0.1, symbols.GridSpec(64), max_dim=64)
+            szego.density_check(corpus["matrix_k2"], 40, 0.1, symbols.GridSpec(64))
         with pytest.raises(TruncationSizeError):
             szego.density_check(corpus["matrix_k2"], 10**9, 0.1, symbols.GridSpec(64))
         assert calls == []

@@ -4,7 +4,7 @@ from scipy.linalg import lapack
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, symbols, toeplitz
-from symplitz.errors import AliasingError, InvalidDimensionError, PositivityError, TruncationSizeError
+from symplitz.errors import AliasingError, GridError, InvalidDimensionError, PositivityError, TruncationSizeError
 from conftest import hermitian_embedding, matrix_symbol_k2
 
 
@@ -40,9 +40,10 @@ class TestAssemble:
         with pytest.raises(InvalidDimensionError):
             toeplitz.assemble(PHI, 0)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(toeplitz, "MAX_DIM", 16)
         with pytest.raises(TruncationSizeError):
-            toeplitz.assemble(PHI, 10, max_dim=16)
+            toeplitz.assemble(PHI, 10)
 
     def test_sampled_rejected(self):
         s = symbols.sample(PHI, symbols.GridSpec(16))
@@ -88,6 +89,12 @@ class TestQuadraticForm:
         with pytest.raises(InvalidDimensionError):
             toeplitz.quadratic_form_check(PHI, np.zeros((2, 4)), symbols.GridSpec(64))
 
+    def test_phase_array_refused_over_the_grid_budget(self, monkeypatch):
+        # G = 2**22 nodes by support m = 1024 would be a 64 GB complex array
+        monkeypatch.setattr(symbols.GridSpec, "nodes", lambda grid: pytest.fail("grid nodes were allocated"))
+        with pytest.raises(GridError, match="budget"):
+            toeplitz.quadratic_form_check(PHI, np.ones((1024, 2)), symbols.GridSpec(2**22))
+
 
 class TestGChain:
     def test_boundary_constant(self):
@@ -105,17 +112,17 @@ class TestGChain:
         assert res.ok
         assert res.min_eigenvalue == pytest.approx(0.5, abs=1e-12)
 
-    def test_violator_first_failure(self):
+    def test_violator_first_failure(self, monkeypatch):
         s = symbols.scalar_symbol([0.6, 0.1])  # bottom curve dips to 0.4 < 1/2
-        first, records = toeplitz.gchain_sweep(s, 32, tol=1e-6)
+        first, witness = toeplitz.gchain_sweep(s, 32, tol=1e-6)
         assert first == 3
-        assert [r.n for r in records] == [3]
-        worst = min(r.min_eigenvalue for r in records)
-        assert worst < -1e-6
+        assert witness.n == 3
+        assert witness.min_eigenvalue < -1e-6
         # the doubling stops at order 4, so an n_max beyond the guard is never assembled
-        assert toeplitz.gchain_sweep(s, 10**6, tol=1e-6, max_dim=16)[0] == 3
+        monkeypatch.setattr(toeplitz, "MAX_DIM", 16)
+        assert toeplitz.gchain_sweep(s, 10**6, tol=1e-6)[0] == 3
         with pytest.raises(TruncationSizeError):
-            toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), 10**6, max_dim=16)
+            toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), 10**6)
 
     def test_sweep_matches_sequential_scan(self):
         cases = [
@@ -125,14 +132,14 @@ class TestGChain:
             symbols.TrigMatrixPolynomial(0.2695 * matrix_symbol_k2().coeffs),  # k = 2: fails at 11
         ]
         for s in cases:
-            first, records = toeplitz.gchain_sweep(s, 24, tol=1e-9)
+            first, witness = toeplitz.gchain_sweep(s, 24, tol=1e-9)
             sequential = None
             for n in range(1, 25):
                 if not toeplitz.gchain_check(s, n, tol=1e-9).ok:
                     sequential = n
                     break
             assert first == sequential
-            assert [r.n for r in records] == [first or 24]
+            assert witness.n == (first or 24)
 
     @pytest.mark.parametrize(
         "coeffs, info, order",
@@ -164,9 +171,9 @@ class TestGChain:
 
     def test_margin_symbol_passes(self):
         s = symbols.scalar_symbol([0.7, 0.05])  # bottom curve stays at 0.6
-        first, records = toeplitz.gchain_sweep(s, 32, tol=1e-8)
+        first, witness = toeplitz.gchain_sweep(s, 32, tol=1e-8)
         assert first is None
-        assert all(r.min_eigenvalue >= 0.1 - 1e-10 for r in records)
+        assert witness.min_eigenvalue >= 0.1 - 1e-10
 
     def test_first_failing_order(self):
         assert toeplitz.gchain_sweep(symbols.scalar_symbol([0.6, 0.1]), 32, tol=1e-6)[0] == 3
@@ -241,7 +248,9 @@ class TestSpectralInvariants:
 def test_overflowing_truncation_is_domain_error():
     from symplitz.errors import DomainError
 
-    huge = symbols.scalar_symbol([1e308, 0.5])  # the symmetrized coefficient overflows to inf
+    # the CLI refuses a non-finite coefficient, but the library constructor stores it
+    with np.errstate(invalid="ignore"):  # its symmetry deviation inf - inf is NaN
+        huge = symbols.scalar_symbol([np.inf, 0.5])
     with pytest.raises(DomainError):
         toeplitz.gchain_check(huge, 2)
     with pytest.raises(DomainError):
