@@ -60,6 +60,9 @@ def indicator(interval) -> TestFunction:
     Its spectral sum is the number of eigenvalues in [a, b], so its Szego
     average is the counting ratio c_n / n and its symbol integral the grid
     estimate of (1/2 pi) sum_j measure{theta : d_j(theta) in [a, b]}.
+    Membership of an endpoint is decided on the computed values, which carry
+    the kernel's rounding: the spectrum of 2 I is computed as 2 + 2^-51, so
+    [1, 2] counts none of it and [2, 3] all of it.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 <= a <= b):

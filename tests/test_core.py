@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from symplitz import core, toeplitz
+from symplitz import TrigMatrixPolynomial, core, scalar_symbol, szego, toeplitz
 from symplitz.errors import (
     DegeneratePairError,
+    DomainError,
     InvalidDimensionError,
     PairingError,
     PositivityError,
     SymmetryError,
 )
-from conftest import hermitian_embedding, matrix_symbol_k2, random_gmatrix, random_pd
+from conftest import hermitian_embedding, matrix_symbol_k1, matrix_symbol_k2, random_gmatrix, random_pd
 
 
 class TestSymplecticForm:
@@ -312,11 +314,182 @@ class TestRandomSymplectic:
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_entry_is_domain_error(bad):
-    from symplitz.errors import DomainError
-
     A = np.eye(4)
     A[1, 1] = bad
     with pytest.raises(DomainError):
         core.symplectic_eigenvalues(A)
     with pytest.raises(DomainError):
         core.williamson(A)
+
+
+def random_banded_pd(rng, dim, b):
+    """Random symmetric diagonally dominant matrix of lower bandwidth exactly b."""
+    A = np.zeros((dim, dim))
+    for t in range(1, b + 1):
+        v = rng.uniform(-1.0, 1.0, dim - t)
+        v[0] = 1.0  # keeps the outermost diagonal nonzero
+        A[np.arange(t, dim), np.arange(dim - t)] = v
+    A = A + A.T
+    A[np.diag_indices(dim)] = np.abs(A).sum(axis=1) + rng.uniform(0.5, 2.0, dim)
+    return A
+
+
+def svd_route(A):
+    """Reference spectrum: a one-matrix stack always takes the singular-value route."""
+    return core.symplectic_eigenvalues(A[None])[0]
+
+
+def degree_one_k2():
+    """Non-separable k = 2 symbol of degree 1 (lower bandwidth 7 in every truncation)."""
+    return TrigMatrixPolynomial(matrix_symbol_k2().coeffs[:2])
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Record which eigensolver each call of symplectic_eigenvalues reaches."""
+    taken = []
+    band, svd = core.eigvals_banded, np.linalg.svd
+    monkeypatch.setattr(core, "eigvals_banded", lambda *a, **kw: taken.append("band") or band(*a, **kw))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: taken.append("svd") or svd(*a, **kw))
+    return taken
+
+
+class TestBandRoute:
+    @pytest.mark.parametrize("name,n", [
+        ("phi_2_cos", 64), ("phi_margin", 256), ("matrix_k1", 128), ("ab_geometric", 256),
+        ("matrix_k2", 128), ("const_k2", 64), ("matrix_k2", 512),
+    ])
+    def test_corpus_agrees_with_svd(self, corpus, routes, name, n):
+        T = toeplitz.assemble(corpus[name], n)  # dims 128 .. 2048
+        d = core.symplectic_eigenvalues(T)
+        assert routes == ["band"]
+        ref = svd_route(T)
+        assert np.abs(d - ref).max() <= 1e-13 * ref[-1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_random_banded_agrees_with_svd(self, routes, k):
+        rng = np.random.default_rng(20 + k)
+        dim = 2 * k * (240 // (2 * k))
+        b_max = dim // core.BAND_RATIO - 2
+        for b in range(b_max + 1):
+            A = random_banded_pd(rng, dim, b)
+            d = core.symplectic_eigenvalues(A)
+            ref = svd_route(A)
+            assert np.abs(d - ref).max() <= 1e-13 * ref[-1], b
+        assert routes == ["band", "svd"] * (b_max + 1)
+
+    def test_against_nonsymmetric_eigensolver(self, routes):
+        T = toeplitz.assemble(matrix_symbol_k1(), 128)  # dim 256, b = 3
+        d = core.symplectic_eigenvalues(T)
+        assert routes == ["band"]
+        ev = np.linalg.eigvals(core.symplectic_form(128) @ T)
+        oracle = np.sort(np.abs(ev.imag))[::2]
+        np.testing.assert_allclose(d, oracle, atol=1e-10 * d[-1])
+
+    @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
+    def test_wide_spread(self, routes, spread):
+        # acceptance 15's matrix and bound, 32 copies on the diagonal (dim 192, b = 5)
+        d_block = np.array([0.5, 1.0, spread])
+        A = block_diag(*[random_gmatrix(3, d_block, seed=15)] * 32)
+        d = core.symplectic_eigenvalues(A)
+        assert routes == ["band"]
+        assert np.abs(d / np.repeat(d_block, 32) - 1.0).max() <= 1e-10
+
+    @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
+    def test_wide_spread_random_blocks(self, routes, spread):
+        # 32 different Williamson blocks: both routes lose about eps * d_max / d_min
+        # on the smallest d_j (1e6: band 3.5e-10, singular values 2.0e-10)
+        d_block = np.array([0.5, 1.0, spread])
+        A = block_diag(*[random_gmatrix(3, d_block, seed=s) for s in range(32)])
+        d = core.symplectic_eigenvalues(A)
+        assert routes == ["band"]
+        budget = 4.0 * np.finfo(float).eps * spread / 0.5
+        assert np.abs(d / np.repeat(d_block, 32) - 1.0).max() <= budget
+
+    def test_crossover(self, routes):
+        # lower bandwidth 3: the band route starts at dim BAND_RATIO * (3 + 2) = 120
+        symbol = matrix_symbol_k1()
+        assert core.BAND_RATIO * 5 == 120
+        core.symplectic_eigenvalues(toeplitz.assemble(symbol, 60))
+        core.symplectic_eigenvalues(toeplitz.assemble(symbol, 59))
+        assert routes == ["band", "svd"]
+
+    def test_stacks_and_dense_keep_svd(self, routes):
+        T = toeplitz.assemble(matrix_symbol_k1(), 64)
+        core.symplectic_eigenvalues(np.stack([T, T]))
+        core.symplectic_eigenvalues(random_pd(np.random.default_rng(11), 256))
+        assert routes == ["svd", "svd"]
+
+    def test_non_pd_carries_dense_eigenvalue(self, routes):
+        T = toeplitz.assemble(scalar_symbol([1.0, 0.6]), 128)  # 1 + 1.2 cos(theta) dips below 0
+        with pytest.raises(PositivityError) as exc:
+            core.symplectic_eigenvalues(T)
+        assert routes == []  # the band factor broke down before any eigensolve
+        assert exc.value.min_eigenvalue == np.linalg.eigvalsh(T)[0] < 0
+        assert exc.value.where is None
+
+    def test_overflowing_kernel_is_domain_error(self, routes):
+        # finite entries up to 1.75e308; K = L^T J L has the entry 4 * 1.4e308
+        dim, c = 216, 100
+        L = 0.5 * np.eye(dim)
+        L[c, c] = L[c + 1, c + 1] = 1.0
+        for j in range(4):
+            L[c + 2 * j, c] = L[c + 1 + 2 * j, c + 1] = 1.0
+        A = 1.4e308 * (L @ L.T)
+        for X in (A, A[None]):
+            with pytest.raises(DomainError, match="skew kernel"):
+                core.symplectic_eigenvalues(X)
+        assert routes == []
+
+    def test_spectrum_beyond_float_range_is_domain_error(self):
+        # finite entries whose symplectic eigenvalues exceed the float range
+        # (the rows add up); both routes used to return inf
+        dim = 240
+        B = 3.0 * np.eye(dim)
+        for t in range(1, 4):
+            B[np.arange(t, dim), np.arange(dim - t)] = (-1.0) ** (np.arange(dim - t) + t)
+        A = B @ B.T
+        A *= 1.7e308 / np.abs(A).max()
+        for X in (A, A[None]):
+            with pytest.raises(DomainError, match="symplectic spectrum"):
+                core.symplectic_eigenvalues(X)
+
+    def test_ladder_makes_no_svd_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        traj = szego.truncated_spectra(degree_one_k2(), [64, 128, 256, 512])  # dims 256 .. 2048
+        assert [len(traj.spectra[n]) for n in traj.ns] == [128, 256, 512, 1024]
+
+
+class TestBandInputChecks:
+    """The band route checks only nonzero positions, with the dense verdicts."""
+
+    @staticmethod
+    def banded():
+        A = toeplitz.assemble(matrix_symbol_k1(), 128)  # dim 256, b = 3
+        assert core._lower_bandwidth(A) is not None
+        return A
+
+    def test_far_upper_asymmetry_raises(self, routes):
+        A = self.banded()
+        A[3, 250] = 2 * core.SYM_TOL * np.abs(A).max()
+        with pytest.raises(SymmetryError):
+            core.symplectic_eigenvalues(A)
+        assert core._lower_bandwidth(A) is not None and routes == []
+
+    def test_asymmetry_within_tolerance_passes(self, routes):
+        A = self.banded()
+        A[3, 250] = 0.5 * core.SYM_TOL * np.abs(A).max()
+        clean = core.symplectic_eigenvalues(self.banded())
+        np.testing.assert_array_equal(core.symplectic_eigenvalues(A), clean)
+        assert routes == ["band", "band"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_far_upper_non_finite_raises(self, routes, bad):
+        A = self.banded()
+        A[3, 250] = bad
+        with pytest.raises(DomainError):
+            core.symplectic_eigenvalues(A)
+        assert routes == []

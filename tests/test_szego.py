@@ -231,6 +231,17 @@ class TestCounting:
         assert np.sum(szego.indicator((1.0, 2.0))(d)) == 1
         assert np.sum(szego.indicator((2.0 + 1e-12, 3.0))(d)) == 0
 
+    @pytest.mark.parametrize("n", [2, 64])  # dim 4 (singular values) and dim 128 (band route)
+    def test_endpoint_membership_follows_kernel_rounding(self, n):
+        # the kernel computes d(2 I) = sqrt(2) sqrt(2) = 2 + 2^-51, so the
+        # endpoint 2 of [1, 2] misses every eigenvalue while [2, 3] holds them all
+        symbol = symbols.constant_symbol(2.0 * np.eye(2))
+        assert (core._lower_bandwidth(toeplitz.assemble(symbol, n)) is not None) == (n == 64)
+        d = szego.truncated_spectra(symbol, [n]).spectra[n]
+        np.testing.assert_array_equal(d, np.full(n, np.nextafter(2.0, 3.0)))
+        assert np.sum(szego.indicator((1.0, 2.0))(d)) == 0
+        assert np.sum(szego.indicator((2.0, 3.0))(d)) == n
+
     def test_monotone_in_interval(self):
         traj = szego.truncated_spectra(PHI, [16])
         small = np.sum(szego.indicator((1.8, 2.2))(traj.spectra[16]))
