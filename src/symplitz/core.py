@@ -228,7 +228,8 @@ def symplectic_eigenvalues(A) -> np.ndarray:
 
     With the Cholesky factor A = L L^T, the skew kernel K = L^T J L is
     similar to J A, so its singular values are the d_j, each twice; nothing
-    is squared, and small d_j keep their relative accuracy.  Accepts stacks
+    is squared, and a small d_j carries a relative error of about
+    eps d_max / d_j (normwise, not relative, accuracy).  Accepts stacks
     (..., 2k, 2k) and returns (..., k), ascending along the last axis.  One
     matrix with a narrow band (BAND_RATIO (b + 2) <= N) is solved on its band:
     the eigenvalues +-d_j of the Hermitian band matrix iK, each |w+| paired

@@ -20,7 +20,6 @@ from .errors import (
     GridError,
     InvalidDimensionError,
     PositivityError,
-    SymmetryError,
     WeightError,
 )
 
@@ -70,10 +69,9 @@ def _check_blocks(blocks: np.ndarray, what: str) -> np.ndarray:
         raise InvalidDimensionError(f"{what} must be a stack of square blocks, got shape {blocks.shape}")
     if blocks.shape[1] == 0 or blocks.shape[1] % 2:
         raise InvalidDimensionError(f"{what} blocks must have positive even size, got {blocks.shape[1]}")
+    # dev and the max are taken here, so a float warning names this module
     dev = float(np.abs(blocks - blocks.transpose(0, 2, 1)).max())
-    scale = max(1.0, float(np.abs(blocks).max()))
-    if dev > core.SYM_TOL * scale:
-        raise SymmetryError(f"{what} contains a non-symmetric block (max dev {dev:.3e})")
+    core._check_symmetry(dev, float(np.abs(blocks).max()), core.SYM_TOL, what)
     # halve before adding, so entries near the top of the float range do not overflow
     return 0.5 * blocks + 0.5 * blocks.transpose(0, 2, 1)
 

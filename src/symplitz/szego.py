@@ -5,9 +5,11 @@ The central comparison is between the truncation-side averages
 truncation and the symbol-side angular average of sum_j f(d_j(theta)).  The
 raw sequences are reported as computed, with no averaging acceleration, so
 the limit statements are checked exactly as formulated.  Every such pair goes
-through ``szego_average`` and ``symbol_integral``; counting is the case
-f = ``indicator(K)``, whose spectral sum is the number of eigenvalues in K and
-whose integral is the angular measure of {theta : d_j(theta) in K}.
+through ``szego_average`` and ``symbol_integral``, and ``convergence_report``
+runs them over a list of orders; counting is the case f = ``indicator(K)``,
+whose spectral sum is the number of eigenvalues in K and whose integral is
+the angular measure of {theta : d_j(theta) in K}.  The reports hold
+measurements only; a verdict against a tolerance is the caller's.
 """
 
 from dataclasses import dataclass
@@ -97,9 +99,6 @@ class SpectrumTrajectory:
     def ns(self) -> list:
         return sorted(self.spectra)
 
-    def max_n(self) -> int:
-        return max(self.spectra)
-
 
 def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     """Per-order symplectic spectra, with the interlacing drift reported.
@@ -155,19 +154,23 @@ def symbol_integral(curves: symbols.SymplecticCurves, f: TestFunction) -> float:
 
 @dataclass(frozen=True)
 class SzegoReport:
-    """Per-order averages against the symbol-side integral."""
+    """Per-order averages against the symbol-side integral, with the spectra
+    and curves they were computed from; a verdict on the gaps is the
+    caller's."""
 
     f_name: str
-    grid_G: int
-    ns: list
+    trajectory: SpectrumTrajectory
+    curves: symbols.SymplecticCurves
     averages: list
     integral: float
-    integral_refined: float
-    gaps: list
-    tolerance: float | None
-    grid_tolerance: float
-    passed: bool | None
-    grid_consistent: bool
+
+    @property
+    def ns(self) -> list:
+        return self.trajectory.ns
+
+    @property
+    def gaps(self) -> list:
+        return [abs(a - self.integral) for a in self.averages]
 
 
 def convergence_report(
@@ -175,37 +178,12 @@ def convergence_report(
     f: TestFunction,
     n_list,
     grid: symbols.GridSpec = symbols.GridSpec(),
-    *,
-    tolerance: float | None = None,
-    grid_tolerance: float = 1e-8,
 ) -> SzegoReport:
-    """Run the average-versus-integral comparison over the given orders.
-
-    The symbol-side integral is recomputed on a doubled grid; a disagreement
-    beyond ``grid_tolerance`` flags the quadrature as unresolved (rough
-    symbols converge slowly on a grid), in which case the report should not
-    be read as evidence either way.
-    """
+    """Run the average-versus-integral comparison over the given orders."""
     traj = truncated_spectra(symbol, n_list)
     averages = [szego_average(traj.spectra[n], n, f) for n in traj.ns]
-    integral = symbol_integral(symbols.symplectic_curves(symbol, grid), f)
-    refined = symbol_integral(symbols.symplectic_curves(symbol, grid.refined()), f)
-    gaps = [abs(a - integral) for a in averages]
-    grid_consistent = abs(integral - refined) <= grid_tolerance * max(1.0, abs(integral))
-    passed = None if tolerance is None else bool(gaps[-1] <= tolerance)
-    return SzegoReport(
-        f_name=f.name,
-        grid_G=grid.G,
-        ns=traj.ns,
-        averages=averages,
-        integral=integral,
-        integral_refined=refined,
-        gaps=gaps,
-        tolerance=tolerance,
-        grid_tolerance=grid_tolerance,
-        passed=passed,
-        grid_consistent=grid_consistent,
-    )
+    curves = symbols.symplectic_curves(symbol, grid)
+    return SzegoReport(f.name, traj, curves, averages, symbol_integral(curves, f))
 
 
 @dataclass(frozen=True)
@@ -229,7 +207,9 @@ def min_trajectory(
     """Track d_m of the truncations; every fixed index converges to the
     grid infimum of the bottom symplectic curve."""
     ns = sorted(set(int(n) for n in n_list))
-    if m < 1 or m > symbol.k * ns[0]:
+    # the index is checked before any eigensolve; an empty n_list falls
+    # through to truncated_spectra's ValueError
+    if ns and (m < 1 or m > symbol.k * ns[0]):
         raise IndexRangeError(
             f"index m = {m} does not exist at the smallest order n = {ns[0]} "
             f"(spectrum has {symbol.k * ns[0]} entries)"

@@ -179,8 +179,9 @@ def matrix_csv_bytes(T) -> bytes:
     """Locale-independent CSV dump of a dense matrix.
 
     One row per line, scientific notation with 17 significant digits, LF
-    line endings.
+    line endings.  Each row is one %-format of the whole row, which gives the
+    bytes of ``format(v, ".16e")`` per entry at a fraction of the calls.
     """
     T = np.asarray(T, dtype=float)
-    lines = [",".join(format(float(v), ".16e") for v in row) for row in T]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    row_format = ",".join(["%.16e"] * T.shape[1])
+    return ("\n".join(row_format % tuple(row) for row in T) + "\n").encode("utf-8")

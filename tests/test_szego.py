@@ -115,18 +115,15 @@ class TestSymbolIntegral:
                 assert abs(a - b) <= 1e-8, (name, f.name)
 
     def test_non_smooth_integrand_is_flagged(self, corpus):
-        # boundary-crossing curve against the entropy kink: the convergence
-        # report must mark the quadrature as unresolved rather than pass silently
+        # boundary-crossing curve against the entropy kink: the report's
+        # integral must disagree with the doubled grid beyond 1e-10, so the
+        # CLI's grid_consistency check marks the quadrature as unresolved
         # (the curve dips below 1/2, so the entropy must be taken leniently)
+        f = entropy.entropy_test_function(strict=False)
         with pytest.warns(RuntimeWarning):
-            rep = szego.convergence_report(
-                corpus["phi_violator"],
-                entropy.entropy_test_function(strict=False),
-                [4, 8],
-                symbols.GridSpec(2048),
-                grid_tolerance=1e-10,
-            )
-        assert not rep.grid_consistent
+            rep = szego.convergence_report(corpus["phi_violator"], f, [4, 8], symbols.GridSpec(2048))
+            refined = szego.symbol_integral(curves(corpus["phi_violator"], 4096), f)
+        assert abs(rep.integral - refined) > 1e-10 * max(1.0, abs(rep.integral))
 
 
 class TestMomentReduction:
@@ -156,24 +153,21 @@ class TestConvergenceReport:
         s = symbols.constant_symbol(A)
         rep = szego.convergence_report(s, szego.monomial(2), [1, 2, 4, 8], symbols.GridSpec(256))
         assert max(rep.gaps) <= 1e-12
-        assert rep.grid_consistent
-        assert rep.passed is None
+        refined = szego.symbol_integral(curves(s, 512), szego.monomial(2))
+        assert abs(rep.integral - refined) <= 1e-8 * max(1.0, abs(rep.integral))
+        assert rep.ns == [1, 2, 4, 8]
+        assert rep.curves.grid.G == 256
 
     def test_scalar_second_moment_decay(self):
-        rep = szego.convergence_report(
-            PHI, szego.monomial(2), [8, 16, 32, 64], symbols.GridSpec(1024), tolerance=0.05
-        )
-        assert rep.passed
+        rep = szego.convergence_report(PHI, szego.monomial(2), [8, 16, 32, 64], symbols.GridSpec(1024))
         assert rep.gaps[-1] <= 0.05
         assert rep.gaps[-1] <= rep.gaps[0] / 4
         # analytic value of the finite-n gap is 1/(2n)
         np.testing.assert_allclose(rep.gaps, [1 / 16, 1 / 32, 1 / 64, 1 / 128], atol=1e-10)
 
     def test_declared_tolerance_failure(self):
-        rep = szego.convergence_report(
-            PHI, szego.monomial(2), [4], symbols.GridSpec(512), tolerance=1e-6
-        )
-        assert rep.passed is False
+        rep = szego.convergence_report(PHI, szego.monomial(2), [4], symbols.GridSpec(512))
+        assert rep.gaps[-1] > 1e-6
 
 
 class TestMinTrajectory:
@@ -200,6 +194,10 @@ class TestMinTrajectory:
     def test_index_out_of_range(self):
         with pytest.raises(IndexRangeError):
             szego.min_trajectory(PHI, 3, [2, 4], symbols.GridSpec(64))
+
+    def test_empty_n_list(self):
+        with pytest.raises(ValueError, match="n_list must be nonempty"):
+            szego.min_trajectory(PHI, 1, [], symbols.GridSpec(64))
 
 
 class TestCounting:

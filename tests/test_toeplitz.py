@@ -216,6 +216,17 @@ class TestMatrixDump:
         data = toeplitz.matrix_csv_bytes(np.array([[0.5]])).decode()
         assert data.strip() == "5.0000000000000000e-01"
 
+    def test_bytes_match_per_entry_format(self):
+        # the row-at-a-time format must give the bytes of format(v, ".16e") per entry
+        T = np.array([
+            [-0.0, 5e-324, 1e308, -1e308],
+            [2.2250738585072014e-308, -3.5, 0.1, 1.0 / 3.0],
+            [-7e-310, 0.0, -1.7976931348623157e308, 123456789.0],
+        ])
+        lines = [",".join(format(float(v), ".16e") for v in row) for row in T]
+        assert toeplitz.matrix_csv_bytes(T) == ("\n".join(lines) + "\n").encode("utf-8")
+        assert toeplitz.matrix_csv_bytes(T).startswith(b"-0.0000000000000000e+00,4.9406564584124654e-324,")
+
 
 class TestSpectralInvariants:
     def test_interlacing(self, corpus):
