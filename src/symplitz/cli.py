@@ -324,12 +324,14 @@ def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, base, 
     The symbol-side integral is recomputed on a doubled grid; a disagreement
     beyond ``grid_tolerance`` flags the quadrature as unresolved (rough
     symbols converge slowly on a grid), and the gaps should then not be read
-    as evidence either way.
+    as evidence either way.  The curves are solved once, on the doubled grid,
+    before any truncation; node 2g of that grid is node g of ``grid``.
     """
     if f is None:
         f = entropy.entropy_test_function(base, strict=strict)
-    report = szego.convergence_report(symbol, f, n_list, grid)
-    refined = szego.symbol_integral(symbols.symplectic_curves(symbol, grid.refined()), f)
+    fine = symbols.symplectic_curves(symbol, grid.refined())
+    report = szego.convergence_report(symbol, f, n_list, symbols.SymplecticCurves(grid, fine.values[::2]))
+    refined = szego.symbol_integral(fine, f)
     gaps = report.gaps
     dev = abs(report.integral - refined)
     bound = grid_tolerance * max(1.0, abs(report.integral))
@@ -354,7 +356,7 @@ def cmd_entropy_rate(**fields):
 
 def cmd_counting(symbol, grid, n_list, interval, tolerance, **opts):
     f = szego.indicator(interval)
-    report = szego.convergence_report(symbol, f, n_list, grid)
+    report = szego.convergence_report(symbol, f, n_list, symbols.symplectic_curves(symbol, grid))
     spectra = report.trajectory.spectra
     counts = [int(np.sum(f(spectra[n]))) for n in report.ns]
     n_max = report.ns[-1]

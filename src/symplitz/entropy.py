@@ -7,7 +7,7 @@ logarithms are the default; pass base=2 for bits.  Eigenvalues caught just
 below 1/2 by float noise are clamped to the boundary; genuine violations are
 an error in strict mode and a warning otherwise.  The entropy rate of a
 stationary chain is the Szego limit of this test function:
-``szego.convergence_report(symbol, entropy_test_function(base), ns, grid)``.
+``szego.convergence_report(symbol, entropy_test_function(base), ns, curves)``.
 """
 
 import math

@@ -3,7 +3,9 @@
 A symbol assigns a real symmetric 2k x 2k matrix to each angle.  Two storage
 forms are supported: even cosine series with symmetric coefficient blocks
 (the partially symmetric case, enforced structurally) and explicit samples on
-the canonical uniform grid.  Essential ranges and essential extrema are
+the canonical uniform grid.  Only even cosine series have their curves
+mirrored from theta in [-pi, 0]; a sample stack's evenness is only checked
+(``is_partially_symmetric``).  Essential ranges and essential extrema are
 approximated by their grid images throughout; only piecewise-continuous
 symbols are meaningfully supported, and measure-zero pathologies are outside
 numerical reach.
@@ -115,13 +117,17 @@ class TrigMatrixPolynomial:
         return np.einsum("n,nij->ij", w, self.coeffs)
 
     def evaluate_grid(self, grid: GridSpec) -> np.ndarray:
+        return self._evaluate_nodes(grid, grid.G)
+
+    def _evaluate_nodes(self, grid: GridSpec, count: int) -> np.ndarray:
+        """Values at nodes 0 .. count - 1, under the entry budget of the whole grid."""
         entries = grid.G * max(self.block_dim**2, self.degree + 1)
         if entries > MAX_GRID_ENTRIES:
             raise GridError(
                 f"evaluating on G = {grid.G} nodes needs {entries} entries, "
                 f"over the budget {MAX_GRID_ENTRIES}"
             )
-        w = 2.0 * np.cos(np.outer(grid.nodes(), np.arange(self.degree + 1)))
+        w = 2.0 * np.cos(np.outer(grid.nodes()[:count], np.arange(self.degree + 1)))
         w[:, 0] = 1.0
         return np.einsum("gn,nij->gij", w, self.coeffs)
 
@@ -256,10 +262,20 @@ class SymplecticCurves:
 
 
 def symplectic_curves(symbol, grid: GridSpec) -> SymplecticCurves:
-    """Symplectic eigenvalue curves of the symbol over the grid."""
-    vals = symbol.evaluate_grid(grid)
+    """Symplectic eigenvalue curves of the symbol over the grid.
+
+    A cosine series is even, d_j(theta) = d_j(-theta), so only nodes
+    0 .. G // 2 (theta in [-pi, 0]) are solved and node G - g is copied from
+    node g; a node that is not positive definite is reported at its mirror
+    in [-pi, 0].  Sampled symbols are solved at every node.
+    """
+    if isinstance(symbol, TrigMatrixPolynomial):
+        vals = symbol._evaluate_nodes(grid, grid.G // 2 + 1)  # checks the budget first
+        solved = np.minimum(np.arange(grid.G), grid.G - np.arange(grid.G))
+    else:
+        vals, solved = symbol.evaluate_grid(grid), slice(None)
     try:
-        d = core.symplectic_eigenvalues(vals)
+        d = core.symplectic_eigenvalues(vals)[solved]
     except PositivityError as err:
         g = err.where[0] if err.where else 0
         theta = float(grid.nodes()[g])

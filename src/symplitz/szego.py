@@ -6,7 +6,8 @@ truncation and the symbol-side angular average of sum_j f(d_j(theta)).  The
 raw sequences are reported as computed, with no averaging acceleration, so
 the limit statements are checked exactly as formulated.  Every such pair goes
 through ``szego_average`` and ``symbol_integral``, and ``convergence_report``
-runs them over a list of orders; counting is the case f = ``indicator(K)``,
+runs them over a list of orders against the caller's computed
+``symplectic_curves``; counting is the case f = ``indicator(K)``,
 whose spectral sum is the number of eigenvalues in K and whose integral is
 the angular measure of {theta : d_j(theta) in K}.  The reports hold
 measurements only; a verdict against a tolerance is the caller's.
@@ -173,16 +174,11 @@ class SzegoReport:
         return [abs(a - self.integral) for a in self.averages]
 
 
-def convergence_report(
-    symbol,
-    f: TestFunction,
-    n_list,
-    grid: symbols.GridSpec = symbols.GridSpec(),
-) -> SzegoReport:
-    """Run the average-versus-integral comparison over the given orders."""
+def convergence_report(symbol, f: TestFunction, n_list, curves: symbols.SymplecticCurves) -> SzegoReport:
+    """Run the average-versus-integral comparison over the given orders,
+    against the symbol's computed ``symplectic_curves``."""
     traj = truncated_spectra(symbol, n_list)
     averages = [szego_average(traj.spectra[n], n, f) for n in traj.ns]
-    curves = symbols.symplectic_curves(symbol, grid)
     return SzegoReport(f.name, traj, curves, averages, symbol_integral(curves, f))
 
 

@@ -165,12 +165,15 @@ def test_10_gchain_desk_equivalence():
 
 def test_11_entropy_rate():
     fam = symbols.ab_family(2.0 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(8), 8)
-    rep = szego.convergence_report(fam, entropy.entropy_test_function(), [8, 16, 32, 64], GRID)
+    rep = szego.convergence_report(
+        fam, entropy.entropy_test_function(), [8, 16, 32, 64], symbols.symplectic_curves(fam, GRID)
+    )
     decreasing = all(a > b for a, b in zip(rep.gaps, rep.gaps[1:]))
     ok = rep.gaps[-1] <= 0.02 and decreasing
     A = random_gmatrix(2, [0.8, 2.5], seed=7)
+    const_symbol = symbols.constant_symbol(A)
     const = szego.convergence_report(
-        symbols.constant_symbol(A), entropy.entropy_test_function(), [1, 4, 16], GRID
+        const_symbol, entropy.entropy_test_function(), [1, 4, 16], symbols.symplectic_curves(const_symbol, GRID)
     )
     const_gap = max(abs(r - entropy.state_entropy(A)) for r in const.averages)
     ok = ok and const_gap <= 1e-12

@@ -255,6 +255,19 @@ class TestCountingCommand:
         assert run("counting", cfg, tmp_path / "out") == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["szego", "entropy-rate"])
+    def test_convergence_curves_computed_once_on_refined_grid(self, tmp_path, monkeypatch, command):
+        from symplitz import symbols
+
+        calls = []
+        curves = symbols.symplectic_curves
+        monkeypatch.setattr(symbols, "symplectic_curves", lambda *args: calls.append(args) or curves(*args))
+        cfg = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [4, 8], "grid": {"G": 64}}
+        if command == "szego":
+            cfg["f"] = {"kind": "monomial", "power": 2}
+        assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 0
+        assert [args[1] for args in calls] == [symbols.GridSpec(64).refined()]
+
 
 class TestDensityCommand:
     def test_scalar_symbol(self, tmp_path):
@@ -653,6 +666,20 @@ class TestFieldTable:
              "n_list": [2], "grid": {"G": 10**9}},
         )
         assert run("szego", cfg, tmp_path / "out") == 3
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["szego", "entropy-rate"])
+    def test_refined_grid_budget_before_any_eigensolve(self, tmp_path, monkeypatch, command):
+        # k = 2 at G = 2^20 fills the grid budget exactly, so only the doubled grid is over it
+        from symplitz import core
+
+        calls = []
+        monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: calls.append(A))
+        cfg = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5], "k": 2}, "n_list": [2, 4],
+               "grid": {"G": 2**20}}
+        if command == "szego":
+            cfg["f"] = {"kind": "monomial", "power": 2}
+        assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 3
         assert calls == []
 
     def test_density_size_guard_before_any_spectrum(self, tmp_path, monkeypatch):

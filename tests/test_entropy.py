@@ -103,13 +103,17 @@ class TestEntropyRate:
     def test_constant_symbol_rate_is_state_entropy(self):
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
         s = symbols.constant_symbol(A)
-        rep = szego.convergence_report(s, entropy.entropy_test_function(), [1, 2, 4, 8])
+        rep = szego.convergence_report(
+            s, entropy.entropy_test_function(), [1, 2, 4, 8], symbols.symplectic_curves(s, symbols.GridSpec())
+        )
         expected = entropy.state_entropy(A)
         np.testing.assert_allclose(rep.averages, expected, atol=1e-12)
 
     def test_vacuum_rate_zero(self):
         s = symbols.constant_symbol(0.5 * np.eye(2))
-        rep = szego.convergence_report(s, entropy.entropy_test_function(), [1, 4])
+        rep = szego.convergence_report(
+            s, entropy.entropy_test_function(), [1, 4], symbols.symplectic_curves(s, symbols.GridSpec())
+        )
         np.testing.assert_allclose(rep.averages, 0.0, atol=1e-12)
 
     def test_integral_constant(self):
@@ -136,7 +140,7 @@ class TestEntropyRate:
     def test_geometric_family_report(self, grid):
         fam = symbols.ab_family(2 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(8), 8)
         f = entropy.entropy_test_function()
-        rep = szego.convergence_report(fam, f, [8, 16, 32], grid)
+        rep = szego.convergence_report(fam, f, [8, 16, 32], symbols.symplectic_curves(fam, grid))
         assert rep.gaps[-1] <= 0.02
         assert all(a > b for a, b in zip(rep.gaps, rep.gaps[1:]))
         refined = szego.symbol_integral(symbols.symplectic_curves(fam, grid.refined()), f)
@@ -145,7 +149,7 @@ class TestEntropyRate:
 
     def test_base_consistency(self, grid):
         fam = symbols.ab_family(2 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(4), 4)
-        coarse = symbols.GridSpec(256)
+        coarse = symbols.symplectic_curves(fam, symbols.GridSpec(256))
         nat = szego.convergence_report(fam, entropy.entropy_test_function(), [4, 8], coarse)
         bits = szego.convergence_report(fam, entropy.entropy_test_function(base=2), [4, 8], coarse)
         np.testing.assert_allclose(bits.averages, np.asarray(nat.averages) / math.log(2), atol=1e-12)
@@ -156,7 +160,7 @@ class TestEntropyRate:
         with pytest.raises(DomainError):
             szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(64)), entropy.entropy_test_function())
         with pytest.raises(DomainError):
-            szego.convergence_report(s, entropy.entropy_test_function(), [4, 8], symbols.GridSpec(64))
+            szego.convergence_report(s, entropy.entropy_test_function(), [4, 8], symbols.symplectic_curves(s, symbols.GridSpec(64)))
 
     def test_lenient_warns_on_sub_vacuum_symbol(self):
         s = symbols.scalar_symbol([0.6, 0.1])

@@ -167,6 +167,79 @@ class TestCurves:
         assert exc.value.where == pytest.approx(-np.pi)
 
 
+def nonseparable_degree2(k, seed):
+    """Degree-2 cosine series with random symmetric blocks, PD by a dominant A_0."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((3, 2 * k, 2 * k))
+    X = X + X.transpose(0, 2, 1)
+    X[0] = X[0] @ X[0] + 20.0 * k * np.eye(2 * k)
+    X[1:] *= 0.3
+    return symbols.TrigMatrixPolynomial(X)
+
+
+def count_kernel_matrices(monkeypatch):
+    """Patch core.symplectic_eigenvalues to record the matrices it is given."""
+    counts = []
+    kernel = core.symplectic_eigenvalues
+
+    def counted(A):
+        counts.append(int(np.prod(np.shape(A)[:-2])))
+        return kernel(A)
+
+    monkeypatch.setattr(core, "symplectic_eigenvalues", counted)
+    return counts
+
+
+class TestMirroredCurves:
+    """A cosine series is even: nodes G - g and g share their curve values."""
+
+    @pytest.mark.parametrize("G", [64, 65, 255, 256])
+    def test_trig_curves_exactly_even(self, G):
+        values = symbols.symplectic_curves(nonseparable_degree2(2, seed=1), symbols.GridSpec(G)).values
+        g = np.arange(1, G)
+        assert np.array_equal(values[g], values[G - g])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("G", [64, 65])
+    def test_every_node_matches_direct_solve(self, k, G):
+        s = nonseparable_degree2(k, seed=10 + k)
+        grid = symbols.GridSpec(G)
+        values = symbols.symplectic_curves(s, grid).values
+        for g, theta in enumerate(grid.nodes()):
+            direct = core.symplectic_eigenvalues(s.evaluate(theta))
+            np.testing.assert_allclose(values[g], direct, rtol=1e-13, atol=0)
+
+    def test_uneven_sampled_symbol_not_mirrored(self):
+        s = symbols.sample(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(32))
+        values = s.values.copy()
+        values[3] += 0.01 * np.eye(2)  # breaks value(theta) == value(-theta)
+        curves = symbols.symplectic_curves(symbols.SampledSymbol(s.grid, values), s.grid)
+        np.testing.assert_allclose(curves.values[3], core.symplectic_eigenvalues(values[3]), rtol=1e-14)
+        np.testing.assert_allclose(curves.values[29], core.symplectic_eigenvalues(values[29]), rtol=1e-14)
+        assert curves.values[3, 0] > curves.values[29, 0] + 0.005
+
+    @pytest.mark.parametrize("G", [64, 65])
+    def test_kernel_solves_distinct_nodes_only(self, monkeypatch, G):
+        counts = count_kernel_matrices(monkeypatch)
+        s = nonseparable_degree2(2, seed=3)
+        symbols.symplectic_curves(s, symbols.GridSpec(G))
+        assert counts == [G // 2 + 1]
+        counts.clear()
+        symbols.symplectic_curves(symbols.sample(s, symbols.GridSpec(G)), symbols.GridSpec(G))
+        assert counts == [G]
+
+    def test_non_pd_pair_reported_at_mirror(self):
+        # (cos theta - cos theta0)^2 - 1e-3 is negative only at the nodes +-theta0
+        grid = symbols.GridSpec(64)
+        theta0 = float(grid.nodes()[40])  # pi / 4
+        c = np.cos(theta0)
+        s = symbols.scalar_symbol([0.5 + c * c - 1e-3, -c, 0.25])
+        with pytest.raises(PositivityError) as exc:
+            symbols.symplectic_curves(s, grid)
+        assert exc.value.where == pytest.approx(-theta0, abs=1e-15)
+        assert exc.value.where == float(grid.nodes()[24])
+
+
 class TestMinAndGSymbol:
     def test_constant(self):
         A = np.diag([1.0, 1.0, 4.0, 4.0])

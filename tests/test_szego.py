@@ -121,7 +121,7 @@ class TestSymbolIntegral:
         # (the curve dips below 1/2, so the entropy must be taken leniently)
         f = entropy.entropy_test_function(strict=False)
         with pytest.warns(RuntimeWarning):
-            rep = szego.convergence_report(corpus["phi_violator"], f, [4, 8], symbols.GridSpec(2048))
+            rep = szego.convergence_report(corpus["phi_violator"], f, [4, 8], curves(corpus["phi_violator"], 2048))
             refined = szego.symbol_integral(curves(corpus["phi_violator"], 4096), f)
         assert abs(rep.integral - refined) > 1e-10 * max(1.0, abs(rep.integral))
 
@@ -151,7 +151,7 @@ class TestConvergenceReport:
     def test_constant_symbol_exact(self):
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
         s = symbols.constant_symbol(A)
-        rep = szego.convergence_report(s, szego.monomial(2), [1, 2, 4, 8], symbols.GridSpec(256))
+        rep = szego.convergence_report(s, szego.monomial(2), [1, 2, 4, 8], curves(s, 256))
         assert max(rep.gaps) <= 1e-12
         refined = szego.symbol_integral(curves(s, 512), szego.monomial(2))
         assert abs(rep.integral - refined) <= 1e-8 * max(1.0, abs(rep.integral))
@@ -159,14 +159,14 @@ class TestConvergenceReport:
         assert rep.curves.grid.G == 256
 
     def test_scalar_second_moment_decay(self):
-        rep = szego.convergence_report(PHI, szego.monomial(2), [8, 16, 32, 64], symbols.GridSpec(1024))
+        rep = szego.convergence_report(PHI, szego.monomial(2), [8, 16, 32, 64], curves(PHI, 1024))
         assert rep.gaps[-1] <= 0.05
         assert rep.gaps[-1] <= rep.gaps[0] / 4
         # analytic value of the finite-n gap is 1/(2n)
         np.testing.assert_allclose(rep.gaps, [1 / 16, 1 / 32, 1 / 64, 1 / 128], atol=1e-10)
 
     def test_declared_tolerance_failure(self):
-        rep = szego.convergence_report(PHI, szego.monomial(2), [4], symbols.GridSpec(512))
+        rep = szego.convergence_report(PHI, szego.monomial(2), [4], curves(PHI, 512))
         assert rep.gaps[-1] > 1e-6
 
 
