@@ -28,22 +28,19 @@ from .entropy import (
     entropy_test_function,
     mode_entropy,
     mode_entropy_shannon,
-    spectrum_entropy,
     state_entropy,
 )
 from .symbols import (
     GridSpec,
     GSymbolCheck,
-    SampledSymbol,
     SymplecticCurves,
     TrigMatrixPolynomial,
     ab_family,
     constant_symbol,
+    from_samples,
     geometric_weights,
     is_g_symbol,
-    is_partially_symmetric,
     min_symplectic_eigenvalue,
-    sample,
     scalar_symbol,
     sup_norm,
     symbol_from_json,

@@ -186,10 +186,8 @@ def _form(value, path, tag, forms):
 
 
 def _inline_symbol(kind, **fields):
-    """symbols.symbol_from_json; a sampled symbol becomes the cosine series of
-    its degree, which truncations need."""
-    sym = symbols.symbol_from_json({"kind": kind, **{key: v for key, v in fields.items() if v is not None}})
-    return sym if kind == "trig" else sym.to_trig_polynomial(fields["degree"])
+    """symbols.symbol_from_json of the fields that were given."""
+    return symbols.symbol_from_json({"kind": kind, **{key: v for key, v in fields.items() if v is not None}})
 
 
 _NUMBERS = (_nested_numbers, REQUIRED)

@@ -90,12 +90,8 @@ def entropy_test_function(base="e", *, strict: bool = True) -> szego.TestFunctio
     return szego.TestFunction(f"entropy(base={base})", fn)
 
 
-def spectrum_entropy(values, base="e", *, strict: bool = True) -> float:
-    """Total entropy of a symplectic spectrum, with the boundary clamp policy."""
-    return float(np.sum(entropy_test_function(base, strict=strict)(values)))
-
-
 def state_entropy(A, base="e", *, strict: bool = True) -> float:
-    """Von Neumann entropy of the Gaussian state with covariance matrix A."""
+    """Von Neumann entropy of the Gaussian state with covariance matrix A,
+    the sum of its per-mode entropies, with the boundary clamp policy."""
     d = core.symplectic_eigenvalues(np.asarray(A, dtype=float))
-    return spectrum_entropy(d, base, strict=strict)
+    return float(np.sum(entropy_test_function(base, strict=strict)(d)))

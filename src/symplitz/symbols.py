@@ -1,17 +1,15 @@
 """Matrix-valued symbols on [-pi, pi] and their symplectic spectral curves.
 
-A symbol assigns a real symmetric 2k x 2k matrix to each angle.  Two storage
-forms are supported: even cosine series with symmetric coefficient blocks
-(the partially symmetric case, enforced structurally) and explicit samples on
-the canonical uniform grid.  Only even cosine series have their curves
-mirrored from theta in [-pi, 0]; a sample stack's evenness is only checked
-(``is_partially_symmetric``).  Essential ranges and essential extrema are
-approximated by their grid images throughout; only piecewise-continuous
-symbols are meaningfully supported, and measure-zero pathologies are outside
-numerical reach.
+A symbol assigns a real symmetric 2k x 2k matrix to each angle.  It is stored
+in one form: an even cosine series with symmetric coefficient blocks (the
+partially symmetric case, enforced structurally).  Samples on the canonical
+uniform grid are an input format only: ``from_samples`` checks that they are
+even and projects them once onto their cosine series.  Essential ranges and
+essential extrema are approximated by their grid images throughout; only
+piecewise-continuous symbols are meaningfully supported, and measure-zero
+pathologies are outside numerical reach.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +20,7 @@ from .errors import (
     GridError,
     InvalidDimensionError,
     PositivityError,
+    SymmetryError,
     WeightError,
 )
 
@@ -51,19 +50,6 @@ class GridSpec:
     def refined(self) -> "GridSpec":
         """The grid with twice the nodes."""
         return GridSpec(2 * self.G)
-
-    def index_of(self, theta: float, tol: float = 1e-9) -> int:
-        """Index of the node matching theta (mod 2 pi), or GridError if off-node."""
-        t = math.remainder(float(theta), 2.0 * math.pi)  # (-pi, pi]
-        g = int(round((t + math.pi) * self.G / (2.0 * math.pi))) % self.G
-        node = -math.pi + 2.0 * math.pi * g / self.G
-        dev = abs(math.remainder(t - node, 2.0 * math.pi))
-        if dev > tol:
-            raise GridError(
-                f"theta = {theta!r} is not a node of the {self.G}-point grid "
-                f"(nearest node off by {dev:.3e})"
-            )
-        return g
 
 
 def _check_blocks(blocks: np.ndarray, what: str) -> np.ndarray:
@@ -132,66 +118,29 @@ class TrigMatrixPolynomial:
         return np.einsum("gn,nij->gij", w, self.coeffs)
 
 
-@dataclass(frozen=True)
-class SampledSymbol:
-    """Symbol given by samples on the canonical uniform grid.
+def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
+    """Cosine series up to ``degree`` of a symbol given by one matrix per grid node.
 
-    Evaluation is allowed at grid nodes only: off-node values would need an
-    interpolation policy, which is refused so that the provenance of every
-    number stays explicit.
+    Mode m is the cosine projection sum_g cos(m theta_g) A(theta_g) / G.  The
+    samples must be even, A(theta) = A(-theta), since the sine part would be
+    dropped; an uneven stack raises SymmetryError.  Modes above G // 2 - 1
+    alias and raise AliasingError.
     """
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[0] != self.grid.G:
-            raise GridError(
-                f"need one matrix per grid node: {self.grid.G} nodes, values shape {v.shape}"
-            )
-        object.__setattr__(self, "values", _check_blocks(v, "sample stack"))
-
-    @property
-    def block_dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.block_dim // 2
-
-    def evaluate(self, theta: float) -> np.ndarray:
-        return self.values[self.grid.index_of(theta)].copy()
-
-    def evaluate_grid(self, grid: GridSpec) -> np.ndarray:
-        if grid.G != self.grid.G:
-            raise GridError(
-                f"sampled symbol lives on a {self.grid.G}-point grid; "
-                f"evaluation on G = {grid.G} is refused rather than interpolated"
-            )
-        return self.values
-
-    def fourier_coefficient(self, n: int) -> np.ndarray:
-        """Cosine projection onto mode n; assumes an even (partially
-        symmetric) symbol, for which the sine part vanishes identically."""
-        m = abs(int(n))
-        if m > self.grid.G // 2 - 1:
-            raise AliasingError(
-                f"mode {n} is not resolvable on {self.grid.G} nodes "
-                f"(need |n| <= {self.grid.G // 2 - 1})"
-            )
-        w = np.cos(m * self.grid.nodes())
-        return np.einsum("g,gij->ij", w, self.values) / self.grid.G
-
-    def to_trig_polynomial(self, degree: int) -> TrigMatrixPolynomial:
-        """Cosine-series representation up to the given degree."""
-        blocks = np.stack([self.fourier_coefficient(n) for n in range(degree + 1)])
-        return TrigMatrixPolynomial(blocks)
-
-
-def sample(symbol, grid: GridSpec) -> SampledSymbol:
-    """Sample a symbol on a grid."""
-    return SampledSymbol(grid, np.asarray(symbol.evaluate_grid(grid), dtype=float).copy())
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 3 or v.shape[0] != grid.G:
+        raise GridError(f"need one matrix per grid node: {grid.G} nodes, values shape {v.shape}")
+    v = _check_blocks(v, "sample stack")
+    mirrored = np.roll(v[::-1], 1, axis=0)  # node g -> node -g (mod 2 pi)
+    dev = float(np.abs(v - mirrored).max())
+    if dev > core.SYM_TOL * max(1.0, float(np.abs(v).max())):
+        raise SymmetryError(f"sample stack is not even: max |A(theta) - A(-theta)| = {dev:.3e}")
+    if degree > grid.G // 2 - 1:
+        raise AliasingError(
+            f"mode {degree} is not resolvable on {grid.G} nodes (need degree <= {grid.G // 2 - 1})"
+        )
+    nodes = grid.nodes()
+    blocks = [np.einsum("g,gij->ij", np.cos(m * nodes), v) / grid.G for m in range(degree + 1)]
+    return TrigMatrixPolynomial(np.stack(blocks))
 
 
 def constant_symbol(A) -> TrigMatrixPolynomial:
@@ -237,9 +186,12 @@ def geometric_weights(count: int, ratio: float = 0.5) -> np.ndarray:
     return ratio ** np.arange(1, count + 1)
 
 
-def sup_norm(symbol, grid: GridSpec = GridSpec()) -> float:
-    """Largest spectral norm of the symbol over the grid (sup-norm proxy)."""
-    w = np.linalg.eigvalsh(symbol.evaluate_grid(grid))
+def sup_norm(symbol: TrigMatrixPolynomial, grid: GridSpec = GridSpec()) -> float:
+    """Largest spectral norm of the symbol over the grid (sup-norm proxy).
+
+    The symbol is even, so only nodes 0 .. G // 2 (theta in [-pi, 0]) are solved.
+    """
+    w = np.linalg.eigvalsh(symbol._evaluate_nodes(grid, grid.G // 2 + 1))
     return float(np.abs(w).max())
 
 
@@ -261,19 +213,15 @@ class SymplecticCurves:
         return int(np.argmin(self.values[:, 0]))
 
 
-def symplectic_curves(symbol, grid: GridSpec) -> SymplecticCurves:
+def symplectic_curves(symbol: TrigMatrixPolynomial, grid: GridSpec) -> SymplecticCurves:
     """Symplectic eigenvalue curves of the symbol over the grid.
 
-    A cosine series is even, d_j(theta) = d_j(-theta), so only nodes
-    0 .. G // 2 (theta in [-pi, 0]) are solved and node G - g is copied from
-    node g; a node that is not positive definite is reported at its mirror
-    in [-pi, 0].  Sampled symbols are solved at every node.
+    The symbol is even, d_j(theta) = d_j(-theta), so only nodes 0 .. G // 2
+    (theta in [-pi, 0]) are solved and node G - g is copied from node g; a
+    node that is not positive definite is reported at its mirror in [-pi, 0].
     """
-    if isinstance(symbol, TrigMatrixPolynomial):
-        vals = symbol._evaluate_nodes(grid, grid.G // 2 + 1)  # checks the budget first
-        solved = np.minimum(np.arange(grid.G), grid.G - np.arange(grid.G))
-    else:
-        vals, solved = symbol.evaluate_grid(grid), slice(None)
+    vals = symbol._evaluate_nodes(grid, grid.G // 2 + 1)  # checks the budget first
+    solved = np.minimum(np.arange(grid.G), grid.G - np.arange(grid.G))
     try:
         d = core.symplectic_eigenvalues(vals)[solved]
     except PositivityError as err:
@@ -313,44 +261,22 @@ def is_g_symbol(symbol, grid: GridSpec = GridSpec(), tol: float = 1e-10) -> GSym
     return GSymbolCheck(m >= 0.5 - tol, m, float(grid.nodes()[g]))
 
 
-def is_partially_symmetric(symbol, tol: float = core.SYM_TOL) -> bool:
-    """Check evenness plus per-node real symmetry.
+def symbol_to_json(symbol: TrigMatrixPolynomial) -> dict:
+    """JSON-ready description: kind "trig", mode count and coefficient blocks."""
+    return {"kind": "trig", "k": symbol.k, "coeffs": symbol.coeffs.tolist()}
 
-    Cosine-series symbols are partially symmetric by construction; sampled
-    symbols are checked node by node against their mirrored grid image.
+
+def symbol_from_json(obj: dict) -> TrigMatrixPolynomial:
+    """Inverse of symbol_to_json; a declared ``k`` must be the integer mode count.
+
+    It also reads ``{"kind": "sampled", "grid": {"G": ...}, "values": [...],
+    "degree": ...}``, which it projects with ``from_samples``.
     """
-    if isinstance(symbol, TrigMatrixPolynomial):
-        return True
-    values = symbol.values
-    scale = max(1.0, float(np.abs(values).max()))
-    mirrored = np.roll(values[::-1], 1, axis=0)  # node g -> node -g (mod 2 pi)
-    even_dev = float(np.abs(values - mirrored).max())
-    sym_dev = float(np.abs(values - values.transpose(0, 2, 1)).max())
-    return even_dev <= tol * scale and sym_dev <= tol * scale
-
-
-def symbol_to_json(symbol) -> dict:
-    """JSON-ready description: kind, mode count, and coefficient or sample data."""
-    if isinstance(symbol, TrigMatrixPolynomial):
-        return {"kind": "trig", "k": symbol.k, "coeffs": symbol.coeffs.tolist()}
-    if isinstance(symbol, SampledSymbol):
-        return {
-            "kind": "sampled",
-            "k": symbol.k,
-            "grid": {"G": symbol.grid.G},
-            "values": symbol.values.tolist(),
-        }
-    raise TypeError(f"not a symbol: {type(symbol).__name__}")
-
-
-def symbol_from_json(obj: dict):
-    """Inverse of symbol_to_json; a declared ``k`` must be the integer mode count."""
     kind = obj.get("kind")
     if kind == "trig":
         symbol = TrigMatrixPolynomial(np.asarray(obj["coeffs"], dtype=float))
     elif kind == "sampled":
-        grid = GridSpec(obj["grid"]["G"])
-        symbol = SampledSymbol(grid, np.asarray(obj["values"], dtype=float))
+        symbol = from_samples(GridSpec(obj["grid"]["G"]), obj["values"], obj["degree"])
     else:
         raise ValueError(f"unknown symbol kind {kind!r}")
     k = obj.get("k", symbol.k)

@@ -2,7 +2,8 @@
 
 Truncations are plain dense ndarrays: the experiments need many moderate
 sizes rather than one huge one, so correctness and simplicity win over
-structured storage.  A degree-q truncation with k modes is banded (lower
+structured storage.  Every symbol is a cosine series (samples are projected
+by symbols.from_samples), so block (i, j) is its coefficient |i - j|.  A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1); core.symplectic_eigenvalues finds that
 band in the dense array and, once the dimension is large enough, solves on
 it.  The covariance (G-chain) test is the one place where a complex shift
@@ -37,11 +38,6 @@ def assemble(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     The result is symmetric, and the order-n truncation is exactly the leading
     principal submatrix of the order-(n+1) one.
     """
-    if not isinstance(symbol, TrigMatrixPolynomial):
-        raise TypeError(
-            "assembly needs cosine-series coefficients; convert sampled symbols "
-            "with to_trig_polynomial first"
-        )
     dim = truncation_dim(symbol, n)
     b = symbol.block_dim
     T = np.zeros((dim, dim))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from symplitz import cli
+from symplitz import GridSpec, cli, scalar_symbol
 from conftest import random_gmatrix
 
 
@@ -19,6 +19,12 @@ def run(command, config_path, out_dir, *extra):
 
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
+
+
+def sampled_json(symbol, G):
+    """A "sampled" symbol config of the symbol's values on the G-point grid, with no degree."""
+    values = symbol.evaluate_grid(GridSpec(G)).tolist()
+    return {"kind": "sampled", "k": symbol.k, "grid": {"G": G}, "values": values}
 
 
 class TestSpectrumCommand:
@@ -452,9 +458,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("G", [8.5, "8"])
     def test_sampled_grid_needs_integer_G(self, tmp_path, capsys, G):
-        from symplitz import sample, scalar_symbol, symbol_to_json, GridSpec
-
-        sampled = symbol_to_json(sample(scalar_symbol([2.0, 0.5]), GridSpec(8)))
+        sampled = sampled_json(scalar_symbol([2.0, 0.5]), 8)
         sampled.update(grid={"G": G}, degree=1)
         cfg = write_config(tmp_path / "c.json", {"symbol": sampled, "n": 2})
         assert run("spectrum", cfg, tmp_path / "out") == 2
@@ -469,10 +473,15 @@ class TestConfigErrors:
         assert "config.dump_truncation" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_sampled_symbol_needs_degree_for_assembly(self, tmp_path):
-        from symplitz import sample, scalar_symbol, symbol_to_json, GridSpec
+    def test_uneven_samples_refused(self, tmp_path, capsys):
+        values = [[[v, 0.0], [0.0, v]] for v in (1.0, 2.0, 3.0, 2.5)]  # A(-pi/2) != A(pi/2)
+        sampled = {"kind": "sampled", "k": 1, "degree": 1, "grid": {"G": 4}, "values": values}
+        cfg = write_config(tmp_path / "c.json", {"symbol": sampled, "n_max": 4, "delta": 0.5, "grid": {"G": 64}})
+        assert run("density", cfg, tmp_path / "out") == 2
+        assert "config.symbol:" in capsys.readouterr().err
 
-        sampled = symbol_to_json(sample(scalar_symbol([2.0, 0.5]), GridSpec(32)))
+    def test_sampled_symbol_needs_degree_for_assembly(self, tmp_path):
+        sampled = sampled_json(scalar_symbol([2.0, 0.5]), 32)
         cfg = write_config(
             tmp_path / "c.json",
             {"symbol": sampled, "f": {"kind": "monomial", "power": 1}, "n_list": [4], "grid": {"G": 32}},

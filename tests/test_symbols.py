@@ -18,16 +18,6 @@ class TestGridSpec:
         g = symbols.GridSpec(4)
         np.testing.assert_allclose(g.nodes(), [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
 
-    def test_index_of_nodes_and_wrapping(self):
-        g = symbols.GridSpec(8)
-        for i, theta in enumerate(g.nodes()):
-            assert g.index_of(theta) == i
-        assert g.index_of(np.pi) == 0  # pi and -pi are the same node
-
-    def test_off_node(self):
-        with pytest.raises(GridError):
-            symbols.GridSpec(8).index_of(0.1)
-
     def test_too_small(self):
         with pytest.raises(GridError):
             symbols.GridSpec(1)
@@ -49,17 +39,6 @@ class TestEvaluate:
         s = matrix_symbol_k2()
         for theta in (0.3, 1.1, 2.9):
             np.testing.assert_array_equal(s.evaluate(theta), s.evaluate(-theta))
-
-    def test_sampled_exact_node_only(self):
-        s = symbols.sample(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(16))
-        np.testing.assert_allclose(s.evaluate(0.0), 3.0 * np.eye(2), atol=1e-15)
-        with pytest.raises(GridError):
-            s.evaluate(0.05)
-
-    def test_sampled_grid_mismatch(self):
-        s = symbols.sample(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(16))
-        with pytest.raises(GridError):
-            s.evaluate_grid(symbols.GridSpec(32))
 
     def test_non_symmetric_block_rejected(self):
         bad = np.array([[[1.0, 0.2], [0.0, 1.0]]])
@@ -86,15 +65,21 @@ class TestGridBudget:
             symbols.scalar_symbol(np.full(8, 0.01)).evaluate_grid(symbols.GridSpec(9))  # 9 (degree + 1) = 72
 
 
+def from_grid_values(symbol, G, degree):
+    """from_samples of the symbol's values on the G-point grid."""
+    grid = symbols.GridSpec(G)
+    return symbols.from_samples(grid, symbol.evaluate_grid(grid), degree)
+
+
 class TestFourierCoefficient:
     def test_sampled_constant(self):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
-        s = symbols.sample(symbols.constant_symbol(A), symbols.GridSpec(32))
+        s = from_grid_values(symbols.constant_symbol(A), 32, 3)
         np.testing.assert_allclose(s.fourier_coefficient(0), A, atol=1e-14)
         np.testing.assert_allclose(s.fourier_coefficient(3), np.zeros((2, 2)), atol=1e-14)
 
     def test_sampled_cosine(self):
-        s = symbols.sample(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(64))
+        s = from_grid_values(symbols.scalar_symbol([2.0, 0.5]), 64, 1)
         np.testing.assert_allclose(s.fourier_coefficient(1), 0.5 * np.eye(2), atol=1e-14)
         np.testing.assert_allclose(s.fourier_coefficient(-1), 0.5 * np.eye(2), atol=1e-14)
 
@@ -103,22 +88,55 @@ class TestFourierCoefficient:
         blocks = rng.standard_normal((4, 4, 4))
         blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
         poly = symbols.TrigMatrixPolynomial(blocks)
-        sampled = symbols.sample(poly, symbols.GridSpec(64))
+        back = from_grid_values(poly, 64, 5)
         for n in range(4):
-            np.testing.assert_allclose(sampled.fourier_coefficient(n), poly.coeffs[n], atol=1e-12)
-        np.testing.assert_allclose(sampled.fourier_coefficient(5), np.zeros((4, 4)), atol=1e-12)
-        back = sampled.to_trig_polynomial(5)
+            np.testing.assert_allclose(back.fourier_coefficient(n), poly.coeffs[n], atol=1e-12)
+        np.testing.assert_allclose(back.fourier_coefficient(5), np.zeros((4, 4)), atol=1e-12)
         np.testing.assert_allclose(back.coeffs[:4], poly.coeffs, atol=1e-12)
 
     def test_aliasing_guard(self):
-        s = symbols.sample(symbols.scalar_symbol([1.0]), symbols.GridSpec(16))
+        assert from_grid_values(symbols.scalar_symbol([1.0]), 16, 7).degree == 7
         with pytest.raises(AliasingError):
-            s.fourier_coefficient(8)
+            from_grid_values(symbols.scalar_symbol([1.0]), 16, 8)
 
     def test_trig_lookup(self):
         poly = symbols.scalar_symbol([2.0, 0.5])
         np.testing.assert_array_equal(poly.fourier_coefficient(-1), 0.5 * np.eye(2))
         np.testing.assert_array_equal(poly.fourier_coefficient(9), np.zeros((2, 2)))
+
+
+class TestPartialSymmetry:
+    """from_samples accepts a sample stack only if it is even, A(theta) = A(-theta)."""
+
+    def test_trig_always(self, corpus):
+        for name, s in corpus.items():
+            for G in (32, 33):
+                assert from_grid_values(s, G, 1).k == s.k, name
+
+    def test_sampled_even(self):
+        poly = matrix_symbol_k2()
+        s = from_grid_values(poly, 32, poly.degree)
+        np.testing.assert_allclose(s.coeffs, poly.coeffs, atol=1e-14)
+
+    def test_sampled_uneven(self):
+        for G in (32, 33):
+            grid = symbols.GridSpec(G)
+            values = symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(grid)
+            values[3] += 0.01 * np.eye(2)  # breaks value(theta) == value(-theta)
+            with pytest.raises(SymmetryError, match="not even"):
+                symbols.from_samples(grid, values, 1)
+
+
+class TestFromSamples:
+    def test_one_matrix_per_node(self):
+        values = symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(16))
+        with pytest.raises(GridError):
+            symbols.from_samples(symbols.GridSpec(32), values, 1)
+
+    def test_non_symmetric_sample_refused(self):
+        values = np.tile(np.array([[1.0, 0.2], [0.0, 1.0]]), (8, 1, 1))
+        with pytest.raises(SymmetryError, match="not symmetric"):
+            symbols.from_samples(symbols.GridSpec(8), values, 1)
 
 
 class TestSupNorm:
@@ -134,6 +152,14 @@ class TestSupNorm:
         a = symbols.sup_norm(s, symbols.GridSpec(1024))
         b = symbols.sup_norm(s, symbols.GridSpec(4096))
         assert abs(a - b) <= 1e-6
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("G", [255, 256])
+    def test_half_grid_matches_full_grid(self, k, G):
+        grid = symbols.GridSpec(G)
+        s = nonseparable_degree2(k, seed=20 + k)
+        full = float(np.abs(np.linalg.eigvalsh(s.evaluate_grid(grid))).max())
+        assert symbols.sup_norm(s, grid) == pytest.approx(full, rel=1e-15, abs=0)
 
 
 class TestCurves:
@@ -151,7 +177,7 @@ class TestCurves:
         s = matrix_symbol_k2()
         grid = symbols.GridSpec(64)
         curves = symbols.symplectic_curves(s, grid)
-        g = grid.index_of(0.0)
+        g = grid.G // 2  # theta = 0
         np.testing.assert_allclose(
             curves.values[g], core.symplectic_eigenvalues(s.evaluate(0.0)), atol=1e-12
         )
@@ -209,24 +235,12 @@ class TestMirroredCurves:
             direct = core.symplectic_eigenvalues(s.evaluate(theta))
             np.testing.assert_allclose(values[g], direct, rtol=1e-13, atol=0)
 
-    def test_uneven_sampled_symbol_not_mirrored(self):
-        s = symbols.sample(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(32))
-        values = s.values.copy()
-        values[3] += 0.01 * np.eye(2)  # breaks value(theta) == value(-theta)
-        curves = symbols.symplectic_curves(symbols.SampledSymbol(s.grid, values), s.grid)
-        np.testing.assert_allclose(curves.values[3], core.symplectic_eigenvalues(values[3]), rtol=1e-14)
-        np.testing.assert_allclose(curves.values[29], core.symplectic_eigenvalues(values[29]), rtol=1e-14)
-        assert curves.values[3, 0] > curves.values[29, 0] + 0.005
-
     @pytest.mark.parametrize("G", [64, 65])
     def test_kernel_solves_distinct_nodes_only(self, monkeypatch, G):
         counts = count_kernel_matrices(monkeypatch)
         s = nonseparable_degree2(2, seed=3)
         symbols.symplectic_curves(s, symbols.GridSpec(G))
         assert counts == [G // 2 + 1]
-        counts.clear()
-        symbols.symplectic_curves(symbols.sample(s, symbols.GridSpec(G)), symbols.GridSpec(G))
-        assert counts == [G]
 
     def test_non_pd_pair_reported_at_mirror(self):
         # (cos theta - cos theta0)^2 - 1e-3 is negative only at the nodes +-theta0
@@ -269,22 +283,6 @@ class TestMinAndGSymbol:
         assert not check.ok
         assert check.min_value == pytest.approx(0.2, abs=1e-12)  # 0.6 + 0.4 cos(pi)
         assert check.theta == pytest.approx(-np.pi)
-
-
-class TestPartialSymmetry:
-    def test_trig_always(self):
-        assert symbols.is_partially_symmetric(matrix_symbol_k2())
-
-    def test_sampled_even(self):
-        s = symbols.sample(matrix_symbol_k2(), symbols.GridSpec(32))
-        assert symbols.is_partially_symmetric(s)
-
-    def test_sampled_uneven(self):
-        s = symbols.sample(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(32))
-        values = s.values.copy()
-        values[3] += 0.01 * np.eye(2)  # breaks value(theta) == value(-theta)
-        broken = symbols.SampledSymbol(s.grid, values)
-        assert not symbols.is_partially_symmetric(broken)
 
 
 class TestBuilders:
@@ -345,10 +343,15 @@ class TestJson:
         np.testing.assert_array_equal(back.coeffs, s.coeffs)
 
     def test_sampled_round_trip(self):
-        s = symbols.sample(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(16))
-        back = symbols.symbol_from_json(symbols.symbol_to_json(s))
-        assert back.grid.G == 16
-        np.testing.assert_array_equal(back.values, s.values)
+        # a sampled description reads as its projection and is written back as "trig"
+        grid = symbols.GridSpec(16)
+        values = symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(grid)
+        obj = {"kind": "sampled", "k": 1, "grid": {"G": 16}, "values": values.tolist(), "degree": 2}
+        s = symbols.symbol_from_json(obj)
+        np.testing.assert_array_equal(s.coeffs, symbols.from_samples(grid, values, 2).coeffs)
+        written = symbols.symbol_to_json(s)
+        assert written["kind"] == "trig"
+        np.testing.assert_array_equal(symbols.symbol_from_json(written).coeffs, s.coeffs)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -369,7 +372,7 @@ class TestJson:
 
     @pytest.mark.parametrize("G", [8.5, "8"])
     def test_sampled_grid_needs_integer_G(self, G):
-        obj = symbols.symbol_to_json(symbols.sample(symbols.scalar_symbol([1.0]), symbols.GridSpec(8)))
-        obj["grid"]["G"] = G
+        values = symbols.scalar_symbol([1.0]).evaluate_grid(symbols.GridSpec(8))
+        obj = {"kind": "sampled", "k": 1, "grid": {"G": G}, "values": values.tolist(), "degree": 1}
         with pytest.raises(GridError):
             symbols.symbol_from_json(obj)

@@ -45,11 +45,6 @@ class TestAssemble:
         with pytest.raises(TruncationSizeError):
             toeplitz.assemble(PHI, 10)
 
-    def test_sampled_rejected(self):
-        s = symbols.sample(PHI, symbols.GridSpec(16))
-        with pytest.raises(TypeError):
-            toeplitz.assemble(s, 2)
-
 
 class TestQuadraticForm:
     def test_basis_vector(self):
