@@ -43,8 +43,6 @@ from .symbols import (
     min_symplectic_eigenvalue,
     scalar_symbol,
     sup_norm,
-    symbol_from_json,
-    symbol_to_json,
     symplectic_curves,
 )
 from .szego import (

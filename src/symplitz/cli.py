@@ -114,12 +114,18 @@ def _numbers(raw, path, length=None):
 
 
 def _nested_numbers(raw, path):
-    """Fail at the first entry of a (nested) JSON list that is not a finite number."""
-    if isinstance(raw, list):
-        for i, v in enumerate(raw):
-            _nested_numbers(v, f"{path}[{i}]")
-    elif not _is_number(raw):
-        _fail(path, f"must be a finite number, got {raw!r}")
+    """Fail at the first entry of a (nested) JSON list that is not a finite number.
+
+    The walk keeps its own stack, so a list nested deeper than the recursion
+    limit is checked too (numpy then refuses it as over 64 dimensions).
+    """
+    stack = [(raw, path)]
+    while stack:
+        value, at = stack.pop()
+        if isinstance(value, list):
+            stack += reversed([(v, f"{at}[{i}]") for i, v in enumerate(value)])
+        elif not _is_number(value):
+            _fail(at, f"must be a finite number, got {value!r}")
     return raw
 
 
@@ -185,9 +191,11 @@ def _form(value, path, tag, forms):
         _fail(path, str(err))
 
 
-def _inline_symbol(kind, **fields):
-    """symbols.symbol_from_json of the fields that were given."""
-    return symbols.symbol_from_json({"kind": kind, **{key: v for key, v in fields.items() if v is not None}})
+def _declared_k(symbol, k):
+    """The symbol, once a mode count ``k`` given with it is checked against its blocks."""
+    if k is not None and k != symbol.k:
+        raise ValueError(f"declared k = {k!r} must be the integer {symbol.k} (block size {symbol.block_dim})")
+    return symbol
 
 
 _NUMBERS = (_nested_numbers, REQUIRED)
@@ -201,8 +209,10 @@ SYMBOLS = {
                       {"a": _MATRIX, "b": _MATRIX, "weights": _NUMBERS, "degree": (_degree, None)}),
     },
     "kind": {
-        "trig": (partial(_inline_symbol, "trig"), {"coeffs": _NUMBERS, "k": (_block_count, None)}),
-        "sampled": (partial(_inline_symbol, "sampled"),
+        "trig": (lambda coeffs, k: _declared_k(symbols.TrigMatrixPolynomial(np.asarray(coeffs, dtype=float)), k),
+                 {"coeffs": _NUMBERS, "k": (_block_count, None)}),
+        "sampled": (lambda grid, values, k, degree:
+                    _declared_k(symbols.from_samples(symbols.GridSpec(grid["G"]), values, degree), k),
                     {"grid": (lambda v, p: _parse(v, {"G": (_any, REQUIRED)}, p), REQUIRED),
                      "values": _NUMBERS, "k": (_block_count, None), "degree": (_degree, REQUIRED)}),
     },
@@ -474,6 +484,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as err:
         print(f"config error: {args.config}:{err.lineno}:{err.colno}: {err.msg}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"config error: {args.config}: nested too deeply to decode", file=sys.stderr)
+        return 2
     config_digest = _sha256(raw)
     t_load = time.perf_counter() - t0
 
@@ -510,7 +523,9 @@ def main(argv=None) -> int:
         try:
             with open(manifest_path, "r", encoding="utf-8") as fh:
                 old = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+            if not isinstance(old, dict) or not isinstance(old.get("files", {}), dict):
+                raise ValueError("not a manifest: needs an object whose files is an object")
+        except (OSError, ValueError, RecursionError) as err:
             print(f"config error: cannot read manifest {manifest_path}: {err}", file=sys.stderr)
             return 2
         if old.get("config_sha256") != config_digest:

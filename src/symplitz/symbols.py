@@ -124,8 +124,11 @@ def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
     Mode m is the cosine projection sum_g cos(m theta_g) A(theta_g) / G.  The
     samples must be even, A(theta) = A(-theta), since the sine part would be
     dropped; an uneven stack raises SymmetryError.  Modes above G // 2 - 1
-    alias and raise AliasingError.
+    alias and raise AliasingError; a degree that is not an integer >= 0 raises
+    InvalidDimensionError.
     """
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise InvalidDimensionError(f"degree must be an integer >= 0, got {degree!r}")
     v = np.asarray(values, dtype=float)
     if v.ndim != 3 or v.shape[0] != grid.G:
         raise GridError(f"need one matrix per grid node: {grid.G} nodes, values shape {v.shape}")
@@ -259,29 +262,3 @@ def is_g_symbol(symbol, grid: GridSpec = GridSpec(), tol: float = 1e-10) -> GSym
     g = curves.argmin_node()
     m = float(curves.values[g, 0])
     return GSymbolCheck(m >= 0.5 - tol, m, float(grid.nodes()[g]))
-
-
-def symbol_to_json(symbol: TrigMatrixPolynomial) -> dict:
-    """JSON-ready description: kind "trig", mode count and coefficient blocks."""
-    return {"kind": "trig", "k": symbol.k, "coeffs": symbol.coeffs.tolist()}
-
-
-def symbol_from_json(obj: dict) -> TrigMatrixPolynomial:
-    """Inverse of symbol_to_json; a declared ``k`` must be the integer mode count.
-
-    It also reads ``{"kind": "sampled", "grid": {"G": ...}, "values": [...],
-    "degree": ...}``, which it projects with ``from_samples``.
-    """
-    kind = obj.get("kind")
-    if kind == "trig":
-        symbol = TrigMatrixPolynomial(np.asarray(obj["coeffs"], dtype=float))
-    elif kind == "sampled":
-        symbol = from_samples(GridSpec(obj["grid"]["G"]), obj["values"], obj["degree"])
-    else:
-        raise ValueError(f"unknown symbol kind {kind!r}")
-    k = obj.get("k", symbol.k)
-    if not isinstance(k, int) or isinstance(k, bool) or k != symbol.k:
-        raise ValueError(
-            f"declared k = {k!r} must be the integer {symbol.k} (block size {symbol.block_dim})"
-        )
-    return symbol

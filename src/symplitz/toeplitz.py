@@ -3,12 +3,13 @@
 Truncations are plain dense ndarrays: the experiments need many moderate
 sizes rather than one huge one, so correctness and simplicity win over
 structured storage.  Every symbol is a cosine series (samples are projected
-by symbols.from_samples), so block (i, j) is its coefficient |i - j|.  A degree-q truncation with k modes is banded (lower
-bandwidth at most 2k(q + 1) - 1); core.symplectic_eigenvalues finds that
-band in the dense array and, once the dimension is large enough, solves on
-it.  The covariance (G-chain) test is the one place where a complex shift
-enters: its verdicts come from a complex Cholesky factor and its witness from
-a complex Hermitian eigensolve, both of size 2kn.
+by symbols.from_samples), so block (i, j) is its coefficient |i - j|.  A
+degree-q truncation with k modes is banded (lower bandwidth at most
+2k(q + 1) - 1); core.symplectic_eigenvalues finds that band in the dense
+array and, once the dimension is large enough, solves on it.  The
+covariance (G-chain) test is the one place where a complex shift enters: its
+verdicts come from a complex Cholesky factor and its witness from a complex
+Hermitian eigensolve, both of size 2kn.
 """
 
 from dataclasses import dataclass

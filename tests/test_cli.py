@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from symplitz import GridSpec, cli, scalar_symbol
+from symplitz import GridSpec, cli, from_samples, scalar_symbol
 from conftest import random_gmatrix
 
 
@@ -341,6 +342,40 @@ class TestConfigErrors:
         assert run("szego", cfg, tmp_path / "out") == 2
         assert "builder" in capsys.readouterr().err
 
+    def test_unknown_symbol_kind(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"symbol": {"kind": "mystery"}, "n": 2})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config.symbol.kind:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [3, 1.5, 1.0, "1"])
+    @pytest.mark.parametrize("form", ["trig", "sampled"])
+    def test_declared_k_must_match_blocks(self, tmp_path, capsys, form, k):
+        # the symbol has k = 1; a non-integer k fails at config.symbol.k, another integer at config.symbol
+        symbol = scalar_symbol([2.0, 0.5])
+        inline = {
+            "trig": {"kind": "trig", "coeffs": symbol.coeffs.tolist()},
+            "sampled": {**sampled_json(symbol, 8), "degree": 1},
+        }[form]
+        cfg = write_config(tmp_path / "c.json", {"symbol": {**inline, "k": k}, "n": 2})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        expected = "config.symbol: declared k = 3" if k == 3 else "config.symbol.k: must be an integer"
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [993, 100_000])
+    def test_deeply_nested_config(self, tmp_path, capsys, depth):
+        p = tmp_path / "c.json"
+        p.write_text('{"matrix": ' + "[" * depth + "1.0" + "]" * depth + "}")
+        assert cli.main(["spectrum", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_nesting_past_the_recursion_limit_is_checked(self):
+        # a list the decoder accepted may still be deeper than the stack left for parsing
+        deep = 1.0
+        for _ in range(sys.getrecursionlimit() + 100):
+            deep = [deep]
+        with pytest.raises(cli.ConfigError, match="config.symbol:"):
+            cli._symbol({"kind": "trig", "coeffs": deep}, "config.symbol")
+
     def test_non_ascending_n_list(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -497,12 +532,10 @@ class TestConfigErrors:
 
 class TestConfigConveniences:
     def test_inline_trig_symbol(self, tmp_path):
-        from symplitz import scalar_symbol, symbol_to_json
-
         cfg = write_config(
             tmp_path / "c.json",
             {
-                "symbol": symbol_to_json(scalar_symbol([2.0, 0.5])),
+                "symbol": {"kind": "trig", "k": 1, "coeffs": scalar_symbol([2.0, 0.5]).coeffs.tolist()},
                 "f": {"kind": "monomial", "power": 1},
                 "n_list": [4],
                 "grid": {"G": 64},
@@ -510,6 +543,18 @@ class TestConfigConveniences:
         )
         assert run("szego", cfg, tmp_path / "out") == 0
         assert read_summary(tmp_path / "out")["integral"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_sampled_symbol_reads_as_its_projection(self, tmp_path):
+        # a sampled symbol gives the summary of the trig symbol of its from_samples coefficients
+        sampled = {**sampled_json(scalar_symbol([2.0, 0.5]), 16), "degree": 2}
+        projected = from_samples(GridSpec(16), sampled["values"], 2)
+        trig = {"kind": "trig", "k": 1, "coeffs": projected.coeffs.tolist()}
+        summaries = []
+        for name, symbol in (("sampled", sampled), ("trig", trig)):
+            cfg = write_config(tmp_path / f"{name}.json", {"symbol": symbol, "n": 4})
+            assert run("spectrum", cfg, tmp_path / name) == 0
+            summaries.append({**read_summary(tmp_path / name), "config_sha256": None})
+        assert summaries[0] == summaries[1]
 
     def test_non_power_of_two_grid_warns(self, tmp_path, capsys):
         cfg = write_config(
@@ -582,6 +627,14 @@ class TestDeterminismAndManifest:
     def test_verify_without_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.CFG)
         assert run("szego", cfg, tmp_path / "empty", "--verify") == 2
+
+    @pytest.mark.parametrize("manifest", [b"[]", b'{"files": []}', b"\xff\xfe"])
+    def test_verify_malformed_manifest(self, tmp_path, capsys, manifest):
+        cfg = write_config(tmp_path / "c.json", self.CFG)
+        assert run("szego", cfg, tmp_path / "out") == 0
+        (tmp_path / "out" / "run_manifest.json").write_bytes(manifest)
+        assert run("szego", cfg, tmp_path / "out", "--verify") == 2
+        assert "config error: cannot read manifest" in capsys.readouterr().err
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.json", {"matrix": [[2.0, 0.0], [0.0, 8.0]]})

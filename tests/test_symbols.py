@@ -138,6 +138,12 @@ class TestFromSamples:
         with pytest.raises(SymmetryError, match="not symmetric"):
             symbols.from_samples(symbols.GridSpec(8), values, 1)
 
+    @pytest.mark.parametrize("degree", [-1, 1.5, "1"])
+    def test_degree_must_be_nonnegative_integer(self, degree):
+        values = symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(16))
+        with pytest.raises(InvalidDimensionError, match="degree"):
+            symbols.from_samples(symbols.GridSpec(16), values, degree)
+
 
 class TestSupNorm:
     def test_constant(self):
@@ -334,45 +340,3 @@ class TestStructuralInvariants:
                 np.abs(coarse.ravel() - pool[idx - 1]), np.abs(coarse.ravel() - pool[idx])
             )
             assert dist.max() <= delta, name
-
-
-class TestJson:
-    def test_trig_round_trip(self):
-        s = matrix_symbol_k2()
-        back = symbols.symbol_from_json(symbols.symbol_to_json(s))
-        np.testing.assert_array_equal(back.coeffs, s.coeffs)
-
-    def test_sampled_round_trip(self):
-        # a sampled description reads as its projection and is written back as "trig"
-        grid = symbols.GridSpec(16)
-        values = symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(grid)
-        obj = {"kind": "sampled", "k": 1, "grid": {"G": 16}, "values": values.tolist(), "degree": 2}
-        s = symbols.symbol_from_json(obj)
-        np.testing.assert_array_equal(s.coeffs, symbols.from_samples(grid, values, 2).coeffs)
-        written = symbols.symbol_to_json(s)
-        assert written["kind"] == "trig"
-        np.testing.assert_array_equal(symbols.symbol_from_json(written).coeffs, s.coeffs)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            symbols.symbol_from_json({"kind": "mystery"})
-
-    def test_k_mismatch(self):
-        obj = symbols.symbol_to_json(symbols.scalar_symbol([1.0]))
-        obj["k"] = 3
-        with pytest.raises(ValueError):
-            symbols.symbol_from_json(obj)
-
-    @pytest.mark.parametrize("k", [1.5, 1.0, True, "1"])
-    def test_k_must_be_json_integer(self, k):
-        obj = symbols.symbol_to_json(symbols.scalar_symbol([1.0]))
-        obj["k"] = k
-        with pytest.raises(ValueError):
-            symbols.symbol_from_json(obj)
-
-    @pytest.mark.parametrize("G", [8.5, "8"])
-    def test_sampled_grid_needs_integer_G(self, G):
-        values = symbols.scalar_symbol([1.0]).evaluate_grid(symbols.GridSpec(8))
-        obj = {"kind": "sampled", "k": 1, "grid": {"G": G}, "values": values.tolist(), "degree": 1}
-        with pytest.raises(GridError):
-            symbols.symbol_from_json(obj)
