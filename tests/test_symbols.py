@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symplitz import core, symbols
+from symplitz import cli, core, symbols
 from symplitz.errors import (
     AliasingError,
     GridError,
@@ -340,3 +340,26 @@ class TestStructuralInvariants:
                 np.abs(coarse.ravel() - pool[idx - 1]), np.abs(coarse.ravel() - pool[idx])
             )
             assert dist.max() <= delta, name
+
+
+class TestJson:
+    """The JSON description of a symbol, as the CLI config reads it."""
+
+    def test_trig_round_trip(self):
+        s = matrix_symbol_k2()
+        back = cli._symbol({"kind": "trig", "k": s.k, "coeffs": s.coeffs.tolist()}, "symbol")
+        np.testing.assert_array_equal(back.coeffs, s.coeffs)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, "1"])
+    def test_k_must_be_json_integer(self, k):
+        obj = {"kind": "trig", "k": k, "coeffs": symbols.scalar_symbol([1.0]).coeffs.tolist()}
+        with pytest.raises(cli.ConfigError, match=r"symbol\.k"):
+            cli._symbol(obj, "symbol")
+
+    @pytest.mark.parametrize("G", [8.5, "8"])
+    def test_sampled_grid_needs_integer_G(self, G):
+        values = symbols.scalar_symbol([1.0]).evaluate_grid(symbols.GridSpec(8))
+        obj = {"kind": "sampled", "k": 1, "grid": {"G": G}, "values": values.tolist(), "degree": 1}
+        with pytest.raises(cli.ConfigError) as err:
+            cli._symbol(obj, "symbol")
+        assert isinstance(err.value.__context__, GridError)
