@@ -117,8 +117,25 @@ def _nested_numbers(raw, path):
     """Fail at the first entry of a (nested) JSON list that is not a finite number.
 
     The walk keeps its own stack, so a list nested deeper than the recursion
-    limit is checked too (numpy then refuses it as over 64 dimensions).
+    limit is checked too (numpy then refuses it as over 64 dimensions).  It
+    carries no paths, and a list of finite floats passes in one sweep; only
+    a failure walks again, in order and with paths, to name the first
+    failing entry.
     """
+    top = sys.float_info.max
+    stack = [raw]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            if not all(type(v) is float and -top <= v <= top for v in value):
+                stack += value
+        elif not _is_number(value):
+            _fail_at_first_bad_entry(raw, path)
+    return raw
+
+
+def _fail_at_first_bad_entry(raw, path):
+    """Fail at the first entry, in walk order, that is not a finite number, naming its path."""
     stack = [(raw, path)]
     while stack:
         value, at = stack.pop()
@@ -126,7 +143,6 @@ def _nested_numbers(raw, path):
             stack += reversed([(v, f"{at}[{i}]") for i, v in enumerate(value)])
         elif not _is_number(value):
             _fail(at, f"must be a finite number, got {value!r}")
-    return raw
 
 
 def _matrix(value, path):

@@ -1,4 +1,4 @@
-"""Dense truncations of block Toeplitz operators and their structure checks.
+"""Truncations of block Toeplitz operators and their structure checks.
 
 Truncations are plain dense ndarrays: the experiments need many moderate
 sizes rather than one huge one, so correctness and simplicity win over
@@ -7,16 +7,20 @@ by symbols.from_samples), so block (i, j) is its coefficient |i - j|.  A
 degree-q truncation with k modes is banded (lower bandwidth at most
 2k(q + 1) - 1); core.symplectic_eigenvalues finds that band in the dense
 array and, once the dimension is large enough, solves on it.  The
-covariance (G-chain) test is the one place where a complex shift enters: its
-verdicts come from a complex Cholesky factor and its witness from a complex
-Hermitian eigensolve, both of size 2kn.
+covariance (G-chain) test is the one place where a complex shift enters, and
+it never assembles the truncation: H_n = T_n + (i/2) J has the lower
+bandwidth of T_n, so its lower band is written straight from the
+coefficients.  Its verdicts come from a band Cholesky factor and its witness
+from a band eigensolve of the smallest eigenvalue, or, where the band is
+wide, from a dense Hermitian eigensolve of that band.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigvals_banded, lapack
 
+from . import core
 from .errors import AliasingError, DomainError, GridError, InvalidDimensionError, TruncationSizeError
 from .symbols import MAX_GRID_ENTRIES, GridSpec, TrigMatrixPolynomial
 
@@ -109,30 +113,60 @@ class GChainCheck:
         return self.ok
 
 
-def _shifted_truncation(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
-    """T_n + (i/2) J as a complex array, with no dense J temporary.
+def _shifted_band(symbol: TrigMatrixPolynomial, n: int, shift: float) -> np.ndarray:
+    """LAPACK lower band ab[t, c] = H[c + t, c] of H = T_n + (i/2) J + shift I.
 
-    Fortran order lets zpotrf factor it in place.  Coefficients that overflow
-    in the truncation raise DomainError before any factorization.
+    With m = 2k and q = min(degree, n - 1), the lower bandwidth is
+    b = m (q + 1) - 1 <= N - 1.  Entry (c + t, c) has block offset
+    (c % m + t) // m <= q + 1 and in-block position ((c % m + t) % m, c % m),
+    so each diagonal repeats with period m and one zero block pads offset
+    q + 1.  Every nonzero entry of T_n lies in the band and appears in that
+    period, so checking the period raises DomainError exactly when the
+    truncation holds a non-finite entry.  The band takes O(N b) memory.
     """
-    T = assemble(symbol, n)
-    if not np.isfinite(T).all():
+    N = truncation_dim(symbol, n)
+    m = symbol.block_dim
+    q = min(symbol.degree, n - 1)
+    b = m * (q + 1) - 1
+    blocks = np.zeros((q + 2, m, m))
+    blocks[: q + 1] = symbol.coeffs[: q + 1]
+    s = np.arange(m) + np.arange(b + 1)[:, None]
+    period = blocks[s // m, s % m, np.arange(m)].astype(complex)
+    if not np.isfinite(period).all():
         raise DomainError(f"truncation of order n = {n} has entries outside the float range")
-    H = np.array(T, dtype=complex, order="F")
-    q = np.arange(0, H.shape[0], 2)
-    H[q, q + 1] += 0.5j
-    H[q + 1, q] -= 0.5j
-    return H
+    period[0] += shift
+    period[1, ::2] -= 0.5j
+    ab = np.tile(period, n)
+    ab[~_in_band(b, N)] = 0.0
+    return ab
+
+
+def _in_band(b: int, N: int) -> np.ndarray:
+    """Mask of the band slots ab[t, c] that hold an entry, those with c + t < N."""
+    return np.add.outer(np.arange(b + 1), np.arange(N)) < N
 
 
 def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GChainCheck:
-    """Positivity of T_n + (i/2) J, by one 2kn x 2kn complex Hermitian eigensolve.
+    """Positivity of T_n + (i/2) J, by its smallest eigenvalue.
 
     The witness min_eigenvalue is the smallest eigenvalue of T_n + (i/2) J; the
     truncation passes when it is >= -tol.  It equals the smallest eigenvalue of
     the real symmetric embedding [[T_n, -J/2], [J/2, T_n]], at half its size.
+    It is solved from the lower band of bandwidth b: by a band eigensolve of
+    that one eigenvalue when core.BAND_RATIO (b + 2) <= N (the crossover of
+    the core band route), otherwise by a dense Hermitian eigensolve of the
+    band unpacked into a lower triangle, which wins at wide bands.
     """
-    w0 = float(np.linalg.eigvalsh(_shifted_truncation(symbol, n))[0])
+    ab = _shifted_band(symbol, n, 0.0)
+    b, N = ab.shape[0] - 1, ab.shape[1]
+    if core.BAND_RATIO * (b + 2) <= N:
+        w = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0), check_finite=False)
+    else:
+        t, c = np.nonzero(_in_band(b, N))
+        H = np.zeros((N, N), dtype=complex)
+        H[c + t, c] = ab[t, c]
+        w = np.linalg.eigvalsh(H, UPLO="L")
+    w0 = float(w[0])
     return GChainCheck(w0 >= -tol, n, w0)
 
 
@@ -140,12 +174,13 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
     """Find the smallest failing truncation order up to n_max.
 
     Returns (first_failing_n or None, witness).  T_n is the leading principal
-    submatrix of T_{n+1} and J is block diagonal, so one Cholesky factor of
-    H_m = T_m + (i/2) J + tol I decides every order up to m: it breaks down
-    at the first leading minor that is not positive definite, and that pivot
-    lies in the block of the first failing order.  The orders m = 1, 2, 4, ...
-    and finally n_max are factored until one breaks down, which keeps an early
-    failure cheap and assembles nothing beyond it.
+    submatrix of T_{n+1} and J is block diagonal, so one band Cholesky factor
+    (zpbtrf) of H_m = T_m + (i/2) J + tol I decides every order up to m: it
+    breaks down at the first leading minor that is not positive definite, and
+    that pivot lies in the block of the first failing order.  The orders
+    m = 1, 2, 4, ... and finally n_max are factored until one breaks down,
+    which keeps an early failure cheap and builds nothing beyond it; on the
+    band the doubling costs under twice one factor of order n_max.
 
     first_failing_n is this pivot verdict.  witness is the GChainCheck of the
     eigensolve from gchain_check at the reported order (n_max when every
@@ -162,9 +197,7 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
     orders.append(n_max)
     first_fail = None
     for m in orders:
-        H = _shifted_truncation(symbol, m)
-        H.flat[:: H.shape[0] + 1] += tol
-        _, info = lapack.zpotrf(H, lower=1, clean=0, overwrite_a=1)
+        _, info = lapack.zpbtrf(_shifted_band(symbol, m, tol), lower=1)
         if info > 0:
             # info is the 1-based order of the first leading minor that fails
             first_fail = (info - 1) // symbol.block_dim + 1

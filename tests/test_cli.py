@@ -462,6 +462,14 @@ class TestConfigErrors:
         assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 2
         assert path in capsys.readouterr().err
 
+    def test_nested_failure_names_the_first_entry(self, tmp_path, capsys):
+        # the walk checks without paths and names the first failing entry in row-major order
+        matrix = np.eye(4).tolist()
+        matrix[3][2] = True
+        matrix[3][3] = "x"
+        assert run("spectrum", write_config(tmp_path / "c.json", {"matrix": matrix}), tmp_path / "out") == 2
+        assert capsys.readouterr().err == "config error: config.matrix[3][2]: must be a finite number, got True\n"
+
     def test_non_numeric_interval(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

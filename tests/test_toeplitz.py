@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import eigvals_banded, lapack
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, symbols, toeplitz
@@ -173,6 +173,106 @@ class TestGChain:
     def test_first_failing_order(self):
         assert toeplitz.gchain_sweep(symbols.scalar_symbol([0.6, 0.1]), 32, tol=1e-6)[0] == 3
         assert toeplitz.gchain_sweep(PHI, 16)[0] is None
+
+
+def _random_blocks(rng, k, degree):
+    blocks = rng.standard_normal((degree + 1, 2 * k, 2 * k))
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
+
+
+def _near_identity(rng, k, degree, scale):
+    """I + scale * (random symmetric cosine series): positive definite for small scale."""
+    blocks = scale * _random_blocks(rng, k, degree)
+    blocks[0] += np.eye(2 * k)
+    return symbols.TrigMatrixPolynomial(blocks)
+
+
+def _embedding_witness(s, n):
+    T = toeplitz.assemble(s, n)
+    return np.linalg.eigvalsh(hermitian_embedding(T, 0.5 * core.symplectic_form(T.shape[0] // 2)))[0]
+
+
+class TestGChainBand:
+    """The G-chain pivot and witness run on the lower band of T_n + (i/2) J."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_band_is_lower_band_of_dense(self, k, degree):
+        s = symbols.TrigMatrixPolynomial(_random_blocks(np.random.default_rng(10 * k + degree), k, degree))
+        for n in sorted({1, 2, degree, degree + 1, degree + 3} - {0}):
+            H = toeplitz.assemble(s, n) + 0.5j * core.symplectic_form(k * n)
+            N = H.shape[0]
+            ab = toeplitz._shifted_band(s, n, 0.0)
+            b = min(2 * k * (min(degree, n - 1) + 1) - 1, N - 1)
+            assert ab.shape == (b + 1, N)
+            assert not np.tril(H, -b - 1).any()
+            expected = np.zeros_like(H, shape=ab.shape)
+            for t in range(b + 1):
+                expected[t, : N - t] = np.diagonal(H, -t)
+            # bit for bit, the zeros outside the band included
+            np.testing.assert_array_equal(ab.view(np.uint64), expected.view(np.uint64))
+
+    def test_shift_is_on_the_diagonal(self):
+        s = matrix_symbol_k2()
+        shifted = toeplitz._shifted_band(s, 5, 1e-10)
+        plain = toeplitz._shifted_band(s, 5, 0.0)
+        np.testing.assert_array_equal(shifted[0], plain[0] + 1e-10)
+        np.testing.assert_array_equal(shifted[1:], plain[1:])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_band_witness_matches_real_embedding(self, n, monkeypatch):
+        cases = {
+            "scalar_k2": symbols.scalar_symbol([0.75, 0.125], k=2),
+            "violator_k2": symbols.scalar_symbol([0.6, 0.1], k=2),
+            "random_k2": _near_identity(np.random.default_rng(3), 2, 1, 0.1),
+        }
+        references = {name: _embedding_witness(s, n) for name, s in cases.items()}
+        # band route: bandwidth 7 and 24 (7 + 2) <= N = 4n, so no dense eigensolve runs
+        assert core.BAND_RATIO * (7 + 2) <= 4 * n
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("dense witness on the band route"))
+        for name, s in cases.items():
+            witness = toeplitz.gchain_check(s, n).min_eigenvalue
+            assert witness == pytest.approx(references[name], abs=1e-12), name
+
+    def test_wide_band_takes_the_dense_witness(self, monkeypatch):
+        # degree 7, k = 2: bandwidth 31 and 24 (31 + 2) > 256 = N
+        s = _near_identity(np.random.default_rng(4), 2, 7, 0.05)
+        n = 64
+        ab = toeplitz._shifted_band(s, n, 0.0)
+        assert core.BAND_RATIO * (ab.shape[0] + 1) > ab.shape[1]
+        reference = _embedding_witness(s, n)
+        band = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0]
+        monkeypatch.setattr(toeplitz, "eigvals_banded", lambda *a, **kw: pytest.fail("band witness on a wide band"))
+        witness = toeplitz.gchain_check(s, n).min_eigenvalue
+        assert witness == pytest.approx(reference, abs=1e-12)
+        assert witness == pytest.approx(band, abs=1e-12)
+
+    def test_pivot_order_matches_dense_cholesky(self):
+        # random k = 2 symbols scaled so that their bottom curve dips just below 1/2
+        rng = np.random.default_rng(13)
+        orders = set()
+        for _ in range(10):
+            blocks = _random_blocks(rng, 2, 1)
+            blocks[0] = blocks[0] @ blocks[0] + 2 * np.eye(4)
+            blocks[1] *= 0.2
+            dmin = symbols.min_symplectic_eigenvalue(symbols.TrigMatrixPolynomial(blocks), symbols.GridSpec(1024))
+            s = symbols.TrigMatrixPolynomial(blocks * (0.5 - rng.uniform(1e-4, 1e-2)) / dmin)
+            H = toeplitz.assemble(s, 24) + 0.5j * core.symplectic_form(48) + 1e-10 * np.eye(96)
+            info = lapack.zpotrf(H, lower=1)[1]
+            expected = None if info == 0 else (info - 1) // 4 + 1
+            assert toeplitz.gchain_sweep(s, 24)[0] == expected
+            orders.add(expected)
+        assert len(orders) >= 5
+
+    # bottom curve 0.5 and 0.5 - 1.9e-4: every order passes, and order 80 fails first
+    @pytest.mark.parametrize("coeffs, first", [([0.75, 0.125], None), ([0.74981, 0.125], 80)])
+    def test_band_sweep_builds_no_dense_array(self, coeffs, first, monkeypatch):
+        monkeypatch.setattr(toeplitz, "assemble", lambda *a, **kw: pytest.fail("dense truncation assembled"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("dense witness on the band route"))
+        result, witness = toeplitz.gchain_sweep(symbols.scalar_symbol(coeffs, k=2), 128)
+        assert result == first
+        assert witness.n == (first or 128)
+        assert witness.ok == (first is None)
 
 
 class TestPositiveDefiniteCheck:
