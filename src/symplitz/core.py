@@ -13,16 +13,22 @@ K = L^T J L, similar to J A.  The symplectic spectrum is the singular values
 of K and the Williamson form comes from its real Schur form; the first pair of
 the Williamson factor is the lower edge of the symplectic numerical range.
 
-A single matrix of dimension N whose lower bandwidth b is small takes the band
-route instead (BAND_RATIO (b + 2) <= N, so N >= 48): L keeps the band of A, K
-has half-bandwidth b + 1 and is formed on its band in O(N b^2), and the
-Hermitian band matrix iK, with eigenvalues +-d_j, is solved by band reduction.
-A truncation of a degree-q symbol with k modes has b <= 2k(q + 1) - 1, so
-every large one takes it.  Stacks, wide-band and dense matrices, and every
-matrix below the crossover keep the singular values; williamson keeps the
-Schur form.
+The route to the spectrum depends only on the shape of the input.  Small
+matrices, the nodes of symbol grids, are solved by array operations across
+the whole stack instead of one LAPACK call per matrix: closed forms for
+k = 1 and k = 2, and for a stack of 6 x 6 matrices (k = 3) a Givens skew
+tridiagonalisation followed by one-sided Jacobi on a 3 x 3 bidiagonal.  A
+single matrix of dimension N whose lower bandwidth b is small takes the band
+route (max(12 (b + 2), (b + 2)^2 / 2) <= N, so N >= 24): L keeps the band of
+A, K has half-bandwidth b + 1 and is formed on its band in O(N b^2), and the
+Hermitian band matrix iK, with eigenvalues +-d_j, is solved by band
+reduction.  A truncation of a degree-q symbol with k modes has
+b <= 2k(q + 1) - 1, so every large one takes it.  Stacks with k >= 4, wide-band
+and dense matrices, and every matrix below the crossover keep the singular
+values; williamson keeps the Schur form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +46,30 @@ from .errors import (
 SYM_TOL = 1e-12
 FACT_TOL = 1e-8
 PAIR_TOL = 1e-8
-# Crossover of the band route: one matrix of dimension N and lower bandwidth b
-# is solved on its band when BAND_RATIO (b + 2) <= N.  Measured on 2 cores
-# (OpenBLAS), the band route wins for N / (b + 2) above 12-16 up to N = 1024
-# and breaks even near 24 at N = 2048 (b = 83: 2.3 s against 2.5 s).
-BAND_RATIO = 24
+# Crossover of the band route, dense (Cholesky, L^T (J L), svdvals) against
+# band, in ms: random banded positive definite matrices, best of 3-15 runs
+# in one process on 2 cores (OpenBLAS), each side's last loss and first win.
+#
+#   b    N: dense / band                      rule: band from N
+#   3    60: 0.35 / 0.39    64: 0.37 / 0.36     60
+#   7    90: 0.72 / 0.81   100: 0.97 / 0.90    108
+#  15   102: 1.18 / 1.32   120: 2.08 / 1.68    204
+#  23   250: 7.49 / 8.00   300: 13.1 / 12.1    313
+#  31   594: 80.6 / 83.4   660:  111 / 102     545
+#  47   980:  303 / 318   1176:  445 / 372    1201
+#  83  2040: 2144 / 2216   (no win to 2048)    3613
+#
+# Up to b ~ 23 the band route wins from N / (b + 2) ~ 7-13; wider bands need
+# N / (b + 2) to grow with b, about (b + 2) / 2.  Hence the rule
+# max(12 (b + 2), (b + 2)^2 / 2) <= N.
+def _band_limit(N: int) -> int:
+    """Largest lower bandwidth b with which one N x N matrix takes the band route.
+
+    The rule is max(12 (b + 2), (b + 2)^2 / 2) <= N (the table above); the
+    result is negative when no bandwidth qualifies.  toeplitz.gchain_check
+    reads the same limit for its witness.
+    """
+    return min(N // 12, math.isqrt(2 * N)) - 2
 
 
 def symplectic_form(k: int) -> np.ndarray:
@@ -159,6 +184,130 @@ def _pair_mean(lo: np.ndarray, hi: np.ndarray, pair_tol: float) -> np.ndarray:
     return 0.5 * lo + 0.5 * hi
 
 
+# The 15 upper entries of a 6 x 6 skew matrix, in row-major order, and the
+# Givens plan that reduces it to skew tridiagonal form: for each column, the
+# rotations in planes (q - 1, q), q = 5 .. col + 2, each zeroing entry
+# (col, q) into (col, q - 1) and mixing the pairs (m, q - 1), (m, q) of the
+# rows m > col outside the plane.
+_UPPER6 = np.triu_indices(6, 1)
+_SLOT6 = np.zeros((6, 6), dtype=int)
+_SLOT6[_UPPER6] = np.arange(15)
+_SLOT6 += _SLOT6.T
+_GIVENS6 = [
+    (
+        _SLOT6[col, q - 1],
+        _SLOT6[col, q],
+        [_SLOT6[m, q - 1] for m in range(col + 1, 6) if m not in (q - 1, q)],
+        [_SLOT6[m, q] for m in range(col + 1, 6) if m not in (q - 1, q)],
+    )
+    for col in range(4)
+    for q in range(5, col + 1, -1)
+]
+_UPPER6_FLAT = 6 * _UPPER6[0] + _UPPER6[1]
+_CHUNK6 = 16384
+_JACOBI_SWEEPS = 16
+
+
+def _small_spectrum(K: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum from the skew kernels K of 2 x 2, 4 x 4 or 6 x 6 matrices.
+
+    Each d_j comes out once, so there is no pair to check.  k = 1:
+    d = |K[0, 1]| = L[0, 0] L[1, 1] = sqrt(det A).  k = 2: so(4) splits into
+    two copies of so(3); with the upper entries a b c / d e / f of K,
+    u = (a + f, b - e, c + d) and v = (a - f, b + e, c - d) give
+    d = (| |u| - |v| | / 2, (|u| + |v|) / 2), with |u| / 2 and |v| / 2 formed
+    by nested hypot on halved entries so that nothing overflows.  k = 3:
+    _six_spectrum.  Each has the singular values' accuracy class,
+    eps d_max / d_j relative.
+    """
+    n = K.shape[-1]
+    with np.errstate(over="ignore"):
+        if n == 2:
+            spectrum = np.abs(K[..., 0, 1])[..., None]
+        elif n == 4:
+            a, b, c, d, e, f = 0.5 * np.moveaxis(K, (-2, -1), (0, 1))[np.triu_indices(4, 1)]
+            u = np.hypot(np.hypot(a + f, b - e), c + d)
+            v = np.hypot(np.hypot(a - f, b + e), c - d)
+            spectrum = np.stack([np.abs(u - v), u + v], axis=-1)
+        else:
+            spectrum = _six_spectrum(K)
+    return _require_finite(spectrum, "symplectic spectrum")
+
+
+def _six_spectrum(K: np.ndarray) -> np.ndarray:
+    """Symplectic spectra of a stack of 6 x 6 skew kernels, one array op per step.
+
+    The stack is solved in chunks of _CHUNK6 matrices, which keeps the
+    intermediate arrays small (16384 was the fastest of 4096-32768 on a
+    65,537-node stack); a chunk holds the 15 upper entries as 15 arrays, scaled by a power of two so that the largest is below 1 and
+    no square overflows.  Ten Givens rotations (_GIVENS6) make K skew
+    tridiagonal with superdiagonal t_0 .. t_4; putting the even indices
+    before the odd ones turns it into [[0, B], [-B^T, 0]] with B upper
+    bidiagonal, diagonal t_0, t_2, t_4 and superdiagonal -t_1, -t_3, whose
+    singular values are the d_j.  One-sided Jacobi rotates pairs of columns
+    of B until every pair is orthogonal to working precision; the column
+    norms are the d_j.
+    """
+    flat = K.reshape(-1, 36)
+    d = np.empty((flat.shape[0], 3))
+    for lo in range(0, flat.shape[0], _CHUNK6):
+        E = flat[lo : lo + _CHUNK6].T[_UPPER6_FLAT]
+        _, scale = np.frexp(np.abs(E).max(axis=0))
+        d[lo : lo + _CHUNK6] = np.ldexp(_bidiagonal_jacobi(_givens6(np.ldexp(E, -scale))), scale).T
+    return d.reshape(K.shape[:-2] + (3,))
+
+
+def _givens6(E: np.ndarray) -> np.ndarray:
+    """Upper bidiagonal B (B[j] is column j) of the 15 scaled upper entries E of K."""
+    for ip, iq, mp, mq in _GIVENS6:
+        x, y = E[ip], E[iq]
+        r = np.sqrt(x * x + y * y)
+        zero = r == 0.0
+        c = (x + zero) / (r + zero)
+        s = y / (r + zero)
+        E[ip] = r
+        if mp:
+            X, Y = E[mp], E[mq]
+            E[mp] = c * X + s * Y
+            E[mq] = c * Y - s * X
+    t = E[_SLOT6[np.arange(5), np.arange(1, 6)]]
+    B = np.zeros((3, 3, E.shape[1]))
+    B[0, 0] = t[0]
+    B[1, 0], B[1, 1] = -t[1], t[2]
+    B[2, 1], B[2, 2] = -t[3], t[4]
+    return B
+
+
+def _bidiagonal_jacobi(B: np.ndarray) -> np.ndarray:
+    """Ascending singular values (3, m) of the 3 x 3 matrices with columns B[0], B[1], B[2].
+
+    A sweep rotates the column pairs (0, 1), (0, 2), (1, 2); a pair within
+    sqrt(3) eps of orthogonal is left alone, and the sweeps stop when no
+    pair of any matrix is rotated.
+    """
+    tol = np.sqrt(3.0) * np.finfo(float).eps
+    for _ in range(_JACOBI_SWEEPS):
+        converged = True
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            P, Q = B[p], B[q]
+            alpha = (P * P).sum(axis=0)
+            beta = (Q * Q).sum(axis=0)
+            gamma = (P * Q).sum(axis=0)
+            off = np.abs(gamma) > tol * np.sqrt(alpha * beta)
+            if not off.any():
+                continue
+            converged = False
+            zeta = (beta - alpha) / (2.0 * np.where(off, gamma, 1.0))
+            tan = np.where(zeta < 0, -1.0, 1.0) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            tan = np.where(off, tan, 0.0)
+            cos = 1.0 / np.sqrt(1.0 + tan * tan)
+            sin = cos * tan
+            B[p], B[q] = cos * P - sin * Q, sin * P + cos * Q
+        if converged:
+            break
+    return np.sort(np.sqrt((B * B).sum(axis=1)), axis=0)
+
+
 def _lower_bandwidth(A: np.ndarray):
     """(b, rows, cols) when one matrix takes the band route, else None.
 
@@ -170,7 +319,7 @@ def _lower_bandwidth(A: np.ndarray):
     if A.ndim != 2:
         return None
     N = A.shape[0]
-    b_max = N // BAND_RATIO - 2
+    b_max = _band_limit(N)
     if b_max < 0:
         return None
     nonzero = A != 0
@@ -230,17 +379,26 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     similar to J A, so its singular values are the d_j, each twice; nothing
     is squared, and a small d_j carries a relative error of about
     eps d_max / d_j (normwise, not relative, accuracy).  Accepts stacks
-    (..., 2k, 2k) and returns (..., k), ascending along the last axis.  One
-    matrix with a narrow band (BAND_RATIO (b + 2) <= N) is solved on its band:
-    the eigenvalues +-d_j of the Hermitian band matrix iK, each |w+| paired
-    with its |w-|.
+    (..., 2k, 2k) and returns (..., k), ascending along the last axis.
+
+    The route follows the shape.  k <= 2, and stacks with k = 3, take
+    _small_spectrum: array operations over the stack that give each d_j
+    once, so the pairs are exact by construction, with the same accuracy
+    class.  One matrix with a narrow band (b <= _band_limit(N)) is solved on
+    its band: the eigenvalues +-d_j of the Hermitian band matrix iK, each
+    |w+| paired with its |w-|.  Everything else takes the singular values of
+    K, whose copies of each d_j are paired under PAIR_TOL.
     """
     A = np.asarray(A, dtype=float)
     _even_dim(A)
     band = _lower_bandwidth(A)
     if band is not None:
         return _band_spectrum(A, *band)
-    s = np.linalg.svd(_skew_kernel(_factor(A)), compute_uv=False)
+    K = _skew_kernel(_factor(A))
+    n = K.shape[-1]
+    if n <= 4 or (n == 6 and K.ndim > 2):
+        return _small_spectrum(K)
+    s = np.linalg.svd(K, compute_uv=False)
     return _pair_sorted(s[..., ::-1], PAIR_TOL)
 
 

@@ -153,13 +153,18 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GC
     truncation passes when it is >= -tol.  It equals the smallest eigenvalue of
     the real symmetric embedding [[T_n, -J/2], [J/2, T_n]], at half its size.
     It is solved from the lower band of bandwidth b: by a band eigensolve of
-    that one eigenvalue when core.BAND_RATIO (b + 2) <= N (the crossover of
-    the core band route), otherwise by a dense Hermitian eigensolve of the
-    band unpacked into a lower triangle, which wins at wide bands.
+    that one eigenvalue when b <= core._band_limit(N), the crossover of the
+    core band route, otherwise by a dense Hermitian eigensolve of the band
+    unpacked into a lower triangle, which wins at wide bands.  Measured on 2
+    cores, this one-eigenvalue band solve wins from lower N than the core
+    route does (b = 7 from N ~ 48, b = 15 from 64, b = 31 from 256, b = 83 at
+    2048, where the two are even).  Below the shared limit it would save
+    under 2 ms at b <= 15 and at most a quarter (13 ms at b = 31, N = 512),
+    so the witness keeps the core rule.
     """
     ab = _shifted_band(symbol, n, 0.0)
     b, N = ab.shape[0] - 1, ab.shape[1]
-    if core.BAND_RATIO * (b + 2) <= N:
+    if b <= core._band_limit(N):
         w = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0), check_finite=False)
     else:
         t, c = np.nonzero(_in_band(b, N))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -340,18 +342,115 @@ def svd_route(A):
 
 
 def degree_one_k2():
-    """Non-separable k = 2 symbol of degree 1 (lower bandwidth 7 in every truncation)."""
+    """Non-separable k = 2 symbol of degree 1 (lower bandwidth 6 in every truncation: a_1[3, 0] = 0)."""
     return TrigMatrixPolynomial(matrix_symbol_k2().coeffs[:2])
+
+
+def bandwidth_7_k2():
+    """degree_one_k2 with a_1[3, 0] = a_1[0, 3] = 0.01: lower bandwidth 2k (q + 1) - 1 = 7."""
+    coeffs = matrix_symbol_k2().coeffs[:2].copy()
+    coeffs[1, 3, 0] = coeffs[1, 0, 3] = 0.01
+    return TrigMatrixPolynomial(coeffs)
 
 
 @pytest.fixture
 def routes(monkeypatch):
     """Record which eigensolver each call of symplectic_eigenvalues reaches."""
     taken = []
-    band, svd = core.eigvals_banded, np.linalg.svd
+    band, svd, small = core.eigvals_banded, np.linalg.svd, core._small_spectrum
     monkeypatch.setattr(core, "eigvals_banded", lambda *a, **kw: taken.append("band") or band(*a, **kw))
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: taken.append("svd") or svd(*a, **kw))
+    monkeypatch.setattr(core, "_small_spectrum", lambda *a, **kw: taken.append("small") or small(*a, **kw))
     return taken
+
+
+def svdvals_spectrum(A):
+    """Oracle: the singular values of the skew kernel, one copy of each pair."""
+    s = np.linalg.svd(core._skew_kernel(core._factor(A)), compute_uv=False)
+    return s[..., ::-1][..., 1::2]
+
+
+def eig_spectrum(A):
+    """Oracle: |Im| of the eigenvalues of J A, one copy of each pair."""
+    J = core.symplectic_form(A.shape[-1] // 2)
+    return np.sort(np.abs(np.linalg.eigvals(J @ A).imag), axis=-1)[..., 1::2]
+
+
+class TestSmallSpectrum:
+    """k <= 2, and stacks with k = 3, are solved across the stack (core._small_spectrum)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_random_stack_against_oracles(self, routes, k):
+        rng = np.random.default_rng(30 + k)
+        mats = np.stack([random_pd(rng, 2 * k, 0.1, 10.0) for _ in range(500)])
+        d = core.symplectic_eigenvalues(mats)
+        assert d.shape == (500, k) and routes == ["small"]
+        assert np.all(np.diff(d, axis=-1) >= 0)
+        if k == 1:
+            np.testing.assert_allclose(d[:, 0], np.sqrt(np.linalg.det(mats)), rtol=1e-13)
+        np.testing.assert_allclose(d, svdvals_spectrum(mats), rtol=1e-13)
+        np.testing.assert_allclose(d, eig_spectrum(mats), rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("spread", [1e4, 1e6, 1e8])
+    def test_wide_spread_within_normwise_budget(self, routes, k, spread):
+        d_true = np.linspace(0.5, spread, k)
+        mats = np.stack([random_gmatrix(k, d_true, seed=s) for s in range(64)])
+        d = core.symplectic_eigenvalues(mats)
+        assert routes == ["small"]
+        budget = 4.0 * np.finfo(float).eps * spread / 0.5
+        assert np.abs(d / d_true - 1.0).max() <= budget
+        assert np.abs(d / svdvals_spectrum(mats) - 1.0).max() <= budget
+
+    @pytest.mark.parametrize("d_true", [[1.5, 1.5 + 1e-9], [1.5, 1.5 + 1e-9, 2.2], [0.7, 1.9, 1.9 + 1e-9]])
+    def test_near_degenerate_pairs_are_resolved(self, routes, d_true):
+        d_true = np.array(d_true)
+        k = len(d_true)
+        mats = np.stack([random_gmatrix(k, d_true, seed=s) for s in range(64)])
+        d = core.symplectic_eigenvalues(mats)
+        assert routes == ["small"]
+        np.testing.assert_allclose(d, np.broadcast_to(d_true, d.shape), rtol=1e-14)
+        np.testing.assert_allclose(d, svdvals_spectrum(mats), rtol=1e-14)
+
+    @pytest.mark.parametrize("L", [
+        # entries up to 1.5e308 and a finite skew kernel, but d_max / max |A| = 1.35 (k = 2), 1.77 (k = 3)
+        [[1, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0.25, 0], [0, 0, 1, 0.25]],
+        [[1, 0, 0, 0, 0, 0], [-1, 0.25, 0, 0, 0, 0], [-1, -1, 1, 0, 0, 0],
+         [1, 0, 1, 1, 0, 0], [1, 1, -1, 0, 0.5, 0], [-1, 1, 0, -1, 0, 0.5]],
+    ], ids=["k2", "k3"])
+    def test_spectrum_beyond_float_range_is_domain_error(self, routes, L):
+        L = np.array(L, dtype=float)
+        A = L @ L.T
+        A *= 1.5e308 / np.abs(A).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for X in (A, np.stack([A, A])):
+                with pytest.raises(DomainError, match="symplectic spectrum"):
+                    core.symplectic_eigenvalues(X)
+        assert routes[-1] == "small"  # the stack; one 6 x 6 matrix takes the singular values
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_overflowing_kernel_is_domain_error(self, routes, k):
+        # finite entries up to 1.75e308 whose skew kernel has the entry k * 1.4e308
+        L = 0.5 * np.eye(2 * k)
+        L[0::2, 0] = L[1::2, 1] = 1.0
+        A = 1.4e308 * (L @ L.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for X in (A, np.stack([A, A])):
+                with pytest.raises(DomainError, match="skew kernel"):
+                    core.symplectic_eigenvalues(X)
+        assert routes == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_large_finite_spectrum_stays_finite(self, k):
+        # d_j near 1e306: halving (k = 2) and power-of-two scaling (k = 3) keep every step finite
+        d_true = np.linspace(1.0, 4.0, k)
+        A = random_gmatrix(k, d_true, seed=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = core.symplectic_eigenvalues(np.stack([A, A]) * 1e306)
+        np.testing.assert_allclose(d / 1e306, np.broadcast_to(d_true, d.shape), rtol=1e-13)
 
 
 class TestBandRoute:
@@ -370,13 +469,16 @@ class TestBandRoute:
     def test_random_banded_agrees_with_svd(self, routes, k):
         rng = np.random.default_rng(20 + k)
         dim = 2 * k * (240 // (2 * k))
-        b_max = dim // core.BAND_RATIO - 2
+        b_max = core._band_limit(dim)
+        assert b_max == 18  # 12 (18 + 2) <= 240 < 12 (19 + 2)
         for b in range(b_max + 1):
             A = random_banded_pd(rng, dim, b)
             d = core.symplectic_eigenvalues(A)
             ref = svd_route(A)
             assert np.abs(d - ref).max() <= 1e-13 * ref[-1], b
         assert routes == ["band", "svd"] * (b_max + 1)
+        core.symplectic_eigenvalues(random_banded_pd(rng, dim, b_max + 1))
+        assert routes[-1] == "svd"
 
     def test_against_nonsymmetric_eigensolver(self, routes):
         T = toeplitz.assemble(matrix_symbol_k1(), 128)  # dim 256, b = 3
@@ -407,18 +509,39 @@ class TestBandRoute:
         assert np.abs(d / np.repeat(d_block, 32) - 1.0).max() <= budget
 
     def test_crossover(self, routes):
-        # lower bandwidth 3: the band route starts at dim BAND_RATIO * (3 + 2) = 120
+        # lower bandwidth 3: the band route starts at dim max(12 (3 + 2), (3 + 2)^2 / 2) = 60
         symbol = matrix_symbol_k1()
-        assert core.BAND_RATIO * 5 == 120
-        core.symplectic_eigenvalues(toeplitz.assemble(symbol, 60))
-        core.symplectic_eigenvalues(toeplitz.assemble(symbol, 59))
+        assert core._band_limit(60) == 3 and core._band_limit(58) == 2
+        core.symplectic_eigenvalues(toeplitz.assemble(symbol, 30))
+        core.symplectic_eigenvalues(toeplitz.assemble(symbol, 29))
         assert routes == ["band", "svd"]
+
+    def test_crossover_at_bandwidth_7(self, routes):
+        # k = 2, degree 1: the band route starts at dim 12 (7 + 2) = 108, order 27
+        symbol = bandwidth_7_k2()
+        assert core._band_limit(108) == 7 and core._band_limit(104) == 6
+        for n in (27, 26):
+            T = toeplitz.assemble(symbol, n)
+            assert core._lower_bandwidth(T[None]) is None and np.abs(np.diagonal(T, -7)).max() > 0
+            np.testing.assert_allclose(core.symplectic_eigenvalues(T), svd_route(T), rtol=1e-13)
+        assert routes == ["band", "svd", "svd", "svd"]
 
     def test_stacks_and_dense_keep_svd(self, routes):
         T = toeplitz.assemble(matrix_symbol_k1(), 64)
+        rng = np.random.default_rng(11)
         core.symplectic_eigenvalues(np.stack([T, T]))
-        core.symplectic_eigenvalues(random_pd(np.random.default_rng(11), 256))
-        assert routes == ["svd", "svd"]
+        core.symplectic_eigenvalues(np.stack([random_pd(rng, 8) for _ in range(3)]))  # k = 4
+        core.symplectic_eigenvalues(random_pd(rng, 256))
+        core.symplectic_eigenvalues(random_pd(rng, 6))  # one k = 3 matrix
+        assert routes == ["svd"] * 4
+
+    def test_small_matrices_take_the_stack_kernel(self, routes):
+        rng = np.random.default_rng(12)
+        for dim in (2, 4):
+            core.symplectic_eigenvalues(random_pd(rng, dim))
+            core.symplectic_eigenvalues(np.stack([random_pd(rng, dim) for _ in range(3)]))
+        core.symplectic_eigenvalues(np.stack([random_pd(rng, 6) for _ in range(3)]))
+        assert routes == ["small"] * 5
 
     def test_non_pd_carries_dense_eigenvalue(self, routes):
         T = toeplitz.assemble(scalar_symbol([1.0, 0.6]), 128)  # 1 + 1.2 cos(theta) dips below 0

@@ -227,19 +227,19 @@ class TestGChainBand:
             "random_k2": _near_identity(np.random.default_rng(3), 2, 1, 0.1),
         }
         references = {name: _embedding_witness(s, n) for name, s in cases.items()}
-        # band route: bandwidth 7 and 24 (7 + 2) <= N = 4n, so no dense eigensolve runs
-        assert core.BAND_RATIO * (7 + 2) <= 4 * n
+        # band route: bandwidth 7 <= core._band_limit(4n) (19 at N = 256), so no dense eigensolve runs
+        assert 7 <= core._band_limit(4 * n)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("dense witness on the band route"))
         for name, s in cases.items():
             witness = toeplitz.gchain_check(s, n).min_eigenvalue
             assert witness == pytest.approx(references[name], abs=1e-12), name
 
     def test_wide_band_takes_the_dense_witness(self, monkeypatch):
-        # degree 7, k = 2: bandwidth 31 and 24 (31 + 2) > 256 = N
+        # degree 7, k = 2: bandwidth 31 > core._band_limit(256) = 19
         s = _near_identity(np.random.default_rng(4), 2, 7, 0.05)
         n = 64
         ab = toeplitz._shifted_band(s, n, 0.0)
-        assert core.BAND_RATIO * (ab.shape[0] + 1) > ab.shape[1]
+        assert ab.shape[0] - 1 > core._band_limit(ab.shape[1])
         reference = _embedding_witness(s, n)
         band = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0]
         monkeypatch.setattr(toeplitz, "eigvals_banded", lambda *a, **kw: pytest.fail("band witness on a wide band"))
