@@ -71,4 +71,5 @@ from .toeplitz import (
     gchain_sweep,
     matrix_csv_bytes,
     quadratic_form_check,
+    truncation_spectrum,
 )

@@ -310,11 +310,10 @@ def cmd_spectrum(matrix, symbol, n, dump_truncation, **opts):
         values = core.symplectic_eigenvalues(matrix)
         source = {"source": "matrix", "dim": int(matrix.shape[0])}
     else:
-        T = toeplitz.assemble(symbol, n)
-        values = core.symplectic_eigenvalues(T)
+        values = toeplitz.truncation_spectrum(symbol, n)
         source = {"source": "symbol", "n": n, "k": symbol.k}
         if dump_truncation:
-            files["truncation.csv"] = toeplitz.matrix_csv_bytes(T)
+            files["truncation.csv"] = toeplitz.matrix_csv_bytes(toeplitz.assemble(symbol, n))
     files["spectrum.csv"] = _csv_bytes(["index", "value"], list(enumerate(values, 1)))
     summary = {**source, "values": [float(v) for v in values]}
     return files, [], summary

@@ -13,22 +13,20 @@ K = L^T J L, similar to J A.  The symplectic spectrum is the singular values
 of K and the Williamson form comes from its real Schur form; the first pair of
 the Williamson factor is the lower edge of the symplectic numerical range.
 
-The route to the spectrum depends only on the shape of the input.  Small
+The route to a dense input's spectrum depends only on its shape.  Small
 matrices, the nodes of symbol grids, are solved by array operations across
 the whole stack instead of one LAPACK call per matrix: closed forms for
 k = 1 and k = 2, and for a stack of 6 x 6 matrices (k = 3) a Givens skew
-tridiagonalisation followed by one-sided Jacobi on a 3 x 3 bidiagonal.  A
-single matrix of dimension N whose lower bandwidth b is small takes the band
-route (max(12 (b + 2), (b + 2)^2 / 2) <= N, so N >= 24): L keeps the band of
-A, K has half-bandwidth b + 1 and is formed on its band in O(N b^2), and the
-Hermitian band matrix iK, with eigenvalues +-d_j, is solved by band
-reduction.  A truncation of a degree-q symbol with k modes has
-b <= 2k(q + 1) - 1, so every large one takes it.  Stacks with k >= 4, wide-band
-and dense matrices, and every matrix below the crossover keep the singular
-values; williamson keeps the Schur form.
+tridiagonalisation followed by one-sided Jacobi on a 3 x 3 bidiagonal.
+Everything else takes the singular values of K; williamson keeps the Schur
+form.  A banded matrix, which is what a truncation of a finite-degree symbol
+is, comes to _band_spectrum as its LAPACK lower band (toeplitz._band writes
+it from the symbol's coefficients, and toeplitz decides when the band
+route wins): L keeps the band of A, K has half-bandwidth b + 1 and is formed
+on its band in O(N b^2), and the Hermitian band matrix iK, with eigenvalues
++-d_j, is solved by band reduction.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,30 +44,6 @@ from .errors import (
 SYM_TOL = 1e-12
 FACT_TOL = 1e-8
 PAIR_TOL = 1e-8
-# Crossover of the band route, dense (Cholesky, L^T (J L), svdvals) against
-# band, in ms: random banded positive definite matrices, best of 3-15 runs
-# in one process on 2 cores (OpenBLAS), each side's last loss and first win.
-#
-#   b    N: dense / band                      rule: band from N
-#   3    60: 0.35 / 0.39    64: 0.37 / 0.36     60
-#   7    90: 0.72 / 0.81   100: 0.97 / 0.90    108
-#  15   102: 1.18 / 1.32   120: 2.08 / 1.68    204
-#  23   250: 7.49 / 8.00   300: 13.1 / 12.1    313
-#  31   594: 80.6 / 83.4   660:  111 / 102     545
-#  47   980:  303 / 318   1176:  445 / 372    1201
-#  83  2040: 2144 / 2216   (no win to 2048)    3613
-#
-# Up to b ~ 23 the band route wins from N / (b + 2) ~ 7-13; wider bands need
-# N / (b + 2) to grow with b, about (b + 2) / 2.  Hence the rule
-# max(12 (b + 2), (b + 2)^2 / 2) <= N.
-def _band_limit(N: int) -> int:
-    """Largest lower bandwidth b with which one N x N matrix takes the band route.
-
-    The rule is max(12 (b + 2), (b + 2)^2 / 2) <= N (the table above); the
-    result is negative when no bandwidth qualifies.  toeplitz.gchain_check
-    reads the same limit for its witness.
-    """
-    return min(N // 12, math.isqrt(2 * N)) - 2
 
 
 def symplectic_form(k: int) -> np.ndarray:
@@ -102,23 +76,18 @@ def _require_finite(X: np.ndarray, what: str) -> np.ndarray:
     return X
 
 
-def _require_symmetric(A: np.ndarray, tol: float, what: str = "matrix") -> None:
-    dev = float(np.abs(A - np.swapaxes(A, -1, -2)).max())
-    _check_symmetry(dev, float(np.abs(A).max()), tol, what)
-
-
 def _check_symmetry(dev: float, amax: float, tol: float, what: str = "matrix") -> None:
     if dev > tol * max(1.0, amax):
         raise SymmetryError(f"{what} is not symmetric: max |A - A^T| = {dev:.3e}")
 
 
-def _not_positive_definite(A: np.ndarray) -> PositivityError:
-    """The error for a failed Cholesky factorization of A (one matrix or a stack).
+def _not_positive_definite(w: np.ndarray) -> PositivityError:
+    """The error for a failed Cholesky factorization, from ascending eigenvalues w.
 
-    One eigensolve finds the smallest eigenvalue to report, located at the
-    matrix of the stack with the smallest relative eigenvalue.
+    w holds the eigenvalues of one matrix or of each matrix of a stack; the
+    smallest is reported, located at the matrix of the stack with the
+    smallest relative eigenvalue.
     """
-    w = np.linalg.eigvalsh(A)
     low = w[..., 0]
     where = None
     if low.ndim:
@@ -140,11 +109,13 @@ def _factor(A: np.ndarray) -> np.ndarray:
     it breaks down does one eigensolve find the smallest eigenvalue to report.
     Both read the lower triangle of A only.
     """
-    _require_symmetric(_require_finite(A, "matrix"), SYM_TOL)
+    _require_finite(A, "matrix")
+    dev = float(np.abs(A - np.swapaxes(A, -1, -2)).max(initial=0.0))
+    _check_symmetry(dev, float(np.abs(A).max(initial=0.0)), SYM_TOL)
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        raise _not_positive_definite(A) from None
+        raise _not_positive_definite(np.linalg.eigvalsh(A)) from None
 
 
 def _skew_kernel(L: np.ndarray) -> np.ndarray:
@@ -308,50 +279,24 @@ def _bidiagonal_jacobi(B: np.ndarray) -> np.ndarray:
     return np.sort(np.sqrt((B * B).sum(axis=1)), axis=0)
 
 
-def _lower_bandwidth(A: np.ndarray):
-    """(b, rows, cols) when one matrix takes the band route, else None.
+def _band_spectrum(ab: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a positive definite matrix given by its LAPACK lower band.
 
-    b is the lower bandwidth, the largest r - c over nonzero entries A[r, c]
-    (the Cholesky step reads the lower triangle only); rows and cols locate
-    every nonzero entry, NaN and inf included.  A count rejects dense inputs
-    before any index array is built.
-    """
-    if A.ndim != 2:
-        return None
-    N = A.shape[0]
-    b_max = _band_limit(N)
-    if b_max < 0:
-        return None
-    nonzero = A != 0
-    if np.count_nonzero(nonzero) > N * (2 * b_max + 1):
-        return None
-    r, c = np.divmod(np.flatnonzero(nonzero), N)
-    b = int((r - c).max(initial=0))
-    return (b, r, c) if b <= b_max else None
-
-
-def _band_spectrum(A: np.ndarray, b: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of one matrix of lower bandwidth b, on its band.
-
-    The input checks read only the nonzero positions and their transposes,
-    which gives the dense checks' finiteness, deviation and scale exactly.
-    The lower band of L comes from a band Cholesky factor; a row pair
+    ab[t, c] = A[c + t, c] for t = 0 .. b (toeplitz._band writes it for a
+    truncation); its finiteness is the writer's check.  The lower band of L
+    comes from a band Cholesky factor, whose breakdown reports the smallest
+    eigenvalue of the band (eigvals_banded, select="i").  A row pair
     (2p, 2p + 1) of L adds a rank-2 skew term on columns 2p - b .. 2p + 1 to
     K = L^T J L, so K has half-bandwidth b + 1.  Its upper band is formed in
     O(N b^2) and the Hermitian band matrix iK, with eigenvalues +-d_j, is
     solved by band reduction.
     """
-    N = A.shape[0]
-    vals = _require_finite(A[r, c], "matrix")
-    dev = float(np.abs(vals - A[c, r]).max(initial=0.0))
-    _check_symmetry(dev, float(np.abs(vals).max(initial=0.0)), SYM_TOL)
-    ab = np.zeros((b + 1, N))
-    for t in range(b + 1):
-        ab[t, : N - t] = np.diagonal(A, -t)
+    b, N = ab.shape[0] - 1, ab.shape[1]
     try:
-        Lb = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+        Lb = cholesky_banded(ab, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
-        raise _not_positive_definite(A) from None
+        w = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0), check_finite=False)
+        raise _not_positive_definite(w) from None
     # Lb[t, c] = L[c + t, c]; split by the parity of the row c + t, which
     # decides whether J pairs it with the row below (+) or above (-).
     even = np.where((np.arange(N) + np.arange(b + 1)[:, None]) % 2 == 0, Lb, 0.0)
@@ -384,16 +329,13 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     The route follows the shape.  k <= 2, and stacks with k = 3, take
     _small_spectrum: array operations over the stack that give each d_j
     once, so the pairs are exact by construction, with the same accuracy
-    class.  One matrix with a narrow band (b <= _band_limit(N)) is solved on
-    its band: the eigenvalues +-d_j of the Hermitian band matrix iK, each
-    |w+| paired with its |w-|.  Everything else takes the singular values of
-    K, whose copies of each d_j are paired under PAIR_TOL.
+    class.  Everything else takes the singular values of K, whose copies of
+    each d_j are paired under PAIR_TOL.  A stack of no matrices, shape
+    (0, 2k, 2k), gives shape (0, k).  Banded truncations reach the band
+    kernel through toeplitz.truncation_spectrum, not through this function.
     """
     A = np.asarray(A, dtype=float)
     _even_dim(A)
-    band = _lower_bandwidth(A)
-    if band is not None:
-        return _band_spectrum(A, *band)
     K = _skew_kernel(_factor(A))
     n = K.shape[-1]
     if n <= 4 or (n == 6 and K.ndim > 2):

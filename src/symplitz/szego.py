@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import core, symbols, toeplitz
+from . import symbols, toeplitz
 from .errors import DomainError, IndexRangeError, PositivityError
 
 EPS_LADDER = (0.2, 0.1, 0.05)
@@ -116,7 +116,7 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
 
     def one(n):
         try:
-            return core.symplectic_eigenvalues(toeplitz.assemble(symbol, n))
+            return toeplitz.truncation_spectrum(symbol, n)
         except PositivityError as err:
             raise PositivityError(
                 f"truncation of order n = {n} is not positive definite "

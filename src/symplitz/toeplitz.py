@@ -1,20 +1,23 @@
 """Truncations of block Toeplitz operators and their structure checks.
 
-Truncations are plain dense ndarrays: the experiments need many moderate
-sizes rather than one huge one, so correctness and simplicity win over
-structured storage.  Every symbol is a cosine series (samples are projected
-by symbols.from_samples), so block (i, j) is its coefficient |i - j|.  A
-degree-q truncation with k modes is banded (lower bandwidth at most
-2k(q + 1) - 1); core.symplectic_eigenvalues finds that band in the dense
-array and, once the dimension is large enough, solves on it.  The
-covariance (G-chain) test is the one place where a complex shift enters, and
-it never assembles the truncation: H_n = T_n + (i/2) J has the lower
-bandwidth of T_n, so its lower band is written straight from the
-coefficients.  Its verdicts come from a band Cholesky factor and its witness
-from a band eigensolve of the smallest eigenvalue, or, where the band is
-wide, from a dense Hermitian eigensolve of that band.
+Every symbol is a cosine series (samples are projected by
+symbols.from_samples), so block (i, j) of the order-n truncation T_n is its
+coefficient |i - j|.  A degree-q truncation with k modes is banded (lower
+bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
+straight from the coefficients; it is the only source of a truncation's
+band.  truncation_spectrum hands that band to the core band kernel once the
+dimension is large enough for the band to win (_band_limit), and solves the
+dense truncation otherwise.  The covariance (G-chain) test is the one place
+where a complex shift enters: H_n = T_n + (i/2) J + shift I is the same band
+with the shift on the diagonal and J on the first subdiagonal.  Its verdicts
+come from a band Cholesky factor and its witness from a band eigensolve of
+the smallest eigenvalue, or, where the band is wide, from a dense Hermitian
+eigensolve of that band.  Dense truncations (assemble) are built only for
+matrix dumps, quadratic_form_check, truncations that miss the band rule and
+the tests' oracles.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,32 @@ from .errors import AliasingError, DomainError, GridError, InvalidDimensionError
 from .symbols import MAX_GRID_ENTRIES, GridSpec, TrigMatrixPolynomial
 
 MAX_DIM = 4096
+
+
+# Crossover of the band route, dense (Cholesky, L^T (J L), svdvals) against
+# band, in ms: random banded positive definite matrices, best of 3-15 runs
+# in one process on 2 cores (OpenBLAS), each side's last loss and first win.
+#
+#   b    N: dense / band                      rule: band from N
+#   3    60: 0.35 / 0.39    64: 0.37 / 0.36     60
+#   7    90: 0.72 / 0.81   100: 0.97 / 0.90    108
+#  15   102: 1.18 / 1.32   120: 2.08 / 1.68    204
+#  23   250: 7.49 / 8.00   300: 13.1 / 12.1    313
+#  31   594: 80.6 / 83.4   660:  111 / 102     545
+#  47   980:  303 / 318   1176:  445 / 372    1201
+#  83  2040: 2144 / 2216   (no win to 2048)    3613
+#
+# Up to b ~ 23 the band route wins from N / (b + 2) ~ 7-13; wider bands need
+# N / (b + 2) to grow with b, about (b + 2) / 2.  Hence the rule
+# max(12 (b + 2), (b + 2)^2 / 2) <= N.
+def _band_limit(N: int) -> int:
+    """Largest lower bandwidth b with which an N x N truncation is solved on its band.
+
+    The rule is max(12 (b + 2), (b + 2)^2 / 2) <= N (the table above); the
+    result is negative when no bandwidth qualifies.  truncation_spectrum and
+    the G-chain witness both route on it.
+    """
+    return min(N // 12, math.isqrt(2 * N)) - 2
 
 
 def truncation_dim(symbol: TrigMatrixPolynomial, n: int) -> int:
@@ -55,6 +84,52 @@ def assemble(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
             if off:
                 T[c : c + b, r : r + b] = blk
     return T
+
+
+def _band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
+    """LAPACK lower band ab[t, c] = T_n[c + t, c] of the order-n truncation, in O(N b).
+
+    With m = 2k and q = min(degree, n - 1), entry (c + t, c) is entry
+    ((c % m + t) % m, c % m) of block (c % m + t) // m <= q + 1, so each
+    diagonal repeats with period m: one period, padded by a zero block q + 1
+    (which also holds every first-period slot past the last row), is tiled.
+    A period row is nonzero exactly when its diagonal is, so trimming the
+    trailing zero rows there makes b = ab.shape[0] - 1 the largest offset of
+    a nonzero entry.  The period holds every entry of T_n, so checking it
+    raises DomainError exactly when the truncation has a non-finite entry.
+    """
+    N = truncation_dim(symbol, n)
+    m = symbol.block_dim
+    q = min(symbol.degree, n - 1)
+    blocks = np.zeros((q + 2, m, m))
+    blocks[: q + 1] = symbol.coeffs[: q + 1]
+    s = np.arange(m) + np.arange(m * (q + 1))[:, None]
+    period = blocks[s // m, s % m, np.arange(m)]
+    if not np.isfinite(period).all():
+        raise DomainError(f"truncation of order n = {n} has entries outside the float range")
+    rows = np.flatnonzero(period.any(axis=1))
+    b = int(rows[-1]) if rows.size else 0
+    ab = np.tile(period[: b + 1], n)
+    ab[~_in_band(b, N)] = 0.0
+    return ab
+
+
+def _in_band(b: int, N: int) -> np.ndarray:
+    """Mask of the band slots ab[t, c] that hold an entry, those with c + t < N."""
+    return np.add.outer(np.arange(b + 1), np.arange(N)) < N
+
+
+def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
+    """Symplectic spectrum of the order-n truncation, ascending.
+
+    The truncation is solved on its band (core._band_spectrum) when its
+    bandwidth b satisfies b <= _band_limit(N), which builds no dense array,
+    and by core.symplectic_eigenvalues of the assembled truncation otherwise.
+    """
+    ab = _band(symbol, n)
+    if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):
+        return core._band_spectrum(ab)
+    return core.symplectic_eigenvalues(assemble(symbol, n))
 
 
 @dataclass(frozen=True)
@@ -114,36 +189,15 @@ class GChainCheck:
 
 
 def _shifted_band(symbol: TrigMatrixPolynomial, n: int, shift: float) -> np.ndarray:
-    """LAPACK lower band ab[t, c] = H[c + t, c] of H = T_n + (i/2) J + shift I.
-
-    With m = 2k and q = min(degree, n - 1), the lower bandwidth is
-    b = m (q + 1) - 1 <= N - 1.  Entry (c + t, c) has block offset
-    (c % m + t) // m <= q + 1 and in-block position ((c % m + t) % m, c % m),
-    so each diagonal repeats with period m and one zero block pads offset
-    q + 1.  Every nonzero entry of T_n lies in the band and appears in that
-    period, so checking the period raises DomainError exactly when the
-    truncation holds a non-finite entry.  The band takes O(N b) memory.
-    """
-    N = truncation_dim(symbol, n)
-    m = symbol.block_dim
-    q = min(symbol.degree, n - 1)
-    b = m * (q + 1) - 1
-    blocks = np.zeros((q + 2, m, m))
-    blocks[: q + 1] = symbol.coeffs[: q + 1]
-    s = np.arange(m) + np.arange(b + 1)[:, None]
-    period = blocks[s // m, s % m, np.arange(m)].astype(complex)
-    if not np.isfinite(period).all():
-        raise DomainError(f"truncation of order n = {n} has entries outside the float range")
-    period[0] += shift
-    period[1, ::2] -= 0.5j
-    ab = np.tile(period, n)
-    ab[~_in_band(b, N)] = 0.0
-    return ab
-
-
-def _in_band(b: int, N: int) -> np.ndarray:
-    """Mask of the band slots ab[t, c] that hold an entry, those with c + t < N."""
-    return np.add.outer(np.arange(b + 1), np.arange(N)) < N
+    """LAPACK lower band of H = T_n + (i/2) J + shift I: the band of T_n, with
+    the shift on the diagonal and -i/2 at the even columns of the first
+    subdiagonal, which is added when T_n has none."""
+    ab = _band(symbol, n)
+    H = np.zeros((max(ab.shape[0], 2), ab.shape[1]), dtype=complex)
+    H[: ab.shape[0]] = ab
+    H[0] += shift
+    H[1, ::2] -= 0.5j
+    return H
 
 
 def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GChainCheck:
@@ -153,18 +207,18 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GC
     truncation passes when it is >= -tol.  It equals the smallest eigenvalue of
     the real symmetric embedding [[T_n, -J/2], [J/2, T_n]], at half its size.
     It is solved from the lower band of bandwidth b: by a band eigensolve of
-    that one eigenvalue when b <= core._band_limit(N), the crossover of the
-    core band route, otherwise by a dense Hermitian eigensolve of the band
+    that one eigenvalue when b <= _band_limit(N), the crossover of the
+    truncation spectrum, otherwise by a dense Hermitian eigensolve of the band
     unpacked into a lower triangle, which wins at wide bands.  Measured on 2
-    cores, this one-eigenvalue band solve wins from lower N than the core
-    route does (b = 7 from N ~ 48, b = 15 from 64, b = 31 from 256, b = 83 at
-    2048, where the two are even).  Below the shared limit it would save
+    cores, this one-eigenvalue band solve wins from lower N than the band
+    spectrum does (b = 7 from N ~ 48, b = 15 from 64, b = 31 from 256, b = 83
+    at 2048, where the two are even).  Below the shared limit it would save
     under 2 ms at b <= 15 and at most a quarter (13 ms at b = 31, N = 512),
-    so the witness keeps the core rule.
+    so the witness keeps the same rule.
     """
     ab = _shifted_band(symbol, n, 0.0)
     b, N = ab.shape[0] - 1, ab.shape[1]
-    if b <= core._band_limit(N):
+    if b <= _band_limit(N):
         w = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0), check_finite=False)
     else:
         t, c = np.nonzero(_in_band(b, N))

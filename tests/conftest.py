@@ -28,6 +28,19 @@ def hermitian_embedding(S, C):
     return np.block([[S, -C], [C, S]])
 
 
+def lower_band(A, b=None):
+    """LAPACK lower band ab[t, c] = A[c + t, c], t = 0 .. b, of a dense matrix;
+    b defaults to the offset of its last nonzero diagonal."""
+    if b is None:
+        r, c = np.nonzero(A)
+        b = int((r - c).max(initial=0))
+    N = A.shape[0]
+    ab = np.zeros_like(A, shape=(b + 1, N))
+    for t in range(b + 1):
+        ab[t, : N - t] = np.diagonal(A, -t)
+    return ab
+
+
 def matrix_symbol_k1():
     a0 = np.array([[2.0, 0.3], [0.3, 1.5]])
     a1 = np.array([[0.2, 0.1], [0.1, -0.1]])
@@ -60,6 +73,11 @@ def matrix_symbol_k2():
         ]
     )
     return TrigMatrixPolynomial(np.stack([a0, a1, a2]))
+
+
+def degree_one_k2():
+    """Non-separable k = 2 symbol of degree 1 (lower bandwidth 6 in every truncation: a_1[3, 0] = 0)."""
+    return TrigMatrixPolynomial(matrix_symbol_k2().coeffs[:2])
 
 
 def symbol_corpus():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from symplitz import TrigMatrixPolynomial, core, scalar_symbol, szego, toeplitz
+from symplitz import TrigMatrixPolynomial, cli, core, scalar_symbol, szego, toeplitz
 from symplitz.errors import (
     DegeneratePairError,
     DomainError,
@@ -13,7 +13,15 @@ from symplitz.errors import (
     PositivityError,
     SymmetryError,
 )
-from conftest import hermitian_embedding, matrix_symbol_k1, matrix_symbol_k2, random_gmatrix, random_pd
+from conftest import (
+    degree_one_k2,
+    hermitian_embedding,
+    lower_band,
+    matrix_symbol_k1,
+    matrix_symbol_k2,
+    random_gmatrix,
+    random_pd,
+)
 
 
 class TestSymplecticForm:
@@ -111,6 +119,12 @@ class TestSymplecticEigenvalues:
         batch = core.symplectic_eigenvalues(mats)
         for i in range(7):
             np.testing.assert_allclose(batch[i], core.symplectic_eigenvalues(mats[i]), atol=1e-13)
+
+    @pytest.mark.parametrize("k, route", [(1, "small"), (2, "small"), (3, "small"), (4, "svd")])
+    def test_empty_stack(self, routes, k, route):
+        # closed forms (k = 1, 2), Givens-Jacobi (k = 3) and singular values (k = 4)
+        d = core.symplectic_eigenvalues(np.zeros((0, 2 * k, 2 * k)))
+        assert d.shape == (0, k) and routes == [route]
 
     def test_pairing_guard_raises_on_odd_structure(self):
         # direct probe of the pair-collapse helper, not reachable through the API
@@ -341,11 +355,6 @@ def svd_route(A):
     return core.symplectic_eigenvalues(A[None])[0]
 
 
-def degree_one_k2():
-    """Non-separable k = 2 symbol of degree 1 (lower bandwidth 6 in every truncation: a_1[3, 0] = 0)."""
-    return TrigMatrixPolynomial(matrix_symbol_k2().coeffs[:2])
-
-
 def bandwidth_7_k2():
     """degree_one_k2 with a_1[3, 0] = a_1[0, 3] = 0.01: lower bandwidth 2k (q + 1) - 1 = 7."""
     coeffs = matrix_symbol_k2().coeffs[:2].copy()
@@ -454,36 +463,38 @@ class TestSmallSpectrum:
 
 
 class TestBandRoute:
+    """Truncations reach core._band_spectrum as their band (toeplitz.truncation_spectrum);
+    other banded matrices are handed their lower band by lower_band."""
+
     @pytest.mark.parametrize("name,n", [
         ("phi_2_cos", 64), ("phi_margin", 256), ("matrix_k1", 128), ("ab_geometric", 256),
         ("matrix_k2", 128), ("const_k2", 64), ("matrix_k2", 512),
     ])
     def test_corpus_agrees_with_svd(self, corpus, routes, name, n):
-        T = toeplitz.assemble(corpus[name], n)  # dims 128 .. 2048
-        d = core.symplectic_eigenvalues(T)
+        d = toeplitz.truncation_spectrum(corpus[name], n)  # dims 128 .. 2048
         assert routes == ["band"]
-        ref = svd_route(T)
+        ref = svd_route(toeplitz.assemble(corpus[name], n))
         assert np.abs(d - ref).max() <= 1e-13 * ref[-1]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_random_banded_agrees_with_svd(self, routes, k):
         rng = np.random.default_rng(20 + k)
         dim = 2 * k * (240 // (2 * k))
-        b_max = core._band_limit(dim)
+        b_max = toeplitz._band_limit(dim)
         assert b_max == 18  # 12 (18 + 2) <= 240 < 12 (19 + 2)
         for b in range(b_max + 1):
             A = random_banded_pd(rng, dim, b)
-            d = core.symplectic_eigenvalues(A)
+            ab = lower_band(A)
+            assert ab.shape == (b + 1, dim)
+            d = core._band_spectrum(ab)
             ref = svd_route(A)
             assert np.abs(d - ref).max() <= 1e-13 * ref[-1], b
         assert routes == ["band", "svd"] * (b_max + 1)
-        core.symplectic_eigenvalues(random_banded_pd(rng, dim, b_max + 1))
-        assert routes[-1] == "svd"
 
     def test_against_nonsymmetric_eigensolver(self, routes):
-        T = toeplitz.assemble(matrix_symbol_k1(), 128)  # dim 256, b = 3
-        d = core.symplectic_eigenvalues(T)
+        d = toeplitz.truncation_spectrum(matrix_symbol_k1(), 128)  # dim 256, b = 3
         assert routes == ["band"]
+        T = toeplitz.assemble(matrix_symbol_k1(), 128)
         ev = np.linalg.eigvals(core.symplectic_form(128) @ T)
         oracle = np.sort(np.abs(ev.imag))[::2]
         np.testing.assert_allclose(d, oracle, atol=1e-10 * d[-1])
@@ -493,7 +504,7 @@ class TestBandRoute:
         # acceptance 15's matrix and bound, 32 copies on the diagonal (dim 192, b = 5)
         d_block = np.array([0.5, 1.0, spread])
         A = block_diag(*[random_gmatrix(3, d_block, seed=15)] * 32)
-        d = core.symplectic_eigenvalues(A)
+        d = core._band_spectrum(lower_band(A))
         assert routes == ["band"]
         assert np.abs(d / np.repeat(d_block, 32) - 1.0).max() <= 1e-10
 
@@ -503,7 +514,7 @@ class TestBandRoute:
         # on the smallest d_j (1e6: band 3.5e-10, singular values 2.0e-10)
         d_block = np.array([0.5, 1.0, spread])
         A = block_diag(*[random_gmatrix(3, d_block, seed=s) for s in range(32)])
-        d = core.symplectic_eigenvalues(A)
+        d = core._band_spectrum(lower_band(A))
         assert routes == ["band"]
         budget = 4.0 * np.finfo(float).eps * spread / 0.5
         assert np.abs(d / np.repeat(d_block, 32) - 1.0).max() <= budget
@@ -511,29 +522,31 @@ class TestBandRoute:
     def test_crossover(self, routes):
         # lower bandwidth 3: the band route starts at dim max(12 (3 + 2), (3 + 2)^2 / 2) = 60
         symbol = matrix_symbol_k1()
-        assert core._band_limit(60) == 3 and core._band_limit(58) == 2
-        core.symplectic_eigenvalues(toeplitz.assemble(symbol, 30))
-        core.symplectic_eigenvalues(toeplitz.assemble(symbol, 29))
+        assert toeplitz._band_limit(60) == 3 and toeplitz._band_limit(58) == 2
+        assert toeplitz._band(symbol, 30).shape == (4, 60)
+        toeplitz.truncation_spectrum(symbol, 30)
+        toeplitz.truncation_spectrum(symbol, 29)
         assert routes == ["band", "svd"]
 
     def test_crossover_at_bandwidth_7(self, routes):
         # k = 2, degree 1: the band route starts at dim 12 (7 + 2) = 108, order 27
         symbol = bandwidth_7_k2()
-        assert core._band_limit(108) == 7 and core._band_limit(104) == 6
+        assert toeplitz._band_limit(108) == 7 and toeplitz._band_limit(104) == 6
         for n in (27, 26):
-            T = toeplitz.assemble(symbol, n)
-            assert core._lower_bandwidth(T[None]) is None and np.abs(np.diagonal(T, -7)).max() > 0
-            np.testing.assert_allclose(core.symplectic_eigenvalues(T), svd_route(T), rtol=1e-13)
+            assert toeplitz._band(symbol, n).shape[0] == 8
+            d = toeplitz.truncation_spectrum(symbol, n)
+            np.testing.assert_allclose(d, svd_route(toeplitz.assemble(symbol, n)), rtol=1e-13)
         assert routes == ["band", "svd", "svd", "svd"]
 
     def test_stacks_and_dense_keep_svd(self, routes):
         T = toeplitz.assemble(matrix_symbol_k1(), 64)
         rng = np.random.default_rng(11)
         core.symplectic_eigenvalues(np.stack([T, T]))
+        core.symplectic_eigenvalues(T)  # dense input is routed by shape, banded or not
         core.symplectic_eigenvalues(np.stack([random_pd(rng, 8) for _ in range(3)]))  # k = 4
         core.symplectic_eigenvalues(random_pd(rng, 256))
         core.symplectic_eigenvalues(random_pd(rng, 6))  # one k = 3 matrix
-        assert routes == ["svd"] * 4
+        assert routes == ["svd"] * 5
 
     def test_small_matrices_take_the_stack_kernel(self, routes):
         rng = np.random.default_rng(12)
@@ -544,11 +557,13 @@ class TestBandRoute:
         assert routes == ["small"] * 5
 
     def test_non_pd_carries_dense_eigenvalue(self, routes):
-        T = toeplitz.assemble(scalar_symbol([1.0, 0.6]), 128)  # 1 + 1.2 cos(theta) dips below 0
+        symbol = scalar_symbol([1.0, 0.6])  # 1 + 1.2 cos(theta) dips below 0
         with pytest.raises(PositivityError) as exc:
-            core.symplectic_eigenvalues(T)
-        assert routes == []  # the band factor broke down before any eigensolve
-        assert exc.value.min_eigenvalue == np.linalg.eigvalsh(T)[0] < 0
+            toeplitz.truncation_spectrum(symbol, 128)
+        # the band factor broke down; one eigenvalue of the band, no dense eigensolve
+        assert routes == ["band"]
+        dense = np.linalg.eigvalsh(toeplitz.assemble(symbol, 128))[0]
+        assert exc.value.min_eigenvalue == pytest.approx(dense, abs=1e-13) and dense < 0
         assert exc.value.where is None
 
     def test_overflowing_kernel_is_domain_error(self, routes):
@@ -559,9 +574,9 @@ class TestBandRoute:
         for j in range(4):
             L[c + 2 * j, c] = L[c + 1 + 2 * j, c + 1] = 1.0
         A = 1.4e308 * (L @ L.T)
-        for X in (A, A[None]):
+        for solve, X in ((core._band_spectrum, lower_band(A)), (core.symplectic_eigenvalues, A)):
             with pytest.raises(DomainError, match="skew kernel"):
-                core.symplectic_eigenvalues(X)
+                solve(X)
         assert routes == []
 
     def test_spectrum_beyond_float_range_is_domain_error(self):
@@ -573,41 +588,46 @@ class TestBandRoute:
             B[np.arange(t, dim), np.arange(dim - t)] = (-1.0) ** (np.arange(dim - t) + t)
         A = B @ B.T
         A *= 1.7e308 / np.abs(A).max()
-        for X in (A, A[None]):
+        for solve, X in ((core._band_spectrum, lower_band(A)), (core.symplectic_eigenvalues, A)):
             with pytest.raises(DomainError, match="symplectic spectrum"):
-                core.symplectic_eigenvalues(X)
+                solve(X)
 
     def test_ladder_makes_no_svd_call(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called")
+        def refuse(what):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{what} called")
 
-        monkeypatch.setattr(np.linalg, "svd", refuse)
+            return call
+
+        # neither the singular values nor a dense truncation: each order is written as its band
+        monkeypatch.setattr(np.linalg, "svd", refuse("np.linalg.svd"))
+        monkeypatch.setattr(toeplitz, "assemble", refuse("toeplitz.assemble"))
         traj = szego.truncated_spectra(degree_one_k2(), [64, 128, 256, 512])  # dims 256 .. 2048
         assert [len(traj.spectra[n]) for n in traj.ns] == [128, 256, 512, 1024]
+        files, _, summary = cli.cmd_spectrum(None, degree_one_k2(), 128, False)  # dim 512
+        assert list(files) == ["spectrum.csv"] and summary["values"] == traj.spectra[128].tolist()
 
 
 class TestBandInputChecks:
-    """The band route checks only nonzero positions, with the dense verdicts."""
+    """A dense banded matrix takes the dense input checks, far-upper entries included."""
 
     @staticmethod
     def banded():
-        A = toeplitz.assemble(matrix_symbol_k1(), 128)  # dim 256, b = 3
-        assert core._lower_bandwidth(A) is not None
-        return A
+        return toeplitz.assemble(matrix_symbol_k1(), 128)  # dim 256, b = 3
 
     def test_far_upper_asymmetry_raises(self, routes):
         A = self.banded()
         A[3, 250] = 2 * core.SYM_TOL * np.abs(A).max()
         with pytest.raises(SymmetryError):
             core.symplectic_eigenvalues(A)
-        assert core._lower_bandwidth(A) is not None and routes == []
+        assert routes == []
 
     def test_asymmetry_within_tolerance_passes(self, routes):
         A = self.banded()
         A[3, 250] = 0.5 * core.SYM_TOL * np.abs(A).max()
         clean = core.symplectic_eigenvalues(self.banded())
         np.testing.assert_array_equal(core.symplectic_eigenvalues(A), clean)
-        assert routes == ["band", "band"]
+        assert routes == ["svd", "svd"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_far_upper_non_finite_raises(self, routes, bad):

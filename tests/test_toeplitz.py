@@ -5,7 +5,7 @@ from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, symbols, toeplitz
 from symplitz.errors import AliasingError, GridError, InvalidDimensionError, PositivityError, TruncationSizeError
-from conftest import hermitian_embedding, matrix_symbol_k2
+from conftest import degree_one_k2, hermitian_embedding, lower_band, matrix_symbol_k2
 
 
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta), k = 1
@@ -192,25 +192,45 @@ def _embedding_witness(s, n):
     return np.linalg.eigvalsh(hermitian_embedding(T, 0.5 * core.symplectic_form(T.shape[0] // 2)))[0]
 
 
+def _check_band_writer(s, n):
+    """toeplitz._band and _shifted_band against assemble, bit for bit; returns the bandwidth."""
+    T = toeplitz.assemble(s, n)
+    N = T.shape[0]
+    expected = lower_band(T)  # through the largest offset of a nonzero entry
+    b = expected.shape[0] - 1
+    ab = toeplitz._band(s, n)
+    assert ab.shape == (b + 1, N)
+    # bit for bit, the zeros outside the band included
+    np.testing.assert_array_equal(ab.view(np.uint64), expected.view(np.uint64))
+    H = T + 0.5j * core.symplectic_form(N // 2)
+    bh = max(b, 1)  # J needs the first subdiagonal
+    hb = toeplitz._shifted_band(s, n, 0.0)
+    assert hb.shape == (bh + 1, N) and not np.tril(H, -bh - 1).any()
+    np.testing.assert_array_equal(hb.view(np.uint64), lower_band(H, bh).view(np.uint64))
+    return b
+
+
 class TestGChainBand:
-    """The G-chain pivot and witness run on the lower band of T_n + (i/2) J."""
+    """Truncations are written as their lower band (toeplitz._band); the G-chain
+    pivot and witness run on that band with (i/2) J and the shift added."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_band_is_lower_band_of_dense(self, k, degree):
         s = symbols.TrigMatrixPolynomial(_random_blocks(np.random.default_rng(10 * k + degree), k, degree))
         for n in sorted({1, 2, degree, degree + 1, degree + 3} - {0}):
-            H = toeplitz.assemble(s, n) + 0.5j * core.symplectic_form(k * n)
-            N = H.shape[0]
-            ab = toeplitz._shifted_band(s, n, 0.0)
-            b = min(2 * k * (min(degree, n - 1) + 1) - 1, N - 1)
-            assert ab.shape == (b + 1, N)
-            assert not np.tril(H, -b - 1).any()
-            expected = np.zeros_like(H, shape=ab.shape)
-            for t in range(b + 1):
-                expected[t, : N - t] = np.diagonal(H, -t)
-            # bit for bit, the zeros outside the band included
-            np.testing.assert_array_equal(ab.view(np.uint64), expected.view(np.uint64))
+            _check_band_writer(s, n)
+
+    @pytest.mark.parametrize("make, b", [
+        (lambda: symbols.scalar_symbol([0.75, 0.125], k=2), 4),
+        (degree_one_k2, 6),
+        (lambda: symbols.constant_symbol(np.diag([2.0, 3.0, 1.5, 2.5])), 0),  # the shifted band pads a row
+    ], ids=["scalar_k2", "degree_one_k2", "diagonal_k2"])
+    def test_band_is_trimmed_to_the_last_nonzero_diagonal(self, make, b):
+        s = make()
+        for n in (1, 2, 3, 8):
+            _check_band_writer(s, n)
+        assert _check_band_writer(s, 8) == b
 
     def test_shift_is_on_the_diagonal(self):
         s = matrix_symbol_k2()
@@ -227,19 +247,20 @@ class TestGChainBand:
             "random_k2": _near_identity(np.random.default_rng(3), 2, 1, 0.1),
         }
         references = {name: _embedding_witness(s, n) for name, s in cases.items()}
-        # band route: bandwidth 7 <= core._band_limit(4n) (19 at N = 256), so no dense eigensolve runs
-        assert 7 <= core._band_limit(4 * n)
+        # band route: bandwidths 4 (scalar) and 7 <= toeplitz._band_limit(4n) (19 at N = 256),
+        # so no dense eigensolve runs
+        assert 7 <= toeplitz._band_limit(4 * n)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("dense witness on the band route"))
         for name, s in cases.items():
             witness = toeplitz.gchain_check(s, n).min_eigenvalue
             assert witness == pytest.approx(references[name], abs=1e-12), name
 
     def test_wide_band_takes_the_dense_witness(self, monkeypatch):
-        # degree 7, k = 2: bandwidth 31 > core._band_limit(256) = 19
+        # degree 7, k = 2: bandwidth 31 > toeplitz._band_limit(256) = 19
         s = _near_identity(np.random.default_rng(4), 2, 7, 0.05)
         n = 64
         ab = toeplitz._shifted_band(s, n, 0.0)
-        assert ab.shape[0] - 1 > core._band_limit(ab.shape[1])
+        assert ab.shape[0] - 1 > toeplitz._band_limit(ab.shape[1])
         reference = _embedding_witness(s, n)
         band = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0]
         monkeypatch.setattr(toeplitz, "eigvals_banded", lambda *a, **kw: pytest.fail("band witness on a wide band"))
