@@ -132,25 +132,22 @@ def _skew_kernel(L: np.ndarray) -> np.ndarray:
     return _require_finite(K, "skew kernel L^T J L")
 
 
-def _pair_sorted(w: np.ndarray, pair_tol: float) -> np.ndarray:
-    """Collapse ascending eigenvalues with exact multiplicity two into one copy."""
-    return _pair_mean(w[..., 0::2], w[..., 1::2], pair_tol)
-
-
 def _pair_mean(lo: np.ndarray, hi: np.ndarray, pair_tol: float) -> np.ndarray:
     """Mean of each pair lo <= hi of copies of one value, after the relative-gap check.
 
     A finite matrix can have symplectic eigenvalues beyond the float range
     (entries near 1e308 whose rows add up); that raises DomainError, read off
-    hi, which holds the larger copy of every pair.
+    hi, which holds the larger copy of every pair.  The copies agree to about
+    eps d_max / d_j, so a wide gap (lo, hi ascending) means ill-conditioning.
     """
     _require_finite(hi, "symplectic spectrum")
     gap = (hi - lo) / np.maximum(hi, np.finfo(float).tiny)
     if np.any(gap > pair_tol):
+        spread = hi[..., -1] / np.maximum(np.abs(lo[..., 0]), np.finfo(float).tiny)
         raise PairingError(
-            "eigenvalues do not split into multiplicity-2 pairs "
-            f"(worst relative gap {float(gap.max()):.3e} > {pair_tol:.1e}); "
-            "this indicates a numerics bug or a non-symplectic setup"
+            "symplectic spectrum too ill-conditioned for the normwise route: "
+            f"d_max / d_min = {float(spread.max()):.3e}, and the two copies of an eigenvalue "
+            f"differ by a relative gap of {float(gap.max()):.3e} > {pair_tol:.1e}"
         )
     return 0.5 * lo + 0.5 * hi
 
@@ -210,8 +207,9 @@ def _six_spectrum(K: np.ndarray) -> np.ndarray:
 
     The stack is solved in chunks of _CHUNK6 matrices, which keeps the
     intermediate arrays small (16384 was the fastest of 4096-32768 on a
-    65,537-node stack); a chunk holds the 15 upper entries as 15 arrays, scaled by a power of two so that the largest is below 1 and
-    no square overflows.  Ten Givens rotations (_GIVENS6) make K skew
+    65,537-node stack); a chunk holds the 15 upper entries as 15 arrays,
+    scaled by a power of two so that the largest is below 1 and no square
+    overflows.  Ten Givens rotations (_GIVENS6) make K skew
     tridiagonal with superdiagonal t_0 .. t_4; putting the even indices
     before the odd ones turns it into [[0, B], [-B^T, 0]] with B upper
     bidiagonal, diagonal t_0, t_2, t_4 and superdiagonal -t_1, -t_3, whose
@@ -340,8 +338,8 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     n = K.shape[-1]
     if n <= 4 or (n == 6 and K.ndim > 2):
         return _small_spectrum(K)
-    s = np.linalg.svd(K, compute_uv=False)
-    return _pair_sorted(s[..., ::-1], PAIR_TOL)
+    s = np.linalg.svd(K, compute_uv=False)[..., ::-1]
+    return _pair_mean(s[..., 0::2], s[..., 1::2], PAIR_TOL)
 
 
 @dataclass(frozen=True)
@@ -410,8 +408,8 @@ def is_gmatrix(A, tol: float = 1e-10) -> GMatrixCheck:
     """Test whether every symplectic eigenvalue is >= 1/2 (within tol).
 
     The condition is equivalent to positive semidefiniteness of A + (i/2) J,
-    the form toeplitz.gchain_check tests directly on truncations with a
-    complex Hermitian eigensolve.
+    the form toeplitz.gchain_sweep tests directly on truncations: its verdict
+    is a band Cholesky factor, and gchain_check adds the smallest eigenvalue.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:

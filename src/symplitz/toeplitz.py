@@ -12,9 +12,9 @@ where a complex shift enters: H_n = T_n + (i/2) J + shift I is the same band
 with the shift on the diagonal and J on the first subdiagonal.  Its verdicts
 come from a band Cholesky factor and its witness from a band eigensolve of
 the smallest eigenvalue, or, where the band is wide, from a dense Hermitian
-eigensolve of that band.  Dense truncations (assemble) are built only for
-matrix dumps, quadratic_form_check, truncations that miss the band rule and
-the tests' oracles.
+eigensolve of that band.  _band writes every truncation entry; _dense, the
+one band-to-dense unpack, serves assemble (matrix dumps, quadratic_form_check)
+and the dense fallbacks of bands wider than the band rule.
 """
 
 import math
@@ -67,23 +67,12 @@ def truncation_dim(symbol: TrigMatrixPolynomial, n: int) -> int:
 
 
 def assemble(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
-    """Dense 2kn x 2kn truncation with (i, j) block given by coefficient |i - j|.
+    """Dense 2kn x 2kn truncation with (i, j) block given by coefficient |i - j|: _band unpacked.
 
     The result is symmetric, and the order-n truncation is exactly the leading
     principal submatrix of the order-(n+1) one.
     """
-    dim = truncation_dim(symbol, n)
-    b = symbol.block_dim
-    T = np.zeros((dim, dim))
-    for off in range(0, min(symbol.degree, n - 1) + 1):
-        blk = symbol.coeffs[off]
-        for i in range(n - off):
-            r = (i + off) * b
-            c = i * b
-            T[r : r + b, c : c + b] = blk
-            if off:
-                T[c : c + b, r : r + b] = blk
-    return T
+    return _dense(_band(symbol, n))
 
 
 def _band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
@@ -110,13 +99,24 @@ def _band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     rows = np.flatnonzero(period.any(axis=1))
     b = int(rows[-1]) if rows.size else 0
     ab = np.tile(period[: b + 1], n)
-    ab[~_in_band(b, N)] = 0.0
+    for t in range(1, b + 1):
+        ab[t, N - t :] = 0.0
     return ab
 
 
-def _in_band(b: int, N: int) -> np.ndarray:
-    """Mask of the band slots ab[t, c] that hold an entry, those with c + t < N."""
-    return np.add.outer(np.arange(b + 1), np.arange(N)) < N
+def _dense(ab: np.ndarray) -> np.ndarray:
+    """Full Hermitian matrix H of a real or complex LAPACK lower band ab[t, c] = H[c + t, c].
+
+    Diagonal t is a strided view (step N + 1) of the flat H, from entry t N
+    below and from entry t above; the lower write comes last, so t = 0 keeps ab[0].
+    """
+    N = ab.shape[1]
+    H = np.zeros((N, N), dtype=ab.dtype)
+    flat = H.reshape(-1)
+    for t in range(ab.shape[0]):
+        flat[t : N * (N - t) : N + 1] = ab[t, : N - t].conj()
+        flat[t * N :: N + 1] = ab[t, : N - t]
+    return H
 
 
 def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
@@ -124,12 +124,12 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
 
     The truncation is solved on its band (core._band_spectrum) when its
     bandwidth b satisfies b <= _band_limit(N), which builds no dense array,
-    and by core.symplectic_eigenvalues of the assembled truncation otherwise.
+    and otherwise by core.symplectic_eigenvalues of the same band unpacked.
     """
     ab = _band(symbol, n)
     if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):
         return core._band_spectrum(ab)
-    return core.symplectic_eigenvalues(assemble(symbol, n))
+    return core.symplectic_eigenvalues(_dense(ab))
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GC
     It is solved from the lower band of bandwidth b: by a band eigensolve of
     that one eigenvalue when b <= _band_limit(N), the crossover of the
     truncation spectrum, otherwise by a dense Hermitian eigensolve of the band
-    unpacked into a lower triangle, which wins at wide bands.  Measured on 2
+    unpacked (_dense), which wins at wide bands.  Measured on 2
     cores, this one-eigenvalue band solve wins from lower N than the band
     spectrum does (b = 7 from N ~ 48, b = 15 from 64, b = 31 from 256, b = 83
     at 2048, where the two are even).  Below the shared limit it would save
@@ -221,10 +221,7 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GC
     if b <= _band_limit(N):
         w = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0), check_finite=False)
     else:
-        t, c = np.nonzero(_in_band(b, N))
-        H = np.zeros((N, N), dtype=complex)
-        H[c + t, c] = ab[t, c]
-        w = np.linalg.eigvalsh(H, UPLO="L")
+        w = np.linalg.eigvalsh(_dense(ab))
     w0 = float(w[0])
     return GChainCheck(w0 >= -tol, n, w0)
 

@@ -126,10 +126,18 @@ class TestSymplecticEigenvalues:
         d = core.symplectic_eigenvalues(np.zeros((0, 2 * k, 2 * k)))
         assert d.shape == (0, k) and routes == [route]
 
-    def test_pairing_guard_raises_on_odd_structure(self):
-        # direct probe of the pair-collapse helper, not reachable through the API
-        with pytest.raises(PairingError):
-            core._pair_sorted(np.array([1.0, 2.0, 2.0, 3.0]), 1e-8)
+    def test_pairing_error_names_an_ill_conditioned_spectrum(self):
+        # a valid graded covariance A = D H D, D = 10^u with u uniform in [-5, 5] and k = 8: the two
+        # copies of a small d_j split beyond PAIR_TOL on the normwise (singular value) route
+        k, g = 8, 10
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((2 * k, 2 * k))
+        D = 10.0 ** rng.uniform(-g / 2, g / 2, 2 * k)
+        H = X @ X.T / (2 * k) + np.eye(2 * k)
+        A = D[:, None] * (0.5 * H + 0.5 * H.T) * D
+        assert np.linalg.eigvalsh(H)[0] >= 1.0 - 1e-12
+        with pytest.raises(PairingError, match=r"too ill-conditioned for the normwise route: d_max / d_min = \d"):
+            core.symplectic_eigenvalues(A)
 
 
 class TestWilliamson:

@@ -4,8 +4,15 @@ from scipy.linalg import eigvals_banded, lapack
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, symbols, toeplitz
-from symplitz.errors import AliasingError, GridError, InvalidDimensionError, PositivityError, TruncationSizeError
-from conftest import degree_one_k2, hermitian_embedding, lower_band, matrix_symbol_k2
+from symplitz.errors import (
+    AliasingError,
+    DomainError,
+    GridError,
+    InvalidDimensionError,
+    PositivityError,
+    TruncationSizeError,
+)
+from conftest import degree_one_k2, hermitian_embedding, kronecker_truncation, lower_band, matrix_symbol_k2
 
 
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta), k = 1
@@ -44,6 +51,51 @@ class TestAssemble:
         monkeypatch.setattr(toeplitz, "MAX_DIM", 16)
         with pytest.raises(TruncationSizeError):
             toeplitz.assemble(PHI, 10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(8))
+    def test_matches_kronecker_sum(self, k, degree):
+        s = symbols.TrigMatrixPolynomial(_random_blocks(np.random.default_rng(10 * k + degree), k, degree))
+        for n in range(1, 18):
+            T = toeplitz.assemble(s, n)
+            np.testing.assert_array_equal(T.view(np.uint64), kronecker_truncation(s, n).view(np.uint64))
+
+    def test_non_finite_coefficient_is_domain_error(self):
+        # _band checks the entries it writes, and assemble is that band unpacked
+        with np.errstate(invalid="ignore"):  # the symmetry deviation inf - inf is NaN
+            huge = symbols.scalar_symbol([np.inf, 0.5])
+        with pytest.raises(DomainError):
+            toeplitz.assemble(huge, 2)
+
+    def test_trailing_negative_zero_diagonal_dumps_as_positive_zero(self):
+        # a degree-2 coefficient of -0.0 entries is trimmed from the band, so its
+        # block of the truncation (and of the matrix dump) holds +0.0
+        s = symbols.TrigMatrixPolynomial(np.stack([2.0 * np.eye(2), 0.5 * np.eye(2), np.full((2, 2), -0.0)]))
+        assert np.signbit(s.coeffs[2]).all()
+        T = toeplitz.assemble(s, 4)
+        assert toeplitz._band(s, 4).shape[0] == 3
+        assert not np.signbit(T).any()
+        assert b"-0.0" not in toeplitz.matrix_csv_bytes(T)
+
+    @pytest.mark.parametrize("make", [lambda: PHI, matrix_symbol_k2, degree_one_k2], ids=["phi", "k2", "degree_one_k2"])
+    def test_dense_of_shifted_band_is_both_triangles(self, make):
+        s = make()
+        for n in (1, 2, 5):
+            T = kronecker_truncation(s, n)
+            H = T + 0.5j * core.symplectic_form(T.shape[0] // 2)
+            np.testing.assert_array_equal(toeplitz._dense(toeplitz._shifted_band(s, n, 0.0)), H)
+
+    def test_dense_fallback_unpacks_the_routing_band(self, monkeypatch):
+        # k = 1, degree 7: bandwidth 14 > toeplitz._band_limit(64) = 3, so order 32 is solved dense
+        s = symbols.scalar_symbol([4.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125])
+        assert toeplitz._band_limit(64) == 3 and toeplitz._band(s, 32).shape[0] - 1 == 14
+        calls = []
+        band = toeplitz._band
+        monkeypatch.setattr(toeplitz, "_band", lambda *a: calls.append(a) or band(*a))
+        monkeypatch.setattr(toeplitz, "assemble", lambda *a, **kw: pytest.fail("dense truncation assembled"))
+        d = toeplitz.truncation_spectrum(s, 32)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(d, core.symplectic_eigenvalues(kronecker_truncation(s, 32)))
 
 
 class TestQuadraticForm:
@@ -193,8 +245,8 @@ def _embedding_witness(s, n):
 
 
 def _check_band_writer(s, n):
-    """toeplitz._band and _shifted_band against assemble, bit for bit; returns the bandwidth."""
-    T = toeplitz.assemble(s, n)
+    """toeplitz._band and _shifted_band against the Kronecker sum, bit for bit; returns the bandwidth."""
+    T = kronecker_truncation(s, n)
     N = T.shape[0]
     expected = lower_band(T)  # through the largest offset of a nonzero entry
     b = expected.shape[0] - 1
@@ -215,7 +267,7 @@ class TestGChainBand:
     pivot and witness run on that band with (i/2) J and the shift added."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("degree", range(8))
     def test_band_is_lower_band_of_dense(self, k, degree):
         s = symbols.TrigMatrixPolynomial(_random_blocks(np.random.default_rng(10 * k + degree), k, degree))
         for n in sorted({1, 2, degree, degree + 1, degree + 3} - {0}):
