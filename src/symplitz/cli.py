@@ -8,7 +8,10 @@ failure.  Every run is serial and byte-reproducible.  The szego,
 entropy-rate and counting verbs run the same average-versus-integral report,
 szego.convergence_report, with f the configured test function, the per-mode
 entropy and the interval indicator; entropy-rate names its columns and keys
-after the rate.  Every tolerance verdict is made here, not in the library.
+after the rate.  Each quantity has one verb: the entropy rate is reached only
+through entropy-rate, whose config alone sets its log base, and a smoothed
+count only through szego with f indicator_smoothing.  Every tolerance verdict
+is made here, not in the library.
 
 One table, FIELDS, names each verb's config fields with their parsers and
 defaults; main parses the config against it before any numerics, and the
@@ -227,10 +230,9 @@ SYMBOLS = {
     "kind": {
         "trig": (lambda coeffs, k: _declared_k(symbols.TrigMatrixPolynomial(np.asarray(coeffs, dtype=float)), k),
                  {"coeffs": _NUMBERS, "k": (_block_count, None)}),
-        "sampled": (lambda grid, values, k, degree:
-                    _declared_k(symbols.from_samples(symbols.GridSpec(grid["G"]), values, degree), k),
-                    {"grid": (lambda v, p: _parse(v, {"G": (_any, REQUIRED)}, p), REQUIRED),
-                     "values": _NUMBERS, "k": (_block_count, None), "degree": (_degree, REQUIRED)}),
+        "sampled": (lambda grid, values, k, degree: _declared_k(symbols.from_samples(grid, values, degree), k),
+                    {"grid": (_grid, REQUIRED), "values": _NUMBERS, "k": (_block_count, None),
+                     "degree": (_degree, REQUIRED)}),
     },
 }
 
@@ -247,30 +249,28 @@ TEST_FUNCTIONS = {
     "hat": (szego.hat, {"left": _NUMBER, "peak": _NUMBER, "right": _NUMBER}),
     "indicator_smoothing": (szego.indicator_smoothing,
                             {"interval": (partial(_numbers, length=2), REQUIRED), "eps": (_positive, REQUIRED)}),
-    "entropy": (lambda: None, {}),  # None: built at run time from --base and --strict
 }
 
 _SYMBOL = (_symbol, REQUIRED)
 _GRID = (_grid, symbols.GridSpec(symbols.DEFAULT_GRID_G))
 _N_LIST = (_n_list, REQUIRED)
 _TOLERANCE = (_positive, None)
-_BASE = {"base": (_base, "e")}
 # Each verb's top-level fields, {name: (parser, REQUIRED or default)}.  The
 # verb's function is called with the parsed values as keywords, plus strict.
 FIELDS = {
-    "spectrum": {**_BASE, "matrix": (_matrix, None), "symbol": (_symbol, None), "n": (_count, None),
+    "spectrum": {"matrix": (_matrix, None), "symbol": (_symbol, None), "n": (_count, None),
                  "dump_truncation": (_flag, False)},
-    "williamson": {**_BASE, "matrix": _MATRIX, "tolerance": (_positive, core.FACT_TOL)},
-    "szego": {**_BASE, "symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
+    "williamson": {"matrix": _MATRIX, "tolerance": (_positive, core.FACT_TOL)},
+    "szego": {"symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
               "f": (partial(_form, tag="kind", forms=TEST_FUNCTIONS), REQUIRED),
               "tolerance": _TOLERANCE, "grid_tolerance": (_positive, 1e-8)},
-    "entropy-rate": {**_BASE, "symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
+    "entropy-rate": {"base": (_base, "e"), "symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
                      "tolerance": _TOLERANCE, "grid_tolerance": (_positive, 1e-8)},
-    "counting": {**_BASE, "symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
+    "counting": {"symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
                  "interval": (_interval, REQUIRED), "tolerance": _TOLERANCE},
-    "density": {**_BASE, "symbol": _SYMBOL, "grid": _GRID, "n_max": (_count, REQUIRED),
+    "density": {"symbol": _SYMBOL, "grid": _GRID, "n_max": (_count, REQUIRED),
                 "delta": (_positive, REQUIRED), "coverage_tolerance": _TOLERANCE, "escape_tolerance": _TOLERANCE},
-    "gchain-check": {**_BASE, "symbol": _SYMBOL, "n_max": (_count, REQUIRED), "tolerance": (_positive, 1e-10)},
+    "gchain-check": {"symbol": _SYMBOL, "n_max": (_count, REQUIRED), "tolerance": (_positive, 1e-10)},
 }
 
 
@@ -339,10 +339,9 @@ def cmd_williamson(matrix, tolerance, **opts):
     return files, checks, summary
 
 
-def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, base, strict, f=None):
-    """The average-versus-integral report shared by the szego and entropy-rate
-    verbs, with its checks and the summary keys both verbs write; f None is
-    the per-mode entropy.
+def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, f, **opts):
+    """The average-versus-integral report of f shared by the szego and
+    entropy-rate verbs, with its checks and the summary keys both verbs write.
 
     The symbol-side integral is recomputed on a doubled grid; a disagreement
     beyond ``grid_tolerance`` flags the quadrature as unresolved (rough
@@ -350,8 +349,6 @@ def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, base, 
     as evidence either way.  The curves are solved once, on the doubled grid,
     before any truncation; node 2g of that grid is node g of ``grid``.
     """
-    if f is None:
-        f = entropy.entropy_test_function(base, strict=strict)
     fine = symbols.symplectic_curves(symbol, grid.refined())
     report = szego.convergence_report(symbol, f, n_list, symbols.SymplecticCurves(grid, fine.values[::2]))
     refined = szego.symbol_integral(fine, f)
@@ -372,24 +369,16 @@ def cmd_szego(**fields):
     return files, checks, {**summary, "f": report.f_name, "averages": report.averages}
 
 
-def cmd_entropy_rate(**fields):
-    report, files, checks, summary = _convergence(["n", "rate", "integral", "gap"], **fields)
-    return files, checks, {**summary, "base": str(fields["base"]), "rates": report.averages, "rate": report.integral}
+def cmd_entropy_rate(base, strict, **fields):
+    f = entropy.entropy_test_function(base, strict=strict)
+    report, files, checks, summary = _convergence(["n", "rate", "integral", "gap"], f=f, **fields)
+    return files, checks, {**summary, "base": str(base), "rates": report.averages, "rate": report.integral}
 
 
 def cmd_counting(symbol, grid, n_list, interval, tolerance, **opts):
     f = szego.indicator(interval)
     report = szego.convergence_report(symbol, f, n_list, symbols.symplectic_curves(symbol, grid))
-    spectra = report.trajectory.spectra
-    counts = [int(np.sum(f(spectra[n]))) for n in report.ns]
-    n_max = report.ns[-1]
-    smoothing = {}
-    for eps in szego.EPS_LADDER:
-        smooth = szego.indicator_smoothing(interval, eps)
-        smoothing[str(eps)] = {
-            "average": szego.szego_average(spectra[n_max], n_max, smooth),
-            "integral": szego.symbol_integral(report.curves, smooth),
-        }
+    counts = [int(np.sum(f(report.trajectory.spectra[n]))) for n in report.ns]
     checks = []
     if tolerance is not None:
         gap = report.gaps[-1]
@@ -402,7 +391,6 @@ def cmd_counting(symbol, grid, n_list, interval, tolerance, **opts):
         "counts": counts,
         "ratios": report.averages,
         "limit_measure": report.integral,
-        "smoothing": smoothing,
     }
     return files, checks, summary
 
@@ -477,8 +465,6 @@ def _build_parser():
                        help="error on sub-vacuum symplectic eigenvalues (default)")
     clamp.add_argument("--lenient", dest="strict", action="store_false",
                        help="warn instead of erroring on sub-vacuum eigenvalues")
-    parser.add_argument("--base", choices=["e", "2"], default=None,
-                        help="log base for entropies (default: config value or e)")
     parser.add_argument("--verify", action="store_true",
                         help="recompute and compare digests against the existing run manifest")
     return parser
@@ -508,7 +494,6 @@ def main(argv=None) -> int:
     t1 = time.perf_counter()
     try:
         fields = _parse(cfg, FIELDS[args.command], "config")
-        fields["base"] = args.base or fields["base"]
         files, checks, summary_core = COMMANDS[args.command](strict=args.strict, **fields)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -176,16 +176,21 @@ _CHUNK6 = 16384
 _JACOBI_SWEEPS = 16
 
 
-def _small_spectrum(K: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum from the skew kernels K of 2 x 2, 4 x 4 or 6 x 6 matrices.
+def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of 2 x 2, 4 x 4 or 6 x 6 matrices from their
+    Cholesky factors L and skew kernels K.
 
     Each d_j comes out once, so there is no pair to check.  k = 1:
     d = |K[0, 1]| = L[0, 0] L[1, 1] = sqrt(det A).  k = 2: so(4) splits into
     two copies of so(3); with the upper entries a b c / d e / f of K,
     u = (a + f, b - e, c + d) and v = (a - f, b + e, c - d) give
-    d = (| |u| - |v| | / 2, (|u| + |v|) / 2), with |u| / 2 and |v| / 2 formed
-    by nested hypot on halved entries so that nothing overflows.  k = 3:
-    _six_spectrum.  Each has the singular values' accuracy class,
+    d_2 = (|u| + |v|) / 2, with |u| / 2 and |v| / 2 formed by nested hypot on
+    halved entries so that nothing overflows.  d_1 is not the cancelling
+    difference (| |u| - |v| |) / 2 but d_1 d_2 = sqrt(det A) = prod(diag L)
+    divided by d_2, formed as (L00 L11 / d_2)(L22 L33) so that no partial
+    product leaves the float range; both d_j are then relatively accurate,
+    to a few eps times the condition of the graded part of A.  k = 3:
+    _six_spectrum, which has the singular values' accuracy class,
     eps d_max / d_j relative.
     """
     n = K.shape[-1]
@@ -196,7 +201,11 @@ def _small_spectrum(K: np.ndarray) -> np.ndarray:
             a, b, c, d, e, f = 0.5 * np.moveaxis(K, (-2, -1), (0, 1))[np.triu_indices(4, 1)]
             u = np.hypot(np.hypot(a + f, b - e), c + d)
             v = np.hypot(np.hypot(a - f, b + e), c - d)
-            spectrum = np.stack([np.abs(u - v), u + v], axis=-1)
+            d2 = u + v
+            p = np.diagonal(L, axis1=-2, axis2=-1)
+            # a tie d_1 = d_2 may round d_1 one ulp above d_2
+            d1 = np.minimum(p[..., 0] * p[..., 1] / d2 * (p[..., 2] * p[..., 3]), d2)
+            spectrum = np.stack([d1, d2], axis=-1)
         else:
             spectrum = _six_spectrum(K)
     return _require_finite(spectrum, "symplectic spectrum")
@@ -326,18 +335,20 @@ def symplectic_eigenvalues(A) -> np.ndarray:
 
     The route follows the shape.  k <= 2, and stacks with k = 3, take
     _small_spectrum: array operations over the stack that give each d_j
-    once, so the pairs are exact by construction, with the same accuracy
-    class.  Everything else takes the singular values of K, whose copies of
+    once, so the pairs are exact by construction; k <= 2 is relatively
+    accurate (d_1 = sqrt(det A) / d_2 for k = 2), k = 3 has the normwise
+    accuracy class.  Everything else takes the singular values of K, whose copies of
     each d_j are paired under PAIR_TOL.  A stack of no matrices, shape
     (0, 2k, 2k), gives shape (0, k).  Banded truncations reach the band
     kernel through toeplitz.truncation_spectrum, not through this function.
     """
     A = np.asarray(A, dtype=float)
     _even_dim(A)
-    K = _skew_kernel(_factor(A))
+    L = _factor(A)
+    K = _skew_kernel(L)
     n = K.shape[-1]
     if n <= 4 or (n == 6 and K.ndim > 2):
-        return _small_spectrum(K)
+        return _small_spectrum(L, K)
     s = np.linalg.svd(K, compute_uv=False)[..., ::-1]
     return _pair_mean(s[..., 0::2], s[..., 1::2], PAIR_TOL)
 

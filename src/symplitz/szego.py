@@ -21,9 +21,6 @@ import numpy as np
 from . import symbols, toeplitz
 from .errors import DomainError, IndexRangeError, PositivityError
 
-EPS_LADDER = (0.2, 0.1, 0.05)
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Named scalar test function, applied elementwise to a float array."""

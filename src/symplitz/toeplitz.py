@@ -236,7 +236,9 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
     that pivot lies in the block of the first failing order.  The orders
     m = 1, 2, 4, ... and finally n_max are factored until one breaks down,
     which keeps an early failure cheap and builds nothing beyond it; on the
-    band the doubling costs under twice one factor of order n_max.
+    band the doubling costs under twice one factor of order n_max.  A
+    doubled order is capped at the guard order MAX_DIM // 2k, so a failure
+    below the guard is found even when n_max lies beyond it.
 
     first_failing_n is this pivot verdict.  witness is the GChainCheck of the
     eigensolve from gchain_check at the reported order (n_max when every
@@ -245,11 +247,12 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
     """
     if n_max < 1:
         raise InvalidDimensionError(f"n_max must be >= 1, got {n_max}")
+    guard = MAX_DIM // symbol.block_dim
     orders = []
     m = 1
     while m < n_max:
         orders.append(m)
-        m *= 2
+        m = min(2 * m, guard) if m < guard else n_max
     orders.append(n_max)
     first_fail = None
     for m in orders:

@@ -122,13 +122,6 @@ class TestSzegoCommand:
         )
         assert run("szego", cfg, tmp_path / "out") == 4
 
-    SUB_VACUUM = {
-        "symbol": {"builder": "scalar", "coeffs": [0.6, 0.1]},
-        "f": {"kind": "entropy"},
-        "n_list": [4, 8],
-        "grid": {"G": 64},
-    }
-
     def test_non_finite_average_exits_3(self, tmp_path, capsys):
         # (2 + cos)^700 overflows: no Infinity or NaN may reach summary.json
         cfg = write_config(
@@ -140,34 +133,26 @@ class TestSzegoCommand:
         assert "x^700" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
-    def test_entropy_strict_sub_vacuum_is_numerical_error(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", self.SUB_VACUUM)
-        assert run("szego", cfg, tmp_path / "out") == 3
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_smoothed_count_is_the_indicator_smoothing_average(self, tmp_path, eps):
+        # a smoothed count is szego with f indicator_smoothing: at n_max its average is
+        # exp(-dist / eps) summed over the truncation spectrum and its integral over the
+        # curves on the configured grid, and it dominates counting's ratio
+        from symplitz import szego, symplectic_curves, truncation_spectrum
 
-    def test_entropy_lenient_sub_vacuum_warns(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", self.SUB_VACUUM)
-        with pytest.warns(RuntimeWarning):
-            assert run("szego", cfg, tmp_path / "out", "--lenient") == 4
-        flagged = {c["name"]: c["passed"] for c in read_summary(tmp_path / "out")["checks"]}
-        assert flagged["grid_consistency"] is False
-
-    def test_entropy_matches_entropy_rate_verb(self, tmp_path):
-        cfg_dict = {
-            "symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]},
-            "f": {"kind": "entropy"},
-            "n_list": [4, 8, 16],
-            "grid": {"G": 256},
-        }
-        cfg = write_config(tmp_path / "c.json", cfg_dict)
-        del cfg_dict["f"]
-        rate_cfg = write_config(tmp_path / "rate.json", cfg_dict)
-        assert run("szego", cfg, tmp_path / "szego", "--base", "2") == 0
-        assert run("entropy-rate", rate_cfg, tmp_path / "rate", "--base", "2") == 0
-        szego, rate = read_summary(tmp_path / "szego"), read_summary(tmp_path / "rate")
-        assert szego["averages"] == rate["rates"]
-        assert szego["gaps"] == rate["gaps"]
-        assert szego["integral"] == rate["integral"] == rate["rate"]
-        assert szego["integral_refined"] == rate["integral_refined"]
+        symbol, interval, n_list, G = scalar_symbol([2.0, 0.5]), [2.0, 3.0], [8, 16], 256
+        common = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": n_list, "grid": {"G": G}}
+        f = {"kind": "indicator_smoothing", "interval": interval, "eps": eps}
+        # exp(-dist / eps) has kinks at the interval ends, so the rectangle rule converges slowly
+        smoothed_cfg = {**common, "f": f, "grid_tolerance": 1e-2}
+        assert run("szego", write_config(tmp_path / "s.json", smoothed_cfg), tmp_path / "szego") == 0
+        assert run("counting", write_config(tmp_path / "c.json", {**common, "interval": interval}),
+                   tmp_path / "counting") == 0
+        smoothed, counted = read_summary(tmp_path / "szego"), read_summary(tmp_path / "counting")
+        smooth = szego.indicator_smoothing(interval, eps)
+        assert smoothed["averages"][-1] == szego.szego_average(truncation_spectrum(symbol, 16), 16, smooth)
+        assert smoothed["integral"] == szego.symbol_integral(symplectic_curves(symbol, GridSpec(G)), smooth)
+        assert smoothed["averages"][-1] >= counted["ratios"][-1]
 
 
 class TestEntropyRateCommand:
@@ -192,7 +177,9 @@ class TestEntropyRateCommand:
         }
         cfg = write_config(tmp_path / "c.json", base_cfg)
         assert run("entropy-rate", cfg, tmp_path / "nat") == 0
-        assert run("entropy-rate", cfg, tmp_path / "bits", "--base", "2") == 0
+        bits_cfg = write_config(tmp_path / "bits.json", {**base_cfg, "base": "2"})
+        assert run("entropy-rate", bits_cfg, tmp_path / "bits") == 0
+        assert run("entropy-rate", bits_cfg, tmp_path / "bits", "--verify") == 0
         nat = read_summary(tmp_path / "nat")["rate"]
         bits = read_summary(tmp_path / "bits")["rate"]
         assert bits == pytest.approx(nat / math.log(2), abs=1e-12)
@@ -246,7 +233,6 @@ class TestCountingCommand:
         summary = read_summary(tmp_path / "out")
         assert summary["ratios"][-1] == pytest.approx(0.5, abs=0.05)
         assert summary["limit_measure"] == pytest.approx(0.5, abs=1e-2)
-        assert set(summary["smoothing"]) == {"0.2", "0.1", "0.05"}
 
     def test_curves_computed_once(self, tmp_path, monkeypatch):
         from symplitz import symbols
@@ -505,7 +491,7 @@ class TestConfigErrors:
         sampled.update(grid={"G": G}, degree=1)
         cfg = write_config(tmp_path / "c.json", {"symbol": sampled, "n": 2})
         assert run("spectrum", cfg, tmp_path / "out") == 2
-        assert "config.symbol:" in capsys.readouterr().err
+        assert "config.symbol.grid.G:" in capsys.readouterr().err
 
     def test_dump_truncation_must_be_boolean(self, tmp_path, capsys):
         cfg = write_config(
@@ -599,21 +585,20 @@ class TestNumericalErrors:
 class TestDeterminismAndManifest:
     CFG = {
         "symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]},
-        "f": {"kind": "entropy"},
         "n_list": [4, 8],
         "grid": {"G": 256},
     }
 
     def test_identical_bytes(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.CFG)
-        assert run("szego", cfg, tmp_path / "a") == 0
-        assert run("szego", cfg, tmp_path / "b") == 0
+        assert run("entropy-rate", cfg, tmp_path / "a") == 0
+        assert run("entropy-rate", cfg, tmp_path / "b") == 0
         for name in ("series.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_manifest_lists_all_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.CFG)
-        assert run("szego", cfg, tmp_path / "out") == 0
+        assert run("entropy-rate", cfg, tmp_path / "out") == 0
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         emitted = {p.name for p in (tmp_path / "out").iterdir()} - {"run_manifest.json"}
         assert set(manifest["files"]) == emitted
@@ -622,26 +607,26 @@ class TestDeterminismAndManifest:
 
     def test_verify_round_trip(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.CFG)
-        assert run("szego", cfg, tmp_path / "out") == 0
-        assert run("szego", cfg, tmp_path / "out", "--verify") == 0
+        assert run("entropy-rate", cfg, tmp_path / "out") == 0
+        assert run("entropy-rate", cfg, tmp_path / "out", "--verify") == 0
 
     def test_verify_detects_corruption(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.CFG)
-        assert run("szego", cfg, tmp_path / "out") == 0
+        assert run("entropy-rate", cfg, tmp_path / "out") == 0
         series = tmp_path / "out" / "series.csv"
         series.write_bytes(series.read_bytes() + b"tampered\n")
-        assert run("szego", cfg, tmp_path / "out", "--verify") == 4
+        assert run("entropy-rate", cfg, tmp_path / "out", "--verify") == 4
 
     def test_verify_without_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.CFG)
-        assert run("szego", cfg, tmp_path / "empty", "--verify") == 2
+        assert run("entropy-rate", cfg, tmp_path / "empty", "--verify") == 2
 
     @pytest.mark.parametrize("manifest", [b"[]", b'{"files": []}', b"\xff\xfe"])
     def test_verify_malformed_manifest(self, tmp_path, capsys, manifest):
         cfg = write_config(tmp_path / "c.json", self.CFG)
-        assert run("szego", cfg, tmp_path / "out") == 0
+        assert run("entropy-rate", cfg, tmp_path / "out") == 0
         (tmp_path / "out" / "run_manifest.json").write_bytes(manifest)
-        assert run("szego", cfg, tmp_path / "out", "--verify") == 2
+        assert run("entropy-rate", cfg, tmp_path / "out", "--verify") == 2
         assert "config error: cannot read manifest" in capsys.readouterr().err
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
@@ -683,6 +668,21 @@ class TestFieldTable:
         )
         assert run("szego", str(tmp_path / "c.json"), tmp_path / "out") == 2
         assert f"{path}:" in capsys.readouterr().err
+
+    def test_base_is_an_entropy_rate_field_only(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"matrix": [[2.0, 0.0], [0.0, 8.0]], "base": "e"})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config.base: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_base_flag_is_refused(self, tmp_path, capsys):
+        # the digested config alone sets an entropy-rate run's base
+        rate = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [2], "grid": {"G": 16}}
+        cfg = write_config(tmp_path / "c.json", rate)
+        with pytest.raises(SystemExit) as exit_:
+            run("entropy-rate", cfg, tmp_path / "out", "--base", "2")
+        assert exit_.value.code == 2
+        assert "--base" in capsys.readouterr().err
 
     def test_spectrum_needs_exactly_one_source(self, tmp_path, capsys):
         both = {"matrix": [[2.0, 0.0], [0.0, 8.0]], "symbol": {"builder": "scalar", "coeffs": [2.0]}, "n": 2}

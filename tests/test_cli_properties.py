@@ -17,7 +17,7 @@ SCALAR = {"builder": "scalar", "coeffs": [2.0, 0.5], "k": 1}
 # One valid config per verb and per symbol form and test-function kind, with
 # the optional fields given, so that the walk below reaches them.
 VALID = [
-    ("spectrum", {"matrix": [[2.0, 0.1], [0.1, 8.0]], "base": "e"}),
+    ("spectrum", {"matrix": [[2.0, 0.1], [0.1, 8.0]]}),
     ("spectrum", {"symbol": {"builder": "constant", "matrix": [[2.0, 0.0], [0.0, 1.0]]}, "n": 3,
                   "dump_truncation": True}),
     ("williamson", {"matrix": [[2.0, 0.1, 0.0, 0.0], [0.1, 1.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.2],
@@ -30,10 +30,9 @@ VALID = [
                "grid": {"G": 32}}),
     ("szego", {"symbol": SCALAR, "f": {"kind": "indicator_smoothing", "interval": [1.0, 2.0], "eps": 0.1},
                "n_list": [2], "grid": {"G": 32}}),
-    ("szego", {"symbol": SCALAR, "f": {"kind": "entropy"}, "n_list": [2], "grid": {"G": 32}, "base": "2"}),
     ("entropy-rate", {"symbol": {"builder": "ab_family", "a": [[2.0, 0.0], [0.0, 2.0]],
                                  "b": [[0.5, 0.0], [0.0, 0.5]], "weights": [0.5, 0.25], "degree": 2},
-                      "n_list": [2, 4], "grid": {"G": 64}, "tolerance": 0.5, "grid_tolerance": 1e-6}),
+                      "n_list": [2, 4], "grid": {"G": 64}, "tolerance": 0.5, "grid_tolerance": 1e-6, "base": "2"}),
     ("counting", {"symbol": SCALAR, "n_list": [4, 8], "interval": [2.0, 3.0], "grid": {"G": 64},
                   "tolerance": 0.5}),
     ("density", {"symbol": {"kind": "sampled", "k": 1, "degree": 1, "grid": {"G": 4},

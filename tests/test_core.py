@@ -1,4 +1,6 @@
+import decimal
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -393,6 +395,34 @@ def eig_spectrum(A):
     return np.sort(np.abs(np.linalg.eigvals(J @ A).imag), axis=-1)[..., 1::2]
 
 
+def exact_det(M):
+    """Determinant of a square matrix of Fractions by exact Gaussian elimination."""
+    M = [list(row) for row in M]
+    det = Fraction(1)
+    for c in range(len(M)):
+        p = next(r for r in range(c, len(M)) if M[r][c] != 0)
+        if p != c:
+            M[c], M[p], det = M[p], M[c], -det
+        det *= M[c][c]
+        for r in range(c + 1, len(M)):
+            t = M[r][c] / M[c][c]
+            M[r] = [x - t * y for x, y in zip(M[r], M[c])]
+    return det
+
+
+def serafini_spectrum(A):
+    """Oracle from the standard library: d_1 <= d_2 of a 4 x 4 A, through Serafini's invariant."""
+    F = [[Fraction(float(x)) for x in row] for row in A]
+    block = lambda i, j: [row[2 * j : 2 * j + 2] for row in F[2 * i : 2 * i + 2]]
+    det = exact_det(F)
+    delta = exact_det(block(0, 0)) + exact_det(block(1, 1)) + 2 * exact_det(block(0, 1))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        exact = lambda q: decimal.Decimal(q.numerator) / q.denominator
+        big = (exact(delta) + exact(delta * delta - 4 * det).sqrt()) / 2
+        return np.array([float((exact(det) / big).sqrt()), float(big.sqrt())])
+
+
 class TestSmallSpectrum:
     """k <= 2, and stacks with k = 3, are solved across the stack (core._small_spectrum)."""
 
@@ -419,13 +449,16 @@ class TestSmallSpectrum:
         assert np.abs(d / d_true - 1.0).max() <= budget
         assert np.abs(d / svdvals_spectrum(mats) - 1.0).max() <= budget
 
-    @pytest.mark.parametrize("d_true", [[1.5, 1.5 + 1e-9], [1.5, 1.5 + 1e-9, 2.2], [0.7, 1.9, 1.9 + 1e-9]])
+    @pytest.mark.parametrize("d_true", [[1.5, 1.5 + 1e-9], [1.5, 1.5 + 1e-9, 2.2], [0.7, 1.9, 1.9 + 1e-9],
+                                        [1.5, 1.5]])
     def test_near_degenerate_pairs_are_resolved(self, routes, d_true):
         d_true = np.array(d_true)
         k = len(d_true)
         mats = np.stack([random_gmatrix(k, d_true, seed=s) for s in range(64)])
         d = core.symplectic_eigenvalues(mats)
         assert routes == ["small"]
+        # at a tie, sqrt(det A) / d_2 can round above d_2; the spectrum stays ascending
+        assert np.all(np.diff(d, axis=-1) >= 0)
         np.testing.assert_allclose(d, np.broadcast_to(d_true, d.shape), rtol=1e-14)
         np.testing.assert_allclose(d, svdvals_spectrum(mats), rtol=1e-14)
 
@@ -468,6 +501,32 @@ class TestSmallSpectrum:
             warnings.simplefilter("error")
             d = core.symplectic_eigenvalues(np.stack([A, A]) * 1e306)
         np.testing.assert_allclose(d / 1e306, np.broadcast_to(d_true, d.shape), rtol=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_small_finite_spectrum_stays_finite(self, k):
+        # d_j near 1e-306: k = 2 divides L00 L11 by d_2 before it multiplies by L22 L33
+        d_true = np.linspace(1.0, 4.0, k)
+        A = random_gmatrix(k, d_true, seed=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = core.symplectic_eigenvalues(np.stack([A, A]) * 1e-306)
+        np.testing.assert_allclose(d / 1e-306, np.broadcast_to(d_true, d.shape), rtol=1e-13)
+
+    @pytest.mark.parametrize("grading", [4, 6, 8])
+    def test_graded_k2_is_relatively_accurate(self, grading):
+        # A = D H D with D = 10^u, u uniform in [-g/2, g/2]: d_1 is determined to about eps
+        # kappa(H) relative, though eps d_2 / d_1 reaches 1e-8 at g = 8.  The oracle takes
+        # d_1^2, d_2^2 as the roots of z^2 - Delta z + det A, Delta = det A11 + det A22 +
+        # 2 det A12, exactly in Fraction and by 60-digit decimal square roots
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((4, 4))
+            scale = 10.0 ** rng.uniform(-grading / 2, grading / 2, 4)
+            A = scale[:, None] * (X @ X.T / 4 + np.eye(4)) * scale
+            A = 0.5 * (A + A.T)
+            worst = max(worst, np.abs(core.symplectic_eigenvalues(A) / serafini_spectrum(A) - 1.0).max())
+        assert worst <= 4 * np.finfo(float).eps
 
 
 class TestBandRoute:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvals_banded, lapack
@@ -170,6 +172,19 @@ class TestGChain:
         assert toeplitz.gchain_sweep(s, 10**6, tol=1e-6)[0] == 3
         with pytest.raises(TruncationSizeError):
             toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), 10**6)
+
+    @pytest.mark.parametrize("k, first", [(3, 600), (5, 300)])
+    def test_first_failure_below_a_guard_order_off_the_doubling(self, k, first):
+        # the guard orders 682 (k = 3) and 409 (k = 5) are not powers of two; the doubling
+        # caps at them, so a failure below them is found although n_max lies past the guard.
+        # T_n of a0 + 0.6 cos has lambda_min = a0 - 0.6 cos(pi / (n + 1)), and H fails at the
+        # first n where it drops below 1/2 - tol
+        a0 = 0.5 - 1e-10 + 0.6 * math.cos(math.pi / (first + 0.5))
+        s = symbols.scalar_symbol([a0, 0.3], k=k)
+        for n_max in (toeplitz.MAX_DIM // (2 * k), 10**6):
+            found, witness = toeplitz.gchain_sweep(s, n_max)
+            assert found == witness.n == first
+            assert witness.min_eigenvalue < -1e-10
 
     def test_sweep_matches_sequential_scan(self):
         cases = [
