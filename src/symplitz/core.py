@@ -30,7 +30,7 @@ on its band in O(N b^2), and the Hermitian band matrix iK, with eigenvalues
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigvals_banded, expm, schur, solve_triangular
+from scipy.linalg import cholesky_banded, eigvals_banded, expm, lapack, schur, solve_triangular
 
 from .errors import (
     DegeneratePairError,
@@ -286,13 +286,52 @@ def _bidiagonal_jacobi(B: np.ndarray) -> np.ndarray:
     return np.sort(np.sqrt((B * B).sum(axis=1)), axis=0)
 
 
+def _lowest_band_eigenvalue(ab: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian matrix H with real or complex LAPACK lower band ab.
+
+    H - mu I is positive definite exactly when mu < lambda_min(H), and one
+    band Cholesky factor (pbtrf, O(N b^2)) decides that, so lambda_min is
+    found by bisection on mu, with no band reduction.  The band is first
+    scaled by the power of two that brings its largest real or imaginary
+    part below 1, which is exact and keeps the Gershgorin sums in range; the
+    bracket is min(d - r) <= lambda_min <= min(d), with d the diagonal and r
+    the absolute off-diagonal row sums.  It is halved until its width is
+    2 eps ||H||_1 (about 51 factors) or its midpoint is an endpoint, and the
+    midpoint is returned: the factor succeeds below it and fails above it.
+    """
+    pbtrf, = lapack.get_lapack_funcs(("pbtrf",), (ab,))
+    # ldexp on the float view scales real and imaginary parts alike
+    parts = np.ascontiguousarray(ab).view(float)
+    _, e = np.frexp(np.abs(parts).max(initial=0.0))
+    scaled = np.ldexp(parts, -e).view(ab.dtype)
+    N = scaled.shape[1]
+    d = scaled[0].real
+    off = np.abs(scaled[1:])
+    r = off.sum(axis=0)
+    for t in range(1, scaled.shape[0]):
+        r[t:] += off[t - 1, : N - t]
+    lo, hi = float((d - r).min()), float(d.min())
+    width = 2.0 * np.finfo(float).eps * float((np.abs(d) + r).max())
+    work = np.empty_like(scaled, order="F")
+    mid = 0.5 * (lo + hi)
+    while hi - lo > width and lo < mid < hi:
+        np.copyto(work, scaled)
+        work[0] -= mid
+        if pbtrf(work, lower=1, overwrite_ab=1)[1] == 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return float(np.ldexp(mid, e))
+
+
 def _band_spectrum(ab: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive definite matrix given by its LAPACK lower band.
 
     ab[t, c] = A[c + t, c] for t = 0 .. b (toeplitz._band writes it for a
     truncation); its finiteness is the writer's check.  The lower band of L
     comes from a band Cholesky factor, whose breakdown reports the smallest
-    eigenvalue of the band (eigvals_banded, select="i").  A row pair
+    eigenvalue of the band (_lowest_band_eigenvalue).  A row pair
     (2p, 2p + 1) of L adds a rank-2 skew term on columns 2p - b .. 2p + 1 to
     K = L^T J L, so K has half-bandwidth b + 1.  Its upper band is formed in
     O(N b^2) and the Hermitian band matrix iK, with eigenvalues +-d_j, is
@@ -302,8 +341,7 @@ def _band_spectrum(ab: np.ndarray) -> np.ndarray:
     try:
         Lb = cholesky_banded(ab, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
-        w = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0), check_finite=False)
-        raise _not_positive_definite(w) from None
+        raise _not_positive_definite(np.array([_lowest_band_eigenvalue(ab)])) from None
     # Lb[t, c] = L[c + t, c]; split by the parity of the row c + t, which
     # decides whether J pairs it with the row below (+) or above (-).
     even = np.where((np.arange(N) + np.arange(b + 1)[:, None]) % 2 == 0, Lb, 0.0)

@@ -10,18 +10,20 @@ dimension is large enough for the band to win (_band_limit), and solves the
 dense truncation otherwise.  The covariance (G-chain) test is the one place
 where a complex shift enters: H_n = T_n + (i/2) J + shift I is the same band
 with the shift on the diagonal and J on the first subdiagonal.  Its verdicts
-come from a band Cholesky factor and its witness from a band eigensolve of
-the smallest eigenvalue, or, where the band is wide, from a dense Hermitian
-eigensolve of that band.  _band writes every truncation entry; _dense, the
-one band-to-dense unpack, serves assemble (matrix dumps, quadratic_form_check)
-and the dense fallbacks of bands wider than the band rule.
+and its witness are band Cholesky factors: the verdict is one factor, and
+the witness, the smallest eigenvalue, is a bisection on whether
+H_n - mu I factors (core._lowest_band_eigenvalue), or, where the band is
+wide, a dense Hermitian eigensolve of that band.  _band writes every
+truncation entry; _dense, the one band-to-dense unpack, serves assemble
+(matrix dumps, quadratic_form_check) and the dense fallbacks of bands wider
+than the band rule.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded, lapack
+from scipy.linalg import lapack
 
 from . import core
 from .errors import AliasingError, DomainError, GridError, InvalidDimensionError, TruncationSizeError
@@ -206,23 +208,21 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GC
     The witness min_eigenvalue is the smallest eigenvalue of T_n + (i/2) J; the
     truncation passes when it is >= -tol.  It equals the smallest eigenvalue of
     the real symmetric embedding [[T_n, -J/2], [J/2, T_n]], at half its size.
-    It is solved from the lower band of bandwidth b: by a band eigensolve of
-    that one eigenvalue when b <= _band_limit(N), the crossover of the
-    truncation spectrum, otherwise by a dense Hermitian eigensolve of the band
-    unpacked (_dense), which wins at wide bands.  Measured on 2
-    cores, this one-eigenvalue band solve wins from lower N than the band
-    spectrum does (b = 7 from N ~ 48, b = 15 from 64, b = 31 from 256, b = 83
-    at 2048, where the two are even).  Below the shared limit it would save
-    under 2 ms at b <= 15 and at most a quarter (13 ms at b = 31, N = 512),
-    so the witness keeps the same rule.
+    It is solved from the lower band of bandwidth b: when b <= _band_limit(N),
+    the rule of the truncation spectrum, by bisection on whether the band
+    shifted by -mu has a band Cholesky factor (core._lowest_band_eigenvalue,
+    about 51 factors of O(N b^2) each), otherwise by a dense Hermitian
+    eigensolve of the band unpacked (_dense).  Measured on 2 cores, random
+    complex bands, best of 5-15 in one process: the dense solve takes
+    10-12 ms at N = 256 against 24 ms for bisection at b = 31 and 57 ms at
+    b = 255, and 316 ms at N = 1024 against 1.7 s at b = 1023, so wide
+    bands keep it.
     """
     ab = _shifted_band(symbol, n, 0.0)
-    b, N = ab.shape[0] - 1, ab.shape[1]
-    if b <= _band_limit(N):
-        w = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0), check_finite=False)
+    if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):
+        w0 = core._lowest_band_eigenvalue(ab)
     else:
-        w = np.linalg.eigvalsh(_dense(ab))
-    w0 = float(w[0])
+        w0 = float(np.linalg.eigvalsh(_dense(ab))[0])
     return GChainCheck(w0 >= -tol, n, w0)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lapack
 
 from symplitz import TrigMatrixPolynomial, cli, core, scalar_symbol, szego, toeplitz
 from symplitz.errors import (
@@ -627,8 +627,8 @@ class TestBandRoute:
         symbol = scalar_symbol([1.0, 0.6])  # 1 + 1.2 cos(theta) dips below 0
         with pytest.raises(PositivityError) as exc:
             toeplitz.truncation_spectrum(symbol, 128)
-        # the band factor broke down; one eigenvalue of the band, no dense eigensolve
-        assert routes == ["band"]
+        # the band factor broke down; bisection on band factors, no band reduction and no dense eigensolve
+        assert routes == []
         dense = np.linalg.eigvalsh(toeplitz.assemble(symbol, 128))[0]
         assert exc.value.min_eigenvalue == pytest.approx(dense, abs=1e-13) and dense < 0
         assert exc.value.where is None
@@ -673,6 +673,67 @@ class TestBandRoute:
         assert [len(traj.spectra[n]) for n in traj.ns] == [128, 256, 512, 1024]
         files, _, summary = cli.cmd_spectrum(None, degree_one_k2(), 128, False)  # dim 512
         assert list(files) == ["spectrum.csv"] and summary["values"] == traj.spectra[128].tolist()
+
+
+def random_hermitian_band(rng, N, b, dtype, kind):
+    """Lower band of a random real or complex Hermitian matrix H, shifted to be
+    positive definite, indefinite or negative definite, with lambda_min(H) and ||H||_1.
+
+    lambda_min is the Rayleigh quotient, in long double, of the eigenvector of
+    the dense eigh: eigvalsh alone is off by up to 18 eps ||H||_1 at N = 300,
+    and the quotient's error is second order in the eigenvector's.
+    """
+    ab = rng.standard_normal((b + 1, N)).astype(dtype)
+    if dtype is complex:
+        ab[1:] += 1j * rng.standard_normal((b, N))
+    for t in range(1, b + 1):
+        ab[t, N - t :] = 0.0
+    w = np.linalg.eigvalsh(toeplitz._dense(ab))
+    spread = max(w[-1] - w[0], 1.0)
+    ab[0] += {"pd": 0.25 * spread - w[0], "indefinite": -0.5 * (w[0] + w[-1]), "negative": -0.25 * spread - w[-1]}[kind]
+    H = toeplitz._dense(ab)
+    v = np.linalg.eigh(H)[1][:, 0].astype(np.clongdouble)
+    low = float(((v.conj() @ H.astype(np.clongdouble) @ v) / (v.conj() @ v)).real)
+    return ab, low, np.abs(H).sum(axis=0).max()
+
+
+def factors(ab, mu):
+    """Whether the band shifted by -mu has a band Cholesky factor."""
+    pbtrf, = lapack.get_lapack_funcs(("pbtrf",), (ab,))
+    shifted = ab.copy()
+    shifted[0] -= mu
+    return pbtrf(shifted, lower=1)[1] == 0
+
+
+class TestLowestBandEigenvalue:
+    """core._lowest_band_eigenvalue, bisection on band Cholesky factors, against the dense eigensolver."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("b", range(9))
+    def test_agrees_with_dense_eigensolver(self, dtype, b):
+        rng = np.random.default_rng(100 * b + (dtype is complex))
+        for N in (2, 3, 17, 64, 300):
+            for kind in ("pd", "indefinite", "negative"):
+                ab, oracle, norm1 = random_hermitian_band(rng, N, min(b, N - 1), dtype, kind)
+                w = core._lowest_band_eigenvalue(ab)
+                assert abs(w - oracle) <= 8 * self.EPS * norm1, (N, kind)
+                # the returned value brackets the threshold of the factor
+                assert factors(ab, w - 4 * self.EPS * norm1), (N, kind)
+                assert not factors(ab, w + 4 * self.EPS * norm1), (N, kind)
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_exact_eigenvalue(self, n):
+        # T = I, k = 1: H = I + (i/2) J has eigenvalues 1/2 and 3/2 and ||H||_1 = 3/2
+        ab = toeplitz._shifted_band(scalar_symbol([1.0]), n, 0.0)
+        assert abs(core._lowest_band_eigenvalue(ab) - 0.5) <= 8 * self.EPS * 1.5
+        assert abs(toeplitz.gchain_check(scalar_symbol([1.0]), n).min_eigenvalue - 0.5) <= 8 * self.EPS * 1.5
+
+    def test_diagonal_band_is_its_minimum(self):
+        ab = np.array([[3.0, -2.5, 7.0, 1e-300]])
+        assert core._lowest_band_eigenvalue(ab) == -2.5
+        assert core._lowest_band_eigenvalue(np.zeros((3, 5))) == 0.0
 
 
 class TestBandInputChecks:

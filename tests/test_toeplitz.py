@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigvals_banded, lapack
 from scipy.linalg import toeplitz as scalar_toeplitz
 
@@ -322,6 +324,42 @@ class TestGChainBand:
             witness = toeplitz.gchain_check(s, n).min_eigenvalue
             assert witness == pytest.approx(references[name], abs=1e-12), name
 
+    # the benchmark's gchain-sweep ops: a1 I_4 with a1 in [0.2, 0.4], certified at n_max = 256, or
+    # with a0 placed so that order 200 fails first
+    @pytest.mark.parametrize("a0, a1, first", [
+        (1.2, 0.3, None),
+        (0.5 + 0.3 * (math.cos(math.pi / 200) + math.cos(math.pi / 201)), 0.3, 200),
+    ], ids=["certify", "locate"])
+    def test_witness_takes_no_band_reduction(self, a0, a1, first, monkeypatch):
+        s = symbols.scalar_symbol([a0, a1], k=2)
+        n = first or 256
+        reference = _embedding_witness(s, n)
+        closed = a0 - 2 * a1 * math.cos(math.pi / (n + 1)) - 0.5
+
+        def fail(*args, **kwargs):
+            pytest.fail("eigensolve on the witness route")
+
+        monkeypatch.setattr(toeplitz, "eigvals_banded", fail, raising=False)
+        monkeypatch.setattr(core, "eigvals_banded", fail)
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        result, witness = toeplitz.gchain_sweep(s, 256)
+        assert result == first and witness.n == n
+        assert witness.min_eigenvalue == pytest.approx(reference, abs=1e-12)
+        assert witness.min_eigenvalue == pytest.approx(closed, abs=1e-12)
+
+    # T_n(a0 + 2 a1 cos) kron I_4 + (i/2) J has smallest eigenvalue a0 - 2 a1 cos(pi / (n + 1)) - 1/2
+    @pytest.mark.parametrize("a0, a1, tol", [
+        (1.5e308, 0.7e308, {"rel": 1e-12}),
+        (1.5e-300, 0.7e-300, {"abs": 1e-15}),
+    ], ids=["top", "bottom"])
+    def test_witness_at_the_ends_of_the_float_range(self, a0, a1, tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = toeplitz.gchain_check(symbols.scalar_symbol([a0, a1], k=2), 64).min_eigenvalue
+        assert math.isfinite(w)
+        assert w == pytest.approx(a0 - 2 * a1 * math.cos(math.pi / 65) - 0.5, **tol)
+
     def test_wide_band_takes_the_dense_witness(self, monkeypatch):
         # degree 7, k = 2: bandwidth 31 > toeplitz._band_limit(256) = 19
         s = _near_identity(np.random.default_rng(4), 2, 7, 0.05)
@@ -330,7 +368,7 @@ class TestGChainBand:
         assert ab.shape[0] - 1 > toeplitz._band_limit(ab.shape[1])
         reference = _embedding_witness(s, n)
         band = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0]
-        monkeypatch.setattr(toeplitz, "eigvals_banded", lambda *a, **kw: pytest.fail("band witness on a wide band"))
+        monkeypatch.setattr(core, "_lowest_band_eigenvalue", lambda *a, **kw: pytest.fail("band witness on a wide band"))
         witness = toeplitz.gchain_check(s, n).min_eigenvalue
         assert witness == pytest.approx(reference, abs=1e-12)
         assert witness == pytest.approx(band, abs=1e-12)
