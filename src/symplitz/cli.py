@@ -9,9 +9,9 @@ entropy-rate and counting verbs run the same average-versus-integral report,
 szego.convergence_report, with f the configured test function, the per-mode
 entropy and the interval indicator; entropy-rate names its columns and keys
 after the rate.  Each quantity has one verb: the entropy rate is reached only
-through entropy-rate, whose config alone sets its log base, and a smoothed
-count only through szego with f indicator_smoothing.  Every tolerance verdict
-is made here, not in the library.
+through entropy-rate, whose config alone sets its log base and its clamp
+policy (strict), and a smoothed count only through szego with f
+indicator_smoothing.  Every tolerance verdict is made here, not in the library.
 
 One table, FIELDS, names each verb's config fields with their parsers and
 defaults; main parses the config against it before any numerics, and the
@@ -153,8 +153,8 @@ def _matrix(value, path):
         arr = np.asarray(_nested_numbers(value, path), dtype=float)
     except ValueError:
         _fail(path, "not a numeric matrix")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        _fail(path, f"must be a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
+        _fail(path, f"must be a square matrix of positive even dimension, got shape {arr.shape}")
     return arr
 
 
@@ -255,8 +255,7 @@ _SYMBOL = (_symbol, REQUIRED)
 _GRID = (_grid, symbols.GridSpec(symbols.DEFAULT_GRID_G))
 _N_LIST = (_n_list, REQUIRED)
 _TOLERANCE = (_positive, None)
-# Each verb's top-level fields, {name: (parser, REQUIRED or default)}.  The
-# verb's function is called with the parsed values as keywords, plus strict.
+# Each verb's top-level fields {name: (parser, REQUIRED or default)}; its function takes the parsed values.
 FIELDS = {
     "spectrum": {"matrix": (_matrix, None), "symbol": (_symbol, None), "n": (_count, None),
                  "dump_truncation": (_flag, False)},
@@ -264,8 +263,8 @@ FIELDS = {
     "szego": {"symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
               "f": (partial(_form, tag="kind", forms=TEST_FUNCTIONS), REQUIRED),
               "tolerance": _TOLERANCE, "grid_tolerance": (_positive, 1e-8)},
-    "entropy-rate": {"base": (_base, "e"), "symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
-                     "tolerance": _TOLERANCE, "grid_tolerance": (_positive, 1e-8)},
+    "entropy-rate": {"base": (_base, "e"), "strict": (_flag, True), "symbol": _SYMBOL, "grid": _GRID,
+                     "n_list": _N_LIST, "tolerance": _TOLERANCE, "grid_tolerance": (_positive, 1e-8)},
     "counting": {"symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
                  "interval": (_interval, REQUIRED), "tolerance": _TOLERANCE},
     "density": {"symbol": _SYMBOL, "grid": _GRID, "n_max": (_count, REQUIRED),
@@ -300,7 +299,7 @@ def _check(name, value, tolerance, passed) -> dict:
 # commands: each returns (files, checks, summary_core)
 
 
-def cmd_spectrum(matrix, symbol, n, dump_truncation, **opts):
+def cmd_spectrum(matrix, symbol, n, dump_truncation):
     if (matrix is None) == (symbol is None):
         _fail("config", "needs exactly one of matrix and symbol")
     if symbol is not None and n is None:
@@ -319,7 +318,7 @@ def cmd_spectrum(matrix, symbol, n, dump_truncation, **opts):
     return files, [], summary
 
 
-def cmd_williamson(matrix, tolerance, **opts):
+def cmd_williamson(matrix, tolerance):
     fact = core.williamson(matrix)
     bound = tolerance * float(np.linalg.norm(matrix, 2))
     checks = [
@@ -339,7 +338,7 @@ def cmd_williamson(matrix, tolerance, **opts):
     return files, checks, summary
 
 
-def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, f, **opts):
+def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, f):
     """The average-versus-integral report of f shared by the szego and
     entropy-rate verbs, with its checks and the summary keys both verbs write.
 
@@ -375,7 +374,7 @@ def cmd_entropy_rate(base, strict, **fields):
     return files, checks, {**summary, "base": str(base), "rates": report.averages, "rate": report.integral}
 
 
-def cmd_counting(symbol, grid, n_list, interval, tolerance, **opts):
+def cmd_counting(symbol, grid, n_list, interval, tolerance):
     f = szego.indicator(interval)
     report = szego.convergence_report(symbol, f, n_list, symbols.symplectic_curves(symbol, grid))
     counts = [int(np.sum(f(report.trajectory.spectra[n]))) for n in report.ns]
@@ -395,7 +394,7 @@ def cmd_counting(symbol, grid, n_list, interval, tolerance, **opts):
     return files, checks, summary
 
 
-def cmd_density(symbol, grid, n_max, delta, coverage_tolerance, escape_tolerance, **opts):
+def cmd_density(symbol, grid, n_max, delta, coverage_tolerance, escape_tolerance):
     report = szego.density_check(symbol, n_max, delta, grid)
     coverage_tolerance = coverage_tolerance or delta
     checks = [
@@ -417,7 +416,7 @@ def cmd_density(symbol, grid, n_max, delta, coverage_tolerance, escape_tolerance
     return files, checks, summary
 
 
-def cmd_gchain_check(symbol, n_max, tolerance, **opts):
+def cmd_gchain_check(symbol, n_max, tolerance):
     first, witness = toeplitz.gchain_sweep(symbol, n_max, tolerance)
     checks = [_check("gchain_valid_up_to_n_max", witness.min_eigenvalue, tolerance, first is None)]
     rows = [(witness.n, witness.min_eigenvalue, witness.ok)]
@@ -460,11 +459,6 @@ def _build_parser():
         default=None,
         help=f"output directory (default: ${ENV_OUT} or ./{DEFAULT_OUT})",
     )
-    clamp = parser.add_mutually_exclusive_group()
-    clamp.add_argument("--strict", dest="strict", action="store_true", default=True,
-                       help="error on sub-vacuum symplectic eigenvalues (default)")
-    clamp.add_argument("--lenient", dest="strict", action="store_false",
-                       help="warn instead of erroring on sub-vacuum eigenvalues")
     parser.add_argument("--verify", action="store_true",
                         help="recompute and compare digests against the existing run manifest")
     return parser
@@ -494,7 +488,7 @@ def main(argv=None) -> int:
     t1 = time.perf_counter()
     try:
         fields = _parse(cfg, FIELDS[args.command], "config")
-        files, checks, summary_core = COMMANDS[args.command](strict=args.strict, **fields)
+        files, checks, summary_core = COMMANDS[args.command](**fields)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -197,24 +197,28 @@ class TestEntropyRateCommand:
 
     def test_lenient_mode_completes_but_flags_rough_quadrature(self, tmp_path):
         # the curve crosses the entropy kink at 1/2, so the integrand is not
-        # smooth: the run completes in lenient mode and the grid-consistency
+        # smooth: the run completes with "strict": false and the grid-consistency
         # check fires instead of silently passing
         cfg_dict = {
             "symbol": {"builder": "scalar", "coeffs": [0.6, 0.1]},
             "n_list": [4, 8],
             "grid": {"G": 64},
+            "strict": False,
         }
         cfg = write_config(tmp_path / "c.json", cfg_dict)
         with pytest.warns(RuntimeWarning):
-            assert run("entropy-rate", cfg, tmp_path / "out", "--lenient") == 4
+            assert run("entropy-rate", cfg, tmp_path / "out") == 4
         summary = read_summary(tmp_path / "out")
         flagged = {c["name"]: c["passed"] for c in summary["checks"]}
         assert flagged["grid_consistency"] is False
-        # with the quadrature roughness acknowledged, the run passes
+        # with the quadrature roughness acknowledged, the run passes, and the
+        # digested config alone sets the clamp policy, so --verify needs no flag
         cfg_dict["grid_tolerance"] = 1e-3
         cfg = write_config(tmp_path / "c2.json", cfg_dict)
         with pytest.warns(RuntimeWarning):
-            assert run("entropy-rate", cfg, tmp_path / "out2", "--lenient") == 0
+            assert run("entropy-rate", cfg, tmp_path / "out2") == 0
+        with pytest.warns(RuntimeWarning):
+            assert run("entropy-rate", cfg, tmp_path / "out2", "--verify") == 0
 
 
 class TestCountingCommand:
@@ -683,6 +687,43 @@ class TestFieldTable:
             run("entropy-rate", cfg, tmp_path / "out", "--base", "2")
         assert exit_.value.code == 2
         assert "--base" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--strict", "--lenient"])
+    def test_clamp_flags_are_refused(self, tmp_path, capsys, flag):
+        # the digested config alone sets an entropy-rate run's clamp policy
+        rate = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [2], "grid": {"G": 16}}
+        cfg = write_config(tmp_path / "c.json", rate)
+        with pytest.raises(SystemExit) as exit_:
+            run("entropy-rate", cfg, tmp_path / "out", flag)
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_strict_is_an_entropy_rate_field_only(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"matrix": [[2.0, 0.0], [0.0, 8.0]], "strict": True})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config.strict: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_strict_must_be_a_flag(self, tmp_path, capsys):
+        rate = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [2], "grid": {"G": 16},
+                "strict": "yes"}
+        assert run("entropy-rate", write_config(tmp_path / "c.json", rate), tmp_path / "out") == 2
+        assert "config.strict: must be true or false, got 'yes'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("spectrum", {"matrix": np.eye(3).tolist()}, "config.matrix"),
+        ("williamson", {"matrix": np.eye(3).tolist()}, "config.matrix"),
+        ("spectrum", {"symbol": {"builder": "constant", "matrix": np.eye(3).tolist()}, "n": 2},
+         "config.symbol.matrix"),
+        ("spectrum", {"symbol": {"builder": "ab_family", "a": np.eye(3).tolist(), "b": np.eye(2).tolist(),
+                                 "weights": [0.5]}, "n": 2}, "config.symbol.a"),
+        ("spectrum", {"symbol": {"builder": "ab_family", "a": np.eye(2).tolist(), "b": np.eye(3).tolist(),
+                                 "weights": [0.5]}, "n": 2}, "config.symbol.b"),
+    ])
+    def test_odd_matrix_exits_2_at_its_path(self, tmp_path, capsys, command, cfg, path):
+        assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: must be a square matrix of positive even dimension, got shape (3, 3)\n")
 
     def test_spectrum_needs_exactly_one_source(self, tmp_path, capsys):
         both = {"matrix": [[2.0, 0.0], [0.0, 8.0]], "symbol": {"builder": "scalar", "coeffs": [2.0]}, "n": 2}

@@ -32,7 +32,8 @@ VALID = [
                "n_list": [2], "grid": {"G": 32}}),
     ("entropy-rate", {"symbol": {"builder": "ab_family", "a": [[2.0, 0.0], [0.0, 2.0]],
                                  "b": [[0.5, 0.0], [0.0, 0.5]], "weights": [0.5, 0.25], "degree": 2},
-                      "n_list": [2, 4], "grid": {"G": 64}, "tolerance": 0.5, "grid_tolerance": 1e-6, "base": "2"}),
+                      "n_list": [2, 4], "grid": {"G": 64}, "tolerance": 0.5, "grid_tolerance": 1e-6, "base": "2",
+                      "strict": True}),
     ("counting", {"symbol": SCALAR, "n_list": [4, 8], "interval": [2.0, 3.0], "grid": {"G": 64},
                   "tolerance": 0.5}),
     ("density", {"symbol": {"kind": "sampled", "k": 1, "degree": 1, "grid": {"G": 4},

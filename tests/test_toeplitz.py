@@ -175,6 +175,17 @@ class TestGChain:
         with pytest.raises(TruncationSizeError):
             toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), 10**6)
 
+    def test_early_failure_on_a_wide_band_factors_small_orders_only(self, monkeypatch):
+        # degree 2047, every coefficient nonzero: the band of order 2048 is 4095 wide (268 MB),
+        # but the doubling meets the failure at order 3 by factoring orders 1, 2 and 4
+        coeffs = np.full(2048, 1e-6)
+        coeffs[:2] = [1.0, 0.45]
+        orders = []
+        band = toeplitz._shifted_band
+        monkeypatch.setattr(toeplitz, "_shifted_band", lambda s, n, shift: orders.append(n) or band(s, n, shift))
+        assert toeplitz.gchain_sweep(symbols.scalar_symbol(coeffs), 2048)[0] == 3
+        assert max(orders) <= 4
+
     @pytest.mark.parametrize("k, first", [(3, 600), (5, 300)])
     def test_first_failure_below_a_guard_order_off_the_doubling(self, k, first):
         # the guard orders 682 (k = 3) and 409 (k = 5) are not powers of two; the doubling
