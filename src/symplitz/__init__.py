@@ -64,7 +64,6 @@ from .szego import (
     truncated_spectra,
 )
 from .toeplitz import (
-    GChainCheck,
     QuadraticFormCheck,
     assemble,
     gchain_check,

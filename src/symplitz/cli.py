@@ -3,15 +3,18 @@
 Experiments are described by a JSON config file; results are emitted as CSV
 series plus a JSON summary, and every run writes a manifest listing the
 emitted files with content digests.  Exit codes: 0 all declared tolerances
-pass, 2 config error, 3 numerical-domain error, 4 tolerance or verification
-failure.  Every run is serial and byte-reproducible.  The szego,
-entropy-rate and counting verbs run the same average-versus-integral report,
-szego.convergence_report, with f the configured test function, the per-mode
-entropy and the interval indicator; entropy-rate names its columns and keys
-after the rate.  Each quantity has one verb: the entropy rate is reached only
-through entropy-rate, whose config alone sets its log base and its clamp
-policy (strict), and a smoothed count only through szego with f
-indicator_smoothing.  Every tolerance verdict is made here, not in the library.
+pass, 2 config error or an output directory that cannot be written,
+3 numerical-domain error, 4 tolerance or verification failure.  Every run is
+serial and byte-reproducible.  The szego, entropy-rate and counting verbs run
+the same average-versus-integral report, szego.convergence_report, with f
+the configured test function, the per-mode entropy and the interval
+indicator; entropy-rate names its columns and keys after the rate.  Each
+quantity has one verb: the entropy rate is reached only through
+entropy-rate, whose config alone sets its log base and its clamp policy
+(strict), and a smoothed count only through szego with f
+indicator_smoothing.  Every tolerance verdict is made here, not in the
+library, except the G-chain pivot, which toeplitz.gchain_sweep takes at the
+configured tolerance.
 
 One table, FIELDS, names each verb's config fields with their parsers and
 defaults; main parses the config against it before any numerics, and the
@@ -418,14 +421,14 @@ def cmd_density(symbol, grid, n_max, delta, coverage_tolerance, escape_tolerance
 
 def cmd_gchain_check(symbol, n_max, tolerance):
     first, witness = toeplitz.gchain_sweep(symbol, n_max, tolerance)
-    checks = [_check("gchain_valid_up_to_n_max", witness.min_eigenvalue, tolerance, first is None)]
-    rows = [(witness.n, witness.min_eigenvalue, witness.ok)]
+    checks = [_check("gchain_valid_up_to_n_max", witness, tolerance, first is None)]
+    rows = [(n_max if first is None else first, witness, first is None)]
     files = {"series.csv": _csv_bytes(["n", "min_eigenvalue", "ok"], rows)}
     summary = {
         "n_max": n_max,
         "tolerance": tolerance,
         "first_failing_n": first,
-        "worst_min_eigenvalue": witness.min_eigenvalue,
+        "worst_min_eigenvalue": witness,
         "certified": f"all truncations up to n = {n_max} pass" if first is None
         else f"first failure at n = {first}",
     }
@@ -540,20 +543,24 @@ def main(argv=None) -> int:
             print(f"verify: {len(digests)} file(s) match the recorded manifest")
     else:
         t2 = time.perf_counter()
-        os.makedirs(out_dir, exist_ok=True)
-        for name, data in files.items():
-            with open(os.path.join(out_dir, name), "wb") as fh:
-                fh.write(data)
-        manifest = {
-            "artifact_version": __version__,
-            "command": args.command,
-            "config_sha256": config_digest,
-            "elapsed": {"load": t_load, "compute": t_compute, "write": time.perf_counter() - t2},
-            "checks": checks,
-            "files": digests,
-        }
-        with open(os.path.join(out_dir, "run_manifest.json"), "wb") as fh:
-            fh.write(_json_bytes(manifest))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            for name, data in files.items():
+                with open(os.path.join(out_dir, name), "wb") as fh:
+                    fh.write(data)
+            manifest = {
+                "artifact_version": __version__,
+                "command": args.command,
+                "config_sha256": config_digest,
+                "elapsed": {"load": t_load, "compute": t_compute, "write": time.perf_counter() - t2},
+                "checks": checks,
+                "files": digests,
+            }
+            with open(os.path.join(out_dir, "run_manifest.json"), "wb") as fh:
+                fh.write(_json_bytes(manifest))
+        except OSError as err:
+            print(f"error: cannot write {out_dir}: {err}", file=sys.stderr)
+            return 2
         print(f"[{args.command}] wrote {', '.join(sorted(files))} to {out_dir}")
 
     if verify_failed or any(not c["passed"] for c in checks):

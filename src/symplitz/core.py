@@ -458,7 +458,7 @@ def is_gmatrix(A, tol: float = 1e-10) -> GMatrixCheck:
 
     The condition is equivalent to positive semidefiniteness of A + (i/2) J,
     the form toeplitz.gchain_sweep tests directly on truncations: its verdict
-    is a band Cholesky factor, and gchain_check adds the smallest eigenvalue.
+    is a band Cholesky factor, and gchain_check measures the smallest eigenvalue.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:

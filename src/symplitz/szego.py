@@ -103,13 +103,14 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
 
     For each fixed index the eigenvalue can only drift down (within float
     noise) as the order grows; the worst upward drift across consecutive
-    computed orders is recorded in ``monotonicity_violation``.  The largest
-    order is checked against ``toeplitz.MAX_DIM`` before any eigensolve.
+    computed orders is recorded in ``monotonicity_violation``.  ``n_list`` is
+    a list, tuple or range; its largest order is checked against
+    ``toeplitz.MAX_DIM`` before the orders are copied or any eigensolve runs.
     """
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns:
+    if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
-    toeplitz.truncation_dim(symbol, ns[-1])
+    toeplitz.truncation_dim(symbol, int(max(n_list)))
+    ns = sorted(set(int(n) for n in n_list))
 
     def one(n):
         try:
@@ -198,16 +199,18 @@ def min_trajectory(
     grid: symbols.GridSpec = symbols.GridSpec(),
 ) -> MinTrajectory:
     """Track d_m of the truncations; every fixed index converges to the
-    grid infimum of the bottom symplectic curve."""
-    ns = sorted(set(int(n) for n in n_list))
+    grid infimum of the bottom symplectic curve.  ``n_list`` is a list,
+    tuple or range."""
     # the index is checked before any eigensolve; an empty n_list falls
     # through to truncated_spectra's ValueError
-    if ns and (m < 1 or m > symbol.k * ns[0]):
+    n_min = int(min(n_list)) if len(n_list) else None
+    if n_min is not None and (m < 1 or m > symbol.k * n_min):
         raise IndexRangeError(
-            f"index m = {m} does not exist at the smallest order n = {ns[0]} "
-            f"(spectrum has {symbol.k * ns[0]} entries)"
+            f"index m = {m} does not exist at the smallest order n = {n_min} "
+            f"(spectrum has {symbol.k * n_min} entries)"
         )
-    traj = truncated_spectra(symbol, ns)
+    traj = truncated_spectra(symbol, n_list)
+    ns = traj.ns
     values = [float(traj.spectra[n][m - 1]) for n in ns]
     violation = 0.0
     for prev, nxt in zip(values, values[1:]):
@@ -263,8 +266,9 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
-    n_max is checked against ``toeplitz.MAX_DIM`` before truncated_spectra
-    lists the orders 1 .. n_max (0.42 s and 74 MB at n_max = 10**6).
+    n_max is checked against ``toeplitz.MAX_DIM`` in O(1) before
+    truncated_spectra walks the orders 1 .. n_max for their largest (no
+    copy, but 0.04 s at n_max = 10**6 on one core, and linear in n_max).
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")

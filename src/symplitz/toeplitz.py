@@ -8,12 +8,13 @@ straight from the coefficients; it is the only source of a truncation's
 band.  truncation_spectrum hands that band to the core band kernel once the
 dimension is large enough for the band to win (_band_limit), and solves the
 dense truncation otherwise.  The covariance (G-chain) test is the one place
-where a complex shift enters: H_n = T_n + (i/2) J + shift I is the same band
-with the shift on the diagonal and J on the first subdiagonal.  Its verdicts
-and its witness are band Cholesky factors: the verdict is one factor, and
-the witness, the smallest eigenvalue, is a bisection on whether
-H_n - mu I factors (core._lowest_band_eigenvalue), or, where the band is
-wide, a dense Hermitian eigensolve of that band.  _band writes every
+where a complex matrix enters: H_n = T_n + (i/2) J is the same band with J
+on the first subdiagonal.  The test has one verdict, a band Cholesky factor
+of H_n + tol I (gchain_sweep); since T_n is a leading principal submatrix of
+T_{n+1}, one factor decides every order up to n.  gchain_check only
+measures: its witness, the smallest eigenvalue of H_n, is a bisection on
+whether H_n - mu I factors (core._lowest_band_eigenvalue), or, where the
+band is wide, a dense Hermitian eigensolve of that band.  _band writes every
 truncation entry; _dense, the one band-to-dense unpack, serves assemble
 (matrix dumps, quadratic_form_check) and the dense fallbacks of bands wider
 than the band rule.
@@ -178,52 +179,36 @@ def quadratic_form_check(symbol: TrigMatrixPolynomial, coefficients, grid: GridS
     return QuadraticFormCheck(lhs, rhs, abs(lhs - rhs))
 
 
-@dataclass(frozen=True)
-class GChainCheck:
-    """Covariance validity of one truncation, with the witness eigenvalue."""
-
-    ok: bool
-    n: int
-    min_eigenvalue: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _shifted_band(symbol: TrigMatrixPolynomial, n: int, shift: float) -> np.ndarray:
-    """LAPACK lower band of H = T_n + (i/2) J + shift I: the band of T_n, with
-    the shift on the diagonal and -i/2 at the even columns of the first
-    subdiagonal, which is added when T_n has none."""
+def _shifted_band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
+    """LAPACK lower band of H = T_n + (i/2) J: the band of T_n, with -i/2 at
+    the even columns of the first subdiagonal, which is added when T_n has none."""
     ab = _band(symbol, n)
     H = np.zeros((max(ab.shape[0], 2), ab.shape[1]), dtype=complex)
     H[: ab.shape[0]] = ab
-    H[0] += shift
     H[1, ::2] -= 0.5j
     return H
 
 
-def gchain_check(symbol: TrigMatrixPolynomial, n: int, tol: float = 1e-10) -> GChainCheck:
-    """Positivity of T_n + (i/2) J, by its smallest eigenvalue.
+def gchain_check(symbol: TrigMatrixPolynomial, n: int) -> float:
+    """Witness of the G-chain test at order n: the smallest eigenvalue of T_n + (i/2) J.
 
-    The witness min_eigenvalue is the smallest eigenvalue of T_n + (i/2) J; the
-    truncation passes when it is >= -tol.  It equals the smallest eigenvalue of
-    the real symmetric embedding [[T_n, -J/2], [J/2, T_n]], at half its size.
-    It is solved from the lower band of bandwidth b: when b <= _band_limit(N),
-    the rule of the truncation spectrum, by bisection on whether the band
-    shifted by -mu has a band Cholesky factor (core._lowest_band_eigenvalue,
-    about 51 factors of O(N b^2) each), otherwise by a dense Hermitian
-    eigensolve of the band unpacked (_dense).  Measured on 2 cores, random
-    complex bands, best of 5-15 in one process: the dense solve takes
+    A measurement, not a verdict: the verdict is gchain_sweep's pivot.  The
+    witness equals the smallest eigenvalue of the real symmetric embedding
+    [[T_n, -J/2], [J/2, T_n]], at half its size.  It is solved from the
+    lower band of bandwidth b: when b <= _band_limit(N), the rule of the
+    truncation spectrum, by bisection on whether the band shifted by -mu has
+    a band Cholesky factor (core._lowest_band_eigenvalue, about 51 factors of
+    O(N b^2) each, accurate to about 2 eps ||H||_1), otherwise by a dense
+    Hermitian eigensolve of the band unpacked (_dense).  Measured on 2 cores,
+    random complex bands, best of 5-15 in one process: the dense solve takes
     10-12 ms at N = 256 against 24 ms for bisection at b = 31 and 57 ms at
-    b = 255, and 316 ms at N = 1024 against 1.7 s at b = 1023, so wide
-    bands keep it.
+    b = 255, and 316 ms at N = 1024 against 1.7 s at b = 1023, so wide bands
+    keep it.
     """
-    ab = _shifted_band(symbol, n, 0.0)
+    ab = _shifted_band(symbol, n)
     if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):
-        w0 = core._lowest_band_eigenvalue(ab)
-    else:
-        w0 = float(np.linalg.eigvalsh(_dense(ab))[0])
-    return GChainCheck(w0 >= -tol, n, w0)
+        return core._lowest_band_eigenvalue(ab)
+    return float(np.linalg.eigvalsh(_dense(ab))[0])
 
 
 def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
@@ -233,8 +218,9 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
     submatrix of T_{n+1} and J is block diagonal, so one band Cholesky factor
     (zpbtrf) of H_m = T_m + (i/2) J + tol I decides every order up to m: it
     breaks down at the first leading minor that is not positive definite, and
-    that pivot lies in the block of the first failing order.  The orders
-    m = 1, 2, 4, ... and finally n_max are factored until one breaks down.
+    that pivot lies in the block of the first failing order.  This pivot is
+    the G-chain verdict.  The orders m = 1, 2, 4, ... and finally n_max are
+    factored until one breaks down.
     A doubled order is capped at the guard order MAX_DIM // 2k, so a failure
     below the guard is found even when n_max lies beyond it.  One factor at
     min(n_max, guard) would stop at the same pivot, but only after writing
@@ -245,10 +231,8 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
     to order 256 the doubling costs 0.19 ms more than one factor, next to a
     2.4 ms witness.
 
-    first_failing_n is this pivot verdict.  witness is the GChainCheck of the
-    eigensolve from gchain_check at the reported order (n_max when every
-    order passes).  The two can disagree only when the witness lies
-    within rounding of -tol.
+    witness is the smallest eigenvalue of T_m + (i/2) J that gchain_check
+    measures at the reported order m (n_max when every order passes).
     """
     if n_max < 1:
         raise InvalidDimensionError(f"n_max must be >= 1, got {n_max}")
@@ -261,12 +245,14 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
     orders.append(n_max)
     first_fail = None
     for m in orders:
-        _, info = lapack.zpbtrf(_shifted_band(symbol, m, tol), lower=1)
+        ab = _shifted_band(symbol, m)
+        ab[0] += tol
+        _, info = lapack.zpbtrf(ab, lower=1)
         if info > 0:
             # info is the 1-based order of the first leading minor that fails
             first_fail = (info - 1) // symbol.block_dim + 1
             break
-    return first_fail, gchain_check(symbol, n_max if first_fail is None else first_fail, tol)
+    return first_fail, gchain_check(symbol, n_max if first_fail is None else first_fail)
 
 
 def matrix_csv_bytes(T) -> bytes:

@@ -152,8 +152,7 @@ def test_10_gchain_desk_equivalence():
     margin = symbols.scalar_symbol([0.7, 0.05])  # bottom curve min 0.6
     violator = symbols.scalar_symbol([0.6, 0.1])  # bottom curve min 0.4
     m_first, _ = toeplitz.gchain_sweep(margin, 32, tol=1e-8)
-    v_first, v_witness = toeplitz.gchain_sweep(violator, 32, tol=1e-6)
-    v_worst = v_witness.min_eigenvalue
+    v_first, v_worst = toeplitz.gchain_sweep(violator, 32, tol=1e-6)
     ok = m_first is None and v_first is not None and v_first <= 32 and v_worst < -1e-6
     report(
         10,

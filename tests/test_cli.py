@@ -309,6 +309,20 @@ class TestGChainCommand:
         assert run("gchain-check", cfg, tmp_path / "out") == 0
         assert read_summary(tmp_path / "out")["first_failing_n"] is None
 
+    def test_boundary_symbol_has_one_verdict(self, tmp_path):
+        # the witness reads just below -tolerance, but the pivot passes every order: the check
+        # and the series.csv row both carry the pivot's verdict
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"symbol": {"builder": "constant", "matrix": [[0.4999999999, 0], [0, 0.4999999999]]}, "n_max": 4},
+        )
+        assert run("gchain-check", cfg, tmp_path / "out") == 0
+        summary = read_summary(tmp_path / "out")
+        assert summary["first_failing_n"] is None and summary["checks"][0]["passed"] is True
+        assert summary["worst_min_eigenvalue"] < -1e-10
+        lines = (tmp_path / "out" / "series.csv").read_text().splitlines()
+        assert lines[1] == f"4,{summary['worst_min_eigenvalue']!r},1"
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -632,6 +646,15 @@ class TestDeterminismAndManifest:
         (tmp_path / "out" / "run_manifest.json").write_bytes(manifest)
         assert run("entropy-rate", cfg, tmp_path / "out", "--verify") == 2
         assert "config error: cannot read manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("not a directory")
+        cfg = write_config(tmp_path / "c.json", {"matrix": [[2.0, 0.0], [0.0, 8.0]]})
+        assert run("spectrum", cfg, tmp_path / out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / out}: ") and "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "not a directory"
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.json", {"matrix": [[2.0, 0.0], [0.0, 8.0]]})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz as scalar_toeplitz
@@ -315,6 +317,20 @@ class TestSizeGuardFirst:
         with pytest.raises(TruncationSizeError):
             szego.truncated_spectra(corpus["matrix_k2"], [1, 2, 40])
         assert calls == []
+
+    @pytest.mark.parametrize("call", [
+        lambda n_list: szego.truncated_spectra(PHI, n_list),
+        lambda n_list: szego.min_trajectory(PHI, 1, n_list),
+    ], ids=["truncated_spectra", "min_trajectory"])
+    def test_long_order_list_is_refused_before_it_is_copied(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationSizeError):
+                call(range(1, 10**6 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_density_check(self, corpus, calls):
         with pytest.raises(TruncationSizeError):

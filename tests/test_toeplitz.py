@@ -87,7 +87,7 @@ class TestAssemble:
         for n in (1, 2, 5):
             T = kronecker_truncation(s, n)
             H = T + 0.5j * core.symplectic_form(T.shape[0] // 2)
-            np.testing.assert_array_equal(toeplitz._dense(toeplitz._shifted_band(s, n, 0.0)), H)
+            np.testing.assert_array_equal(toeplitz._dense(toeplitz._shifted_band(s, n)), H)
 
     def test_dense_fallback_unpacks_the_routing_band(self, monkeypatch):
         # k = 1, degree 7: bandwidth 14 > toeplitz._band_limit(64) = 3, so order 32 is solved dense
@@ -151,24 +151,34 @@ class TestGChain:
     def test_boundary_constant(self):
         s = symbols.constant_symbol(0.5 * np.eye(2))
         for n in (1, 3, 7):
-            res = toeplitz.gchain_check(s, n, tol=1e-10)
-            assert res.ok
-            assert abs(res.min_eigenvalue) <= 1e-12
+            assert toeplitz.gchain_sweep(s, n, 1e-10)[0] is None
+            assert abs(toeplitz.gchain_check(s, n)) <= 1e-12
         # min eigenvalue 0 and -1e-12: both within tol, so every order passes
         for d in (0.5, 0.5 - 1e-12):
             assert toeplitz.gchain_sweep(symbols.constant_symbol(d * np.eye(2)), 7, tol=1e-10)[0] is None
 
+    def test_boundary_verdict_is_the_pivot(self):
+        # 0.4999999999 I_2: the witness is -1e-10 to rounding, just below -tol, yet H + tol I
+        # factors at every order, so the pivot passes the symbol; the witness only measures
+        s = symbols.constant_symbol(0.4999999999 * np.eye(2))
+        first, witness = toeplitz.gchain_sweep(s, 4)
+        assert first is None
+        assert witness == toeplitz.gchain_check(s, 4)
+        assert witness == pytest.approx(-1e-10, abs=1e-16) and witness < -1e-10
+        # without the tolerance the first order already fails
+        assert toeplitz.gchain_sweep(s, 4, 0.0)[0] == 1
+
     def test_identity_constant(self):
-        res = toeplitz.gchain_check(symbols.constant_symbol(np.eye(2)), 4)
-        assert res.ok
-        assert res.min_eigenvalue == pytest.approx(0.5, abs=1e-12)
+        s = symbols.constant_symbol(np.eye(2))
+        assert toeplitz.gchain_sweep(s, 4)[0] is None
+        assert toeplitz.gchain_check(s, 4) == pytest.approx(0.5, abs=1e-12)
 
     def test_violator_first_failure(self, monkeypatch):
         s = symbols.scalar_symbol([0.6, 0.1])  # bottom curve dips to 0.4 < 1/2
         first, witness = toeplitz.gchain_sweep(s, 32, tol=1e-6)
         assert first == 3
-        assert witness.n == 3
-        assert witness.min_eigenvalue < -1e-6
+        assert witness == toeplitz.gchain_check(s, 3)
+        assert witness < -1e-6
         # the doubling stops at order 4, so an n_max beyond the guard is never assembled
         monkeypatch.setattr(toeplitz, "MAX_DIM", 16)
         assert toeplitz.gchain_sweep(s, 10**6, tol=1e-6)[0] == 3
@@ -182,7 +192,7 @@ class TestGChain:
         coeffs[:2] = [1.0, 0.45]
         orders = []
         band = toeplitz._shifted_band
-        monkeypatch.setattr(toeplitz, "_shifted_band", lambda s, n, shift: orders.append(n) or band(s, n, shift))
+        monkeypatch.setattr(toeplitz, "_shifted_band", lambda s, n: orders.append(n) or band(s, n))
         assert toeplitz.gchain_sweep(symbols.scalar_symbol(coeffs), 2048)[0] == 3
         assert max(orders) <= 4
 
@@ -196,8 +206,9 @@ class TestGChain:
         s = symbols.scalar_symbol([a0, 0.3], k=k)
         for n_max in (toeplitz.MAX_DIM // (2 * k), 10**6):
             found, witness = toeplitz.gchain_sweep(s, n_max)
-            assert found == witness.n == first
-            assert witness.min_eigenvalue < -1e-10
+            assert found == first
+            assert witness == toeplitz.gchain_check(s, first)
+            assert witness < -1e-10
 
     def test_sweep_matches_sequential_scan(self):
         cases = [
@@ -210,11 +221,11 @@ class TestGChain:
             first, witness = toeplitz.gchain_sweep(s, 24, tol=1e-9)
             sequential = None
             for n in range(1, 25):
-                if not toeplitz.gchain_check(s, n, tol=1e-9).ok:
+                if toeplitz.gchain_check(s, n) < -1e-9:
                     sequential = n
                     break
             assert first == sequential
-            assert witness.n == (first or 24)
+            assert witness == toeplitz.gchain_check(s, first or 24)
 
     @pytest.mark.parametrize(
         "coeffs, info, order",
@@ -241,14 +252,14 @@ class TestGChain:
                 T = toeplitz.assemble(s, n)
                 E = hermitian_embedding(T, 0.5 * core.symplectic_form(T.shape[0] // 2))
                 reference = np.linalg.eigvalsh(E)[0]
-                witness = toeplitz.gchain_check(s, n).min_eigenvalue
+                witness = toeplitz.gchain_check(s, n)
                 assert witness == pytest.approx(reference, abs=1e-12), name
 
     def test_margin_symbol_passes(self):
         s = symbols.scalar_symbol([0.7, 0.05])  # bottom curve stays at 0.6
         first, witness = toeplitz.gchain_sweep(s, 32, tol=1e-8)
         assert first is None
-        assert witness.min_eigenvalue >= 0.1 - 1e-10
+        assert witness >= 0.1 - 1e-10
 
     def test_first_failing_order(self):
         assert toeplitz.gchain_sweep(symbols.scalar_symbol([0.6, 0.1]), 32, tol=1e-6)[0] == 3
@@ -284,7 +295,7 @@ def _check_band_writer(s, n):
     np.testing.assert_array_equal(ab.view(np.uint64), expected.view(np.uint64))
     H = T + 0.5j * core.symplectic_form(N // 2)
     bh = max(b, 1)  # J needs the first subdiagonal
-    hb = toeplitz._shifted_band(s, n, 0.0)
+    hb = toeplitz._shifted_band(s, n)
     assert hb.shape == (bh + 1, N) and not np.tril(H, -bh - 1).any()
     np.testing.assert_array_equal(hb.view(np.uint64), lower_band(H, bh).view(np.uint64))
     return b
@@ -312,10 +323,16 @@ class TestGChainBand:
             _check_band_writer(s, n)
         assert _check_band_writer(s, 8) == b
 
-    def test_shift_is_on_the_diagonal(self):
+    def test_shift_is_on_the_diagonal(self, monkeypatch):
+        # the band gchain_sweep factors is _shifted_band with tol added to its diagonal only
         s = matrix_symbol_k2()
-        shifted = toeplitz._shifted_band(s, 5, 1e-10)
-        plain = toeplitz._shifted_band(s, 5, 0.0)
+        factored = []
+        zpbtrf = lapack.zpbtrf
+        monkeypatch.setattr(lapack, "zpbtrf", lambda ab, **kw: factored.append(ab.copy()) or zpbtrf(ab, **kw))
+        assert toeplitz.gchain_sweep(s, 5, 1e-10)[0] is None
+        assert len(factored) == 4  # orders 1, 2, 4 and 5
+        shifted = factored[-1]
+        plain = toeplitz._shifted_band(s, 5)
         np.testing.assert_array_equal(shifted[0], plain[0] + 1e-10)
         np.testing.assert_array_equal(shifted[1:], plain[1:])
 
@@ -332,7 +349,7 @@ class TestGChainBand:
         assert 7 <= toeplitz._band_limit(4 * n)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("dense witness on the band route"))
         for name, s in cases.items():
-            witness = toeplitz.gchain_check(s, n).min_eigenvalue
+            witness = toeplitz.gchain_check(s, n)
             assert witness == pytest.approx(references[name], abs=1e-12), name
 
     # the benchmark's gchain-sweep ops: a1 I_4 with a1 in [0.2, 0.4], certified at n_max = 256, or
@@ -355,9 +372,9 @@ class TestGChainBand:
         monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         result, witness = toeplitz.gchain_sweep(s, 256)
-        assert result == first and witness.n == n
-        assert witness.min_eigenvalue == pytest.approx(reference, abs=1e-12)
-        assert witness.min_eigenvalue == pytest.approx(closed, abs=1e-12)
+        assert result == first
+        assert witness == pytest.approx(reference, abs=1e-12)
+        assert witness == pytest.approx(closed, abs=1e-12)
 
     # T_n(a0 + 2 a1 cos) kron I_4 + (i/2) J has smallest eigenvalue a0 - 2 a1 cos(pi / (n + 1)) - 1/2
     @pytest.mark.parametrize("a0, a1, tol", [
@@ -367,7 +384,7 @@ class TestGChainBand:
     def test_witness_at_the_ends_of_the_float_range(self, a0, a1, tol):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = toeplitz.gchain_check(symbols.scalar_symbol([a0, a1], k=2), 64).min_eigenvalue
+            w = toeplitz.gchain_check(symbols.scalar_symbol([a0, a1], k=2), 64)
         assert math.isfinite(w)
         assert w == pytest.approx(a0 - 2 * a1 * math.cos(math.pi / 65) - 0.5, **tol)
 
@@ -375,12 +392,12 @@ class TestGChainBand:
         # degree 7, k = 2: bandwidth 31 > toeplitz._band_limit(256) = 19
         s = _near_identity(np.random.default_rng(4), 2, 7, 0.05)
         n = 64
-        ab = toeplitz._shifted_band(s, n, 0.0)
+        ab = toeplitz._shifted_band(s, n)
         assert ab.shape[0] - 1 > toeplitz._band_limit(ab.shape[1])
         reference = _embedding_witness(s, n)
         band = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0]
         monkeypatch.setattr(core, "_lowest_band_eigenvalue", lambda *a, **kw: pytest.fail("band witness on a wide band"))
-        witness = toeplitz.gchain_check(s, n).min_eigenvalue
+        witness = toeplitz.gchain_check(s, n)
         assert witness == pytest.approx(reference, abs=1e-12)
         assert witness == pytest.approx(band, abs=1e-12)
 
@@ -406,10 +423,10 @@ class TestGChainBand:
     def test_band_sweep_builds_no_dense_array(self, coeffs, first, monkeypatch):
         monkeypatch.setattr(toeplitz, "assemble", lambda *a, **kw: pytest.fail("dense truncation assembled"))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("dense witness on the band route"))
-        result, witness = toeplitz.gchain_sweep(symbols.scalar_symbol(coeffs, k=2), 128)
+        s = symbols.scalar_symbol(coeffs, k=2)
+        result, witness = toeplitz.gchain_sweep(s, 128)
         assert result == first
-        assert witness.n == (first or 128)
-        assert witness.ok == (first is None)
+        assert witness == toeplitz.gchain_check(s, first or 128)
 
 
 class TestPositiveDefiniteCheck:
