@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 from . import errors
 from .core import (
     EdgeProbe,
-    GMatrixCheck,
     WilliamsonFactorization,
-    is_gmatrix,
     numerical_range_edge,
     random_symplectic,
     symplectic_eigenvalues,
@@ -32,15 +30,12 @@ from .entropy import (
 )
 from .symbols import (
     GridSpec,
-    GSymbolCheck,
     SymplecticCurves,
     TrigMatrixPolynomial,
     ab_family,
     constant_symbol,
     from_samples,
     geometric_weights,
-    is_g_symbol,
-    min_symplectic_eigenvalue,
     scalar_symbol,
     sup_norm,
     symplectic_curves,

@@ -12,9 +12,10 @@ indicator; entropy-rate names its columns and keys after the rate.  Each
 quantity has one verb: the entropy rate is reached only through
 entropy-rate, whose config alone sets its log base and its clamp policy
 (strict), and a smoothed count only through szego with f
-indicator_smoothing.  Every tolerance verdict is made here, not in the
-library, except the G-chain pivot, which toeplitz.gchain_sweep takes at the
-configured tolerance.
+indicator_smoothing.  Every verdict tolerance is set here: the library
+returns measurements and has no tolerance default of its own.  Every verdict
+is made here too, except the G-chain pivot, which toeplitz.gchain_sweep takes
+at the tolerance this module passes it.
 
 One table, FIELDS, names each verb's config fields with their parsers and
 defaults; main parses the config against it before any numerics, and the

@@ -76,8 +76,8 @@ def _require_finite(X: np.ndarray, what: str) -> np.ndarray:
     return X
 
 
-def _check_symmetry(dev: float, amax: float, tol: float, what: str = "matrix") -> None:
-    if dev > tol * max(1.0, amax):
+def _check_symmetry(dev: float, amax: float, what: str = "matrix") -> None:
+    if dev > SYM_TOL * max(1.0, amax):
         raise SymmetryError(f"{what} is not symmetric: max |A - A^T| = {dev:.3e}")
 
 
@@ -111,7 +111,7 @@ def _factor(A: np.ndarray) -> np.ndarray:
     """
     _require_finite(A, "matrix")
     dev = float(np.abs(A - np.swapaxes(A, -1, -2)).max(initial=0.0))
-    _check_symmetry(dev, float(np.abs(A).max(initial=0.0)), SYM_TOL)
+    _check_symmetry(dev, float(np.abs(A).max(initial=0.0)))
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -132,22 +132,23 @@ def _skew_kernel(L: np.ndarray) -> np.ndarray:
     return _require_finite(K, "skew kernel L^T J L")
 
 
-def _pair_mean(lo: np.ndarray, hi: np.ndarray, pair_tol: float) -> np.ndarray:
+def _pair_mean(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mean of each pair lo <= hi of copies of one value, after the relative-gap check.
 
     A finite matrix can have symplectic eigenvalues beyond the float range
     (entries near 1e308 whose rows add up); that raises DomainError, read off
     hi, which holds the larger copy of every pair.  The copies agree to about
-    eps d_max / d_j, so a wide gap (lo, hi ascending) means ill-conditioning.
+    eps d_max / d_j, so a gap wider than PAIR_TOL (lo, hi ascending) means
+    ill-conditioning.
     """
     _require_finite(hi, "symplectic spectrum")
     gap = (hi - lo) / np.maximum(hi, np.finfo(float).tiny)
-    if np.any(gap > pair_tol):
+    if np.any(gap > PAIR_TOL):
         spread = hi[..., -1] / np.maximum(np.abs(lo[..., 0]), np.finfo(float).tiny)
         raise PairingError(
             "symplectic spectrum too ill-conditioned for the normwise route: "
             f"d_max / d_min = {float(spread.max()):.3e}, and the two copies of an eigenvalue "
-            f"differ by a relative gap of {float(gap.max()):.3e} > {pair_tol:.1e}"
+            f"differ by a relative gap of {float(gap.max()):.3e} > {PAIR_TOL:.1e}"
         )
     return 0.5 * lo + 0.5 * hi
 
@@ -359,7 +360,7 @@ def _band_spectrum(ab: np.ndarray) -> np.ndarray:
     w = eigvals_banded(hb, lower=False, overwrite_a_band=True, check_finite=False)
     half = N // 2
     lo, hi = np.sort(np.stack([-w[half - 1 :: -1], w[half:]]), axis=0)
-    return _pair_mean(lo, hi, PAIR_TOL)
+    return _pair_mean(lo, hi)
 
 
 def symplectic_eigenvalues(A) -> np.ndarray:
@@ -388,7 +389,7 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     if n <= 4 or (n == 6 and K.ndim > 2):
         return _small_spectrum(L, K)
     s = np.linalg.svd(K, compute_uv=False)[..., ::-1]
-    return _pair_mean(s[..., 0::2], s[..., 1::2], PAIR_TOL)
+    return _pair_mean(s[..., 0::2], s[..., 1::2])
 
 
 @dataclass(frozen=True)
@@ -440,32 +441,6 @@ def williamson(A) -> WilliamsonFactorization:
     diag_residual = float(np.linalg.norm(M @ A @ M.T - Lam, 2))
     symplectic_residual = float(np.linalg.norm(M @ J @ M.T - J, 2))
     return WilliamsonFactorization(M, spectrum, diag_residual, symplectic_residual)
-
-
-@dataclass(frozen=True)
-class GMatrixCheck:
-    """Outcome of the uncertainty-principle test, with the witness d_min."""
-
-    ok: bool
-    d_min: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_gmatrix(A, tol: float = 1e-10) -> GMatrixCheck:
-    """Test whether every symplectic eigenvalue is >= 1/2 (within tol).
-
-    The condition is equivalent to positive semidefiniteness of A + (i/2) J,
-    the form toeplitz.gchain_sweep tests directly on truncations: its verdict
-    is a band Cholesky factor, and gchain_check measures the smallest eigenvalue.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise InvalidDimensionError("is_gmatrix expects a single matrix")
-    d = symplectic_eigenvalues(A)
-    d_min = float(d[0])
-    return GMatrixCheck(d_min >= 0.5 - tol, d_min)
 
 
 def symplectic_rayleigh(A, u, v) -> float:

@@ -71,11 +71,14 @@ def entropy_test_function(base="e", *, strict: bool = True) -> szego.TestFunctio
 
     Values within ``CLAMP_TOL`` below 1/2 count as the boundary (zero
     entropy); values further below raise ``DomainError`` when ``strict``
-    and warn with ``RuntimeWarning`` otherwise.
+    and warn with ``RuntimeWarning`` otherwise, once per test function, so
+    a run that applies it to every order and grid warns once.
     """
     _log_scale(base)  # reject a bad base here rather than at the first call
+    warned = False
 
     def fn(x):
+        nonlocal warned
         bad = x < 0.5 - CLAMP_TOL
         if np.any(bad):
             msg = (
@@ -84,7 +87,9 @@ def entropy_test_function(base="e", *, strict: bool = True) -> szego.TestFunctio
             )
             if strict:
                 raise DomainError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+            if not warned:
+                warned = True
+                warnings.warn(msg, RuntimeWarning, stacklevel=3)
         return mode_entropy(x, base)
 
     return szego.TestFunction(f"entropy(base={base})", fn)

@@ -59,7 +59,7 @@ def _check_blocks(blocks: np.ndarray, what: str) -> np.ndarray:
         raise InvalidDimensionError(f"{what} blocks must have positive even size, got {blocks.shape[1]}")
     # dev and the max are taken here, so a float warning names this module
     dev = float(np.abs(blocks - blocks.transpose(0, 2, 1)).max())
-    core._check_symmetry(dev, float(np.abs(blocks).max()), core.SYM_TOL, what)
+    core._check_symmetry(dev, float(np.abs(blocks).max()), what)
     # halve before adding, so entries near the top of the float range do not overflow
     return 0.5 * blocks + 0.5 * blocks.transpose(0, 2, 1)
 
@@ -237,28 +237,3 @@ def symplectic_curves(symbol: TrigMatrixPolynomial, grid: GridSpec) -> Symplecti
             where=theta,
         ) from err
     return SymplecticCurves(grid, d)
-
-
-def min_symplectic_eigenvalue(symbol, grid: GridSpec = GridSpec()) -> float:
-    """Grid infimum of the bottom symplectic curve (essential-infimum proxy)."""
-    return symplectic_curves(symbol, grid).min()
-
-
-@dataclass(frozen=True)
-class GSymbolCheck:
-    """Outcome of the pointwise uncertainty test, with the worst node."""
-
-    ok: bool
-    min_value: float
-    theta: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_g_symbol(symbol, grid: GridSpec = GridSpec(), tol: float = 1e-10) -> GSymbolCheck:
-    """True when the bottom symplectic curve stays >= 1/2 - tol on the grid."""
-    curves = symplectic_curves(symbol, grid)
-    g = curves.argmin_node()
-    m = float(curves.values[g, 0])
-    return GSymbolCheck(m >= 0.5 - tol, m, float(grid.nodes()[g]))

@@ -109,7 +109,7 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     """
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
-    toeplitz.truncation_dim(symbol, int(max(n_list)))
+    toeplitz.truncation_dim(symbol, _order_bounds(n_list)[1])
     ns = sorted(set(int(n) for n in n_list))
 
     def one(n):
@@ -130,6 +130,15 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
         drift = float((spectra[n_next][:shared] - spectra[n_prev]).max())
         violation = max(violation, drift)
     return SpectrumTrajectory(symbol.k, spectra, violation)
+
+
+def _order_bounds(n_list) -> tuple:
+    """(smallest, largest) order of a nonempty n_list; a range is read by its
+    ends in O(1), whatever its step, not walked."""
+    if isinstance(n_list, range):
+        ends = (n_list[0], n_list[-1])
+        return min(ends), max(ends)
+    return int(min(n_list)), int(max(n_list))
 
 
 def _mean(values, divisor: int, f: TestFunction) -> float:
@@ -199,11 +208,11 @@ def min_trajectory(
     grid: symbols.GridSpec = symbols.GridSpec(),
 ) -> MinTrajectory:
     """Track d_m of the truncations; every fixed index converges to the
-    grid infimum of the bottom symplectic curve.  ``n_list`` is a list,
-    tuple or range."""
+    grid infimum of the bottom symplectic curve, symplectic_curves(symbol,
+    grid).min().  ``n_list`` is a list, tuple or range."""
     # the index is checked before any eigensolve; an empty n_list falls
     # through to truncated_spectra's ValueError
-    n_min = int(min(n_list)) if len(n_list) else None
+    n_min = _order_bounds(n_list)[0] if len(n_list) else None
     if n_min is not None and (m < 1 or m > symbol.k * n_min):
         raise IndexRangeError(
             f"index m = {m} does not exist at the smallest order n = {n_min} "
@@ -215,7 +224,7 @@ def min_trajectory(
     violation = 0.0
     for prev, nxt in zip(values, values[1:]):
         violation = max(violation, nxt - prev)
-    limit = symbols.min_symplectic_eigenvalue(symbol, grid)
+    limit = symbols.symplectic_curves(symbol, grid).min()
     return MinTrajectory(
         m=m,
         ns=ns,
@@ -266,9 +275,10 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
-    n_max is checked against ``toeplitz.MAX_DIM`` in O(1) before
-    truncated_spectra walks the orders 1 .. n_max for their largest (no
-    copy, but 0.04 s at n_max = 10**6 on one core, and linear in n_max).
+    n_max is checked by ``toeplitz.truncation_dim`` first, so n_max < 1
+    raises InvalidDimensionError, not the ValueError of an empty order list;
+    truncated_spectra then reads the largest order of range(1, n_max + 1)
+    from its end, in O(1).
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")

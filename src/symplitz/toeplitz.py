@@ -211,8 +211,11 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int) -> float:
     return float(np.linalg.eigvalsh(_dense(ab))[0])
 
 
-def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float = 1e-10):
-    """Find the smallest failing truncation order up to n_max.
+def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
+    """Find the smallest failing truncation order up to n_max, at tolerance tol.
+
+    tol has no default: the caller sets it (the CLI's gchain-check field
+    tolerance), so the tolerance policy lives in one place.
 
     Returns (first_failing_n or None, witness).  T_n is the leading principal
     submatrix of T_{n+1} and J is block diagonal, so one band Cholesky factor

@@ -103,7 +103,7 @@ def test_05_constant_symbol_exactness():
 
 
 def test_06_fixed_index_trajectories(phi_spectra):
-    m_hat = symbols.min_symplectic_eigenvalue(PHI, GRID)
+    m_hat = symbols.symplectic_curves(PHI, GRID).min()
     details = []
     ok = True
     # first index: stated bound 2.5e-3 at n = 64
@@ -128,7 +128,7 @@ def test_06_fixed_index_trajectories(phi_spectra):
 def test_07_symbol_lower_bound(acceptance_corpus):
     worst = np.inf
     for name, s in acceptance_corpus.items():
-        m_hat = symbols.min_symplectic_eigenvalue(s, GRID)
+        m_hat = symbols.symplectic_curves(s, GRID).min()
         traj = szego.truncated_spectra(s, range(1, 65))
         margin = min(float(traj.spectra[n].min()) - m_hat for n in traj.ns)
         worst = min(worst, margin)

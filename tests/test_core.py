@@ -193,22 +193,24 @@ class TestWilliamson:
 
 
 class TestGMatrix:
+    # the G-matrix condition A + (i/2) J >= 0 is d_1(A) >= 1/2, measured as
+    # symplectic_eigenvalues(A)[0]; the tolerance is the caller's
     def test_vacuum_boundary(self):
-        check = core.is_gmatrix(0.5 * np.eye(2))
-        assert check.ok and bool(check)
-        assert check.d_min == pytest.approx(0.5, abs=1e-12)
+        d_min = core.symplectic_eigenvalues(0.5 * np.eye(2))[0]
+        assert d_min >= 0.5 - 1e-10
+        assert d_min == pytest.approx(0.5, abs=1e-12)
 
     def test_below_boundary(self):
-        check = core.is_gmatrix(np.diag([1.0, 1.0 / 8.0]))
-        assert not check.ok
-        assert check.d_min == pytest.approx(np.sqrt(1.0 / 8.0), abs=1e-12)
+        d_min = core.symplectic_eigenvalues(np.diag([1.0, 1.0 / 8.0]))[0]
+        assert d_min < 0.5 - 1e-10
+        assert d_min == pytest.approx(np.sqrt(1.0 / 8.0), abs=1e-12)
 
     def test_identity(self):
-        assert core.is_gmatrix(np.eye(4)).ok
+        assert core.symplectic_eigenvalues(np.eye(4))[0] >= 0.5 - 1e-10
 
     def test_non_symmetric(self):
         with pytest.raises(SymmetryError):
-            core.is_gmatrix(np.array([[1.0, 0.2], [0.0, 1.0]]))
+            core.symplectic_eigenvalues(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
     def test_agrees_with_hermitian_embedding(self):
         # corpus straddles the boundary on both sides, staying clear of the
@@ -219,7 +221,7 @@ class TestGMatrix:
             side = 1 if i % 2 else -1
             d = np.sort(0.5 + side * rng.uniform(0.02, 0.08, k))
             A = random_gmatrix(k, d, seed=i)
-            direct = core.is_gmatrix(A, tol=1e-10).ok
+            direct = bool(core.symplectic_eigenvalues(A)[0] >= 0.5 - 1e-10)
             E = hermitian_embedding(A, 0.5 * core.symplectic_form(k))
             embedded = bool(np.linalg.eigvalsh(E)[0] >= -1e-10)
             assert direct == embedded

@@ -261,34 +261,38 @@ class TestMirroredCurves:
 
 
 class TestMinAndGSymbol:
+    # the G-symbol condition is the grid minimum of the bottom curve against
+    # 1/2, measured as symplectic_curves(...).min(); the tolerance is the caller's
     def test_constant(self):
         A = np.diag([1.0, 1.0, 4.0, 4.0])
-        assert symbols.min_symplectic_eigenvalue(symbols.constant_symbol(A), symbols.GridSpec(16)) == pytest.approx(1.0)
+        assert symbols.symplectic_curves(symbols.constant_symbol(A), symbols.GridSpec(16)).min() == pytest.approx(1.0)
 
     def test_scalar(self):
-        assert symbols.min_symplectic_eigenvalue(
+        assert symbols.symplectic_curves(
             symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(64)
-        ) == pytest.approx(1.0, abs=1e-12)
+        ).min() == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_refinement_stability(self):
         s = matrix_symbol_k2()
-        a = symbols.min_symplectic_eigenvalue(s, symbols.GridSpec(1024))
-        b = symbols.min_symplectic_eigenvalue(s, symbols.GridSpec(4096))
+        a = symbols.symplectic_curves(s, symbols.GridSpec(1024)).min()
+        b = symbols.symplectic_curves(s, symbols.GridSpec(4096)).min()
         assert abs(a - b) <= 1e-6
 
     def test_g_symbol_boundary(self):
-        check = symbols.is_g_symbol(symbols.constant_symbol(0.5 * np.eye(2)), symbols.GridSpec(16))
-        assert check.ok
-        assert check.min_value == pytest.approx(0.5, abs=1e-12)
+        m = symbols.symplectic_curves(symbols.constant_symbol(0.5 * np.eye(2)), symbols.GridSpec(16)).min()
+        assert m >= 0.5 - 1e-10
+        assert m == pytest.approx(0.5, abs=1e-12)
 
     def test_g_symbol_true(self):
-        assert symbols.is_g_symbol(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(64)).ok
+        assert symbols.symplectic_curves(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(64)).min() >= 0.5 - 1e-10
 
     def test_g_symbol_false_with_witness(self):
-        check = symbols.is_g_symbol(symbols.scalar_symbol([0.6, 0.2]), symbols.GridSpec(64))
-        assert not check.ok
-        assert check.min_value == pytest.approx(0.2, abs=1e-12)  # 0.6 + 0.4 cos(pi)
-        assert check.theta == pytest.approx(-np.pi)
+        grid = symbols.GridSpec(64)
+        curves = symbols.symplectic_curves(symbols.scalar_symbol([0.6, 0.2]), grid)
+        m = curves.min()
+        assert m < 0.5 - 1e-10
+        assert m == pytest.approx(0.2, abs=1e-12)  # 0.6 + 0.4 cos(pi)
+        assert grid.nodes()[curves.argmin_node()] == pytest.approx(-np.pi)
 
 
 class TestBuilders:

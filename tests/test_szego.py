@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -323,14 +324,20 @@ class TestSizeGuardFirst:
         lambda n_list: szego.min_trajectory(PHI, 1, n_list),
     ], ids=["truncated_spectra", "min_trajectory"])
     def test_long_order_list_is_refused_before_it_is_copied(self, call):
-        tracemalloc.start()
-        try:
-            with pytest.raises(TruncationSizeError):
-                call(range(1, 10**6 + 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # a range is read by its ends, whatever its step, so neither memory
+        # nor time grows with its length
+        for n_list in (range(1, 10**6 + 1), range(1, 10**9 + 1), range(10**9, 0, -1)):
+            tracemalloc.start()
+            try:
+                t0 = time.perf_counter()
+                with pytest.raises(TruncationSizeError):
+                    call(n_list)
+                seconds = time.perf_counter() - t0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, n_list
+            assert seconds < 1.0, n_list
 
     def test_density_check(self, corpus, calls):
         with pytest.raises(TruncationSizeError):

@@ -161,7 +161,7 @@ class TestGChain:
         # 0.4999999999 I_2: the witness is -1e-10 to rounding, just below -tol, yet H + tol I
         # factors at every order, so the pivot passes the symbol; the witness only measures
         s = symbols.constant_symbol(0.4999999999 * np.eye(2))
-        first, witness = toeplitz.gchain_sweep(s, 4)
+        first, witness = toeplitz.gchain_sweep(s, 4, 1e-10)
         assert first is None
         assert witness == toeplitz.gchain_check(s, 4)
         assert witness == pytest.approx(-1e-10, abs=1e-16) and witness < -1e-10
@@ -170,7 +170,7 @@ class TestGChain:
 
     def test_identity_constant(self):
         s = symbols.constant_symbol(np.eye(2))
-        assert toeplitz.gchain_sweep(s, 4)[0] is None
+        assert toeplitz.gchain_sweep(s, 4, 1e-10)[0] is None
         assert toeplitz.gchain_check(s, 4) == pytest.approx(0.5, abs=1e-12)
 
     def test_violator_first_failure(self, monkeypatch):
@@ -183,7 +183,7 @@ class TestGChain:
         monkeypatch.setattr(toeplitz, "MAX_DIM", 16)
         assert toeplitz.gchain_sweep(s, 10**6, tol=1e-6)[0] == 3
         with pytest.raises(TruncationSizeError):
-            toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), 10**6)
+            toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), 10**6, 1e-10)
 
     def test_early_failure_on_a_wide_band_factors_small_orders_only(self, monkeypatch):
         # degree 2047, every coefficient nonzero: the band of order 2048 is 4095 wide (268 MB),
@@ -193,7 +193,7 @@ class TestGChain:
         orders = []
         band = toeplitz._shifted_band
         monkeypatch.setattr(toeplitz, "_shifted_band", lambda s, n: orders.append(n) or band(s, n))
-        assert toeplitz.gchain_sweep(symbols.scalar_symbol(coeffs), 2048)[0] == 3
+        assert toeplitz.gchain_sweep(symbols.scalar_symbol(coeffs), 2048, 1e-10)[0] == 3
         assert max(orders) <= 4
 
     @pytest.mark.parametrize("k, first", [(3, 600), (5, 300)])
@@ -205,7 +205,7 @@ class TestGChain:
         a0 = 0.5 - 1e-10 + 0.6 * math.cos(math.pi / (first + 0.5))
         s = symbols.scalar_symbol([a0, 0.3], k=k)
         for n_max in (toeplitz.MAX_DIM // (2 * k), 10**6):
-            found, witness = toeplitz.gchain_sweep(s, n_max)
+            found, witness = toeplitz.gchain_sweep(s, n_max, 1e-10)
             assert found == first
             assert witness == toeplitz.gchain_check(s, first)
             assert witness < -1e-10
@@ -244,7 +244,7 @@ class TestGChain:
         T = toeplitz.assemble(s, 4)
         H = T + 0.5j * core.symplectic_form(T.shape[0] // 2) + 1e-10 * np.eye(T.shape[0])
         assert lapack.zpotrf(H, lower=1)[1] == info
-        assert toeplitz.gchain_sweep(s, 8)[0] == order
+        assert toeplitz.gchain_sweep(s, 8, 1e-10)[0] == order
 
     def test_witness_matches_real_embedding(self, corpus):
         for name, s in corpus.items():
@@ -263,7 +263,7 @@ class TestGChain:
 
     def test_first_failing_order(self):
         assert toeplitz.gchain_sweep(symbols.scalar_symbol([0.6, 0.1]), 32, tol=1e-6)[0] == 3
-        assert toeplitz.gchain_sweep(PHI, 16)[0] is None
+        assert toeplitz.gchain_sweep(PHI, 16, 1e-10)[0] is None
 
 
 def _random_blocks(rng, k, degree):
@@ -371,7 +371,7 @@ class TestGChainBand:
         monkeypatch.setattr(core, "eigvals_banded", fail)
         monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        result, witness = toeplitz.gchain_sweep(s, 256)
+        result, witness = toeplitz.gchain_sweep(s, 256, 1e-10)
         assert result == first
         assert witness == pytest.approx(reference, abs=1e-12)
         assert witness == pytest.approx(closed, abs=1e-12)
@@ -409,12 +409,12 @@ class TestGChainBand:
             blocks = _random_blocks(rng, 2, 1)
             blocks[0] = blocks[0] @ blocks[0] + 2 * np.eye(4)
             blocks[1] *= 0.2
-            dmin = symbols.min_symplectic_eigenvalue(symbols.TrigMatrixPolynomial(blocks), symbols.GridSpec(1024))
+            dmin = symbols.symplectic_curves(symbols.TrigMatrixPolynomial(blocks), symbols.GridSpec(1024)).min()
             s = symbols.TrigMatrixPolynomial(blocks * (0.5 - rng.uniform(1e-4, 1e-2)) / dmin)
             H = toeplitz.assemble(s, 24) + 0.5j * core.symplectic_form(48) + 1e-10 * np.eye(96)
             info = lapack.zpotrf(H, lower=1)[1]
             expected = None if info == 0 else (info - 1) // 4 + 1
-            assert toeplitz.gchain_sweep(s, 24)[0] == expected
+            assert toeplitz.gchain_sweep(s, 24, 1e-10)[0] == expected
             orders.add(expected)
         assert len(orders) >= 5
 
@@ -424,7 +424,7 @@ class TestGChainBand:
         monkeypatch.setattr(toeplitz, "assemble", lambda *a, **kw: pytest.fail("dense truncation assembled"))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("dense witness on the band route"))
         s = symbols.scalar_symbol(coeffs, k=2)
-        result, witness = toeplitz.gchain_sweep(s, 128)
+        result, witness = toeplitz.gchain_sweep(s, 128, 1e-10)
         assert result == first
         assert witness == toeplitz.gchain_check(s, first or 128)
 
@@ -489,7 +489,7 @@ class TestSpectralInvariants:
 
     def test_lower_bound_from_symbol(self, corpus, grid):
         for name, s in corpus.items():
-            m = symbols.min_symplectic_eigenvalue(s, grid)
+            m = symbols.symplectic_curves(s, grid).min()
             for n in (1, 2, 4, 8, 16, 32):
                 d = core.symplectic_eigenvalues(toeplitz.assemble(s, n))
                 assert d.min() >= m - 1e-8, name
@@ -497,11 +497,11 @@ class TestSpectralInvariants:
     def test_gchain_iff_g_symbol_at_desk_scale(self, grid):
         # clears 1/2 with margin: every truncation up to 32 passes
         margin = symbols.scalar_symbol([0.7, 0.05])
-        assert symbols.is_g_symbol(margin, grid).ok
+        assert symbols.symplectic_curves(margin, grid).min() >= 0.5 - 1e-10
         assert toeplitz.gchain_sweep(margin, 32, tol=1e-8)[0] is None
         # dips below 1/2 with margin: some truncation fails
         violator = symbols.scalar_symbol([0.6, 0.1])
-        assert not symbols.is_g_symbol(violator, grid).ok
+        assert symbols.symplectic_curves(violator, grid).min() < 0.5 - 1e-10
         assert toeplitz.gchain_sweep(violator, 32, tol=1e-8)[0] is not None
 
 
@@ -514,4 +514,4 @@ def test_overflowing_truncation_is_domain_error():
     with pytest.raises(DomainError):
         toeplitz.gchain_check(huge, 2)
     with pytest.raises(DomainError):
-        toeplitz.gchain_sweep(huge, 4)
+        toeplitz.gchain_sweep(huge, 4, 1e-10)
