@@ -10,12 +10,12 @@ the same average-versus-integral report, szego.convergence_report, with f
 the configured test function, the per-mode entropy and the interval
 indicator; entropy-rate names its columns and keys after the rate.  Each
 quantity has one verb: the entropy rate is reached only through
-entropy-rate, whose config alone sets its log base and its clamp policy
-(strict), and a smoothed count only through szego with f
-indicator_smoothing.  Every verdict tolerance is set here: the library
-returns measurements and has no tolerance default of its own.  Every verdict
-is made here too, except the G-chain pivot, which toeplitz.gchain_sweep takes
-at the tolerance this module passes it.
+entropy-rate, whose config alone sets its log base and its sub-vacuum
+verdict (strict: exit 3, or one stderr warning line), and a smoothed count
+only through szego with f indicator_smoothing.  Every verdict tolerance is
+set here: the library returns measurements and has no tolerance default of
+its own.  Every verdict is made here too, except the G-chain pivot, which
+toeplitz.gchain_sweep takes at the tolerance this module passes it.
 
 One table, FIELDS, names each verb's config fields with their parsers and
 defaults; main parses the config against it before any numerics, and the
@@ -34,10 +34,11 @@ from functools import partial
 import numpy as np
 
 from . import __version__, core, entropy, symbols, szego, toeplitz
-from .errors import SymplitzError
+from .errors import DomainError, SymplitzError
 
 ENV_OUT = "SYMPLITZ_OUT"
 DEFAULT_OUT = "symplitz_out"
+CLAMP_TOL = 1e-10  # a symplectic eigenvalue this far below 1/2 is float noise, not a sub-vacuum mode
 
 
 class ConfigError(Exception):
@@ -191,10 +192,7 @@ def _interval(value, path):
 
 
 def _grid(value, path):
-    G = _parse(value, {"G": (_integer(2), REQUIRED)}, path)["G"]
-    if G & (G - 1):
-        print(f"warning: grid G = {G} is not a power of two", file=sys.stderr)
-    return symbols.GridSpec(G)
+    return symbols.GridSpec(_parse(value, {"G": (_integer(2), REQUIRED)}, path)["G"])
 
 
 def _form(value, path, tag, forms):
@@ -263,7 +261,7 @@ _TOLERANCE = (_positive, None)
 FIELDS = {
     "spectrum": {"matrix": (_matrix, None), "symbol": (_symbol, None), "n": (_count, None),
                  "dump_truncation": (_flag, False)},
-    "williamson": {"matrix": _MATRIX, "tolerance": (_positive, core.FACT_TOL)},
+    "williamson": {"matrix": _MATRIX, "tolerance": (_positive, 1e-8)},
     "szego": {"symbol": _SYMBOL, "grid": _GRID, "n_list": _N_LIST,
               "f": (partial(_form, tag="kind", forms=TEST_FUNCTIONS), REQUIRED),
               "tolerance": _TOLERANCE, "grid_tolerance": (_positive, 1e-8)},
@@ -350,7 +348,7 @@ def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, f):
     beyond ``grid_tolerance`` flags the quadrature as unresolved (rough
     symbols converge slowly on a grid), and the gaps should then not be read
     as evidence either way.  The curves are solved once, on the doubled grid,
-    before any truncation; node 2g of that grid is node g of ``grid``.
+    before any truncation, and returned; node 2g is node g of ``grid``.
     """
     fine = symbols.symplectic_curves(symbol, grid.refined())
     report = szego.convergence_report(symbol, f, n_list, symbols.SymplecticCurves(grid, fine.values[::2]))
@@ -364,17 +362,26 @@ def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, f):
     rows = [(n, a, report.integral, g) for n, a, g in zip(report.ns, report.averages, gaps)]
     summary = {"grid_G": grid.G, "n_list": report.ns, "integral": report.integral,
                "integral_refined": refined, "gaps": gaps}
-    return report, {"series.csv": _csv_bytes(header, rows)}, checks, summary
+    return report, fine, {"series.csv": _csv_bytes(header, rows)}, checks, summary
 
 
 def cmd_szego(**fields):
-    report, files, checks, summary = _convergence(["n", "average", "integral", "gap"], **fields)
+    report, _, files, checks, summary = _convergence(["n", "average", "integral", "gap"], **fields)
     return files, checks, {**summary, "f": report.f_name, "averages": report.averages}
 
 
 def cmd_entropy_rate(base, strict, **fields):
-    f = entropy.entropy_test_function(base, strict=strict)
-    report, files, checks, summary = _convergence(["n", "rate", "integral", "gap"], f=f, **fields)
+    f = entropy.entropy_test_function(base)
+    report, fine, files, checks, summary = _convergence(["n", "rate", "integral", "gap"], f=f, **fields)
+    # every value f was applied to (the doubled grid holds the G grid), one array at a time
+    arrays = [fine.values, *report.trajectory.spectra.values()]
+    bad = sum(int(np.count_nonzero(a < 0.5 - CLAMP_TOL)) for a in arrays)
+    if bad:
+        msg = (f"{bad} symplectic eigenvalue(s) below the uncertainty bound 1/2 "
+               f"(min {min(float(a.min()) for a in arrays):.6g}); not a valid Gaussian covariance")
+        if strict:
+            raise DomainError(msg)
+        print(f"warning: {msg}", file=sys.stderr)
     return files, checks, {**summary, "base": str(base), "rates": report.averages, "rate": report.integral}
 
 

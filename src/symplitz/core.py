@@ -42,7 +42,6 @@ from .errors import (
 )
 
 SYM_TOL = 1e-12
-FACT_TOL = 1e-8
 PAIR_TOL = 1e-8
 
 

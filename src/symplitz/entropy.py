@@ -3,15 +3,14 @@
 The entropy of a covariance matrix is a sum of per-mode contributions, one
 per symplectic eigenvalue: f(d) = (d + 1/2) log(d + 1/2) - (d - 1/2) log(d - 1/2)
 above the pure-state boundary d = 1/2 and zero at or below it.  Natural
-logarithms are the default; pass base=2 for bits.  Eigenvalues caught just
-below 1/2 by float noise are clamped to the boundary; genuine violations are
-an error in strict mode and a warning otherwise.  The entropy rate of a
-stationary chain is the Szego limit of this test function:
+logarithms are the default; pass base=2 for bits.  These functions only
+measure; validity is the caller's verdict, on ``symplectic_eigenvalues(A)[0]``
+or ``symplectic_curves(symbol, grid).min()`` against 1/2.  The entropy
+rate of a stationary chain is the Szego limit of this test function:
 ``szego.convergence_report(symbol, entropy_test_function(base), ns, curves)``.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from . import core, szego
 from .errors import DomainError
 
 _LN2 = math.log(2.0)
-CLAMP_TOL = 1e-10
 
 
 def _log_scale(base) -> float:
@@ -66,37 +64,15 @@ def mode_entropy_shannon(x, base="e"):
     return float(out) if np.isscalar(x) else out
 
 
-def entropy_test_function(base="e", *, strict: bool = True) -> szego.TestFunction:
-    """The per-mode entropy as a spectral-average test function, with the boundary clamp policy.
-
-    Values within ``CLAMP_TOL`` below 1/2 count as the boundary (zero
-    entropy); values further below raise ``DomainError`` when ``strict``
-    and warn with ``RuntimeWarning`` otherwise, once per test function, so
-    a run that applies it to every order and grid warns once.
-    """
+def entropy_test_function(base="e") -> szego.TestFunction:
+    """The per-mode entropy as a spectral-average test function, zero at or
+    below 1/2; validity is judged on ``symplectic_curves(...).min()``."""
     _log_scale(base)  # reject a bad base here rather than at the first call
-    warned = False
-
-    def fn(x):
-        nonlocal warned
-        bad = x < 0.5 - CLAMP_TOL
-        if np.any(bad):
-            msg = (
-                f"{int(bad.sum())} symplectic eigenvalue(s) below the uncertainty "
-                f"bound 1/2 (min {float(x.min()):.6g}); not a valid Gaussian covariance"
-            )
-            if strict:
-                raise DomainError(msg)
-            if not warned:
-                warned = True
-                warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        return mode_entropy(x, base)
-
-    return szego.TestFunction(f"entropy(base={base})", fn)
+    return szego.TestFunction(f"entropy(base={base})", lambda x: mode_entropy(x, base))
 
 
-def state_entropy(A, base="e", *, strict: bool = True) -> float:
-    """Von Neumann entropy of the Gaussian state with covariance matrix A,
-    the sum of its per-mode entropies, with the boundary clamp policy."""
+def state_entropy(A, base="e") -> float:
+    """Von Neumann entropy of the Gaussian state with covariance matrix A, the
+    sum of its per-mode entropies; validity is judged on ``symplectic_eigenvalues(A)[0]``."""
     d = core.symplectic_eigenvalues(np.asarray(A, dtype=float))
-    return float(np.sum(entropy_test_function(base, strict=strict)(d)))
+    return float(np.sum(mode_entropy(d, base)))

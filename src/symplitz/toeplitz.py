@@ -199,11 +199,11 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int) -> float:
     truncation spectrum, by bisection on whether the band shifted by -mu has
     a band Cholesky factor (core._lowest_band_eigenvalue, about 51 factors of
     O(N b^2) each, accurate to about 2 eps ||H||_1), otherwise by a dense
-    Hermitian eigensolve of the band unpacked (_dense).  Measured on 2 cores,
-    random complex bands, best of 5-15 in one process: the dense solve takes
-    10-12 ms at N = 256 against 24 ms for bisection at b = 31 and 57 ms at
-    b = 255, and 316 ms at N = 1024 against 1.7 s at b = 1023, so wide bands
-    keep it.
+    Hermitian eigensolve of the band unpacked (_dense).  That rule was not
+    measured for the witness.  On 2 cores, best of 5-15 in one process, the
+    dense solve wins at N = 256 and 512 (10-12 ms against 24 ms at b = 31,
+    N = 256), but above the rule bisection wins from N ~ 1024 (105 ms
+    against 290 ms at b = 80, N = 1024).
     """
     ab = _shifted_band(symbol, n)
     if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):

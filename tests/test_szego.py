@@ -121,11 +121,9 @@ class TestSymbolIntegral:
         # boundary-crossing curve against the entropy kink: the report's
         # integral must disagree with the doubled grid beyond 1e-10, so the
         # CLI's grid_consistency check marks the quadrature as unresolved
-        # (the curve dips below 1/2, so the entropy must be taken leniently)
-        f = entropy.entropy_test_function(strict=False)
-        with pytest.warns(RuntimeWarning):
-            rep = szego.convergence_report(corpus["phi_violator"], f, [4, 8], curves(corpus["phi_violator"], 2048))
-            refined = szego.symbol_integral(curves(corpus["phi_violator"], 4096), f)
+        f = entropy.entropy_test_function()
+        rep = szego.convergence_report(corpus["phi_violator"], f, [4, 8], curves(corpus["phi_violator"], 2048))
+        refined = szego.symbol_integral(curves(corpus["phi_violator"], 4096), f)
         assert abs(rep.integral - refined) > 1e-10 * max(1.0, abs(rep.integral))
 
 
