@@ -84,14 +84,22 @@ class TestStateEntropy:
         total = entropy.state_entropy(block_diag(A, B))
         assert total == pytest.approx(entropy.state_entropy(A) + entropy.state_entropy(B), abs=1e-12)
 
-    def test_sub_vacuum_state_is_measured(self):
-        # the library measures only: a sub-vacuum mode contributes zero, and
-        # the validity verdict is the caller's, on the bottom symplectic eigenvalue
+    # The sub-vacuum verdict (strict error or lenient warning) is made by the
+    # entropy-rate verb in cli; these two check the library's side of it.
+    def test_strict_rejects_violation(self):
+        # the verdict input is the bottom symplectic eigenvalue against 1/2;
+        # state_entropy has no strict switch of its own
+        A = np.diag([1.0, 1.0 / 8.0])
+        assert core.symplectic_eigenvalues(A)[0] < 0.5
+        with pytest.raises(TypeError):
+            entropy.state_entropy(A, strict=True)
+
+    def test_lenient_warns_and_clamps(self):
+        # the library measures silently: d ~ 0.354 contributes nothing
         A = np.diag([1.0, 1.0 / 8.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert entropy.state_entropy(A) == 0.0  # d ~ 0.354 contributes nothing
-        assert core.symplectic_eigenvalues(A)[0] < 0.5
+            assert entropy.state_entropy(A) == 0.0
 
     def test_float_fuzz_below_boundary_is_clamped(self):
         A = (0.5 - 1e-12) * np.eye(2)
@@ -156,9 +164,19 @@ class TestEntropyRate:
         np.testing.assert_allclose(bits.averages, np.asarray(nat.averages) / math.log(2), atol=1e-12)
         assert bits.integral == pytest.approx(nat.integral / math.log(2), abs=1e-12)
 
-    def test_sub_vacuum_symbol_is_measured_silently(self):
-        # the bottom curve reaches 0.4: the library measures, with no error and
-        # no warning, and the verdict is the caller's, on the curves' minimum
+    # The sub-vacuum verdict is made by the entropy-rate verb in cli; these two
+    # check the library's side of it on a symbol whose bottom curve reaches 0.4.
+    def test_strict_rejects_sub_vacuum_symbol(self):
+        # the verdict input is the curves' minimum against 1/2; the test
+        # function has no strict switch of its own
+        s = symbols.scalar_symbol([0.6, 0.1])
+        curves = symbols.symplectic_curves(s, symbols.GridSpec(64))
+        assert curves.min() == pytest.approx(0.4, abs=1e-12)
+        with pytest.raises(TypeError):
+            entropy.entropy_test_function(strict=True)
+
+    def test_lenient_warns_on_sub_vacuum_symbol(self):
+        # the library measures with no error and no warning
         s = symbols.scalar_symbol([0.6, 0.1])
         f = entropy.entropy_test_function()
         curves = symbols.symplectic_curves(s, symbols.GridSpec(64))
@@ -168,4 +186,3 @@ class TestEntropyRate:
             rep = szego.convergence_report(s, f, [4, 8], curves)
         assert val >= 0.0 and rep.integral == val
         assert all(a >= 0.0 for a in rep.averages)
-        assert curves.min() == pytest.approx(0.4, abs=1e-12)
