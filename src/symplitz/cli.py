@@ -306,6 +306,10 @@ def cmd_spectrum(matrix, symbol, n, dump_truncation):
         _fail("config", "needs exactly one of matrix and symbol")
     if symbol is not None and n is None:
         _fail("config.n", "missing required field")
+    if matrix is not None and n is not None:
+        _fail("config.n", "applies to a symbol only, not to a matrix")
+    if matrix is not None and dump_truncation:
+        _fail("config.dump_truncation", "applies to a symbol only, not to a matrix")
     files = {}
     if matrix is not None:
         values = core.symplectic_eigenvalues(matrix)

@@ -262,9 +262,39 @@ def matrix_csv_bytes(T) -> bytes:
     """Locale-independent CSV dump of a dense matrix.
 
     One row per line, scientific notation with 17 significant digits, LF
-    line endings.  Each row is one %-format of the whole row, which gives the
-    bytes of ``format(v, ".16e")`` per entry at a fraction of the calls.
+    line endings: the bytes of ``format(v, ".16e")`` per entry, but the work
+    grows with the number of distinct row spans, not with the N^2 entries.
+    A row's span runs from its first to its last entry whose bit pattern is
+    not +0.0 (its int64 view is nonzero), so -0.0 and NaN stay in the span
+    and keep their own text.  The +0.0 runs on either side are copies of the
+    one token ``b"%.16e" % 0.0``, sliced from a run of N of them.  Each
+    distinct span, keyed by its raw bytes, is formatted once by a single
+    %-format of the span and reused by every later row that holds the same
+    bytes.  A degree-q truncation repeats its spans every 2k rows away from
+    its first and last q block rows, so a dump of any order formats at most
+    2k (2q + 1) distinct spans; what grows with N is one span lookup per row
+    and the copy of the N^2 entries' bytes into the result.  A dense matrix
+    formats each row once, as one %-format per row did before.  An all-+0.0
+    row is one span of N zeros.
     """
     T = np.asarray(T, dtype=float)
-    row_format = ",".join(["%.16e"] * T.shape[1])
-    return ("\n".join(row_format % tuple(row) for row in T) + "\n").encode("utf-8")
+    n = T.shape[1]
+    cell = b"%.16e,"
+    formats = cell * n
+    zero = b"%.16e" % 0.0
+    width = len(zero) + 1
+    lead = memoryview((zero + b",") * n)  # a +0.0 run before a span
+    trail = memoryview((b"," + zero) * n)  # a +0.0 run after a span
+    nonzero = T.view(np.int64) != 0
+    starts = nonzero.argmax(axis=1).tolist()  # 0 for an all-+0.0 row
+    stops = (n - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    spans = {}
+    pieces = []
+    for row, start, stop in zip(T, starts, stops):
+        span = row[start:stop]
+        key = span.tobytes()
+        text = spans.get(key)
+        if text is None:
+            text = spans[key] = formats[: len(cell) * (stop - start) - 1] % tuple(span.tolist())
+        pieces += (lead[: width * start], text, trail[: width * (n - stop)], b"\n")
+    return b"".join(pieces)

@@ -537,6 +537,22 @@ class TestConfigErrors:
         assert "config.dump_truncation" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_matrix_refuses_dump_truncation(self, tmp_path, capsys):
+        # a matrix has no truncation to dump; the default false stays accepted
+        matrix = [[2.0, 0.0], [0.0, 8.0]]
+        cfg = write_config(tmp_path / "c.json", {"matrix": matrix, "dump_truncation": True})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config.dump_truncation: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg = write_config(tmp_path / "c2.json", {"matrix": matrix, "dump_truncation": False})
+        assert run("spectrum", cfg, tmp_path / "out2") == 0
+
+    def test_matrix_refuses_order(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"matrix": [[2.0, 0.0], [0.0, 8.0]], "n": 5})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config.n: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_uneven_samples_refused(self, tmp_path, capsys):
         values = [[[v, 0.0], [0.0, v]] for v in (1.0, 2.0, 3.0, 2.5)]  # A(-pi/2) != A(pi/2)
         sampled = {"kind": "sampled", "k": 1, "degree": 1, "grid": {"G": 4}, "values": values}

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -475,6 +476,63 @@ class TestMatrixDump:
         lines = [",".join(format(float(v), ".16e") for v in row) for row in T]
         assert toeplitz.matrix_csv_bytes(T) == ("\n".join(lines) + "\n").encode("utf-8")
         assert toeplitz.matrix_csv_bytes(T).startswith(b"-0.0000000000000000e+00,4.9406564584124654e-324,")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_truncation_bytes_match_per_entry_format(self, k, degree):
+        # orders past 2 degree + 1 repeat their interior row spans, which are formatted once
+        s = symbols.TrigMatrixPolynomial(_random_blocks(np.random.default_rng(10 * k + degree), k, degree))
+        for n in (1, 2, 5, 40):
+            T = toeplitz.assemble(s, n)
+            assert toeplitz.matrix_csv_bytes(T) == _per_entry_csv(T), n
+
+    @pytest.mark.parametrize("T", [
+        # an all-+0.0 row; rows whose only nonzero entry is in the first and in the
+        # last column; a span with +0.0 inside it
+        np.array([
+            [0.0, 0.0, 0.0, 0.0],
+            [2.5, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, -1.0 / 3.0],
+            [0.0, 1.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0, 1.0],
+        ]),
+        # -0.0 at the edge of a +0.0 run starts or ends a span, and inside a span it is
+        # its own entry: spans that differ only in that sign have different keys
+        np.array([
+            [0.0, -0.0, 1.0, 0.0],
+            [0.0, 1.0, -0.0, 0.0],
+            [-0.0, 0.0, 0.0, -0.0],
+            [1.0, -0.0, 2.0, 0.0],
+            [1.0, 0.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, -0.0],
+        ]),
+        # subnormals and +-1e308, at the edges of zero runs and inside spans
+        np.array([
+            [0.0, 5e-324, -5e-324, 0.0, 0.0],
+            [0.0, 0.0, 5e-324, -5e-324, 0.0],
+            [1e308, 0.0, 0.0, 0.0, -1e308],
+            [0.0, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308, 0.0],
+            [-1e308, 5e-324, 0.0, 1e308, -5e-324],
+        ]),
+        np.random.default_rng(7).standard_normal((64, 64)),
+    ], ids=["zero_runs", "negative_zero", "extreme_magnitudes", "dense_random"])
+    def test_rows_match_per_entry_format(self, T):
+        assert toeplitz.matrix_csv_bytes(T) == _per_entry_csv(T)
+
+    def test_large_truncation_dumps_in_under_a_second(self):
+        # N = 2048: a degree-1 truncation repeats a dozen row spans, so the dump
+        # formats those once where one format per entry took 2-3 s
+        T = toeplitz.assemble(degree_one_k2(), 512)
+        t0 = time.perf_counter()
+        data = toeplitz.matrix_csv_bytes(T)
+        seconds = time.perf_counter() - t0
+        assert data.count(b"\n") == 2048
+        assert seconds < 1.0
+
+
+def _per_entry_csv(T):
+    """The per-entry oracle of matrix_csv_bytes: format(v, ".16e") for each entry."""
+    return ("\n".join(",".join(format(float(v), ".16e") for v in row) for row in T) + "\n").encode("utf-8")
 
 
 class TestSpectralInvariants:
