@@ -12,7 +12,9 @@ indicator; entropy-rate names its columns and keys after the rate.  Each
 quantity has one verb: the entropy rate is reached only through
 entropy-rate, whose config alone sets its log base and its sub-vacuum
 verdict (strict: exit 3, or one stderr warning line), and a smoothed count
-only through szego with f indicator_smoothing.  Every verdict tolerance is
+only through szego with f indicator_smoothing.  The library's entropies are
+in nats; entropy-rate is the one place a base is applied, as one divisor
+(ln 2 for bits) of the per-mode entropy.  Every verdict tolerance is
 set here: the library returns measurements and has no tolerance default of
 its own.  Every verdict is made here too, except the G-chain pivot, which
 toeplitz.gchain_sweep takes at the tolerance this module passes it.
@@ -20,12 +22,15 @@ toeplitz.gchain_sweep takes at the tolerance this module passes it.
 One table, FIELDS, names each verb's config fields with their parsers and
 defaults; main parses the config against it before any numerics, and the
 verb functions receive parsed values.  Unknown fields, non-finite numbers
-and malformed values exit 2 with the field path.
+and malformed values exit 2 with the field path.  The verbs that take an
+n_list check its largest order against the size guard (exit 3) before they
+solve the symbol curves or any truncation.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -354,6 +359,7 @@ def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, f):
     as evidence either way.  The curves are solved once, on the doubled grid,
     before any truncation, and returned; node 2g is node g of ``grid``.
     """
+    toeplitz.truncation_dim(symbol, n_list[-1])  # n_list ascends: refuse an oversized order before any solve
     fine = symbols.symplectic_curves(symbol, grid.refined())
     report = szego.convergence_report(symbol, f, n_list, symbols.SymplecticCurves(grid, fine.values[::2]))
     refined = szego.symbol_integral(fine, f)
@@ -375,7 +381,9 @@ def cmd_szego(**fields):
 
 
 def cmd_entropy_rate(base, strict, **fields):
-    f = entropy.entropy_test_function(base)
+    # the library measures in nats; bits are the same values divided by ln 2
+    unit = 1.0 if base == "e" else math.log(2.0)
+    f = szego.TestFunction(f"entropy(base={base})", lambda x: entropy.mode_entropy(x) / unit)
     report, fine, files, checks, summary = _convergence(["n", "rate", "integral", "gap"], f=f, **fields)
     # every value f was applied to (the doubled grid holds the G grid), one array at a time
     arrays = [fine.values, *report.trajectory.spectra.values()]
@@ -391,6 +399,7 @@ def cmd_entropy_rate(base, strict, **fields):
 
 def cmd_counting(symbol, grid, n_list, interval, tolerance):
     f = szego.indicator(interval)
+    toeplitz.truncation_dim(symbol, n_list[-1])
     report = szego.convergence_report(symbol, f, n_list, symbols.symplectic_curves(symbol, grid))
     counts = [int(np.sum(f(report.trajectory.spectra[n]))) for n in report.ns]
     checks = []

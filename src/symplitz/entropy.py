@@ -2,57 +2,45 @@
 
 The entropy of a covariance matrix is a sum of per-mode contributions, one
 per symplectic eigenvalue: f(d) = (d + 1/2) log(d + 1/2) - (d - 1/2) log(d - 1/2)
-above the pure-state boundary d = 1/2 and zero at or below it.  Natural
-logarithms are the default; pass base=2 for bits.  These functions only
-measure; validity is the caller's verdict, on ``symplectic_eigenvalues(A)[0]``
-or ``symplectic_curves(symbol, grid).min()`` against 1/2.  The entropy
-rate of a stationary chain is the Szego limit of this test function:
-``szego.convergence_report(symbol, entropy_test_function(base), ns, curves)``.
+above the pure-state boundary d = 1/2 and zero at or below it.  Every value
+is in nats (natural logarithms); a unit is the caller's, and the
+entropy-rate verb's base field is the one place that rescales to bits.
+These functions only measure; validity is the caller's verdict, on
+``symplectic_eigenvalues(A)[0]`` or ``symplectic_curves(symbol, grid).min()``
+against 1/2.  The entropy rate of a stationary chain is the Szego limit of
+this test function:
+``szego.convergence_report(symbol, entropy_test_function(), ns, curves)``.
 """
-
-import math
 
 import numpy as np
 
 from . import core, szego
 from .errors import DomainError
 
-_LN2 = math.log(2.0)
 
-
-def _log_scale(base) -> float:
-    if base in ("e", math.e):
-        return 1.0
-    if base in (2, "2"):
-        return _LN2
-    raise ValueError(f"log base must be 'e' or 2, got {base!r}")
-
-
-def mode_entropy(x, base="e"):
+def mode_entropy(x):
     """Entropy contribution of a single symplectic eigenvalue.
 
     Evaluated through log1p of the offset above 1/2, which stays accurate
     right at the boundary where the two terms of the closed form cancel.
     Accepts scalars or arrays.
     """
-    scale = _log_scale(base)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise DomainError(f"symplectic eigenvalue must be >= 0, got {float(arr.min())}")
     a = arr - 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (1.0 + a) * np.log1p(a) - a * np.log(a)
-    out = np.where(a > 0.0, raw, 0.0) / scale
+    out = np.where(a > 0.0, raw, 0.0)
     return float(out) if np.isscalar(x) else out
 
 
-def mode_entropy_shannon(x, base="e"):
+def mode_entropy_shannon(x):
     """Shannon-function form of the same quantity, kept as an independent route.
 
     Defined for d >= 1/2 as the mean photon weight (2d + 1)/2 times the binary
     Shannon entropy of t = (2d - 1)/(2d + 1).
     """
-    scale = _log_scale(base)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.5 - 1e-12):
         raise DomainError(f"Shannon form needs d >= 1/2, got {float(arr.min())}")
@@ -60,19 +48,18 @@ def mode_entropy_shannon(x, base="e"):
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -t * np.log(t) - (1.0 - t) * np.log1p(-t)
     h = np.where(t > 0.0, h, 0.0)
-    out = 0.5 * (2.0 * arr + 1.0) * h / scale
+    out = 0.5 * (2.0 * arr + 1.0) * h
     return float(out) if np.isscalar(x) else out
 
 
-def entropy_test_function(base="e") -> szego.TestFunction:
+def entropy_test_function() -> szego.TestFunction:
     """The per-mode entropy as a spectral-average test function, zero at or
     below 1/2; validity is judged on ``symplectic_curves(...).min()``."""
-    _log_scale(base)  # reject a bad base here rather than at the first call
-    return szego.TestFunction(f"entropy(base={base})", lambda x: mode_entropy(x, base))
+    return szego.TestFunction("entropy", mode_entropy)
 
 
-def state_entropy(A, base="e") -> float:
+def state_entropy(A) -> float:
     """Von Neumann entropy of the Gaussian state with covariance matrix A, the
     sum of its per-mode entropies; validity is judged on ``symplectic_eigenvalues(A)[0]``."""
     d = core.symplectic_eigenvalues(np.asarray(A, dtype=float))
-    return float(np.sum(mode_entropy(d, base)))
+    return float(np.sum(mode_entropy(d)))

@@ -13,6 +13,7 @@ the angular measure of {theta : d_j(theta) in K}.  The reports hold
 measurements only; a verdict against a tolerance is the caller's.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,13 +105,10 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     For each fixed index the eigenvalue can only drift down (within float
     noise) as the order grows; the worst upward drift across consecutive
     computed orders is recorded in ``monotonicity_violation``.  ``n_list`` is
-    a list, tuple or range; its largest order is checked against
-    ``toeplitz.MAX_DIM`` before the orders are copied or any eigensolve runs.
+    a list, tuple or range of orders, each checked by ``_orders`` before any
+    eigensolve runs.
     """
-    if len(n_list) == 0:
-        raise ValueError("n_list must be nonempty")
-    toeplitz.truncation_dim(symbol, _order_bounds(n_list)[1])
-    ns = sorted(set(int(n) for n in n_list))
+    ns = _orders(symbol, n_list)
 
     def one(n):
         try:
@@ -132,13 +130,23 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     return SpectrumTrajectory(symbol.k, spectra, violation)
 
 
-def _order_bounds(n_list) -> tuple:
-    """(smallest, largest) order of a nonempty n_list; a range is read by its
-    ends in O(1), whatever its step, not walked."""
-    if isinstance(n_list, range):
-        ends = (n_list[0], n_list[-1])
-        return min(ends), max(ends)
-    return int(min(n_list)), int(max(n_list))
+def _orders(symbol, n_list) -> list:
+    """The distinct orders of a nonempty n_list, ascending, each checked by
+    ``toeplitz.truncation_dim`` (an integer >= 1 under the size guard).
+
+    The largest order is checked before the list is copied; a range is read
+    by its ends in O(1), whatever its step, not walked.  Orders are not
+    rounded, so a float order raises InvalidDimensionError; a numpy integer
+    is returned as a Python int.
+    """
+    if len(n_list) == 0:
+        raise ValueError("n_list must be nonempty")
+    largest = max(n_list[0], n_list[-1]) if isinstance(n_list, range) else max(n_list)
+    toeplitz.truncation_dim(symbol, largest)
+    ns = sorted(set(n_list))
+    for n in ns:
+        toeplitz.truncation_dim(symbol, n)
+    return [operator.index(n) for n in ns]
 
 
 def _mean(values, divisor: int, f: TestFunction) -> float:
@@ -209,17 +217,16 @@ def min_trajectory(
 ) -> MinTrajectory:
     """Track d_m of the truncations; every fixed index converges to the
     grid infimum of the bottom symplectic curve, symplectic_curves(symbol,
-    grid).min().  ``n_list`` is a list, tuple or range."""
-    # the index is checked before any eigensolve; an empty n_list falls
-    # through to truncated_spectra's ValueError
-    n_min = _order_bounds(n_list)[0] if len(n_list) else None
-    if n_min is not None and (m < 1 or m > symbol.k * n_min):
+    grid).min().  ``n_list`` is a list, tuple or range, checked as
+    truncated_spectra checks it."""
+    # the orders and then the index are checked before any eigensolve
+    ns = _orders(symbol, n_list)
+    if m < 1 or m > symbol.k * ns[0]:
         raise IndexRangeError(
-            f"index m = {m} does not exist at the smallest order n = {n_min} "
-            f"(spectrum has {symbol.k * n_min} entries)"
+            f"index m = {m} does not exist at the smallest order n = {ns[0]} "
+            f"(spectrum has {symbol.k * ns[0]} entries)"
         )
-    traj = truncated_spectra(symbol, n_list)
-    ns = traj.ns
+    traj = truncated_spectra(symbol, ns)
     values = [float(traj.spectra[n][m - 1]) for n in ns]
     violation = 0.0
     for prev, nxt in zip(values, values[1:]):
@@ -275,12 +282,14 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
-    n_max is checked by ``toeplitz.truncation_dim`` first, so n_max < 1
-    raises InvalidDimensionError, not the ValueError of an empty order list;
+    A delta that is not > 0, NaN included, raises DomainError.  n_max is
+    checked by ``toeplitz.truncation_dim`` first, so an n_max that is not an
+    integer >= 1 raises InvalidDimensionError, not the ValueError of an
+    empty order list or the TypeError of a float range end;
     truncated_spectra then reads the largest order of range(1, n_max + 1)
     from its end, in O(1).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
     toeplitz.truncation_dim(symbol, n_max)
     traj = truncated_spectra(symbol, range(1, n_max + 1))

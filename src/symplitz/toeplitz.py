@@ -59,10 +59,17 @@ def _band_limit(N: int) -> int:
     return min(N // 12, math.isqrt(2 * N)) - 2
 
 
+def _check_order(n, what: str) -> None:
+    """Raise InvalidDimensionError unless n is an integer >= 1 (a numpy integer
+    counts, a bool or a float with an integer value does not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidDimensionError(f"{what} must be an integer >= 1, got {n!r}")
+
+
 def truncation_dim(symbol: TrigMatrixPolynomial, n: int) -> int:
-    """Dimension 2kn of the order-n truncation, checked against the size guard MAX_DIM."""
-    if n < 1:
-        raise InvalidDimensionError(f"truncation order must be >= 1, got {n}")
+    """Dimension 2kn of the order-n truncation, checked against the size guard
+    MAX_DIM; an order that is not an integer >= 1 raises InvalidDimensionError."""
+    _check_order(n, "truncation order")
     dim = symbol.block_dim * n
     if dim > MAX_DIM:
         raise TruncationSizeError(f"truncation dimension 2kn = {dim} exceeds the guard {MAX_DIM}")
@@ -236,9 +243,13 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
 
     witness is the smallest eigenvalue of T_m + (i/2) J that gchain_check
     measures at the reported order m (n_max when every order passes).
+    n_max is checked by truncation_dim's order rule before the first factor,
+    but not against the guard.  A tol that is not finite raises DomainError:
+    shifted by NaN or +inf every pivot passes, and by -inf the first fails.
     """
-    if n_max < 1:
-        raise InvalidDimensionError(f"n_max must be >= 1, got {n_max}")
+    _check_order(n_max, "n_max")
+    if not math.isfinite(tol):
+        raise DomainError(f"tol must be finite, got {tol}")
     guard = MAX_DIM // symbol.block_dim
     orders = []
     m = 1

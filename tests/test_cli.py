@@ -850,6 +850,21 @@ class TestFieldTable:
         assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 3
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["szego", "entropy-rate", "counting"])
+    def test_size_guard_before_the_symbol_curves(self, tmp_path, monkeypatch, capsys, command):
+        # the last order of the ascending n_list is over the guard: exit 3 before the curves are solved
+        from symplitz import symbols
+
+        monkeypatch.setattr(symbols, "symplectic_curves", lambda *args: pytest.fail("the symbol curves were solved"))
+        cfg = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5], "k": 2}, "n_list": [8, 5000],
+               "grid": {"G": 262144}}
+        if command == "szego":
+            cfg["f"] = {"kind": "monomial", "power": 2}
+        if command == "counting":
+            cfg["interval"] = [1.0, 2.0]
+        assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 3
+        assert "[TruncationSizeError]: truncation dimension 2kn = 20000 exceeds" in capsys.readouterr().err
+
     def test_density_size_guard_before_any_spectrum(self, tmp_path, monkeypatch):
         from symplitz import core
 

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from symplitz import core, entropy, symbols, szego
+from symplitz import cli, core, entropy, symbols, szego
 from symplitz.errors import DomainError
 from conftest import random_gmatrix
 
@@ -31,9 +32,17 @@ class TestModeEntropy:
         np.testing.assert_allclose(out, [0.0, 0.9547712524422192, 0.0], atol=1e-15)
 
     def test_base_two(self):
-        assert entropy.mode_entropy(1.7, base=2) == pytest.approx(
-            entropy.mode_entropy(1.7) / math.log(2), abs=1e-12
+        # the library computes nats only: bits are the entropy-rate verb's base field
+        # (TestEntropyRate.test_base_consistency)
+        calls = (
+            lambda: entropy.mode_entropy(1.7, base=2),
+            lambda: entropy.mode_entropy_shannon(1.7, base=2),
+            lambda: entropy.entropy_test_function(base=2),
+            lambda: entropy.state_entropy(np.eye(2), base=2),
         )
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     def test_stable_just_above_boundary(self):
         # closed form degenerates to -a log a near the boundary; must stay finite,
@@ -53,10 +62,7 @@ class TestShannonFormEquivalence:
     def test_thousand_random_values(self):
         rng = np.random.default_rng(0)
         d = rng.uniform(0.5, 20.0, 1000)
-        for base in ("e", 2):
-            a = entropy.mode_entropy(d, base=base)
-            b = entropy.mode_entropy_shannon(d, base=base)
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(entropy.mode_entropy(d), entropy.mode_entropy_shannon(d), atol=1e-12)
 
     def test_boundary(self):
         assert entropy.mode_entropy_shannon(0.5) == 0.0
@@ -154,15 +160,23 @@ class TestEntropyRate:
         assert all(a > b for a, b in zip(rep.gaps, rep.gaps[1:]))
         refined = szego.symbol_integral(symbols.symplectic_curves(fam, grid.refined()), f)
         assert abs(rep.integral - refined) <= 1e-8 * max(1.0, abs(rep.integral))
-        assert rep.f_name == "entropy(base=e)"
+        assert rep.f_name == "entropy"
 
-    def test_base_consistency(self, grid):
-        fam = symbols.ab_family(2 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(4), 4)
-        coarse = symbols.symplectic_curves(fam, symbols.GridSpec(256))
-        nat = szego.convergence_report(fam, entropy.entropy_test_function(), [4, 8], coarse)
-        bits = szego.convergence_report(fam, entropy.entropy_test_function(base=2), [4, 8], coarse)
-        np.testing.assert_allclose(bits.averages, np.asarray(nat.averages) / math.log(2), atol=1e-12)
-        assert bits.integral == pytest.approx(nat.integral / math.log(2), abs=1e-12)
+    def test_base_consistency(self, tmp_path):
+        # the base is applied by the entropy-rate verb alone: its rates in bits
+        # are its rates in nats over ln 2
+        weights = symbols.geometric_weights(4).tolist()
+        symbol = {"builder": "ab_family", "a": (2 * np.eye(2)).tolist(), "b": (0.5 * np.eye(2)).tolist(),
+                  "weights": weights, "degree": 4}
+        summaries = {}
+        for base in ("e", "2"):
+            cfg = tmp_path / f"{base}.json"
+            cfg.write_text(json.dumps({"symbol": symbol, "n_list": [4, 8], "grid": {"G": 256}, "base": base}))
+            assert cli.main(["entropy-rate", "--config", str(cfg), "--out", str(tmp_path / base)]) == 0
+            summaries[base] = json.loads((tmp_path / base / "summary.json").read_text())
+        nat, bits = summaries["e"], summaries["2"]
+        np.testing.assert_allclose(bits["rates"], np.asarray(nat["rates"]) / math.log(2), atol=1e-12)
+        assert bits["rate"] == pytest.approx(nat["rate"] / math.log(2), abs=1e-12)
 
     # The sub-vacuum verdict is made by the entropy-rate verb in cli; these two
     # check the library's side of it on a symbol whose bottom curve reaches 0.4.

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, entropy, symbols, szego, toeplitz
-from symplitz.errors import DomainError, IndexRangeError, PositivityError, TruncationSizeError
+from symplitz.errors import DomainError, IndexRangeError, InvalidDimensionError, PositivityError, TruncationSizeError
 from conftest import random_gmatrix
 
 
@@ -300,6 +300,40 @@ class TestDensity:
     def test_invalid_delta(self):
         with pytest.raises(DomainError):
             szego.density_check(PHI, 4, 0.0, symbols.GridSpec(64))
+
+    def test_nan_delta_is_domain_error(self):
+        # no distance is >= NaN, so a NaN delta would hide every escape
+        with pytest.raises(DomainError, match="delta"):
+            szego.density_check(PHI, 4, float("nan"), symbols.GridSpec(64))
+
+
+class TestIntegerOrders:
+    """Orders are checked by toeplitz.truncation_dim's rule, never rounded, before any eigensolve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        monkeypatch.setattr(toeplitz, "truncation_spectrum", lambda s, n: pytest.fail(f"order {n} was solved"))
+
+    @pytest.mark.parametrize("n_list", [[2.7, 4], [2, 2.5, 4], [4, 2.0], [True, 4], (1, np.float64(3.0))],
+                             ids=["2.7", "2.5-inside", "2.0", "True", "float64"])
+    @pytest.mark.parametrize("call", [
+        lambda n_list: szego.truncated_spectra(PHI, n_list),
+        lambda n_list: szego.min_trajectory(PHI, 1, n_list),
+    ], ids=["truncated_spectra", "min_trajectory"])
+    def test_non_integer_order_in_a_list_is_refused(self, call, n_list, solves):
+        with pytest.raises(InvalidDimensionError, match="integer"):
+            call(n_list)
+
+    @pytest.mark.parametrize("n_max", [4.0, True], ids=["4.0", "True"])
+    def test_density_check_refuses_a_non_integer_n_max(self, n_max, solves):
+        with pytest.raises(InvalidDimensionError, match="integer"):
+            szego.density_check(PHI, n_max, 0.1, symbols.GridSpec(64))
+
+    def test_numpy_integer_orders_are_accepted(self):
+        traj = szego.truncated_spectra(PHI, [np.int64(2), np.int64(4)])
+        assert traj.ns == [2, 4] and all(type(n) is int for n in traj.ns)
+        np.testing.assert_array_equal(traj.spectra[4], szego.truncated_spectra(PHI, [2, 4]).spectra[4])
+        assert szego.min_trajectory(PHI, 1, [np.int64(4)], symbols.GridSpec(64)).ns == [4]
 
 
 class TestSizeGuardFirst:

@@ -197,6 +197,15 @@ class TestGChain:
         assert toeplitz.gchain_sweep(symbols.scalar_symbol(coeffs), 2048, 1e-10)[0] == 3
         assert max(orders) <= 4
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_is_domain_error(self, tol):
+        # the witness of 0.3 + 0 cos(theta) is -0.2 at every order, but a NaN or
+        # infinite diagonal passes every pivot test, so it would certify them all
+        s = symbols.scalar_symbol([0.3, 0.0])
+        assert toeplitz.gchain_check(s, 8) == pytest.approx(-0.2, abs=1e-12)
+        with pytest.raises(DomainError, match="tol"):
+            toeplitz.gchain_sweep(s, 8, tol)
+
     @pytest.mark.parametrize("k, first", [(3, 600), (5, 300)])
     def test_first_failure_below_a_guard_order_off_the_doubling(self, k, first):
         # the guard orders 682 (k = 3) and 409 (k = 5) are not powers of two; the doubling
@@ -428,6 +437,31 @@ class TestGChainBand:
         result, witness = toeplitz.gchain_sweep(s, 128, 1e-10)
         assert result == first
         assert witness == toeplitz.gchain_check(s, first or 128)
+
+
+class TestIntegerOrders:
+    """truncation_dim is the one order rule: an integer >= 1, a numpy integer included."""
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), True], ids=["2.5", "2.0", "float64", "True"])
+    @pytest.mark.parametrize("call", [toeplitz.truncation_dim, toeplitz.assemble, toeplitz.truncation_spectrum,
+                                      toeplitz.gchain_check], ids=lambda f: f.__name__)
+    def test_non_integer_order_is_refused(self, call, n):
+        with pytest.raises(InvalidDimensionError, match="integer"):
+            call(PHI, n)
+
+    @pytest.mark.parametrize("n_max", [2.5, True], ids=["2.5", "True"])
+    def test_sweep_checks_n_max_before_its_first_factor(self, n_max, monkeypatch):
+        monkeypatch.setattr(toeplitz, "_shifted_band", lambda s, n: pytest.fail(f"order {n} was factored"))
+        with pytest.raises(InvalidDimensionError, match="integer"):
+            toeplitz.gchain_sweep(PHI, n_max, 1e-10)
+
+    def test_numpy_integer_order_is_accepted(self):
+        n = np.int64(4)
+        assert toeplitz.truncation_dim(PHI, n) == 8
+        np.testing.assert_array_equal(toeplitz.assemble(PHI, n), toeplitz.assemble(PHI, 4))
+        np.testing.assert_array_equal(toeplitz.truncation_spectrum(PHI, n), toeplitz.truncation_spectrum(PHI, 4))
+        assert toeplitz.gchain_check(PHI, n) == toeplitz.gchain_check(PHI, 4)
+        assert toeplitz.gchain_sweep(PHI, n, 1e-10) == toeplitz.gchain_sweep(PHI, 4, 1e-10)
 
 
 class TestPositiveDefiniteCheck:
