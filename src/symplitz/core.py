@@ -19,12 +19,18 @@ the whole stack instead of one LAPACK call per matrix: closed forms for
 k = 1 and k = 2, and for a stack of 6 x 6 matrices (k = 3) a Givens skew
 tridiagonalisation followed by one-sided Jacobi on a 3 x 3 bidiagonal.
 Everything else takes the singular values of K; williamson keeps the Schur
-form.  A banded matrix, which is what a truncation of a finite-degree symbol
-is, comes to _band_spectrum as its LAPACK lower band (toeplitz._band writes
-it from the symbol's coefficients, and toeplitz decides when the band
-route wins): L keeps the band of A, K has half-bandwidth b + 1 and is formed
-on its band in O(N b^2), and the Hermitian band matrix iK, with eigenvalues
-+-d_j, is solved by band reduction.
+form.  A truncation of a finite-degree symbol is banded, and toeplitz
+solves it as the two halves into which the block flip (block i to block
+n - 1 - i, which commutes with the truncation and with J) splits it, each
+of about half its dimension (an odd order puts the middle block in the +1
+half).  toeplitz writes each half's LAPACK lower band, decides per half
+whether the band route wins, and factors both halves before either is
+solved; a band factor comes to _band_spectrum and a dense one to
+_factor_spectrum.  On the band, L keeps the band of A, K has
+half-bandwidth b + 1 and is formed on its band in O(N b^2), and the
+Hermitian band matrix iK, with eigenvalues +-d_j, is solved by band
+reduction, O(N^2 b), so the two halves cost about half as much as the
+whole truncation would.
 """
 
 from dataclasses import dataclass
@@ -152,6 +158,9 @@ def _pair_mean(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * lo + 0.5 * hi
 
 
+# The 6 upper entries of a 4 x 4 skew matrix, in row-major order (k = 2).
+_UPPER4 = np.triu_indices(4, 1)
+
 # The 15 upper entries of a 6 x 6 skew matrix, in row-major order, and the
 # Givens plan that reduces it to skew tridiagonal form: for each column, the
 # rotations in planes (q - 1, q), q = 5 .. col + 2, each zeroing entry
@@ -198,7 +207,7 @@ def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
         if n == 2:
             spectrum = np.abs(K[..., 0, 1])[..., None]
         elif n == 4:
-            a, b, c, d, e, f = 0.5 * np.moveaxis(K, (-2, -1), (0, 1))[np.triu_indices(4, 1)]
+            a, b, c, d, e, f = (0.5 * K[..., i, j] for i, j in zip(*_UPPER4))
             u = np.hypot(np.hypot(a + f, b - e), c + d)
             v = np.hypot(np.hypot(a - f, b + e), c - d)
             d2 = u + v
@@ -325,23 +334,18 @@ def _lowest_band_eigenvalue(ab: np.ndarray) -> float:
     return float(np.ldexp(mid, e))
 
 
-def _band_spectrum(ab: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a positive definite matrix given by its LAPACK lower band.
+def _band_spectrum(Lb: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a positive definite band matrix from the lower band of its Cholesky factor.
 
-    ab[t, c] = A[c + t, c] for t = 0 .. b (toeplitz._band writes it for a
-    truncation); its finiteness is the writer's check.  The lower band of L
-    comes from a band Cholesky factor, whose breakdown reports the smallest
-    eigenvalue of the band (_lowest_band_eigenvalue).  A row pair
-    (2p, 2p + 1) of L adds a rank-2 skew term on columns 2p - b .. 2p + 1 to
-    K = L^T J L, so K has half-bandwidth b + 1.  Its upper band is formed in
-    O(N b^2) and the Hermitian band matrix iK, with eigenvalues +-d_j, is
-    solved by band reduction.
+    Lb[t, c] = L[c + t, c] for t = 0 .. b, with A = L L^T (cholesky_banded
+    of the band of A; toeplitz.truncation_spectrum factors both flip halves
+    of a truncation before either is solved).  A row pair (2p, 2p + 1) of L
+    adds a rank-2 skew term on columns 2p - b .. 2p + 1 to K = L^T J L, so K
+    has half-bandwidth b + 1.  Its upper band is formed in O(N b^2) and the
+    Hermitian band matrix iK, with eigenvalues +-d_j, is solved by band
+    reduction.
     """
-    b, N = ab.shape[0] - 1, ab.shape[1]
-    try:
-        Lb = cholesky_banded(ab, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise _not_positive_definite(np.array([_lowest_band_eigenvalue(ab)])) from None
+    b, N = Lb.shape[0] - 1, Lb.shape[1]
     # Lb[t, c] = L[c + t, c]; split by the parity of the row c + t, which
     # decides whether J pairs it with the row below (+) or above (-).
     even = np.where((np.arange(N) + np.arange(b + 1)[:, None]) % 2 == 0, Lb, 0.0)
@@ -362,6 +366,21 @@ def _band_spectrum(ab: np.ndarray) -> np.ndarray:
     return _pair_mean(lo, hi)
 
 
+def _factor_spectrum(L: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of A = L L^T from its lower Cholesky factor, one matrix or a stack.
+
+    The route follows the shape: k <= 2, and stacks with k = 3, take
+    _small_spectrum; everything else takes the singular values of
+    K = L^T J L, each d_j twice, paired under PAIR_TOL.
+    """
+    K = _skew_kernel(L)
+    n = K.shape[-1]
+    if n <= 4 or (n == 6 and K.ndim > 2):
+        return _small_spectrum(L, K)
+    s = np.linalg.svd(K, compute_uv=False)[..., ::-1]
+    return _pair_mean(s[..., 0::2], s[..., 1::2])
+
+
 def symplectic_eigenvalues(A) -> np.ndarray:
     """Symplectic spectrum d_1 <= ... <= d_k of a positive definite 2k x 2k matrix.
 
@@ -377,18 +396,12 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     accurate (d_1 = sqrt(det A) / d_2 for k = 2), k = 3 has the normwise
     accuracy class.  Everything else takes the singular values of K, whose copies of
     each d_j are paired under PAIR_TOL.  A stack of no matrices, shape
-    (0, 2k, 2k), gives shape (0, k).  Banded truncations reach the band
-    kernel through toeplitz.truncation_spectrum, not through this function.
+    (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
+    toeplitz.truncation_spectrum, as two flip halves, not by this function.
     """
     A = np.asarray(A, dtype=float)
     _even_dim(A)
-    L = _factor(A)
-    K = _skew_kernel(L)
-    n = K.shape[-1]
-    if n <= 4 or (n == 6 and K.ndim > 2):
-        return _small_spectrum(L, K)
-    s = np.linalg.svd(K, compute_uv=False)[..., ::-1]
-    return _pair_mean(s[..., 0::2], s[..., 1::2])
+    return _factor_spectrum(_factor(A))
 
 
 @dataclass(frozen=True)

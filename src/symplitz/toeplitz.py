@@ -5,26 +5,35 @@ symbols.from_samples), so block (i, j) of the order-n truncation T_n is its
 coefficient |i - j|.  A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
 straight from the coefficients; it is the only source of a truncation's
-band.  truncation_spectrum hands that band to the core band kernel once the
-dimension is large enough for the band to win (_band_limit), and solves the
-dense truncation otherwise.  The covariance (G-chain) test is the one place
+band.  T_n commutes with the block flip E (block i to block n - 1 - i), and
+E with I_n (x) J, so truncation_spectrum solves T_n as the two halves of
+E's eigenspaces, of orders h = n // 2 and n - h: T- = T_h minus a Hankel
+corner and T+ = T_h plus it, where the corner block (i, j) is
+A_{n-1-i-j} and touches only the last q blocks; for odd n, T+ also holds
+the middle block, coupled to block j by sqrt(2) A_{h-j}.  _flip_half writes
+each half's band from _band's and the corner, with a bandwidth at most that
+of T_n, so a band reduction, O(N^2 b), costs about half as much on the two
+halves as on T_n.  Each half goes to the core band kernel once its
+dimension is large enough for the band to win (_band_limit), and to the
+dense chain otherwise.  The covariance (G-chain) test is the one place
 where a complex matrix enters: H_n = T_n + (i/2) J is the same band with J
 on the first subdiagonal.  The test has one verdict, a band Cholesky factor
 of H_n + tol I (gchain_sweep); since T_n is a leading principal submatrix of
 T_{n+1}, one factor decides every order up to n.  gchain_check only
 measures: its witness, the smallest eigenvalue of H_n, is a bisection on
 whether H_n - mu I factors (core._lowest_band_eigenvalue), or, where the
-band is wide, a dense Hermitian eigensolve of that band.  _band writes every
-truncation entry; _dense, the one band-to-dense unpack, serves assemble
-(matrix dumps, quadratic_form_check) and the dense fallbacks of bands wider
-than the band rule.
+band is wide, a dense Hermitian eigensolve of that band.  The G-chain is
+not split by the flip: its verdict needs the nested leading minors of
+H_n.  _band writes every truncation entry; _dense, the one band-to-dense
+unpack, serves assemble (matrix dumps, quadratic_form_check) and the dense
+fallbacks of bands wider than the band rule.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cholesky_banded, lapack
 
 from . import core
 from .errors import AliasingError, DomainError, GridError, InvalidDimensionError, TruncationSizeError
@@ -129,17 +138,99 @@ def _dense(ab: np.ndarray) -> np.ndarray:
     return H
 
 
+def _flip_half(symbol: TrigMatrixPolynomial, n: int, sign: int) -> np.ndarray:
+    """LAPACK lower band of one flip half of T_n: T- (sign -1) or T+ (sign 1).
+
+    T_n commutes with the block flip E (block i to block n - 1 - i) and E
+    with I_n (x) J, so in the orthonormal bases (e_i +- e_{n-1-i}) / sqrt(2)
+    (x) I_2k, i < h = n // 2, of the eigenspaces of E, with the middle block
+    e_h (x) I_2k added to the +1 one for odd n, T_n splits into T- and T+
+    and J into the form of their own size.  With A_s the coefficients (zero
+    past the degree q), block (i, j) of T+- is A_|i-j| +- A_{n-1-i-j} for
+    i, j < h: the band of T_h plus or minus a Hankel corner, which is nonzero
+    only where i + j >= n - 1 - q, that is on the last q blocks.  For odd n,
+    T+ also has the middle block, with coupling blocks sqrt(2) A_{h-j} and
+    diagonal block A_0, and is built on the band of T_{h+1}.  The corner
+    entry of A_s sits on a diagonal nearer the main one than A_s does in
+    T_n, so each half keeps a bandwidth of at most that of T_n.  The last r
+    blocks (the corner, and the middle) are written onto _band's band by one
+    index computation, and the band is trimmed to its last nonzero diagonal.
+    """
+    h = n // 2
+    size = h if sign < 0 else n - h
+    ab = _band(symbol, size)
+    m = symbol.block_dim
+    middle = size > h
+    r = min(symbol.degree, h) + middle
+    w = m * r
+    if not w:
+        return ab
+    # entry ab[t, c] of the last w columns: rows c + t >= w lie past the matrix
+    col = np.arange(w)
+    row = col + np.arange(w)[:, None]
+    inside = row < w
+    row = np.minimum(row, w - 1)
+    i, j = row // m + (size - r), col // m + (size - r)
+    # i - j < r and n - 1 - i - j <= 2 r: coefficients past the degree are zero blocks
+    d = min(symbol.degree, 2 * r) + 1
+    coeffs = np.zeros((2 * r + 1, m, m))
+    coeffs[:d] = symbol.coeffs[:d]
+    row, col = row % m, col % m
+    near = coeffs[i - j, row, col]
+    far = sign * coeffs[n - 1 - i - j, row, col]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if middle:
+            near = np.where((i == h) & (j < h), math.sqrt(2.0) * near, near)
+            far = np.where(i == h, 0.0, far)
+        corner = np.where(inside, near + far, 0.0)
+    if not np.isfinite(corner).all():
+        raise DomainError(f"flip half of the order-{n} truncation has entries outside the float range")
+    if ab.shape[0] < w:
+        ab = np.vstack([ab, np.zeros((w - ab.shape[0], ab.shape[1]))])
+    ab[:w, -w:] = corner
+    rows = np.flatnonzero(ab.any(axis=1))
+    return ab[: int(rows[-1]) + 1 if rows.size else 1]
+
+
+def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
+    """Lower bands of the flip halves [T-, T+] of T_n (_flip_half).
+
+    At n = 1, T- is empty and the list holds T+ = T_1 alone.
+    """
+    truncation_dim(symbol, n)
+    return [_flip_half(symbol, n, sign) for sign in (-1, 1) if sign > 0 or n > 1]
+
+
 def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """Symplectic spectrum of the order-n truncation, ascending.
 
-    The truncation is solved on its band (core._band_spectrum) when its
-    bandwidth b satisfies b <= _band_limit(N), which builds no dense array,
-    and otherwise by core.symplectic_eigenvalues of the same band unpacked.
+    The spectrum is the sorted union of the spectra of the two flip halves
+    of T_n (_flip_half), each of dimension about N / 2, so band reduction,
+    O(N^2 b), costs about half as much as on T_n.  Each half is routed on its
+    own dimension: to the band (core._band_spectrum) when its bandwidth b
+    satisfies b <= _band_limit, which builds no dense array, and otherwise
+    to the dense chain of its band unpacked (core._factor_spectrum).  Both
+    halves are factored before either is solved; when a factor breaks down,
+    the PositivityError reports the smaller of the two halves' lowest
+    eigenvalues, which is lambda_min(T_n): a bisection on band factors
+    (core._lowest_band_eigenvalue) for a band half, eigvalsh for a dense one.
     """
-    ab = _band(symbol, n)
-    if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):
-        return core._band_spectrum(ab)
-    return core.symplectic_eigenvalues(_dense(ab))
+    halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
+    try:
+        factors = [
+            cholesky_banded(ab, lower=True, check_finite=False) if band else np.linalg.cholesky(_dense(ab))
+            for ab, band in halves
+        ]
+    except np.linalg.LinAlgError:
+        low = min(
+            core._lowest_band_eigenvalue(ab) if band else float(np.linalg.eigvalsh(_dense(ab))[0])
+            for ab, band in halves
+        )
+        raise core._not_positive_definite(np.array([low])) from None
+    spectra = [
+        core._band_spectrum(L) if band else core._factor_spectrum(L) for L, (_, band) in zip(factors, halves)
+    ]
+    return np.sort(np.concatenate(spectra))
 
 
 @dataclass(frozen=True)
@@ -279,16 +370,20 @@ def matrix_csv_bytes(T) -> bytes:
     not +0.0 (its int64 view is nonzero), so -0.0 and NaN stay in the span
     and keep their own text.  The +0.0 runs on either side are copies of the
     one token ``b"%.16e" % 0.0``, sliced from a run of N of them.  Each
-    distinct span, keyed by its raw bytes, is formatted once by a single
-    %-format of the span and reused by every later row that holds the same
-    bytes.  A degree-q truncation repeats its spans every 2k rows away from
+    distinct span is formatted once by a single %-format of the span and
+    reused by every later row that holds the same bytes.  A span is looked
+    up by the hash of its bytes and matched by comparing byte views of the
+    two spans in T, so the lookup keeps no copy of a span: a dense matrix,
+    with one distinct span per row, holds no second copy of its entries.
+    A span whose hash collides with an earlier, different one is formatted
+    on its own.  A degree-q truncation repeats its spans every 2k rows away from
     its first and last q block rows, so a dump of any order formats at most
     2k (2q + 1) distinct spans; what grows with N is one span lookup per row
     and the copy of the N^2 entries' bytes into the result.  A dense matrix
     formats each row once, as one %-format per row did before.  An all-+0.0
     row is one span of N zeros.
     """
-    T = np.asarray(T, dtype=float)
+    T = np.ascontiguousarray(T, dtype=float)
     n = T.shape[1]
     cell = b"%.16e,"
     formats = cell * n
@@ -299,13 +394,17 @@ def matrix_csv_bytes(T) -> bytes:
     nonzero = T.view(np.int64) != 0
     starts = nonzero.argmax(axis=1).tolist()  # 0 for an all-+0.0 row
     stops = (n - nonzero[:, ::-1].argmax(axis=1)).tolist()
-    spans = {}
+    raw = memoryview(T).cast("B")  # the bytes of T, row after row, not copied
+    spans = {}  # hash of a span's bytes -> (byte view of the span in T, its text)
     pieces = []
-    for row, start, stop in zip(T, starts, stops):
-        span = row[start:stop]
-        key = span.tobytes()
-        text = spans.get(key)
-        if text is None:
-            text = spans[key] = formats[: len(cell) * (stop - start) - 1] % tuple(span.tolist())
+    for r, (start, stop) in enumerate(zip(starts, stops)):
+        view = raw[8 * (n * r + start) : 8 * (n * r + stop)]
+        key = hash(view.tobytes())
+        seen = spans.get(key)
+        if seen is not None and seen[0] == view:
+            text = seen[1]
+        else:  # a new span, or one whose hash collides with an earlier one: formatted
+            text = formats[: len(cell) * (stop - start) - 1] % tuple(T[r, start:stop].tolist())
+            spans.setdefault(key, (view, text))
         pieces += (lead[: width * start], text, trail[: width * (n - stop)], b"\n")
     return b"".join(pieces)

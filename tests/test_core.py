@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, lapack
+from scipy.linalg import block_diag, cholesky_banded, lapack
 
 from symplitz import TrigMatrixPolynomial, cli, core, scalar_symbol, szego, toeplitz
 from symplitz.errors import (
@@ -363,6 +363,11 @@ def random_banded_pd(rng, dim, b):
     return A
 
 
+def band_factor(A):
+    """Lower band of the Cholesky factor of a banded A: the input of core._band_spectrum."""
+    return cholesky_banded(lower_band(A), lower=True)
+
+
 def svd_route(A):
     """Reference spectrum: a one-matrix stack always takes the singular-value route."""
     return core.symplectic_eigenvalues(A[None])[0]
@@ -541,8 +546,8 @@ class TestBandRoute:
         ("matrix_k2", 128), ("const_k2", 64), ("matrix_k2", 512),
     ])
     def test_corpus_agrees_with_svd(self, corpus, routes, name, n):
-        d = toeplitz.truncation_spectrum(corpus[name], n)  # dims 128 .. 2048
-        assert routes == ["band"]
+        d = toeplitz.truncation_spectrum(corpus[name], n)  # dims 128 .. 2048, halves 64 .. 1024
+        assert routes == ["band", "band"]
         ref = svd_route(toeplitz.assemble(corpus[name], n))
         assert np.abs(d - ref).max() <= 1e-13 * ref[-1]
 
@@ -556,14 +561,14 @@ class TestBandRoute:
             A = random_banded_pd(rng, dim, b)
             ab = lower_band(A)
             assert ab.shape == (b + 1, dim)
-            d = core._band_spectrum(ab)
+            d = core._band_spectrum(cholesky_banded(ab, lower=True))
             ref = svd_route(A)
             assert np.abs(d - ref).max() <= 1e-13 * ref[-1], b
         assert routes == ["band", "svd"] * (b_max + 1)
 
     def test_against_nonsymmetric_eigensolver(self, routes):
-        d = toeplitz.truncation_spectrum(matrix_symbol_k1(), 128)  # dim 256, b = 3
-        assert routes == ["band"]
+        d = toeplitz.truncation_spectrum(matrix_symbol_k1(), 128)  # dim 256, b = 3, halves of dim 128
+        assert routes == ["band", "band"]
         T = toeplitz.assemble(matrix_symbol_k1(), 128)
         ev = np.linalg.eigvals(core.symplectic_form(128) @ T)
         oracle = np.sort(np.abs(ev.imag))[::2]
@@ -574,7 +579,7 @@ class TestBandRoute:
         # acceptance 15's matrix and bound, 32 copies on the diagonal (dim 192, b = 5)
         d_block = np.array([0.5, 1.0, spread])
         A = block_diag(*[random_gmatrix(3, d_block, seed=15)] * 32)
-        d = core._band_spectrum(lower_band(A))
+        d = core._band_spectrum(band_factor(A))
         assert routes == ["band"]
         assert np.abs(d / np.repeat(d_block, 32) - 1.0).max() <= 1e-10
 
@@ -584,29 +589,34 @@ class TestBandRoute:
         # on the smallest d_j (1e6: band 3.5e-10, singular values 2.0e-10)
         d_block = np.array([0.5, 1.0, spread])
         A = block_diag(*[random_gmatrix(3, d_block, seed=s) for s in range(32)])
-        d = core._band_spectrum(lower_band(A))
+        d = core._band_spectrum(band_factor(A))
         assert routes == ["band"]
         budget = 4.0 * np.finfo(float).eps * spread / 0.5
         assert np.abs(d / np.repeat(d_block, 32) - 1.0).max() <= budget
 
     def test_crossover(self, routes):
-        # lower bandwidth 3: the band route starts at dim max(12 (3 + 2), (3 + 2)^2 / 2) = 60
+        # lower bandwidth 3: the band route starts at dim max(12 (3 + 2), (3 + 2)^2 / 2) = 60,
+        # and each flip half is routed on its own dimension: order 60 has halves of dim 60 and 60,
+        # order 59 of dim 58 (T-) and 60 (T+)
         symbol = matrix_symbol_k1()
         assert toeplitz._band_limit(60) == 3 and toeplitz._band_limit(58) == 2
         assert toeplitz._band(symbol, 30).shape == (4, 60)
-        toeplitz.truncation_spectrum(symbol, 30)
-        toeplitz.truncation_spectrum(symbol, 29)
-        assert routes == ["band", "svd"]
+        for n, dims in ((60, [60, 60]), (59, [58, 60])):
+            assert [ab.shape for ab in toeplitz._flip_bands(symbol, n)] == [(4, dim) for dim in dims]
+            toeplitz.truncation_spectrum(symbol, n)
+        assert routes == ["band", "band", "svd", "band"]
 
     def test_crossover_at_bandwidth_7(self, routes):
-        # k = 2, degree 1: the band route starts at dim 12 (7 + 2) = 108, order 27
+        # k = 2, degree 1: the band route starts at dim 12 (7 + 2) = 108, so at order 54 for
+        # both flip halves (dim 108 each); order 53 has halves of dim 104 (T-) and 108 (T+)
         symbol = bandwidth_7_k2()
         assert toeplitz._band_limit(108) == 7 and toeplitz._band_limit(104) == 6
-        for n in (27, 26):
+        for n in (54, 53):
             assert toeplitz._band(symbol, n).shape[0] == 8
+            assert [ab.shape[0] for ab in toeplitz._flip_bands(symbol, n)] == [8, 8]
             d = toeplitz.truncation_spectrum(symbol, n)
             np.testing.assert_allclose(d, svd_route(toeplitz.assemble(symbol, n)), rtol=1e-13)
-        assert routes == ["band", "svd", "svd", "svd"]
+        assert routes == ["band", "band", "svd", "svd", "band", "svd"]
 
     def test_stacks_and_dense_keep_svd(self, routes):
         T = toeplitz.assemble(matrix_symbol_k1(), 64)
@@ -644,7 +654,7 @@ class TestBandRoute:
         for j in range(4):
             L[c + 2 * j, c] = L[c + 1 + 2 * j, c + 1] = 1.0
         A = 1.4e308 * (L @ L.T)
-        for solve, X in ((core._band_spectrum, lower_band(A)), (core.symplectic_eigenvalues, A)):
+        for solve, X in ((core._band_spectrum, band_factor(A)), (core.symplectic_eigenvalues, A)):
             with pytest.raises(DomainError, match="skew kernel"):
                 solve(X)
         assert routes == []
@@ -658,7 +668,7 @@ class TestBandRoute:
             B[np.arange(t, dim), np.arange(dim - t)] = (-1.0) ** (np.arange(dim - t) + t)
         A = B @ B.T
         A *= 1.7e308 / np.abs(A).max()
-        for solve, X in ((core._band_spectrum, lower_band(A)), (core.symplectic_eigenvalues, A)):
+        for solve, X in ((core._band_spectrum, band_factor(A)), (core.symplectic_eigenvalues, A)):
             with pytest.raises(DomainError, match="symplectic spectrum"):
                 solve(X)
 

@@ -91,16 +91,21 @@ class TestAssemble:
             np.testing.assert_array_equal(toeplitz._dense(toeplitz._shifted_band(s, n)), H)
 
     def test_dense_fallback_unpacks_the_routing_band(self, monkeypatch):
-        # k = 1, degree 7: bandwidth 14 > toeplitz._band_limit(64) = 3, so order 32 is solved dense
+        # k = 1, degree 7: bandwidth 14 > toeplitz._band_limit(32) = 0, so both flip halves of
+        # order 32 (order 16, dim 32 each) are solved dense
         s = symbols.scalar_symbol([4.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125])
-        assert toeplitz._band_limit(64) == 3 and toeplitz._band(s, 32).shape[0] - 1 == 14
+        assert toeplitz._band_limit(32) == 0 and toeplitz._band(s, 32).shape[0] - 1 == 14
+        halves = toeplitz._flip_bands(s, 32)
         calls = []
         band = toeplitz._band
         monkeypatch.setattr(toeplitz, "_band", lambda *a: calls.append(a) or band(*a))
         monkeypatch.setattr(toeplitz, "assemble", lambda *a, **kw: pytest.fail("dense truncation assembled"))
         d = toeplitz.truncation_spectrum(s, 32)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(d, core.symplectic_eigenvalues(kronecker_truncation(s, 32)))
+        assert calls == [(s, 16), (s, 16)]
+        union = np.sort(np.concatenate([core.symplectic_eigenvalues(toeplitz._dense(ab)) for ab in halves]))
+        np.testing.assert_array_equal(d, union)
+        ref = core.symplectic_eigenvalues(kronecker_truncation(s, 32))
+        assert np.abs(d - ref).max() <= 1e-13 * ref[-1]
 
 
 class TestQuadraticForm:
@@ -464,6 +469,118 @@ class TestIntegerOrders:
         assert toeplitz.gchain_sweep(PHI, n, 1e-10) == toeplitz.gchain_sweep(PHI, 4, 1e-10)
 
 
+def _flip_basis(n, m, sign):
+    """Orthonormal basis of the sign eigenspace of the block flip of an order-n truncation
+    with m x m blocks, built densely: (e_i + sign e_{n-1-i}) / sqrt(2) (x) I_m for
+    i < n // 2, and for sign +1 and odd n the middle block e_{n//2} (x) I_m last."""
+    h = n // 2
+    P = np.zeros((n, h + (sign > 0 and n % 2 == 1)))
+    P[np.arange(h), np.arange(h)] = math.sqrt(0.5)
+    P[n - 1 - np.arange(h), np.arange(h)] += sign * math.sqrt(0.5)
+    if P.shape[1] > h:
+        P[h, h] = 1.0
+    return np.kron(P, np.eye(m))
+
+
+def _svd_spectrum(T):
+    """The singular values of K = L^T J L, one copy of each pair, ascending."""
+    s = np.linalg.svd(core._skew_kernel(np.linalg.cholesky(T)), compute_uv=False)
+    return s[::-1][::2]
+
+
+def _eig_spectrum(T):
+    """|Im| of the eigenvalues of J T, one copy of each pair, ascending."""
+    ev = np.linalg.eigvals(core.symplectic_form(T.shape[0] // 2) @ T)
+    return np.sort(np.abs(ev.imag))[::2]
+
+
+def _split_symbol(k, degree):
+    """Positive definite, non-separable: I + 0.05 (random symmetric cosine series)."""
+    return _near_identity(np.random.default_rng(100 * k + degree), k, degree, 0.05)
+
+
+class TestFlipSplit:
+    """truncation_spectrum solves T_n as its two flip halves, T- and T+ (toeplitz._flip_half)."""
+
+    SMALL = [(k, degree, n) for k in (1, 2, 3) for degree in range(4) for n in range(1, 10)]
+
+    @pytest.mark.parametrize("k,degree,n", SMALL + [(2, 3, 100), (2, 3, 101)])
+    def test_halves_are_the_flip_basis_blocks(self, k, degree, n):
+        # n = 1 .. 9 against degree 0 .. 3 includes every case h = n // 2 <= q
+        s = _split_symbol(k, degree)
+        T = toeplitz.assemble(s, n)
+        b = toeplitz._band(s, n).shape[0] - 1
+        halves = toeplitz._flip_bands(s, n)
+        assert len(halves) == (1 if n == 1 else 2)
+        for ab, sign in zip(halves[::-1], (1, -1)):
+            Q = _flip_basis(n, 2 * k, sign)
+            assert ab.shape[1] == Q.shape[1]
+            assert ab.shape[0] - 1 <= b and ab[-1].any(), sign  # trimmed to its last nonzero diagonal
+            atol = 4 * np.finfo(float).eps * np.abs(T).max()
+            np.testing.assert_allclose(toeplitz._dense(ab), Q.T @ T @ Q, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("coeffs", [[2.0, 0.5], [2.0, 0.5, 0.25], [3.0, 0.0, 0.0, 0.5]])
+    def test_halves_of_a_diagonal_symbol_keep_its_bandwidth(self, coeffs):
+        # diagonal blocks leave zero diagonals inside the corner's last rows (the middle block
+        # of T+ for odd n adds 2k - 1 of them), which the trim removes
+        s = symbols.scalar_symbol(coeffs)
+        for n in range(1, 12):
+            b = toeplitz._band(s, n).shape[0] - 1
+            for ab in toeplitz._flip_bands(s, n):
+                assert ab.shape[0] - 1 <= b and ab[-1].any(), (n, ab.shape, b)
+
+    @pytest.mark.parametrize("k,degree,n", SMALL + [(2, 2, 128), (2, 2, 129)])
+    def test_union_matches_eig_and_svd(self, k, degree, n):
+        s = _split_symbol(k, degree)
+        T = toeplitz.assemble(s, n)
+        d = toeplitz.truncation_spectrum(s, n)
+        svd = _svd_spectrum(T)
+        assert d.shape == (k * n,) and (np.diff(d) >= 0).all()
+        assert np.abs(d - svd).max() <= 1e-13 * svd[-1]
+        assert np.abs(d - _eig_spectrum(T)).max() <= 1e-10 * svd[-1]
+
+    @pytest.mark.parametrize("n,minus", [(8, True), (128, True), (9, False), (129, False)])
+    def test_non_pd_reports_the_failing_half(self, n, minus, monkeypatch):
+        # a0 + cos(theta), k = 1: T_n(phi) has eigenvalues a0 + cos(j pi / (n + 1)) with
+        # eigenvectors sin(i j pi / (n + 1)), symmetric under the flip for odd j.  a0 puts
+        # only j = n below 0, so the lowest eigenvector lies in T- for even n and in T+
+        # (with its middle block) for odd n.  Orders 8 and 9 have dense halves, 128 and
+        # 129 band halves.
+        a0 = -0.5 * (math.cos(n * math.pi / (n + 1)) + math.cos((n - 1) * math.pi / (n + 1)))
+        s = symbols.scalar_symbol([a0, 0.5])
+        halves = toeplitz._flip_bands(s, n)
+        lows = [np.linalg.eigvalsh(toeplitz._dense(ab))[0] for ab in halves]
+        assert (lows[0] < 0 < lows[1]) if minus else (lows[1] < 0 < lows[0])
+        # both halves are factored before either is solved
+        monkeypatch.setattr(core, "eigvals_banded", lambda *a, **kw: pytest.fail("band reduction"))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("singular values"))
+        with pytest.raises(PositivityError) as exc:
+            toeplitz.truncation_spectrum(s, n)
+        exact = a0 + math.cos(n * math.pi / (n + 1))
+        assert exc.value.min_eigenvalue == pytest.approx(exact, abs=1e-13) and exact < 0
+        assert exc.value.min_eigenvalue == pytest.approx(min(lows), abs=1e-13)
+        assert exc.value.where is None
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_non_pd_reports_the_smaller_of_two_failing_halves(self, n):
+        # 1 + 1.2 cos(theta) dips below 0 in both halves (at n = 16, j = 14, 15, 16)
+        s = symbols.scalar_symbol([1.0, 0.6])
+        lows = [np.linalg.eigvalsh(toeplitz._dense(ab))[0] for ab in toeplitz._flip_bands(s, n)]
+        assert max(lows) < 0
+        with pytest.raises(PositivityError) as exc:
+            toeplitz.truncation_spectrum(s, n)
+        assert exc.value.min_eigenvalue == pytest.approx(min(lows), abs=1e-13)
+        assert exc.value.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(toeplitz.assemble(s, n))[0], abs=1e-13)
+
+    @pytest.mark.parametrize("coeffs,n", [([1.5e308, 0.9e308], 2), ([1.5e308, 0.0, 0.9e308], 3)])
+    def test_overflowing_half_is_domain_error(self, coeffs, n):
+        # T_n has finite entries, but its corner entry A_0 + A_{n-1} of T+ overflows
+        s = symbols.scalar_symbol(coeffs)
+        assert np.isfinite(toeplitz.assemble(s, n)).all()
+        with pytest.raises(DomainError, match="flip half"):
+            toeplitz.truncation_spectrum(s, n)
+
+
 class TestPositiveDefiniteCheck:
     """The positive-definiteness verdict is the Cholesky factor inside the spectrum."""
 
@@ -552,6 +669,13 @@ class TestMatrixDump:
     ], ids=["zero_runs", "negative_zero", "extreme_magnitudes", "dense_random"])
     def test_rows_match_per_entry_format(self, T):
         assert toeplitz.matrix_csv_bytes(T) == _per_entry_csv(T)
+
+    def test_colliding_span_hashes_keep_the_bytes(self, monkeypatch):
+        # every span hashes alike: a span that differs from the cached one is formatted
+        # on its own, and an equal one (the repeated interior rows) reuses its text
+        monkeypatch.setattr(toeplitz, "hash", lambda raw: 0, raising=False)
+        for T in (toeplitz.assemble(matrix_symbol_k2(), 9), np.random.default_rng(3).standard_normal((8, 8))):
+            assert toeplitz.matrix_csv_bytes(T) == _per_entry_csv(T)
 
     def test_large_truncation_dumps_in_under_a_second(self):
         # N = 2048: a degree-1 truncation repeats a dozen row spans, so the dump
