@@ -2,16 +2,16 @@
 
 Every symbol is a cosine series (samples are projected by
 symbols.from_samples), so block (i, j) of the order-n truncation T_n is its
-coefficient |i - j|.  A degree-q truncation with k modes is banded (lower
+coefficient A_|i-j|.  A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
-straight from the coefficients; it is the only source of a truncation's
-band.  T_n commutes with the block flip E (block i to block n - 1 - i), and
-E with I_n (x) J, so truncation_spectrum solves T_n as the two halves of
-E's eigenspaces, of orders h = n // 2 and n - h: T- = T_h minus a Hankel
-corner and T+ = T_h plus it, where the corner block (i, j) is
-A_{n-1-i-j} and touches only the last q blocks; for odd n, T+ also holds
-the middle block, coupled to block j by sqrt(2) A_{h-j}.  _flip_half writes
-each half's band from _band's and the corner, with a bandwidth at most that
+straight from the coefficients.  T_n commutes with the block flip E (block
+i to block n - 1 - i), and E with I_n (x) J, so truncation_spectrum solves
+T_n as the two halves of E's eigenspaces, of orders h = n // 2 and n - h:
+T- = T_h minus a Hankel corner and T+ = T_h plus it, where the corner
+block (i, j) is A_{n-1-i-j} and touches only the last q blocks; for odd n,
+T+ also holds the middle block, coupled to block j by sqrt(2) A_{h-j}.
+_flip_bands builds both halves from _band (one band for even n) by adding
+the corner and scaling the middle coupling, with a bandwidth at most that
 of T_n, so a band reduction, O(N^2 b), costs about half as much on the two
 halves as on T_n.  Each half goes to the core band kernel once its
 dimension is large enough for the band to win (_band_limit), and to the
@@ -20,13 +20,13 @@ where a complex matrix enters: H_n = T_n + (i/2) J is the same band with J
 on the first subdiagonal.  The test has one verdict, a band Cholesky factor
 of H_n + tol I (gchain_sweep); since T_n is a leading principal submatrix of
 T_{n+1}, one factor decides every order up to n.  gchain_check only
-measures: its witness, the smallest eigenvalue of H_n, is a bisection on
-whether H_n - mu I factors (core._lowest_band_eigenvalue), or, where the
-band is wide, a dense Hermitian eigensolve of that band.  The G-chain is
-not split by the flip: its verdict needs the nested leading minors of
-H_n.  _band writes every truncation entry; _dense, the one band-to-dense
-unpack, serves assemble (matrix dumps, quadratic_form_check) and the dense
-fallbacks of bands wider than the band rule.
+measures: its witness is the smallest eigenvalue of H_n
+(_lowest_eigenvalue, which also reports a non-positive-definite half of
+T_n).  The G-chain is not split by the flip: its verdict needs the nested
+leading minors of H_n.  _band writes every entry A_|i-j| of every
+truncation band; _dense, the one band-to-dense unpack, serves assemble
+(matrix dumps, quadratic_form_check) and the dense fallbacks of bands wider
+than the band rule.
 """
 
 import math
@@ -138,8 +138,20 @@ def _dense(ab: np.ndarray) -> np.ndarray:
     return H
 
 
-def _flip_half(symbol: TrigMatrixPolynomial, n: int, sign: int) -> np.ndarray:
-    """LAPACK lower band of one flip half of T_n: T- (sign -1) or T+ (sign 1).
+def _lowest_eigenvalue(ab: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian matrix with real or complex lower band ab.
+
+    Under the band rule, b <= _band_limit(N), it is a bisection on band
+    factors (core._lowest_band_eigenvalue); otherwise a dense eigensolve of
+    the band unpacked (_dense).
+    """
+    if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):
+        return core._lowest_band_eigenvalue(ab)
+    return float(np.linalg.eigvalsh(_dense(ab))[0])
+
+
+def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
+    """Lower bands of the flip halves [T-, T+] of T_n; at n = 1, T+ = T_1 alone.
 
     T_n commutes with the block flip E (block i to block n - 1 - i) and E
     with I_n (x) J, so in the orthonormal bases (e_i +- e_{n-1-i}) / sqrt(2)
@@ -149,71 +161,63 @@ def _flip_half(symbol: TrigMatrixPolynomial, n: int, sign: int) -> np.ndarray:
     past the degree q), block (i, j) of T+- is A_|i-j| +- A_{n-1-i-j} for
     i, j < h: the band of T_h plus or minus a Hankel corner, which is nonzero
     only where i + j >= n - 1 - q, that is on the last q blocks.  For odd n,
-    T+ also has the middle block, with coupling blocks sqrt(2) A_{h-j} and
-    diagonal block A_0, and is built on the band of T_{h+1}.  The corner
-    entry of A_s sits on a diagonal nearer the main one than A_s does in
-    T_n, so each half keeps a bandwidth of at most that of T_n.  The last r
-    blocks (the corner, and the middle) are written onto _band's band by one
-    index computation, and the band is trimmed to its last nonzero diagonal.
-    """
-    h = n // 2
-    size = h if sign < 0 else n - h
-    ab = _band(symbol, size)
-    m = symbol.block_dim
-    middle = size > h
-    r = min(symbol.degree, h) + middle
-    w = m * r
-    if not w:
-        return ab
-    # entry ab[t, c] of the last w columns: rows c + t >= w lie past the matrix
-    col = np.arange(w)
-    row = col + np.arange(w)[:, None]
-    inside = row < w
-    row = np.minimum(row, w - 1)
-    i, j = row // m + (size - r), col // m + (size - r)
-    # i - j < r and n - 1 - i - j <= 2 r: coefficients past the degree are zero blocks
-    d = min(symbol.degree, 2 * r) + 1
-    coeffs = np.zeros((2 * r + 1, m, m))
-    coeffs[:d] = symbol.coeffs[:d]
-    row, col = row % m, col % m
-    near = coeffs[i - j, row, col]
-    far = sign * coeffs[n - 1 - i - j, row, col]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if middle:
-            near = np.where((i == h) & (j < h), math.sqrt(2.0) * near, near)
-            far = np.where(i == h, 0.0, far)
-        corner = np.where(inside, near + far, 0.0)
-    if not np.isfinite(corner).all():
-        raise DomainError(f"flip half of the order-{n} truncation has entries outside the float range")
-    if ab.shape[0] < w:
-        ab = np.vstack([ab, np.zeros((w - ab.shape[0], ab.shape[1]))])
-    ab[:w, -w:] = corner
-    rows = np.flatnonzero(ab.any(axis=1))
-    return ab[: int(rows[-1]) + 1 if rows.size else 1]
-
-
-def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
-    """Lower bands of the flip halves [T-, T+] of T_n (_flip_half).
-
-    At n = 1, T- is empty and the list holds T+ = T_1 alone.
+    T+ is the band of T_{h+1} whose middle block h keeps its diagonal block
+    A_0 and has coupling blocks sqrt(2) A_{h-j}.  The corner entry of A_s
+    sits on a diagonal nearer the main one than A_s does in T_n, so each
+    half keeps a bandwidth of at most that of T_n.  _band writes every
+    A_|i-j|: one band serves both halves for even n, the bands of T_{h+1}
+    and T_h do for odd n.  One index computation over the last r blocks of
+    T+ (the corner, and the middle) gives the Hankel term, and T- takes its
+    leading r - 1 (odd n) or r blocks; each half adds its sign of that term
+    onto its band, T+ scales its middle coupling by sqrt(2), and each half
+    is checked for finite entries and trimmed to its last nonzero diagonal.
     """
     truncation_dim(symbol, n)
-    return [_flip_half(symbol, n, sign) for sign in (-1, 1) if sign > 0 or n > 1]
+    h, middle = divmod(n, 2)
+    plus = _band(symbol, h + middle)
+    halves = [(plus, 1)]
+    if h:
+        halves.insert(0, (_band(symbol, h) if middle else plus.copy(), -1))
+    m = symbol.block_dim
+    r = min(symbol.degree, h) + middle
+    w = m * r
+    # entry [t, c] of the window on T+'s last w columns is T+[c + t, c], in block (i, j) of the
+    # window; its Hankel block A_{n-1-i-j} of T_n is A_{2r-1-middle-i-j}, and rows of block
+    # i >= r - middle are T+'s middle or lie past the matrix (their index may wrap: it is masked)
+    t, c = np.arange(w)[:, None], np.arange(w)
+    i, j = (c + t) // m, c // m
+    coeffs = np.zeros((2 * r, m, m))  # coefficients past the degree are zero blocks
+    coeffs[: min(symbol.degree + 1, 2 * r)] = symbol.coeffs[: 2 * r]
+    hankel = np.where(i < r - middle, coeffs[2 * r - 1 - middle - i - j, (c + t) % m, c % m], 0.0)
+    bands = []
+    for ab, sign in halves:
+        v = w - (plus.shape[1] - ab.shape[1])  # T-'s window is the leading v of T+'s w columns
+        if ab.shape[0] < v:
+            ab = np.vstack([ab, np.zeros((v - ab.shape[0], ab.shape[1]))])
+        window = ab[:v, ab.shape[1] - v :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if sign > 0 and middle:  # the middle block row of T+, coupled to the blocks before it
+                window[(i == r - 1) & (j < r - 1)] *= math.sqrt(2.0)
+            window += sign * hankel[:v, :v]
+        if not np.isfinite(window).all():
+            raise DomainError(f"flip half of the order-{n} truncation has entries outside the float range")
+        rows = np.flatnonzero(ab.any(axis=1))
+        bands.append(ab[: int(rows[-1]) + 1 if rows.size else 1])
+    return bands
 
 
 def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """Symplectic spectrum of the order-n truncation, ascending.
 
     The spectrum is the sorted union of the spectra of the two flip halves
-    of T_n (_flip_half), each of dimension about N / 2, so band reduction,
+    of T_n (_flip_bands), each of dimension about N / 2, so band reduction,
     O(N^2 b), costs about half as much as on T_n.  Each half is routed on its
     own dimension: to the band (core._band_spectrum) when its bandwidth b
     satisfies b <= _band_limit, which builds no dense array, and otherwise
     to the dense chain of its band unpacked (core._factor_spectrum).  Both
     halves are factored before either is solved; when a factor breaks down,
     the PositivityError reports the smaller of the two halves' lowest
-    eigenvalues, which is lambda_min(T_n): a bisection on band factors
-    (core._lowest_band_eigenvalue) for a band half, eigvalsh for a dense one.
+    eigenvalues (_lowest_eigenvalue), which is lambda_min(T_n).
     """
     halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
     try:
@@ -222,10 +226,7 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
             for ab, band in halves
         ]
     except np.linalg.LinAlgError:
-        low = min(
-            core._lowest_band_eigenvalue(ab) if band else float(np.linalg.eigvalsh(_dense(ab))[0])
-            for ab, band in halves
-        )
+        low = min(_lowest_eigenvalue(ab) for ab, _ in halves)
         raise core._not_positive_definite(np.array([low])) from None
     spectra = [
         core._band_spectrum(L) if band else core._factor_spectrum(L) for L, (_, band) in zip(factors, halves)
@@ -292,21 +293,16 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int) -> float:
 
     A measurement, not a verdict: the verdict is gchain_sweep's pivot.  The
     witness equals the smallest eigenvalue of the real symmetric embedding
-    [[T_n, -J/2], [J/2, T_n]], at half its size.  It is solved from the
-    lower band of bandwidth b: when b <= _band_limit(N), the rule of the
-    truncation spectrum, by bisection on whether the band shifted by -mu has
-    a band Cholesky factor (core._lowest_band_eigenvalue, about 51 factors of
-    O(N b^2) each, accurate to about 2 eps ||H||_1), otherwise by a dense
-    Hermitian eigensolve of the band unpacked (_dense).  That rule was not
-    measured for the witness.  On 2 cores, best of 5-15 in one process, the
-    dense solve wins at N = 256 and 512 (10-12 ms against 24 ms at b = 31,
-    N = 256), but above the rule bisection wins from N ~ 1024 (105 ms
-    against 290 ms at b = 80, N = 1024).
+    [[T_n, -J/2], [J/2, T_n]], at half its size.  _lowest_eigenvalue solves
+    it from the lower band under the rule of the truncation spectrum: by
+    bisection on band factors (about 51 of O(N b^2) each, accurate to about
+    2 eps ||H||_1) when b <= _band_limit(N), otherwise by a dense Hermitian
+    eigensolve.  That rule was not measured for the witness.  On 2 cores,
+    best of 5-15 in one process, the dense solve wins at N = 256 and 512
+    (10-12 ms against 24 ms at b = 31, N = 256), but above the rule
+    bisection wins from N ~ 1024 (105 ms against 290 ms at b = 80, N = 1024).
     """
-    ab = _shifted_band(symbol, n)
-    if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):
-        return core._lowest_band_eigenvalue(ab)
-    return float(np.linalg.eigvalsh(_dense(ab))[0])
+    return _lowest_eigenvalue(_shifted_band(symbol, n))
 
 
 def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):

@@ -91,21 +91,24 @@ class TestAssemble:
             np.testing.assert_array_equal(toeplitz._dense(toeplitz._shifted_band(s, n)), H)
 
     def test_dense_fallback_unpacks_the_routing_band(self, monkeypatch):
-        # k = 1, degree 7: bandwidth 14 > toeplitz._band_limit(32) = 0, so both flip halves of
-        # order 32 (order 16, dim 32 each) are solved dense
+        # k = 1, degree 7: bandwidth 14 > toeplitz._band_limit(32) = toeplitz._band_limit(34) = 0, so
+        # both flip halves of order 32 (dim 32 each) and of order 33 (dims 32 and 34) are solved dense;
+        # one band serves both halves of the even order, the odd order writes those of T_17 and T_16
         s = symbols.scalar_symbol([4.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125])
-        assert toeplitz._band_limit(32) == 0 and toeplitz._band(s, 32).shape[0] - 1 == 14
-        halves = toeplitz._flip_bands(s, 32)
-        calls = []
+        assert toeplitz._band_limit(32) == toeplitz._band_limit(34) == 0 and toeplitz._band(s, 32).shape[0] - 1 == 14
         band = toeplitz._band
-        monkeypatch.setattr(toeplitz, "_band", lambda *a: calls.append(a) or band(*a))
         monkeypatch.setattr(toeplitz, "assemble", lambda *a, **kw: pytest.fail("dense truncation assembled"))
-        d = toeplitz.truncation_spectrum(s, 32)
-        assert calls == [(s, 16), (s, 16)]
-        union = np.sort(np.concatenate([core.symplectic_eigenvalues(toeplitz._dense(ab)) for ab in halves]))
-        np.testing.assert_array_equal(d, union)
-        ref = core.symplectic_eigenvalues(kronecker_truncation(s, 32))
-        assert np.abs(d - ref).max() <= 1e-13 * ref[-1]
+        for n, expected in ((32, [(s, 16)]), (33, [(s, 17), (s, 16)])):
+            halves = toeplitz._flip_bands(s, n)
+            calls = []
+            monkeypatch.setattr(toeplitz, "_band", lambda *a: calls.append(a) or band(*a))
+            d = toeplitz.truncation_spectrum(s, n)
+            monkeypatch.setattr(toeplitz, "_band", band)
+            assert calls == expected, n
+            union = np.sort(np.concatenate([core.symplectic_eigenvalues(toeplitz._dense(ab)) for ab in halves]))
+            np.testing.assert_array_equal(d, union)
+            ref = core.symplectic_eigenvalues(kronecker_truncation(s, n))
+            assert np.abs(d - ref).max() <= 1e-13 * ref[-1]
 
 
 class TestQuadraticForm:
@@ -500,7 +503,8 @@ def _split_symbol(k, degree):
 
 
 class TestFlipSplit:
-    """truncation_spectrum solves T_n as its two flip halves, T- and T+ (toeplitz._flip_half)."""
+    """truncation_spectrum solves T_n as its two flip halves, T- and T+, both built by
+    toeplitz._flip_bands from the band _band writes and one Hankel corner."""
 
     SMALL = [(k, degree, n) for k in (1, 2, 3) for degree in range(4) for n in range(1, 10)]
 
@@ -518,6 +522,30 @@ class TestFlipSplit:
             assert ab.shape[0] - 1 <= b and ab[-1].any(), sign  # trimmed to its last nonzero diagonal
             atol = 4 * np.finfo(float).eps * np.abs(T).max()
             np.testing.assert_allclose(toeplitz._dense(ab), Q.T @ T @ Q, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(8))
+    def test_halves_are_t_h_plus_minus_the_hankel_corner_bit_for_bit(self, k, degree):
+        # block (i, j) of T-+ is T[i, j] -+ T[i, n - 1 - j] for i, j < h, and the middle block of
+        # T+ (odd n) is coupled by sqrt(2) T[h, j], with T from an oracle that shares no code with _band
+        m = 2 * k
+        s = symbols.TrigMatrixPolynomial(_random_blocks(np.random.default_rng(10 * k + degree), k, degree))
+        for n in range(1, 18):
+            h = n // 2
+            T = kronecker_truncation(s, n).reshape(n, m, n, m)
+            flipped = T[:, :, ::-1]  # block (i, j) is T[i, n - 1 - j]
+            plus = (T + flipped)[: n - h, :, : n - h]
+            if n % 2:
+                plus[h, :, :h] = math.sqrt(2.0) * T[h, :, :h]
+                plus[:h, :, h] = math.sqrt(2.0) * T[:h, :, h]
+                plus[h, :, h] = T[h, :, h]
+            expected = [(T - flipped)[:h, :, :h], plus] if h else [plus]
+            halves = toeplitz._flip_bands(s, n)
+            assert len(halves) == len(expected), n
+            for ab, half in zip(halves, expected):
+                size = half.shape[0] * m
+                np.testing.assert_array_equal(toeplitz._dense(ab), half.reshape(size, size), err_msg=f"n = {n}")
+                assert not any(ab[t, size - t :].any() for t in range(ab.shape[0])), n  # nothing past the matrix
 
     @pytest.mark.parametrize("coeffs", [[2.0, 0.5], [2.0, 0.5, 0.25], [3.0, 0.0, 0.0, 0.5]])
     def test_halves_of_a_diagonal_symbol_keep_its_bandwidth(self, coeffs):
