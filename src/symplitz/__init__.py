@@ -25,7 +25,6 @@ from .core import (
 from .entropy import (
     entropy_test_function,
     mode_entropy,
-    mode_entropy_shannon,
     state_entropy,
 )
 from .symbols import (
@@ -35,7 +34,6 @@ from .symbols import (
     ab_family,
     constant_symbol,
     from_samples,
-    geometric_weights,
     scalar_symbol,
     sup_norm,
     symplectic_curves,
@@ -59,11 +57,9 @@ from .szego import (
     truncated_spectra,
 )
 from .toeplitz import (
-    QuadraticFormCheck,
     assemble,
     gchain_check,
     gchain_sweep,
     matrix_csv_bytes,
-    quadratic_form_check,
     truncation_spectrum,
 )

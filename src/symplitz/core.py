@@ -36,7 +36,7 @@ whole truncation would.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigvals_banded, expm, lapack, schur, solve_triangular
+from scipy.linalg import eigvals_banded, expm, lapack, schur, solve_triangular
 
 from .errors import (
     DegeneratePairError,

@@ -35,23 +35,6 @@ def mode_entropy(x):
     return float(out) if np.isscalar(x) else out
 
 
-def mode_entropy_shannon(x):
-    """Shannon-function form of the same quantity, kept as an independent route.
-
-    Defined for d >= 1/2 as the mean photon weight (2d + 1)/2 times the binary
-    Shannon entropy of t = (2d - 1)/(2d + 1).
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.5 - 1e-12):
-        raise DomainError(f"Shannon form needs d >= 1/2, got {float(arr.min())}")
-    t = np.clip((2.0 * arr - 1.0) / (2.0 * arr + 1.0), 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -t * np.log(t) - (1.0 - t) * np.log1p(-t)
-    h = np.where(t > 0.0, h, 0.0)
-    out = 0.5 * (2.0 * arr + 1.0) * h
-    return float(out) if np.isscalar(x) else out
-
-
 def entropy_test_function() -> szego.TestFunction:
     """The per-mode entropy as a spectral-average test function, zero at or
     below 1/2; validity is judged on ``symplectic_curves(...).min()``."""

@@ -118,6 +118,13 @@ class TrigMatrixPolynomial:
         return np.einsum("gn,nij->gij", w, self.coeffs)
 
 
+def _check_integer(value, what: str, least: int) -> None:
+    """Raise InvalidDimensionError unless value is an integer >= least (a numpy integer
+    counts, a bool or a float with an integer value does not): the rule of degrees and orders."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidDimensionError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
     """Cosine series up to ``degree`` of a symbol given by one matrix per grid node.
 
@@ -127,8 +134,7 @@ def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
     alias and raise AliasingError; a degree that is not an integer >= 0 raises
     InvalidDimensionError.
     """
-    if not isinstance(degree, (int, np.integer)) or degree < 0:
-        raise InvalidDimensionError(f"degree must be an integer >= 0, got {degree!r}")
+    _check_integer(degree, "degree", 0)
     v = np.asarray(values, dtype=float)
     if v.ndim != 3 or v.shape[0] != grid.G:
         raise GridError(f"need one matrix per grid node: {grid.G} nodes, values shape {v.shape}")
@@ -165,7 +171,8 @@ def ab_family(A, B, weights, degree: int | None = None) -> TrigMatrixPolynomial:
     """Two-matrix family: center block A, off-diagonal blocks p_n B.
 
     ``weights`` are the decay coefficients p_1, p_2, ...; they must be
-    nonnegative with sum at most 1.
+    nonnegative with sum at most 1.  ``degree`` defaults to their count; a
+    degree that is not an integer >= 0 raises InvalidDimensionError.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -178,15 +185,11 @@ def ab_family(A, B, weights, degree: int | None = None) -> TrigMatrixPolynomial:
         raise WeightError(f"weights must sum to at most 1, got {p.sum()}")
     if degree is None:
         degree = p.size
+    _check_integer(degree, "degree", 0)
     used = np.zeros(degree)
     used[: min(degree, p.size)] = p[:degree]
     blocks = [A] + [w * B for w in used]
     return TrigMatrixPolynomial(np.stack(blocks))
-
-
-def geometric_weights(count: int, ratio: float = 0.5) -> np.ndarray:
-    """Weights ratio, ratio^2, ..., ratio^count (sums below 1 for ratio = 1/2)."""
-    return ratio ** np.arange(1, count + 1)
 
 
 def sup_norm(symbol: TrigMatrixPolynomial, grid: GridSpec = GridSpec()) -> float:

@@ -25,19 +25,17 @@ measures: its witness is the smallest eigenvalue of H_n
 T_n).  The G-chain is not split by the flip: its verdict needs the nested
 leading minors of H_n.  _band writes every entry A_|i-j| of every
 truncation band; _dense, the one band-to-dense unpack, serves assemble
-(matrix dumps, quadratic_form_check) and the dense fallbacks of bands wider
-than the band rule.
+(matrix dumps) and the dense fallbacks of bands wider than the band rule.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
 from . import core
-from .errors import AliasingError, DomainError, GridError, InvalidDimensionError, TruncationSizeError
-from .symbols import MAX_GRID_ENTRIES, GridSpec, TrigMatrixPolynomial
+from .errors import DomainError, TruncationSizeError
+from .symbols import TrigMatrixPolynomial, _check_integer
 
 MAX_DIM = 4096
 
@@ -57,7 +55,13 @@ MAX_DIM = 4096
 #
 # Up to b ~ 23 the band route wins from N / (b + 2) ~ 7-13; wider bands need
 # N / (b + 2) to grow with b, about (b + 2) / 2.  Hence the rule
-# max(12 (b + 2), (b + 2)^2 / 2) <= N.
+# max(12 (b + 2), (b + 2)^2 / 2) <= N.  On the flip halves (both halves of T_2h, each N x N, through
+# truncation_spectrum's calls; k modes, degree q; best of 25, interleaved) the band wins at every N from:
+#   b (k, q):   3 (1, 1)  5 (1, 2)  7 (1, 3)  7 (2, 1)  11 (2, 2)  15 (2, 3)  11 (3, 1)  17 (3, 2)  23 (3, 3)
+#   measured:         46        62       106       108        148        180        114        150        318
+#   rule:             60        84       108       108        156        204        156        228        313
+# The rule holds at b = 7 and 23; elsewhere it switches late, at up to 1.5 times the measured N, where
+# the band is up to a third faster.
 def _band_limit(N: int) -> int:
     """Largest lower bandwidth b with which an N x N truncation is solved on its band.
 
@@ -68,17 +72,10 @@ def _band_limit(N: int) -> int:
     return min(N // 12, math.isqrt(2 * N)) - 2
 
 
-def _check_order(n, what: str) -> None:
-    """Raise InvalidDimensionError unless n is an integer >= 1 (a numpy integer
-    counts, a bool or a float with an integer value does not)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimensionError(f"{what} must be an integer >= 1, got {n!r}")
-
-
 def truncation_dim(symbol: TrigMatrixPolynomial, n: int) -> int:
     """Dimension 2kn of the order-n truncation, checked against the size guard
     MAX_DIM; an order that is not an integer >= 1 raises InvalidDimensionError."""
-    _check_order(n, "truncation order")
+    _check_integer(n, "truncation order", 1)
     dim = symbol.block_dim * n
     if dim > MAX_DIM:
         raise TruncationSizeError(f"truncation dimension 2kn = {dim} exceeds the guard {MAX_DIM}")
@@ -234,50 +231,6 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     return np.sort(np.concatenate(spectra))
 
 
-@dataclass(frozen=True)
-class QuadraticFormCheck:
-    """Truncation-side and symbol-side values of one quadratic form."""
-
-    lhs: float
-    rhs: float
-    gap: float
-
-
-def quadratic_form_check(symbol: TrigMatrixPolynomial, coefficients, grid: GridSpec) -> QuadraticFormCheck:
-    """Compare <x, T_m x> with the angular average of <x~(t), A(t) x~(t)>.
-
-    ``coefficients`` holds the finitely supported sequence x_0 .. x_{m-1} as
-    rows; x~(t) = sum x_j e^{i j t}.  The grid must resolve the product of
-    the symbol and the sequence, otherwise the rectangle rule aliases.  The
-    G x m phase array is checked against the grid budget before it is built.
-    """
-    xs = np.asarray(coefficients, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != symbol.block_dim:
-        raise InvalidDimensionError(
-            f"coefficients must be rows of length {symbol.block_dim}, got shape {xs.shape}"
-        )
-    m = xs.shape[0]
-    needed = 2 * (symbol.degree + m)
-    if grid.G <= needed:
-        raise AliasingError(
-            f"G = {grid.G} cannot resolve symbol degree {symbol.degree} against "
-            f"support {m}; need G > {needed}"
-        )
-    if grid.G * m > MAX_GRID_ENTRIES:
-        raise GridError(
-            f"phase array of G = {grid.G} nodes by support {m} exceeds the budget {MAX_GRID_ENTRIES}"
-        )
-    T = assemble(symbol, m)
-    x = xs.ravel()
-    lhs = float(x @ T @ x)
-    phase = np.exp(1j * np.outer(grid.nodes(), np.arange(m)))
-    xt = phase @ xs
-    vals = symbol.evaluate_grid(grid)
-    quad = np.einsum("gi,gij,gj->g", xt.conj(), vals, xt).real
-    rhs = float(quad.sum() / grid.G)
-    return QuadraticFormCheck(lhs, rhs, abs(lhs - rhs))
-
-
 def _shifted_band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """LAPACK lower band of H = T_n + (i/2) J: the band of T_n, with -i/2 at
     the even columns of the first subdiagonal, which is added when T_n has none."""
@@ -334,7 +287,7 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
     but not against the guard.  A tol that is not finite raises DomainError:
     shifted by NaN or +inf every pivot passes, and by -inf the first fails.
     """
-    _check_order(n_max, "n_max")
+    _check_integer(n_max, "n_max", 1)
     if not math.isfinite(tol):
         raise DomainError(f"tol must be finite, got {tol}")
     guard = MAX_DIM // symbol.block_dim

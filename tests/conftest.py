@@ -1,8 +1,43 @@
 import numpy as np
 import pytest
 
-from symplitz import GridSpec, TrigMatrixPolynomial, ab_family, constant_symbol, geometric_weights, scalar_symbol
+from symplitz import GridSpec, TrigMatrixPolynomial, ab_family, assemble, constant_symbol, scalar_symbol
 from symplitz.core import random_symplectic
+
+
+def geometric_weights(count, ratio=0.5):
+    """Weights ratio, ratio^2, ..., ratio^count (sums below 1 for ratio = 1/2)."""
+    return ratio ** np.arange(1, count + 1)
+
+
+def mode_entropy_shannon(x):
+    """Shannon-function form of entropy.mode_entropy, an independent route: for
+    d >= 1/2, the mean photon weight (2d + 1)/2 times the binary Shannon entropy
+    of t = (2d - 1)/(2d + 1)."""
+    arr = np.asarray(x, dtype=float)
+    assert np.all(arr >= 0.5 - 1e-12), f"Shannon form needs d >= 1/2, got {arr.min()}"
+    t = np.clip((2.0 * arr - 1.0) / (2.0 * arr + 1.0), 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -t * np.log(t) - (1.0 - t) * np.log1p(-t)
+    return 0.5 * (2.0 * arr + 1.0) * np.where(t > 0.0, h, 0.0)
+
+
+def quadratic_form(symbol, xs, grid):
+    """(lhs, rhs, gap) of <x, T_m x> against the grid average of <x~(t), A(t) x~(t)>.
+
+    The rows of xs are the sequence x_0 .. x_{m-1} and x~(t) = sum_j x_j e^{i j t};
+    the grid must resolve the product of the symbol and the sequence, or the
+    rectangle rule aliases.
+    """
+    xs = np.asarray(xs, dtype=float)
+    m = xs.shape[0]
+    assert grid.G > 2 * (symbol.degree + m), f"G = {grid.G} aliases degree {symbol.degree} against support {m}"
+    x = xs.ravel()
+    lhs = float(x @ assemble(symbol, m) @ x)
+    xt = np.exp(1j * np.outer(grid.nodes(), np.arange(m))) @ xs
+    quad = np.einsum("gi,gij,gj->g", xt.conj(), symbol.evaluate_grid(grid), xt).real
+    rhs = float(quad.sum() / grid.G)
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def random_pd(rng, dim, lo=0.5, hi=3.0):

@@ -9,7 +9,7 @@ import pytest
 
 from symplitz import core, entropy, symbols, szego, toeplitz
 from symplitz.errors import DegeneratePairError
-from conftest import random_gmatrix, random_pd, symbol_corpus
+from conftest import geometric_weights, mode_entropy_shannon, quadratic_form, random_gmatrix, random_pd, symbol_corpus
 
 GRID = symbols.GridSpec(4096)
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta)
@@ -164,7 +164,7 @@ def test_10_gchain_desk_equivalence():
 
 
 def test_11_entropy_rate():
-    fam = symbols.ab_family(2.0 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(8), 8)
+    fam = symbols.ab_family(2.0 * np.eye(2), 0.5 * np.eye(2), geometric_weights(8), 8)
     rep = szego.convergence_report(
         fam, entropy.entropy_test_function(), [8, 16, 32, 64], symbols.symplectic_curves(fam, GRID)
     )
@@ -188,7 +188,7 @@ def test_11_entropy_rate():
 def test_12_entropy_identity():
     rng = np.random.default_rng(112)
     d = rng.uniform(0.5, 20.0, 1000)
-    worst = float(np.abs(entropy.mode_entropy(d) - entropy.mode_entropy_shannon(d)).max())
+    worst = float(np.abs(entropy.mode_entropy(d) - mode_entropy_shannon(d)).max())
     boundary_exact = entropy.mode_entropy(0.5) == 0.0
     ok = worst <= 1e-12 and boundary_exact
     report(12, ok, f"two entropy forms over d in [1/2, 20]: worst gap {worst:.3e} (tol 1e-12); f(1/2) == 0: {boundary_exact}")
@@ -224,8 +224,7 @@ def test_14_quadratic_form_identity():
         s = symbols.TrigMatrixPolynomial(blocks)
         m = int(rng.integers(1, 6))
         xs = rng.standard_normal((m, 2 * k))
-        res = toeplitz.quadratic_form_check(s, xs, symbols.GridSpec(256))
-        worst = max(worst, res.gap)
+        worst = max(worst, quadratic_form(s, xs, symbols.GridSpec(256))[2])
     report(14, worst <= 1e-10, f"100 random (symbol, sequence) pairs: worst gap {worst:.3e} (tol 1e-10)")
 
 

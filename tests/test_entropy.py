@@ -8,7 +8,7 @@ from scipy.linalg import block_diag
 
 from symplitz import cli, core, entropy, symbols, szego
 from symplitz.errors import DomainError
-from conftest import random_gmatrix
+from conftest import geometric_weights, mode_entropy_shannon, random_gmatrix
 
 
 class TestModeEntropy:
@@ -36,7 +36,6 @@ class TestModeEntropy:
         # (TestEntropyRate.test_base_consistency)
         calls = (
             lambda: entropy.mode_entropy(1.7, base=2),
-            lambda: entropy.mode_entropy_shannon(1.7, base=2),
             lambda: entropy.entropy_test_function(base=2),
             lambda: entropy.state_entropy(np.eye(2), base=2),
         )
@@ -62,14 +61,10 @@ class TestShannonFormEquivalence:
     def test_thousand_random_values(self):
         rng = np.random.default_rng(0)
         d = rng.uniform(0.5, 20.0, 1000)
-        np.testing.assert_allclose(entropy.mode_entropy(d), entropy.mode_entropy_shannon(d), atol=1e-12)
+        np.testing.assert_allclose(entropy.mode_entropy(d), mode_entropy_shannon(d), atol=1e-12)
 
     def test_boundary(self):
-        assert entropy.mode_entropy_shannon(0.5) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            entropy.mode_entropy_shannon(0.3)
+        assert mode_entropy_shannon(0.5) == 0.0
 
 
 class TestStateEntropy:
@@ -153,7 +148,7 @@ class TestEntropyRate:
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_geometric_family_report(self, grid):
-        fam = symbols.ab_family(2 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(8), 8)
+        fam = symbols.ab_family(2 * np.eye(2), 0.5 * np.eye(2), geometric_weights(8), 8)
         f = entropy.entropy_test_function()
         rep = szego.convergence_report(fam, f, [8, 16, 32], symbols.symplectic_curves(fam, grid))
         assert rep.gaps[-1] <= 0.02
@@ -165,7 +160,7 @@ class TestEntropyRate:
     def test_base_consistency(self, tmp_path):
         # the base is applied by the entropy-rate verb alone: its rates in bits
         # are its rates in nats over ln 2
-        weights = symbols.geometric_weights(4).tolist()
+        weights = geometric_weights(4).tolist()
         symbol = {"builder": "ab_family", "a": (2 * np.eye(2)).tolist(), "b": (0.5 * np.eye(2)).tolist(),
                   "weights": weights, "degree": 4}
         summaries = {}

@@ -10,7 +10,7 @@ from symplitz.errors import (
     SymmetryError,
     WeightError,
 )
-from conftest import matrix_symbol_k2
+from conftest import geometric_weights, matrix_symbol_k2
 
 
 class TestGridSpec:
@@ -306,12 +306,24 @@ class TestBuilders:
         np.testing.assert_allclose(s.evaluate(0.0), 3.0 * np.eye(4), atol=1e-15)
 
     def test_ab_family_truncated_geometric_sum(self):
-        fam = symbols.ab_family(
-            2.0 * np.eye(2), 0.5 * np.eye(2), symbols.geometric_weights(8), 8
-        )
+        fam = symbols.ab_family(2.0 * np.eye(2), 0.5 * np.eye(2), geometric_weights(8), 8)
         # value at 0 is 2 + 2 * (sum of weights) * 1/2 = 2 + (1 - 2^-8)
         expected = 2.0 + (1.0 - 2.0**-8)
         np.testing.assert_allclose(fam.evaluate(0.0), expected * np.eye(2), atol=1e-14)
+
+    @pytest.mark.parametrize("degree", [-1, 1.5, True, pytest.param(np.True_, id="numpy-True"), "1"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda degree: symbols.from_samples(symbols.GridSpec(16), np.broadcast_to(np.eye(2), (16, 2, 2)), degree),
+            lambda degree: symbols.ab_family(np.eye(2), np.eye(2), [0.5], degree),
+        ],
+        ids=["from_samples", "ab_family"],
+    )
+    def test_degree_must_be_an_integer_at_least_zero(self, build, degree):
+        # both builders keep the order rule of truncation_dim: a bool is no degree
+        with pytest.raises(InvalidDimensionError, match="degree"):
+            build(degree)
 
     def test_ab_family_negative_weights(self):
         with pytest.raises(WeightError):
