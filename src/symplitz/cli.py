@@ -175,7 +175,7 @@ def _flag(value, path):
 
 
 def _base(value, path):
-    if value not in ("e", "2", 2):
+    if value not in ("e", "2") and not (_is_number(value, int) and value == 2):
         _fail(path, f"must be 'e' or '2', got {value!r}")
     return value
 

@@ -81,8 +81,10 @@ def _require_finite(X: np.ndarray, what: str) -> np.ndarray:
     return X
 
 
-def _check_symmetry(dev: float, amax: float, what: str = "matrix") -> None:
-    if dev > SYM_TOL * max(1.0, amax):
+def _check_symmetry(A: np.ndarray, what: str = "matrix") -> None:
+    """SymmetryError unless max |A - A^T| <= SYM_TOL max(1, max |A|), for one finite matrix or a stack."""
+    dev = float(np.abs(A - np.swapaxes(A, -1, -2)).max(initial=0.0))
+    if dev > SYM_TOL * max(1.0, float(np.abs(A).max(initial=0.0))):
         raise SymmetryError(f"{what} is not symmetric: max |A - A^T| = {dev:.3e}")
 
 
@@ -110,13 +112,13 @@ def _not_positive_definite(w: np.ndarray) -> PositivityError:
 def _factor(A: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors L with A = L L^T, for one matrix or a stack.
 
+    A non-finite entry raises DomainError and then an asymmetric A
+    SymmetryError: the two checks symbols makes when a symbol is built.
     Positive definiteness is decided by the factorization itself; only when
     it breaks down does one eigensolve find the smallest eigenvalue to report.
     Both read the lower triangle of A only.
     """
-    _require_finite(A, "matrix")
-    dev = float(np.abs(A - np.swapaxes(A, -1, -2)).max(initial=0.0))
-    _check_symmetry(dev, float(np.abs(A).max(initial=0.0)))
+    _check_symmetry(_require_finite(A, "matrix"))
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -416,11 +418,6 @@ class WilliamsonFactorization:
     spectrum: np.ndarray
     diag_residual: float
     symplectic_residual: float
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        """The diagonal factor Lambda with each eigenvalue repeated twice."""
-        return np.diag(np.repeat(self.spectrum, 2))
 
 
 def williamson(A) -> WilliamsonFactorization:

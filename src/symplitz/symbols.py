@@ -2,12 +2,17 @@
 
 A symbol assigns a real symmetric 2k x 2k matrix to each angle.  It is stored
 in one form: an even cosine series with symmetric coefficient blocks (the
-partially symmetric case, enforced structurally).  Samples on the canonical
-uniform grid are an input format only: ``from_samples`` checks that they are
-even and projects them once onto their cosine series.  Essential ranges and
-essential extrema are approximated by their grid images throughout; only
-piecewise-continuous symbols are meaningfully supported, and measure-zero
-pathologies are outside numerical reach.
+partially symmetric case, enforced structurally).  Its coefficients are
+checked once, when it is built: a non-finite entry raises DomainError and an
+asymmetric block SymmetryError.  They are stored read-only, so code built
+from a symbol (a truncation band, say) trusts them.  One series formula,
+``evaluate``, gives the values at one angle or at an array of angles.
+Samples on the canonical uniform grid are an input format only:
+``from_samples`` checks that they are even and projects them once onto
+their cosine series.  Essential ranges and essential extrema are
+approximated by their grid images throughout; only piecewise-continuous
+symbols are meaningfully supported, and measure-zero pathologies are
+outside numerical reach.
 """
 
 from dataclasses import dataclass
@@ -29,6 +34,13 @@ DEFAULT_GRID_G = 4096
 MAX_GRID_ENTRIES = 2**24
 
 
+def _check_integer(value, what: str, least: int, error=InvalidDimensionError) -> None:
+    """Raise error unless value is an integer >= least (a numpy integer counts, a bool or a
+    float with an integer value does not): the rule of degrees, orders, powers, k and grid sizes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform angular grid theta_g = -pi + 2 pi g / G for g = 0 .. G-1."""
@@ -36,13 +48,8 @@ class GridSpec:
     G: int = DEFAULT_GRID_G
 
     def __post_init__(self):
-        try:
-            G = int(self.G)
-        except (TypeError, ValueError, OverflowError):
-            raise GridError(f"grid needs an integer node count, got {self.G!r}") from None
-        if G != self.G or G < 2:
-            raise GridError(f"grid needs an integer node count >= 2, got {self.G!r}")
-        object.__setattr__(self, "G", G)
+        _check_integer(self.G, "grid node count G", 2, GridError)
+        object.__setattr__(self, "G", int(self.G))  # a numpy G would wrap in the entry budget
 
     def nodes(self) -> np.ndarray:
         return -np.pi + (2.0 * np.pi / self.G) * np.arange(self.G)
@@ -53,13 +60,11 @@ class GridSpec:
 
 
 def _check_blocks(blocks: np.ndarray, what: str) -> np.ndarray:
-    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-        raise InvalidDimensionError(f"{what} must be a stack of square blocks, got shape {blocks.shape}")
+    if blocks.ndim != 3 or not blocks.shape[0] or blocks.shape[1] != blocks.shape[2]:
+        raise InvalidDimensionError(f"{what} must be a nonempty stack of square blocks, got shape {blocks.shape}")
     if blocks.shape[1] == 0 or blocks.shape[1] % 2:
         raise InvalidDimensionError(f"{what} blocks must have positive even size, got {blocks.shape[1]}")
-    # dev and the max are taken here, so a float warning names this module
-    dev = float(np.abs(blocks - blocks.transpose(0, 2, 1)).max())
-    core._check_symmetry(dev, float(np.abs(blocks).max()), what)
+    core._check_symmetry(core._require_finite(blocks, what), what)
     # halve before adding, so entries near the top of the float range do not overflow
     return 0.5 * blocks + 0.5 * blocks.transpose(0, 2, 1)
 
@@ -76,8 +81,9 @@ class TrigMatrixPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", _check_blocks(c, "coefficient stack"))
+        c = _check_blocks(np.asarray(self.coeffs, dtype=float), "coefficient stack")
+        c.flags.writeable = False  # checked once: code built from the symbol trusts its entries
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def block_dim(self) -> int:
@@ -91,38 +97,21 @@ class TrigMatrixPolynomial:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def fourier_coefficient(self, n: int) -> np.ndarray:
-        m = abs(int(n))
-        if m <= self.degree:
-            return self.coeffs[m].copy()
-        return np.zeros((self.block_dim, self.block_dim))
-
-    def evaluate(self, theta: float) -> np.ndarray:
-        w = 2.0 * np.cos(np.arange(self.degree + 1) * float(theta))
-        w[0] = 1.0
-        return np.einsum("n,nij->ij", w, self.coeffs)
-
-    def evaluate_grid(self, grid: GridSpec) -> np.ndarray:
-        return self._evaluate_nodes(grid, grid.G)
-
-    def _evaluate_nodes(self, grid: GridSpec, count: int) -> np.ndarray:
-        """Values at nodes 0 .. count - 1, under the entry budget of the whole grid."""
-        entries = grid.G * max(self.block_dim**2, self.degree + 1)
-        if entries > MAX_GRID_ENTRIES:
-            raise GridError(
-                f"evaluating on G = {grid.G} nodes needs {entries} entries, "
-                f"over the budget {MAX_GRID_ENTRIES}"
-            )
-        w = 2.0 * np.cos(np.outer(grid.nodes()[:count], np.arange(self.degree + 1)))
-        w[:, 0] = 1.0
-        return np.einsum("gn,nij->gij", w, self.coeffs)
+    def evaluate(self, theta) -> np.ndarray:
+        """Value at one angle, shape (2k, 2k), or at each of an array of angles, shape (..., 2k, 2k)."""
+        w = 2.0 * np.cos(np.multiply.outer(theta, np.arange(self.degree + 1)))
+        w[..., 0] = 1.0
+        return np.einsum("...n,nij->...ij", w, self.coeffs)
 
 
-def _check_integer(value, what: str, least: int) -> None:
-    """Raise InvalidDimensionError unless value is an integer >= least (a numpy integer
-    counts, a bool or a float with an integer value does not): the rule of degrees and orders."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InvalidDimensionError(f"{what} must be an integer >= {least}, got {value!r}")
+def _half_grid_values(symbol: TrigMatrixPolynomial, grid: GridSpec) -> np.ndarray:
+    """Values at nodes 0 .. G // 2 (theta in [-pi, 0]), under the entry budget of the whole grid."""
+    entries = grid.G * max(symbol.block_dim**2, symbol.degree + 1)
+    if entries > MAX_GRID_ENTRIES:
+        raise GridError(
+            f"evaluating on G = {grid.G} nodes needs {entries} entries, over the budget {MAX_GRID_ENTRIES}"
+        )
+    return symbol.evaluate(grid.nodes()[: grid.G // 2 + 1].copy())  # a view would keep all G nodes alive
 
 
 def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
@@ -163,8 +152,10 @@ def scalar_symbol(coeffs, k: int = 1) -> TrigMatrixPolynomial:
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise InvalidDimensionError("scalar coefficients must be a nonempty 1-d sequence")
-    eye = np.eye(2 * k)
-    return TrigMatrixPolynomial(c[:, None, None] * eye[None, :, :])
+    _check_integer(k, "k", 1)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and the symbol refuses both
+        blocks = c[:, None, None] * np.eye(2 * k)
+    return TrigMatrixPolynomial(blocks)
 
 
 def ab_family(A, B, weights, degree: int | None = None) -> TrigMatrixPolynomial:
@@ -188,7 +179,8 @@ def ab_family(A, B, weights, degree: int | None = None) -> TrigMatrixPolynomial:
     _check_integer(degree, "degree", 0)
     used = np.zeros(degree)
     used[: min(degree, p.size)] = p[:degree]
-    blocks = [A] + [w * B for w in used]
+    with np.errstate(invalid="ignore"):  # a zero weight times inf is NaN, and the symbol refuses both
+        blocks = [A] + [w * B for w in used]
     return TrigMatrixPolynomial(np.stack(blocks))
 
 
@@ -197,7 +189,7 @@ def sup_norm(symbol: TrigMatrixPolynomial, grid: GridSpec = GridSpec()) -> float
 
     The symbol is even, so only nodes 0 .. G // 2 (theta in [-pi, 0]) are solved.
     """
-    w = np.linalg.eigvalsh(symbol._evaluate_nodes(grid, grid.G // 2 + 1))
+    w = np.linalg.eigvalsh(_half_grid_values(symbol, grid))
     return float(np.abs(w).max())
 
 
@@ -207,10 +199,6 @@ class SymplecticCurves:
 
     grid: GridSpec
     values: np.ndarray  # shape (G, k)
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
 
     def min(self) -> float:
         return float(self.values[:, 0].min())
@@ -226,7 +214,7 @@ def symplectic_curves(symbol: TrigMatrixPolynomial, grid: GridSpec) -> Symplecti
     (theta in [-pi, 0]) are solved and node G - g is copied from node g; a
     node that is not positive definite is reported at its mirror in [-pi, 0].
     """
-    vals = symbol._evaluate_nodes(grid, grid.G // 2 + 1)  # checks the budget first
+    vals = _half_grid_values(symbol, grid)  # checks the budget first
     solved = np.minimum(np.arange(grid.G), grid.G - np.arange(grid.G))
     try:
         d = core.symplectic_eigenvalues(vals)[solved]

@@ -34,6 +34,7 @@ class TestFunction:
 
 
 def monomial(power: int) -> TestFunction:
+    symbols._check_integer(power, "power", 0)
     return TestFunction(f"x^{power}", lambda x: np.asarray(x, dtype=float) ** power)
 
 
@@ -90,7 +91,6 @@ def indicator_smoothing(interval, eps: float) -> TestFunction:
 class SpectrumTrajectory:
     """Symplectic spectra of the truncations, keyed by truncation order."""
 
-    k: int
     spectra: dict
     monotonicity_violation: float
 
@@ -127,7 +127,7 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
         shared = len(spectra[n_prev])
         drift = float((spectra[n_next][:shared] - spectra[n_prev]).max())
         violation = max(violation, drift)
-    return SpectrumTrajectory(symbol.k, spectra, violation)
+    return SpectrumTrajectory(spectra, violation)
 
 
 def _orders(symbol, n_list) -> list:
@@ -282,15 +282,15 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
-    A delta that is not > 0, NaN included, raises DomainError.  n_max is
-    checked by ``toeplitz.truncation_dim`` first, so an n_max that is not an
-    integer >= 1 raises InvalidDimensionError, not the ValueError of an
-    empty order list or the TypeError of a float range end;
+    A delta that is a bool or not > 0, NaN included, raises DomainError.
+    n_max is checked by ``toeplitz.truncation_dim`` first, so an n_max that
+    is not an integer >= 1 raises InvalidDimensionError, not the ValueError
+    of an empty order list or the TypeError of a float range end;
     truncated_spectra then reads the largest order of range(1, n_max + 1)
     from its end, in O(1).
     """
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if isinstance(delta, bool) or not delta > 0:
+        raise DomainError(f"delta must be a positive number, got {delta!r}")
     toeplitz.truncation_dim(symbol, n_max)
     traj = truncated_spectra(symbol, range(1, n_max + 1))
     curves = symbols.symplectic_curves(symbol, grid)

@@ -100,8 +100,8 @@ def _band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     (which also holds every first-period slot past the last row), is tiled.
     A period row is nonzero exactly when its diagonal is, so trimming the
     trailing zero rows there makes b = ab.shape[0] - 1 the largest offset of
-    a nonzero entry.  The period holds every entry of T_n, so checking it
-    raises DomainError exactly when the truncation has a non-finite entry.
+    a nonzero entry.  The coefficients were checked finite when the symbol
+    was built, so every entry written here is finite.
     """
     N = truncation_dim(symbol, n)
     m = symbol.block_dim
@@ -110,8 +110,6 @@ def _band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     blocks[: q + 1] = symbol.coeffs[: q + 1]
     s = np.arange(m) + np.arange(m * (q + 1))[:, None]
     period = blocks[s // m, s % m, np.arange(m)]
-    if not np.isfinite(period).all():
-        raise DomainError(f"truncation of order n = {n} has entries outside the float range")
     rows = np.flatnonzero(period.any(axis=1))
     b = int(rows[-1]) if rows.size else 0
     ab = np.tile(period[: b + 1], n)
@@ -284,12 +282,13 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
     witness is the smallest eigenvalue of T_m + (i/2) J that gchain_check
     measures at the reported order m (n_max when every order passes).
     n_max is checked by truncation_dim's order rule before the first factor,
-    but not against the guard.  A tol that is not finite raises DomainError:
-    shifted by NaN or +inf every pivot passes, and by -inf the first fails.
+    but not against the guard.  A tol that is not a finite number, a bool
+    included, raises DomainError: shifted by NaN or +inf every pivot passes,
+    and by -inf the first fails.
     """
     _check_integer(n_max, "n_max", 1)
-    if not math.isfinite(tol):
-        raise DomainError(f"tol must be finite, got {tol}")
+    if isinstance(tol, bool) or not math.isfinite(tol):
+        raise DomainError(f"tol must be a finite number, got {tol!r}")
     guard = MAX_DIM // symbol.block_dim
     orders = []
     m = 1

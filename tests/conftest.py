@@ -35,7 +35,7 @@ def quadratic_form(symbol, xs, grid):
     x = xs.ravel()
     lhs = float(x @ assemble(symbol, m) @ x)
     xt = np.exp(1j * np.outer(grid.nodes(), np.arange(m))) @ xs
-    quad = np.einsum("gi,gij,gj->g", xt.conj(), symbol.evaluate_grid(grid), xt).real
+    quad = np.einsum("gi,gij,gj->g", xt.conj(), symbol.evaluate(grid.nodes()), xt).real
     rhs = float(quad.sum() / grid.G)
     return lhs, rhs, abs(lhs - rhs)
 

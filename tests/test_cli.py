@@ -24,7 +24,7 @@ def read_summary(out_dir):
 
 def sampled_json(symbol, G):
     """A "sampled" symbol config of the symbol's values on the G-point grid, with no degree."""
-    values = symbol.evaluate_grid(GridSpec(G)).tolist()
+    values = symbol.evaluate(GridSpec(G).nodes()).tolist()
     return {"kind": "sampled", "k": symbol.k, "grid": {"G": G}, "values": values}
 
 
@@ -736,6 +736,15 @@ class TestFieldTable:
         assert "config.base: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("base", [2.0, 10, "2.0", True], ids=["2.0", "10", "string-2.0", "True"])
+    def test_base_must_be_e_or_the_integer_2(self, tmp_path, capsys, base):
+        # 2.0 == 2, but base follows the rule of every integer field and exits 2 at its path
+        rate = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [2], "grid": {"G": 16}}
+        cfg = write_config(tmp_path / "c.json", {**rate, "base": base})
+        assert run("entropy-rate", cfg, tmp_path / "out") == 2
+        assert "config.base: must be 'e' or '2'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_base_flag_is_refused(self, tmp_path, capsys):
         # the digested config alone sets an entropy-rate run's base
         rate = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [2], "grid": {"G": 16}}
@@ -807,6 +816,16 @@ class TestFieldTable:
             assert not (tmp_path / "out" / "summary.json").exists()
         if command == "spectrum":
             assert read_summary(tmp_path / "out")["values"] == pytest.approx([1e308, 1e308], rel=1e-15)
+
+    def test_overflowing_sample_projection_is_a_config_error(self, tmp_path, capsys):
+        # four samples of 1e308 I_2 sum past the float range in the cosine projection, so the
+        # symbol's coefficient check refuses it at config.symbol, with no RuntimeWarning
+        value = (1e308 * np.eye(2)).tolist()
+        symbol = {"kind": "sampled", "k": 1, "degree": 1, "grid": {"G": 4}, "values": [value] * 4}
+        cfg = write_config(tmp_path / "c.json", {"symbol": symbol, "n": 4})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config error: config.symbol: coefficient stack has entries outside the float range" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["spectrum", "williamson"])
     def test_huge_matrix_entry_runs(self, tmp_path, command):

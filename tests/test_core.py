@@ -165,7 +165,7 @@ class TestWilliamson:
         assert fact.diag_residual <= 1e-9 * nrm
         assert fact.symplectic_residual <= 1e-9
         np.testing.assert_allclose(fact.spectrum, core.symplectic_eigenvalues(A), atol=1e-10)
-        np.testing.assert_allclose(fact.M @ A @ fact.M.T, fact.diagonal, atol=1e-9 * nrm)
+        np.testing.assert_allclose(fact.M @ A @ fact.M.T, np.diag(np.repeat(fact.spectrum, 2)), atol=1e-9 * nrm)
 
     @pytest.mark.parametrize(
         "d_values,seed", [([1.5, 1.5, 2.0], 3), ([1.0, 1.0, 1.0], 4), ([0.7, 0.7, 0.7, 0.7], 5)]

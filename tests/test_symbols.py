@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from symplitz import cli, core, symbols
 from symplitz.errors import (
     AliasingError,
+    DomainError,
     GridError,
     InvalidDimensionError,
     PositivityError,
@@ -21,6 +24,16 @@ class TestGridSpec:
     def test_too_small(self):
         with pytest.raises(GridError):
             symbols.GridSpec(1)
+
+    @pytest.mark.parametrize("G", [4.0, np.float64(8.0), True, 8.5, "8"], ids=repr)
+    def test_node_count_must_be_an_integer(self, G):
+        # the rule of degrees and orders: a float with an integer value or a bool is no node count
+        with pytest.raises(GridError, match="integer"):
+            symbols.GridSpec(G)
+
+    def test_numpy_integer_node_count_is_stored_as_int(self):
+        grid = symbols.GridSpec(np.int64(8))
+        assert grid == symbols.GridSpec(8) and type(grid.G) is int
 
 
 class TestEvaluate:
@@ -49,39 +62,91 @@ class TestEvaluate:
         with pytest.raises(InvalidDimensionError):
             symbols.TrigMatrixPolynomial(np.zeros((1, 3, 3)))
 
+    def test_empty_stack_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="nonempty"):
+            symbols.TrigMatrixPolynomial(np.zeros((0, 2, 2)))
+
+
+def _with_sample(bad):
+    values = symbols.scalar_symbol([2.0, 0.5]).evaluate(symbols.GridSpec(16).nodes())
+    values[3, 0, 0] = bad
+    return symbols.from_samples(symbols.GridSpec(16), values, 1)
+
+
+class TestCheckedCoefficients:
+    """A symbol checks its coefficients once, when it is built, and keeps them read-only."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: symbols.TrigMatrixPolynomial(np.stack([np.eye(2), np.full((2, 2), bad)])),
+            _with_sample,
+            lambda bad: symbols.ab_family(np.eye(2), np.full((2, 2), bad), [0.5]),
+            lambda bad: symbols.ab_family(np.eye(2), np.full((2, 2), bad), [0.5], 2),  # a zero weight
+            lambda bad: symbols.ab_family(np.diag([1.0, bad]), np.eye(2), [0.5]),
+            lambda bad: symbols.scalar_symbol([bad, 0.5]),
+            lambda bad: symbols.scalar_symbol([2.0, bad], k=2),
+        ],
+        ids=["trig", "from_samples", "ab_family_b", "ab_family_b_zero_weight", "ab_family_a", "scalar_a0",
+             "scalar_a1"],
+    )
+    def test_non_finite_coefficient_is_refused_at_construction(self, build, bad):
+        # the finiteness check comes before the symmetry test, whose deviation is NaN on such input
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="float range"):
+                build(bad)
+
+    def test_nan_weight_is_refused_at_construction(self):
+        with pytest.raises(DomainError):
+            symbols.ab_family(np.eye(2), np.eye(2), [np.nan])
+
+    def test_coeffs_are_read_only(self):
+        given = np.stack([2.0 * np.eye(2), 0.5 * np.eye(2)])
+        s = symbols.TrigMatrixPolynomial(given)
+        assert not s.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.coeffs[1, 0, 0] = np.nan
+        given[1, 0, 0] = 1.0  # the caller's array is not frozen, and the symbol keeps its own copy
+        assert s.coeffs[1, 0, 0] == 0.5
+
 
 class TestGridBudget:
+    """symplectic_curves and sup_norm evaluate the half grid under the entry budget of the whole grid."""
+
     def test_huge_grid_refused_before_nodes(self, monkeypatch):
         monkeypatch.setattr(symbols.GridSpec, "nodes", lambda grid: pytest.fail("grid nodes were allocated"))
-        with pytest.raises(GridError, match="budget"):
-            symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(10**9))
+        for solve in (symbols.symplectic_curves, symbols.sup_norm):
+            with pytest.raises(GridError, match="budget"):
+                solve(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(10**9))
 
     def test_budget_counts_blocks_and_degree(self, monkeypatch):
         monkeypatch.setattr(symbols, "MAX_GRID_ENTRIES", 64)
-        assert symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(16)).shape == (16, 2, 2)
-        with pytest.raises(GridError):
-            symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(17))  # 17 (2k)^2 = 68
-        with pytest.raises(GridError):
-            symbols.scalar_symbol(np.full(8, 0.01)).evaluate_grid(symbols.GridSpec(9))  # 9 (degree + 1) = 72
+        for solve in (symbols.symplectic_curves, symbols.sup_norm):
+            solve(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(16))  # 16 (2k)^2 = 64
+            with pytest.raises(GridError):
+                solve(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(17))  # 17 (2k)^2 = 68
+            with pytest.raises(GridError):
+                solve(symbols.scalar_symbol(np.full(8, 0.01)), symbols.GridSpec(9))  # 9 (degree + 1) = 72
 
 
 def from_grid_values(symbol, G, degree):
     """from_samples of the symbol's values on the G-point grid."""
     grid = symbols.GridSpec(G)
-    return symbols.from_samples(grid, symbol.evaluate_grid(grid), degree)
+    return symbols.from_samples(grid, symbol.evaluate(grid.nodes()), degree)
 
 
 class TestFourierCoefficient:
     def test_sampled_constant(self):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
         s = from_grid_values(symbols.constant_symbol(A), 32, 3)
-        np.testing.assert_allclose(s.fourier_coefficient(0), A, atol=1e-14)
-        np.testing.assert_allclose(s.fourier_coefficient(3), np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(s.coeffs[0], A, atol=1e-14)
+        np.testing.assert_allclose(s.coeffs[3], np.zeros((2, 2)), atol=1e-14)
 
     def test_sampled_cosine(self):
         s = from_grid_values(symbols.scalar_symbol([2.0, 0.5]), 64, 1)
-        np.testing.assert_allclose(s.fourier_coefficient(1), 0.5 * np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(s.fourier_coefficient(-1), 0.5 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(s.coeffs[1], 0.5 * np.eye(2), atol=1e-14)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -89,20 +154,13 @@ class TestFourierCoefficient:
         blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
         poly = symbols.TrigMatrixPolynomial(blocks)
         back = from_grid_values(poly, 64, 5)
-        for n in range(4):
-            np.testing.assert_allclose(back.fourier_coefficient(n), poly.coeffs[n], atol=1e-12)
-        np.testing.assert_allclose(back.fourier_coefficient(5), np.zeros((4, 4)), atol=1e-12)
         np.testing.assert_allclose(back.coeffs[:4], poly.coeffs, atol=1e-12)
+        np.testing.assert_allclose(back.coeffs[4:], np.zeros((2, 4, 4)), atol=1e-12)
 
     def test_aliasing_guard(self):
         assert from_grid_values(symbols.scalar_symbol([1.0]), 16, 7).degree == 7
         with pytest.raises(AliasingError):
             from_grid_values(symbols.scalar_symbol([1.0]), 16, 8)
-
-    def test_trig_lookup(self):
-        poly = symbols.scalar_symbol([2.0, 0.5])
-        np.testing.assert_array_equal(poly.fourier_coefficient(-1), 0.5 * np.eye(2))
-        np.testing.assert_array_equal(poly.fourier_coefficient(9), np.zeros((2, 2)))
 
 
 class TestPartialSymmetry:
@@ -121,7 +179,7 @@ class TestPartialSymmetry:
     def test_sampled_uneven(self):
         for G in (32, 33):
             grid = symbols.GridSpec(G)
-            values = symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(grid)
+            values = symbols.scalar_symbol([2.0, 0.5]).evaluate(grid.nodes())
             values[3] += 0.01 * np.eye(2)  # breaks value(theta) == value(-theta)
             with pytest.raises(SymmetryError, match="not even"):
                 symbols.from_samples(grid, values, 1)
@@ -129,7 +187,7 @@ class TestPartialSymmetry:
 
 class TestFromSamples:
     def test_one_matrix_per_node(self):
-        values = symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(16))
+        values = symbols.scalar_symbol([2.0, 0.5]).evaluate(symbols.GridSpec(16).nodes())
         with pytest.raises(GridError):
             symbols.from_samples(symbols.GridSpec(32), values, 1)
 
@@ -140,7 +198,7 @@ class TestFromSamples:
 
     @pytest.mark.parametrize("degree", [-1, 1.5, "1"])
     def test_degree_must_be_nonnegative_integer(self, degree):
-        values = symbols.scalar_symbol([2.0, 0.5]).evaluate_grid(symbols.GridSpec(16))
+        values = symbols.scalar_symbol([2.0, 0.5]).evaluate(symbols.GridSpec(16).nodes())
         with pytest.raises(InvalidDimensionError, match="degree"):
             symbols.from_samples(symbols.GridSpec(16), values, degree)
 
@@ -164,7 +222,7 @@ class TestSupNorm:
     def test_half_grid_matches_full_grid(self, k, G):
         grid = symbols.GridSpec(G)
         s = nonseparable_degree2(k, seed=20 + k)
-        full = float(np.abs(np.linalg.eigvalsh(s.evaluate_grid(grid))).max())
+        full = float(np.abs(np.linalg.eigvalsh(s.evaluate(grid.nodes()))).max())
         assert symbols.sup_norm(s, grid) == pytest.approx(full, rel=1e-15, abs=0)
 
 
@@ -325,6 +383,11 @@ class TestBuilders:
         with pytest.raises(InvalidDimensionError, match="degree"):
             build(degree)
 
+    @pytest.mark.parametrize("k", [True, 1.0, 1.5, 0], ids=repr)
+    def test_scalar_k_must_be_an_integer_at_least_one(self, k):
+        with pytest.raises(InvalidDimensionError, match="k must be an integer"):
+            symbols.scalar_symbol([2.0], k=k)
+
     def test_ab_family_negative_weights(self):
         with pytest.raises(WeightError):
             symbols.ab_family(np.eye(2), np.eye(2), [-0.1, 0.2])
@@ -374,7 +437,7 @@ class TestJson:
 
     @pytest.mark.parametrize("G", [8.5, "8"])
     def test_sampled_grid_needs_integer_G(self, G):
-        values = symbols.scalar_symbol([1.0]).evaluate_grid(symbols.GridSpec(8))
+        values = symbols.scalar_symbol([1.0]).evaluate(symbols.GridSpec(8).nodes())
         obj = {"kind": "sampled", "k": 1, "grid": {"G": G}, "values": values.tolist(), "degree": 1}
         with pytest.raises(cli.ConfigError, match=r"symbol\.grid\.G: must be an integer"):
             cli._symbol(obj, "symbol")

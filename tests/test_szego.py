@@ -307,6 +307,23 @@ class TestDensity:
             szego.density_check(PHI, 4, float("nan"), symbols.GridSpec(64))
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: szego.monomial(True), InvalidDimensionError),
+        (lambda: szego.monomial(2.5), InvalidDimensionError),
+        (lambda: szego.monomial(-1), InvalidDimensionError),
+        (lambda: toeplitz.gchain_sweep(PHI, 4, tol=True), DomainError),
+        (lambda: szego.density_check(PHI, 4, True, symbols.GridSpec(64)), DomainError),
+    ],
+    ids=["monomial-True", "monomial-2.5", "monomial--1", "gchain_sweep-tol-True", "density_check-delta-True"],
+)
+def test_bool_or_non_integer_is_no_number(call, error):
+    # the library keeps the CLI's rule: JSON true/false are no numbers, and a power is an integer >= 0
+    with pytest.raises(error):
+        call()
+
+
 class TestIntegerOrders:
     """Orders are checked by toeplitz.truncation_dim's rule, never rounded, before any eigensolve."""
 
