@@ -14,25 +14,30 @@ of K and the Williamson form comes from its real Schur form; the first pair of
 the Williamson factor is the lower edge of the symplectic numerical range.
 
 The route to a dense input's spectrum depends only on its shape.  Small
-matrices, the nodes of symbol grids, are solved by array operations across
-the whole stack instead of one LAPACK call per matrix: closed forms for
-k = 1 and k = 2, and for a stack of 6 x 6 matrices (k = 3) a Givens skew
-tridiagonalisation followed by one-sided Jacobi on a 3 x 3 bidiagonal.
-Everything else takes the singular values of K; williamson keeps the Schur
-form.  A truncation of a finite-degree symbol is banded, and toeplitz
-solves it as the two halves into which the block flip (block i to block
-n - 1 - i, which commutes with the truncation and with J) splits it, each
-of about half its dimension (an odd order puts the middle block in the +1
-half).  toeplitz writes each half's LAPACK lower band, decides per half
-whether the band route wins, and factors both halves before either is
-solved; a band factor comes to _band_spectrum and a dense one to
-_factor_spectrum.  On the band, L keeps the band of A, K has
-half-bandwidth b + 1 and is formed on its band in O(N b^2), and the
-Hermitian band matrix iK, with eigenvalues +-d_j, is solved by band
-reduction, O(N^2 b), so the two halves cost about half as much as the
-whole truncation would.
+matrices, the nodes of symbol grids (k <= 2, and stacks with k = 3), are
+solved on entry rows: the stack is transposed once to one row per matrix
+entry, and the checks, a column Cholesky and the upper entries of K are
+each an array operation across the stack, with no LAPACK call and no
+matmul per matrix.  Those entries feed closed forms for k = 1 and k = 2,
+and for k = 3 a Givens skew tridiagonalisation followed by one-sided
+Jacobi on a 3 x 3 bidiagonal.  A small dense flip half, which toeplitz has
+factored, passes the entries of its factor to the same kernel.  Everything
+else takes the singular values of K; williamson keeps the Schur form.
+
+A truncation of a finite-degree symbol is banded, and toeplitz solves it as
+the two halves into which the block flip (block i to block n - 1 - i, which
+commutes with the truncation and with J) splits it, each of about half its
+dimension (an odd order puts the middle block in the +1 half).  toeplitz
+writes each half's LAPACK lower band, decides per half whether the band
+route wins, and factors both halves before either is solved; a band factor
+comes to _band_spectrum and a dense one to _factor_spectrum.  On the band,
+L keeps the band of A, K has half-bandwidth b + 1 and is formed on its band
+in O(N b^2), and the Hermitian band matrix iK, with eigenvalues +-d_j, is
+solved by band reduction, O(N^2 b), so the two halves cost about half as
+much as the whole truncation would.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,15 +82,28 @@ def _even_dim(A: np.ndarray) -> int:
 
 def _require_finite(X: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(X).all():
-        raise DomainError(f"{what} has entries outside the float range")
+        kind = "entries outside the float range" if np.isinf(X).any() else "NaN entries"
+        raise DomainError(f"{what} has {kind}")
     return X
 
 
-def _check_symmetry(A: np.ndarray, what: str = "matrix") -> None:
-    """SymmetryError unless max |A - A^T| <= SYM_TOL max(1, max |A|), for one finite matrix or a stack."""
-    dev = float(np.abs(A - np.swapaxes(A, -1, -2)).max(initial=0.0))
-    if dev > SYM_TOL * max(1.0, float(np.abs(A).max(initial=0.0))):
+def _deviation(X: np.ndarray, Y: np.ndarray) -> float:
+    """max |X - Y| over two arrays of one shape, from halved entries so that the
+    difference cannot overflow; a deviation past the float range reads inf."""
+    half = 0.5 * X
+    half -= 0.5 * Y
+    return 2.0 * float(np.abs(half, out=half).max(initial=0.0))
+
+
+def _require_symmetric(dev: float, scale: float, what: str) -> None:
+    """SymmetryError unless dev = max |A - A^T| <= SYM_TOL max(1, scale), scale = max |A|."""
+    if dev > SYM_TOL * max(1.0, scale):
         raise SymmetryError(f"{what} is not symmetric: max |A - A^T| = {dev:.3e}")
+
+
+def _check_symmetry(A: np.ndarray, what: str = "matrix") -> None:
+    """The symmetry rule of _require_symmetric, for one finite matrix or a stack."""
+    _require_symmetric(_deviation(A, np.swapaxes(A, -1, -2)), float(np.abs(A).max(initial=0.0)), what)
 
 
 def _not_positive_definite(w: np.ndarray) -> PositivityError:
@@ -116,7 +134,9 @@ def _factor(A: np.ndarray) -> np.ndarray:
     SymmetryError: the two checks symbols makes when a symbol is built.
     Positive definiteness is decided by the factorization itself; only when
     it breaks down does one eigensolve find the smallest eigenvalue to report.
-    Both read the lower triangle of A only.
+    Both read the lower triangle of A only.  This factor serves the
+    singular-value route and williamson; the small route factors on entry
+    rows (_row_factor), with the same checks and the same breakdown report.
     """
     _check_symmetry(_require_finite(A, "matrix"))
     try:
@@ -160,18 +180,14 @@ def _pair_mean(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * lo + 0.5 * hi
 
 
-# The 6 upper entries of a 4 x 4 skew matrix, in row-major order (k = 2).
-_UPPER4 = np.triu_indices(4, 1)
-
-# The 15 upper entries of a 6 x 6 skew matrix, in row-major order, and the
-# Givens plan that reduces it to skew tridiagonal form: for each column, the
-# rotations in planes (q - 1, q), q = 5 .. col + 2, each zeroing entry
-# (col, q) into (col, q - 1) and mixing the pairs (m, q - 1), (m, q) of the
-# rows m > col outside the plane.
-_UPPER6 = np.triu_indices(6, 1)
-_SLOT6 = np.zeros((6, 6), dtype=int)
-_SLOT6[_UPPER6] = np.arange(15)
-_SLOT6 += _SLOT6.T
+# The 15 upper entries of a 6 x 6 skew matrix, by columns as _row_kernel forms
+# them (K[a, b] in slot b (b - 1) / 2 + a; _SLOT6 is symmetric, and its diagonal
+# is not used), and the Givens plan that reduces it to skew tridiagonal form:
+# for each column, the rotations in planes (q - 1, q), q = 5 .. col + 2, each
+# zeroing entry (col, q) into (col, q - 1) and mixing the pairs (m, q - 1),
+# (m, q) of the rows m > col outside the plane.
+_HI6 = np.maximum.outer(np.arange(6), np.arange(6))
+_SLOT6 = _HI6 * (_HI6 - 1) // 2 + np.minimum.outer(np.arange(6), np.arange(6))
 _GIVENS6 = [
     (
         _SLOT6[col, q - 1],
@@ -182,14 +198,96 @@ _GIVENS6 = [
     for col in range(4)
     for q in range(5, col + 1, -1)
 ]
-_UPPER6_FLAT = 6 * _UPPER6[0] + _UPPER6[1]
 _CHUNK6 = 16384
+_ROW_BLOCK = 1024
 _JACOBI_SWEEPS = 16
 
 
+def _entry_rows(A: np.ndarray) -> np.ndarray:
+    """A copy of the m x m matrices of a stack (or of one matrix) as entry rows
+    R[i m + j] = A[..., i, j], shape (m^2, S).
+
+    The transpose is copied in blocks of _ROW_BLOCK matrices, whose entries
+    stay in cache while their rows are written: on 65,537 6 x 6 matrices
+    that took 2.7 ms against 8.9 ms for one strided copy (2-core Xeon,
+    numpy 2.4).
+    """
+    m = A.shape[-1]
+    flat = A.reshape(-1, m * m)
+    R = np.empty((m * m, flat.shape[0]))
+    for lo in range(0, flat.shape[0], _ROW_BLOCK):
+        R[:, lo : lo + _ROW_BLOCK] = flat[lo : lo + _ROW_BLOCK].T
+    return R
+
+
+def _row_factor(A: np.ndarray) -> np.ndarray:
+    """Entry rows of the lower Cholesky factors of a stack of m x m matrices, m <= 6.
+
+    The checks of _factor, made on the entry rows (_entry_rows): a
+    non-finite entry raises DomainError, then the largest deviation between
+    the rows of A's entries (i, j > i) and (j, i) is held to the SYM_TOL
+    rule.  The factor is a column Cholesky written as array operations
+    across the stack, in place on the lower rows of the copy: column j is
+    its root pivot and the entries below it divided by that root, and it is
+    then taken off the columns to its right.  Column j of the rows, entries
+    (i >= j, j), is the strided view R[j m + j :: m], so each step is one
+    operation on all its entries.  Only the lower triangle of A is read; the
+    rows above the diagonal keep A's entries.  A pivot that is not > 0
+    (zero, negative or NaN) in any matrix stops the factor, and one
+    eigensolve of the stack finds the smallest eigenvalue to report.
+    """
+    R = _entry_rows(A)
+    m = A.shape[-1]
+    # max and min propagate NaN and show an inf: one pass each gives the finiteness check and max |A|
+    hi, lo = float(R.max(initial=0.0)), float(R.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        _require_finite(R, "matrix")
+    # row i above the diagonal, entries (i, j > i), against column i below it, entries (j > i, i)
+    upper = (R[i * m + i + 1 : (i + 1) * m] for i in range(m - 1))
+    lower = (R[(i + 1) * m + i :: m] for i in range(m - 1))
+    _require_symmetric(max(map(_deviation, upper, lower), default=0.0), max(hi, -lo), "matrix")
+    w = np.empty((m - 1, R.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            pivot = R[j * m + j]
+            if not pivot.min(initial=np.inf) > 0.0:
+                raise _not_positive_definite(np.linalg.eigvalsh(A))
+            np.sqrt(pivot, out=pivot)
+            R[(j + 1) * m + j :: m] /= pivot
+            for c in range(j + 1, m):
+                R[c * m + c :: m] -= np.multiply(R[c * m + j :: m], R[c * m + j], out=w[: m - c])
+    return R
+
+
+def _row_kernel(L: np.ndarray) -> np.ndarray:
+    """Upper entries of K = L^T J L by columns, K[a, b] at row b (b - 1) / 2 + a,
+    shape (m (m - 1) / 2, S), from the entry rows of L.
+
+    J pairs row 2p of L with row 2p + 1, so
+    K[a, b] = sum_p L[2p, a] L[2p + 1, b] - L[2p + 1, a] L[2p, b], and as L is
+    lower triangular only the pairs with 2p + 1 >= b contribute, the second
+    product only when 2p >= b.  For each b and pair, the entries a < b are
+    one operation on the contiguous rows L[2p, :b] and L[2p + 1, :b].
+    Entries of A near the top of the float range can overflow K; that raises
+    DomainError, as _skew_kernel does.
+    """
+    m = math.isqrt(L.shape[0])
+    K = np.zeros((m * (m - 1) // 2, L.shape[1]))
+    w = np.empty((m - 1, L.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(1, m):
+            column = K[b * (b - 1) // 2 : b * (b + 1) // 2]
+            for r in range(b - b % 2, m, 2):
+                column += np.multiply(L[r * m : r * m + b], L[(r + 1) * m + b], out=w[:b])
+                if r >= b:
+                    column -= np.multiply(L[(r + 1) * m : (r + 1) * m + b], L[r * m + b], out=w[:b])
+    return _require_finite(K, "skew kernel L^T J L")
+
+
 def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of 2 x 2, 4 x 4 or 6 x 6 matrices from their
-    Cholesky factors L and skew kernels K.
+    """Symplectic spectra, shape (S, k), of S matrices of size 2 x 2, 4 x 4 or
+    6 x 6 from the entry rows of their Cholesky factors L and the upper entry
+    rows of their skew kernels K (_row_kernel).
 
     Each d_j comes out once, so there is no pair to check.  k = 1:
     d = |K[0, 1]| = L[0, 0] L[1, 1] = sqrt(det A).  k = 2: so(4) splits into
@@ -204,18 +302,18 @@ def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
     _six_spectrum, which has the singular values' accuracy class,
     eps d_max / d_j relative.
     """
-    n = K.shape[-1]
+    n = math.isqrt(L.shape[0])
     with np.errstate(over="ignore"):
         if n == 2:
-            spectrum = np.abs(K[..., 0, 1])[..., None]
+            spectrum = np.abs(K[0])[:, None]
         elif n == 4:
-            a, b, c, d, e, f = (0.5 * K[..., i, j] for i, j in zip(*_UPPER4))
+            a, b, d, c, e, f = 0.5 * K  # by columns: K01, K02, K12, K03, K13, K23
             u = np.hypot(np.hypot(a + f, b - e), c + d)
             v = np.hypot(np.hypot(a - f, b + e), c - d)
             d2 = u + v
-            p = np.diagonal(L, axis1=-2, axis2=-1)
+            p = L[:: n + 1]
             # a tie d_1 = d_2 may round d_1 one ulp above d_2
-            d1 = np.minimum(p[..., 0] * p[..., 1] / d2 * (p[..., 2] * p[..., 3]), d2)
+            d1 = np.minimum(p[0] * p[1] / d2 * (p[2] * p[3]), d2)
             spectrum = np.stack([d1, d2], axis=-1)
         else:
             spectrum = _six_spectrum(K)
@@ -223,13 +321,13 @@ def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 
 def _six_spectrum(K: np.ndarray) -> np.ndarray:
-    """Symplectic spectra of a stack of 6 x 6 skew kernels, one array op per step.
+    """Symplectic spectra, shape (S, 3), of S 6 x 6 skew kernels from their 15 upper entry rows.
 
     The stack is solved in chunks of _CHUNK6 matrices, which keeps the
     intermediate arrays small (16384 was the fastest of 4096-32768 on a
-    65,537-node stack); a chunk holds the 15 upper entries as 15 arrays,
-    scaled by a power of two so that the largest is below 1 and no square
-    overflows.  Ten Givens rotations (_GIVENS6) make K skew
+    65,537-node stack); a chunk's 15 entry rows are scaled, per matrix, by a
+    power of two so that the largest is below 1 and no square overflows.
+    Ten Givens rotations (_GIVENS6) make K skew
     tridiagonal with superdiagonal t_0 .. t_4; putting the even indices
     before the odd ones turns it into [[0, B], [-B^T, 0]] with B upper
     bidiagonal, diagonal t_0, t_2, t_4 and superdiagonal -t_1, -t_3, whose
@@ -237,13 +335,12 @@ def _six_spectrum(K: np.ndarray) -> np.ndarray:
     of B until every pair is orthogonal to working precision; the column
     norms are the d_j.
     """
-    flat = K.reshape(-1, 36)
-    d = np.empty((flat.shape[0], 3))
-    for lo in range(0, flat.shape[0], _CHUNK6):
-        E = flat[lo : lo + _CHUNK6].T[_UPPER6_FLAT]
+    d = np.empty((K.shape[1], 3))
+    for lo in range(0, K.shape[1], _CHUNK6):
+        E = K[:, lo : lo + _CHUNK6]
         _, scale = np.frexp(np.abs(E).max(axis=0))
         d[lo : lo + _CHUNK6] = np.ldexp(_bidiagonal_jacobi(_givens6(np.ldexp(E, -scale))), scale).T
-    return d.reshape(K.shape[:-2] + (3,))
+    return d
 
 
 def _givens6(E: np.ndarray) -> np.ndarray:
@@ -371,15 +468,16 @@ def _band_spectrum(Lb: np.ndarray) -> np.ndarray:
 def _factor_spectrum(L: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of A = L L^T from its lower Cholesky factor, one matrix or a stack.
 
-    The route follows the shape: k <= 2, and stacks with k = 3, take
-    _small_spectrum; everything else takes the singular values of
-    K = L^T J L, each d_j twice, paired under PAIR_TOL.
+    A 2 x 2 or 4 x 4 factor (a small dense flip half, which toeplitz has
+    factored) passes its entries to _small_spectrum; everything else takes
+    the singular values of K = L^T J L, each d_j twice, paired under
+    PAIR_TOL.
     """
-    K = _skew_kernel(L)
-    n = K.shape[-1]
-    if n <= 4 or (n == 6 and K.ndim > 2):
-        return _small_spectrum(L, K)
-    s = np.linalg.svd(K, compute_uv=False)[..., ::-1]
+    n = L.shape[-1]
+    if n <= 4:
+        R = _entry_rows(L)
+        return _small_spectrum(R, _row_kernel(R)).reshape(L.shape[:-2] + (n // 2,))
+    s = np.linalg.svd(_skew_kernel(L), compute_uv=False)[..., ::-1]
     return _pair_mean(s[..., 0::2], s[..., 1::2])
 
 
@@ -392,17 +490,23 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     eps d_max / d_j (normwise, not relative, accuracy).  Accepts stacks
     (..., 2k, 2k) and returns (..., k), ascending along the last axis.
 
-    The route follows the shape.  k <= 2, and stacks with k = 3, take
-    _small_spectrum: array operations over the stack that give each d_j
+    The route follows the shape.  k <= 2, and stacks with k = 3, are solved
+    on entry rows: the stack is transposed once to one row per entry, shape
+    ((2k)^2, S), checked and factored entry by entry (_row_factor), and only
+    the upper entries of K are formed (_row_kernel), so every step is an
+    array operation across the stack.  _small_spectrum then gives each d_j
     once, so the pairs are exact by construction; k <= 2 is relatively
     accurate (d_1 = sqrt(det A) / d_2 for k = 2), k = 3 has the normwise
-    accuracy class.  Everything else takes the singular values of K, whose copies of
-    each d_j are paired under PAIR_TOL.  A stack of no matrices, shape
-    (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
+    accuracy class.  Everything else takes the singular values of K, whose
+    copies of each d_j are paired under PAIR_TOL.  A stack of no matrices,
+    shape (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
     toeplitz.truncation_spectrum, as two flip halves, not by this function.
     """
     A = np.asarray(A, dtype=float)
-    _even_dim(A)
+    n = _even_dim(A)
+    if n <= 4 or (n == 6 and A.ndim > 2):
+        L = _row_factor(A)
+        return _small_spectrum(L, _row_kernel(L)).reshape(A.shape[:-2] + (n // 2,))
     return _factor_spectrum(_factor(A))
 
 

@@ -121,7 +121,9 @@ def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
     samples must be even, A(theta) = A(-theta), since the sine part would be
     dropped; an uneven stack raises SymmetryError.  Modes above G // 2 - 1
     alias and raise AliasingError; a degree that is not an integer >= 0 raises
-    InvalidDimensionError.
+    InvalidDimensionError.  Both the symmetry and the evenness test compare
+    halved entries, so samples near the top of the float range cannot
+    overflow them.
     """
     _check_integer(degree, "degree", 0)
     v = np.asarray(values, dtype=float)
@@ -129,7 +131,7 @@ def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
         raise GridError(f"need one matrix per grid node: {grid.G} nodes, values shape {v.shape}")
     v = _check_blocks(v, "sample stack")
     mirrored = np.roll(v[::-1], 1, axis=0)  # node g -> node -g (mod 2 pi)
-    dev = float(np.abs(v - mirrored).max())
+    dev = core._deviation(v, mirrored)
     if dev > core.SYM_TOL * max(1.0, float(np.abs(v).max())):
         raise SymmetryError(f"sample stack is not even: max |A(theta) - A(-theta)| = {dev:.3e}")
     if degree > grid.G // 2 - 1:

@@ -537,6 +537,110 @@ class TestSmallSpectrum:
         assert worst <= 4 * np.finfo(float).eps
 
 
+class TestEntryRows:
+    """Small stacks are checked, factored and solved on entry rows, one array op per step."""
+
+    @staticmethod
+    def stack(k, count, seed=0):
+        """count random positive definite 2k x 2k nodes, eigenvalues in [0.5, 3]."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((count, 2 * k, 2 * k))
+        A = X @ np.swapaxes(X, -1, -2) / (4 * k) + 0.5 * np.eye(2 * k)
+        return 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_factor_and_kernel_match_the_matrix_chain(self, k):
+        A = self.stack(k, 300, seed=k)
+        m = 2 * k
+        L = core._row_factor(A)
+        ref = np.linalg.cholesky(A)
+        lower = np.tril_indices(m)
+        rows = L.reshape(m, m, -1)[lower[0], lower[1]]
+        np.testing.assert_allclose(rows, ref[:, lower[0], lower[1]].T, rtol=1e-13, atol=1e-15)
+        K = core._skew_kernel(ref)
+        b, a = np.triu_indices(m, 1)[::-1]
+        by_columns = np.lexsort((a, b))
+        np.testing.assert_allclose(core._row_kernel(L), K[:, a[by_columns], b[by_columns]].T, rtol=1e-12,
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_route_calls_no_cholesky_and_no_matmul(self, monkeypatch, k):
+        A = self.stack(k, 50, seed=k)
+        expected = core.symplectic_eigenvalues(A)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the entry-row route called a per-matrix LAPACK factor or a batched matmul")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refused)
+        monkeypatch.setattr(core, "_skew_kernel", refused)
+        monkeypatch.setattr(core, "_factor", refused)
+        np.testing.assert_array_equal(core.symplectic_eigenvalues(A), expected)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_breakdown_past_the_first_chunk_is_located(self, k):
+        # a 65,537-node stack with one indefinite node past the first _CHUNK6 chunk
+        A = np.tile(self.stack(k, 1, seed=7), (65537, 1, 1))
+        bad = 40000
+        assert bad > core._CHUNK6
+        node = np.eye(2 * k)
+        node[-1, -1] = -0.25
+        node[0, -1] = node[-1, 0] = 0.5
+        A[bad] = node
+        with pytest.raises(PositivityError) as exc:
+            core.symplectic_eigenvalues(A)
+        assert exc.value.where == (bad,)
+        assert exc.value.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(node)[0], rel=1e-14)
+        assert exc.value.min_eigenvalue < 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_pivot_breaks_down(self, k):
+        # a singular positive semidefinite node: the second pivot is 1 - 1 * 1 = 0 exactly
+        A = self.stack(k, 5, seed=k)
+        node = np.eye(2 * k)
+        node[:2, :2] = 1.0
+        A[3] = node
+        with pytest.raises(PositivityError) as exc:
+            core.symplectic_eigenvalues(A)
+        assert exc.value.where == (3,)
+        assert abs(exc.value.min_eigenvalue) <= 1e-15
+
+    @pytest.mark.parametrize("shape, k", [((0,), 1), ((2, 0), 3), ((3, 5), 2), ((), 2)])
+    def test_leading_axes_are_kept(self, shape, k):
+        A = np.broadcast_to(np.diag(np.repeat(np.arange(1.0, k + 1), 2)), shape + (2 * k, 2 * k))
+        d = core.symplectic_eigenvalues(A)
+        assert d.shape == shape + (k,)
+        np.testing.assert_allclose(d, np.broadcast_to(np.arange(1.0, k + 1), d.shape), rtol=1e-15)
+
+    def test_caller_array_is_not_overwritten(self):
+        A = self.stack(2, 1)[0]
+        before = A.copy()
+        core.symplectic_eigenvalues(A)
+        np.testing.assert_array_equal(A, before)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 4, 4), (8, 8)], ids=["2x2", "4x4_stack", "8x8"])
+    def test_symmetry_check_does_not_overflow(self, shape):
+        # corner entries 1e308 and -1e308: A - A^T would overflow, the halved entries do not, and the
+        # deviation reads inf; one 2 x 2 matrix and the stack take entry rows, 8 x 8 the singular values
+        m = shape[-1]
+        A = np.broadcast_to(np.eye(m) + 1e308 * (np.eye(m, k=m - 1) - np.eye(m, k=1 - m)), shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SymmetryError, match="max .A - A.T. = inf"):
+                core.symplectic_eigenvalues(A)
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "matrix has NaN entries"),
+                                              (np.inf, "matrix has entries outside the float range"),
+                                              (-np.inf, "matrix has entries outside the float range")])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 6, 6), (8, 8)], ids=["2x2", "6x6_stack", "8x8"])
+    def test_non_finite_entry_is_named(self, bad, message, shape):
+        A = np.broadcast_to(np.eye(shape[-1]), shape).copy()
+        A[..., 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                core.symplectic_eigenvalues(A)
+
+
 class TestBandRoute:
     """Truncations reach core._band_spectrum as their band (toeplitz.truncation_spectrum);
     other banded matrices are handed their lower band by lower_band."""

@@ -92,10 +92,12 @@ class TestCheckedCoefficients:
              "scalar_a1"],
     )
     def test_non_finite_coefficient_is_refused_at_construction(self, build, bad):
-        # the finiteness check comes before the symmetry test, whose deviation is NaN on such input
+        # the finiteness check comes before the symmetry test, whose deviation is NaN on such input;
+        # an infinite entry is outside the float range (an inf times a zero weight or identity entry
+        # also leaves a NaN beside it), and NaN alone is named as NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DomainError, match="float range"):
+            with pytest.raises(DomainError, match="NaN entries" if np.isnan(bad) else "float range"):
                 build(bad)
 
     def test_nan_weight_is_refused_at_construction(self):
@@ -195,6 +197,22 @@ class TestFromSamples:
         values = np.tile(np.array([[1.0, 0.2], [0.0, 1.0]]), (8, 1, 1))
         with pytest.raises(SymmetryError, match="not symmetric"):
             symbols.from_samples(symbols.GridSpec(8), values, 1)
+
+    def test_evenness_check_does_not_overflow(self):
+        # nodes 1 and 3 mirror each other: 1e308 I_2 against -1e308 I_2 differ past the float range,
+        # and the halved samples do not
+        values = np.stack([np.eye(2), 1e308 * np.eye(2), np.eye(2), -1e308 * np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SymmetryError, match=r"not even: max \|A\(theta\) - A\(-theta\)\| = inf"):
+                symbols.from_samples(symbols.GridSpec(4), values, 1)
+
+    def test_symmetry_check_does_not_overflow(self):
+        values = np.tile(np.array([[1.0, 1e308], [-1e308, 1.0]]), (4, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SymmetryError, match="not symmetric"):
+                symbols.from_samples(symbols.GridSpec(4), values, 1)
 
     @pytest.mark.parametrize("degree", [-1, 1.5, "1"])
     def test_degree_must_be_nonnegative_integer(self, degree):
