@@ -171,12 +171,11 @@ def symbol_integral(curves: symbols.SymplecticCurves, f: TestFunction) -> float:
 @dataclass(frozen=True)
 class SzegoReport:
     """Per-order averages against the symbol-side integral, with the spectra
-    and curves they were computed from; a verdict on the gaps is the
-    caller's."""
+    they were computed from; the caller keeps the curves it passed in, and a
+    verdict on the gaps is the caller's."""
 
     f_name: str
     trajectory: SpectrumTrajectory
-    curves: symbols.SymplecticCurves
     averages: list
     integral: float
 
@@ -194,7 +193,7 @@ def convergence_report(symbol, f: TestFunction, n_list, curves: symbols.Symplect
     against the symbol's computed ``symplectic_curves``."""
     traj = truncated_spectra(symbol, n_list)
     averages = [szego_average(traj.spectra[n], n, f) for n in traj.ns]
-    return SzegoReport(f.name, traj, curves, averages, symbol_integral(curves, f))
+    return SzegoReport(f.name, traj, averages, symbol_integral(curves, f))
 
 
 @dataclass(frozen=True)

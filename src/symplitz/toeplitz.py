@@ -6,26 +6,27 @@ coefficient A_|i-j|.  A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
 straight from the coefficients.  T_n commutes with the block flip E (block
 i to block n - 1 - i), and E with I_n (x) J, so truncation_spectrum solves
-T_n as the two halves of E's eigenspaces, of orders h = n // 2 and n - h:
-T- = T_h minus a Hankel corner and T+ = T_h plus it, where the corner
-block (i, j) is A_{n-1-i-j} and touches only the last q blocks; for odd n,
-T+ also holds the middle block, coupled to block j by sqrt(2) A_{h-j}.
-_flip_bands builds both halves from _band (one band for even n) by adding
-the corner and scaling the middle coupling, with a bandwidth at most that
-of T_n, so a band reduction, O(N^2 b), costs about half as much on the two
-halves as on T_n.  Each half goes to the core band kernel once its
-dimension is large enough for the band to win (_band_limit), and to the
-dense chain otherwise.  The covariance (G-chain) test is the one place
-where a complex matrix enters: H_n = T_n + (i/2) J is the same band with J
-on the first subdiagonal.  The test has one verdict, a band Cholesky factor
-of H_n + tol I (gchain_sweep); since T_n is a leading principal submatrix of
-T_{n+1}, one factor decides every order up to n.  gchain_check only
-measures: its witness is the smallest eigenvalue of H_n
-(_lowest_eigenvalue, which also reports a non-positive-definite half of
-T_n).  The G-chain is not split by the flip: its verdict needs the nested
-leading minors of H_n.  _band writes every entry A_|i-j| of every
-truncation band; _dense, the one band-to-dense unpack, serves assemble
-(matrix dumps) and the dense fallbacks of bands wider than the band rule.
+T_n as the two halves of E's eigenspaces, of orders h = n // 2 and n - h.
+_flip_bands builds each half in reversed block order, where, with the
+block Hankel H[i, j] = A_{1 + n%2 + i + j} on the leading blocks, T-+ =
+T_h -+ H for even n; for odd n, T+ is T_{h+1} with the middle block first,
+coupled to block i by sqrt(2) A_i, and +H on its blocks 1..h.  One band,
+that of T_{h + n%2} from _band, serves both halves, with a bandwidth at
+most that of T_n, so a band reduction, O(N^2 b), costs about half as much
+on the two halves as on T_n.
+Each half goes to the core band kernel once its dimension is large enough
+for the band to win (_band_limit), and to the dense chain otherwise.  The
+covariance (G-chain) test is the one place where a complex matrix enters:
+H_n = T_n + (i/2) J is the same band with J on the first subdiagonal.  The
+test has one verdict, a band Cholesky factor of H_n + tol I (gchain_sweep);
+since T_n is a leading principal submatrix of T_{n+1}, one factor decides
+every order up to n.  gchain_check only measures: its witness is the
+smallest eigenvalue of H_n (_lowest_eigenvalue, which also reports a
+non-positive-definite half of T_n).  The G-chain is not split by the flip:
+its verdict needs the nested leading minors of H_n.  _band writes every
+entry A_|i-j| of every truncation band; _dense, the one band-to-dense
+unpack, serves assemble (matrix dumps) and the dense fallbacks of bands
+wider than the band rule.
 """
 
 import math
@@ -146,55 +147,51 @@ def _lowest_eigenvalue(ab: np.ndarray) -> float:
 
 
 def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
-    """Lower bands of the flip halves [T-, T+] of T_n; at n = 1, T+ = T_1 alone.
+    """Lower bands of the flip halves [T-, T+] of T_n in reversed block order; at n = 1, T_1 alone.
 
     T_n commutes with the block flip E (block i to block n - 1 - i) and E
     with I_n (x) J, so in the orthonormal bases (e_i +- e_{n-1-i}) / sqrt(2)
     (x) I_2k, i < h = n // 2, of the eigenspaces of E, with the middle block
     e_h (x) I_2k added to the +1 one for odd n, T_n splits into T- and T+
-    and J into the form of their own size.  With A_s the coefficients (zero
-    past the degree q), block (i, j) of T+- is A_|i-j| +- A_{n-1-i-j} for
-    i, j < h: the band of T_h plus or minus a Hankel corner, which is nonzero
-    only where i + j >= n - 1 - q, that is on the last q blocks.  For odd n,
-    T+ is the band of T_{h+1} whose middle block h keeps its diagonal block
-    A_0 and has coupling blocks sqrt(2) A_{h-j}.  The corner entry of A_s
-    sits on a diagonal nearer the main one than A_s does in T_n, so each
-    half keeps a bandwidth of at most that of T_n.  _band writes every
-    A_|i-j|: one band serves both halves for even n, the bands of T_{h+1}
-    and T_h do for odd n.  One index computation over the last r blocks of
-    T+ (the corner, and the middle) gives the Hankel term, and T- takes its
-    leading r - 1 (odd n) or r blocks; each half adds its sign of that term
-    onto its band, T+ scales its middle coupling by sqrt(2), and each half
-    is checked for finite entries and trimmed to its last nonzero diagonal.
+    and J into the form of their own size.  Each half is built in reversed
+    block order (block i to size - 1 - i), a block permutation that commutes
+    with I (x) J and so keeps its spectrum.  In that order, with A_s the
+    coefficients (zero past the degree q), T+- = T_h +- H for even n, where
+    H is the fixed block Hankel matrix H[i, j] = A_{1 + n%2 + i + j} on the
+    leading blocks (nonzero only for i + j < q - n%2).  For odd n, T+ is
+    T_{h+1} with the middle block first: +H on its blocks 1..h, and its
+    block-0 coupling A_i scaled by sqrt(2); T- is the same band from block 1
+    on, with -H at the same place.  So one _band call, at h + n%2, serves
+    both halves.  H is one fancy index of the zero-padded coefficients,
+    added with each half's sign by one diagonal view per corner diagonal.
+    The corner entry of A_s sits on a diagonal nearer the main one than A_s
+    does in T_n, so each half keeps a bandwidth of at most that of T_n.
+    Each half is checked for finite entries where it was changed and
+    trimmed to its last nonzero diagonal.
     """
     truncation_dim(symbol, n)
     h, middle = divmod(n, 2)
-    plus = _band(symbol, h + middle)
-    halves = [(plus, 1)]
-    if h:
-        halves.insert(0, (_band(symbol, h) if middle else plus.copy(), -1))
     m = symbol.block_dim
-    r = min(symbol.degree, h) + middle
+    r = max(min(symbol.degree - middle, h), 0)  # blocks of H with a nonzero coefficient
     w = m * r
-    # entry [t, c] of the window on T+'s last w columns is T+[c + t, c], in block (i, j) of the
-    # window; its Hankel block A_{n-1-i-j} of T_n is A_{2r-1-middle-i-j}, and rows of block
-    # i >= r - middle are T+'s middle or lie past the matrix (their index may wrap: it is masked)
-    t, c = np.arange(w)[:, None], np.arange(w)
-    i, j = (c + t) // m, c // m
-    coeffs = np.zeros((2 * r, m, m))  # coefficients past the degree are zero blocks
-    coeffs[: min(symbol.degree + 1, 2 * r)] = symbol.coeffs[: 2 * r]
-    hankel = np.where(i < r - middle, coeffs[2 * r - 1 - middle - i - j, (c + t) % m, c % m], 0.0)
+    band = _band(symbol, h + middle)
+    if band.shape[0] < w:  # H may reach diagonals past the band's last nonzero one
+        band = np.vstack([band, np.zeros((w - band.shape[0], band.shape[1]))])
+    coeffs = np.zeros((2 * r, m, m))  # A_{1+middle} on, zero past the degree
+    tail = symbol.coeffs[1 + middle : 1 + middle + 2 * r]
+    coeffs[: len(tail)] = tail
+    hankel = coeffs[np.add.outer(np.arange(r), np.arange(r))].transpose(0, 2, 1, 3).reshape(w, w)
+    halves = [(band, hankel, m * middle)]  # T+ gets H after its middle block
+    if h:
+        halves.insert(0, (band[:, m * middle :].copy(), -hankel, 0))
     bands = []
-    for ab, sign in halves:
-        v = w - (plus.shape[1] - ab.shape[1])  # T-'s window is the leading v of T+'s w columns
-        if ab.shape[0] < v:
-            ab = np.vstack([ab, np.zeros((v - ab.shape[0], ab.shape[1]))])
-        window = ab[:v, ab.shape[1] - v :]
+    for ab, corner, start in halves:
         with np.errstate(over="ignore", invalid="ignore"):
-            if sign > 0 and middle:  # the middle block row of T+, coupled to the blocks before it
-                window[(i == r - 1) & (j < r - 1)] *= math.sqrt(2.0)
-            window += sign * hankel[:v, :v]
-        if not np.isfinite(window).all():
+            for c in range(start):  # T+'s middle block 0, coupled to the blocks after it
+                ab[m - c :, c] *= math.sqrt(2.0)
+            for t in range(w):
+                ab[t, start : start + w - t] += corner.diagonal(-t)
+        if not np.isfinite(ab[:, : start + w]).all():
             raise DomainError(f"flip half of the order-{n} truncation has entries outside the float range")
         rows = np.flatnonzero(ab.any(axis=1))
         bands.append(ab[: int(rows[-1]) + 1 if rows.size else 1])
@@ -205,7 +202,9 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """Symplectic spectrum of the order-n truncation, ascending.
 
     The spectrum is the sorted union of the spectra of the two flip halves
-    of T_n (_flip_bands), each of dimension about N / 2, so band reduction,
+    of T_n (_flip_bands: in reversed block order, T_{h + n%2}'s band plus or
+    minus the block Hankel H[i, j] = A_{1 + n%2 + i + j} on the leading
+    blocks), each of dimension about N / 2, so band reduction,
     O(N^2 b), costs about half as much as on T_n.  Each half is routed on its
     own dimension: to the band (core._band_spectrum) when its bandwidth b
     satisfies b <= _band_limit, which builds no dense array, and otherwise

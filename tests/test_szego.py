@@ -152,12 +152,14 @@ class TestConvergenceReport:
     def test_constant_symbol_exact(self):
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
         s = symbols.constant_symbol(A)
-        rep = szego.convergence_report(s, szego.monomial(2), [1, 2, 4, 8], curves(s, 256))
+        passed = curves(s, 256)
+        rep = szego.convergence_report(s, szego.monomial(2), [1, 2, 4, 8], passed)
         assert max(rep.gaps) <= 1e-12
         refined = szego.symbol_integral(curves(s, 512), szego.monomial(2))
         assert abs(rep.integral - refined) <= 1e-8 * max(1.0, abs(rep.integral))
         assert rep.ns == [1, 2, 4, 8]
-        assert rep.curves.grid.G == 256
+        assert passed.grid.G == 256
+        assert rep.integral == szego.symbol_integral(passed, szego.monomial(2))
 
     def test_scalar_second_moment_decay(self):
         rep = szego.convergence_report(PHI, szego.monomial(2), [8, 16, 32, 64], curves(PHI, 1024))

@@ -96,12 +96,12 @@ class TestAssemble:
     def test_dense_fallback_unpacks_the_routing_band(self, monkeypatch):
         # k = 1, degree 7: bandwidth 14 > toeplitz._band_limit(32) = toeplitz._band_limit(34) = 0, so
         # both flip halves of order 32 (dim 32 each) and of order 33 (dims 32 and 34) are solved dense;
-        # one band serves both halves of the even order, the odd order writes those of T_17 and T_16
+        # one band serves both halves of each order: that of T_16 at n = 32 and that of T_17 at n = 33
         s = symbols.scalar_symbol([4.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125])
         assert toeplitz._band_limit(32) == toeplitz._band_limit(34) == 0 and toeplitz._band(s, 32).shape[0] - 1 == 14
         band = toeplitz._band
         monkeypatch.setattr(toeplitz, "assemble", lambda *a, **kw: pytest.fail("dense truncation assembled"))
-        for n, expected in ((32, [(s, 16)]), (33, [(s, 17), (s, 16)])):
+        for n, expected in ((32, [(s, 16)]), (33, [(s, 17)])):
             halves = toeplitz._flip_bands(s, n)
             calls = []
             monkeypatch.setattr(toeplitz, "_band", lambda *a: calls.append(a) or band(*a))
@@ -461,7 +461,8 @@ class TestIntegerOrders:
 def _flip_basis(n, m, sign):
     """Orthonormal basis of the sign eigenspace of the block flip of an order-n truncation
     with m x m blocks, built densely: (e_i + sign e_{n-1-i}) / sqrt(2) (x) I_m for
-    i < n // 2, and for sign +1 and odd n the middle block e_{n//2} (x) I_m last."""
+    i < n // 2, and for sign +1 and odd n the middle block e_{n//2} (x) I_m last.  Its block
+    columns are in forward order; _flip_bands builds the halves in reversed block order."""
     h = n // 2
     P = np.zeros((n, h + (sign > 0 and n % 2 == 1)))
     P[np.arange(h), np.arange(h)] = math.sqrt(0.5)
@@ -490,7 +491,7 @@ def _split_symbol(k, degree):
 
 class TestFlipSplit:
     """truncation_spectrum solves T_n as its two flip halves, T- and T+, both built by
-    toeplitz._flip_bands from the band _band writes and one Hankel corner."""
+    toeplitz._flip_bands, in reversed block order, from one band _band writes and one Hankel corner."""
 
     SMALL = [(k, degree, n) for k in (1, 2, 3) for degree in range(4) for n in range(1, 10)]
 
@@ -504,6 +505,7 @@ class TestFlipSplit:
         assert len(halves) == (1 if n == 1 else 2)
         for ab, sign in zip(halves[::-1], (1, -1)):
             Q = _flip_basis(n, 2 * k, sign)
+            Q = Q.reshape(Q.shape[0], -1, 2 * k)[:, ::-1].reshape(Q.shape)  # reversed block order
             assert ab.shape[1] == Q.shape[1]
             assert ab.shape[0] - 1 <= b and ab[-1].any(), sign  # trimmed to its last nonzero diagonal
             atol = 4 * np.finfo(float).eps * np.abs(T).max()
@@ -513,7 +515,8 @@ class TestFlipSplit:
     @pytest.mark.parametrize("degree", range(8))
     def test_halves_are_t_h_plus_minus_the_hankel_corner_bit_for_bit(self, k, degree):
         # block (i, j) of T-+ is T[i, j] -+ T[i, n - 1 - j] for i, j < h, and the middle block of
-        # T+ (odd n) is coupled by sqrt(2) T[h, j], with T from an oracle that shares no code with _band
+        # T+ (odd n) is coupled by sqrt(2) T[h, j], with T from an oracle that shares no code with _band;
+        # _flip_bands returns each half in reversed block order, so the middle block of T+ comes first
         m = 2 * k
         s = symbols.TrigMatrixPolynomial(_random_blocks(np.random.default_rng(10 * k + degree), k, degree))
         for n in range(1, 18):
@@ -530,8 +533,23 @@ class TestFlipSplit:
             assert len(halves) == len(expected), n
             for ab, half in zip(halves, expected):
                 size = half.shape[0] * m
-                np.testing.assert_array_equal(toeplitz._dense(ab), half.reshape(size, size), err_msg=f"n = {n}")
+                expected_half = half[::-1, :, ::-1].reshape(size, size)
+                np.testing.assert_array_equal(toeplitz._dense(ab), expected_half, err_msg=f"n = {n}")
                 assert not any(ab[t, size - t :].any() for t in range(ab.shape[0])), n  # nothing past the matrix
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_one_band_per_order(self, k, degree, monkeypatch):
+        # both halves come from the one band of T_{h + n % 2}: T+ is that band, T- that band (even n)
+        # or its columns from block 1 on (odd n), each with its sign of the Hankel corner added
+        s = _split_symbol(k, degree)
+        band = toeplitz._band
+        for n in range(1, 10):
+            calls = []
+            monkeypatch.setattr(toeplitz, "_band", lambda *a: calls.append(a) or band(*a))
+            toeplitz._flip_bands(s, n)
+            monkeypatch.setattr(toeplitz, "_band", band)
+            assert calls == [(s, n // 2 + n % 2)], n
 
     @pytest.mark.parametrize("coeffs", [[2.0, 0.5], [2.0, 0.5, 0.25], [3.0, 0.0, 0.0, 0.5]])
     def test_halves_of_a_diagonal_symbol_keep_its_bandwidth(self, coeffs):
