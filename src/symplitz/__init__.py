@@ -23,7 +23,6 @@ from .core import (
     williamson,
 )
 from .entropy import (
-    entropy_test_function,
     mode_entropy,
     state_entropy,
 )

@@ -6,18 +6,22 @@ emitted files with content digests.  Exit codes: 0 all declared tolerances
 pass, 2 config error or an output directory that cannot be written,
 3 numerical-domain error, 4 tolerance or verification failure.  Every run is
 serial and byte-reproducible.  The szego, entropy-rate and counting verbs run
-the same average-versus-integral report, szego.convergence_report, with f
-the configured test function, the per-mode entropy and the interval
-indicator; entropy-rate names its columns and keys after the rate.  Each
-quantity has one verb: the entropy rate is reached only through
-entropy-rate, whose config alone sets its log base and its sub-vacuum
-verdict (strict: exit 3, or one stderr warning line), and a smoothed count
-only through szego with f indicator_smoothing.  The library's entropies are
-in nats; entropy-rate is the one place a base is applied, as one divisor
-(ln 2 for bits) of the per-mode entropy.  Every verdict tolerance is
-set here: the library returns measurements and has no tolerance default of
-its own.  Every verdict is made here too, except the G-chain pivot, which
-toeplitz.gchain_sweep takes at the tolerance this module passes it.
+one average-versus-integral path, _convergence, with f the configured test
+function, the per-mode entropy and the interval indicator: one order check,
+one doubled-grid solve, one report, the same series.csv columns n, average,
+integral, gap (entropy-rate and counting name the average rate and ratio)
+and the same summary keys, to which each verb adds its own.  The doubled
+grid's integral is judged against grid_tolerance by szego and entropy-rate;
+counting reports it with no verdict.  Each quantity has one verb: the
+entropy rate is reached only through entropy-rate, whose config alone sets
+its log base and its sub-vacuum verdict (strict: exit 3, or one stderr
+warning line), and a smoothed count only through szego with f
+indicator_smoothing.  The library's entropies are in nats; entropy-rate is
+the one place a base is applied, as one divisor (ln 2 for bits) of the
+per-mode entropy.  Every verdict tolerance is set here: the library returns
+measurements and has no tolerance default of its own.  Every verdict is
+made here too, except the G-chain pivot, which toeplitz.gchain_sweep takes
+at the tolerance this module passes it.
 
 One table, FIELDS, names each verb's config fields with their parsers and
 defaults; main parses the config against it before any numerics, and the
@@ -350,23 +354,27 @@ def cmd_williamson(matrix, tolerance):
 
 
 def _convergence(header, symbol, grid, n_list, tolerance, grid_tolerance, f):
-    """The average-versus-integral report of f shared by the szego and
-    entropy-rate verbs, with its checks and the summary keys both verbs write.
+    """The average-versus-integral report of f shared by the szego,
+    entropy-rate and counting verbs, with its checks and the summary keys
+    all three write.
 
-    The symbol-side integral is recomputed on a doubled grid; a disagreement
-    beyond ``grid_tolerance`` flags the quadrature as unresolved (rough
-    symbols converge slowly on a grid), and the gaps should then not be read
-    as evidence either way.  The curves are solved once, on the doubled grid,
-    before any truncation, and returned; node 2g is node g of ``grid``.
+    The symbol-side integral is recomputed on a doubled grid.  Given a
+    ``grid_tolerance``, a disagreement beyond it flags the quadrature as
+    unresolved (rough symbols converge slowly on a grid), and the gaps should
+    then not be read as evidence either way; with none, the refined integral
+    is reported with no verdict.  The curves are solved once, on the doubled
+    grid, before any truncation, and returned; node 2g is node g of ``grid``.
     """
     toeplitz.truncation_dim(symbol, n_list[-1])  # n_list ascends: refuse an oversized order before any solve
     fine = symbols.symplectic_curves(symbol, grid.refined())
     report = szego.convergence_report(symbol, f, n_list, symbols.SymplecticCurves(grid, fine.values[::2]))
     refined = szego.symbol_integral(fine, f)
     gaps = report.gaps
-    dev = abs(report.integral - refined)
-    bound = grid_tolerance * max(1.0, abs(report.integral))
-    checks = [_check("grid_consistency", dev, bound, dev <= bound)]
+    checks = []
+    if grid_tolerance is not None:
+        dev = abs(report.integral - refined)
+        bound = grid_tolerance * max(1.0, abs(report.integral))
+        checks.append(_check("grid_consistency", dev, bound, dev <= bound))
     if tolerance is not None:
         checks.append(_check("gap_at_max_n", gaps[-1], tolerance, gaps[-1] <= tolerance))
     rows = [(n, a, report.integral, g) for n, a, g in zip(report.ns, report.averages, gaps)]
@@ -397,25 +405,14 @@ def cmd_entropy_rate(base, strict, **fields):
     return files, checks, {**summary, "base": str(base), "rates": report.averages, "rate": report.integral}
 
 
-def cmd_counting(symbol, grid, n_list, interval, tolerance):
+def cmd_counting(interval, **fields):
+    # an indicator's grid integral converges only at O(1/G), so the refined one gets no verdict
     f = szego.indicator(interval)
-    toeplitz.truncation_dim(symbol, n_list[-1])
-    report = szego.convergence_report(symbol, f, n_list, symbols.symplectic_curves(symbol, grid))
+    report, _, files, checks, summary = _convergence(["n", "ratio", "integral", "gap"], f=f,
+                                                     grid_tolerance=None, **fields)
     counts = [int(np.sum(f(report.trajectory.spectra[n]))) for n in report.ns]
-    checks = []
-    if tolerance is not None:
-        gap = report.gaps[-1]
-        checks.append(_check("ratio_gap_at_max_n", gap, tolerance, gap <= tolerance))
-    files = {"series.csv": _csv_bytes(["n", "count", "ratio"], list(zip(report.ns, counts, report.averages)))}
-    summary = {
-        "interval": list(interval),
-        "grid_G": grid.G,
-        "n_list": report.ns,
-        "counts": counts,
-        "ratios": report.averages,
-        "limit_measure": report.integral,
-    }
-    return files, checks, summary
+    return files, checks, {**summary, "interval": list(interval), "counts": counts, "ratios": report.averages,
+                           "limit_measure": report.integral}
 
 
 def cmd_density(symbol, grid, n_max, delta, coverage_tolerance, escape_tolerance):

@@ -8,13 +8,13 @@ entropy-rate verb's base field is the one place that rescales to bits.
 These functions only measure; validity is the caller's verdict, on
 ``symplectic_eigenvalues(A)[0]`` or ``symplectic_curves(symbol, grid).min()``
 against 1/2.  The entropy rate of a stationary chain is the Szego limit of
-this test function:
-``szego.convergence_report(symbol, entropy_test_function(), ns, curves)``.
+the per-mode entropy:
+``szego.convergence_report(symbol, szego.TestFunction("entropy", mode_entropy), ns, curves)``.
 """
 
 import numpy as np
 
-from . import core, szego
+from . import core
 from .errors import DomainError
 
 
@@ -33,12 +33,6 @@ def mode_entropy(x):
         raw = (1.0 + a) * np.log1p(a) - a * np.log(a)
     out = np.where(a > 0.0, raw, 0.0)
     return float(out) if np.isscalar(x) else out
-
-
-def entropy_test_function() -> szego.TestFunction:
-    """The per-mode entropy as a spectral-average test function, zero at or
-    below 1/2; validity is judged on ``symplectic_curves(...).min()``."""
-    return szego.TestFunction("entropy", mode_entropy)
 
 
 def state_entropy(A) -> float:

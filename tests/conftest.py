@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from symplitz import GridSpec, TrigMatrixPolynomial, ab_family, assemble, constant_symbol, scalar_symbol
+from symplitz import (GridSpec, TestFunction, TrigMatrixPolynomial, ab_family, assemble, constant_symbol, mode_entropy,
+                      scalar_symbol)
 from symplitz.core import random_symplectic
+
+
+# the per-mode entropy as a spectral-average test function, zero at or below 1/2
+ENTROPY = TestFunction("entropy", mode_entropy)
 
 
 def geometric_weights(count, ratio=0.5):

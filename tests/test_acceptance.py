@@ -9,7 +9,8 @@ import pytest
 
 from symplitz import core, entropy, symbols, szego, toeplitz
 from symplitz.errors import DegeneratePairError
-from conftest import geometric_weights, mode_entropy_shannon, quadratic_form, random_gmatrix, random_pd, symbol_corpus
+from conftest import (ENTROPY, geometric_weights, mode_entropy_shannon, quadratic_form, random_gmatrix, random_pd,
+                      symbol_corpus)
 
 GRID = symbols.GridSpec(4096)
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta)
@@ -96,7 +97,7 @@ def test_05_constant_symbol_exactness():
     traj = szego.truncated_spectra(const, range(1, 33))
     worst = 0.0
     curves = symbols.symplectic_curves(const, GRID)
-    for f in (szego.monomial(1), szego.monomial(2), entropy.entropy_test_function()):
+    for f in (szego.monomial(1), szego.monomial(2), ENTROPY):
         integral = szego.symbol_integral(curves, f)
         for n in traj.ns:
             worst = max(worst, abs(szego.szego_average(traj.spectra[n], n, f) - integral))
@@ -165,16 +166,12 @@ def test_10_gchain_desk_equivalence():
 
 def test_11_entropy_rate():
     fam = symbols.ab_family(2.0 * np.eye(2), 0.5 * np.eye(2), geometric_weights(8), 8)
-    rep = szego.convergence_report(
-        fam, entropy.entropy_test_function(), [8, 16, 32, 64], symbols.symplectic_curves(fam, GRID)
-    )
+    rep = szego.convergence_report(fam, ENTROPY, [8, 16, 32, 64], symbols.symplectic_curves(fam, GRID))
     decreasing = all(a > b for a, b in zip(rep.gaps, rep.gaps[1:]))
     ok = rep.gaps[-1] <= 0.02 and decreasing
     A = random_gmatrix(2, [0.8, 2.5], seed=7)
     const_symbol = symbols.constant_symbol(A)
-    const = szego.convergence_report(
-        const_symbol, entropy.entropy_test_function(), [1, 4, 16], symbols.symplectic_curves(const_symbol, GRID)
-    )
+    const = szego.convergence_report(const_symbol, ENTROPY, [1, 4, 16], symbols.symplectic_curves(const_symbol, GRID))
     const_gap = max(abs(r - entropy.state_entropy(A)) for r in const.averages)
     ok = ok and const_gap <= 1e-12
     report(

@@ -240,6 +240,8 @@ class TestEntropyRateCommand:
 
 class TestCountingCommand:
     def test_half_measure(self, tmp_path):
+        from symplitz import szego, truncation_spectrum
+
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -254,22 +256,40 @@ class TestCountingCommand:
         summary = read_summary(tmp_path / "out")
         assert summary["ratios"][-1] == pytest.approx(0.5, abs=0.05)
         assert summary["limit_measure"] == pytest.approx(0.5, abs=1e-2)
+        # counting is the report with f the indicator: the ratios are its averages, the limit
+        # measure its integral, and the doubled grid's integral is reported with no verdict
+        f, symbol = szego.indicator((2.0, 3.0)), scalar_symbol([2.0, 0.5])
+        averages = [szego.szego_average(truncation_spectrum(symbol, n), n, f) for n in (16, 32)]
+        assert summary["ratios"] == averages
+        assert summary["counts"] == [round(r * n) for r, n in zip(averages, (16, 32))]
+        assert summary["limit_measure"] == summary["integral"]
+        assert summary["integral_refined"] == pytest.approx(0.5, abs=1e-2)
+        assert summary["gaps"] == [abs(a - summary["integral"]) for a in averages]
+        lines = (tmp_path / "out" / "series.csv").read_text().splitlines()
+        assert lines[0] == "n,ratio,integral,gap"
+        assert [float(line.split(",")[1]) for line in lines[1:]] == averages
+        assert [c["name"] for c in summary["checks"]] == ["gap_at_max_n"]
 
-    def test_curves_computed_once(self, tmp_path, monkeypatch):
-        from symplitz import symbols
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("G", [255, 256])
+    def test_limit_measure_is_the_indicator_integral_on_the_grid(self, tmp_path, k, G):
+        # the curves read from the doubled grid's even nodes are the curves solved on G, bit for bit
+        from symplitz import ab_family, szego, symplectic_curves
+        from conftest import random_pd
 
-        calls = []
-        curves = symbols.symplectic_curves
-        monkeypatch.setattr(symbols, "symplectic_curves", lambda *args: calls.append(args) or curves(*args))
-        cfg = write_config(
-            tmp_path / "c.json",
-            {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [4, 8], "interval": [2.0, 3.0],
-             "grid": {"G": 64}},
-        )
-        assert run("counting", cfg, tmp_path / "out") == 0
-        assert len(calls) == 1
+        rng = np.random.default_rng(k)
+        B = rng.standard_normal((2 * k, 2 * k))
+        symbol = ab_family(random_pd(rng, 2 * k, 1.0, 3.0), 0.15 * (B + B.T) / np.linalg.norm(B + B.T, 2),
+                           [0.5, 0.25])
+        interval = [1.5, 2.5]
+        cfg = {"symbol": {"kind": "trig", "k": k, "coeffs": symbol.coeffs.tolist()}, "n_list": [2, 4],
+               "interval": interval, "grid": {"G": G}}
+        assert run("counting", write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 0
+        integral = szego.symbol_integral(symplectic_curves(symbol, GridSpec(G)), szego.indicator(interval))
+        assert 0.0 < integral < k
+        assert read_summary(tmp_path / "out")["limit_measure"] == integral
 
-    @pytest.mark.parametrize("command", ["szego", "entropy-rate"])
+    @pytest.mark.parametrize("command", ["szego", "entropy-rate", "counting"])
     def test_convergence_curves_computed_once_on_refined_grid(self, tmp_path, monkeypatch, command):
         from symplitz import symbols
 
@@ -279,6 +299,8 @@ class TestCountingCommand:
         cfg = {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]}, "n_list": [4, 8], "grid": {"G": 64}}
         if command == "szego":
             cfg["f"] = {"kind": "monomial", "power": 2}
+        if command == "counting":
+            cfg["interval"] = [2.0, 3.0]
         assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 0
         assert [args[1] for args in calls] == [symbols.GridSpec(64).refined()]
 
@@ -855,7 +877,7 @@ class TestFieldTable:
         assert run("szego", cfg, tmp_path / "out") == 3
         assert calls == []
 
-    @pytest.mark.parametrize("command", ["szego", "entropy-rate"])
+    @pytest.mark.parametrize("command", ["szego", "entropy-rate", "counting"])
     def test_refined_grid_budget_before_any_eigensolve(self, tmp_path, monkeypatch, command):
         # k = 2 at G = 2^20 fills the grid budget exactly, so only the doubled grid is over it
         from symplitz import core
@@ -866,6 +888,8 @@ class TestFieldTable:
                "grid": {"G": 2**20}}
         if command == "szego":
             cfg["f"] = {"kind": "monomial", "power": 2}
+        if command == "counting":
+            cfg["interval"] = [1.0, 2.0]
         assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 3
         assert calls == []
 

@@ -8,7 +8,7 @@ from scipy.linalg import block_diag
 
 from symplitz import cli, core, entropy, symbols, szego
 from symplitz.errors import DomainError
-from conftest import geometric_weights, mode_entropy_shannon, random_gmatrix
+from conftest import ENTROPY, geometric_weights, mode_entropy_shannon, random_gmatrix
 
 
 class TestModeEntropy:
@@ -36,7 +36,6 @@ class TestModeEntropy:
         # (TestEntropyRate.test_base_consistency)
         calls = (
             lambda: entropy.mode_entropy(1.7, base=2),
-            lambda: entropy.entropy_test_function(base=2),
             lambda: entropy.state_entropy(np.eye(2), base=2),
         )
         for call in calls:
@@ -113,23 +112,19 @@ class TestEntropyRate:
     def test_constant_symbol_rate_is_state_entropy(self):
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
         s = symbols.constant_symbol(A)
-        rep = szego.convergence_report(
-            s, entropy.entropy_test_function(), [1, 2, 4, 8], symbols.symplectic_curves(s, symbols.GridSpec())
-        )
+        rep = szego.convergence_report(s, ENTROPY, [1, 2, 4, 8], symbols.symplectic_curves(s, symbols.GridSpec()))
         expected = entropy.state_entropy(A)
         np.testing.assert_allclose(rep.averages, expected, atol=1e-12)
 
     def test_vacuum_rate_zero(self):
         s = symbols.constant_symbol(0.5 * np.eye(2))
-        rep = szego.convergence_report(
-            s, entropy.entropy_test_function(), [1, 4], symbols.symplectic_curves(s, symbols.GridSpec())
-        )
+        rep = szego.convergence_report(s, ENTROPY, [1, 4], symbols.symplectic_curves(s, symbols.GridSpec()))
         np.testing.assert_allclose(rep.averages, 0.0, atol=1e-12)
 
     def test_integral_constant(self):
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
         curves = symbols.symplectic_curves(symbols.constant_symbol(A), symbols.GridSpec(64))
-        val = szego.symbol_integral(curves, entropy.entropy_test_function())
+        val = szego.symbol_integral(curves, ENTROPY)
         assert val == pytest.approx(entropy.state_entropy(A), abs=1e-12)
 
     def test_integral_scalar_oracle(self):
@@ -137,19 +132,19 @@ class TestEntropyRate:
         # phi(theta) = 1 + 0.25 cos(theta) at 10x resolution, no matrices involved
         s = symbols.scalar_symbol([1.0, 0.125])
         G = 256
-        ours = szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(G)), entropy.entropy_test_function())
+        ours = szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(G)), ENTROPY)
         theta = -np.pi + 2.0 * np.pi * np.arange(10 * G) / (10 * G)
         oracle = float(np.mean(entropy.mode_entropy(1.0 + 0.25 * np.cos(theta))))
         assert ours == pytest.approx(oracle, abs=1e-12)
 
     def test_vacuum_symbol_integral_zero(self):
         s = symbols.constant_symbol(0.5 * np.eye(2))
-        val = szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(32)), entropy.entropy_test_function())
+        val = szego.symbol_integral(symbols.symplectic_curves(s, symbols.GridSpec(32)), ENTROPY)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_geometric_family_report(self, grid):
         fam = symbols.ab_family(2 * np.eye(2), 0.5 * np.eye(2), geometric_weights(8), 8)
-        f = entropy.entropy_test_function()
+        f = ENTROPY
         rep = szego.convergence_report(fam, f, [8, 16, 32], symbols.symplectic_curves(fam, grid))
         assert rep.gaps[-1] <= 0.02
         assert all(a > b for a, b in zip(rep.gaps, rep.gaps[1:]))
@@ -176,18 +171,15 @@ class TestEntropyRate:
     # The sub-vacuum verdict is made by the entropy-rate verb in cli; these two
     # check the library's side of it on a symbol whose bottom curve reaches 0.4.
     def test_strict_rejects_sub_vacuum_symbol(self):
-        # the verdict input is the curves' minimum against 1/2; the test
-        # function has no strict switch of its own
+        # the verdict input is the curves' minimum against 1/2
         s = symbols.scalar_symbol([0.6, 0.1])
         curves = symbols.symplectic_curves(s, symbols.GridSpec(64))
         assert curves.min() == pytest.approx(0.4, abs=1e-12)
-        with pytest.raises(TypeError):
-            entropy.entropy_test_function(strict=True)
 
     def test_lenient_warns_on_sub_vacuum_symbol(self):
         # the library measures with no error and no warning
         s = symbols.scalar_symbol([0.6, 0.1])
-        f = entropy.entropy_test_function()
+        f = ENTROPY
         curves = symbols.symplectic_curves(s, symbols.GridSpec(64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz as scalar_toeplitz
 
-from symplitz import core, entropy, symbols, szego, toeplitz
+from symplitz import core, symbols, szego, toeplitz
 from symplitz.errors import DomainError, IndexRangeError, InvalidDimensionError, PositivityError, TruncationSizeError
-from conftest import random_gmatrix
+from conftest import ENTROPY, random_gmatrix
 
 
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta)
@@ -110,7 +110,7 @@ class TestSymbolIntegral:
         # and spectral quadrature accuracy is lost there; that combination is
         # checked separately below
         for name, s in corpus.items():
-            for f in (szego.monomial(2), entropy.entropy_test_function()):
+            for f in (szego.monomial(2), ENTROPY):
                 if name == "phi_violator" and f.name.startswith("entropy"):
                     continue
                 a = szego.symbol_integral(curves(s, 2048), f)
@@ -121,7 +121,7 @@ class TestSymbolIntegral:
         # boundary-crossing curve against the entropy kink: the report's
         # integral must disagree with the doubled grid beyond 1e-10, so the
         # CLI's grid_consistency check marks the quadrature as unresolved
-        f = entropy.entropy_test_function()
+        f = ENTROPY
         rep = szego.convergence_report(corpus["phi_violator"], f, [4, 8], curves(corpus["phi_violator"], 2048))
         refined = szego.symbol_integral(curves(corpus["phi_violator"], 4096), f)
         assert abs(rep.integral - refined) > 1e-10 * max(1.0, abs(rep.integral))
