@@ -22,10 +22,7 @@ from .core import (
     symplectic_rayleigh,
     williamson,
 )
-from .entropy import (
-    mode_entropy,
-    state_entropy,
-)
+from .entropy import mode_entropy
 from .symbols import (
     GridSpec,
     SymplecticCurves,

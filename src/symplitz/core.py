@@ -13,16 +13,17 @@ K = L^T J L, similar to J A.  The symplectic spectrum is the singular values
 of K and the Williamson form comes from its real Schur form; the first pair of
 the Williamson factor is the lower edge of the symplectic numerical range.
 
-The route to a dense input's spectrum depends only on its shape.  Small
-matrices, the nodes of symbol grids (k <= 2, and stacks with k = 3), are
-solved on entry rows: the stack is transposed once to one row per matrix
-entry, and the checks, a column Cholesky and the upper entries of K are
-each an array operation across the stack, with no LAPACK call and no
-matmul per matrix.  Those entries feed closed forms for k = 1 and k = 2,
-and for k = 3 a Givens skew tridiagonalisation followed by one-sided
-Jacobi on a 3 x 3 bidiagonal.  A small dense flip half, which toeplitz has
-factored, passes the entries of its factor to the same kernel.  Everything
-else takes the singular values of K; williamson keeps the Schur form.
+The route to a dense input's spectrum depends only on its layout.  Stacks
+of small matrices (k <= 3), the nodes of symbol grids, are solved on entry
+rows: the stack is transposed once to one row per matrix entry, and the
+checks, a column Cholesky and the upper entries of K are each an array
+operation across the stack, with no LAPACK call and no matmul per matrix.
+Those entries feed closed forms for k = 1 and k = 2, and for k = 3 a Givens
+skew tridiagonalisation followed by one-sided Jacobi on a 3 x 3 bidiagonal.
+Every single matrix is factored by LAPACK, as a dense flip half of a
+truncation is, and both pass their factor to _factor_spectrum: a k <= 2
+factor's entries go to the same closed forms, everything else takes the
+singular values of K.  williamson keeps the Schur form.
 
 A truncation of a finite-degree symbol is banded, and toeplitz solves it as
 the two halves into which the block flip (block i to block n - 1 - i, which
@@ -134,9 +135,10 @@ def _factor(A: np.ndarray) -> np.ndarray:
     SymmetryError: the two checks symbols makes when a symbol is built.
     Positive definiteness is decided by the factorization itself; only when
     it breaks down does one eigensolve find the smallest eigenvalue to report.
-    Both read the lower triangle of A only.  This factor serves the
-    singular-value route and williamson; the small route factors on entry
-    rows (_row_factor), with the same checks and the same breakdown report.
+    Both read the lower triangle of A only.  This factor serves every single
+    matrix, stacks with k >= 4 and williamson; stacks with k <= 3 are factored
+    on entry rows (_row_factor), with the same checks and the same breakdown
+    report.
     """
     _check_symmetry(_require_finite(A, "matrix"))
     try:
@@ -203,30 +205,16 @@ _ROW_BLOCK = 1024
 _JACOBI_SWEEPS = 16
 
 
-def _entry_rows(A: np.ndarray) -> np.ndarray:
-    """A copy of the m x m matrices of a stack (or of one matrix) as entry rows
-    R[i m + j] = A[..., i, j], shape (m^2, S).
-
-    The transpose is copied in blocks of _ROW_BLOCK matrices, whose entries
-    stay in cache while their rows are written: on 65,537 6 x 6 matrices
-    that took 2.7 ms against 8.9 ms for one strided copy (2-core Xeon,
-    numpy 2.4).
-    """
-    m = A.shape[-1]
-    flat = A.reshape(-1, m * m)
-    R = np.empty((m * m, flat.shape[0]))
-    for lo in range(0, flat.shape[0], _ROW_BLOCK):
-        R[:, lo : lo + _ROW_BLOCK] = flat[lo : lo + _ROW_BLOCK].T
-    return R
-
-
 def _row_factor(A: np.ndarray) -> np.ndarray:
     """Entry rows of the lower Cholesky factors of a stack of m x m matrices, m <= 6.
 
-    The checks of _factor, made on the entry rows (_entry_rows): a
-    non-finite entry raises DomainError, then the largest deviation between
-    the rows of A's entries (i, j > i) and (j, i) is held to the SYM_TOL
-    rule.  The factor is a column Cholesky written as array operations
+    The stack is copied once to entry rows R[i m + j] = A[..., i, j], shape
+    (m^2, S), in blocks of _ROW_BLOCK matrices, whose entries stay in cache
+    while their rows are written: on 65,537 6 x 6 matrices that took 2.7 ms
+    against 8.9 ms for one strided copy (2-core Xeon, numpy 2.4).  The
+    checks of _factor are made on those rows: a non-finite entry raises
+    DomainError, then the largest deviation between the rows of A's entries
+    (i, j > i) and (j, i) is held to the SYM_TOL rule.  The factor is a column Cholesky written as array operations
     across the stack, in place on the lower rows of the copy: column j is
     its root pivot and the entries below it divided by that root, and it is
     then taken off the columns to its right.  Column j of the rows, entries
@@ -236,8 +224,11 @@ def _row_factor(A: np.ndarray) -> np.ndarray:
     (zero, negative or NaN) in any matrix stops the factor, and one
     eigensolve of the stack finds the smallest eigenvalue to report.
     """
-    R = _entry_rows(A)
     m = A.shape[-1]
+    flat = A.reshape(-1, m * m)
+    R = np.empty((m * m, flat.shape[0]))
+    for lo in range(0, flat.shape[0], _ROW_BLOCK):
+        R[:, lo : lo + _ROW_BLOCK] = flat[lo : lo + _ROW_BLOCK].T
     # max and min propagate NaN and show an inf: one pass each gives the finiteness check and max |A|
     hi, lo = float(R.max(initial=0.0)), float(R.min(initial=0.0))
     if not (math.isfinite(hi) and math.isfinite(lo)):
@@ -466,16 +457,17 @@ def _band_spectrum(Lb: np.ndarray) -> np.ndarray:
 
 
 def _factor_spectrum(L: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of A = L L^T from its lower Cholesky factor, one matrix or a stack.
+    """Symplectic spectrum of A = L L^T from its lower Cholesky factor (_factor,
+    or a dense flip half that toeplitz has factored), one matrix or a stack.
 
-    A 2 x 2 or 4 x 4 factor (a small dense flip half, which toeplitz has
-    factored) passes its entries to _small_spectrum; everything else takes
-    the singular values of K = L^T J L, each d_j twice, paired under
-    PAIR_TOL.
+    A 2 x 2 or 4 x 4 factor passes its entries, read through a reshape view
+    as one entry row each, to the closed forms of _small_spectrum; everything
+    else takes the singular values of K = L^T J L, each d_j twice, paired
+    under PAIR_TOL.
     """
     n = L.shape[-1]
     if n <= 4:
-        R = _entry_rows(L)
+        R = L.reshape(-1, n * n).T
         return _small_spectrum(R, _row_kernel(R)).reshape(L.shape[:-2] + (n // 2,))
     s = np.linalg.svd(_skew_kernel(L), compute_uv=False)[..., ::-1]
     return _pair_mean(s[..., 0::2], s[..., 1::2])
@@ -490,13 +482,17 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     eps d_max / d_j (normwise, not relative, accuracy).  Accepts stacks
     (..., 2k, 2k) and returns (..., k), ascending along the last axis.
 
-    The route follows the shape.  k <= 2, and stacks with k = 3, are solved
-    on entry rows: the stack is transposed once to one row per entry, shape
+    The route follows the layout alone.  A stack (A.ndim > 2) with k <= 3 is
+    solved on entry rows: it is transposed once to one row per entry, shape
     ((2k)^2, S), checked and factored entry by entry (_row_factor), and only
     the upper entries of K are formed (_row_kernel), so every step is an
-    array operation across the stack.  _small_spectrum then gives each d_j
-    once, so the pairs are exact by construction; k <= 2 is relatively
-    accurate (d_1 = sqrt(det A) / d_2 for k = 2), k = 3 has the normwise
+    array operation across the stack.  Every other input, each single
+    matrix included, is factored by LAPACK (_factor) and solved from its
+    factor (_factor_spectrum), as a dense flip half of a truncation is, so
+    a matrix and the dense order-1 truncation of its constant symbol agree
+    bit for bit.  k <= 2 goes to closed forms that give each d_j once, so the
+    pairs are exact by construction and the d_j relatively accurate
+    (d_1 = sqrt(det A) / d_2 for k = 2); a k = 3 stack has the normwise
     accuracy class.  Everything else takes the singular values of K, whose
     copies of each d_j are paired under PAIR_TOL.  A stack of no matrices,
     shape (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
@@ -504,7 +500,7 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     n = _even_dim(A)
-    if n <= 4 or (n == 6 and A.ndim > 2):
+    if A.ndim > 2 and n <= 6:
         L = _row_factor(A)
         return _small_spectrum(L, _row_kernel(L)).reshape(A.shape[:-2] + (n // 2,))
     return _factor_spectrum(_factor(A))

@@ -5,16 +5,14 @@ per symplectic eigenvalue: f(d) = (d + 1/2) log(d + 1/2) - (d - 1/2) log(d - 1/2
 above the pure-state boundary d = 1/2 and zero at or below it.  Every value
 is in nats (natural logarithms); a unit is the caller's, and the
 entropy-rate verb's base field is the one place that rescales to bits.
-These functions only measure; validity is the caller's verdict, on
-``symplectic_eigenvalues(A)[0]`` or ``symplectic_curves(symbol, grid).min()``
-against 1/2.  The entropy rate of a stationary chain is the Szego limit of
-the per-mode entropy:
+mode_entropy only measures; validity is the caller's verdict, on
+``symplectic_curves(symbol, grid).min()`` against 1/2.  The entropy rate
+of a stationary chain is the Szego limit of the per-mode entropy:
 ``szego.convergence_report(symbol, szego.TestFunction("entropy", mode_entropy), ns, curves)``.
 """
 
 import numpy as np
 
-from . import core
 from .errors import DomainError
 
 
@@ -33,10 +31,3 @@ def mode_entropy(x):
         raw = (1.0 + a) * np.log1p(a) - a * np.log(a)
     out = np.where(a > 0.0, raw, 0.0)
     return float(out) if np.isscalar(x) else out
-
-
-def state_entropy(A) -> float:
-    """Von Neumann entropy of the Gaussian state with covariance matrix A, the
-    sum of its per-mode entropies; validity is judged on ``symplectic_eigenvalues(A)[0]``."""
-    d = core.symplectic_eigenvalues(np.asarray(A, dtype=float))
-    return float(np.sum(mode_entropy(d)))

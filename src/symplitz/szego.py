@@ -10,7 +10,9 @@ runs them over a list of orders against the caller's computed
 ``symplectic_curves``; counting is the case f = ``indicator(K)``,
 whose spectral sum is the number of eigenvalues in K and whose integral is
 the angular measure of {theta : d_j(theta) in K}.  The reports hold
-measurements only; a verdict against a tolerance is the caller's.
+measurements only; a verdict against a tolerance is the caller's.  A
+truncation that is not positive definite stops a run with the
+PositivityError of ``toeplitz.truncation_spectrum``, which names its order.
 """
 
 import operator
@@ -20,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import symbols, toeplitz
-from .errors import DomainError, IndexRangeError, PositivityError
+from .errors import DomainError, IndexRangeError
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -106,22 +108,11 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     noise) as the order grows; the worst upward drift across consecutive
     computed orders is recorded in ``monotonicity_violation``.  ``n_list`` is
     a list, tuple or range of orders, each checked by ``_orders`` before any
-    eigensolve runs.
+    eigensolve runs.  The first order whose truncation is not positive
+    definite raises truncation_spectrum's PositivityError, with where = n.
     """
     ns = _orders(symbol, n_list)
-
-    def one(n):
-        try:
-            return toeplitz.truncation_spectrum(symbol, n)
-        except PositivityError as err:
-            raise PositivityError(
-                f"truncation of order n = {n} is not positive definite "
-                f"(min eigenvalue {err.min_eigenvalue:.6e})",
-                min_eigenvalue=err.min_eigenvalue,
-                where=n,
-            ) from err
-
-    spectra = {n: one(n) for n in ns}
+    spectra = {n: toeplitz.truncation_spectrum(symbol, n) for n in ns}
     violation = 0.0
     for n_prev, n_next in zip(ns, ns[1:]):
         shared = len(spectra[n_prev])
@@ -281,14 +272,15 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
-    A delta that is a bool or not > 0, NaN included, raises DomainError.
+    A delta that is a bool or numpy bool, or not > 0 (NaN included),
+    raises DomainError.
     n_max is checked by ``toeplitz.truncation_dim`` first, so an n_max that
     is not an integer >= 1 raises InvalidDimensionError, not the ValueError
     of an empty order list or the TypeError of a float range end;
     truncated_spectra then reads the largest order of range(1, n_max + 1)
     from its end, in O(1).
     """
-    if isinstance(delta, bool) or not delta > 0:
+    if isinstance(delta, (bool, np.bool_)) or not delta > 0:
         raise DomainError(f"delta must be a positive number, got {delta!r}")
     toeplitz.truncation_dim(symbol, n_max)
     traj = truncated_spectra(symbol, range(1, n_max + 1))

@@ -15,7 +15,9 @@ that of T_{h + n%2} from _band, serves both halves, with a bandwidth at
 most that of T_n, so a band reduction, O(N^2 b), costs about half as much
 on the two halves as on T_n.
 Each half goes to the core band kernel once its dimension is large enough
-for the band to win (_band_limit), and to the dense chain otherwise.  The
+for the band to win (_band_limit), and to the dense chain of a single
+matrix otherwise.  A half that is not positive definite stops the solve
+with one PositivityError, built here, that names the order.  The
 covariance (G-chain) test is the one place where a complex matrix enters:
 H_n = T_n + (i/2) J is the same band with J on the first subdiagonal.  The
 test has one verdict, a band Cholesky factor of H_n + tol I (gchain_sweep);
@@ -35,7 +37,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
 from . import core
-from .errors import DomainError, TruncationSizeError
+from .errors import DomainError, PositivityError, TruncationSizeError
 from .symbols import TrigMatrixPolynomial, _check_integer
 
 MAX_DIM = 4096
@@ -208,10 +210,13 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     O(N^2 b), costs about half as much as on T_n.  Each half is routed on its
     own dimension: to the band (core._band_spectrum) when its bandwidth b
     satisfies b <= _band_limit, which builds no dense array, and otherwise
-    to the dense chain of its band unpacked (core._factor_spectrum).  Both
-    halves are factored before either is solved; when a factor breaks down,
-    the PositivityError reports the smaller of the two halves' lowest
-    eigenvalues (_lowest_eigenvalue), which is lambda_min(T_n).
+    to the dense chain of its band unpacked (core._factor_spectrum), the
+    chain a single matrix takes, so a dense T_1 has bit for bit the
+    spectrum of core.symplectic_eigenvalues(A_0).  Both halves are factored
+    before either is solved; when a factor breaks down, the PositivityError
+    names the order, reports the smaller of the two halves' lowest
+    eigenvalues (_lowest_eigenvalue), which is lambda_min(T_n), and carries
+    where = n.
     """
     halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
     try:
@@ -221,7 +226,11 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
         ]
     except np.linalg.LinAlgError:
         low = min(_lowest_eigenvalue(ab) for ab, _ in halves)
-        raise core._not_positive_definite(np.array([low])) from None
+        raise PositivityError(
+            f"truncation of order n = {n} is not positive definite (min eigenvalue {low:.6e})",
+            min_eigenvalue=low,
+            where=n,
+        ) from None
     spectra = [
         core._band_spectrum(L) if band else core._factor_spectrum(L) for L, (_, band) in zip(factors, halves)
     ]
@@ -282,11 +291,11 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
     measures at the reported order m (n_max when every order passes).
     n_max is checked by truncation_dim's order rule before the first factor,
     but not against the guard.  A tol that is not a finite number, a bool
-    included, raises DomainError: shifted by NaN or +inf every pivot passes,
-    and by -inf the first fails.
+    or numpy bool included, raises DomainError: shifted by NaN or +inf
+    every pivot passes, and by -inf the first fails.
     """
     _check_integer(n_max, "n_max", 1)
-    if isinstance(tol, bool) or not math.isfinite(tol):
+    if isinstance(tol, (bool, np.bool_)) or not math.isfinite(tol):
         raise DomainError(f"tol must be a finite number, got {tol!r}")
     guard = MAX_DIM // symbol.block_dim
     orders = []

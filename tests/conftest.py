@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symplitz import (GridSpec, TestFunction, TrigMatrixPolynomial, ab_family, assemble, constant_symbol, mode_entropy,
-                      scalar_symbol)
+                      scalar_symbol, symplectic_eigenvalues)
 from symplitz.core import random_symplectic
 
 
@@ -25,6 +25,14 @@ def mode_entropy_shannon(x):
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -t * np.log(t) - (1.0 - t) * np.log1p(-t)
     return 0.5 * (2.0 * arr + 1.0) * np.where(t > 0.0, h, 0.0)
+
+
+def state_entropy(A):
+    """Von Neumann entropy of the Gaussian state with covariance matrix A, the
+    sum of its per-mode entropies: the constant symbol's entropy rate, for
+    reference; validity is judged on ``symplectic_eigenvalues(A)[0]``."""
+    d = symplectic_eigenvalues(np.asarray(A, dtype=float))
+    return float(np.sum(mode_entropy(d)))
 
 
 def quadratic_form(symbol, xs, grid):

@@ -10,7 +10,7 @@ import pytest
 from symplitz import core, entropy, symbols, szego, toeplitz
 from symplitz.errors import DegeneratePairError
 from conftest import (ENTROPY, geometric_weights, mode_entropy_shannon, quadratic_form, random_gmatrix, random_pd,
-                      symbol_corpus)
+                      state_entropy, symbol_corpus)
 
 GRID = symbols.GridSpec(4096)
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta)
@@ -172,7 +172,7 @@ def test_11_entropy_rate():
     A = random_gmatrix(2, [0.8, 2.5], seed=7)
     const_symbol = symbols.constant_symbol(A)
     const = szego.convergence_report(const_symbol, ENTROPY, [1, 4, 16], symbols.symplectic_curves(const_symbol, GRID))
-    const_gap = max(abs(r - entropy.state_entropy(A)) for r in const.averages)
+    const_gap = max(abs(r - state_entropy(A)) for r in const.averages)
     ok = ok and const_gap <= 1e-12
     report(
         11,

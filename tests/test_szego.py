@@ -317,11 +317,15 @@ class TestDensity:
         (lambda: szego.monomial(-1), InvalidDimensionError),
         (lambda: toeplitz.gchain_sweep(PHI, 4, tol=True), DomainError),
         (lambda: szego.density_check(PHI, 4, True, symbols.GridSpec(64)), DomainError),
+        (lambda: toeplitz.gchain_sweep(PHI, 4, tol=np.True_), DomainError),
+        (lambda: szego.density_check(PHI, 4, np.True_, symbols.GridSpec(64)), DomainError),
     ],
-    ids=["monomial-True", "monomial-2.5", "monomial--1", "gchain_sweep-tol-True", "density_check-delta-True"],
+    ids=["monomial-True", "monomial-2.5", "monomial--1", "gchain_sweep-tol-True", "density_check-delta-True",
+         "gchain_sweep-tol-numpy-True", "density_check-delta-numpy-True"],
 )
 def test_bool_or_non_integer_is_no_number(call, error):
-    # the library keeps the CLI's rule: JSON true/false are no numbers, and a power is an integer >= 0
+    # the library keeps the CLI's rule: JSON true/false are no numbers, numpy booleans neither (as in
+    # symbols._check_integer), and a power is an integer >= 0
     with pytest.raises(error):
         call()
 

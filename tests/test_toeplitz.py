@@ -591,7 +591,10 @@ class TestFlipSplit:
         exact = a0 + math.cos(n * math.pi / (n + 1))
         assert exc.value.min_eigenvalue == pytest.approx(exact, abs=1e-13) and exact < 0
         assert exc.value.min_eigenvalue == pytest.approx(min(lows), abs=1e-13)
-        assert exc.value.where is None
+        assert exc.value.where == n
+        assert str(exc.value) == (
+            f"truncation of order n = {n} is not positive definite (min eigenvalue {exc.value.min_eigenvalue:.6e})"
+        )
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_non_pd_reports_the_smaller_of_two_failing_halves(self, n):
