@@ -89,16 +89,12 @@ def _is_number(value, types=(int, float)) -> bool:
     return isinstance(value, types) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def _any(value, path):
-    return value
-
-
-def _integer(low, high=None):
-    """Parser of a JSON integer in [low, high]."""
+def _integer(low):
+    """Parser of a JSON integer >= low."""
 
     def parse(value, path):
-        if not _is_number(value, int) or value < low or (high is not None and value > high):
-            _fail(path, f"must be an integer >= {low}{f' and <= {high}' if high else ''}, got {value!r}")
+        if not _is_number(value, int) or value < low:
+            _fail(path, f"must be an integer >= {low}, got {value!r}")
         return value
 
     return parse
@@ -106,9 +102,6 @@ def _integer(low, high=None):
 
 _count = _integer(1)
 _order = _integer(0)
-# a truncation under the size guard holds no larger block and reads no higher coefficient
-_block_count = _integer(1, toeplitz.MAX_DIM // 2)
-_degree = _integer(0, toeplitz.MAX_DIM // 2)
 
 
 def _positive(value, path):
@@ -213,8 +206,7 @@ def _form(value, path, tag, forms):
     if not isinstance(name, str) or name not in forms:
         _fail(f"{path}.{tag}", f"unknown {tag} {name!r}")
     make, fields = forms[name]
-    args = _parse(value, {tag: (_any, REQUIRED), **fields}, path)
-    del args[tag]
+    args = _parse({key: v for key, v in value.items() if key != tag}, fields, path)
     try:
         return make(**args)
     except (SymplitzError, ValueError) as err:
@@ -234,16 +226,16 @@ _MATRIX = (_matrix, REQUIRED)
 SYMBOLS = {
     "builder": {
         "constant": (lambda matrix: symbols.constant_symbol(matrix), {"matrix": _MATRIX}),
-        "scalar": (symbols.scalar_symbol, {"coeffs": _NUMBERS, "k": (_block_count, 1)}),
+        "scalar": (symbols.scalar_symbol, {"coeffs": _NUMBERS, "k": (_count, 1)}),
         "ab_family": (lambda a, b, weights, degree: symbols.ab_family(a, b, weights, degree),
-                      {"a": _MATRIX, "b": _MATRIX, "weights": _NUMBERS, "degree": (_degree, None)}),
+                      {"a": _MATRIX, "b": _MATRIX, "weights": _NUMBERS, "degree": (_order, None)}),
     },
     "kind": {
         "trig": (lambda coeffs, k: _declared_k(symbols.TrigMatrixPolynomial(np.asarray(coeffs, dtype=float)), k),
-                 {"coeffs": _NUMBERS, "k": (_block_count, None)}),
+                 {"coeffs": _NUMBERS, "k": (_count, None)}),
         "sampled": (lambda grid, values, k, degree: _declared_k(symbols.from_samples(grid, values, degree), k),
-                    {"grid": (_grid, REQUIRED), "values": _NUMBERS, "k": (_block_count, None),
-                     "degree": (_degree, REQUIRED)}),
+                    {"grid": (_grid, REQUIRED), "values": _NUMBERS, "k": (_count, None),
+                     "degree": (_order, REQUIRED)}),
     },
 }
 

@@ -8,11 +8,14 @@ asymmetric block SymmetryError.  They are stored read-only, so code built
 from a symbol (a truncation band, say) trusts them.  One series formula,
 ``evaluate``, gives the values at one angle or at an array of angles.
 Samples on the canonical uniform grid are an input format only:
-``from_samples`` checks that they are even and projects them once onto
-their cosine series.  Essential ranges and essential extrema are
+``from_samples`` checks that they are even and projects them once onto their
+cosine series.  One entry budget, MAX_ENTRIES, bounds what this module
+allocates: ``scalar_symbol`` and ``ab_family`` refuse a coefficient stack over
+it with InvalidDimensionError, and a grid evaluation raises GridError, each
+before the array exists.  Essential ranges and essential extrema are
 approximated by their grid images throughout; only piecewise-continuous
-symbols are meaningfully supported, and measure-zero pathologies are
-outside numerical reach.
+symbols are meaningfully supported, and measure-zero pathologies are outside
+numerical reach.
 """
 
 from dataclasses import dataclass
@@ -30,8 +33,8 @@ from .errors import (
 )
 
 DEFAULT_GRID_G = 4096
-# Entries a grid evaluation may allocate: as many as a 4096 x 4096 truncation.
-MAX_GRID_ENTRIES = 2**24
+# Entries a coefficient stack or a grid evaluation may allocate: as many as a 4096 x 4096 truncation.
+MAX_ENTRIES = 2**24
 
 
 def _check_integer(value, what: str, least: int, error=InvalidDimensionError) -> None:
@@ -39,6 +42,12 @@ def _check_integer(value, what: str, least: int, error=InvalidDimensionError) ->
     float with an integer value does not): the rule of degrees, orders, powers, k and grid sizes."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise error(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def _check_entries(entries: int, what: str, error=InvalidDimensionError) -> None:
+    """Raise error if ``what`` needs more than MAX_ENTRIES entries, counted in Python ints by the caller."""
+    if entries > MAX_ENTRIES:
+        raise error(f"{what} needs {entries} entries, over the budget {MAX_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +116,7 @@ class TrigMatrixPolynomial:
 def _half_grid_values(symbol: TrigMatrixPolynomial, grid: GridSpec) -> np.ndarray:
     """Values at nodes 0 .. G // 2 (theta in [-pi, 0]), under the entry budget of the whole grid."""
     entries = grid.G * max(symbol.block_dim**2, symbol.degree + 1)
-    if entries > MAX_GRID_ENTRIES:
-        raise GridError(
-            f"evaluating on G = {grid.G} nodes needs {entries} entries, over the budget {MAX_GRID_ENTRIES}"
-        )
+    _check_entries(entries, f"evaluating on G = {grid.G} nodes", GridError)
     return symbol.evaluate(grid.nodes()[: grid.G // 2 + 1].copy())  # a view would keep all G nodes alive
 
 
@@ -155,6 +161,7 @@ def scalar_symbol(coeffs, k: int = 1) -> TrigMatrixPolynomial:
     if c.ndim != 1 or c.size == 0:
         raise InvalidDimensionError("scalar coefficients must be a nonempty 1-d sequence")
     _check_integer(k, "k", 1)
+    _check_entries(c.size * (2 * int(k)) ** 2, f"a stack of {c.size} blocks of size {2 * int(k)}")
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and the symbol refuses both
         blocks = c[:, None, None] * np.eye(2 * k)
     return TrigMatrixPolynomial(blocks)
@@ -179,11 +186,12 @@ def ab_family(A, B, weights, degree: int | None = None) -> TrigMatrixPolynomial:
     if degree is None:
         degree = p.size
     _check_integer(degree, "degree", 0)
+    _check_entries((int(degree) + 1) * max(B.size, 1), f"a stack of {int(degree) + 1} blocks of shape {B.shape}")
     used = np.zeros(degree)
     used[: min(degree, p.size)] = p[:degree]
     with np.errstate(invalid="ignore"):  # a zero weight times inf is NaN, and the symbol refuses both
-        blocks = [A] + [w * B for w in used]
-    return TrigMatrixPolynomial(np.stack(blocks))
+        blocks = np.concatenate([A[None], used[:, None, None] * B])  # per-block arrays would peak at 12x the stack
+    return TrigMatrixPolynomial(blocks)
 
 
 def sup_norm(symbol: TrigMatrixPolynomial, grid: GridSpec = GridSpec()) -> float:

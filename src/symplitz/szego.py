@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import symbols, toeplitz
-from .errors import DomainError, IndexRangeError
+from .errors import DomainError, IndexRangeError, InvalidDimensionError
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -49,7 +49,7 @@ def polynomial(coeffs) -> TestFunction:
 def hat(left: float, peak: float, right: float) -> TestFunction:
     """Piecewise-linear bump: 0 outside [left, right], 1 at the peak."""
     if not left < peak < right:
-        raise ValueError(f"need left < peak < right, got {left}, {peak}, {right}")
+        raise DomainError(f"need left < peak < right, got {left}, {peak}, {right}")
     xs = np.array([left, peak, right])
     ys = np.array([0.0, 1.0, 0.0])
     return TestFunction(
@@ -79,7 +79,7 @@ def indicator_smoothing(interval, eps: float) -> TestFunction:
     ``indicator([a, b])``, so its averages bound the counting ratios from above."""
     a, b = float(interval[0]), float(interval[1])
     if not (a <= b and eps > 0):
-        raise ValueError(f"need a <= b and eps > 0, got [{a}, {b}], eps = {eps}")
+        raise DomainError(f"need a <= b and eps > 0, got [{a}, {b}], eps = {eps}")
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -127,11 +127,11 @@ def _orders(symbol, n_list) -> list:
 
     The largest order is checked before the list is copied; a range is read
     by its ends in O(1), whatever its step, not walked.  Orders are not
-    rounded, so a float order raises InvalidDimensionError; a numpy integer
-    is returned as a Python int.
+    rounded: an empty n_list or a float order raises InvalidDimensionError;
+    a numpy integer is returned as a Python int.
     """
     if len(n_list) == 0:
-        raise ValueError("n_list must be nonempty")
+        raise InvalidDimensionError("n_list must be nonempty")
     largest = max(n_list[0], n_list[-1]) if isinstance(n_list, range) else max(n_list)
     toeplitz.truncation_dim(symbol, largest)
     ns = sorted(set(n_list))
@@ -275,8 +275,8 @@ def density_check(
     A delta that is a bool or numpy bool, or not > 0 (NaN included),
     raises DomainError.
     n_max is checked by ``toeplitz.truncation_dim`` first, so an n_max that
-    is not an integer >= 1 raises InvalidDimensionError, not the ValueError
-    of an empty order list or the TypeError of a float range end;
+    is not an integer >= 1 raises InvalidDimensionError naming n_max, not
+    the error of an empty order list or the TypeError of a float range end;
     truncated_spectra then reads the largest order of range(1, n_max + 1)
     from its end, in O(1).
     """

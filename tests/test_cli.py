@@ -404,6 +404,15 @@ class TestConfigErrors:
         expected = "config.symbol: declared k = 3" if k == 3 else "config.symbol.k: must be an integer"
         assert expected in capsys.readouterr().err
 
+    def test_over_budget_stack_is_refused_at_the_symbol(self, tmp_path, capsys):
+        # two blocks of 4096 x 4096 are 2^25 entries, twice the budget: symbols refuses the stack
+        # before it is built, and the error is reported at the symbol's path
+        symbol = {"builder": "scalar", "coeffs": [2.0, 0.5], "k": 2048}
+        cfg = write_config(tmp_path / "c.json", {"symbol": symbol, "n": 1})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config error: config.symbol: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("depth", [993, 100_000])
     def test_deeply_nested_config(self, tmp_path, capsys, depth):
         p = tmp_path / "c.json"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,13 +125,52 @@ class TestGridBudget:
                 solve(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(10**9))
 
     def test_budget_counts_blocks_and_degree(self, monkeypatch):
-        monkeypatch.setattr(symbols, "MAX_GRID_ENTRIES", 64)
+        monkeypatch.setattr(symbols, "MAX_ENTRIES", 64)
         for solve in (symbols.symplectic_curves, symbols.sup_norm):
             solve(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(16))  # 16 (2k)^2 = 64
             with pytest.raises(GridError):
                 solve(symbols.scalar_symbol([2.0, 0.5]), symbols.GridSpec(17))  # 17 (2k)^2 = 68
             with pytest.raises(GridError):
                 solve(symbols.scalar_symbol(np.full(8, 0.01)), symbols.GridSpec(9))  # 9 (degree + 1) = 72
+
+
+class TestStackBudget:
+    """scalar_symbol and ab_family count their coefficient stack against the entry budget before building it."""
+
+    def test_budget_counts_coefficients_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(symbols, "MAX_ENTRIES", 64)
+        symbols.scalar_symbol(np.full(4, 0.1), k=2)  # 4 (2k)^2 = 64
+        with pytest.raises(InvalidDimensionError, match="budget"):
+            symbols.scalar_symbol(np.full(5, 0.1), k=2)  # 5 (2k)^2 = 80
+        A, B = 2.0 * np.eye(4), 0.1 * np.eye(4)
+        symbols.ab_family(A, B, [0.25] * 4, degree=3)  # 4 blocks of 16 entries
+        with pytest.raises(InvalidDimensionError, match="budget"):
+            symbols.ab_family(A, B, [0.5], degree=4)  # 5 blocks of 16 entries
+        with pytest.raises(InvalidDimensionError, match="budget"):
+            symbols.ab_family(A, B, [0.25] * 4)  # the degree defaults to the weight count
+
+    @pytest.mark.parametrize("build", [
+        lambda: symbols.scalar_symbol([2.0, 0.5], k=2048),  # 2 blocks of 4096 x 4096: 2^25 entries
+        lambda: symbols.ab_family(np.eye(64), np.eye(64), np.full(4096, 1 / 4096)),  # 4097 blocks of 64 x 64
+    ], ids=["scalar_symbol", "ab_family"])
+    def test_over_budget_stack_is_refused_before_it_is_built(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidDimensionError, match="budget"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_ab_family_peaks_at_a_few_stacks(self):
+        tracemalloc.start()
+        try:
+            s = symbols.ab_family(2.0 * np.eye(2), 0.1 * np.eye(2), [0.5], degree=2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * s.coeffs.nbytes
 
 
 def from_grid_values(symbol, G, degree):

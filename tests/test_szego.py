@@ -6,7 +6,14 @@ import pytest
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, symbols, szego, toeplitz
-from symplitz.errors import DomainError, IndexRangeError, InvalidDimensionError, PositivityError, TruncationSizeError
+from symplitz.errors import (
+    DomainError,
+    IndexRangeError,
+    InvalidDimensionError,
+    PositivityError,
+    SymplitzError,
+    TruncationSizeError,
+)
 from conftest import ENTROPY, random_gmatrix
 
 
@@ -35,6 +42,15 @@ class TestTestFunctions:
         np.testing.assert_allclose(f([1.0, 1.5, 2.0]), [1.0, 1.0, 1.0])
         assert f(2.1) == pytest.approx(np.exp(-1.0))
         assert f(0.8) == pytest.approx(np.exp(-2.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: szego.hat(2.0, 1.0, 3.0),
+        lambda: szego.indicator_smoothing((1.0, 2.0), 0.0),
+        lambda: szego.truncated_spectra(PHI, []),
+    ], ids=["hat", "indicator_smoothing", "empty_n_list"])
+    def test_bad_parameters_raise_the_package_error(self, call):
+        with pytest.raises(SymplitzError):
+            call()
 
 
 
