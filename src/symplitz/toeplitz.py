@@ -16,8 +16,12 @@ most that of T_n, so a band reduction, O(N^2 b), costs about half as much
 on the two halves as on T_n.
 Each half goes to the core band kernel once its dimension is large enough
 for the band to win (_band_limit), and to the dense chain of a single
-matrix otherwise.  A half that is not positive definite stops the solve
-with one PositivityError, built here, that names the order.  The
+matrix otherwise.  When both halves go to the band kernel, the first is
+solved on one worker thread (_WORKER) while the caller solves the second;
+the band eigensolve runs without the GIL, so the pair takes two cores.
+Every other order is solved in the caller, and nothing configures this.
+A half that is not positive definite stops the solve with one
+PositivityError, built here, that names the order.  The
 covariance (G-chain) test is the one place where a complex matrix enters:
 H_n = T_n + (i/2) J is the same band with J on the first subdiagonal.  The
 test has one verdict, a band Cholesky factor of H_n + tol I (gchain_sweep);
@@ -31,7 +35,10 @@ unpack, serves assemble (matrix dumps) and the dense fallbacks of bands
 wider than the band rule.
 """
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import cholesky_banded, lapack
@@ -41,6 +48,18 @@ from .errors import DomainError, PositivityError, TruncationSizeError
 from .symbols import TrigMatrixPolynomial, _check_integer
 
 MAX_DIM = 4096
+
+
+def _start_worker() -> None:
+    """Make _WORKER, the one-thread pool that solves a flip half beside the caller (its
+    thread starts at the first task); a forked child makes its own, since the parent's
+    thread does not exist there."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1)
+
+
+_start_worker()
+os.register_at_fork(after_in_child=_start_worker)
 
 
 # Crossover of the band route, dense (Cholesky, L^T (J L), svdvals) against
@@ -212,11 +231,13 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     satisfies b <= _band_limit, which builds no dense array, and otherwise
     to the dense chain of its band unpacked (core._factor_spectrum), the
     chain a single matrix takes, so a dense T_1 has bit for bit the
-    spectrum of core.symplectic_eigenvalues(A_0).  Both halves are factored
-    before either is solved; when a factor breaks down, the PositivityError
-    names the order, reports the smaller of the two halves' lowest
-    eigenvalues (_lowest_eigenvalue), which is lambda_min(T_n), and carries
-    where = n.
+    spectrum of core.symplectic_eigenvalues(A_0).  When both halves take the
+    band route they are solved at the same time, on two threads
+    (_band_pair), with the bits of one solve after the other.  Both halves
+    are factored before either is solved; when a factor breaks down, the
+    PositivityError names the order, reports the smaller of the two halves'
+    lowest eigenvalues (_lowest_eigenvalue), which is lambda_min(T_n), and
+    carries where = n.
     """
     halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
     try:
@@ -231,10 +252,32 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
             min_eigenvalue=low,
             where=n,
         ) from None
-    spectra = [
-        core._band_spectrum(L) if band else core._factor_spectrum(L) for L, (_, band) in zip(factors, halves)
-    ]
+    if len(halves) == 2 and all(band for _, band in halves):
+        spectra = _band_pair(*factors)
+    else:
+        spectra = [
+            core._band_spectrum(L) if band else core._factor_spectrum(L) for L, (_, band) in zip(factors, halves)
+        ]
     return np.sort(np.concatenate(spectra))
+
+
+def _band_pair(first: np.ndarray, second: np.ndarray) -> list:
+    """[core._band_spectrum(first), core._band_spectrum(second)], the first solved on _WORKER
+    while the caller solves the second.
+
+    The band eigensolve (core._hbevd) runs without the GIL, so the two halves
+    take two cores.  The worker runs in a copy of the caller's context, so
+    numpy's error state (a context variable since numpy 2.0) carries over.  Nothing is raised before the worker
+    has finished; when both halves fail, the first half's error is raised,
+    as it would be one half after the other.
+    """
+    future = _WORKER.submit(contextvars.copy_context().run, core._band_spectrum, first)
+    try:
+        last = core._band_spectrum(second)
+    except BaseException:
+        future.result()  # waits for the worker, and raises its error first
+        raise
+    return [future.result(), last]
 
 
 def _shifted_band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:

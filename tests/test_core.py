@@ -1,10 +1,14 @@
 import decimal
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, cholesky_banded, lapack
+from scipy.linalg import LinAlgError, block_diag, cholesky_banded, eigvals_banded, lapack
 
 from symplitz import TrigMatrixPolynomial, cli, constant_symbol, core, scalar_symbol, szego, toeplitz
 from symplitz.errors import (
@@ -384,8 +388,8 @@ def bandwidth_7_k2():
 def routes(monkeypatch):
     """Record which eigensolver each call of symplectic_eigenvalues reaches."""
     taken = []
-    band, svd, small = core.eigvals_banded, np.linalg.svd, core._small_spectrum
-    monkeypatch.setattr(core, "eigvals_banded", lambda *a, **kw: taken.append("band") or band(*a, **kw))
+    band, svd, small = core._hbevd, np.linalg.svd, core._small_spectrum
+    monkeypatch.setattr(core, "_hbevd", lambda *a, **kw: taken.append("band") or band(*a, **kw))
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: taken.append("svd") or svd(*a, **kw))
     monkeypatch.setattr(core, "_small_spectrum", lambda *a, **kw: taken.append("small") or small(*a, **kw))
     return taken
@@ -812,6 +816,71 @@ class TestBandRoute:
         assert [len(traj.spectra[n]) for n in traj.ns] == [128, 256, 512, 1024]
         files, _, summary = cli.cmd_spectrum(None, degree_one_k2(), 128, False)  # dim 512
         assert list(files) == ["spectrum.csv"] and summary["values"] == traj.spectra[128].tolist()
+
+
+class TestHbevd:
+    """core._hbevd, the band eigensolver of _band_spectrum, against scipy.linalg.eigvals_banded
+    (the same LAPACK zhbevd behind a wrapper that holds the GIL), bit for bit."""
+
+    @staticmethod
+    def check(factor):
+        # the upper band of iK that _band_spectrum hands to _hbevd, and the spectrum it returns
+        hbevd, bands = core._hbevd, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_hbevd", lambda hb: bands.append(hb.copy(order="F")) or hbevd(hb))
+            d = core._band_spectrum(factor)
+            mp.setattr(core, "_hbevd", lambda hb: eigvals_banded(hb, lower=False))
+            reference = core._band_spectrum(factor)
+        (hb,) = bands
+        assert np.array_equal(hbevd(hb.copy(order="F")), eigvals_banded(hb, lower=False))
+        assert np.array_equal(d, reference)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(4))
+    def test_truncation_halves(self, k, degree):
+        # I + 0.05 (random symmetric cosine series); every flip half is solved on its band, whatever its size
+        rng = np.random.default_rng(10 * k + degree)
+        blocks = rng.standard_normal((degree + 1, 2 * k, 2 * k))
+        blocks = 0.025 * (blocks + blocks.transpose(0, 2, 1))
+        blocks[0] += np.eye(2 * k)
+        symbol = TrigMatrixPolynomial(blocks)
+        for n in (1, 2, 3, 7, 8, 31, 32, 63, 64):
+            for ab in toeplitz._flip_bands(symbol, n):
+                self.check(cholesky_banded(ab, lower=True))
+
+    @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
+    def test_wide_spread(self, spread):
+        # the matrices of TestBandRoute's wide-spread cases (dim 192, b = 5)
+        d_block = np.array([0.5, 1.0, spread])
+        self.check(band_factor(block_diag(*[random_gmatrix(3, d_block, seed=15)] * 32)))
+        self.check(band_factor(block_diag(*[random_gmatrix(3, d_block, seed=s) for s in range(32)])))
+
+    def test_failed_reduction_raises_scipys_error(self):
+        # a NaN in the band stops LAPACK with info = 3, and an empty band (kd = -1) with info = -4
+        hb = np.ones((2, 4), dtype=complex)
+        hb[0, 1] = np.nan
+        with pytest.raises(LinAlgError) as scipy_error:
+            eigvals_banded(hb, lower=False, check_finite=False)
+        with pytest.raises(LinAlgError) as error:
+            core._hbevd(hb)
+        assert str(error.value) == str(scipy_error.value) == "hbevd did not converge (LAPACK info=3)"
+        with pytest.raises(LinAlgError, match=r"^illegal value in argument 4 of internal hbevd$"):
+            core._hbevd(np.zeros((0, 4), dtype=complex))
+
+    def test_signature_is_checked(self):
+        with pytest.raises(ImportError, match=r"^scipy's LAPACK zhbevd has the signature 'void \(char \*"):
+            core._lapack_routine("zhbevd", "void (int *)")
+
+    def test_import_refuses_another_signature(self):
+        # scipy publishes zhbev under a signature of 12 pointers: put it in zhbevd's place, then import
+        code = (
+            "from scipy.linalg import cython_lapack as c; "
+            "c.__pyx_capi__['zhbevd'] = c.__pyx_capi__['zhbev']; import symplitz"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "ImportError: scipy's LAPACK zhbevd has the signature" in proc.stderr.splitlines()[-1]
 
 
 def random_hermitian_band(rng, N, b, dtype, kind):

@@ -199,6 +199,19 @@ class TestFourierCoefficient:
         np.testing.assert_allclose(back.coeffs[:4], poly.coeffs, atol=1e-12)
         np.testing.assert_allclose(back.coeffs[4:], np.zeros((2, 4, 4)), atol=1e-12)
 
+    @pytest.mark.parametrize("G, degree, k", [(4, 1, 1), (16, 7, 1), (33, 15, 2), (4096, 128, 2), (4096, 2047, 1)])
+    def test_one_fft_is_the_cosine_projection(self, G, degree, k):
+        # the projection of one mode at a time, sum_g cos(m theta_g) A(theta_g) / G, on random even samples
+        rng = np.random.default_rng(G + degree)
+        v = rng.standard_normal((G, 2 * k, 2 * k))
+        v = v + v.transpose(0, 2, 1)
+        v = v + np.roll(v[::-1], 1, axis=0)  # node g and node -g hold the same matrix
+        grid = symbols.GridSpec(G)
+        nodes = grid.nodes()
+        projected = [np.einsum("g,gij->ij", np.cos(m * nodes), v) / G for m in range(degree + 1)]
+        coeffs = symbols.from_samples(grid, v, degree).coeffs
+        assert np.abs(coeffs - np.stack(projected)).max() <= 1e-13 * np.abs(v).max()
+
     def test_aliasing_guard(self):
         assert from_grid_values(symbols.scalar_symbol([1.0]), 16, 7).degree == 7
         with pytest.raises(AliasingError):

@@ -1,17 +1,21 @@
 import math
+import os
+import signal
+import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import eigvals_banded, lapack
+from scipy.linalg import cholesky_banded, eigvals_banded, lapack
 from scipy.linalg import toeplitz as scalar_toeplitz
 
 from symplitz import core, symbols, toeplitz
 from symplitz.errors import (
     DomainError,
     InvalidDimensionError,
+    PairingError,
     PositivityError,
     TruncationSizeError,
 )
@@ -372,7 +376,7 @@ class TestGChainBand:
             pytest.fail("eigensolve on the witness route")
 
         monkeypatch.setattr(toeplitz, "eigvals_banded", fail, raising=False)
-        monkeypatch.setattr(core, "eigvals_banded", fail)
+        monkeypatch.setattr(core, "_hbevd", fail)
         monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         result, witness = toeplitz.gchain_sweep(s, 256, 1e-10)
@@ -584,7 +588,7 @@ class TestFlipSplit:
         lows = [np.linalg.eigvalsh(toeplitz._dense(ab))[0] for ab in halves]
         assert (lows[0] < 0 < lows[1]) if minus else (lows[1] < 0 < lows[0])
         # both halves are factored before either is solved
-        monkeypatch.setattr(core, "eigvals_banded", lambda *a, **kw: pytest.fail("band reduction"))
+        monkeypatch.setattr(core, "_hbevd", lambda *a, **kw: pytest.fail("band reduction"))
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("singular values"))
         with pytest.raises(PositivityError) as exc:
             toeplitz.truncation_spectrum(s, n)
@@ -614,6 +618,136 @@ class TestFlipSplit:
         assert np.isfinite(toeplitz.assemble(s, n)).all()
         with pytest.raises(DomainError, match="flip half"):
             toeplitz.truncation_spectrum(s, n)
+
+
+class TestBandPair:
+    """When both flip halves of an order take the band route, the first is solved on toeplitz's
+    worker thread while the caller solves the second; every other order is solved in the caller."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """(route, thread) of each half solved, from core._band_spectrum and core._factor_spectrum."""
+        calls = []
+
+        def recorded(route, solve):
+            def call(L):
+                calls.append((route, threading.get_ident()))
+                return solve(L)
+
+            return call
+
+        monkeypatch.setattr(core, "_band_spectrum", recorded("band", core._band_spectrum))
+        monkeypatch.setattr(core, "_factor_spectrum", recorded("dense", core._factor_spectrum))
+        return calls
+
+    # PHI has lower bandwidth 2, which takes the band route from dim 48: halves of dim 48 / 48 at
+    # order 48, 46 / 48 at 47, 46 / 46 at 46 and 8 / 8 at 8; order 1 is T_1 alone
+    @pytest.mark.parametrize("n, routes", [
+        (128, ["band", "band"]), (48, ["band", "band"]), (47, ["band", "dense"]), (46, ["dense", "dense"]),
+        (8, ["dense", "dense"]), (1, ["dense"]),
+    ])
+    def test_one_band_half_runs_off_the_caller(self, monkeypatch, n, routes):
+        calls = self.record(monkeypatch)
+        toeplitz.truncation_spectrum(PHI, n)
+        assert sorted(route for route, _ in calls) == routes
+        off = [route for route, thread in calls if thread != threading.get_ident()]
+        assert off == (["band"] if routes == ["band", "band"] else [])
+
+    @pytest.mark.parametrize("k,degree,n", [(1, 1, 64), (1, 3, 129), (2, 1, 60), (2, 2, 81), (3, 3, 128)])
+    def test_same_bits_as_in_the_caller(self, k, degree, n):
+        s = _split_symbol(k, degree)
+        halves = toeplitz._flip_bands(s, n)
+        assert all(ab.shape[0] - 1 <= toeplitz._band_limit(ab.shape[1]) for ab in halves)
+        alone = [core._band_spectrum(cholesky_banded(ab, lower=True)) for ab in halves]
+        assert np.array_equal(toeplitz.truncation_spectrum(s, n), np.sort(np.concatenate(alone)))
+
+    def test_overflow_in_the_workers_half(self, monkeypatch):
+        # 1.7e308 + 0.1e308 cos(theta): d_max of each half lies beyond the float range
+        s = symbols.scalar_symbol([1.7e308, 0.05e308])
+        first = cholesky_banded(toeplitz._flip_bands(s, 128)[0], lower=True)
+        with pytest.raises(DomainError) as alone:
+            core._band_spectrum(first)
+        calls = self.record(monkeypatch)
+        with pytest.raises(DomainError) as exc:
+            toeplitz.truncation_spectrum(s, 128)
+        assert str(exc.value) == str(alone.value) == "symplectic spectrum has entries outside the float range"
+        assert len({thread for _, thread in calls}) == 2
+
+    @pytest.mark.parametrize("error", [
+        DomainError("skew kernel L^T J L has entries outside the float range"),
+        PairingError("symplectic spectrum too ill-conditioned for the normwise route"),
+    ], ids=["domain", "pairing"])
+    def test_workers_error_reaches_the_caller(self, monkeypatch, error):
+        caller, solve = threading.get_ident(), core._band_spectrum
+
+        def band(L):
+            if threading.get_ident() != caller:
+                raise error
+            return solve(L)
+
+        monkeypatch.setattr(core, "_band_spectrum", band)
+        with pytest.raises(type(error)) as exc:
+            toeplitz.truncation_spectrum(PHI, 128)
+        assert str(exc.value) == str(error)
+
+    def test_callers_error_waits_for_the_worker(self, monkeypatch):
+        caller, solve, finished = threading.get_ident(), core._band_spectrum, []
+
+        def band(L):
+            if threading.get_ident() == caller:
+                raise PairingError("second half")
+            time.sleep(0.2)
+            finished.append(True)
+            return solve(L)
+
+        monkeypatch.setattr(core, "_band_spectrum", band)
+        with pytest.raises(PairingError, match="^second half$"):
+            toeplitz.truncation_spectrum(PHI, 128)
+        assert finished == [True]
+
+    def test_two_errors_raise_the_first_halfs(self, monkeypatch):
+        # as when the halves are solved one after the other
+        caller = threading.get_ident()
+
+        def band(L):
+            if threading.get_ident() == caller:
+                raise PairingError("second half")
+            time.sleep(0.05)
+            raise PairingError("first half")
+
+        monkeypatch.setattr(core, "_band_spectrum", band)
+        with pytest.raises(PairingError, match="^first half$"):
+            toeplitz.truncation_spectrum(PHI, 128)
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="a context variable from numpy 2.0")
+    def test_worker_keeps_the_callers_error_state(self, monkeypatch):
+        seen, solve = [], core._band_spectrum
+        monkeypatch.setattr(core, "_band_spectrum", lambda L: seen.append(np.geterr()["under"]) or solve(L))
+        with np.errstate(under="raise"):
+            toeplitz.truncation_spectrum(PHI, 128)
+        assert seen == ["raise", "raise"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_has_its_own_worker(self):
+        # the parent's worker thread does not exist in a forked child, so the child starts its own
+        expected = toeplitz.truncation_spectrum(PHI, 128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a process with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(toeplitz.truncation_spectrum(PHI, 128), expected) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its truncation")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestPositiveDefiniteCheck:
