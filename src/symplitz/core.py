@@ -100,10 +100,11 @@ def _deviation(X: np.ndarray, Y: np.ndarray) -> float:
     return 2.0 * float(np.abs(half, out=half).max(initial=0.0))
 
 
-def _require_symmetric(dev: float, scale: float, what: str) -> None:
-    """SymmetryError unless dev = max |A - A^T| <= SYM_TOL max(1, scale), scale = max |A|."""
+def _require_symmetric(dev: float, scale: float, what: str, kind: str = "symmetric", gap: str = "A - A^T") -> None:
+    """SymmetryError unless dev = max |gap| <= SYM_TOL max(1, scale), scale = max |A|: the one
+    tolerance of symmetry, and of evenness (kind "even", gap "A(theta) - A(-theta)") for samples."""
     if dev > SYM_TOL * max(1.0, scale):
-        raise SymmetryError(f"{what} is not symmetric: max |A - A^T| = {dev:.3e}")
+        raise SymmetryError(f"{what} is not {kind}: max |{gap}| = {dev:.3e}")
 
 
 def _check_symmetry(A: np.ndarray, what: str = "matrix") -> None:
@@ -124,12 +125,7 @@ def _not_positive_definite(w: np.ndarray) -> PositivityError:
         rel = low / np.maximum(np.abs(w).max(axis=-1), np.finfo(float).tiny)
         where = tuple(int(i) for i in np.unravel_index(np.argmin(rel), rel.shape))
         low = low[where]
-    val = float(low)
-    return PositivityError(
-        f"matrix is not positive definite (min eigenvalue {val:.6e})",
-        min_eigenvalue=val,
-        where=where,
-    )
+    return PositivityError.report("matrix", float(low), where)
 
 
 def _factor(A: np.ndarray) -> np.ndarray:
@@ -218,10 +214,11 @@ def _row_factor(A: np.ndarray) -> np.ndarray:
     against 8.9 ms for one strided copy (2-core Xeon, numpy 2.4).  The
     checks of _factor are made on those rows: a non-finite entry raises
     DomainError, then the largest deviation between the rows of A's entries
-    (i, j > i) and (j, i) is held to the SYM_TOL rule.  The factor is a column Cholesky written as array operations
-    across the stack, in place on the lower rows of the copy: column j is
-    its root pivot and the entries below it divided by that root, and it is
-    then taken off the columns to its right.  Column j of the rows, entries
+    (i, j > i) and (j, i) is held to the rule of _require_symmetric.  The
+    factor is a column Cholesky written as array operations across the
+    stack, in place on the lower rows of the copy: column j is its root
+    pivot and the entries below it divided by that root, and it is then
+    taken off the columns to its right.  Column j of the rows, entries
     (i >= j, j), is the strided view R[j m + j :: m], so each step is one
     operation on all its entries.  Only the lower triangle of A is read; the
     rows above the diagonal keep A's entries.  A pivot that is not > 0

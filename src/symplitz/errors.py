@@ -18,13 +18,18 @@ class PositivityError(SymplitzError, ValueError):
 
     Carries the offending smallest eigenvalue in ``min_eigenvalue`` and,
     when the failure happened inside a batch or on a grid, its location
-    in ``where``.
+    in ``where``.  Every one the package raises is built by ``report``.
     """
 
     def __init__(self, message, min_eigenvalue=None, where=None):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
         self.where = where
+
+    @classmethod
+    def report(cls, subject: str, min_eigenvalue: float, where=None) -> "PositivityError":
+        """The one positive-definiteness report: ``{subject} is not positive definite (min eigenvalue ...)``."""
+        return cls(f"{subject} is not positive definite (min eigenvalue {min_eigenvalue:.6e})", min_eigenvalue, where)
 
 
 class PairingError(SymplitzError, ArithmeticError):

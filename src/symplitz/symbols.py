@@ -28,7 +28,6 @@ from .errors import (
     GridError,
     InvalidDimensionError,
     PositivityError,
-    SymmetryError,
     WeightError,
 )
 
@@ -139,8 +138,7 @@ def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
     v = _check_blocks(v, "sample stack")
     mirrored = np.roll(v[::-1], 1, axis=0)  # node g -> node -g (mod 2 pi)
     dev = core._deviation(v, mirrored)
-    if dev > core.SYM_TOL * max(1.0, float(np.abs(v).max())):
-        raise SymmetryError(f"sample stack is not even: max |A(theta) - A(-theta)| = {dev:.3e}")
+    core._require_symmetric(dev, float(np.abs(v).max()), "sample stack", "even", "A(theta) - A(-theta)")
     if degree > grid.G // 2 - 1:
         raise AliasingError(
             f"mode {degree} is not resolvable on {grid.G} nodes (need degree <= {grid.G // 2 - 1})"
@@ -232,12 +230,6 @@ def symplectic_curves(symbol: TrigMatrixPolynomial, grid: GridSpec) -> Symplecti
     try:
         d = core.symplectic_eigenvalues(vals)[solved]
     except PositivityError as err:
-        g = err.where[0] if err.where else 0
-        theta = float(grid.nodes()[g])
-        raise PositivityError(
-            f"symbol is not positive definite at theta = {theta:.6f} "
-            f"(min eigenvalue {err.min_eigenvalue:.6e})",
-            min_eigenvalue=err.min_eigenvalue,
-            where=theta,
-        ) from err
+        theta = float(grid.nodes()[err.where[0] if err.where else 0])
+        raise PositivityError.report(f"symbol at theta = {theta:.6f}", err.min_eigenvalue, theta) from err
     return SymplecticCurves(grid, d)

@@ -43,11 +43,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
-from . import core
+from . import core, symbols
 from .errors import DomainError, PositivityError, TruncationSizeError
 from .symbols import TrigMatrixPolynomial, _check_integer
-
-MAX_DIM = 4096
 
 
 def _start_worker() -> None:
@@ -94,13 +92,18 @@ def _band_limit(N: int) -> int:
     return min(N // 12, math.isqrt(2 * N)) - 2
 
 
+def _max_dim() -> int:
+    """The size guard of a dense truncation: the side of a square of symbols.MAX_ENTRIES entries."""
+    return math.isqrt(symbols.MAX_ENTRIES)
+
+
 def truncation_dim(symbol: TrigMatrixPolynomial, n: int) -> int:
     """Dimension 2kn of the order-n truncation, checked against the size guard
-    MAX_DIM; an order that is not an integer >= 1 raises InvalidDimensionError."""
+    _max_dim(); an order that is not an integer >= 1 raises InvalidDimensionError."""
     _check_integer(n, "truncation order", 1)
     dim = symbol.block_dim * n
-    if dim > MAX_DIM:
-        raise TruncationSizeError(f"truncation dimension 2kn = {dim} exceeds the guard {MAX_DIM}")
+    if dim > _max_dim():
+        raise TruncationSizeError(f"truncation dimension 2kn = {dim} exceeds the guard {_max_dim()}")
     return dim
 
 
@@ -212,8 +215,7 @@ def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
                 ab[m - c :, c] *= math.sqrt(2.0)
             for t in range(w):
                 ab[t, start : start + w - t] += corner.diagonal(-t)
-        if not np.isfinite(ab[:, : start + w]).all():
-            raise DomainError(f"flip half of the order-{n} truncation has entries outside the float range")
+        core._require_finite(ab[:, : start + w], f"flip half of the order-{n} truncation")
         rows = np.flatnonzero(ab.any(axis=1))
         bands.append(ab[: int(rows[-1]) + 1 if rows.size else 1])
     return bands
@@ -247,11 +249,7 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
         ]
     except np.linalg.LinAlgError:
         low = min(_lowest_eigenvalue(ab) for ab, _ in halves)
-        raise PositivityError(
-            f"truncation of order n = {n} is not positive definite (min eigenvalue {low:.6e})",
-            min_eigenvalue=low,
-            where=n,
-        ) from None
+        raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
     if len(halves) == 2 and all(band for _, band in halves):
         spectra = _band_pair(*factors)
     else:
@@ -320,7 +318,7 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
     that pivot lies in the block of the first failing order.  This pivot is
     the G-chain verdict.  The orders m = 1, 2, 4, ... and finally n_max are
     factored until one breaks down.
-    A doubled order is capped at the guard order MAX_DIM // 2k, so a failure
+    A doubled order is capped at the guard order _max_dim() // 2k, so a failure
     below the guard is found even when n_max lies beyond it.  One factor at
     min(n_max, guard) would stop at the same pivot, but only after writing
     the whole band: for a k = 1 symbol of degree 2047 with every coefficient
@@ -340,7 +338,7 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
     _check_integer(n_max, "n_max", 1)
     if isinstance(tol, (bool, np.bool_)) or not math.isfinite(tol):
         raise DomainError(f"tol must be a finite number, got {tol!r}")
-    guard = MAX_DIM // symbol.block_dim
+    guard = _max_dim() // symbol.block_dim
     orders = []
     m = 1
     while m < n_max:

@@ -376,13 +376,13 @@ class TestIntegerOrders:
 
 
 class TestSizeGuardFirst:
-    """The largest order is checked against toeplitz.MAX_DIM before any eigensolve."""
+    """The largest order is checked against the dense size guard before any eigensolve."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
         monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: seen.append(A))
-        monkeypatch.setattr(toeplitz, "MAX_DIM", 64)
+        monkeypatch.setattr(symbols, "MAX_ENTRIES", 64**2)  # a guard of dimension 64
         return seen
 
     def test_truncated_spectra(self, corpus, calls):

@@ -62,7 +62,7 @@ class TestAssemble:
             toeplitz.assemble(PHI, 0)
 
     def test_size_guard(self, monkeypatch):
-        monkeypatch.setattr(toeplitz, "MAX_DIM", 16)
+        monkeypatch.setattr(symbols, "MAX_ENTRIES", 16**2)  # a guard of dimension 16
         with pytest.raises(TruncationSizeError):
             toeplitz.assemble(PHI, 10)
 
@@ -179,7 +179,7 @@ class TestGChain:
         assert witness == toeplitz.gchain_check(s, 3)
         assert witness < -1e-6
         # the doubling stops at order 4, so an n_max beyond the guard is never assembled
-        monkeypatch.setattr(toeplitz, "MAX_DIM", 16)
+        monkeypatch.setattr(symbols, "MAX_ENTRIES", 16**2)  # a guard of dimension 16
         assert toeplitz.gchain_sweep(s, 10**6, tol=1e-6)[0] == 3
         with pytest.raises(TruncationSizeError):
             toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), 10**6, 1e-10)
@@ -212,7 +212,7 @@ class TestGChain:
         # first n where it drops below 1/2 - tol
         a0 = 0.5 - 1e-10 + 0.6 * math.cos(math.pi / (first + 0.5))
         s = symbols.scalar_symbol([a0, 0.3], k=k)
-        for n_max in (toeplitz.MAX_DIM // (2 * k), 10**6):
+        for n_max in (math.isqrt(symbols.MAX_ENTRIES) // (2 * k), 10**6):
             found, witness = toeplitz.gchain_sweep(s, n_max, 1e-10)
             assert found == first
             assert witness == toeplitz.gchain_check(s, first)
