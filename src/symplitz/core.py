@@ -85,6 +85,14 @@ def _even_dim(A: np.ndarray) -> int:
     return n
 
 
+def _real(x, what: str) -> np.ndarray:
+    """x as a float array; complex input raises DomainError, where a float cast would drop its imaginary part."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
+        raise DomainError(f"{what} must be real, got {a.dtype} entries")
+    return np.asarray(a, dtype=float)
+
+
 def _require_finite(X: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(X).all():
         kind = "entries outside the float range" if np.isinf(X).any() else "NaN entries"
@@ -562,7 +570,7 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     shape (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
     toeplitz.truncation_spectrum, as two flip halves, not by this function.
     """
-    A = np.asarray(A, dtype=float)
+    A = _real(A, "matrix")
     n = _even_dim(A)
     if A.ndim > 2 and n <= 6:
         L = _row_factor(A)
@@ -592,7 +600,7 @@ def williamson(A) -> WilliamsonFactorization:
     oriented by swapping its two columns of O where T[2i, 2i+1] < 0, and the
     blocks are sorted by d_j.  The factor is M = Lambda^{1/2} O^T L^{-1}.
     """
-    A = np.asarray(A, dtype=float)
+    A = _real(A, "matrix")
     if A.ndim != 2:
         raise InvalidDimensionError("williamson expects a single matrix, not a stack")
     n = _even_dim(A)
@@ -621,11 +629,11 @@ def symplectic_rayleigh(A, u, v) -> float:
 
     Never falls below the smallest symplectic eigenvalue of A.
     """
-    A = np.asarray(A, dtype=float)
+    A = _real(A, "matrix")
     n = _even_dim(A)
     J = symplectic_form(n // 2)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u = _real(u, "u")
+    v = _real(v, "v")
     s = float(u @ J @ v)
     if abs(s) < PAIR_TOL:
         raise DegeneratePairError(f"symplectic pairing {s:.3e} is numerically zero")

@@ -13,6 +13,7 @@ of a stationary chain is the Szego limit of the per-mode entropy:
 
 import numpy as np
 
+from . import core
 from .errors import DomainError
 
 
@@ -21,11 +22,12 @@ def mode_entropy(x):
 
     Evaluated through log1p of the offset above 1/2, which stays accurate
     right at the boundary where the two terms of the closed form cancel.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; a negative, NaN or infinite value raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise DomainError(f"symplectic eigenvalue must be >= 0, got {float(arr.min())}")
+    core._require_finite(arr, "symplectic eigenvalue")
     a = arr - 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (1.0 + a) * np.log1p(a) - a * np.log(a)

@@ -32,7 +32,8 @@ from .errors import (
 )
 
 DEFAULT_GRID_G = 4096
-# Entries a coefficient stack or a grid evaluation may allocate: as many as a 4096 x 4096 truncation.
+# Entries a coefficient stack or a grid evaluation may allocate: as many as a 4096 x 4096 truncation,
+# whose side, isqrt(MAX_ENTRIES), is toeplitz's size guard.
 MAX_ENTRIES = 2**24
 
 
@@ -89,7 +90,7 @@ class TrigMatrixPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = _check_blocks(np.asarray(self.coeffs, dtype=float), "coefficient stack")
+        c = _check_blocks(core._real(self.coeffs, "coefficient stack"), "coefficient stack")
         c.flags.writeable = False  # checked once: code built from the symbol trusts its entries
         object.__setattr__(self, "coeffs", c)
 
@@ -132,7 +133,7 @@ def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
     overflow them.
     """
     _check_integer(degree, "degree", 0)
-    v = np.asarray(values, dtype=float)
+    v = core._real(values, "sample stack")
     if v.ndim != 3 or v.shape[0] != grid.G:
         raise GridError(f"need one matrix per grid node: {grid.G} nodes, values shape {v.shape}")
     v = _check_blocks(v, "sample stack")
@@ -152,13 +153,12 @@ def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
 
 def constant_symbol(A) -> TrigMatrixPolynomial:
     """Degree-0 symbol with constant value A."""
-    A = np.asarray(A, dtype=float)
-    return TrigMatrixPolynomial(A[None, :, :])
+    return TrigMatrixPolynomial(core._real(A, "matrix")[None])  # _check_blocks refuses an A that is no square matrix
 
 
 def scalar_symbol(coeffs, k: int = 1) -> TrigMatrixPolynomial:
     """Scalar cosine series times the identity: (c_0 + sum 2 c_n cos) I_2k."""
-    c = np.asarray(coeffs, dtype=float)
+    c = core._real(coeffs, "scalar coefficients")
     if c.ndim != 1 or c.size == 0:
         raise InvalidDimensionError("scalar coefficients must be a nonempty 1-d sequence")
     _check_integer(k, "k", 1)
@@ -175,9 +175,9 @@ def ab_family(A, B, weights, degree: int | None = None) -> TrigMatrixPolynomial:
     nonnegative with sum at most 1.  ``degree`` defaults to their count; a
     degree that is not an integer >= 0 raises InvalidDimensionError.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    p = np.asarray(weights, dtype=float)
+    A = core._real(A, "A")
+    B = core._real(B, "B")
+    p = core._real(weights, "weights")
     if p.ndim != 1:
         raise WeightError("weights must be a 1-d sequence")
     if np.any(p < 0):

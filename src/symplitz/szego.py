@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import symbols, toeplitz
+from . import core, symbols, toeplitz
 from .errors import DomainError, IndexRangeError, InvalidDimensionError
 
 @dataclass(frozen=True)
@@ -41,7 +41,9 @@ def monomial(power: int) -> TestFunction:
 
 
 def polynomial(coeffs) -> TestFunction:
-    c = np.asarray(coeffs, dtype=float)
+    c = core._real(coeffs, "polynomial coefficients")
+    if c.ndim != 1 or c.size == 0:
+        raise DomainError(f"polynomial coefficients must be a nonempty 1-d sequence, got shape {c.shape}")
     name = "poly[" + ",".join(format(v, "g") for v in c) + "]"
     return TestFunction(name, lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c))
 
@@ -58,6 +60,14 @@ def hat(left: float, peak: float, right: float) -> TestFunction:
     )
 
 
+def _interval(interval) -> tuple:
+    """The ends (a, b) of an interval given as two real numbers; any other shape raises DomainError."""
+    ends = core._real(interval, "interval")
+    if ends.shape != (2,):
+        raise DomainError(f"interval must be two numbers [a, b], got shape {ends.shape}")
+    return float(ends[0]), float(ends[1])
+
+
 def indicator(interval) -> TestFunction:
     """Indicator of the closed interval [a, b], 0 <= a <= b; endpoints count in.
 
@@ -68,7 +78,7 @@ def indicator(interval) -> TestFunction:
     the kernel's rounding: the spectrum of 2 I is computed as 2 + 2^-51, so
     [1, 2] counts none of it and [2, 3] all of it.
     """
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _interval(interval)
     if not (0.0 <= a <= b):
         raise DomainError(f"interval must satisfy 0 <= a <= b, got [{a}, {b}]")
     return TestFunction(f"1[{a:g},{b:g}]", lambda x: ((x >= a) & (x <= b)).astype(float))
@@ -77,7 +87,7 @@ def indicator(interval) -> TestFunction:
 def indicator_smoothing(interval, eps: float) -> TestFunction:
     """Smoothed interval indicator exp(-dist(x, [a, b]) / eps); it dominates
     ``indicator([a, b])``, so its averages bound the counting ratios from above."""
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _interval(interval)
     if not (a <= b and eps > 0):
         raise DomainError(f"need a <= b and eps > 0, got [{a}, {b}], eps = {eps}")
 
@@ -216,6 +226,7 @@ def min_trajectory(
             f"index m = {m} does not exist at the smallest order n = {ns[0]} "
             f"(spectrum has {symbol.k * ns[0]} entries)"
         )
+    symbols._check_integer(m, "index m", 1, IndexRangeError)  # an m inside the range may still be 1.5 or a bool
     traj = truncated_spectra(symbol, ns)
     values = [float(traj.spectra[n][m - 1]) for n in ns]
     violation = 0.0

@@ -345,6 +345,27 @@ class TestRandomSymplectic:
         assert not np.array_equal(core.random_symplectic(2, seed=5), core.random_symplectic(2, seed=6))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: core.symplectic_eigenvalues([[2, 0.5j], [-0.5j, 2]]),
+        lambda: core.symplectic_eigenvalues(np.broadcast_to(np.eye(2) + 0j, (3, 2, 2))),
+        lambda: core.williamson([[2, 0.5j], [-0.5j, 2]]),
+        lambda: core.symplectic_rayleigh([[2, 0.5j], [-0.5j, 2]], [1.0, 0.0], [0.0, 1.0]),
+        lambda: core.symplectic_rayleigh(np.eye(2), [1.0, 0.5j], [0.0, 1.0]),
+        lambda: core.symplectic_rayleigh(np.eye(2), [1.0, 0.0], [0.5j, 1.0]),
+    ],
+    ids=["symplectic_eigenvalues", "symplectic_eigenvalues-stack", "williamson", "symplectic_rayleigh-A",
+         "symplectic_rayleigh-u", "symplectic_rayleigh-v"],
+)
+def test_complex_input_is_refused(call):
+    # a float cast would drop the imaginary part with only a ComplexWarning: [[2, 0.5j], [-0.5j, 2]] read as 2 I
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be real"):
+            call()
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_entry_is_domain_error(bad):
     A = np.eye(4)

@@ -27,6 +27,13 @@ class TestModeEntropy:
         with pytest.raises(DomainError):
             entropy.mode_entropy(-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=repr)
+    def test_non_finite_rejected(self, bad):
+        # NaN read as 0 (sub-vacuum) and +inf gave NaN
+        for x in (bad, np.array([1.0, bad])):
+            with pytest.raises(DomainError):
+                entropy.mode_entropy(x)
+
     def test_vector_input(self):
         out = entropy.mode_entropy(np.array([0.5, 1.0, 0.2]))
         np.testing.assert_allclose(out, [0.0, 0.9547712524422192, 0.0], atol=1e-15)

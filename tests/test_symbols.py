@@ -326,6 +326,9 @@ class TestCurves:
         with pytest.raises(PositivityError) as exc:
             symbols.symplectic_curves(s, symbols.GridSpec(64))
         assert exc.value.where == pytest.approx(-np.pi)
+        # the one report format: subject, then "is not positive definite (min eigenvalue ...)"
+        low = exc.value.min_eigenvalue
+        assert str(exc.value) == f"symbol at theta = -3.141593 is not positive definite (min eigenvalue {low:.6e})"
 
 
 def nonseparable_degree2(k, seed):
@@ -458,6 +461,31 @@ class TestBuilders:
     def test_scalar_k_must_be_an_integer_at_least_one(self, k):
         with pytest.raises(InvalidDimensionError, match="k must be an integer"):
             symbols.scalar_symbol([2.0], k=k)
+
+    def test_constant_symbol_of_a_non_matrix_is_a_dimension_error(self):
+        with pytest.raises(InvalidDimensionError, match="nonempty stack of square blocks"):
+            symbols.constant_symbol([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: symbols.TrigMatrixPolynomial(np.array([[[2.0, 0.5j], [-0.5j, 2.0]]])),
+            lambda: symbols.from_samples(symbols.GridSpec(16), np.broadcast_to(np.eye(2) + 0j, (16, 2, 2)), 1),
+            lambda: symbols.constant_symbol([[2, 0.5j], [-0.5j, 2]]),
+            lambda: symbols.scalar_symbol([2.0, 0.5j]),
+            lambda: symbols.ab_family(np.eye(2) + 0.1j, np.eye(2), [0.5]),
+            lambda: symbols.ab_family(np.eye(2), 1j * np.eye(2), [0.5]),
+            lambda: symbols.ab_family(np.eye(2), np.eye(2), [0.5 + 0.1j]),
+        ],
+        ids=["TrigMatrixPolynomial", "from_samples", "constant_symbol", "scalar_symbol", "ab_family-A",
+             "ab_family-B", "ab_family-weights"],
+    )
+    def test_complex_input_is_refused(self, build):
+        # a float cast would drop the imaginary part with only a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be real"):
+                build()
 
     def test_ab_family_negative_weights(self):
         with pytest.raises(WeightError):

@@ -47,10 +47,21 @@ class TestTestFunctions:
         lambda: szego.hat(2.0, 1.0, 3.0),
         lambda: szego.indicator_smoothing((1.0, 2.0), 0.0),
         lambda: szego.truncated_spectra(PHI, []),
-    ], ids=["hat", "indicator_smoothing", "empty_n_list"])
+        lambda: szego.polynomial([]),
+        lambda: szego.polynomial([[1.0, 2.0]]),
+        lambda: szego.indicator([1.0]),
+        lambda: szego.indicator([1.0, 2.0, 3.0]),
+        lambda: szego.indicator_smoothing([1.0], 0.1),
+        lambda: szego.indicator_smoothing([1.0, 2.0, 3.0], 0.1),
+    ], ids=["hat", "indicator_smoothing", "empty_n_list", "polynomial-empty", "polynomial-2d", "indicator-one",
+            "indicator-three", "indicator_smoothing-one", "indicator_smoothing-three"])
     def test_bad_parameters_raise_the_package_error(self, call):
         with pytest.raises(SymplitzError):
             call()
+
+    def test_complex_polynomial_coefficients_are_refused(self):
+        with pytest.raises(DomainError, match="must be real"):
+            szego.polynomial([1.0, 0.5j])
 
 
 
@@ -213,6 +224,12 @@ class TestMinTrajectory:
     def test_index_out_of_range(self):
         with pytest.raises(IndexRangeError):
             szego.min_trajectory(PHI, 3, [2, 4], symbols.GridSpec(64))
+
+    @pytest.mark.parametrize("m", [1.5, True, np.float64(1.0)], ids=repr)
+    def test_index_must_be_an_integer(self, m):
+        # inside the range 1 .. k n, yet no index: refused before any eigensolve
+        with pytest.raises(IndexRangeError, match="index m must be an integer >= 1"):
+            szego.min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
 
     def test_empty_n_list(self):
         with pytest.raises(ValueError, match="n_list must be nonempty"):
