@@ -22,9 +22,10 @@ def mode_entropy(x):
 
     Evaluated through log1p of the offset above 1/2, which stays accurate
     right at the boundary where the two terms of the closed form cancel.
-    Accepts scalars or arrays; a negative, NaN or infinite value raises DomainError.
+    Accepts scalars or arrays; a complex, negative, NaN or infinite value
+    raises DomainError.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = core._real(x, "symplectic eigenvalue")
     if np.any(arr < 0):
         raise DomainError(f"symplectic eigenvalue must be >= 0, got {float(arr.min())}")
     core._require_finite(arr, "symplectic eigenvalue")

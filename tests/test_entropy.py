@@ -27,9 +27,9 @@ class TestModeEntropy:
         with pytest.raises(DomainError):
             entropy.mode_entropy(-0.1)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=repr)
-    def test_non_finite_rejected(self, bad):
-        # NaN read as 0 (sub-vacuum) and +inf gave NaN
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5 + 0.5j], ids=repr)
+    def test_non_finite_or_complex_rejected(self, bad):
+        # NaN read as 0 (sub-vacuum), +inf gave NaN and a complex value lost its imaginary part
         for x in (bad, np.array([1.0, bad])):
             with pytest.raises(DomainError):
                 entropy.mode_entropy(x)
