@@ -157,8 +157,8 @@ def _fail_at_first_bad_entry(raw, path):
 
 def _matrix(value, path):
     try:
-        arr = np.asarray(_nested_numbers(value, path), dtype=float)
-    except ValueError:
+        arr = core._real(_nested_numbers(value, path), path)
+    except ValueError:  # ragged
         _fail(path, "not a numeric matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
         _fail(path, f"must be a square matrix of positive even dimension, got shape {arr.shape}")
@@ -231,7 +231,7 @@ SYMBOLS = {
                       {"a": _MATRIX, "b": _MATRIX, "weights": _NUMBERS, "degree": (_order, None)}),
     },
     "kind": {
-        "trig": (lambda coeffs, k: _declared_k(symbols.TrigMatrixPolynomial(np.asarray(coeffs, dtype=float)), k),
+        "trig": (lambda coeffs, k: _declared_k(symbols.TrigMatrixPolynomial(coeffs), k),
                  {"coeffs": _NUMBERS, "k": (_count, None)}),
         "sampled": (lambda grid, values, k, degree: _declared_k(symbols.from_samples(grid, values, degree), k),
                     {"grid": (_grid, REQUIRED), "values": _NUMBERS, "k": (_count, None),

@@ -107,8 +107,9 @@ class TrigMatrixPolynomial:
         return self.coeffs.shape[0] - 1
 
     def evaluate(self, theta) -> np.ndarray:
-        """Value at one angle, shape (2k, 2k), or at each of an array of angles, shape (..., 2k, 2k)."""
-        w = 2.0 * np.cos(np.multiply.outer(theta, np.arange(self.degree + 1)))
+        """Value at one angle, shape (2k, 2k), or at each of an array of angles, shape (..., 2k, 2k);
+        a complex angle raises DomainError."""
+        w = 2.0 * np.cos(np.multiply.outer(core._real(theta, "angle"), np.arange(self.degree + 1)))
         w[..., 0] = 1.0
         return np.einsum("...n,nij->...ij", w, self.coeffs)
 

@@ -26,18 +26,22 @@ from .errors import DomainError, IndexRangeError, InvalidDimensionError
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Named scalar test function, applied elementwise to a float array."""
+    """Named scalar test function, applied elementwise to a float array.
+
+    A call passes its argument through ``core._real``, so ``fn`` always
+    receives floats and complex input raises DomainError.
+    """
 
     name: str
     fn: Callable
 
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        return self.fn(core._real(x, f"argument of {self.name}"))
 
 
 def monomial(power: int) -> TestFunction:
     symbols._check_integer(power, "power", 0)
-    return TestFunction(f"x^{power}", lambda x: np.asarray(x, dtype=float) ** power)
+    return TestFunction(f"x^{power}", lambda x: x ** power)
 
 
 def polynomial(coeffs) -> TestFunction:
@@ -45,7 +49,7 @@ def polynomial(coeffs) -> TestFunction:
     if c.ndim != 1 or c.size == 0:
         raise DomainError(f"polynomial coefficients must be a nonempty 1-d sequence, got shape {c.shape}")
     name = "poly[" + ",".join(format(v, "g") for v in c) + "]"
-    return TestFunction(name, lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c))
+    return TestFunction(name, lambda x: np.polynomial.polynomial.polyval(x, c))
 
 
 def hat(left: float, peak: float, right: float) -> TestFunction:
@@ -54,10 +58,7 @@ def hat(left: float, peak: float, right: float) -> TestFunction:
         raise DomainError(f"need left < peak < right, got {left}, {peak}, {right}")
     xs = np.array([left, peak, right])
     ys = np.array([0.0, 1.0, 0.0])
-    return TestFunction(
-        f"hat({left:g},{peak:g},{right:g})",
-        lambda x: np.interp(np.asarray(x, dtype=float), xs, ys),
-    )
+    return TestFunction(f"hat({left:g},{peak:g},{right:g})", lambda x: np.interp(x, xs, ys))
 
 
 def _interval(interval) -> tuple:
@@ -90,13 +91,8 @@ def indicator_smoothing(interval, eps: float) -> TestFunction:
     a, b = _interval(interval)
     if not (a <= b and eps > 0):
         raise DomainError(f"need a <= b and eps > 0, got [{a}, {b}], eps = {eps}")
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        dist = np.maximum(np.maximum(a - x, x - b), 0.0)
-        return np.exp(-dist / eps)
-
-    return TestFunction(f"exp(-dist(x,[{a:g},{b:g}])/{eps:g})", fn)
+    return TestFunction(f"exp(-dist(x,[{a:g},{b:g}])/{eps:g})",
+                        lambda x: np.exp(-np.maximum(np.maximum(a - x, x - b), 0.0) / eps))
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,7 @@ def _mean(values, divisor: int, f: TestFunction) -> float:
 
 def szego_average(spectrum, n: int, f: TestFunction) -> float:
     """(1/n) sum_j f(d_j) over the full kn-point spectrum (divided by n, not nk)."""
-    return _mean(np.asarray(spectrum, dtype=float), n, f)
+    return _mean(core._real(spectrum, "spectrum"), n, f)
 
 
 def symbol_integral(curves: symbols.SymplecticCurves, f: TestFunction) -> float:

@@ -378,9 +378,10 @@ def matrix_csv_bytes(T) -> bytes:
     2k (2q + 1) distinct spans; what grows with N is one span lookup per row
     and the copy of the N^2 entries' bytes into the result.  A dense matrix
     formats each row once, as one %-format per row did before.  An all-+0.0
-    row is one span of N zeros.
+    row is one span of N zeros.  T is read through ``core._real``, so a
+    complex entry raises DomainError.
     """
-    T = np.ascontiguousarray(T, dtype=float)
+    T = np.ascontiguousarray(core._real(T, "matrix"))
     n = T.shape[1]
     cell = b"%.16e,"
     formats = cell * n
