@@ -43,7 +43,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, core, entropy, symbols, szego, toeplitz
-from .errors import DomainError, SymplitzError
+from .errors import DomainError, InvalidDimensionError, SymplitzError
 
 ENV_OUT = "SYMPLITZ_OUT"
 DEFAULT_OUT = "symplitz_out"
@@ -158,7 +158,7 @@ def _fail_at_first_bad_entry(raw, path):
 def _matrix(value, path):
     try:
         arr = core._real(_nested_numbers(value, path), path)
-    except ValueError:  # ragged
+    except DomainError:
         _fail(path, "not a numeric matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
         _fail(path, f"must be a square matrix of positive even dimension, got shape {arr.shape}")
@@ -209,14 +209,16 @@ def _form(value, path, tag, forms):
     args = _parse({key: v for key, v in value.items() if key != tag}, fields, path)
     try:
         return make(**args)
-    except (SymplitzError, ValueError) as err:
+    except SymplitzError as err:
         _fail(path, str(err))
 
 
 def _declared_k(symbol, k):
     """The symbol, once a mode count ``k`` given with it is checked against its blocks."""
     if k is not None and k != symbol.k:
-        raise ValueError(f"declared k = {k!r} must be the integer {symbol.k} (block size {symbol.block_dim})")
+        raise InvalidDimensionError(
+            f"declared k = {k!r} must be the integer {symbol.k} (block size {symbol.block_dim})"
+        )
     return symbol
 
 

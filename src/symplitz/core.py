@@ -86,10 +86,20 @@ def _even_dim(A: np.ndarray) -> int:
 
 
 def _real(x, what: str) -> np.ndarray:
-    """x as a float array; complex input raises DomainError, where a float cast would drop its imaginary part."""
-    a = np.asarray(x)
+    """x as a float array: the package's one cast of input to floats.
+
+    Booleans, integers and floats are cast; complex input raises DomainError,
+    where a float cast would drop its imaginary part, and so does every other
+    kind (strings a cast would parse, objects) and a ragged nesting.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:  # ragged, or nested past numpy's dimension limit
+        raise DomainError(f"{what} must be a rectangular array of numbers") from None
     if a.dtype.kind == "c":
         raise DomainError(f"{what} must be real, got {a.dtype} entries")
+    if a.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be numbers, got {a.dtype} entries")
     return np.asarray(a, dtype=float)
 
 
@@ -627,13 +637,17 @@ def williamson(A) -> WilliamsonFactorization:
 def symplectic_rayleigh(A, u, v) -> float:
     """Pair energy (<u, A u> + <v, A v>) / 2 after normalizing <u, J v> to 1.
 
-    Never falls below the smallest symplectic eigenvalue of A.
+    Never falls below the smallest symplectic eigenvalue of A.  A non-finite
+    entry raises DomainError, and u or v of a length other than A's side
+    InvalidDimensionError.
     """
-    A = _real(A, "matrix")
+    A = _require_finite(_real(A, "matrix"), "matrix")
     n = _even_dim(A)
     J = symplectic_form(n // 2)
-    u = _real(u, "u")
-    v = _real(v, "v")
+    u = _require_finite(_real(u, "u"), "u")
+    v = _require_finite(_real(v, "v"), "v")
+    if u.shape != (n,) or v.shape != (n,):
+        raise InvalidDimensionError(f"u and v must be vectors of length {n}, got shapes {u.shape} and {v.shape}")
     s = float(u @ J @ v)
     if abs(s) < PAIR_TOL:
         raise DegeneratePairError(f"symplectic pairing {s:.3e} is numerically zero")

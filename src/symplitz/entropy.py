@@ -20,17 +20,21 @@ from .errors import DomainError
 def mode_entropy(x):
     """Entropy contribution of a single symplectic eigenvalue.
 
-    Evaluated through log1p of the offset above 1/2, which stays accurate
-    right at the boundary where the two terms of the closed form cancel.
-    Accepts scalars or arrays; a complex, negative, NaN or infinite value
-    raises DomainError.
+    With a = d - 1/2 it is log1p(a) + a log1p(1/a): both terms are positive,
+    so nothing cancels, and the value stays accurate to a few ulps from the
+    boundary (a -> 0) to the top of the float range, where the closed form
+    subtracts two terms of size a log a.  Accepts scalars or arrays; a
+    complex, negative, NaN or infinite value raises DomainError.
     """
     arr = core._real(x, "symplectic eigenvalue")
     if np.any(arr < 0):
         raise DomainError(f"symplectic eigenvalue must be >= 0, got {float(arr.min())}")
     core._require_finite(arr, "symplectic eigenvalue")
     a = arr - 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = (1.0 + a) * np.log1p(a) - a * np.log(a)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a <= 0 is masked below
+        raw = np.divide(1.0, a, out=np.empty_like(a))  # an array (0-d for a scalar), written in place below
+        np.log1p(raw, out=raw)
+        raw *= a
+        raw += np.log1p(a)
     out = np.where(a > 0.0, raw, 0.0)
     return float(out) if np.isscalar(x) else out

@@ -108,7 +108,7 @@ class TrigMatrixPolynomial:
 
     def evaluate(self, theta) -> np.ndarray:
         """Value at one angle, shape (2k, 2k), or at each of an array of angles, shape (..., 2k, 2k);
-        a complex angle raises DomainError."""
+        a complex or non-numeric angle raises DomainError."""
         w = 2.0 * np.cos(np.multiply.outer(core._real(theta, "angle"), np.arange(self.degree + 1)))
         w[..., 0] = 1.0
         return np.einsum("...n,nij->...ij", w, self.coeffs)
@@ -178,6 +178,8 @@ def ab_family(A, B, weights, degree: int | None = None) -> TrigMatrixPolynomial:
     """
     A = core._real(A, "A")
     B = core._real(B, "B")
+    if A.shape != B.shape:
+        raise InvalidDimensionError(f"A and B must have one shape, got {A.shape} and {B.shape}")
     p = core._real(weights, "weights")
     if p.ndim != 1:
         raise WeightError("weights must be a 1-d sequence")

@@ -15,6 +15,7 @@ truncation that is not positive definite stops a run with the
 PositivityError of ``toeplitz.truncation_spectrum``, which names its order.
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -29,7 +30,7 @@ class TestFunction:
     """Named scalar test function, applied elementwise to a float array.
 
     A call passes its argument through ``core._real``, so ``fn`` always
-    receives floats and complex input raises DomainError.
+    receives floats and complex or non-numeric input raises DomainError.
     """
 
     name: str
@@ -54,11 +55,11 @@ def polynomial(coeffs) -> TestFunction:
 
 def hat(left: float, peak: float, right: float) -> TestFunction:
     """Piecewise-linear bump: 0 outside [left, right], 1 at the peak."""
-    if not left < peak < right:
+    xs = core._real([left, peak, right], "hat corners")
+    if xs.shape != (3,) or not xs[0] < xs[1] < xs[2]:
         raise DomainError(f"need left < peak < right, got {left}, {peak}, {right}")
-    xs = np.array([left, peak, right])
     ys = np.array([0.0, 1.0, 0.0])
-    return TestFunction(f"hat({left:g},{peak:g},{right:g})", lambda x: np.interp(x, xs, ys))
+    return TestFunction(f"hat({xs[0]:g},{xs[1]:g},{xs[2]:g})", lambda x: np.interp(x, xs, ys))
 
 
 def _interval(interval) -> tuple:
@@ -89,8 +90,10 @@ def indicator_smoothing(interval, eps: float) -> TestFunction:
     """Smoothed interval indicator exp(-dist(x, [a, b]) / eps); it dominates
     ``indicator([a, b])``, so its averages bound the counting ratios from above."""
     a, b = _interval(interval)
-    if not (a <= b and eps > 0):
+    e = core._real(eps, "eps")
+    if e.ndim or not (a <= b and e > 0):
         raise DomainError(f"need a <= b and eps > 0, got [{a}, {b}], eps = {eps}")
+    eps = float(e)
     return TestFunction(f"exp(-dist(x,[{a:g},{b:g}])/{eps:g})",
                         lambda x: np.exp(-np.maximum(np.maximum(a - x, x - b), 0.0) / eps))
 
@@ -156,7 +159,9 @@ def _mean(values, divisor: int, f: TestFunction) -> float:
 
 
 def szego_average(spectrum, n: int, f: TestFunction) -> float:
-    """(1/n) sum_j f(d_j) over the full kn-point spectrum (divided by n, not nk)."""
+    """(1/n) sum_j f(d_j) over the full kn-point spectrum (divided by n, not nk);
+    an order n that is not an integer >= 1 raises InvalidDimensionError."""
+    symbols._check_integer(n, "order n", 1)
     return _mean(core._real(spectrum, "spectrum"), n, f)
 
 
@@ -217,12 +222,12 @@ def min_trajectory(
     truncated_spectra checks it."""
     # the orders and then the index are checked before any eigensolve
     ns = _orders(symbol, n_list)
-    if m < 1 or m > symbol.k * ns[0]:
+    if isinstance(m, numbers.Real) and (m < 1 or m > symbol.k * ns[0]):
         raise IndexRangeError(
             f"index m = {m} does not exist at the smallest order n = {ns[0]} "
             f"(spectrum has {symbol.k * ns[0]} entries)"
         )
-    symbols._check_integer(m, "index m", 1, IndexRangeError)  # an m inside the range may still be 1.5 or a bool
+    symbols._check_integer(m, "index m", 1, IndexRangeError)  # 1.5, a bool or a non-number
     traj = truncated_spectra(symbol, ns)
     values = [float(traj.spectra[n][m - 1]) for n in ns]
     violation = 0.0

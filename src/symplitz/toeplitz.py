@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
 from . import core, symbols
-from .errors import DomainError, PositivityError, TruncationSizeError
+from .errors import DomainError, InvalidDimensionError, PositivityError, TruncationSizeError
 from .symbols import TrigMatrixPolynomial, _check_integer
 
 
@@ -379,9 +379,12 @@ def matrix_csv_bytes(T) -> bytes:
     and the copy of the N^2 entries' bytes into the result.  A dense matrix
     formats each row once, as one %-format per row did before.  An all-+0.0
     row is one span of N zeros.  T is read through ``core._real``, so a
-    complex entry raises DomainError.
+    complex entry raises DomainError, and anything but one matrix
+    InvalidDimensionError.
     """
     T = np.ascontiguousarray(core._real(T, "matrix"))
+    if T.ndim != 2:
+        raise InvalidDimensionError(f"expected one matrix, got shape {T.shape}")
     n = T.shape[1]
     cell = b"%.16e,"
     formats = cell * n

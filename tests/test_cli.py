@@ -364,6 +364,24 @@ class TestGChainCommand:
 
 
 class TestConfigErrors:
+    def test_counting_interval_must_ascend(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"symbol": {"builder": "scalar", "coeffs": [2.0, 0.5]},
+                                                 "n_list": [4], "interval": [3, 2]})
+        assert run("counting", cfg, tmp_path / "out") == 2
+        assert "config error: config.interval: must satisfy 0 <= a <= b, got [3.0, 2.0]" in capsys.readouterr().err
+
+    def test_ragged_matrix_is_not_a_numeric_matrix(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"matrix": [[2.0, 0.0], [0.0]]})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config error: config.matrix: not a numeric matrix" in capsys.readouterr().err
+
+    def test_ab_family_blocks_of_different_shapes(self, tmp_path, capsys):
+        # numpy's concatenate error used to reach the config report only as a ValueError
+        symbol = {"builder": "ab_family", "a": np.eye(2).tolist(), "b": np.eye(4).tolist(), "weights": [0.5]}
+        cfg = write_config(tmp_path / "c.json", {"symbol": symbol, "n": 2})
+        assert run("spectrum", cfg, tmp_path / "out") == 2
+        assert "config error: config.symbol: A and B must have one shape" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert cli.main(["spectrum", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -700,6 +718,20 @@ class TestDeterminismAndManifest:
         series.write_bytes(series.read_bytes() + b"tampered\n")
         assert run("entropy-rate", cfg, tmp_path / "out", "--verify") == 4
 
+    def test_verify_after_the_config_changed(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        assert run("entropy-rate", write_config(path, self.CFG), tmp_path / "out") == 0
+        path.write_text(json.dumps(self.CFG, indent=1))  # the same fields, other bytes
+        assert run("entropy-rate", str(path), tmp_path / "out", "--verify") == 4
+        assert "verify: config digest differs from the recorded run" in capsys.readouterr().err
+
+    def test_verify_after_a_written_file_was_deleted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", self.CFG)
+        assert run("entropy-rate", cfg, tmp_path / "out") == 0
+        (tmp_path / "out" / "series.csv").unlink()
+        assert run("entropy-rate", cfg, tmp_path / "out", "--verify") == 4
+        assert "verify: series.csv digest mismatch" in capsys.readouterr().err
+
     def test_verify_without_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.CFG)
         assert run("entropy-rate", cfg, tmp_path / "empty", "--verify") == 2
@@ -837,16 +869,19 @@ class TestFieldTable:
         ("gchain-check", {"n_max": 2}),
     ])
     def test_overflowing_coefficients_exit_3(self, tmp_path, capsys, command, extra):
-        # the symbol 1e308 + cos(theta) is finite and so are its spectra; only the
-        # sums of szego and entropy-rate overflow, and they exit 3 naming the test function
+        # the symbol 1e308 + cos(theta) is finite and so are its spectra; only the sum of
+        # szego overflows, and it exits 3 naming the test function, while the per-mode
+        # entropy of d near 1e308 is log(d) + 1, about 710, so entropy-rate runs
         cfg = {"symbol": {"builder": "scalar", "coeffs": [1e308, 0.5]}, **extra}
-        overflows = {"szego": "x^1", "entropy-rate": "entropy(base=e)"}
+        overflows = {"szego": "x^1"}
         assert run(command, write_config(tmp_path / "c.json", cfg), tmp_path / "out") == (3 if command in overflows else 0)
         if command in overflows:
             assert f"test function {overflows[command]}" in capsys.readouterr().err
             assert not (tmp_path / "out" / "summary.json").exists()
         if command == "spectrum":
             assert read_summary(tmp_path / "out")["values"] == pytest.approx([1e308, 1e308], rel=1e-15)
+        if command == "entropy-rate":
+            assert read_summary(tmp_path / "out")["rate"] == pytest.approx(math.log(1e308) + 1.0, rel=1e-14)
 
     def test_overflowing_sample_projection_is_a_config_error(self, tmp_path, capsys):
         # four samples of 1e308 I_2 sum past the float range in the cosine projection, so the

@@ -296,6 +296,22 @@ class TestSymplecticRayleigh:
         with pytest.raises(DegeneratePairError):
             core.symplectic_rayleigh(np.eye(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("u, v", [([1.0, 0.0, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0]),
+                                      ([[1.0, 0.0]], [0.0, 1.0])], ids=["u-long", "v-short", "u-2d"])
+    def test_vector_of_the_wrong_length_is_refused(self, u, v):
+        # u @ J @ v raised numpy's matmul ValueError
+        with pytest.raises(InvalidDimensionError, match="vectors of length 2"):
+            core.symplectic_rayleigh(np.eye(2), u, v)
+
+    @pytest.mark.parametrize("where", ["A", "u", "v"])
+    def test_nan_entry_is_refused(self, where):
+        # a NaN entry gave a NaN pair energy
+        args = {"A": np.eye(2), "u": np.array([1.0, 0.0]), "v": np.array([0.0, 1.0])}
+        args[where] = args[where].copy()
+        args[where].flat[0] = np.nan
+        with pytest.raises(DomainError, match=f"{where if where != 'A' else 'matrix'} has NaN entries"):
+            core.symplectic_rayleigh(**args)
+
 
 class TestNumericalRangeEdge:
     def test_diagonal(self):
@@ -364,6 +380,37 @@ def test_complex_input_is_refused(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="must be real"):
             call()
+
+
+# one case per input kind that core._real refuses, at three entry points; each row is a
+# valid input with one entry replaced (a cast parsed "2" and b"2" as 2.0, and numpy raised
+# its own ValueError for None and for a ragged nesting)
+NON_NUMERIC = {"str": "2", "bytes": b"2", "object": None, "ragged": [2.0, 1.0]}
+REAL_ENTRY_POINTS = {
+    "symplectic_eigenvalues": (core.symplectic_eigenvalues, lambda e: [[e, 0.0], [0.0, 8.0]]),
+    "scalar_symbol": (scalar_symbol, lambda e: [e, 0.5]),
+    "polynomial": (szego.polynomial, lambda e: [1.0, e]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", sorted(NON_NUMERIC))
+def test_non_numeric_or_ragged_input_is_refused(entry, kind):
+    call, build = REAL_ENTRY_POINTS[entry]
+    match = "rectangular array of numbers" if kind == "ragged" else "must be numbers"
+    with pytest.raises(DomainError, match=match):
+        call(build(NON_NUMERIC[kind]))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.float32])
+def test_boolean_integer_and_float_kinds_are_cast(dtype):
+    A = np.array([[1, 0], [0, 1]], dtype=dtype)
+    np.testing.assert_array_equal(core.symplectic_eigenvalues(A), core.symplectic_eigenvalues(A.astype(float)))
+
+
+def test_non_square_matrix_is_invalid_dimension():
+    with pytest.raises(InvalidDimensionError, match=r"expected square matrices, got shape \(2, 4\)"):
+        core.symplectic_eigenvalues(np.ones((2, 4)))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

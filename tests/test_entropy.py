@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import warnings
@@ -56,6 +57,27 @@ class TestModeEntropy:
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals) > 0)
         assert vals[-1] < 1e-7
+
+    def test_accurate_up_to_large_eigenvalues(self):
+        # the closed form (1 + a) log1p(a) - a log(a) cancelled two terms of size a log a: its
+        # relative error was 1.3e-10 at d = 1e6 and 0.10 at 1e15; the reference is the same
+        # closed form in 60-digit decimal arithmetic, on the exact value of each float d
+        def reference(d):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                x, half = decimal.Decimal(d), decimal.Decimal("0.5")
+                return float((x + half) * (x + half).ln() - (x - half) * (x - half).ln())
+
+        d = np.geomspace(1e3, 1e15, 121)
+        exact = np.array([reference(float(v)) for v in d])
+        assert np.all(np.abs(entropy.mode_entropy(d) - exact) <= 4 * np.finfo(float).eps * exact)
+
+    def test_finite_at_the_top_of_the_float_range(self):
+        # 1e306 overflowed to NaN with a RuntimeWarning; the value is log(d) + 1 + O(1 / d^2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (1e306, np.finfo(float).max):
+                assert entropy.mode_entropy(d) == pytest.approx(math.log(d) + 1.0, rel=1e-15)
 
     def test_monotone_ladder(self):
         ladder = np.linspace(0.5, 25.0, 400)

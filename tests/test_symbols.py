@@ -476,9 +476,11 @@ class TestBuilders:
             lambda: symbols.ab_family(np.eye(2) + 0.1j, np.eye(2), [0.5]),
             lambda: symbols.ab_family(np.eye(2), 1j * np.eye(2), [0.5]),
             lambda: symbols.ab_family(np.eye(2), np.eye(2), [0.5 + 0.1j]),
+            lambda: matrix_symbol_k2().evaluate(0.3j),  # returned cos(0.3j) A_1 + ..., complex
+            lambda: matrix_symbol_k2().evaluate(np.array([0.0, 0.3j])),
         ],
         ids=["TrigMatrixPolynomial", "from_samples", "constant_symbol", "scalar_symbol", "ab_family-A",
-             "ab_family-B", "ab_family-weights"],
+             "ab_family-B", "ab_family-weights", "evaluate", "evaluate-array"],
     )
     def test_complex_input_is_refused(self, build):
         # a float cast would drop the imaginary part with only a ComplexWarning
@@ -486,6 +488,18 @@ class TestBuilders:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="must be real"):
                 build()
+
+    def test_ab_family_blocks_of_different_shapes(self, monkeypatch):
+        # np.concatenate raised numpy's ValueError; the shapes are compared before the
+        # entry budget is counted, so even a degree far over it names the shapes
+        monkeypatch.setattr(symbols, "MAX_ENTRIES", 16)
+        for degree in (None, 10**9):
+            with pytest.raises(InvalidDimensionError, match=r"one shape, got \(2, 2\) and \(4, 4\)"):
+                symbols.ab_family(np.eye(2), np.eye(4), [0.5], degree)
+
+    def test_ab_family_two_dimensional_weights(self):
+        with pytest.raises(WeightError, match="weights must be a 1-d sequence"):
+            symbols.ab_family(np.eye(2), np.eye(2), [[0.1, 0.2]])
 
     def test_ab_family_negative_weights(self):
         with pytest.raises(WeightError):

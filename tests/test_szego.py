@@ -1,5 +1,7 @@
+import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,8 +55,15 @@ class TestTestFunctions:
         lambda: szego.indicator([1.0, 2.0, 3.0]),
         lambda: szego.indicator_smoothing([1.0], 0.1),
         lambda: szego.indicator_smoothing([1.0, 2.0, 3.0], 0.1),
+        # a string or None raised the TypeError of a comparison
+        lambda: szego.hat("0", 1.0, 2.0),
+        lambda: szego.hat(0.0, None, 2.0),
+        lambda: szego.indicator_smoothing((1.0, 2.0), "0.1"),
+        lambda: szego.indicator_smoothing((1.0, 2.0), None),
+        lambda: szego.indicator_smoothing((1.0, 2.0), [0.1, 0.2]),
     ], ids=["hat", "indicator_smoothing", "empty_n_list", "polynomial-empty", "polynomial-2d", "indicator-one",
-            "indicator-three", "indicator_smoothing-one", "indicator_smoothing-three"])
+            "indicator-three", "indicator_smoothing-one", "indicator_smoothing-three", "hat-str", "hat-None",
+            "indicator_smoothing-str", "indicator_smoothing-None", "indicator_smoothing-list"])
     def test_bad_parameters_raise_the_package_error(self, call):
         with pytest.raises(SymplitzError):
             call()
@@ -62,6 +71,18 @@ class TestTestFunctions:
     def test_complex_polynomial_coefficients_are_refused(self):
         with pytest.raises(DomainError, match="must be real"):
             szego.polynomial([1.0, 0.5j])
+
+    @pytest.mark.parametrize("f", [
+        szego.monomial(2), szego.polynomial([1.0, 2.0]), szego.hat(0.0, 1.0, 2.0),
+        szego.indicator([1.0, 2.0]), szego.indicator_smoothing([1.0, 2.0], 0.1),
+    ], ids=lambda f: f.name)
+    @pytest.mark.parametrize("x", [1.5 + 0.5j, np.array([1.0, 1.5 + 0.5j]), ["1.5"]], ids=repr)
+    def test_every_kind_refuses_a_complex_or_non_numeric_argument(self, f, x):
+        # a call cast with a ComplexWarning and parsed strings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"argument of {re.escape(f.name)} must be"):
+                f(x)
 
 
 
@@ -106,6 +127,19 @@ class TestSzegoAverage:
     def test_scalar_n3(self):
         traj = szego.truncated_spectra(PHI, [3])
         assert szego.szego_average(traj.spectra[3], 3, szego.monomial(1)) == pytest.approx(2.0)
+
+    def test_complex_spectrum_is_refused(self):
+        # the float cast read [1 + 1j, 2] as [1, 2] and returned 1 + 4 = 5.0, with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="spectrum must be real"):
+                szego.szego_average(np.array([1 + 1j, 2]), 1, szego.monomial(2))
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, True, "2", None], ids=repr)
+    def test_order_must_be_an_integer(self, n):
+        # n = 0 divided by zero with a RuntimeWarning, and n = 1.5 was accepted
+        with pytest.raises(InvalidDimensionError, match="order n must be an integer >= 1"):
+            szego.szego_average(np.array([1.0, 2.0]), n, szego.monomial(1))
 
     def test_non_finite_average_is_domain_error(self):
         with pytest.raises(DomainError, match=r"x\^700"):
@@ -224,6 +258,17 @@ class TestMinTrajectory:
     def test_index_out_of_range(self):
         with pytest.raises(IndexRangeError):
             szego.min_trajectory(PHI, 3, [2, 4], symbols.GridSpec(64))
+
+    @pytest.mark.parametrize("m", ["1", None, [1]], ids=repr)
+    def test_non_number_index_is_refused(self, m):
+        # the range comparison raised TypeError before the integer check ran
+        with pytest.raises(IndexRangeError, match="index m must be an integer >= 1"):
+            szego.min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
+
+    @pytest.mark.parametrize("m", [0, 9, 0.5, 8.5], ids=repr)
+    def test_numeric_index_out_of_range_keeps_its_message(self, m):
+        with pytest.raises(IndexRangeError, match=f"index m = {m} does not exist at the smallest order n = 2"):
+            szego.min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
 
     @pytest.mark.parametrize("m", [1.5, True, np.float64(1.0)], ids=repr)
     def test_index_must_be_an_integer(self, m):

@@ -786,6 +786,19 @@ class TestMatrixDump:
         data = toeplitz.matrix_csv_bytes(np.array([[0.5]])).decode()
         assert data.strip() == "5.0000000000000000e-01"
 
+    def test_complex_matrix_is_refused(self):
+        # the float cast dumped the real part, with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="matrix must be real"):
+                toeplitz.matrix_csv_bytes(np.array([[2.0, 0.5j], [-0.5j, 2.0]]))
+
+    @pytest.mark.parametrize("T", [np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)], ids=["1-d", "3-d", "0-d"])
+    def test_anything_but_one_matrix_is_refused(self, T):
+        # a 1-d array raised IndexError and a 3-d one TypeError
+        with pytest.raises(InvalidDimensionError, match="expected one matrix"):
+            toeplitz.matrix_csv_bytes(T)
+
     def test_bytes_match_per_entry_format(self):
         # the row-at-a-time format must give the bytes of format(v, ".16e") per entry
         T = np.array([
