@@ -227,7 +227,7 @@ def min_trajectory(
             f"index m = {m} does not exist at the smallest order n = {ns[0]} "
             f"(spectrum has {symbol.k * ns[0]} entries)"
         )
-    symbols._check_integer(m, "index m", 1, IndexRangeError)  # 1.5, a bool or a non-number
+    symbols._check_integer(m, "index m", 1, IndexRangeError)  # 1.5 or a bool in range; a non-number skips the range
     traj = truncated_spectra(symbol, ns)
     values = [float(traj.spectra[n][m - 1]) for n in ns]
     violation = 0.0
