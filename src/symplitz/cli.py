@@ -130,18 +130,24 @@ def _nested_numbers(raw, path):
     limit is checked too (numpy then refuses it as over 64 dimensions).  It
     carries no paths, and a list of finite floats passes in one sweep; only
     a failure walks again, in order and with paths, to name the first
-    failing entry.
+    failing entry.  An integer outside the int64 range, which numpy may
+    hold as an object array, is replaced by its float, in place.
     """
     top = sys.float_info.max
-    stack = [raw]
+    box = [raw]
+    stack = [box]
     while stack:
-        value = stack.pop()
-        if isinstance(value, list):
-            if not all(type(v) is float and -top <= v <= top for v in value):
-                stack += value
-        elif not _is_number(value):
-            _fail_at_first_bad_entry(raw, path)
-    return raw
+        values = stack.pop()
+        if all(type(v) is float and -top <= v <= top for v in values):
+            continue
+        for i, value in enumerate(values):
+            if isinstance(value, list):
+                stack.append(value)
+            elif not _is_number(value):
+                _fail_at_first_bad_entry(raw, path)
+            elif abs(value) >= 2**63:
+                values[i] = float(value)
+    return box[0]
 
 
 def _fail_at_first_bad_entry(raw, path):

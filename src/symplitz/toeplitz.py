@@ -162,8 +162,8 @@ def _lowest_eigenvalue(ab: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian matrix with real or complex lower band ab.
 
     Under the band rule, b <= _band_limit(N), it is a bisection on band
-    factors (core._lowest_band_eigenvalue); otherwise a dense eigensolve of
-    the band unpacked (_dense).
+    factors with a Rayleigh-quotient endgame (core._lowest_band_eigenvalue);
+    otherwise a dense eigensolve of the band unpacked (_dense).
     """
     if ab.shape[0] - 1 <= _band_limit(ab.shape[1]):
         return core._lowest_band_eigenvalue(ab)
@@ -295,12 +295,14 @@ def gchain_check(symbol: TrigMatrixPolynomial, n: int) -> float:
     witness equals the smallest eigenvalue of the real symmetric embedding
     [[T_n, -J/2], [J/2, T_n]], at half its size.  _lowest_eigenvalue solves
     it from the lower band under the rule of the truncation spectrum: by
-    bisection on band factors (about 51 of O(N b^2) each, accurate to about
-    2 eps ||H||_1) when b <= _band_limit(N), otherwise by a dense Hermitian
-    eigensolve.  That rule was not measured for the witness.  On 2 cores,
-    best of 5-15 in one process, the dense solve wins at N = 256 and 512
-    (10-12 ms against 24 ms at b = 31, N = 256), but above the rule
-    bisection wins from N ~ 1024 (105 ms against 290 ms at b = 80, N = 1024).
+    bisection on band factors with a Rayleigh-quotient endgame (about 22-25
+    factors of O(N b^2) each, accurate to about 2 eps ||H||_1) when
+    b <= _band_limit(N), otherwise by a dense Hermitian eigensolve.  That
+    rule was not measured for the witness.  On random complex bands (2
+    cores, best of 5-15 in one process) the factors and the dense solve
+    are about even at b = 31, N = 256 (13-14 ms, 22 factors, against
+    15-21 ms), and above the rule the factors win at b = 80, N = 1024
+    (138-144 ms, 25 factors, against 332-407 ms).
     """
     return _lowest_eigenvalue(_shifted_band(symbol, n))
 

@@ -540,6 +540,27 @@ class TestConfigErrors:
         assert run("spectrum", write_config(tmp_path / "c.json", {"matrix": matrix}), tmp_path / "out") == 2
         assert capsys.readouterr().err == "config error: config.matrix[3][2]: must be a finite number, got True\n"
 
+    @pytest.mark.parametrize("form", ["matrix", "coeffs"])
+    def test_integer_past_int64_reads_as_its_float(self, tmp_path, form):
+        # numpy holds a list with an integer >= 2^64 as an object array; the walk reads it as a float
+        def config(big):
+            if form == "matrix":
+                return {"matrix": [[big, 0], [0, 1]]}
+            return {"symbol": {"builder": "scalar", "coeffs": [big, 1]}, "n": 2}
+
+        for name, big in (("int", 10**20), ("float", 1e20)):
+            assert run("spectrum", write_config(tmp_path / f"{name}.json", config(big)), tmp_path / name) == 0
+        values = read_summary(tmp_path / "int")["values"]
+        assert values == read_summary(tmp_path / "float")["values"] and math.isfinite(values[0])
+
+    @pytest.mark.parametrize("form, path", [("matrix", "config.matrix[0][0]"), ("coeffs", "config.symbol.coeffs[0]")])
+    def test_integer_past_the_float_maximum_fails_at_its_path(self, tmp_path, capsys, form, path):
+        big = 10**309
+        cfg = {"matrix": [[big, 0], [0, 1]]} if form == "matrix" else {
+            "symbol": {"builder": "scalar", "coeffs": [big, 1]}, "n": 2}
+        assert run("spectrum", write_config(tmp_path / "c.json", cfg), tmp_path / "out") == 2
+        assert f"config error: {path}: must be a finite number, got {big!r}" in capsys.readouterr().err
+
     def test_non_numeric_interval(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

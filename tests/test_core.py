@@ -967,10 +967,16 @@ def random_hermitian_band(rng, N, b, dtype, kind):
     w = np.linalg.eigvalsh(toeplitz._dense(ab))
     spread = max(w[-1] - w[0], 1.0)
     ab[0] += {"pd": 0.25 * spread - w[0], "indefinite": -0.5 * (w[0] + w[-1]), "negative": -0.25 * spread - w[-1]}[kind]
+    return (ab, *lowest_oracle(ab))
+
+
+def lowest_oracle(ab):
+    """lambda_min and ||H||_1 of the Hermitian H with lower band ab, lambda_min as the
+    Rayleigh quotient, in long double, of the eigenvector of the dense eigh."""
     H = toeplitz._dense(ab)
     v = np.linalg.eigh(H)[1][:, 0].astype(np.clongdouble)
     low = float(((v.conj() @ H.astype(np.clongdouble) @ v) / (v.conj() @ v)).real)
-    return ab, low, np.abs(H).sum(axis=0).max()
+    return low, np.abs(H).sum(axis=0).max()
 
 
 def factors(ab, mu):
@@ -982,9 +988,35 @@ def factors(ab, mu):
 
 
 class TestLowestBandEigenvalue:
-    """core._lowest_band_eigenvalue, bisection on band Cholesky factors, against the dense eigensolver."""
+    """core._lowest_band_eigenvalue, bisection on band Cholesky factors with a Rayleigh-quotient
+    endgame, against the dense eigensolver."""
 
     EPS = np.finfo(float).eps
+
+    @pytest.fixture
+    def factor_count(self, monkeypatch):
+        """A one-item list counting the band Cholesky factors (pbtrf) that core takes."""
+        count = [0]
+        get = lapack.get_lapack_funcs
+
+        def counted(pbtrf):
+            def factor(*args, **kwargs):
+                count[0] += 1
+                return pbtrf(*args, **kwargs)
+
+            return factor
+
+        def get_counted(names, arrays=()):
+            return [counted(f) if name == "pbtrf" else f for name, f in zip(names, get(names, arrays))]
+
+        monkeypatch.setattr(core.lapack, "get_lapack_funcs", get_counted)
+        return count
+
+    def assert_witness(self, ab, low, norm1, w):
+        assert abs(w - low) <= 8 * self.EPS * norm1
+        # the returned value brackets the threshold of the factor
+        assert factors(ab, w - 4 * self.EPS * norm1)
+        assert not factors(ab, w + 4 * self.EPS * norm1)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("b", range(9))
@@ -993,11 +1025,58 @@ class TestLowestBandEigenvalue:
         for N in (2, 3, 17, 64, 300):
             for kind in ("pd", "indefinite", "negative"):
                 ab, oracle, norm1 = random_hermitian_band(rng, N, min(b, N - 1), dtype, kind)
-                w = core._lowest_band_eigenvalue(ab)
-                assert abs(w - oracle) <= 8 * self.EPS * norm1, (N, kind)
-                # the returned value brackets the threshold of the factor
-                assert factors(ab, w - 4 * self.EPS * norm1), (N, kind)
-                assert not factors(ab, w + 4 * self.EPS * norm1), (N, kind)
+                self.assert_witness(ab, oracle, norm1, core._lowest_band_eigenvalue(ab))
+
+    # the G-chain workload's symbols phi I_4, phi = a0 + 2 a1 cos: certified at order 256 with a margin
+    # above a0 = 2 a1 + 1/2, or failing first at order 200
+    @pytest.mark.parametrize("a1", [0.2, 0.3, 0.4])
+    @pytest.mark.parametrize("n, margin", [(256, 0.02), (256, 0.3), (200, None)], ids=["certify-low", "certify-high", "locate"])
+    def test_benchmark_witness_takes_at_most_30_factors(self, factor_count, a1, n, margin):
+        if margin is None:
+            a0 = 0.5 + a1 * (np.cos(np.pi / 200) + np.cos(np.pi / 201))
+        else:
+            a0 = 2 * a1 + 0.5 + margin
+        ab = toeplitz._shifted_band(scalar_symbol([a0, a1], k=2), n)
+        w = core._lowest_band_eigenvalue(ab)
+        assert factor_count[0] <= 30
+        closed = a0 - 2 * a1 * np.cos(np.pi / (n + 1)) - 0.5
+        assert abs(w - closed) <= 8 * self.EPS * (a0 + 2 * a1 + 0.5)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_split_lowest_pair(self, factor_count, dtype):
+        # one tridiagonal block twice, the second shifted by 1e-12, with no coupling between them:
+        # every eigenvalue comes in a pair 1e-12 apart, the lowest included
+        rng = np.random.default_rng(7)
+        m = 150
+        block = np.zeros((2, m), dtype=dtype)
+        block[0] = rng.uniform(2.0, 3.0, m)
+        block[1, : m - 1] = rng.uniform(-1.0, 1.0, m - 1)
+        if dtype is complex:
+            block[1, : m - 1] *= np.exp(1j * rng.uniform(0.0, 2 * np.pi, m - 1))
+        ab = np.hstack([block, block])
+        ab[0, m:] += 1e-12
+        w = core._lowest_band_eigenvalue(ab)
+        assert factor_count[0] <= 60
+        self.assert_witness(ab, *lowest_oracle(ab), w)
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_repeated_lowest_eigenvalue(self, factor_count, n):
+        # phi I_6 + (i/2) J, k = 3: every eigenvalue of T_n(phi) -+ 1/2 three times
+        ab = toeplitz._shifted_band(scalar_symbol([1.2, 0.3], k=3), n)
+        w = core._lowest_band_eigenvalue(ab)
+        assert factor_count[0] <= 60
+        self.assert_witness(ab, *lowest_oracle(ab), w)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_higher_degree_symbols(self, k, degree):
+        rng = np.random.default_rng(10 * k + degree)
+        m = 2 * k
+        coeffs = 0.15 * rng.standard_normal((degree + 1, m, m))
+        coeffs = coeffs + coeffs.transpose(0, 2, 1)
+        coeffs[0] += np.eye(m)
+        ab = toeplitz._shifted_band(TrigMatrixPolynomial(coeffs), 64)
+        self.assert_witness(ab, *lowest_oracle(ab), core._lowest_band_eigenvalue(ab))
 
     @pytest.mark.parametrize("n", [1, 2, 64])
     def test_exact_eigenvalue(self, n):

@@ -384,6 +384,14 @@ class TestGChainBand:
         assert witness == pytest.approx(reference, abs=1e-12)
         assert witness == pytest.approx(closed, abs=1e-12)
 
+    # T_n(a0 + 2 a1 cos) kron I_2 + (i/2) J has smallest eigenvalue a0 - 2 a1 cos(pi / (n + 1)) - 1/2;
+    # n = 1024 is a band of dimension 2048
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_sweep_witness_closed_form(self, n):
+        result, witness = toeplitz.gchain_sweep(symbols.scalar_symbol([0.7, 0.05]), n, 1e-10)
+        assert result is None
+        assert abs(witness - (0.7 - 0.1 * math.cos(math.pi / (n + 1)) - 0.5)) <= 1e-13
+
     # T_n(a0 + 2 a1 cos) kron I_4 + (i/2) J has smallest eigenvalue a0 - 2 a1 cos(pi / (n + 1)) - 1/2
     @pytest.mark.parametrize("a0, a1, tol", [
         (1.5e308, 0.7e308, {"rel": 1e-12}),
