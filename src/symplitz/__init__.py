@@ -1,7 +1,7 @@
 """Symplectic spectra of positive definite matrices and block Toeplitz truncations.
 
 The package bundles four layers: symplectic linear algebra (eigenvalues,
-Williamson normal form, numerical-range edge), matrix-valued symbols on
+Williamson normal form, pair energies), matrix-valued symbols on
 the circle with their spectral curves, dense block Toeplitz truncations with
 structural checks, and the spectral-average and density experiments that tie
 truncation spectra to symbol-side integrals.  Entropy rates and eigenvalue
@@ -13,9 +13,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .core import (
-    EdgeProbe,
     WilliamsonFactorization,
-    numerical_range_edge,
     random_symplectic,
     symplectic_eigenvalues,
     symplectic_form,
@@ -36,7 +34,6 @@ from .symbols import (
 )
 from .szego import (
     DensityReport,
-    MinTrajectory,
     SpectrumTrajectory,
     SzegoReport,
     TestFunction,
@@ -45,7 +42,6 @@ from .szego import (
     hat,
     indicator,
     indicator_smoothing,
-    min_trajectory,
     monomial,
     polynomial,
     symbol_integral,

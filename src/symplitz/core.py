@@ -218,7 +218,15 @@ _GIVENS6 = [
     for col in range(4)
     for q in range(5, col + 1, -1)
 ]
-_CHUNK6 = 16384
+# Nodes per chunk of a stack: _six_spectrum solves a k = 3 stack in chunks of
+# this many, and symbols.symplectic_curves streams its half grid through chunks
+# of this many nodes.  Alone, curves at G = 131,072 (65,537 solved nodes) were
+# fastest at 8,192 (75 ms at k = 3, against 86 ms at 16,384), but in the
+# symbol-grid benchmark 8,192 raised the median k = 3 op by 10%: each chunk's
+# temporaries went back to the OS and were faulted in again (15,000 minor
+# faults per curve set, against 10,000-12,000 at 16,384 and 5,500 for one
+# whole stack), where 16,384 kept the op within 3% and the peak RSS 26% down.
+_STACK_CHUNK = 16384
 _ROW_BLOCK = 1024
 _JACOBI_SWEEPS = 16
 
@@ -333,7 +341,7 @@ def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
 def _six_spectrum(K: np.ndarray) -> np.ndarray:
     """Symplectic spectra, shape (S, 3), of S 6 x 6 skew kernels from their 15 upper entry rows.
 
-    The stack is solved in chunks of _CHUNK6 matrices, which keeps the
+    The stack is solved in chunks of _STACK_CHUNK matrices, which keeps the
     intermediate arrays small (16384 was the fastest of 4096-32768 on a
     65,537-node stack); a chunk's 15 entry rows are scaled, per matrix, by a
     power of two so that the largest is below 1 and no square overflows.
@@ -346,10 +354,10 @@ def _six_spectrum(K: np.ndarray) -> np.ndarray:
     norms are the d_j.
     """
     d = np.empty((K.shape[1], 3))
-    for lo in range(0, K.shape[1], _CHUNK6):
-        E = K[:, lo : lo + _CHUNK6]
+    for lo in range(0, K.shape[1], _STACK_CHUNK):
+        E = K[:, lo : lo + _STACK_CHUNK]
         _, scale = np.frexp(np.abs(E).max(axis=0))
-        d[lo : lo + _CHUNK6] = np.ldexp(_bidiagonal_jacobi(_givens6(np.ldexp(E, -scale))), scale).T
+        d[lo : lo + _STACK_CHUNK] = np.ldexp(_bidiagonal_jacobi(_givens6(np.ldexp(E, -scale))), scale).T
     return d
 
 
@@ -419,12 +427,20 @@ def _lowest_band_eigenvalue(ab: np.ndarray) -> float:
     upper bound on lambda_min) from inverse iteration on that factor, then a
     probe at rho - w/2, with w = 2 eps ||H||_1 the final width, galloping
     down 16 times as far from rho after each failure until one succeeds,
-    then one at rho + w/2.  Every probe lies inside the bracket and moves lo
-    or hi, and bisection finishes whatever the endgame leaves, until the
-    width is w or the midpoint is an endpoint.  The midpoint is returned:
-    the factor succeeds below it and fails above it.  A G-chain witness of
-    a k = 2, degree-1 symbol (b = 4, N = 800 or 1024) takes 22-24 factors,
-    where bisection alone took 50-51.
+    then one at rho + w/2, galloping up 16 times as far after each success
+    (rounding can leave rho below lambda_min).  When the gallop down needed
+    two failures or more, rho lies far above lambda_min (a small lowest gap
+    slows the inverse iteration), so the probe that succeeds starts a new
+    rho from its factor, which lies nearer lambda_min; after one failure the
+    bracket is at most 7.5 w, which bisection closes in 3 factors.  Every
+    probe lies inside the bracket and moves lo or hi, and bisection finishes
+    whatever the endgame leaves, until the width is w or the midpoint is an
+    endpoint.  The midpoint is returned: the factor succeeds below it and
+    fails above it.  A G-chain witness of a k = 2, degree-1 symbol (b = 4,
+    N = 800 or 1024) takes 22-24 factors, where bisection alone took 50-51.
+    On 2,123 random G-chain bands (k = 1-3, degree 1-3, N = 40-1800) it took
+    at most 51 factors and never more than bisection alone; with one rho
+    and no gallop up, 20 of them took more, up to 58 against 51.
     """
     pbtrf, pbtrs = lapack.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
     # ldexp on the float view scales real and imaginary parts alike
@@ -441,26 +457,32 @@ def _lowest_band_eigenvalue(ab: np.ndarray) -> float:
     width = 2.0 * np.finfo(float).eps * float((np.abs(d) + r).max())
     endgame = math.ldexp(hi - lo, -20)
     work, held = np.empty_like(scaled, order="F"), None  # held: the factor at lo, once one succeeded
-    rho, below = None, 0.0  # below: how far under rho the next endgame probe lies
+    rho, below, above = None, 0.0, 0.0  # the next endgame probes lie at rho - below and rho + above
     mid = 0.5 * (lo + hi)
     while hi - lo > width and lo < mid < hi:
         if rho is None and held is not None and hi - lo <= endgame:
-            rho, below = _band_rayleigh(scaled, held, pbtrs), 0.5 * width
-        mu = mid
+            rho = _band_rayleigh(scaled, held, pbtrs)
+            below = above = 0.5 * width
+        mu, side = mid, 0
         if rho is not None:
             if lo < rho - below < hi:
-                mu = rho - below
-            elif lo < rho + 0.5 * width < hi:
-                mu = rho + 0.5 * width
+                mu, side = rho - below, -1
+            elif lo < rho + above < hi:
+                mu, side = rho + above, 1
         np.copyto(work, scaled)
         work[0] -= mu
         factor, info = pbtrf(work, lower=1, overwrite_ab=1)
         if info == 0:
             lo = mu
             held, work = factor, (np.empty_like(work) if held is None else held)
+            if side > 0:
+                above *= 16.0  # rho fell short of lambda_min: the gallop up
+            if below > 8.0 * width:  # the gallop down needed two failures or more: a new rho from this factor
+                rho = None
         else:
             hi = mu
-            below *= 16.0  # the gallop down from rho
+            if side < 0:
+                below *= 16.0  # the gallop down from rho
         mid = 0.5 * (lo + hi)
     return float(np.ldexp(mid, e))
 
@@ -701,30 +723,6 @@ def symplectic_rayleigh(A, u, v) -> float:
     u = r * u
     v = r * v
     return 0.5 * float(u @ A @ u + v @ A @ v)
-
-
-@dataclass(frozen=True)
-class EdgeProbe:
-    """Lower edge of the symplectic numerical range, with the pair (u, v) attaining it."""
-
-    value: float
-    u: np.ndarray
-    v: np.ndarray
-
-
-def numerical_range_edge(A) -> EdgeProbe:
-    """Lower edge of the symplectic numerical range of A, with its witness pair.
-
-    The edge is the smallest symplectic eigenvalue d_1 (Bhatia & Jain, J. Math.
-    Phys. 2015), attained by the first two rows u, v of the Williamson factor M:
-    M J M^T = J gives <u, J v> = 1 and M A M^T = Lambda gives pair energy d_1.
-    For a truncation T_n the edge is d_1(T_n), the m = 1 case of
-    szego.min_trajectory, which decreases in n to the grid infimum of the
-    bottom symplectic curve.
-    """
-    M = williamson(A).M
-    u, v = M[0], M[1]
-    return EdgeProbe(symplectic_rayleigh(A, u, v), u, v)
 
 
 def random_symplectic(k: int, seed: int = 0) -> np.ndarray:

@@ -28,6 +28,7 @@ from .errors import (
     GridError,
     InvalidDimensionError,
     PositivityError,
+    SymplitzError,
     WeightError,
 )
 
@@ -61,7 +62,11 @@ class GridSpec:
         object.__setattr__(self, "G", int(self.G))  # a numpy G would wrap in the entry budget
 
     def nodes(self) -> np.ndarray:
-        return -np.pi + (2.0 * np.pi / self.G) * np.arange(self.G)
+        return self._nodes(0, self.G)
+
+    def _nodes(self, lo: int, hi: int) -> np.ndarray:
+        """Nodes lo .. hi - 1, the same bits as nodes()[lo:hi]."""
+        return -np.pi + (2.0 * np.pi / self.G) * np.arange(lo, hi)
 
     def refined(self) -> "GridSpec":
         """The grid with twice the nodes."""
@@ -114,11 +119,16 @@ class TrigMatrixPolynomial:
         return np.einsum("...n,nij->...ij", w, self.coeffs)
 
 
-def _half_grid_values(symbol: TrigMatrixPolynomial, grid: GridSpec) -> np.ndarray:
-    """Values at nodes 0 .. G // 2 (theta in [-pi, 0]), under the entry budget of the whole grid."""
+def _check_grid(symbol: TrigMatrixPolynomial, grid: GridSpec) -> None:
+    """The entry budget of evaluating the symbol on the whole grid."""
     entries = grid.G * max(symbol.block_dim**2, symbol.degree + 1)
     _check_entries(entries, f"evaluating on G = {grid.G} nodes", GridError)
-    return symbol.evaluate(grid.nodes()[: grid.G // 2 + 1].copy())  # a view would keep all G nodes alive
+
+
+def _half_grid_values(symbol: TrigMatrixPolynomial, grid: GridSpec) -> np.ndarray:
+    """Values at nodes 0 .. G // 2 (theta in [-pi, 0]), under the entry budget of the whole grid."""
+    _check_grid(symbol, grid)
+    return symbol.evaluate(grid._nodes(0, grid.G // 2 + 1))
 
 
 def from_samples(grid: GridSpec, values, degree: int) -> TrigMatrixPolynomial:
@@ -225,14 +235,36 @@ def symplectic_curves(symbol: TrigMatrixPolynomial, grid: GridSpec) -> Symplecti
     """Symplectic eigenvalue curves of the symbol over the grid.
 
     The symbol is even, d_j(theta) = d_j(-theta), so only nodes 0 .. G // 2
-    (theta in [-pi, 0]) are solved and node G - g is copied from node g; a
-    node that is not positive definite is reported at its mirror in [-pi, 0].
+    (theta in [-pi, 0]) are solved and node G - g is copied from node g.
+    After the entry budget of the whole grid is checked, the half grid is
+    streamed through chunks of core._STACK_CHUNK nodes: each chunk is
+    evaluated, solved as one stack and written into the (G, k) output, so
+    the working memory is the output and one chunk, never a stack of the
+    whole grid (at k = 3 a chunk of 16,384 nodes holds 4.7 MB of values and
+    peaks at 16.6 MB in all).  Each node is solved on its own, so the curves
+    have the bits of one whole-grid solve.  A node that is not positive
+    definite is reported at its mirror in [-pi, 0].  When a chunk fails, the
+    half grid is solved once as one stack (_solve_half_grid), so an error
+    reads as that of one whole-grid solve: a breakdown names the worst node
+    of the grid, not of the chunk.
     """
-    vals = _half_grid_values(symbol, grid)  # checks the budget first
-    solved = np.minimum(np.arange(grid.G), grid.G - np.arange(grid.G))
+    _check_grid(symbol, grid)
+    G, half = grid.G, grid.G // 2 + 1
+    d = np.empty((G, symbol.k))
     try:
-        d = core.symplectic_eigenvalues(vals)[solved]
+        for lo in range(0, half, core._STACK_CHUNK):
+            hi = min(lo + core._STACK_CHUNK, half)
+            d[lo:hi] = core.symplectic_eigenvalues(symbol.evaluate(grid._nodes(lo, hi)))
+    except SymplitzError:
+        d[:half] = _solve_half_grid(symbol, grid)
+    d[half:] = d[(G - 1) // 2 : 0 : -1]
+    return SymplecticCurves(grid, d)
+
+
+def _solve_half_grid(symbol: TrigMatrixPolynomial, grid: GridSpec) -> np.ndarray:
+    """Spectra at nodes 0 .. G // 2 as one stack; a breakdown is reported at its angle."""
+    try:
+        return core.symplectic_eigenvalues(_half_grid_values(symbol, grid))
     except PositivityError as err:
         theta = float(grid.nodes()[err.where[0] if err.where else 0])
         raise PositivityError.report(f"symbol at theta = {theta:.6f}", err.min_eigenvalue, theta) from err
-    return SymplecticCurves(grid, d)

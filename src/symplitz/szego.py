@@ -15,7 +15,6 @@ truncation that is not positive definite stops a run with the
 PositivityError of ``toeplitz.truncation_spectrum``, which names its order.
 """
 
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, symbols, toeplitz
-from .errors import DomainError, IndexRangeError, InvalidDimensionError
+from .errors import DomainError, InvalidDimensionError
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -196,52 +195,6 @@ def convergence_report(symbol, f: TestFunction, n_list, curves: symbols.Symplect
     traj = truncated_spectra(symbol, n_list)
     averages = [szego_average(traj.spectra[n], n, f) for n in traj.ns]
     return SzegoReport(f.name, traj, averages, symbol_integral(curves, f))
-
-
-@dataclass(frozen=True)
-class MinTrajectory:
-    """Trajectory of one fixed-index eigenvalue across truncation orders."""
-
-    m: int
-    ns: list
-    values: list
-    limit: float
-    limit_gap: float
-    monotonicity_violation: float
-
-
-def min_trajectory(
-    symbol,
-    m: int,
-    n_list,
-    grid: symbols.GridSpec = symbols.GridSpec(),
-) -> MinTrajectory:
-    """Track d_m of the truncations; every fixed index converges to the
-    grid infimum of the bottom symplectic curve, symplectic_curves(symbol,
-    grid).min().  ``n_list`` is a list, tuple or range, checked as
-    truncated_spectra checks it."""
-    # the orders and then the index are checked before any eigensolve
-    ns = _orders(symbol, n_list)
-    if isinstance(m, numbers.Real) and (m < 1 or m > symbol.k * ns[0]):
-        raise IndexRangeError(
-            f"index m = {m} does not exist at the smallest order n = {ns[0]} "
-            f"(spectrum has {symbol.k * ns[0]} entries)"
-        )
-    symbols._check_integer(m, "index m", 1, IndexRangeError)  # 1.5 or a bool in range; a non-number skips the range
-    traj = truncated_spectra(symbol, ns)
-    values = [float(traj.spectra[n][m - 1]) for n in ns]
-    violation = 0.0
-    for prev, nxt in zip(values, values[1:]):
-        violation = max(violation, nxt - prev)
-    limit = symbols.symplectic_curves(symbol, grid).min()
-    return MinTrajectory(
-        m=m,
-        ns=ns,
-        values=values,
-        limit=limit,
-        limit_gap=abs(values[-1] - limit),
-        monotonicity_violation=violation,
-    )
 
 
 @dataclass(frozen=True)

