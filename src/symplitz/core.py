@@ -25,7 +25,11 @@ truncation is, and both pass their factor to _factor_spectrum: a k <= 2
 factor's entries go to the same closed forms, everything else takes the
 singular values of K.  williamson keeps the Schur form.
 
-A truncation of a finite-degree symbol is banded, and toeplitz solves it as
+A truncation whose symbol has trimmed degree <= 1 is block diagonal in the
+sine basis, which is symplectic, so toeplitz hands its n node blocks
+a(pi j / (n + 1)) to symplectic_eigenvalues as one stack: entry rows for
+k <= 3, the LAPACK chain for k >= 4, with no band.  A truncation of higher
+degree is banded, and toeplitz solves it as
 the two halves into which the block flip (block i to block n - 1 - i, which
 commutes with the truncation and with J) splits it, each of about half its
 dimension (an odd order puts the middle block in the +1 half).  toeplitz
@@ -643,7 +647,8 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     accuracy class.  Everything else takes the singular values of K, whose
     copies of each d_j are paired under PAIR_TOL.  A stack of no matrices,
     shape (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
-    toeplitz.truncation_spectrum, as two flip halves, not by this function.
+    toeplitz.truncation_spectrum: at trimmed degree <= 1 as one stack of their
+    n sine-node blocks, through this function; otherwise as two flip halves.
     """
     A = _real(A, "matrix")
     n = _even_dim(A)

@@ -2,7 +2,13 @@
 
 Every symbol is a cosine series (samples are projected by
 symbols.from_samples), so block (i, j) of the order-n truncation T_n is its
-coefficient A_|i-j|.  A degree-q truncation with k modes is banded (lower
+coefficient A_|i-j|.  When the last nonzero coefficient is A_0 or A_1 (the
+trimmed degree is at most 1; _sine_diagonal, the one routing rule), T_n is
+block diagonal in the sine basis, which is symplectic, with blocks
+a(pi j / (n + 1)), j = 1 .. n, and truncation_spectrum solves those n nodes
+as one stack of core.symplectic_eigenvalues (_node_spectrum): exact, with no
+band and no flip.  Everything below is the route of every other symbol.
+A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
 straight from the coefficients.  T_n commutes with the block flip E (block
 i to block n - 1 - i), and E with I_n (x) J, so truncation_spectrum solves
@@ -20,8 +26,8 @@ matrix otherwise.  When both halves go to the band kernel, the first is
 solved on one worker thread (_WORKER) while the caller solves the second;
 the band eigensolve runs without the GIL, so the pair takes two cores.
 Every other order is solved in the caller, and nothing configures this.
-A half that is not positive definite stops the solve with one
-PositivityError, built here, that names the order.  The
+A half, or a sine node, that is not positive definite stops the solve with
+one PositivityError, built here, that names the order.  The
 covariance (G-chain) test is the one place where a complex matrix enters:
 H_n = T_n + (i/2) J is the same band with J on the first subdiagonal.  The
 test has one verdict, a band Cholesky factor of H_n + tol I (gchain_sweep);
@@ -221,13 +227,65 @@ def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
     return bands
 
 
+def _sine_diagonal(symbol: TrigMatrixPolynomial) -> bool:
+    """Whether every truncation of the symbol is block diagonal in the sine basis: its trimmed
+    degree, the index of its last nonzero coefficient, is at most 1.
+
+    A zero block past the last nonzero one adds nothing to a truncation (_band
+    trims its band by the same test), so trailing zero blocks do not count,
+    and a symbol with A_1 = 0 and A_2 != 0 is of degree 2.  At trimmed degree
+    <= 1, T_n = I_n (x) A_0 + (S + S^T) (x) A_1 with S the shift, and the
+    orthonormal DST-I matrix U[j, l] = sqrt(2 / (n + 1)) sin(pi j l / (n + 1))
+    diagonalises S + S^T with eigenvalues 2 cos(theta_j), theta_j =
+    pi j / (n + 1).  U (x) I_2k is orthogonal and commutes with I_n (x) J, so
+    it is symplectic, and it turns T_n into diag(a(theta_1), ..., a(theta_n)):
+    the symplectic spectrum of T_n is the union of those of its n nodes (the
+    tau algebra of Bini & Capovani, LAA 52/53, 1983).  This is the one rule
+    by which a truncation leaves the band.
+    """
+    return not symbol.coeffs[2:].any()
+
+
+def _node_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
+    """Symplectic spectrum of the order-n truncation of a symbol of trimmed degree <= 1,
+    ascending: the sorted union of the spectra of a(theta_j), theta_j = pi j / (n + 1).
+
+    The n nodes A_0 + 2 cos(theta_j) A_1 are one stack for
+    core.symplectic_eigenvalues, so k <= 3 is solved on entry rows and k >= 4
+    by the LAPACK chain.  Order 1 is A_0 itself (cos(pi / 2) is not 0 in
+    floats), a single matrix with the bits of symplectic_eigenvalues(A_0).  A
+    node value outside the float range raises DomainError.  A breakdown raises
+    one PositivityError that names the order, carries where = n and reports
+    min_j lambda_min(a(theta_j)), which is lambda_min(T_n).
+    """
+    truncation_dim(symbol, n)
+    a0 = symbol.coeffs[0]
+    if n == 1:
+        values = a0
+    else:
+        a1 = symbol.coeffs[1] if symbol.degree else np.zeros_like(a0)
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = a0 + (2.0 * np.cos(theta))[:, None, None] * a1
+        core._require_finite(values, f"sine-node stack of the order-{n} truncation")
+    try:
+        d = core.symplectic_eigenvalues(values)
+    except PositivityError:
+        low = float(np.linalg.eigvalsh(values)[..., 0].min())
+        raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
+    return np.sort(d, axis=None)
+
+
 def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """Symplectic spectrum of the order-n truncation, ascending.
 
-    The spectrum is the sorted union of the spectra of the two flip halves
-    of T_n (_flip_bands: in reversed block order, T_{h + n%2}'s band plus or
-    minus the block Hankel H[i, j] = A_{1 + n%2 + i + j} on the leading
-    blocks), each of dimension about N / 2, so band reduction,
+    A symbol of trimmed degree <= 1 (_sine_diagonal) is solved exactly on its
+    n sine nodes (_node_spectrum): T_n is block diagonal in the sine basis, so
+    its spectrum is the union of those of the n blocks a(theta_j).  For every
+    other symbol the spectrum is the sorted union of the spectra of the two
+    flip halves of T_n (_flip_bands: in reversed block order, T_{h + n%2}'s
+    band plus or minus the block Hankel H[i, j] = A_{1 + n%2 + i + j} on the
+    leading blocks), each of dimension about N / 2, so band reduction,
     O(N^2 b), costs about half as much as on T_n.  Each half is routed on its
     own dimension: to the band (core._band_spectrum) when its bandwidth b
     satisfies b <= _band_limit, which builds no dense array, and otherwise
@@ -241,6 +299,8 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     lowest eigenvalues (_lowest_eigenvalue), which is lambda_min(T_n), and
     carries where = n.
     """
+    if _sine_diagonal(symbol):
+        return _node_spectrum(symbol, n)
     halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
     try:
         factors = [

@@ -446,11 +446,24 @@ def svd_route(A):
     return core.symplectic_eigenvalues(A[None])[0]
 
 
-def bandwidth_7_k2():
-    """degree_one_k2 with a_1[3, 0] = a_1[0, 3] = 0.01: lower bandwidth 2k (q + 1) - 1 = 7."""
-    coeffs = matrix_symbol_k2().coeffs[:2].copy()
-    coeffs[1, 3, 0] = coeffs[1, 0, 3] = 0.01
-    return TrigMatrixPolynomial(coeffs)
+def degree_two_k1():
+    """matrix_symbol_k1 with a_2 = [[0.05, 0.02], [0.02, -0.03]]: lower bandwidth 2k (q + 1) - 1 = 5."""
+    a2 = np.array([[0.05, 0.02], [0.02, -0.03]])
+    return TrigMatrixPolynomial(np.concatenate([matrix_symbol_k1().coeffs, a2[None]]))
+
+
+def bandwidth_7_k1():
+    """degree_two_k1 with a_3 = [[0.02, 0.01], [0.01, 0.01]]: k = 1, degree 3, lower bandwidth 2k (q + 1) - 1 = 7."""
+    a3 = np.array([[0.02, 0.01], [0.01, 0.01]])
+    return TrigMatrixPolynomial(np.concatenate([degree_two_k1().coeffs, a3[None]]))
+
+
+def flip_band_spectrum(symbol, n):
+    """The band kernel on each flip half of T_n (toeplitz._flip_bands), whatever the symbol's degree:
+    the union truncation_spectrum takes at degree >= 2 when both halves are on the band route, as they must be."""
+    halves = toeplitz._flip_bands(symbol, n)
+    assert all(ab.shape[0] - 1 <= toeplitz._band_limit(ab.shape[1]) for ab in halves)
+    return np.sort(np.concatenate([core._band_spectrum(cholesky_banded(ab, lower=True)) for ab in halves]))
 
 
 @pytest.fixture
@@ -736,15 +749,16 @@ class TestEntryRows:
 
 
 class TestBandRoute:
-    """Truncations reach core._band_spectrum as their band (toeplitz.truncation_spectrum);
-    other banded matrices are handed their lower band by lower_band."""
+    """Truncations of degree >= 2 reach core._band_spectrum as their flip halves' bands
+    (toeplitz.truncation_spectrum), and degree-1 ones, solved on their sine nodes there, are
+    handed to it by flip_band_spectrum; other banded matrices are handed their lower band by lower_band."""
 
     @pytest.mark.parametrize("name,n", [
         ("phi_2_cos", 64), ("phi_margin", 256), ("matrix_k1", 128), ("ab_geometric", 256),
         ("matrix_k2", 128), ("const_k2", 64), ("matrix_k2", 512),
     ])
     def test_corpus_agrees_with_svd(self, corpus, routes, name, n):
-        d = toeplitz.truncation_spectrum(corpus[name], n)  # dims 128 .. 2048, halves 64 .. 1024
+        d = flip_band_spectrum(corpus[name], n)  # dims 128 .. 2048, halves 64 .. 1024
         assert routes == ["band", "band"]
         ref = svd_route(toeplitz.assemble(corpus[name], n))
         assert np.abs(d - ref).max() <= 1e-13 * ref[-1]
@@ -765,7 +779,7 @@ class TestBandRoute:
         assert routes == ["band", "svd"] * (b_max + 1)
 
     def test_against_nonsymmetric_eigensolver(self, routes):
-        d = toeplitz.truncation_spectrum(matrix_symbol_k1(), 128)  # dim 256, b = 3, halves of dim 128
+        d = flip_band_spectrum(matrix_symbol_k1(), 128)  # dim 256, b = 3, halves of dim 128
         assert routes == ["band", "band"]
         T = toeplitz.assemble(matrix_symbol_k1(), 128)
         ev = np.linalg.eigvals(core.symplectic_form(128) @ T)
@@ -793,23 +807,23 @@ class TestBandRoute:
         assert np.abs(d / np.repeat(d_block, 32) - 1.0).max() <= budget
 
     def test_crossover(self, routes):
-        # lower bandwidth 3: the band route starts at dim max(12 (3 + 2), (3 + 2)^2 / 2) = 60,
-        # and each flip half is routed on its own dimension: order 60 has halves of dim 60 and 60,
-        # order 59 of dim 58 (T-) and 60 (T+)
-        symbol = matrix_symbol_k1()
-        assert toeplitz._band_limit(60) == 3 and toeplitz._band_limit(58) == 2
-        assert toeplitz._band(symbol, 30).shape == (4, 60)
-        for n, dims in ((60, [60, 60]), (59, [58, 60])):
-            assert [ab.shape for ab in toeplitz._flip_bands(symbol, n)] == [(4, dim) for dim in dims]
+        # k = 1, degree 2, lower bandwidth 5: the band route starts at dim max(12 (5 + 2), (5 + 2)^2 / 2) = 84,
+        # and each flip half is routed on its own dimension: order 84 has halves of dim 84 and 84,
+        # order 83 of dim 82 (T-) and 84 (T+)
+        symbol = degree_two_k1()
+        assert toeplitz._band_limit(84) == 5 and toeplitz._band_limit(82) == 4
+        assert toeplitz._band(symbol, 42).shape == (6, 84)
+        for n, dims in ((84, [84, 84]), (83, [82, 84])):
+            assert [ab.shape for ab in toeplitz._flip_bands(symbol, n)] == [(6, dim) for dim in dims]
             toeplitz.truncation_spectrum(symbol, n)
         assert routes == ["band", "band", "svd", "band"]
 
     def test_crossover_at_bandwidth_7(self, routes):
-        # k = 2, degree 1: the band route starts at dim 12 (7 + 2) = 108, so at order 54 for
-        # both flip halves (dim 108 each); order 53 has halves of dim 104 (T-) and 108 (T+)
-        symbol = bandwidth_7_k2()
-        assert toeplitz._band_limit(108) == 7 and toeplitz._band_limit(104) == 6
-        for n in (54, 53):
+        # k = 1, degree 3: the band route starts at dim 12 (7 + 2) = 108, so at order 108 for
+        # both flip halves (dim 108 each); order 107 has halves of dim 106 (T-) and 108 (T+)
+        symbol = bandwidth_7_k1()
+        assert toeplitz._band_limit(108) == 7 and toeplitz._band_limit(106) == 6
+        for n in (108, 107):
             assert toeplitz._band(symbol, n).shape[0] == 8
             assert [ab.shape[0] for ab in toeplitz._flip_bands(symbol, n)] == [8, 8]
             d = toeplitz.truncation_spectrum(symbol, n)
@@ -835,15 +849,17 @@ class TestBandRoute:
         assert routes == ["small"] * 5
 
     def test_non_pd_carries_dense_eigenvalue(self, routes):
-        symbol = scalar_symbol([1.0, 0.6])  # 1 + 1.2 cos(theta) dips below 0
-        with pytest.raises(PositivityError) as exc:
-            toeplitz.truncation_spectrum(symbol, 128)
-        # the band factor broke down; bisection on band factors, no band reduction and no dense eigensolve
-        assert routes == []
-        dense = np.linalg.eigvalsh(toeplitz.assemble(symbol, 128))[0]
-        assert exc.value.min_eigenvalue == pytest.approx(dense, abs=1e-13) and dense < 0
-        assert exc.value.where == 128
-        assert str(exc.value).startswith("truncation of order n = 128 is not positive definite (min eigenvalue ")
+        # 1 + 1.2 cos(theta) dips below 0, and so does 1 + 1.2 cos(theta) + 0.02 cos(2 theta).  At degree 2 the
+        # band factor broke down: bisection on band factors, no band reduction and no dense eigensolve of T_n.
+        # At degree 1 a node of the stack broke down: one eigvalsh of the 2 x 2 nodes, no kernel either
+        for symbol in (scalar_symbol([1.0, 0.6, 0.01]), scalar_symbol([1.0, 0.6])):
+            with pytest.raises(PositivityError) as exc:
+                toeplitz.truncation_spectrum(symbol, 128)
+            assert routes == []
+            dense = np.linalg.eigvalsh(toeplitz.assemble(symbol, 128))[0]
+            assert exc.value.min_eigenvalue == pytest.approx(dense, abs=1e-13) and dense < 0
+            assert exc.value.where == 128
+            assert str(exc.value).startswith("truncation of order n = 128 is not positive definite (min eigenvalue ")
 
     def test_overflowing_kernel_is_domain_error(self, routes):
         # finite entries up to 1.75e308; K = L^T J L has the entry 4 * 1.4e308
@@ -878,13 +894,16 @@ class TestBandRoute:
 
             return call
 
-        # neither the singular values nor a dense truncation: each order is written as its band
+        # neither the singular values nor a dense truncation: a degree-1 order is solved on its sine
+        # nodes, and each flip half of a degree-2 order at dim 256 .. 2048 (halves 128 .. 1024, b = 5) is
+        # written as its band
         monkeypatch.setattr(np.linalg, "svd", refuse("np.linalg.svd"))
         monkeypatch.setattr(toeplitz, "assemble", refuse("toeplitz.assemble"))
-        traj = szego.truncated_spectra(degree_one_k2(), [64, 128, 256, 512])  # dims 256 .. 2048
-        assert [len(traj.spectra[n]) for n in traj.ns] == [128, 256, 512, 1024]
-        files, _, summary = cli.cmd_spectrum(None, degree_one_k2(), 128, False)  # dim 512
-        assert list(files) == ["spectrum.csv"] and summary["values"] == traj.spectra[128].tolist()
+        for symbol, ns in ((degree_one_k2(), [64, 128, 256, 512]), (degree_two_k1(), [128, 256, 512, 1024])):
+            traj = szego.truncated_spectra(symbol, ns)  # dims 256 .. 2048
+            assert [len(traj.spectra[n]) for n in traj.ns] == [symbol.k * n for n in ns]
+            files, _, summary = cli.cmd_spectrum(None, symbol, 128, False)  # dim 512 / 256
+            assert list(files) == ["spectrum.csv"] and summary["values"] == traj.spectra[128].tolist()
 
 
 class TestHbevd:

@@ -296,6 +296,28 @@ class TestSupNorm:
         full = float(np.abs(np.linalg.eigvalsh(s.evaluate(grid.nodes()))).max())
         assert symbols.sup_norm(s, grid) == pytest.approx(full, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chunks_give_the_float_of_one_whole_stack(self, k):
+        # a half grid of 2c + 1 nodes spans three chunks of core._STACK_CHUNK = c nodes
+        grid = symbols.GridSpec(4 * core._STACK_CHUNK)
+        s = nonseparable_degree2(k, seed=30 + k)
+        whole = float(np.abs(np.linalg.eigvalsh(s.evaluate(grid._nodes(0, grid.G // 2 + 1)))).max())
+        assert symbols.sup_norm(s, grid) == whole
+
+    def test_peak_memory_is_a_fraction_of_the_half_grid_stack(self):
+        # one eigvalsh of the half grid's values peaked at 1.17x their size (44.0 MB at k = 3, G = 2^18);
+        # streamed, one chunk remains
+        G = 2**18
+        s = nonseparable_degree2(3, seed=4)
+        stack_bytes = (G // 2 + 1) * 6 * 6 * 8
+        tracemalloc.start()
+        try:
+            symbols.sup_norm(s, symbols.GridSpec(G))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * stack_bytes
+
 
 class TestCurves:
     def test_constant_rows(self):

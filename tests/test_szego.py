@@ -234,6 +234,32 @@ class TestConvergenceReport:
         assert rep.gaps[-1] > 1e-6
 
 
+
+class TestSecondOrderAtDegreeOne:
+    """At degree 1, T_n is block diagonal on the sine nodes theta_j = pi j / (n + 1), so the average
+    is the rule (1/n) sum_j g(theta_j), with g(theta) = sum_l f(d_l(theta)).  For analytic f, g is
+    analytic, even and 2 pi-periodic, so n (avg_n - I) = I - (g(0) + g(pi)) / 2 up to a geometric tail,
+    with I the symbol integral (ROADMAP item 11)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_constant_from_order_32(self, k):
+        rng = np.random.default_rng(30 + k)
+        X = rng.standard_normal((2 * k, 2 * k))
+        B = rng.standard_normal((2 * k, 2 * k))
+        s = symbols.TrigMatrixPolynomial(np.stack([X @ X.T / (2 * k) + 2.0 * np.eye(2 * k), 0.125 * (B + B.T)]))
+        curves = symbols.symplectic_curves(s, symbols.GridSpec(4096))
+        ends = core.symplectic_eigenvalues(s.evaluate(np.array([0.0, np.pi])))
+        # the hat has kinks, so its quantity has no limit: it is computed, and not gated
+        for f, gated in ((szego.monomial(2), True), (ENTROPY, True), (szego.hat(1.5, 2.5, 3.5), False)):
+            integral = szego.symbol_integral(curves, f)
+            constant = integral - 0.5 * float(f(ends).sum())
+            for n in (32, 64, 128, 256):
+                quantity = n * (szego.szego_average(toeplitz.truncation_spectrum(s, n), n, f) - integral)
+                if gated:
+                    assert abs(quantity - constant) <= 1e-9 * abs(constant), (f.name, n, quantity, constant)
+                else:
+                    assert np.isfinite(quantity)
+
 class TestMinTrajectory:
     def test_constant(self):
         A = np.diag([1.0, 1.0, 4.0, 4.0])

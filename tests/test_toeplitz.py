@@ -30,6 +30,7 @@ from conftest import (
 
 
 PHI = symbols.scalar_symbol([2.0, 0.5])  # 2 + cos(theta), k = 1
+PHI2 = symbols.scalar_symbol([2.0, 0.5, 0.25])  # 2 + cos(theta) + 0.5 cos(2 theta), k = 1, degree 2
 
 
 class TestAssemble:
@@ -588,49 +589,61 @@ class TestFlipSplit:
         # a0 + cos(theta), k = 1: T_n(phi) has eigenvalues a0 + cos(j pi / (n + 1)) with
         # eigenvectors sin(i j pi / (n + 1)), symmetric under the flip for odd j.  a0 puts
         # only j = n below 0, so the lowest eigenvector lies in T- for even n and in T+
-        # (with its middle block) for odd n.  Orders 8 and 9 have dense halves, 128 and
-        # 129 band halves.
-        a0 = -0.5 * (math.cos(n * math.pi / (n + 1)) + math.cos((n - 1) * math.pi / (n + 1)))
-        s = symbols.scalar_symbol([a0, 0.5])
-        halves = toeplitz._flip_bands(s, n)
-        lows = [np.linalg.eigvalsh(toeplitz._dense(ab))[0] for ab in halves]
-        assert (lows[0] < 0 < lows[1]) if minus else (lows[1] < 0 < lows[0])
-        # both halves are factored before either is solved
-        monkeypatch.setattr(core, "_hbevd", lambda *a, **kw: pytest.fail("band reduction"))
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("singular values"))
-        with pytest.raises(PositivityError) as exc:
-            toeplitz.truncation_spectrum(s, n)
-        exact = a0 + math.cos(n * math.pi / (n + 1))
-        assert exc.value.min_eigenvalue == pytest.approx(exact, abs=1e-13) and exact < 0
-        assert exc.value.min_eigenvalue == pytest.approx(min(lows), abs=1e-13)
-        assert exc.value.where == n
-        assert str(exc.value) == (
-            f"truncation of order n = {n} is not positive definite (min eigenvalue {exc.value.min_eigenvalue:.6e})"
-        )
+        # (with its middle block) for odd n.  That symbol has degree 1 and is solved on its
+        # sine nodes; a0 + cos(theta) + 0.02 cos(2 theta), whose two lowest eigenvalues
+        # (each twice, from I_2) are read from eigvalsh, keeps the same parities and is solved
+        # as its flip halves.  Orders 8 and 9 have dense halves, 128 and 129 band halves.
+        for a2 in (0.0, 0.01):
+            lowest = [math.cos(n * math.pi / (n + 1)), math.cos((n - 1) * math.pi / (n + 1))]
+            if a2:
+                lowest = np.linalg.eigvalsh(toeplitz.assemble(symbols.scalar_symbol([0.0, 0.5, a2]), n))[[0, 2]]
+            a0 = -0.5 * (lowest[0] + lowest[1])
+            s = symbols.scalar_symbol([a0, 0.5, a2])
+            halves = toeplitz._flip_bands(s, n)
+            lows = [np.linalg.eigvalsh(toeplitz._dense(ab))[0] for ab in halves]
+            assert (lows[0] < 0 < lows[1]) if minus else (lows[1] < 0 < lows[0])
+            # both halves are factored before either is solved
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_hbevd", lambda *a, **kw: pytest.fail("band reduction"))
+                patch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("singular values"))
+                with pytest.raises(PositivityError) as exc:
+                    toeplitz.truncation_spectrum(s, n)
+            exact = a0 + lowest[0]
+            assert exc.value.min_eigenvalue == pytest.approx(exact, abs=1e-13) and exact < 0
+            assert exc.value.min_eigenvalue == pytest.approx(min(lows), abs=1e-13)
+            assert exc.value.where == n
+            assert str(exc.value) == (
+                f"truncation of order n = {n} is not positive definite (min eigenvalue {exc.value.min_eigenvalue:.6e})"
+            )
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_non_pd_reports_the_smaller_of_two_failing_halves(self, n):
-        # 1 + 1.2 cos(theta) dips below 0 in both halves (at n = 16, j = 14, 15, 16)
-        s = symbols.scalar_symbol([1.0, 0.6])
-        lows = [np.linalg.eigvalsh(toeplitz._dense(ab))[0] for ab in toeplitz._flip_bands(s, n)]
-        assert max(lows) < 0
-        with pytest.raises(PositivityError) as exc:
-            toeplitz.truncation_spectrum(s, n)
-        assert exc.value.min_eigenvalue == pytest.approx(min(lows), abs=1e-13)
-        assert exc.value.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(toeplitz.assemble(s, n))[0], abs=1e-13)
+        # 1 + 1.2 cos(theta) dips below 0 in both halves (at n = 16, j = 14, 15, 16), and so does
+        # 1 + 1.2 cos(theta) + 0.02 cos(2 theta), which is solved as its flip halves, not on sine nodes
+        for s in (symbols.scalar_symbol([1.0, 0.6]), symbols.scalar_symbol([1.0, 0.6, 0.01])):
+            lows = [np.linalg.eigvalsh(toeplitz._dense(ab))[0] for ab in toeplitz._flip_bands(s, n)]
+            assert max(lows) < 0
+            with pytest.raises(PositivityError) as exc:
+                toeplitz.truncation_spectrum(s, n)
+            assert exc.value.min_eigenvalue == pytest.approx(min(lows), abs=1e-13)
+            dense = np.linalg.eigvalsh(toeplitz.assemble(s, n))[0]
+            assert exc.value.min_eigenvalue == pytest.approx(dense, abs=1e-13)
 
     @pytest.mark.parametrize("coeffs,n", [([1.5e308, 0.9e308], 2), ([1.5e308, 0.0, 0.9e308], 3)])
     def test_overflowing_half_is_domain_error(self, coeffs, n):
-        # T_n has finite entries, but its corner entry A_0 + A_{n-1} of T+ overflows
+        # T_n has finite entries.  At degree 2 its corner entry A_0 + A_{n-1} of T+ overflows; at degree 1
+        # T_n is solved on its sine nodes, and the node value A_0 + 2 cos(pi / 3) A_1 overflows
         s = symbols.scalar_symbol(coeffs)
         assert np.isfinite(toeplitz.assemble(s, n)).all()
-        with pytest.raises(DomainError, match="flip half"):
+        what = "flip half" if s.degree > 1 else "sine-node stack"
+        with pytest.raises(DomainError, match=f"^{what} of the order-{n} truncation has entries outside the float range$"):
             toeplitz.truncation_spectrum(s, n)
 
 
 class TestBandPair:
     """When both flip halves of an order take the band route, the first is solved on toeplitz's
-    worker thread while the caller solves the second; every other order is solved in the caller."""
+    worker thread while the caller solves the second; every other order is solved in the caller.
+    Only symbols of degree >= 2 are split by the flip, so these tests take PHI2, not PHI."""
 
     @staticmethod
     def record(monkeypatch):
@@ -648,20 +661,21 @@ class TestBandPair:
         monkeypatch.setattr(core, "_factor_spectrum", recorded("dense", core._factor_spectrum))
         return calls
 
-    # PHI has lower bandwidth 2, which takes the band route from dim 48: halves of dim 48 / 48 at
-    # order 48, 46 / 48 at 47, 46 / 46 at 46 and 8 / 8 at 8; order 1 is T_1 alone
+    # PHI2 has lower bandwidth 4, which takes the band route from dim max(12 (4 + 2), (4 + 2)^2 / 2) = 72:
+    # halves of dim 72 / 72 at order 72, 70 / 72 at 71, 70 / 70 at 70 and 8 / 8 at 8; order 1 is T_1 alone
     @pytest.mark.parametrize("n, routes", [
-        (128, ["band", "band"]), (48, ["band", "band"]), (47, ["band", "dense"]), (46, ["dense", "dense"]),
+        (128, ["band", "band"]), (72, ["band", "band"]), (71, ["band", "dense"]), (70, ["dense", "dense"]),
         (8, ["dense", "dense"]), (1, ["dense"]),
     ])
     def test_one_band_half_runs_off_the_caller(self, monkeypatch, n, routes):
+        assert toeplitz._band_limit(72) == 4 and toeplitz._band_limit(70) == 3
         calls = self.record(monkeypatch)
-        toeplitz.truncation_spectrum(PHI, n)
+        toeplitz.truncation_spectrum(PHI2, n)
         assert sorted(route for route, _ in calls) == routes
         off = [route for route, thread in calls if thread != threading.get_ident()]
         assert off == (["band"] if routes == ["band", "band"] else [])
 
-    @pytest.mark.parametrize("k,degree,n", [(1, 1, 64), (1, 3, 129), (2, 1, 60), (2, 2, 81), (3, 3, 128)])
+    @pytest.mark.parametrize("k,degree,n", [(1, 2, 96), (1, 3, 129), (2, 3, 102), (2, 2, 81), (3, 3, 128)])
     def test_same_bits_as_in_the_caller(self, k, degree, n):
         s = _split_symbol(k, degree)
         halves = toeplitz._flip_bands(s, n)
@@ -670,8 +684,8 @@ class TestBandPair:
         assert np.array_equal(toeplitz.truncation_spectrum(s, n), np.sort(np.concatenate(alone)))
 
     def test_overflow_in_the_workers_half(self, monkeypatch):
-        # 1.7e308 + 0.1e308 cos(theta): d_max of each half lies beyond the float range
-        s = symbols.scalar_symbol([1.7e308, 0.05e308])
+        # 1.7e308 + 0.1e308 cos(theta) + 0.02e308 cos(2 theta): d_max of each half lies beyond the float range
+        s = symbols.scalar_symbol([1.7e308, 0.05e308, 0.01e308])
         first = cholesky_banded(toeplitz._flip_bands(s, 128)[0], lower=True)
         with pytest.raises(DomainError) as alone:
             core._band_spectrum(first)
@@ -695,7 +709,7 @@ class TestBandPair:
 
         monkeypatch.setattr(core, "_band_spectrum", band)
         with pytest.raises(type(error)) as exc:
-            toeplitz.truncation_spectrum(PHI, 128)
+            toeplitz.truncation_spectrum(PHI2, 128)
         assert str(exc.value) == str(error)
 
     def test_callers_error_waits_for_the_worker(self, monkeypatch):
@@ -710,7 +724,7 @@ class TestBandPair:
 
         monkeypatch.setattr(core, "_band_spectrum", band)
         with pytest.raises(PairingError, match="^second half$"):
-            toeplitz.truncation_spectrum(PHI, 128)
+            toeplitz.truncation_spectrum(PHI2, 128)
         assert finished == [True]
 
     def test_two_errors_raise_the_first_halfs(self, monkeypatch):
@@ -725,27 +739,27 @@ class TestBandPair:
 
         monkeypatch.setattr(core, "_band_spectrum", band)
         with pytest.raises(PairingError, match="^first half$"):
-            toeplitz.truncation_spectrum(PHI, 128)
+            toeplitz.truncation_spectrum(PHI2, 128)
 
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="a context variable from numpy 2.0")
     def test_worker_keeps_the_callers_error_state(self, monkeypatch):
         seen, solve = [], core._band_spectrum
         monkeypatch.setattr(core, "_band_spectrum", lambda L: seen.append(np.geterr()["under"]) or solve(L))
         with np.errstate(under="raise"):
-            toeplitz.truncation_spectrum(PHI, 128)
+            toeplitz.truncation_spectrum(PHI2, 128)
         assert seen == ["raise", "raise"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_has_its_own_worker(self):
         # the parent's worker thread does not exist in a forked child, so the child starts its own
-        expected = toeplitz.truncation_spectrum(PHI, 128)
+        expected = toeplitz.truncation_spectrum(PHI2, 128)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a process with threads
             pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                code = 0 if np.array_equal(toeplitz.truncation_spectrum(PHI, 128), expected) else 2
+                code = 0 if np.array_equal(toeplitz.truncation_spectrum(PHI2, 128), expected) else 2
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30
@@ -757,6 +771,112 @@ class TestBandPair:
             pytest.fail("the forked child did not finish its truncation")
         assert os.waitstatus_to_exitcode(done[1]) == 0
 
+
+
+def _degree_one_symbol(k, seed):
+    """Positive definite, non-separable, degree 1: A_0 = X X^T / 2k + 2 I and A_1 random symmetric at scale 0.25."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((2 * k, 2 * k))
+    return symbols.TrigMatrixPolynomial(np.stack([X @ X.T / (2 * k) + 2.0 * np.eye(2 * k), 0.25 * _random_blocks(rng, k, 0)[0]]))
+
+
+def _graded_symbol(seed):
+    """a = D H(theta) D, k = 2, degree 1: H_0 = X X^T / 4 + I, H_1 random symmetric with 2 ||H_1|| = 0.4,
+    and D = 10^u with u uniform in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    D = 10.0 ** rng.uniform(-3.0, 3.0, 4)
+    X = rng.standard_normal((4, 4))
+    S = _random_blocks(rng, 2, 0)[0]
+    H = np.stack([X @ X.T / 4 + np.eye(4), 0.2 * S / np.linalg.norm(S, 2)])
+    return symbols.TrigMatrixPolynomial(D[:, None] * H * D)
+
+
+class TestSineNodes:
+    """A symbol of trimmed degree <= 1 is solved on its sine nodes: T_n is block diagonal in the
+    sine basis, with blocks a(pi j / (n + 1)), j = 1 .. n (toeplitz._sine_diagonal, _node_spectrum)."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """The route each truncation_spectrum call takes: "nodes" or "flip"."""
+        taken, nodes, flip = [], toeplitz._node_spectrum, toeplitz._flip_bands
+        monkeypatch.setattr(toeplitz, "_node_spectrum", lambda *a: taken.append("nodes") or nodes(*a))
+        monkeypatch.setattr(toeplitz, "_flip_bands", lambda *a: taken.append("flip") or flip(*a))
+        return taken
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_eig_of_the_assembled_truncation(self, k, monkeypatch):
+        taken = self.record(monkeypatch)
+        s = _degree_one_symbol(k, seed=k)
+        orders = (1, 2, 3, 7, 8, 33, 64, 255, 256, 1000 // k)
+        for n in orders:
+            d = toeplitz.truncation_spectrum(s, n)
+            ref = _eig_spectrum(toeplitz.assemble(s, n))
+            assert d.shape == (k * n,) and (np.diff(d) >= 0).all()
+            assert np.abs(d - ref).max() <= 1e-13 * ref[-1], n
+        assert taken == ["nodes"] * len(orders)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_order_one_is_the_single_matrix_bit_for_bit(self, k, degree):
+        # T_1 = A_0, which keeps the single-matrix chain: the node A_0 + 2 cos(pi / 2) A_1 is not A_0 in floats
+        rng = np.random.default_rng(10 * k + degree)
+        for _ in range(20):
+            s = _near_identity(rng, k, degree, 0.1)
+            np.testing.assert_array_equal(toeplitz.truncation_spectrum(s, 1), core.symplectic_eigenvalues(s.coeffs[0]))
+
+    def test_route_follows_the_trimmed_degree(self, monkeypatch):
+        taken = self.record(monkeypatch)
+        s = _degree_one_symbol(2, seed=5)
+        padded = symbols.TrigMatrixPolynomial(np.concatenate([s.coeffs, np.zeros((2, 4, 4))]))  # degree 3, A_2 = A_3 = 0
+        negative = symbols.TrigMatrixPolynomial(np.concatenate([s.coeffs, np.full((1, 4, 4), -0.0)]))
+        assert padded.degree == 3 and negative.degree == 2
+        for n in (1, 2, 9, 64):
+            d = toeplitz.truncation_spectrum(s, n)
+            np.testing.assert_array_equal(toeplitz.truncation_spectrum(padded, n), d)
+            np.testing.assert_array_equal(toeplitz.truncation_spectrum(negative, n), d)
+        assert taken == ["nodes"] * 12
+        taken.clear()
+        # A_1 = 0 with A_2 != 0 is degree 2: T_n couples blocks i and i + 2, not block diagonal on the nodes
+        skip = symbols.TrigMatrixPolynomial(np.stack([s.coeffs[0], np.zeros((4, 4)), s.coeffs[1]]))
+        for n in (2, 9, 64):
+            d = toeplitz.truncation_spectrum(skip, n)
+            ref = _svd_spectrum(toeplitz.assemble(skip, n))
+            assert np.abs(d - ref).max() <= 1e-13 * ref[-1], n
+        toeplitz.truncation_spectrum(symbols.constant_symbol(s.coeffs[0]), 5)  # degree 0
+        assert taken == ["flip"] * 3 + ["nodes"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 128, 255])
+    def test_breakdown_names_the_order(self, n, monkeypatch):
+        # 1 + 1.2 cos(theta) with k = 2 and a non-separable k = 2 symbol shifted by -1.9 I both dip below 0;
+        # order 1 of the shifted symbol has an indefinite A_0
+        monkeypatch.setattr(toeplitz, "_flip_bands", lambda *a: pytest.fail("flip split"))
+        shifted = _degree_one_symbol(2, seed=3).coeffs.copy()
+        shifted[0] -= (np.linalg.eigvalsh(shifted[0])[0] + 0.01) * np.eye(4)
+        for s in (symbols.scalar_symbol([1.0, 0.6], k=2), symbols.TrigMatrixPolynomial(shifted)):
+            dense = np.linalg.eigvalsh(toeplitz.assemble(s, n))[0]
+            if dense > 0:
+                continue  # 1 + 1.2 cos(theta) is positive definite up to order 3
+            with pytest.raises(PositivityError) as exc:
+                toeplitz.truncation_spectrum(s, n)
+            assert exc.value.where == n
+            assert abs(exc.value.min_eigenvalue - dense) <= 1e-13
+            assert str(exc.value) == (
+                f"truncation of order n = {n} is not positive definite (min eigenvalue {exc.value.min_eigenvalue:.6e})"
+            )
+
+    def test_graded_symbol_is_relatively_accurate(self):
+        # a = D H(theta) D, spreads d_max / d_min of 1e2 to 1e6: every d_j of T_5 within 1e-14 relative of
+        # |Im eig(J T)| at 60 digits.  The k = 2 node kernel forms d_1 as sqrt(det) / d_2; the band kernel and
+        # the singular values of K are normwise, eps d_max / d_j (up to 2.3e-11 and 5.4e-11 on these draws)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for seed in range(6):
+            s = _graded_symbol(seed)
+            T = toeplitz.assemble(s, 5)
+            ev = mpmath.eig(mpmath.matrix((core.symplectic_form(10) @ T).tolist()), left=False, right=False)
+            ref = np.array([float(x) for x in sorted(abs(mpmath.im(e)) for e in ev)[::2]])
+            d = toeplitz.truncation_spectrum(s, 5)
+            assert np.abs(d / ref - 1.0).max() <= 1e-14, (seed, ref[-1] / ref[0])
 
 class TestPositiveDefiniteCheck:
     """The positive-definiteness verdict is the Cholesky factor inside the spectrum."""
