@@ -27,8 +27,11 @@ singular values of K.  williamson keeps the Schur form.
 
 A truncation whose symbol has trimmed degree <= 1 is block diagonal in the
 sine basis, which is symplectic, so toeplitz hands its n node blocks
-a(pi j / (n + 1)) to symplectic_eigenvalues as one stack: entry rows for
-k <= 3, the LAPACK chain for k >= 4, with no band.  A truncation of higher
+a(pi j / (n + 1)) to symplectic_eigenvalues as stacks: entry rows for
+k <= 3, the LAPACK chain for k >= 4, with no band.  The nodes of every
+order of a ladder go through one walk in chunks of _STACK_CHUNK nodes, so
+a chunk may hold several orders and a ladder pays a stack's fixed cost
+once a chunk.  A truncation of higher
 degree is banded, and toeplitz solves it as
 the two halves into which the block flip (block i to block n - 1 - i, which
 commutes with the truncation and with J) splits it, each of about half its
@@ -223,8 +226,10 @@ _GIVENS6 = [
     for q in range(5, col + 1, -1)
 ]
 # Nodes per chunk of a stack: _six_spectrum solves a k = 3 stack in chunks of
-# this many, and symbols.symplectic_curves streams its half grid through chunks
-# of this many nodes.  Alone, curves at G = 131,072 (65,537 solved nodes) were
+# this many, and symbols.symplectic_curves streams its half grid, and
+# toeplitz._node_spectra the sine nodes of a ladder of degree-1 truncations,
+# through chunks of this many nodes (szego.density_check takes its escape pass
+# in blocks of this many values).  Alone, curves at G = 131,072 (65,537 solved nodes) were
 # fastest at 8,192 (75 ms at k = 3, against 86 ms at 16,384), but in the
 # symbol-grid benchmark 8,192 raised the median k = 3 op by 10%: each chunk's
 # temporaries went back to the OS and were faulted in again (15,000 minor
@@ -647,8 +652,9 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     accuracy class.  Everything else takes the singular values of K, whose
     copies of each d_j are paired under PAIR_TOL.  A stack of no matrices,
     shape (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
-    toeplitz.truncation_spectrum: at trimmed degree <= 1 as one stack of their
-    n sine-node blocks, through this function; otherwise as two flip halves.
+    toeplitz.truncation_spectrum: at trimmed degree <= 1 as stacks of their
+    sine-node blocks, through this function (toeplitz._node_spectra, which
+    also solves whole ladders); otherwise as two flip halves.
     """
     A = _real(A, "matrix")
     n = _even_dim(A)

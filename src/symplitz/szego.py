@@ -12,7 +12,8 @@ whose spectral sum is the number of eigenvalues in K and whose integral is
 the angular measure of {theta : d_j(theta) in K}.  The reports hold
 measurements only; a verdict against a tolerance is the caller's.  A
 truncation that is not positive definite stops a run with the
-PositivityError of ``toeplitz.truncation_spectrum``, which names its order.
+PositivityError of ``toeplitz.truncation_spectrum`` at that order, which
+names it.
 """
 
 import operator
@@ -116,11 +117,20 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     noise) as the order grows; the worst upward drift across consecutive
     computed orders is recorded in ``monotonicity_violation``.  ``n_list`` is
     a list, tuple or range of orders, each checked by ``_orders`` before any
-    eigensolve runs.  The first order whose truncation is not positive
-    definite raises truncation_spectrum's PositivityError, with where = n.
+    eigensolve runs.  A symbol of trimmed degree <= 1
+    (``toeplitz._sine_diagonal``) hands the whole checked list to
+    ``toeplitz._node_spectra``, which solves the sine nodes of every order in
+    chunks of ``core._STACK_CHUNK`` nodes, with the bits of
+    ``truncation_spectrum`` at each order; every other symbol is solved order
+    by order, each as its two flip halves.  Either way the first order whose
+    truncation is not positive definite raises truncation_spectrum's
+    PositivityError for that order, with where = n.
     """
     ns = _orders(symbol, n_list)
-    spectra = {n: toeplitz.truncation_spectrum(symbol, n) for n in ns}
+    if toeplitz._sine_diagonal(symbol):
+        spectra = toeplitz._node_spectra(symbol, ns)
+    else:
+        spectra = {n: toeplitz.truncation_spectrum(symbol, n) for n in ns}
     violation = 0.0
     for n_prev, n_next in zip(ns, ns[1:]):
         shared = len(spectra[n_prev])
@@ -237,6 +247,13 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
+    Both read the spectra of all orders concatenated, in ascending order:
+    coverage sorts that union once, and the escapes are one pass over it, a
+    bracket mask and the distance to the sorted curve values taken in
+    blocks of core._STACK_CHUNK values (so the pass holds one block's
+    temporaries, not several copies of the union), then one np.add.reduceat
+    of the hits at each order's offset: escape[n] = count / n, with the
+    counts of one pass per order.
     A delta that is a bool or numpy bool, or not > 0 (NaN included),
     raises DomainError.
     n_max is checked by ``toeplitz.truncation_dim`` first, so an n_max that
@@ -251,16 +268,19 @@ def density_check(
     traj = truncated_spectra(symbol, range(1, n_max + 1))
     curves = symbols.symplectic_curves(symbol, grid)
     sorted_curve_values = np.sort(curves.values.ravel())
-    pool = np.sort(np.concatenate([traj.spectra[n] for n in traj.ns]))
-    distances = _distance_to_sorted(curves.values, pool)
+    union = np.concatenate([traj.spectra[n] for n in traj.ns])
+    distances = _distance_to_sorted(curves.values, np.sort(union))
     lower = float(sorted_curve_values[0])
     upper = symbols.sup_norm(symbol, grid)
-    escape = {}
-    for n in traj.ns:
-        s = traj.spectra[n]
-        inside = (s >= lower) & (s <= upper)
-        far = _distance_to_sorted(s, sorted_curve_values) >= delta
-        escape[n] = float(np.count_nonzero(inside & far) / n)
+    hits = np.empty(len(union), dtype=bool)
+    for lo in range(0, len(union), core._STACK_CHUNK):
+        block = union[lo : lo + core._STACK_CHUNK]
+        far = _distance_to_sorted(block, sorted_curve_values) >= delta
+        hits[lo : lo + core._STACK_CHUNK] = (block >= lower) & (block <= upper) & far
+    offsets = np.cumsum([0] + [len(traj.spectra[n]) for n in traj.ns[:-1]])
+    # an order holds k n < 2^31 values; int32 halves the cast of the hits that reduceat makes
+    counts = np.add.reduceat(hits, offsets, dtype=np.int32)
+    escape = {n: int(count) / n for n, count in zip(traj.ns, counts)}
     return DensityReport(
         delta=delta,
         n_max=n_max,

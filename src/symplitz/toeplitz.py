@@ -5,9 +5,12 @@ symbols.from_samples), so block (i, j) of the order-n truncation T_n is its
 coefficient A_|i-j|.  When the last nonzero coefficient is A_0 or A_1 (the
 trimmed degree is at most 1; _sine_diagonal, the one routing rule), T_n is
 block diagonal in the sine basis, which is symplectic, with blocks
-a(pi j / (n + 1)), j = 1 .. n, and truncation_spectrum solves those n nodes
-as one stack of core.symplectic_eigenvalues (_node_spectrum): exact, with no
-band and no flip.  Everything below is the route of every other symbol.
+a(pi j / (n + 1)), j = 1 .. n, and _node_spectra solves those nodes by
+core.symplectic_eigenvalues: exact, with no band and no flip.  It takes a
+list of orders and walks their nodes in chunks of core._STACK_CHUNK, so
+szego.truncated_spectra solves a whole ladder as a few stacks, and
+truncation_spectrum is its one-order case.  Everything below is the route
+of every other symbol.
 A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
 straight from the coefficients.  T_n commutes with the block flip E (block
@@ -50,7 +53,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
 from . import core, symbols
-from .errors import DomainError, InvalidDimensionError, PositivityError, TruncationSizeError
+from .errors import DomainError, InvalidDimensionError, PositivityError, SymplitzError, TruncationSizeError
 from .symbols import TrigMatrixPolynomial, _check_integer
 
 
@@ -246,42 +249,85 @@ def _sine_diagonal(symbol: TrigMatrixPolynomial) -> bool:
     return not symbol.coeffs[2:].any()
 
 
-def _node_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
-    """Symplectic spectrum of the order-n truncation of a symbol of trimmed degree <= 1,
-    ascending: the sorted union of the spectra of a(theta_j), theta_j = pi j / (n + 1).
+def _node_spectra(symbol: TrigMatrixPolynomial, ns: list) -> dict:
+    """Symplectic spectra {n: spectrum, ascending} of the order-n truncations, n in ns, of a
+    symbol of trimmed degree <= 1: each the sorted union of the spectra of the nodes
+    a(theta_j) = A_0 + 2 cos(theta_j) A_1, theta_j = pi j / (n + 1), j = 1 .. n.
 
-    The n nodes A_0 + 2 cos(theta_j) A_1 are one stack for
-    core.symplectic_eigenvalues, so k <= 3 is solved on entry rows and k >= 4
-    by the LAPACK chain.  Order 1 is A_0 itself (cos(pi / 2) is not 0 in
-    floats), a single matrix with the bits of symplectic_eigenvalues(A_0).  A
-    node value outside the float range raises DomainError.  A breakdown raises
-    one PositivityError that names the order, carries where = n and reports
+    ns holds distinct orders, ascending, each checked by truncation_dim.  The
+    nodes of every order > 1 are walked in that order through one buffer of
+    core._STACK_CHUNK nodes, so a chunk may span several orders; each full
+    chunk, and the last, is one stack for core.symplectic_eigenvalues (entry
+    rows for k <= 3, the LAPACK chain for k >= 4), and its spectra go into
+    one output array.  Each order's slice of that array is then sorted in
+    place and is its spectrum, so a ladder holds its spectra and one chunk,
+    and pays the stack's fixed cost once a chunk, not once an order.  Each
+    node is solved on its own and each order's angles are formed as for
+    that order alone, so the spectra have the bits of one stack per order.
+    Order 1 is A_0 itself (cos(pi / 2) is not 0 in floats), a single matrix
+    with the bits of symplectic_eigenvalues(A_0).  When a chunk fails, every
+    order > 1 is solved again, ascending, as one stack of its own nodes, so
+    an error is that of the first failing order: a node value outside the
+    float range raises DomainError naming the order, and a breakdown one
+    PositivityError that names the order, carries where = n and reports
     min_j lambda_min(a(theta_j)), which is lambda_min(T_n).
     """
-    truncation_dim(symbol, n)
     a0 = symbol.coeffs[0]
-    if n == 1:
-        values = a0
-    else:
-        a1 = symbol.coeffs[1] if symbol.degree else np.zeros_like(a0)
-        theta = np.pi * np.arange(1, n + 1) / (n + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = a0 + (2.0 * np.cos(theta))[:, None, None] * a1
-        core._require_finite(values, f"sine-node stack of the order-{n} truncation")
+    a1 = symbol.coeffs[1] if symbol.degree else np.zeros_like(a0)
+
+    def cosines(n: int) -> np.ndarray:
+        return 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+
+    def one_stack(n: int, values: np.ndarray) -> np.ndarray:
+        try:
+            d = core.symplectic_eigenvalues(values)
+        except PositivityError:
+            low = float(np.linalg.eigvalsh(values)[..., 0].min())
+            raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
+        return np.sort(d, axis=None)
+
+    spectra = {1: one_stack(1, a0)} if ns[0] == 1 else {}
+    ladder = ns[1:] if ns[0] == 1 else ns
+    if not ladder:
+        return spectra
+    k, total = symbol.k, sum(ladder)
+    out = np.empty(k * total)
+    chunk = np.empty((min(core._STACK_CHUNK, total),) + a0.shape)
     try:
-        d = core.symplectic_eigenvalues(values)
-    except PositivityError:
-        low = float(np.linalg.eigvalsh(values)[..., 0].min())
-        raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
-    return np.sort(d, axis=None)
+        done = fill = 0  # nodes solved into out, nodes waiting in the chunk
+        for n in ladder:
+            c, lo = cosines(n), 0
+            while lo < n:
+                take = min(n - lo, len(chunk) - fill)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    nodes = np.multiply(c[lo : lo + take, None, None], a1, out=chunk[fill : fill + take])
+                    nodes += a0
+                lo, fill = lo + take, fill + take
+                if fill == len(chunk) or done + fill == total:
+                    out[k * done : k * (done + fill)] = core.symplectic_eigenvalues(chunk[:fill]).reshape(-1)
+                    done, fill = done + fill, 0
+    except SymplitzError:
+        for n in ladder:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = a0 + cosines(n)[:, None, None] * a1
+            core._require_finite(values, f"sine-node stack of the order-{n} truncation")
+            spectra[n] = one_stack(n, values)
+        return spectra
+    start = 0
+    for n in ladder:
+        spectra[n] = out[start : start + k * n]
+        spectra[n].sort()
+        start += k * n
+    return spectra
 
 
 def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """Symplectic spectrum of the order-n truncation, ascending.
 
     A symbol of trimmed degree <= 1 (_sine_diagonal) is solved exactly on its
-    n sine nodes (_node_spectrum): T_n is block diagonal in the sine basis, so
-    its spectrum is the union of those of the n blocks a(theta_j).  For every
+    n sine nodes, as the one-order case of _node_spectra: T_n is block
+    diagonal in the sine basis, so its spectrum is the union of those of the
+    n blocks a(theta_j).  For every
     other symbol the spectrum is the sorted union of the spectra of the two
     flip halves of T_n (_flip_bands: in reversed block order, T_{h + n%2}'s
     band plus or minus the block Hankel H[i, j] = A_{1 + n%2 + i + j} on the
@@ -300,7 +346,8 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     carries where = n.
     """
     if _sine_diagonal(symbol):
-        return _node_spectrum(symbol, n)
+        truncation_dim(symbol, n)
+        return _node_spectra(symbol, [n])[n]
     halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
     try:
         factors = [

@@ -439,7 +439,9 @@ class TestIntegerOrders:
 
     @pytest.fixture
     def solves(self, monkeypatch):
+        # PHI has degree 1, so its ladders reach core through toeplitz._node_spectra, not truncation_spectrum
         monkeypatch.setattr(toeplitz, "truncation_spectrum", lambda s, n: pytest.fail(f"order {n} was solved"))
+        monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: pytest.fail("a stack was solved"))
 
     @pytest.mark.parametrize("n_list", [[2.7, 4], [2, 2.5, 4], [4, 2.0], [True, 4], (1, np.float64(3.0))],
                              ids=["2.7", "2.5-inside", "2.0", "True", "float64"])
@@ -504,3 +506,170 @@ class TestSizeGuardFirst:
         with pytest.raises(TruncationSizeError):
             szego.density_check(corpus["matrix_k2"], 10**9, 0.1, symbols.GridSpec(64))
         assert calls == []
+
+
+def _degree_one(k, seed):
+    """Positive definite, non-separable, degree 1: A_0 = X X^T / 2k + 2 I and A_1 random symmetric at scale 0.25."""
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((2, 2 * k, 2 * k))
+    return symbols.TrigMatrixPolynomial(np.stack([X @ X.T / (2 * k) + 2.0 * np.eye(2 * k), 0.125 * (Y + Y.T)]))
+
+
+def _one_stack(s, n):
+    """The order-n spectrum as one stack of its own sine nodes, A_0 alone at n = 1."""
+    a0, a1 = s.coeffs[0], (s.coeffs[1] if s.degree else np.zeros_like(s.coeffs[0]))
+    theta = np.pi * np.arange(1, n + 1) / (n + 1)
+    values = a0 if n == 1 else a0 + (2.0 * np.cos(theta))[:, None, None] * a1
+    return np.sort(core.symplectic_eigenvalues(values), axis=None)
+
+
+def _raised(call):
+    with pytest.raises(SymplitzError) as exc:
+        call()
+    e = exc.value
+    return type(e), str(e), getattr(e, "where", None), getattr(e, "min_eigenvalue", None)
+
+
+class TestNodeLadder:
+    """At trimmed degree <= 1, truncated_spectra solves every order > 1 of its list in one walk of
+    chunks of core._STACK_CHUNK sine nodes (toeplitz._node_spectra), with the bits and errors of
+    one stack per order."""
+
+    @staticmethod
+    def assert_bits(s, n_list):
+        traj = szego.truncated_spectra(s, n_list)
+        assert traj.ns == sorted(set(n_list))
+        for n in traj.ns:
+            d = traj.spectra[n]
+            assert d.shape == (s.k * n,) and d.tobytes() == toeplitz.truncation_spectrum(s, n).tobytes(), n
+        return traj
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])  # k = 4 takes the LAPACK chain
+    def test_every_order_has_the_bits_of_truncation_spectrum(self, k):
+        s = _degree_one(k, seed=k)
+        padded = symbols.TrigMatrixPolynomial(np.concatenate([s.coeffs, np.zeros((1, 2 * k, 2 * k))]))
+        flat = symbols.constant_symbol(s.coeffs[0])  # degree 0
+        assert padded.degree == 2 and flat.degree == 0
+        for n_list in (range(1, 65), [1, 2, 3, 7, 64], (2, 33, 5, 100), [1], [17]):
+            traj = self.assert_bits(s, n_list)
+            for n in traj.ns:
+                assert traj.spectra[n].tobytes() == _one_stack(s, n).tobytes(), n
+            for other in (padded, flat):
+                self.assert_bits(other, n_list)
+            padded_traj = szego.truncated_spectra(padded, n_list)
+            assert all(padded_traj.spectra[n].tobytes() == traj.spectra[n].tobytes() for n in traj.ns)
+
+    @pytest.mark.parametrize("k, n_list", [(1, range(1, 200)), (3, range(1, 201))], ids=["k1", "k3"])
+    def test_chunk_edges_keep_the_bits(self, k, n_list, monkeypatch):
+        # orders 2 .. n_max hold 19,899 (k = 1) and 20,099 (k = 3) nodes: two chunks, with an order across the edge
+        s = _degree_one(k, seed=40 + k)
+        stacks, solve = [], core.symplectic_eigenvalues
+        monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: stacks.append(np.shape(A)) or solve(A))
+        traj = szego.truncated_spectra(s, n_list)
+        nodes = sum(n_list) - 1
+        assert nodes > core._STACK_CHUNK
+        assert stacks == [(2 * k, 2 * k), (core._STACK_CHUNK, 2 * k, 2 * k), (nodes - core._STACK_CHUNK, 2 * k, 2 * k)]
+        monkeypatch.undo()
+        for n in traj.ns:
+            assert traj.spectra[n].tobytes() == _one_stack(s, n).tobytes() == toeplitz.truncation_spectrum(s, n).tobytes()
+
+    def test_first_failing_order_is_reported(self):
+        # lambda_min(T_n) falls with n: A_0 shifted between lambda_min(T_{m - 1}) and lambda_min(T_m)
+        # makes order m the first that is not positive definite
+        for k, n_list, m in ((2, range(1, 65), 3), (3, [1, 2, 3, 9, 40], 3), (1, range(1, 200), 190), (4, range(2, 30), 4)):
+            s = _degree_one(k, seed=50 + k)
+            below, at = (np.linalg.eigvalsh(toeplitz.assemble(s, n))[0] for n in (m - 1, m))
+            shifted = s.coeffs.copy()
+            shifted[0] -= 0.5 * (below + at) * np.eye(2 * k)
+            bad = symbols.TrigMatrixPolynomial(shifted)
+            err = _raised(lambda: szego.truncated_spectra(bad, n_list))
+            assert err == _raised(lambda: toeplitz.truncation_spectrum(bad, m))
+            assert err[0] is PositivityError and err[2] == m
+            assert err[1] == f"truncation of order n = {m} is not positive definite (min eigenvalue {err[3]:.6e})"
+            assert abs(err[3] - (at - 0.5 * (below + at))) <= 1e-12
+            for n in [n for n in n_list if n < m]:
+                toeplitz.truncation_spectrum(bad, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_overflowing_nodes_are_reported_at_their_order(self, k):
+        # a(theta) = 1e308 (I + 0.75 * 2 cos(theta) I): orders 1 and 2 are finite, order 3's
+        # first node 1e308 (1 + 0.75 sqrt(2)) is not
+        s = symbols.TrigMatrixPolynomial(np.stack([1e308 * np.eye(2 * k), 0.75e308 * np.eye(2 * k)]))
+        for n in (1, 2):
+            toeplitz.truncation_spectrum(s, n)
+        err = _raised(lambda: szego.truncated_spectra(s, [1, 2, 3, 4]))
+        assert err == _raised(lambda: toeplitz.truncation_spectrum(s, 3))
+        assert err == (DomainError, "sine-node stack of the order-3 truncation has entries outside the float range",
+                       None, None)
+
+    @pytest.mark.parametrize("symbol", [
+        PHI,
+        _degree_one(2, seed=60),
+        _degree_one(3, seed=61),
+        symbols.scalar_symbol([2.0, 0.5, 0.2]),  # degree 2: the flip split
+    ], ids=["PHI", "k2", "k3", "degree2"])
+    def test_escape_ratios_match_the_per_order_loop(self, symbol):
+        # on 16 grid nodes most orders have eigenvalues delta-far from every curve value; on 512 none
+        for G, n_max, delta in ((16, 1, 0.05), (16, 40, 0.02), (16, 40, 0.05), (512, 40, 0.05)):
+            grid = symbols.GridSpec(G)
+            rep = szego.density_check(symbol, n_max, delta, grid)
+            traj = szego.truncated_spectra(symbol, range(1, n_max + 1))
+            curve = np.sort(symbols.symplectic_curves(symbol, grid).values.ravel())
+            expected = {}
+            for n in traj.ns:
+                s = traj.spectra[n]
+                inside = (s >= rep.lower) & (s <= rep.upper)
+                far = szego._distance_to_sorted(s, curve) >= delta
+                expected[n] = float(np.count_nonzero(inside & far) / n)
+            assert rep.escape_ratios == expected
+            assert list(rep.escape_ratios) == traj.ns
+            if G == 16 and n_max == 40:
+                assert len(set(expected.values())) > 10
+
+    def test_k1_ladder_peaks_near_its_spectra(self):
+        # the spectra of orders 1 .. 2048 take 16.8 MB; one stack per order peaked at 1.035x that, and
+        # one whole-ladder node stack at 2.9x; the streamed ladder holds its spectra and one chunk
+        s = _degree_one(1, seed=70)
+        tracemalloc.start()
+        try:
+            traj = szego.truncated_spectra(s, range(1, 2049))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * sum(d.nbytes for d in traj.spectra.values())
+
+    def test_density_check_peaks_at_its_coverage_sort(self):
+        # the peak is the spectra, their concatenation and its sorted copy (3.02x the spectra at k = 1,
+        # n_max 2048, as with one escape pass per order); one whole-ladder escape pass read 8.1x
+        s = _degree_one(1, seed=72)
+        grid = symbols.GridSpec(256)
+        spectra = sum(d.nbytes for d in szego.truncated_spectra(s, range(1, 2049)).spectra.values())
+        tracemalloc.start()
+        try:
+            szego.density_check(s, 2048, 0.05, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * spectra + 2**20, (peak, spectra)
+
+    def test_k3_ladder_peaks_at_its_spectra_and_one_chunk(self):
+        # orders 1 .. 682 take 5.6 MB of spectra; one chunk of 16,384 k = 3 nodes peaks at 16.6 MB
+        # (its values, entry rows and kernel rows); 64 KB covers the order list and one order's angles
+        s = _degree_one(3, seed=71)
+        a0, a1 = s.coeffs
+        tracemalloc.start()
+        try:
+            values = np.multiply(np.linspace(-2.0, 2.0, core._STACK_CHUNK)[:, None, None], a1)
+            values += a0
+            core.symplectic_eigenvalues(values)
+            del values
+            chunk = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            traj = szego.truncated_spectra(s, range(1, 683))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(d.nbytes for d in traj.spectra.values()) + chunk + 2**16, (peak, chunk)

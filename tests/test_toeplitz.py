@@ -793,13 +793,13 @@ def _graded_symbol(seed):
 
 class TestSineNodes:
     """A symbol of trimmed degree <= 1 is solved on its sine nodes: T_n is block diagonal in the
-    sine basis, with blocks a(pi j / (n + 1)), j = 1 .. n (toeplitz._sine_diagonal, _node_spectrum)."""
+    sine basis, with blocks a(pi j / (n + 1)), j = 1 .. n (toeplitz._sine_diagonal, _node_spectra)."""
 
     @staticmethod
     def record(monkeypatch):
         """The route each truncation_spectrum call takes: "nodes" or "flip"."""
-        taken, nodes, flip = [], toeplitz._node_spectrum, toeplitz._flip_bands
-        monkeypatch.setattr(toeplitz, "_node_spectrum", lambda *a: taken.append("nodes") or nodes(*a))
+        taken, nodes, flip = [], toeplitz._node_spectra, toeplitz._flip_bands
+        monkeypatch.setattr(toeplitz, "_node_spectra", lambda *a: taken.append("nodes") or nodes(*a))
         monkeypatch.setattr(toeplitz, "_flip_bands", lambda *a: taken.append("flip") or flip(*a))
         return taken
 
