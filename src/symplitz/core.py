@@ -15,20 +15,30 @@ the Williamson factor is the lower edge of the symplectic numerical range.
 
 The route to a dense input's spectrum depends only on its layout.  Stacks
 of small matrices (k <= 3), the nodes of symbol grids, are solved on entry
-rows: the stack is transposed once to one row per matrix entry, and the
-checks, a column Cholesky and the upper entries of K are each an array
-operation across the stack, with no LAPACK call and no matmul per matrix.
-Those entries feed closed forms for k = 1 and k = 2, and for k = 3 a Givens
-skew tridiagonalisation followed by one-sided Jacobi on a 3 x 3 bidiagonal.
+rows, one row per matrix entry, and the checks, a column Cholesky and the
+upper entries of K are each an array operation across the stack, with no
+LAPACK call and no matmul per matrix.  Those entries feed closed forms for
+k = 1 and k = 2, and for k = 3 a Givens skew tridiagonalisation followed by
+one-sided Jacobi on a 3 x 3 bidiagonal.  The route runs in a workspace
+(_row_workspace: the rows, the kernel rows, their scratch rows and, at
+k = 3, the bidiagonal) and allocates no array of the stack's size
+besides: the factor, the kernel and the scaling of K are written in place.
+The walkers over chunks of nodes (symbols.symplectic_curves,
+toeplitz._node_spectra) make one workspace per walk, write each chunk's
+values straight into its rows and hand the chunk to symplectic_eigenvalues
+as a _RowChunk, so no chunk allocates, and pays page faults for, arrays of
+its own; a caller's stack gets a fresh workspace and is transposed into it
+once (_transpose_rows).  At k >= 4 a walk's chunk goes to the LAPACK chain
+as a strided view of its rows.
 Every single matrix is factored by LAPACK, as a dense flip half of a
 truncation is, and both pass their factor to _factor_spectrum: a k <= 2
 factor's entries go to the same closed forms, everything else takes the
 singular values of K.  williamson keeps the Schur form.
 
 A truncation whose symbol has trimmed degree <= 1 is block diagonal in the
-sine basis, which is symplectic, so toeplitz hands its n node blocks
-a(pi j / (n + 1)) to symplectic_eigenvalues as stacks: entry rows for
-k <= 3, the LAPACK chain for k >= 4, with no band.  The nodes of every
+sine basis, which is symplectic, so toeplitz solves its n node blocks
+a(pi j / (n + 1)) as stacks: on entry rows for k <= 3, by the LAPACK chain
+of symplectic_eigenvalues for k >= 4, with no band.  The nodes of every
 order of a ladder go through one walk in chunks of _STACK_CHUNK nodes, so
 a chunk may hold several orders and a ladder pays a stack's fixed cost
 once a chunk.  A truncation of higher
@@ -51,6 +61,7 @@ two band halves of an order on two threads at once.
 import ctypes
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cython_lapack, expm, lapack, schur, solve_triangular
@@ -62,6 +73,7 @@ from .errors import (
     PairingError,
     PositivityError,
     SymmetryError,
+    SymplitzError,
 )
 
 SYM_TOL = 1e-12
@@ -229,42 +241,128 @@ _GIVENS6 = [
 # this many, and symbols.symplectic_curves streams its half grid, and
 # toeplitz._node_spectra the sine nodes of a ladder of degree-1 truncations,
 # through chunks of this many nodes (szego.density_check takes its escape pass
-# in blocks of this many values).  Alone, curves at G = 131,072 (65,537 solved nodes) were
-# fastest at 8,192 (75 ms at k = 3, against 86 ms at 16,384), but in the
-# symbol-grid benchmark 8,192 raised the median k = 3 op by 10%: each chunk's
-# temporaries went back to the OS and were faulted in again (15,000 minor
-# faults per curve set, against 10,000-12,000 at 16,384 and 5,500 for one
-# whole stack), where 16,384 kept the op within 3% and the peak RSS 26% down.
+# in blocks of this many values).  Each walk writes its chunks into one
+# workspace (_row_workspace), so no chunk allocates, and faults in, arrays of
+# its own: an entropy-rate op of the symbol-grid benchmark (k = 3, curves at
+# G = 65,536 and 131,072) takes 4,400 minor faults, where fresh arrays per
+# chunk took 12,300-14,600.  With the workspace, 8,192 was measured again in
+# benchmark op order (one process, three alternations, 2-core Xeon): median
+# entropy-rate ops of 96-114 ms against 96-118 ms at 16,384, and szego ops
+# of 16-22 ms against 17-24 ms, inside the machine's noise (the untouched
+# williamson ops moved by as much), so the constant stays.
 _STACK_CHUNK = 16384
 _ROW_BLOCK = 1024
 _JACOBI_SWEEPS = 16
 
 
-def _row_factor(A: np.ndarray) -> np.ndarray:
-    """Entry rows of the lower Cholesky factors of a stack of m x m matrices, m <= 6.
+class _RowWorkspace(NamedTuple):
+    """The arrays of the entry-row route for stacks of at most S matrices of size m x m.
 
-    The stack is copied once to entry rows R[i m + j] = A[..., i, j], shape
-    (m^2, S), in blocks of _ROW_BLOCK matrices, whose entries stay in cache
-    while their rows are written: on 65,537 6 x 6 matrices that took 2.7 ms
-    against 8.9 ms for one strided copy (2-core Xeon, numpy 2.4).  The
-    checks of _factor are made on those rows: a non-finite entry raises
-    DomainError, then the largest deviation between the rows of A's entries
-    (i, j > i) and (j, i) is held to the rule of _require_symmetric.  The
-    factor is a column Cholesky written as array operations across the
-    stack, in place on the lower rows of the copy: column j is its root
-    pivot and the entries below it divided by that root, and it is then
-    taken off the columns to its right.  Column j of the rows, entries
-    (i >= j, j), is the strided view R[j m + j :: m], so each step is one
-    operation on all its entries.  Only the lower triangle of A is read; the
-    rows above the diagonal keep A's entries.  A pivot that is not > 0
-    (zero, negative or NaN) in any matrix stops the factor, and one
-    eigensolve of the stack finds the smallest eigenvalue to report.
+    rows holds the entry rows of the values, R[i m + j, s] = A_s[i, j], shape
+    (m^2, S), which the factor overwrites with L; kernel the upper entry rows
+    of K = L^T J L, shape (m (m - 1) / 2, S); scratch (m - 1, S) the products
+    of the factor and the kernel; bidiagonal, at m = 6, the (3, 3, S') columns
+    of B for one chunk of S' = min(S, _STACK_CHUNK) matrices.  A stack of
+    S'' <= S matrices uses the first S'' columns of each.  For m >= 8 only
+    the rows are made: the LAPACK chain reads them as a strided stack view.
+    """
+
+    rows: np.ndarray
+    kernel: np.ndarray | None
+    scratch: np.ndarray | None
+    bidiagonal: np.ndarray | None
+
+
+def _row_workspace(m: int, S: int) -> _RowWorkspace:
+    """A workspace for stacks of at most S matrices of size m x m, written as entry rows.
+
+    One walk of chunks (symbols.symplectic_curves, toeplitz._node_spectra)
+    makes one, writes each chunk's values into its rows and hands the chunk
+    to symplectic_eigenvalues as a _RowChunk; symplectic_eigenvalues makes
+    one for a caller's stack with m <= 6.  It is a local of its caller, so
+    two threads share nothing.
+    """
+    rows = np.empty((m * m, S))
+    if m > 6:
+        return _RowWorkspace(rows, None, None, None)
+    return _RowWorkspace(
+        rows,
+        np.empty((m * (m - 1) // 2, S)),
+        np.empty((m - 1, S)),
+        np.empty((3, 3, min(S, _STACK_CHUNK))) if m == 6 else None,
+    )
+
+
+class _RowChunk:
+    """The first S matrices of a workspace whose entry rows a walker has written, as a stack
+    for symplectic_eigenvalues, which solves it in the workspace.
+
+    np.asarray gives the stack, shape (S, m, m), as a view of the rows.  The
+    solve overwrites the rows, and a chunk with m <= 6 that breaks down
+    raises _Breakdown with no eigensolve: its values are gone, and the
+    walker solves its nodes again to report the error.
+    """
+
+    __slots__ = ("ws", "S")
+
+    def __init__(self, ws: _RowWorkspace, S: int):
+        self.ws, self.S = ws, S
+
+    def __array__(self, dtype=None, copy=None):
+        R = self.ws.rows[:, : self.S]
+        m = math.isqrt(R.shape[0])
+        A = R.T.reshape(self.S, m, m)
+        return A.astype(A.dtype if dtype is None else dtype, copy=bool(copy))
+
+
+class _Breakdown(SymplitzError):
+    """A pivot of the entry-row factor that is not > 0: the caller finds the eigenvalue to report."""
+
+
+def _transpose_rows(A: np.ndarray, R: np.ndarray) -> None:
+    """Write a stack of m x m matrices into its entry rows, R[i m + j] = A[..., i, j], shape (m^2, S).
+
+    The copy goes in blocks of _ROW_BLOCK matrices, whose entries stay in
+    cache while their rows are written: on 65,537 6 x 6 matrices that took
+    2.7 ms against 8.9 ms for one strided copy (2-core Xeon, numpy 2.4).
+    Only a caller's stack needs it: the walkers write their values as rows.
     """
     m = A.shape[-1]
     flat = A.reshape(-1, m * m)
-    R = np.empty((m * m, flat.shape[0]))
     for lo in range(0, flat.shape[0], _ROW_BLOCK):
         R[:, lo : lo + _ROW_BLOCK] = flat[lo : lo + _ROW_BLOCK].T
+
+
+def _row_spectrum(ws: _RowWorkspace, S: int) -> np.ndarray:
+    """Symplectic spectra, shape (S, m / 2), of the S matrices (m <= 6) whose entry rows fill ws.rows[:, :S].
+
+    The rows are factored in place (_row_factor), the kernel rows written
+    (_row_kernel) and solved (_small_spectrum), all in the workspace.
+    """
+    R, K, w = ws.rows[:, :S], ws.kernel[:, :S], ws.scratch[:, :S]
+    _row_factor(R, w)
+    _row_kernel(R, K, w)
+    return _small_spectrum(R, K, ws.bidiagonal)
+
+
+def _row_factor(R: np.ndarray, w: np.ndarray) -> None:
+    """Overwrite the entry rows R (shape (m^2, S), m <= 6) of a stack with those of its lower Cholesky factors.
+
+    The checks of _factor are made on the rows: a non-finite entry raises
+    DomainError, then the largest deviation between the rows of A's entries
+    (i, j > i) and (j, i) is held to the rule of _require_symmetric.  The
+    factor is a column Cholesky written as array operations across the
+    stack, in place on the lower rows: column j is its root pivot and the
+    entries below it divided by that root, and it is then taken off the
+    columns to its right, with the products in the scratch rows w, shape
+    (m - 1, S).  Column j of the rows, entries (i >= j, j), is the strided
+    view R[j m + j :: m], so each step is one operation on all its entries.
+    Only the lower triangle of A is read; the rows above the diagonal keep
+    A's entries.  A pivot that is not > 0 (zero, negative or NaN) in any
+    matrix stops the factor with _Breakdown, for the caller's eigensolve of
+    the stack to report (R then holds a partial factor).
+    """
+    m = math.isqrt(R.shape[0])
     # max and min propagate NaN and show an inf: one pass each gives the finiteness check and max |A|
     hi, lo = float(R.max(initial=0.0)), float(R.min(initial=0.0))
     if not (math.isfinite(hi) and math.isfinite(lo)):
@@ -273,22 +371,20 @@ def _row_factor(A: np.ndarray) -> np.ndarray:
     upper = (R[i * m + i + 1 : (i + 1) * m] for i in range(m - 1))
     lower = (R[(i + 1) * m + i :: m] for i in range(m - 1))
     _require_symmetric(max(map(_deviation, upper, lower), default=0.0), max(hi, -lo), "matrix")
-    w = np.empty((m - 1, R.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
             pivot = R[j * m + j]
             if not pivot.min(initial=np.inf) > 0.0:
-                raise _not_positive_definite(np.linalg.eigvalsh(A))
+                raise _Breakdown
             np.sqrt(pivot, out=pivot)
             R[(j + 1) * m + j :: m] /= pivot
             for c in range(j + 1, m):
                 R[c * m + c :: m] -= np.multiply(R[c * m + j :: m], R[c * m + j], out=w[: m - c])
-    return R
 
 
-def _row_kernel(L: np.ndarray) -> np.ndarray:
-    """Upper entries of K = L^T J L by columns, K[a, b] at row b (b - 1) / 2 + a,
-    shape (m (m - 1) / 2, S), from the entry rows of L.
+def _row_kernel(L: np.ndarray, K: np.ndarray, w: np.ndarray) -> None:
+    """Write the upper entries of K = L^T J L by columns, K[a, b] at row b (b - 1) / 2 + a,
+    shape (m (m - 1) / 2, S), from the entry rows of L, with the products in the scratch rows w.
 
     J pairs row 2p of L with row 2p + 1, so
     K[a, b] = sum_p L[2p, a] L[2p + 1, b] - L[2p + 1, a] L[2p, b], and as L is
@@ -299,8 +395,7 @@ def _row_kernel(L: np.ndarray) -> np.ndarray:
     DomainError, as _skew_kernel does.
     """
     m = math.isqrt(L.shape[0])
-    K = np.zeros((m * (m - 1) // 2, L.shape[1]))
-    w = np.empty((m - 1, L.shape[1]))
+    K[...] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for b in range(1, m):
             column = K[b * (b - 1) // 2 : b * (b + 1) // 2]
@@ -308,10 +403,10 @@ def _row_kernel(L: np.ndarray) -> np.ndarray:
                 column += np.multiply(L[r * m : r * m + b], L[(r + 1) * m + b], out=w[:b])
                 if r >= b:
                     column -= np.multiply(L[(r + 1) * m : (r + 1) * m + b], L[r * m + b], out=w[:b])
-    return _require_finite(K, "skew kernel L^T J L")
+    _require_finite(K, "skew kernel L^T J L")
 
 
-def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
+def _small_spectrum(L: np.ndarray, K: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Symplectic spectra, shape (S, k), of S matrices of size 2 x 2, 4 x 4 or
     6 x 6 from the entry rows of their Cholesky factors L and the upper entry
     rows of their skew kernels K (_row_kernel).
@@ -326,8 +421,8 @@ def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
     divided by d_2, formed as (L00 L11 / d_2)(L22 L33) so that no partial
     product leaves the float range; both d_j are then relatively accurate,
     to a few eps times the condition of the graded part of A.  k = 3:
-    _six_spectrum, which has the singular values' accuracy class,
-    eps d_max / d_j relative.
+    _six_spectrum, in the bidiagonal workspace B, which has the singular
+    values' accuracy class, eps d_max / d_j relative; it scales K in place.
     """
     n = math.isqrt(L.shape[0])
     with np.errstate(over="ignore"):
@@ -343,17 +438,21 @@ def _small_spectrum(L: np.ndarray, K: np.ndarray) -> np.ndarray:
             d1 = np.minimum(p[0] * p[1] / d2 * (p[2] * p[3]), d2)
             spectrum = np.stack([d1, d2], axis=-1)
         else:
-            spectrum = _six_spectrum(K)
+            spectrum = _six_spectrum(K, B)
     return _require_finite(spectrum, "symplectic spectrum")
 
 
-def _six_spectrum(K: np.ndarray) -> np.ndarray:
+def _six_spectrum(K: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Symplectic spectra, shape (S, 3), of S 6 x 6 skew kernels from their 15 upper entry rows.
 
     The stack is solved in chunks of _STACK_CHUNK matrices, which keeps the
     intermediate arrays small (16384 was the fastest of 4096-32768 on a
-    65,537-node stack); a chunk's 15 entry rows are scaled, per matrix, by a
-    power of two so that the largest is below 1 and no square overflows.
+    65,537-node stack), each through the bidiagonal workspace B, shape
+    (3, 3, S') with S' at least the chunk.  A chunk's 15 entry rows E are
+    scaled in place, per matrix, by the power of two that brings the largest
+    below 1, so that no square overflows: max |E| is
+    np.maximum(E.max(0), -E.min(0)), and np.ldexp(E, -scale, out=E) applies
+    it, with no |K| array and no scaled copy; K is spent.
     Ten Givens rotations (_GIVENS6) make K skew
     tridiagonal with superdiagonal t_0 .. t_4; putting the even indices
     before the odd ones turns it into [[0, B], [-B^T, 0]] with B upper
@@ -365,13 +464,15 @@ def _six_spectrum(K: np.ndarray) -> np.ndarray:
     d = np.empty((K.shape[1], 3))
     for lo in range(0, K.shape[1], _STACK_CHUNK):
         E = K[:, lo : lo + _STACK_CHUNK]
-        _, scale = np.frexp(np.abs(E).max(axis=0))
-        d[lo : lo + _STACK_CHUNK] = np.ldexp(_bidiagonal_jacobi(_givens6(np.ldexp(E, -scale))), scale).T
+        _, scale = np.frexp(np.maximum(E.max(axis=0), -E.min(axis=0)))
+        np.ldexp(E, -scale, out=E)
+        d[lo : lo + _STACK_CHUNK] = np.ldexp(_bidiagonal_jacobi(_givens6(E, B[..., : E.shape[1]])), scale).T
     return d
 
 
-def _givens6(E: np.ndarray) -> np.ndarray:
-    """Upper bidiagonal B (B[j] is column j) of the 15 scaled upper entries E of K."""
+def _givens6(E: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Write the upper bidiagonal B (B[j] is column j) of the 15 scaled upper entries E of K,
+    rotating E in place, and return B."""
     for ip, iq, mp, mq in _GIVENS6:
         x, y = E[ip], E[iq]
         r = np.sqrt(x * x + y * y)
@@ -383,11 +484,13 @@ def _givens6(E: np.ndarray) -> np.ndarray:
             X, Y = E[mp], E[mq]
             E[mp] = c * X + s * Y
             E[mq] = c * Y - s * X
-    t = E[_SLOT6[np.arange(5), np.arange(1, 6)]]
-    B = np.zeros((3, 3, E.shape[1]))
+    t = [E[_SLOT6[j, j + 1]] for j in range(5)]
+    B[...] = 0.0
     B[0, 0] = t[0]
-    B[1, 0], B[1, 1] = -t[1], t[2]
-    B[2, 1], B[2, 2] = -t[3], t[4]
+    np.negative(t[1], out=B[1, 0])
+    B[1, 1] = t[2]
+    np.negative(t[3], out=B[2, 1])
+    B[2, 2] = t[4]
     return B
 
 
@@ -624,7 +727,9 @@ def _factor_spectrum(L: np.ndarray) -> np.ndarray:
     n = L.shape[-1]
     if n <= 4:
         R = L.reshape(-1, n * n).T
-        return _small_spectrum(R, _row_kernel(R)).reshape(L.shape[:-2] + (n // 2,))
+        K = np.empty((n * (n - 1) // 2, R.shape[1]))
+        _row_kernel(R, K, np.empty((n - 1, R.shape[1])))
+        return _small_spectrum(R, K).reshape(L.shape[:-2] + (n // 2,))
     s = np.linalg.svd(_skew_kernel(L), compute_uv=False)[..., ::-1]
     return _pair_mean(s[..., 0::2], s[..., 1::2])
 
@@ -639,10 +744,11 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     (..., 2k, 2k) and returns (..., k), ascending along the last axis.
 
     The route follows the layout alone.  A stack (A.ndim > 2) with k <= 3 is
-    solved on entry rows: it is transposed once to one row per entry, shape
-    ((2k)^2, S), checked and factored entry by entry (_row_factor), and only
-    the upper entries of K are formed (_row_kernel), so every step is an
-    array operation across the stack.  Every other input, each single
+    solved on entry rows: it is transposed once (_transpose_rows) into the
+    rows of a fresh workspace (_row_workspace), shape ((2k)^2, S), checked
+    and factored entry by entry in place (_row_factor), and only the upper
+    entries of K are formed (_row_kernel), so every step is an array
+    operation across the stack.  Every other input, each single
     matrix included, is factored by LAPACK (_factor) and solved from its
     factor (_factor_spectrum), as a dense flip half of a truncation is, so
     a matrix and the dense order-1 truncation of its constant symbol agree
@@ -653,14 +759,29 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     copies of each d_j are paired under PAIR_TOL.  A stack of no matrices,
     shape (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
     toeplitz.truncation_spectrum: at trimmed degree <= 1 as stacks of their
-    sine-node blocks, through this function (toeplitz._node_spectra, which
-    also solves whole ladders); otherwise as two flip halves.
+    sine-node blocks (toeplitz._node_spectra, which also solves whole
+    ladders); otherwise as two flip halves.
+
+    The walkers over chunks of nodes (symbols.symplectic_curves,
+    toeplitz._node_spectra) write each chunk's values as entry rows into one
+    workspace of the walk and pass it here as a _RowChunk: with k <= 3 it is
+    solved on its rows in that workspace, with no transposition and no array
+    of its own (a breakdown raises _Breakdown, and the walker solves its nodes
+    again to report it); with k >= 4 the LAPACK chain takes it as a strided
+    view of the rows (numpy's LAPACK wrappers copy each matrix in any case).
     """
+    if isinstance(A, _RowChunk) and A.ws.kernel is not None:
+        return _row_spectrum(A.ws, A.S)
     A = _real(A, "matrix")
     n = _even_dim(A)
     if A.ndim > 2 and n <= 6:
-        L = _row_factor(A)
-        return _small_spectrum(L, _row_kernel(L)).reshape(A.shape[:-2] + (n // 2,))
+        S = math.prod(A.shape[:-2])
+        ws = _row_workspace(n, S)
+        _transpose_rows(A, ws.rows)
+        try:
+            return _row_spectrum(ws, S).reshape(A.shape[:-2] + (n // 2,))
+        except _Breakdown:
+            raise _not_positive_definite(np.linalg.eigvalsh(A)) from None
     return _factor_spectrum(_factor(A))
 
 

@@ -118,6 +118,35 @@ class TrigMatrixPolynomial:
         w[..., 0] = 1.0
         return np.einsum("...n,nij->...ij", w, self.coeffs)
 
+    def _rows(self, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the values at the angles theta (shape (S,)) as entry rows,
+        out[i m + j, s] = a(theta_s)[i, j] with m = 2k, shape (m^2, S), and return out.
+
+        Each row starts from 0 + A_0 and adds 2 cos(n theta) A_n for n = 1 .. q
+        in that order, as evaluate's einsum sums them, so out has the bits of
+        evaluate(theta).reshape(S, m * m).T (a -0.0 entry of A_0 reads +0.0 in
+        both), with no (S, m, m) array and no product of all the rows: the
+        temporaries are two rows of S.  A sum past the float range is written
+        as inf (or NaN), with no warning, for the caller's finiteness check to
+        refuse.  evaluate stays a second evaluator, for the callers that want
+        C-contiguous stacks (sup_norm's eigvalsh, _solve_half_grid): built on
+        these rows and a transposition it took 2-5x as long at k = 2-4 on
+        16,384 nodes, and handing eigvalsh a strided view of the rows instead
+        cost 2-6% at k = 3-4 (2-core Xeon).  tests/test_symbols.py holds the
+        two to the same bits at k = 1-4, degree 0-9.
+        """
+        a = self.coeffs.reshape(self.degree + 1, -1)
+        w, term = np.empty_like(theta), np.empty_like(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(a[0][:, None], 0.0, out=out)
+            for n in range(1, self.degree + 1):
+                np.multiply(theta, n, out=w)
+                np.cos(w, out=w)
+                w *= 2.0
+                for e in range(a.shape[1]):
+                    out[e] += np.multiply(w, a[n, e], out=term)
+        return out
+
 
 def _check_grid(symbol: TrigMatrixPolynomial, grid: GridSpec) -> None:
     """The entry budget of evaluating the symbol on the whole grid."""
@@ -243,10 +272,16 @@ def symplectic_curves(symbol: TrigMatrixPolynomial, grid: GridSpec) -> Symplecti
     (theta in [-pi, 0]) are solved and node G - g is copied from node g.
     After the entry budget of the whole grid is checked, the half grid is
     streamed through chunks of core._STACK_CHUNK nodes: each chunk is
-    evaluated, solved as one stack and written into the (G, k) output, so
-    the working memory is the output and one chunk, never a stack of the
-    whole grid (at k = 3 a chunk of 16,384 nodes holds 4.7 MB of values and
-    peaks at 16.6 MB in all).  Each node is solved on its own, so the curves
+    evaluated, solved as one stack and written into the (G, k) output.  The
+    walk makes one workspace (core._row_workspace), each chunk's values are
+    written straight into its entry rows (TrigMatrixPolynomial._rows) and
+    the chunk is handed to core.symplectic_eigenvalues as a core._RowChunk,
+    which at k <= 3 solves it on those rows, so no chunk allocates an
+    (S, 2k, 2k) stack or arrays of its own.  The working memory is the
+    output and one chunk, never a stack of the whole grid: at k = 3,
+    G = 131,072 the workspace of 16,384 nodes takes 8.5 MB and the call
+    peaks at 14.8 MB, where one values stack and fresh kernel arrays per
+    chunk peaked at 19.7 MB.  Each node is solved on its own, so the curves
     have the bits of one whole-grid solve.  A node that is not positive
     definite is reported at its mirror in [-pi, 0].  When a chunk fails, the
     half grid is solved once as one stack (_solve_half_grid), so an error
@@ -256,10 +291,12 @@ def symplectic_curves(symbol: TrigMatrixPolynomial, grid: GridSpec) -> Symplecti
     _check_grid(symbol, grid)
     G, half = grid.G, grid.G // 2 + 1
     d = np.empty((G, symbol.k))
+    ws = core._row_workspace(symbol.block_dim, min(core._STACK_CHUNK, half))
     try:
         for lo in range(0, half, core._STACK_CHUNK):
             hi = min(lo + core._STACK_CHUNK, half)
-            d[lo:hi] = core.symplectic_eigenvalues(symbol.evaluate(grid._nodes(lo, hi)))
+            symbol._rows(grid._nodes(lo, hi), ws.rows[:, : hi - lo])
+            d[lo:hi] = core.symplectic_eigenvalues(core._RowChunk(ws, hi - lo))
     except SymplitzError:
         d[:half] = _solve_half_grid(symbol, grid)
     d[half:] = d[(G - 1) // 2 : 0 : -1]

@@ -126,17 +126,23 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     truncation is not positive definite raises truncation_spectrum's
     PositivityError for that order, with where = n.
     """
+    return _trajectory(symbol, n_list)[0]
+
+
+def _trajectory(symbol, n_list) -> tuple:
+    """truncated_spectra's trajectory, and the union of its spectra in ascending order of n
+    when one buffer holds them (toeplitz._node_spectra, at trimmed degree <= 1), else None."""
     ns = _orders(symbol, n_list)
     if toeplitz._sine_diagonal(symbol):
-        spectra = toeplitz._node_spectra(symbol, ns)
+        spectra, union = toeplitz._node_spectra(symbol, ns)
     else:
-        spectra = {n: toeplitz.truncation_spectrum(symbol, n) for n in ns}
+        spectra, union = {n: toeplitz.truncation_spectrum(symbol, n) for n in ns}, None
     violation = 0.0
     for n_prev, n_next in zip(ns, ns[1:]):
         shared = len(spectra[n_prev])
         drift = float((spectra[n_next][:shared] - spectra[n_prev]).max())
         violation = max(violation, drift)
-    return SpectrumTrajectory(spectra, violation)
+    return SpectrumTrajectory(spectra, violation), union
 
 
 def _orders(symbol, n_list) -> list:
@@ -247,8 +253,10 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
-    Both read the spectra of all orders concatenated, in ascending order:
-    coverage sorts that union once, and the escapes are one pass over it, a
+    Both read the spectra of all orders concatenated, in ascending order (at
+    trimmed degree <= 1 the buffer toeplitz._node_spectra wrote them into,
+    with no copy; otherwise one np.concatenate): coverage sorts that union
+    once, and the escapes are one pass over it, a
     bracket mask and the distance to the sorted curve values taken in
     blocks of core._STACK_CHUNK values (so the pass holds one block's
     temporaries, not several copies of the union), then one np.add.reduceat
@@ -265,10 +273,11 @@ def density_check(
     if isinstance(delta, (bool, np.bool_)) or not delta > 0:
         raise DomainError(f"delta must be a positive number, got {delta!r}")
     toeplitz.truncation_dim(symbol, n_max)
-    traj = truncated_spectra(symbol, range(1, n_max + 1))
+    traj, union = _trajectory(symbol, range(1, n_max + 1))
     curves = symbols.symplectic_curves(symbol, grid)
     sorted_curve_values = np.sort(curves.values.ravel())
-    union = np.concatenate([traj.spectra[n] for n in traj.ns])
+    if union is None:
+        union = np.concatenate([traj.spectra[n] for n in traj.ns])
     distances = _distance_to_sorted(curves.values, np.sort(union))
     lower = float(sorted_curve_values[0])
     upper = symbols.sup_norm(symbol, grid)

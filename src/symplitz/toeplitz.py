@@ -5,11 +5,13 @@ symbols.from_samples), so block (i, j) of the order-n truncation T_n is its
 coefficient A_|i-j|.  When the last nonzero coefficient is A_0 or A_1 (the
 trimmed degree is at most 1; _sine_diagonal, the one routing rule), T_n is
 block diagonal in the sine basis, which is symplectic, with blocks
-a(pi j / (n + 1)), j = 1 .. n, and _node_spectra solves those nodes by
-core.symplectic_eigenvalues: exact, with no band and no flip.  It takes a
-list of orders and walks their nodes in chunks of core._STACK_CHUNK, so
-szego.truncated_spectra solves a whole ladder as a few stacks, and
-truncation_spectrum is its one-order case.  Everything below is the route
+a(pi j / (n + 1)), j = 1 .. n, and _node_spectra solves those nodes as
+stacks by core.symplectic_eigenvalues, exact, with no band and no flip,
+each written as entry rows into one workspace of the walk.  It takes a
+list of orders and walks their nodes in chunks of core._STACK_CHUNK into
+one output buffer, so szego.truncated_spectra solves a whole ladder as a
+few stacks and szego.density_check reads the buffer as the union of the
+spectra, and truncation_spectrum is its one-order case.  Everything below is the route
 of every other symbol.
 A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
@@ -249,31 +251,37 @@ def _sine_diagonal(symbol: TrigMatrixPolynomial) -> bool:
     return not symbol.coeffs[2:].any()
 
 
-def _node_spectra(symbol: TrigMatrixPolynomial, ns: list) -> dict:
+def _node_spectra(symbol: TrigMatrixPolynomial, ns: list) -> tuple:
     """Symplectic spectra {n: spectrum, ascending} of the order-n truncations, n in ns, of a
-    symbol of trimmed degree <= 1: each the sorted union of the spectra of the nodes
-    a(theta_j) = A_0 + 2 cos(theta_j) A_1, theta_j = pi j / (n + 1), j = 1 .. n.
+    symbol of trimmed degree <= 1, and the one buffer that holds them: each the sorted union
+    of the spectra of the nodes a(theta_j) = A_0 + 2 cos(theta_j) A_1, theta_j = pi j / (n + 1),
+    j = 1 .. n.
 
     ns holds distinct orders, ascending, each checked by truncation_dim.  The
-    nodes of every order > 1 are walked in that order through one buffer of
-    core._STACK_CHUNK nodes, so a chunk may span several orders; each full
-    chunk, and the last, is one stack for core.symplectic_eigenvalues (entry
-    rows for k <= 3, the LAPACK chain for k >= 4), and its spectra go into
-    one output array.  Each order's slice of that array is then sorted in
-    place and is its spectrum, so a ladder holds its spectra and one chunk,
-    and pays the stack's fixed cost once a chunk, not once an order.  Each
-    node is solved on its own and each order's angles are formed as for
-    that order alone, so the spectra have the bits of one stack per order.
-    Order 1 is A_0 itself (cos(pi / 2) is not 0 in floats), a single matrix
-    with the bits of symplectic_eigenvalues(A_0).  When a chunk fails, every
-    order > 1 is solved again, ascending, as one stack of its own nodes, so
-    an error is that of the first failing order: a node value outside the
-    float range raises DomainError naming the order, and a breakdown one
-    PositivityError that names the order, carries where = n and reports
+    spectra go into one output array, order after order, and each order's
+    spectrum is its slice of it, so the array is the union of the spectra in
+    ascending order of n (szego.density_check reads it as such, with no
+    copy).  Order 1 is A_0 itself (cos(pi / 2) is not 0 in floats), a single
+    matrix with the bits of symplectic_eigenvalues(A_0).  The nodes of every
+    order > 1 are walked in that order in chunks of core._STACK_CHUNK nodes,
+    so a chunk may span several orders, and each chunk is one stack: its
+    values are written as entry rows, c A_1[e] + A_0[e] for each entry e,
+    into one workspace of the walk (core._row_workspace) and handed to
+    core.symplectic_eigenvalues as a core._RowChunk (solved on those rows
+    for k <= 3, by the LAPACK chain for k >= 4).  Each order's slice is
+    then sorted in place, so a ladder holds its spectra and one workspace,
+    and pays the stack's fixed cost once a chunk, not once an order.  Each node is solved on its own and each order's angles are
+    formed as for that order alone, so the spectra have the bits of one
+    stack per order.  When a chunk fails, every order > 1 is solved again,
+    ascending, as one stack of its own nodes, so an error is that of the
+    first failing order: a node value outside the float range raises
+    DomainError naming the order, and a breakdown one PositivityError that
+    names the order, carries where = n and reports
     min_j lambda_min(a(theta_j)), which is lambda_min(T_n).
     """
     a0 = symbol.coeffs[0]
     a1 = symbol.coeffs[1] if symbol.degree else np.zeros_like(a0)
+    k = symbol.k
 
     def cosines(n: int) -> np.ndarray:
         return 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
@@ -286,39 +294,53 @@ def _node_spectra(symbol: TrigMatrixPolynomial, ns: list) -> dict:
             raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
         return np.sort(d, axis=None)
 
-    spectra = {1: one_stack(1, a0)} if ns[0] == 1 else {}
-    ladder = ns[1:] if ns[0] == 1 else ns
-    if not ladder:
+    def slices() -> dict:
+        spectra, start = {}, 0
+        for n in ns:
+            spectra[n], start = out[start : start + k * n], start + k * n
         return spectra
-    k, total = symbol.k, sum(ladder)
-    out = np.empty(k * total)
-    chunk = np.empty((min(core._STACK_CHUNK, total),) + a0.shape)
+
+    out = np.empty(k * sum(ns))
+    if ns[0] == 1:
+        out[:k] = one_stack(1, a0)
+    ladder = ns[1:] if ns[0] == 1 else ns
+    total = sum(ladder)
+    if not total:
+        return slices(), out
+    size = min(core._STACK_CHUNK, total)
+    cs = np.empty(size)  # the cosines of the chunk's nodes
+    ws = core._row_workspace(symbol.block_dim, size)
+    e0, e1 = a0.reshape(-1), a1.reshape(-1)
+
+    def solve(S: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.multiply.outer(e1, cs[:S], out=ws.rows[:, :S])
+            R += e0[:, None]
+        return core.symplectic_eigenvalues(core._RowChunk(ws, S))
+
     try:
-        done = fill = 0  # nodes solved into out, nodes waiting in the chunk
+        done, fill = out.size - k * total, 0  # values in out (order 1's, if any), nodes waiting in the chunk
         for n in ladder:
             c, lo = cosines(n), 0
             while lo < n:
-                take = min(n - lo, len(chunk) - fill)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    nodes = np.multiply(c[lo : lo + take, None, None], a1, out=chunk[fill : fill + take])
-                    nodes += a0
+                take = min(n - lo, size - fill)
+                cs[fill : fill + take] = c[lo : lo + take]
                 lo, fill = lo + take, fill + take
-                if fill == len(chunk) or done + fill == total:
-                    out[k * done : k * (done + fill)] = core.symplectic_eigenvalues(chunk[:fill]).reshape(-1)
-                    done, fill = done + fill, 0
+                if fill == size or done + k * fill == out.size:
+                    out[done : done + k * fill] = solve(fill).reshape(-1)
+                    done, fill = done + k * fill, 0
     except SymplitzError:
+        spectra = slices()
         for n in ladder:
             with np.errstate(over="ignore", invalid="ignore"):
                 values = a0 + cosines(n)[:, None, None] * a1
             core._require_finite(values, f"sine-node stack of the order-{n} truncation")
-            spectra[n] = one_stack(n, values)
-        return spectra
-    start = 0
+            spectra[n][:] = one_stack(n, values)
+        return spectra, out
+    spectra = slices()
     for n in ladder:
-        spectra[n] = out[start : start + k * n]
         spectra[n].sort()
-        start += k * n
-    return spectra
+    return spectra, out
 
 
 def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
@@ -347,7 +369,7 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """
     if _sine_diagonal(symbol):
         truncation_dim(symbol, n)
-        return _node_spectra(symbol, [n])[n]
+        return _node_spectra(symbol, [n])[0][n]
     halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
     try:
         factors = [

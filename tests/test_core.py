@@ -638,7 +638,10 @@ class TestEntryRows:
     def test_factor_and_kernel_match_the_matrix_chain(self, k):
         A = self.stack(k, 300, seed=k)
         m = 2 * k
-        L = core._row_factor(A)
+        ws = core._row_workspace(m, len(A))
+        core._transpose_rows(A, ws.rows)
+        core._row_factor(ws.rows, ws.scratch)
+        L = ws.rows
         ref = np.linalg.cholesky(A)
         lower = np.tril_indices(m)
         rows = L.reshape(m, m, -1)[lower[0], lower[1]]
@@ -646,8 +649,8 @@ class TestEntryRows:
         K = core._skew_kernel(ref)
         b, a = np.triu_indices(m, 1)[::-1]
         by_columns = np.lexsort((a, b))
-        np.testing.assert_allclose(core._row_kernel(L), K[:, a[by_columns], b[by_columns]].T, rtol=1e-12,
-                                   atol=1e-14)
+        core._row_kernel(L, ws.kernel, ws.scratch)
+        np.testing.assert_allclose(ws.kernel, K[:, a[by_columns], b[by_columns]].T, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_route_calls_no_cholesky_and_no_matmul(self, monkeypatch, k):

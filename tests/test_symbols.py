@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -516,6 +518,119 @@ class TestStreamedCurves:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * stack_bytes
+
+
+def per_chunk_curves(symbol, grid):
+    """The curves as one core.symplectic_eigenvalues stack per chunk of the half grid, mirrored: the oracle
+    of the entry-row walk."""
+    G, half, c = grid.G, grid.G // 2 + 1, core._STACK_CHUNK
+    d = np.concatenate([
+        core.symplectic_eigenvalues(symbol.evaluate(grid._nodes(lo, min(lo + c, half)))) for lo in range(0, half, c)
+    ])
+    return d[np.minimum(np.arange(G), G - np.arange(G))]
+
+
+class TestRowWalk:
+    """symplectic_curves writes each chunk's values as entry rows into one workspace of the walk
+    (TrigMatrixPolynomial._rows, core._row_workspace) and hands the chunk to core.symplectic_eigenvalues
+    as a core._RowChunk, which at k <= 3 is solved on those rows."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_have_the_bits_of_evaluate(self, k):
+        theta = symbols.GridSpec(40000)._nodes(0, 20001)
+        m = 2 * k
+        for degree in range(10):
+            s = nonseparable(k, degree, seed=10 * k + degree)
+            coeffs = s.coeffs.copy()
+            coeffs[0, 0, -1] = coeffs[0, -1, 0] = -0.0
+            coeffs[-1, 1, 0] = coeffs[-1, 0, 1] = -0.0
+            variants = [s, symbols.TrigMatrixPolynomial(coeffs)]
+            variants.append(symbols.TrigMatrixPolynomial(np.concatenate([coeffs, np.zeros((1, m, m))])))
+            for v in variants:
+                ref = v.evaluate(theta).reshape(-1, m * m).T
+                out = np.full((m * m, len(theta) + 7), np.nan)[:, : len(theta)]  # a view, as a walk's last chunk
+                assert v._rows(theta, out) is out
+                assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("edges", [1, 2, 4])
+    def test_curves_have_the_bits_of_one_stack_per_chunk(self, k, edges):
+        c = core._STACK_CHUNK
+        grid = symbols.GridSpec(2 * edges * c)  # half grid of edges * c + 1 nodes
+        assert -(-(grid.G // 2 + 1) // c) == edges + 1
+        for degree in (0, 2, 9):
+            s = nonseparable(k, degree, seed=200 + 10 * k + degree)
+            assert symbols.symplectic_curves(s, grid).values.tobytes() == per_chunk_curves(s, grid).tobytes()
+
+    def test_one_workspace_per_walk(self, monkeypatch):
+        pointers, factor = [], core._row_factor
+        monkeypatch.setattr(core, "_row_factor", lambda R, w: pointers.append(R.__array_interface__["data"][0])
+                            or factor(R, w))
+        grid = symbols.GridSpec(8 * core._STACK_CHUNK)
+        symbols.symplectic_curves(nonseparable_degree2(3, seed=5), grid)
+        assert len(pointers) == 5 and len(set(pointers)) == 1
+
+    def test_threads_share_no_workspace(self):
+        grid = symbols.GridSpec(2 * core._STACK_CHUNK + 4)  # two chunks, the second of 3 nodes
+        pair = [nonseparable_degree2(3, seed=6), nonseparable_degree2(3, seed=7)]
+        serial = [symbols.symplectic_curves(s, grid).values.tobytes() for s in pair]
+        mismatches, runs = [], []
+
+        def run(i):
+            for _ in range(20):
+                if symbols.symplectic_curves(pair[i], grid).values.tobytes() != serial[i]:
+                    mismatches.append(i)
+                runs.append(i)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == [] and len(runs) == 40
+
+    def test_breakdown_in_the_third_chunk_is_reported_as_before(self):
+        c = core._STACK_CHUNK
+        grid = symbols.GridSpec(8 * c)  # the third chunk holds theta in [-pi / 2, -pi / 4)
+        s = symbols.scalar_symbol(dip(-3 * np.pi / 8, 1e-3), k=3)
+        with pytest.raises(PositivityError) as exc:
+            symbols.symplectic_curves(s, grid)
+        with pytest.raises(PositivityError) as ref:
+            whole_grid_curves(s, grid)
+        assert (type(exc.value), str(exc.value), exc.value.where, exc.value.min_eigenvalue) == (
+            type(ref.value), str(ref.value), ref.value.where, ref.value.min_eigenvalue)
+        assert -np.pi / 2 <= exc.value.where < -np.pi / 4 and exc.value.min_eigenvalue < 0.0
+
+    @pytest.mark.parametrize("coeffs", [[1e308, 0.4e308], [1e308, 0.3e308, 0.2e308]], ids=["degree1", "degree2"])
+    def test_overflowing_symbol_keeps_its_error_and_warns_nothing(self, coeffs):
+        # both pass the float range near theta = 0 only, in the last chunk
+        s = symbols.scalar_symbol(coeffs, k=3)
+        grid = symbols.GridSpec(4 * core._STACK_CHUNK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                symbols.symplectic_curves(s, grid)
+        with pytest.raises(DomainError) as ref:
+            whole_grid_curves(s, grid)
+        assert str(exc.value) == str(ref.value) == "matrix has entries outside the float range"
+
+    def test_k3_curves_peak_below_the_chunked_stacks(self):
+        # one core.symplectic_eigenvalues stack per chunk peaked at 19.7 MB here (values, entry rows and
+        # kernel rows of each chunk); the walk holds the output and one workspace
+        s = nonseparable_degree2(3, seed=4)
+        tracemalloc.start()
+        try:
+            symbols.symplectic_curves(s, symbols.GridSpec(2**17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 19.7e6, peak
 
 
 class TestMinAndGSymbol:

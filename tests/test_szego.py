@@ -652,6 +652,28 @@ class TestNodeLadder:
             tracemalloc.stop()
         assert peak <= 3 * spectra + 2**20, (peak, spectra)
 
+    def test_density_check_reads_the_union_from_the_ladder_buffer(self):
+        # the degree-1 spectra sit in one buffer of _node_spectra, ascending by order, which is the union:
+        # the peak is the spectra and their one sorted copy (a concatenation of them made a third copy)
+        s = _degree_one(1, seed=72)
+        grid = symbols.GridSpec(256)
+        spectra = sum(d.nbytes for d in szego.truncated_spectra(s, range(1, 2049)).spectra.values())
+        tracemalloc.start()
+        try:
+            szego.density_check(s, 2048, 0.05, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * spectra + 2**20, (peak, spectra)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ladder_buffer_is_the_union_in_order(self, k):
+        s = _degree_one(k, seed=80 + k)
+        for ns in ([1], [2], [1, 2, 5], [3, 4, 70], list(range(1, 40))):
+            spectra, union = toeplitz._node_spectra(s, ns)
+            assert union.tobytes() == np.concatenate([spectra[n] for n in ns]).tobytes()
+            assert all(np.shares_memory(spectra[n], union) for n in ns)
+
     def test_k3_ladder_peaks_at_its_spectra_and_one_chunk(self):
         # orders 1 .. 682 take 5.6 MB of spectra; one chunk of 16,384 k = 3 nodes peaks at 16.6 MB
         # (its values, entry rows and kernel rows); 64 KB covers the order list and one order's angles
