@@ -23,9 +23,10 @@ one-sided Jacobi on a 3 x 3 bidiagonal.  The route runs in a workspace
 (_row_workspace: the rows, the kernel rows, their scratch rows and, at
 k = 3, the bidiagonal) and allocates no array of the stack's size
 besides: the factor, the kernel and the scaling of K are written in place.
-The walkers over chunks of nodes (symbols.symplectic_curves,
-toeplitz._node_spectra) make one workspace per walk, write each chunk's
-values straight into its rows and hand the chunk to symplectic_eigenvalues
+The one walk over chunks of nodes, symbols._walk (the half grid of
+symbols.symplectic_curves, the sine nodes of a degree-1 ladder of
+toeplitz._spectra), makes one workspace per walk, writes each chunk's
+values straight into its rows and hands the chunk to symplectic_eigenvalues
 as a _RowChunk, so no chunk allocates, and pays page faults for, arrays of
 its own; a caller's stack gets a fresh workspace and is transposed into it
 once (_transpose_rows).  At k >= 4 a walk's chunk goes to the LAPACK chain
@@ -39,10 +40,10 @@ A truncation whose symbol has trimmed degree <= 1 is block diagonal in the
 sine basis, which is symplectic, so toeplitz solves its n node blocks
 a(pi j / (n + 1)) as stacks: on entry rows for k <= 3, by the LAPACK chain
 of symplectic_eigenvalues for k >= 4, with no band.  The nodes of every
-order of a ladder go through one walk in chunks of _STACK_CHUNK nodes, so
-a chunk may hold several orders and a ladder pays a stack's fixed cost
-once a chunk.  A truncation of higher
-degree is banded, and toeplitz solves it as
+order of a ladder go through one symbols._walk in chunks of _STACK_CHUNK
+nodes, so a chunk may hold several orders and a ladder pays a stack's
+fixed cost once a chunk.  A truncation of higher degree is banded, and
+toeplitz solves it as
 the two halves into which the block flip (block i to block n - 1 - i, which
 commutes with the truncation and with J) splits it, each of about half its
 dimension (an odd order puts the middle block in the +1 half).  toeplitz
@@ -238,12 +239,11 @@ _GIVENS6 = [
     for q in range(5, col + 1, -1)
 ]
 # Nodes per chunk of a stack: _six_spectrum solves a k = 3 stack in chunks of
-# this many, and symbols.symplectic_curves streams its half grid, and
-# toeplitz._node_spectra the sine nodes of a ladder of degree-1 truncations,
-# through chunks of this many nodes (szego.density_check takes its escape pass
-# in blocks of this many values).  Each walk writes its chunks into one
-# workspace (_row_workspace), so no chunk allocates, and faults in, arrays of
-# its own: an entropy-rate op of the symbol-grid benchmark (k = 3, curves at
+# this many, and symbols._walk streams the half grid of the symbol curves and
+# the sine nodes of a ladder of degree-1 truncations through chunks of this
+# many nodes (szego.density_check takes its escape pass in blocks of this many
+# values).  Each walk writes its chunks into one workspace (_row_workspace),
+# so no chunk allocates, and faults in, arrays of its own: an entropy-rate op of the symbol-grid benchmark (k = 3, curves at
 # G = 65,536 and 131,072) takes 4,400 minor faults, where fresh arrays per
 # chunk took 12,300-14,600.  With the workspace, 8,192 was measured again in
 # benchmark op order (one process, three alternations, 2-core Xeon): median
@@ -276,9 +276,9 @@ class _RowWorkspace(NamedTuple):
 def _row_workspace(m: int, S: int) -> _RowWorkspace:
     """A workspace for stacks of at most S matrices of size m x m, written as entry rows.
 
-    One walk of chunks (symbols.symplectic_curves, toeplitz._node_spectra)
-    makes one, writes each chunk's values into its rows and hands the chunk
-    to symplectic_eigenvalues as a _RowChunk; symplectic_eigenvalues makes
+    One walk of chunks (symbols._walk) makes one, writes each chunk's values
+    into its rows and hands the chunk to symplectic_eigenvalues as a
+    _RowChunk; symplectic_eigenvalues makes
     one for a caller's stack with m <= 6.  It is a local of its caller, so
     two threads share nothing.
     """
@@ -294,13 +294,13 @@ def _row_workspace(m: int, S: int) -> _RowWorkspace:
 
 
 class _RowChunk:
-    """The first S matrices of a workspace whose entry rows a walker has written, as a stack
-    for symplectic_eigenvalues, which solves it in the workspace.
+    """The first S matrices of a workspace whose entry rows symbols._walk has written, as a
+    stack for symplectic_eigenvalues, which solves it in the workspace.
 
     np.asarray gives the stack, shape (S, m, m), as a view of the rows.  The
     solve overwrites the rows, and a chunk with m <= 6 that breaks down
     raises _Breakdown with no eigensolve: its values are gone, and the
-    walker solves its nodes again to report the error.
+    walk's caller solves its nodes again to report the error.
     """
 
     __slots__ = ("ws", "S")
@@ -325,7 +325,7 @@ def _transpose_rows(A: np.ndarray, R: np.ndarray) -> None:
     The copy goes in blocks of _ROW_BLOCK matrices, whose entries stay in
     cache while their rows are written: on 65,537 6 x 6 matrices that took
     2.7 ms against 8.9 ms for one strided copy (2-core Xeon, numpy 2.4).
-    Only a caller's stack needs it: the walkers write their values as rows.
+    Only a caller's stack needs it: symbols._walk writes its values as rows.
     """
     m = A.shape[-1]
     flat = A.reshape(-1, m * m)
@@ -759,15 +759,15 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     copies of each d_j are paired under PAIR_TOL.  A stack of no matrices,
     shape (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
     toeplitz.truncation_spectrum: at trimmed degree <= 1 as stacks of their
-    sine-node blocks (toeplitz._node_spectra, which also solves whole
-    ladders); otherwise as two flip halves.
+    sine-node blocks; otherwise as two flip halves (toeplitz._spectra, which
+    also solves whole ladders).
 
-    The walkers over chunks of nodes (symbols.symplectic_curves,
-    toeplitz._node_spectra) write each chunk's values as entry rows into one
-    workspace of the walk and pass it here as a _RowChunk: with k <= 3 it is
-    solved on its rows in that workspace, with no transposition and no array
-    of its own (a breakdown raises _Breakdown, and the walker solves its nodes
-    again to report it); with k >= 4 the LAPACK chain takes it as a strided
+    The one walk over chunks of nodes, symbols._walk (symbol curves and
+    degree-1 ladders), writes each chunk's values as entry rows into one
+    workspace of the walk and passes it here as a _RowChunk: with k <= 3 it
+    is solved on its rows in that workspace, with no transposition and no
+    array of its own (a breakdown raises _Breakdown, and the walk's caller
+    solves its nodes again to report it); with k >= 4 the LAPACK chain takes it as a strided
     view of the rows (numpy's LAPACK wrappers copy each matrix in any case).
     """
     if isinstance(A, _RowChunk) and A.ws.kernel is not None:

@@ -120,7 +120,8 @@ class TrigMatrixPolynomial:
 
     def _rows(self, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the values at the angles theta (shape (S,)) as entry rows,
-        out[i m + j, s] = a(theta_s)[i, j] with m = 2k, shape (m^2, S), and return out.
+        out[i m + j, s] = a(theta_s)[i, j] with m = 2k, shape (m^2, S), and return out:
+        the value writer of _walk, for the symbol curves and the degree-1 ladders alike.
 
         Each row starts from 0 + A_0 and adds 2 cos(n theta) A_n for n = 1 .. q
         in that order, as evaluate's einsum sums them, so out has the bits of
@@ -129,7 +130,8 @@ class TrigMatrixPolynomial:
         temporaries are two rows of S.  A sum past the float range is written
         as inf (or NaN), with no warning, for the caller's finiteness check to
         refuse.  evaluate stays a second evaluator, for the callers that want
-        C-contiguous stacks (sup_norm's eigvalsh, _solve_half_grid): built on
+        C-contiguous stacks (sup_norm's eigvalsh, and the error reports of
+        _solve_half_grid and toeplitz._spectra): built on
         these rows and a transposition it took 2-5x as long at k = 2-4 on
         16,384 nodes, and handing eigvalsh a strided view of the rows instead
         cost 2-6% at k = 3-4 (2-core Xeon).  tests/test_symbols.py holds the
@@ -270,37 +272,65 @@ def symplectic_curves(symbol: TrigMatrixPolynomial, grid: GridSpec) -> Symplecti
 
     The symbol is even, d_j(theta) = d_j(-theta), so only nodes 0 .. G // 2
     (theta in [-pi, 0]) are solved and node G - g is copied from node g.
-    After the entry budget of the whole grid is checked, the half grid is
-    streamed through chunks of core._STACK_CHUNK nodes: each chunk is
-    evaluated, solved as one stack and written into the (G, k) output.  The
-    walk makes one workspace (core._row_workspace), each chunk's values are
-    written straight into its entry rows (TrigMatrixPolynomial._rows) and
-    the chunk is handed to core.symplectic_eigenvalues as a core._RowChunk,
-    which at k <= 3 solves it on those rows, so no chunk allocates an
-    (S, 2k, 2k) stack or arrays of its own.  The working memory is the
-    output and one chunk, never a stack of the whole grid: at k = 3,
-    G = 131,072 the workspace of 16,384 nodes takes 8.5 MB and the call
-    peaks at 14.8 MB, where one values stack and fresh kernel arrays per
-    chunk peaked at 19.7 MB.  Each node is solved on its own, so the curves
-    have the bits of one whole-grid solve.  A node that is not positive
-    definite is reported at its mirror in [-pi, 0].  When a chunk fails, the
-    half grid is solved once as one stack (_solve_half_grid), so an error
-    reads as that of one whole-grid solve: a breakdown names the worst node
-    of the grid, not of the chunk.
+    After the entry budget of the whole grid is checked, the half grid goes
+    through _walk, handed over in pieces of core._STACK_CHUNK nodes, so the
+    working memory is the (G, k) output and one chunk, never a stack of the
+    whole grid: at k = 3, G = 131,072 the walk's workspace of 16,384 nodes
+    takes 8.5 MB and the call peaks at 15.0 MB, where one values stack and
+    fresh kernel arrays per chunk peaked at 19.7 MB.  Each node is solved on
+    its own, so the curves have the bits of one whole-grid solve.  A node
+    that is not positive definite is reported at its mirror in [-pi, 0].
+    When a chunk fails, the half grid is solved once as one stack
+    (_solve_half_grid), so an error reads as that of one whole-grid solve: a
+    breakdown names the worst node of the grid, not of the chunk.
     """
     _check_grid(symbol, grid)
     G, half = grid.G, grid.G // 2 + 1
     d = np.empty((G, symbol.k))
-    ws = core._row_workspace(symbol.block_dim, min(core._STACK_CHUNK, half))
     try:
-        for lo in range(0, half, core._STACK_CHUNK):
-            hi = min(lo + core._STACK_CHUNK, half)
-            symbol._rows(grid._nodes(lo, hi), ws.rows[:, : hi - lo])
-            d[lo:hi] = core.symplectic_eigenvalues(core._RowChunk(ws, hi - lo))
+        _walk(symbol, (grid._nodes(lo, min(lo + core._STACK_CHUNK, half)) for lo in range(0, half, core._STACK_CHUNK)),
+              d[:half])
     except SymplitzError:
         d[:half] = _solve_half_grid(symbol, grid)
     d[half:] = d[(G - 1) // 2 : 0 : -1]
     return SymplecticCurves(grid, d)
+
+
+def _walk(symbol: TrigMatrixPolynomial, pieces, out: np.ndarray) -> np.ndarray:
+    """Write the symplectic spectra of the symbol at the angles of pieces, one piece after the
+    other, into out, shape (S, k) for S angles in all, and return out.
+
+    The walk of symplectic_curves (the half grid) and of toeplitz._spectra
+    (the sine nodes of every order > 1 of a degree-1 ladder).  The angles
+    are packed into chunks of core._STACK_CHUNK, so a chunk may span several
+    pieces and a piece several chunks.  The walk makes one workspace
+    (core._row_workspace); each chunk's values are written straight into its
+    entry rows (TrigMatrixPolynomial._rows) and handed to
+    core.symplectic_eigenvalues as a core._RowChunk, which at k <= 3 solves
+    it on those rows and at k >= 4 by the LAPACK chain as a strided view of
+    them.  So no chunk allocates an (S, 2k, 2k) stack or arrays of its own,
+    and a walk pays a stack's fixed cost once a chunk.  Each angle is solved
+    on its own, so out has the bits of one stack per piece.  A chunk that
+    fails raises (core._Breakdown with no eigensolve at k <= 3, DomainError
+    for values outside the float range): its values are gone, and the caller
+    solves its angles again to report the error.
+    """
+    size = min(core._STACK_CHUNK, len(out))
+    if not size:
+        return out
+    theta = np.empty(size)
+    ws = core._row_workspace(symbol.block_dim, size)
+    done = fill = 0
+    for piece in pieces:
+        while len(piece):
+            take = min(len(piece), size - fill)
+            theta[fill : fill + take], piece = piece[:take], piece[take:]
+            fill += take
+            if fill == size or done + fill == len(out):
+                symbol._rows(theta[:fill], ws.rows[:, :fill])
+                out[done : done + fill] = core.symplectic_eigenvalues(core._RowChunk(ws, fill))
+                done, fill = done + fill, 0
+    return out
 
 
 def _solve_half_grid(symbol: TrigMatrixPolynomial, grid: GridSpec) -> np.ndarray:

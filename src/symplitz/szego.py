@@ -10,10 +10,12 @@ runs them over a list of orders against the caller's computed
 ``symplectic_curves``; counting is the case f = ``indicator(K)``,
 whose spectral sum is the number of eigenvalues in K and whose integral is
 the angular measure of {theta : d_j(theta) in K}.  The reports hold
-measurements only; a verdict against a tolerance is the caller's.  A
-truncation that is not positive definite stops a run with the
-PositivityError of ``toeplitz.truncation_spectrum`` at that order, which
-names it.
+measurements only; a verdict against a tolerance is the caller's.  Every
+ladder of orders is solved by ``toeplitz._spectra``, the route of
+``toeplitz.truncation_spectrum``, in one buffer that ``density_check``
+reads as the union of the spectra.  A truncation that is not positive
+definite stops a run with the PositivityError of
+``toeplitz.truncation_spectrum`` at that order, which names it.
 """
 
 import operator
@@ -117,26 +119,22 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     noise) as the order grows; the worst upward drift across consecutive
     computed orders is recorded in ``monotonicity_violation``.  ``n_list`` is
     a list, tuple or range of orders, each checked by ``_orders`` before any
-    eigensolve runs.  A symbol of trimmed degree <= 1
-    (``toeplitz._sine_diagonal``) hands the whole checked list to
-    ``toeplitz._node_spectra``, which solves the sine nodes of every order in
-    chunks of ``core._STACK_CHUNK`` nodes, with the bits of
-    ``truncation_spectrum`` at each order; every other symbol is solved order
-    by order, each as its two flip halves.  Either way the first order whose
-    truncation is not positive definite raises truncation_spectrum's
-    PositivityError for that order, with where = n.
+    eigensolve runs.  The whole checked list goes to ``toeplitz._spectra``,
+    the ladder route of ``truncation_spectrum``, with its bits at each order:
+    at trimmed degree <= 1 the sine nodes of every order in chunks of
+    ``core._STACK_CHUNK`` nodes, and every other symbol order by order, each
+    as its two flip halves.  Either way the first order whose truncation is
+    not positive definite raises truncation_spectrum's PositivityError for
+    that order, with where = n.
     """
     return _trajectory(symbol, n_list)[0]
 
 
 def _trajectory(symbol, n_list) -> tuple:
-    """truncated_spectra's trajectory, and the union of its spectra in ascending order of n
-    when one buffer holds them (toeplitz._node_spectra, at trimmed degree <= 1), else None."""
+    """truncated_spectra's trajectory, and the buffer of toeplitz._spectra that holds its
+    spectra, which is their union in ascending order of n."""
     ns = _orders(symbol, n_list)
-    if toeplitz._sine_diagonal(symbol):
-        spectra, union = toeplitz._node_spectra(symbol, ns)
-    else:
-        spectra, union = {n: toeplitz.truncation_spectrum(symbol, n) for n in ns}, None
+    spectra, union = toeplitz._spectra(symbol, ns)
     violation = 0.0
     for n_prev, n_next in zip(ns, ns[1:]):
         shared = len(spectra[n_prev])
@@ -253,31 +251,30 @@ def density_check(
     eigenvalue with order at most n_max.  Escape: the fraction of truncation
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
-    Both read the spectra of all orders concatenated, in ascending order (at
-    trimmed degree <= 1 the buffer toeplitz._node_spectra wrote them into,
-    with no copy; otherwise one np.concatenate): coverage sorts that union
-    once, and the escapes are one pass over it, a
+    Both read the spectra of all orders concatenated, in ascending order,
+    which is the buffer toeplitz._spectra wrote them into, with no copy:
+    coverage sorts that union once, and the escapes are one pass over it, a
     bracket mask and the distance to the sorted curve values taken in
     blocks of core._STACK_CHUNK values (so the pass holds one block's
     temporaries, not several copies of the union), then one np.add.reduceat
     of the hits at each order's offset: escape[n] = count / n, with the
     counts of one pass per order.
-    A delta that is a bool or numpy bool, or not > 0 (NaN included),
-    raises DomainError.
+    A delta that is not one real number (read by core._real: a string, a
+    complex number, an array or None), a bool or numpy bool, or not > 0
+    (NaN included), raises DomainError.
     n_max is checked by ``toeplitz.truncation_dim`` first, so an n_max that
     is not an integer >= 1 raises InvalidDimensionError naming n_max, not
     the error of an empty order list or the TypeError of a float range end;
     truncated_spectra then reads the largest order of range(1, n_max + 1)
     from its end, in O(1).
     """
-    if isinstance(delta, (bool, np.bool_)) or not delta > 0:
+    value = core._real(delta, "delta")
+    if isinstance(delta, (bool, np.bool_)) or value.ndim or not value > 0:
         raise DomainError(f"delta must be a positive number, got {delta!r}")
     toeplitz.truncation_dim(symbol, n_max)
     traj, union = _trajectory(symbol, range(1, n_max + 1))
     curves = symbols.symplectic_curves(symbol, grid)
     sorted_curve_values = np.sort(curves.values.ravel())
-    if union is None:
-        union = np.concatenate([traj.spectra[n] for n in traj.ns])
     distances = _distance_to_sorted(curves.values, np.sort(union))
     lower = float(sorted_curve_values[0])
     upper = symbols.sup_norm(symbol, grid)

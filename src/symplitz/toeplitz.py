@@ -2,21 +2,22 @@
 
 Every symbol is a cosine series (samples are projected by
 symbols.from_samples), so block (i, j) of the order-n truncation T_n is its
-coefficient A_|i-j|.  When the last nonzero coefficient is A_0 or A_1 (the
-trimmed degree is at most 1; _sine_diagonal, the one routing rule), T_n is
-block diagonal in the sine basis, which is symplectic, with blocks
-a(pi j / (n + 1)), j = 1 .. n, and _node_spectra solves those nodes as
-stacks by core.symplectic_eigenvalues, exact, with no band and no flip,
-each written as entry rows into one workspace of the walk.  It takes a
-list of orders and walks their nodes in chunks of core._STACK_CHUNK into
-one output buffer, so szego.truncated_spectra solves a whole ladder as a
-few stacks and szego.density_check reads the buffer as the union of the
-spectra, and truncation_spectrum is its one-order case.  Everything below is the route
-of every other symbol.
+coefficient A_|i-j|.  One ladder route, _spectra, takes a list of orders
+and writes their spectra into one output buffer, so szego.density_check
+reads the buffer as the union of the spectra; szego.truncated_spectra hands
+it a whole ladder, and truncation_spectrum is its one-order case.  It routes
+on one rule, _sine_diagonal: when the last nonzero coefficient is A_0 or A_1
+(the trimmed degree is at most 1), T_n is block diagonal in the sine basis,
+which is symplectic, with blocks a(pi j / (n + 1)), j = 1 .. n, and those
+nodes go through symbols._walk, the walk of the symbol curves, as stacks of
+core.symplectic_eigenvalues, exact, with no band and no flip; a ladder's
+nodes are walked in chunks of core._STACK_CHUNK, so a whole ladder is a few
+stacks.  Everything below is the route of every other symbol
+(_flip_spectrum, one order at a time).
 A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
 straight from the coefficients.  T_n commutes with the block flip E (block
-i to block n - 1 - i), and E with I_n (x) J, so truncation_spectrum solves
+i to block n - 1 - i), and E with I_n (x) J, so _flip_spectrum solves
 T_n as the two halves of E's eigenspaces, of orders h = n // 2 and n - h.
 _flip_bands builds each half in reversed block order, where, with the
 block Hankel H[i, j] = A_{1 + n%2 + i + j} on the leading blocks, T-+ =
@@ -97,8 +98,8 @@ def _band_limit(N: int) -> int:
     """Largest lower bandwidth b with which an N x N truncation is solved on its band.
 
     The rule is max(12 (b + 2), (b + 2)^2 / 2) <= N (the table above); the
-    result is negative when no bandwidth qualifies.  truncation_spectrum and
-    the G-chain witness both route on it.
+    result is negative when no bandwidth qualifies.  _flip_spectrum and the
+    G-chain witness both route on it.
     """
     return min(N // 12, math.isqrt(2 * N)) - 2
 
@@ -251,106 +252,92 @@ def _sine_diagonal(symbol: TrigMatrixPolynomial) -> bool:
     return not symbol.coeffs[2:].any()
 
 
-def _node_spectra(symbol: TrigMatrixPolynomial, ns: list) -> tuple:
-    """Symplectic spectra {n: spectrum, ascending} of the order-n truncations, n in ns, of a
-    symbol of trimmed degree <= 1, and the one buffer that holds them: each the sorted union
-    of the spectra of the nodes a(theta_j) = A_0 + 2 cos(theta_j) A_1, theta_j = pi j / (n + 1),
-    j = 1 .. n.
+def _spectra(symbol: TrigMatrixPolynomial, ns: list) -> tuple:
+    """Symplectic spectra {n: spectrum, ascending} of the order-n truncations, n in ns, and the
+    one buffer that holds them.
 
     ns holds distinct orders, ascending, each checked by truncation_dim.  The
     spectra go into one output array, order after order, and each order's
     spectrum is its slice of it, so the array is the union of the spectra in
     ascending order of n (szego.density_check reads it as such, with no
-    copy).  Order 1 is A_0 itself (cos(pi / 2) is not 0 in floats), a single
-    matrix with the bits of symplectic_eigenvalues(A_0).  The nodes of every
-    order > 1 are walked in that order in chunks of core._STACK_CHUNK nodes,
-    so a chunk may span several orders, and each chunk is one stack: its
-    values are written as entry rows, c A_1[e] + A_0[e] for each entry e,
-    into one workspace of the walk (core._row_workspace) and handed to
-    core.symplectic_eigenvalues as a core._RowChunk (solved on those rows
-    for k <= 3, by the LAPACK chain for k >= 4).  Each order's slice is
-    then sorted in place, so a ladder holds its spectra and one workspace,
-    and pays the stack's fixed cost once a chunk, not once an order.  Each node is solved on its own and each order's angles are
-    formed as for that order alone, so the spectra have the bits of one
-    stack per order.  When a chunk fails, every order > 1 is solved again,
-    ascending, as one stack of its own nodes, so an error is that of the
-    first failing order: a node value outside the float range raises
-    DomainError naming the order, and a breakdown one PositivityError that
-    names the order, carries where = n and reports
-    min_j lambda_min(a(theta_j)), which is lambda_min(T_n).
+    copy).  This is the one ladder route, and truncation_spectrum its
+    one-order case.  A symbol of trimmed degree > 1 (_sine_diagonal) has
+    each order solved by its flip split (_flip_spectrum), ascending, and
+    written into its slice.  At trimmed degree <= 1 each order is the sorted
+    union of the spectra of its sine nodes a(theta_j), theta_j =
+    pi j / (n + 1), j = 1 .. n.  Order 1 is A_0 itself (cos(pi / 2) is not 0
+    in floats), a single matrix with the bits of symplectic_eigenvalues(A_0).
+    The angles of every order > 1 go, in that order, through one
+    symbols._walk, in chunks of core._STACK_CHUNK nodes written as entry rows
+    into one workspace, and each order's slice is then sorted in place, so a
+    ladder holds its spectra and one workspace, and pays the stack's fixed
+    cost once a chunk, not once an order.  Each order's angles are formed as
+    for that order alone, so the spectra have the bits of one stack per
+    order.  When a chunk fails, every order > 1 is solved again, ascending,
+    as one stack of its own nodes (symbol.evaluate), so an error is that of
+    the first failing order: a node value outside the float range raises DomainError naming
+    the order, and a breakdown one PositivityError that names the order,
+    carries where = n and reports min_j lambda_min(a(theta_j)), which is
+    lambda_min(T_n).
     """
-    a0 = symbol.coeffs[0]
-    a1 = symbol.coeffs[1] if symbol.degree else np.zeros_like(a0)
     k = symbol.k
-
-    def cosines(n: int) -> np.ndarray:
-        return 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-
-    def one_stack(n: int, values: np.ndarray) -> np.ndarray:
-        try:
-            d = core.symplectic_eigenvalues(values)
-        except PositivityError:
-            low = float(np.linalg.eigvalsh(values)[..., 0].min())
-            raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
-        return np.sort(d, axis=None)
-
-    def slices() -> dict:
-        spectra, start = {}, 0
-        for n in ns:
-            spectra[n], start = out[start : start + k * n], start + k * n
-        return spectra
-
     out = np.empty(k * sum(ns))
-    if ns[0] == 1:
-        out[:k] = one_stack(1, a0)
+    spectra, start = {}, 0
+    for n in ns:
+        spectra[n], start = out[start : start + k * n], start + k * n
+    if not _sine_diagonal(symbol):
+        for n in ns:
+            spectra[n][:] = _flip_spectrum(symbol, n)
+        return spectra, out
     ladder = ns[1:] if ns[0] == 1 else ns
-    total = sum(ladder)
-    if not total:
-        return slices(), out
-    size = min(core._STACK_CHUNK, total)
-    cs = np.empty(size)  # the cosines of the chunk's nodes
-    ws = core._row_workspace(symbol.block_dim, size)
-    e0, e1 = a0.reshape(-1), a1.reshape(-1)
-
-    def solve(S: int) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            R = np.multiply.outer(e1, cs[:S], out=ws.rows[:, :S])
-            R += e0[:, None]
-        return core.symplectic_eigenvalues(core._RowChunk(ws, S))
-
+    if ns[0] == 1:
+        spectra[1][:] = _node_stack_spectrum(symbol.coeffs[0], 1)
     try:
-        done, fill = out.size - k * total, 0  # values in out (order 1's, if any), nodes waiting in the chunk
-        for n in ladder:
-            c, lo = cosines(n), 0
-            while lo < n:
-                take = min(n - lo, size - fill)
-                cs[fill : fill + take] = c[lo : lo + take]
-                lo, fill = lo + take, fill + take
-                if fill == size or done + k * fill == out.size:
-                    out[done : done + k * fill] = solve(fill).reshape(-1)
-                    done, fill = done + k * fill, 0
+        symbols._walk(symbol, map(_sine_nodes, ladder), out[out.size - k * sum(ladder) :].reshape(-1, k))
     except SymplitzError:
-        spectra = slices()
         for n in ladder:
             with np.errstate(over="ignore", invalid="ignore"):
-                values = a0 + cosines(n)[:, None, None] * a1
+                values = symbol.evaluate(_sine_nodes(n))
             core._require_finite(values, f"sine-node stack of the order-{n} truncation")
-            spectra[n][:] = one_stack(n, values)
+            spectra[n][:] = _node_stack_spectrum(values, n)
         return spectra, out
-    spectra = slices()
     for n in ladder:
         spectra[n].sort()
     return spectra, out
 
 
+def _sine_nodes(n: int) -> np.ndarray:
+    """The angles theta_j = pi j / (n + 1), j = 1 .. n, of the sine nodes of the order-n truncation."""
+    return np.pi * np.arange(1, n + 1) / (n + 1)
+
+
+def _node_stack_spectrum(values: np.ndarray, n: int) -> np.ndarray:
+    """The sorted union of the spectra of the order-n truncation's node values, solved as one stack;
+    a breakdown raises the PositivityError of order n, with the lowest eigenvalue of the nodes."""
+    try:
+        d = core.symplectic_eigenvalues(values)
+    except PositivityError:
+        low = float(np.linalg.eigvalsh(values)[..., 0].min())
+        raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
+    return np.sort(d, axis=None)
+
+
 def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
-    """Symplectic spectrum of the order-n truncation, ascending.
+    """Symplectic spectrum of the order-n truncation, ascending: the one-order case of _spectra.
 
     A symbol of trimmed degree <= 1 (_sine_diagonal) is solved exactly on its
-    n sine nodes, as the one-order case of _node_spectra: T_n is block
-    diagonal in the sine basis, so its spectrum is the union of those of the
-    n blocks a(theta_j).  For every
-    other symbol the spectrum is the sorted union of the spectra of the two
+    n sine nodes: T_n is block diagonal in the sine basis, so its spectrum is
+    the union of those of the n blocks a(theta_j).  Every other symbol is
+    solved by its flip split (_flip_spectrum).
+    """
+    truncation_dim(symbol, n)
+    return _spectra(symbol, [n])[0][n]
+
+
+def _flip_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
+    """Symplectic spectrum of the order-n truncation, ascending, from its flip split.
+
+    The spectrum is the sorted union of the spectra of the two
     flip halves of T_n (_flip_bands: in reversed block order, T_{h + n%2}'s
     band plus or minus the block Hankel H[i, j] = A_{1 + n%2 + i + j} on the
     leading blocks), each of dimension about N / 2, so band reduction,
@@ -367,9 +354,6 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     lowest eigenvalues (_lowest_eigenvalue), which is lambda_min(T_n), and
     carries where = n.
     """
-    if _sine_diagonal(symbol):
-        truncation_dim(symbol, n)
-        return _node_spectra(symbol, [n])[0][n]
     halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
     try:
         factors = [
@@ -462,12 +446,14 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
     witness is the smallest eigenvalue of T_m + (i/2) J that gchain_check
     measures at the reported order m (n_max when every order passes).
     n_max is checked by truncation_dim's order rule before the first factor,
-    but not against the guard.  A tol that is not a finite number, a bool
-    or numpy bool included, raises DomainError: shifted by NaN or +inf
+    but not against the guard.  A tol that is not one finite real number
+    (read by core._real: a string, a complex number, an array or None), a
+    bool or numpy bool included, raises DomainError: shifted by NaN or +inf
     every pivot passes, and by -inf the first fails.
     """
     _check_integer(n_max, "n_max", 1)
-    if isinstance(tol, (bool, np.bool_)) or not math.isfinite(tol):
+    value = core._real(tol, "tol")
+    if isinstance(tol, (bool, np.bool_)) or value.ndim or not math.isfinite(value):
         raise DomainError(f"tol must be a finite number, got {tol!r}")
     guard = _max_dim() // symbol.block_dim
     orders = []

@@ -531,9 +531,27 @@ def per_chunk_curves(symbol, grid):
 
 
 class TestRowWalk:
-    """symplectic_curves writes each chunk's values as entry rows into one workspace of the walk
-    (TrigMatrixPolynomial._rows, core._row_workspace) and hands the chunk to core.symplectic_eigenvalues
-    as a core._RowChunk, which at k <= 3 is solved on those rows."""
+    """symbols._walk, the walk of symplectic_curves and of the degree-1 ladders, writes each chunk's values
+    as entry rows into one workspace of the walk (TrigMatrixPolynomial._rows, core._row_workspace) and hands
+    the chunk to core.symplectic_eigenvalues as a core._RowChunk, which at k <= 3 is solved on those rows."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_walk_packs_pieces_across_chunk_edges(self, k, monkeypatch):
+        # chunks of 5 angles: pieces of 12 and 7 span chunk edges, the pieces ending at 15, 20 and 25 angles
+        # end on one, and the one-angle pieces share chunks; each angle has the bits of its own stack
+        monkeypatch.setattr(core, "_STACK_CHUNK", 5)
+        s = nonseparable(k, 2, seed=300 + k)
+        rng = np.random.default_rng(k)
+        pieces = [rng.uniform(-np.pi, np.pi, size) for size in (12, 3, 5, 1, 1, 1, 2, 7, 1)]
+        angles = np.concatenate(pieces)
+        ref = np.concatenate([core.symplectic_eigenvalues(s.evaluate(angles[i : i + 1])) for i in range(len(angles))])
+        stacks, solve = [], core.symplectic_eigenvalues
+        monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: stacks.append(len(np.asarray(A))) or solve(A))
+        out = np.full((len(angles), k), np.nan)
+        assert symbols._walk(s, pieces, out) is out
+        assert stacks == [5] * 6 + [3]
+        assert out.tobytes() == ref.tobytes()
+        assert symbols._walk(s, [], np.empty((0, k))).shape == (0, k) and len(stacks) == 7
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_rows_have_the_bits_of_evaluate(self, k):

@@ -412,6 +412,12 @@ class TestDensity:
         with pytest.raises(DomainError, match="delta"):
             szego.density_check(PHI, 4, float("nan"), symbols.GridSpec(64))
 
+    @pytest.mark.parametrize("delta", ["0.1", 0.1 + 0j, np.array([0.1, 0.1]), None],
+                             ids=["string", "complex", "two-element", "None"])
+    def test_delta_that_is_no_real_number_is_domain_error(self, delta):
+        with pytest.raises(DomainError, match="delta"):
+            szego.density_check(PHI, 4, delta, symbols.GridSpec(64))
+
 
 @pytest.mark.parametrize(
     "call, error",
@@ -439,7 +445,7 @@ class TestIntegerOrders:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        # PHI has degree 1, so its ladders reach core through toeplitz._node_spectra, not truncation_spectrum
+        # PHI has degree 1, so its ladders reach core through toeplitz._spectra, not truncation_spectrum
         monkeypatch.setattr(toeplitz, "truncation_spectrum", lambda s, n: pytest.fail(f"order {n} was solved"))
         monkeypatch.setattr(core, "symplectic_eigenvalues", lambda A: pytest.fail("a stack was solved"))
 
@@ -532,7 +538,7 @@ def _raised(call):
 
 class TestNodeLadder:
     """At trimmed degree <= 1, truncated_spectra solves every order > 1 of its list in one walk of
-    chunks of core._STACK_CHUNK sine nodes (toeplitz._node_spectra), with the bits and errors of
+    chunks of core._STACK_CHUNK sine nodes (toeplitz._spectra), with the bits and errors of
     one stack per order."""
 
     @staticmethod
@@ -653,7 +659,7 @@ class TestNodeLadder:
         assert peak <= 3 * spectra + 2**20, (peak, spectra)
 
     def test_density_check_reads_the_union_from_the_ladder_buffer(self):
-        # the degree-1 spectra sit in one buffer of _node_spectra, ascending by order, which is the union:
+        # the degree-1 spectra sit in one buffer of _spectra, ascending by order, which is the union:
         # the peak is the spectra and their one sorted copy (a concatenation of them made a third copy)
         s = _degree_one(1, seed=72)
         grid = symbols.GridSpec(256)
@@ -666,13 +672,35 @@ class TestNodeLadder:
             tracemalloc.stop()
         assert peak <= 2 * spectra + 2**20, (peak, spectra)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_ladder_buffer_is_the_union_in_order(self, k):
+    @pytest.mark.parametrize("k, degree", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 3)],
+                             ids=["1", "2", "3", "4", "2-degree2", "3-degree3"])
+    def test_ladder_buffer_is_the_union_in_order(self, k, degree):
+        # degree >= 2 takes the flip split per order, written into the same buffer
         s = _degree_one(k, seed=80 + k)
+        if degree > 1:
+            Z = np.random.default_rng(90 + k).standard_normal((degree - 1, 2 * k, 2 * k))
+            s = symbols.TrigMatrixPolynomial(np.concatenate([s.coeffs, 0.01 * (Z + Z.transpose(0, 2, 1))]))
+        assert s.degree == degree
         for ns in ([1], [2], [1, 2, 5], [3, 4, 70], list(range(1, 40))):
-            spectra, union = toeplitz._node_spectra(s, ns)
+            spectra, union = toeplitz._spectra(s, ns)
             assert union.tobytes() == np.concatenate([spectra[n] for n in ns]).tobytes()
             assert all(np.shares_memory(spectra[n], union) for n in ns)
+            assert all(spectra[n].tobytes() == toeplitz.truncation_spectrum(s, n).tobytes() for n in ns)
+
+    def test_degree2_density_check_holds_no_concatenated_copy(self):
+        # orders 1 .. 320 of a degree-2 symbol take 0.41 MB of spectra; the flip split writes them into the
+        # ladder buffer, which is the union, so the peak is 1.35 MB (twice the spectra plus 0.53 MB), where
+        # a concatenation of per-order arrays made a third copy (1.76 MB)
+        s = symbols.scalar_symbol([2.0, 0.5, 0.25])
+        grid = symbols.GridSpec(256)
+        spectra = sum(d.nbytes for d in szego.truncated_spectra(s, range(1, 321)).spectra.values())
+        tracemalloc.start()
+        try:
+            szego.density_check(s, 320, 0.05, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * spectra + 2**19, (peak, spectra)
 
     def test_k3_ladder_peaks_at_its_spectra_and_one_chunk(self):
         # orders 1 .. 682 take 5.6 MB of spectra; one chunk of 16,384 k = 3 nodes peaks at 16.6 MB

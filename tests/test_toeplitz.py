@@ -205,6 +205,12 @@ class TestGChain:
         with pytest.raises(DomainError, match="tol"):
             toeplitz.gchain_sweep(s, 8, tol)
 
+    @pytest.mark.parametrize("tol", ["1e-10", 1e-10 + 0j, np.array([1e-10, 1e-10]), None],
+                             ids=["string", "complex", "two-element", "None"])
+    def test_tolerance_that_is_no_real_number_is_domain_error(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            toeplitz.gchain_sweep(symbols.scalar_symbol([0.3, 0.0]), 8, tol)
+
     @pytest.mark.parametrize("k, first", [(3, 600), (5, 300)])
     def test_first_failure_below_a_guard_order_off_the_doubling(self, k, first):
         # the guard orders 682 (k = 3) and 409 (k = 5) are not powers of two; the doubling
@@ -793,14 +799,15 @@ def _graded_symbol(seed):
 
 class TestSineNodes:
     """A symbol of trimmed degree <= 1 is solved on its sine nodes: T_n is block diagonal in the
-    sine basis, with blocks a(pi j / (n + 1)), j = 1 .. n (toeplitz._sine_diagonal, _node_spectra)."""
+    sine basis, with blocks a(pi j / (n + 1)), j = 1 .. n (toeplitz._sine_diagonal, _spectra)."""
 
     @staticmethod
     def record(monkeypatch):
-        """The route each truncation_spectrum call takes: "nodes" or "flip"."""
-        taken, nodes, flip = [], toeplitz._node_spectra, toeplitz._flip_bands
-        monkeypatch.setattr(toeplitz, "_node_spectra", lambda *a: taken.append("nodes") or nodes(*a))
-        monkeypatch.setattr(toeplitz, "_flip_bands", lambda *a: taken.append("flip") or flip(*a))
+        """The route each truncation_spectrum call takes in toeplitz._spectra: "nodes" (one
+        symbols._walk, empty at order 1) or "flip" (one _flip_spectrum)."""
+        taken, nodes, flip = [], symbols._walk, toeplitz._flip_spectrum
+        monkeypatch.setattr(symbols, "_walk", lambda *a: taken.append("nodes") or nodes(*a))
+        monkeypatch.setattr(toeplitz, "_flip_spectrum", lambda *a: taken.append("flip") or flip(*a))
         return taken
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
