@@ -26,10 +26,12 @@ besides: the factor, the kernel and the scaling of K are written in place.
 The one walk over chunks of nodes, symbols._walk (the half grid of
 symbols.symplectic_curves, the sine nodes of a degree-1 ladder of
 toeplitz._spectra), makes one workspace per walk, writes each chunk's
-values straight into its rows and hands the chunk to symplectic_eigenvalues
-as a _RowChunk, so no chunk allocates, and pays page faults for, arrays of
-its own; a caller's stack gets a fresh workspace and is transposed into it
-once (_transpose_rows).  At k >= 4 a walk's chunk goes to the LAPACK chain
+values straight into its rows by the symbol's one series formula
+(symbols.TrigMatrixPolynomial._rows, which also writes evaluate's stacks)
+and hands the chunk to symplectic_eigenvalues as a _RowChunk, so no chunk
+allocates, and pays page faults for, arrays of the chunk's size; a caller's
+stack gets a fresh workspace and is transposed into it once
+(_transpose_rows).  At k >= 4 a walk's chunk goes to the LAPACK chain
 as a strided view of its rows.
 Every single matrix is factored by LAPACK, as a dense flip half of a
 truncation is, and both pass their factor to _factor_spectrum: a k <= 2
@@ -82,9 +84,9 @@ PAIR_TOL = 1e-8
 
 
 def symplectic_form(k: int) -> np.ndarray:
-    """Return the 2k x 2k form J2 + ... + J2 in interleaved ordering."""
-    if k < 1:
-        raise InvalidDimensionError(f"mode count must be >= 1, got {k}")
+    """Return the 2k x 2k form J2 + ... + J2 in interleaved ordering; a mode count k that is not an
+    integer >= 1 (a bool or a float included) raises InvalidDimensionError."""
+    _check_integer(k, "mode count k", 1)
     J = np.zeros((2 * k, 2 * k))
     q = 2 * np.arange(k)
     J[q, q + 1] = 1.0
@@ -121,6 +123,22 @@ def _real(x, what: str) -> np.ndarray:
     if a.dtype.kind not in "biuf":
         raise DomainError(f"{what} must be numbers, got {a.dtype} entries")
     return np.asarray(a, dtype=float)
+
+
+def _number(x, what: str) -> float:
+    """x as one real number: read by _real and 0-d, where a bool or numpy bool is no number (as
+    JSON true and false are none to the CLI); anything else raises DomainError naming what."""
+    value = _real(x, what)
+    if isinstance(x, (bool, np.bool_)) or value.ndim:
+        raise DomainError(f"{what} must be one real number, got {x!r}")
+    return float(value)
+
+
+def _check_integer(value, what: str, least: int, error=InvalidDimensionError) -> None:
+    """Raise error unless value is an integer >= least (a numpy integer counts, a bool or a
+    float with an integer value does not): the rule of degrees, orders, powers, k and grid sizes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def _require_finite(X: np.ndarray, what: str) -> np.ndarray:

@@ -5,8 +5,12 @@ in one form: an even cosine series with symmetric coefficient blocks (the
 partially symmetric case, enforced structurally).  Its coefficients are
 checked once, when it is built: a non-finite entry raises DomainError and an
 asymmetric block SymmetryError.  They are stored read-only, so code built
-from a symbol (a truncation band, say) trusts them.  One series formula,
-``evaluate``, gives the values at one angle or at an array of angles.
+from a symbol (a truncation band, say) trusts them.  One series formula
+gives every value: the contraction of the coefficient blocks with the
+weights 1, 2 cos(theta), 2 cos(2 theta), ... (TrigMatrixPolynomial._rows),
+written as matrices by ``evaluate``, at one angle or at an array of angles,
+and as the entry rows of a workspace by the chunk walk _walk, with the same
+bits.
 Samples on the canonical uniform grid are an input format only:
 ``from_samples`` checks that they are even and projects them once onto their
 cosine series.  One entry budget, MAX_ENTRIES, bounds what this module
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from .core import _check_integer
 from .errors import (
     AliasingError,
     GridError,
@@ -36,13 +41,6 @@ DEFAULT_GRID_G = 4096
 # Entries a coefficient stack or a grid evaluation may allocate: as many as a 4096 x 4096 truncation,
 # whose side, isqrt(MAX_ENTRIES), is toeplitz's size guard.
 MAX_ENTRIES = 2**24
-
-
-def _check_integer(value, what: str, least: int, error=InvalidDimensionError) -> None:
-    """Raise error unless value is an integer >= least (a numpy integer counts, a bool or a
-    float with an integer value does not): the rule of degrees, orders, powers, k and grid sizes."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise error(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def _check_entries(entries: int, what: str, error=InvalidDimensionError) -> None:
@@ -113,40 +111,61 @@ class TrigMatrixPolynomial:
 
     def evaluate(self, theta) -> np.ndarray:
         """Value at one angle, shape (2k, 2k), or at each of an array of angles, shape (..., 2k, 2k);
-        a complex or non-numeric angle raises DomainError."""
-        w = 2.0 * np.cos(np.multiply.outer(core._real(theta, "angle"), np.arange(self.degree + 1)))
-        w[..., 0] = 1.0
-        return np.einsum("...n,nij->...ij", w, self.coeffs)
+        a complex or non-numeric angle raises DomainError.
+
+        The values are the entry rows of _rows written into the transposed
+        view of the result: evaluate and _rows are two layouts of one
+        contraction, with the same bits.
+        """
+        theta = core._real(theta, "angle")
+        rows = self._rows(theta.reshape(-1), np.empty((theta.size, self.block_dim**2)).T)
+        return rows.T.reshape(theta.shape + self.coeffs.shape[1:])
+
+    def _weights(self, theta: np.ndarray, angle_major: bool = False) -> np.ndarray:
+        """The weights of the series at the angles theta, shape (q + 1,) + theta.shape for degree q:
+        row 0 is ones and row n is 2 cos(n theta), the module's one cosine; angle_major lays them
+        out with each angle's weights contiguous (a transposed copy), the shape unchanged.  The angle
+        products n theta are written in place by np.einsum: np.multiply.outer buffered 0.13 MB, and on
+        the 64-angle blocks of degree 1023 took twice as long."""
+        w = np.empty((self.degree + 1,) + theta.shape)
+        w[0] = 1.0
+        np.cos(np.einsum("n,...->n...", np.arange(1.0, self.degree + 1), theta, out=w[1:]), out=w[1:])
+        w[1:] *= 2.0
+        return np.ascontiguousarray(w.T).T if angle_major else w
 
     def _rows(self, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the values at the angles theta (shape (S,)) as entry rows,
-        out[i m + j, s] = a(theta_s)[i, j] with m = 2k, shape (m^2, S), and return out:
-        the value writer of _walk, for the symbol curves and the degree-1 ladders alike.
+        out[i m + j, s] = a(theta_s)[i, j] with m = 2k, into out, any (m^2, S)
+        view, and return out: the series formula, for evaluate (the
+        transposed view of its result) and for _walk (the rows of its
+        workspace).
 
-        Each row starts from 0 + A_0 and adds 2 cos(n theta) A_n for n = 1 .. q
-        in that order, as evaluate's einsum sums them, so out has the bits of
-        evaluate(theta).reshape(S, m * m).T (a -0.0 entry of A_0 reads +0.0 in
-        both), with no (S, m, m) array and no product of all the rows: the
-        temporaries are two rows of S.  A sum past the float range is written
-        as inf (or NaN), with no warning, for the caller's finiteness check to
-        refuse.  evaluate stays a second evaluator, for the callers that want
-        C-contiguous stacks (sup_norm's eigvalsh, and the error reports of
-        _solve_half_grid and toeplitz._spectra): built on
-        these rows and a transposition it took 2-5x as long at k = 2-4 on
-        16,384 nodes, and handing eigvalsh a strided view of the rows instead
-        cost 2-6% at k = 3-4 (2-core Xeon).  tests/test_symbols.py holds the
-        two to the same bits at k = 1-4, degree 0-9.
+        Each value is one contraction of the flattened blocks with the
+        weights (_weights) over the degree, np.einsum("ne,ns->es"), which
+        adds the terms 1 A_0, 2 cos(theta) A_1, ... in that order to a zero
+        start, each product rounded on its own: a -0.0 entry of A_0 reads
+        +0.0, and the bits do not depend on the layout of out or of the
+        weights.  A sum past the float range is written as inf (or NaN),
+        with no warning, for the caller's finiteness check to refuse.  The
+        angles are contracted in blocks whose weights hold at most
+        4 core._STACK_CHUNK entries (one angle at least): 0.5 MB, as much as
+        a chunk of a symbol of degree <= 3, which is one contraction.  On
+        16,384 angles at k = 1, degree 1023, a cap of 2 chunks took 1.07x
+        the time of summing term by term, 4 chunks 1.02x and 8 chunks 0.95x
+        (at k >= 2 each was faster), so the cap keeps to the 0.5 MB.  When
+        out keeps each angle's values contiguous (evaluate) and they are
+        many (k >= 4), the weights are laid out angle-major too, so the
+        contraction runs along one angle at a time: at k = 4-5, degree 2-9,
+        evaluate took 1.02-1.23x the time of summing term by term with
+        degree-major weights and 0.91-0.98x with angle-major ones, while at
+        k = 1-2 degree-major weights were the faster (0.38-0.92x against
+        0.69-0.95x, degree 1-1023).
         """
-        a = self.coeffs.reshape(self.degree + 1, -1)
-        w, term = np.empty_like(theta), np.empty_like(theta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(a[0][:, None], 0.0, out=out)
-            for n in range(1, self.degree + 1):
-                np.multiply(theta, n, out=w)
-                np.cos(w, out=w)
-                w *= 2.0
-                for e in range(a.shape[1]):
-                    out[e] += np.multiply(w, a[n, e], out=term)
+        step = max(1, 4 * core._STACK_CHUNK // (self.degree + 1))
+        angle_major = self.k >= 4 and out.strides[0] < out.strides[1]
+        for lo in range(0, len(theta), step):  # no name holds a block's weights, so one block is alive at a time
+            np.einsum("ne,ns->es", self.coeffs.reshape(self.degree + 1, -1),
+                      self._weights(theta[lo : lo + step], angle_major), out=out[:, lo : lo + step])
         return out
 
 
@@ -305,15 +324,17 @@ def _walk(symbol: TrigMatrixPolynomial, pieces, out: np.ndarray) -> np.ndarray:
     are packed into chunks of core._STACK_CHUNK, so a chunk may span several
     pieces and a piece several chunks.  The walk makes one workspace
     (core._row_workspace); each chunk's values are written straight into its
-    entry rows (TrigMatrixPolynomial._rows) and handed to
-    core.symplectic_eigenvalues as a core._RowChunk, which at k <= 3 solves
-    it on those rows and at k >= 4 by the LAPACK chain as a strided view of
-    them.  So no chunk allocates an (S, 2k, 2k) stack or arrays of its own,
-    and a walk pays a stack's fixed cost once a chunk.  Each angle is solved
-    on its own, so out has the bits of one stack per piece.  A chunk that
-    fails raises (core._Breakdown with no eigensolve at k <= 3, DomainError
-    for values outside the float range): its values are gone, and the caller
-    solves its angles again to report the error.
+    entry rows by the series formula (TrigMatrixPolynomial._rows, with the
+    bits of evaluate) and handed to core.symplectic_eigenvalues as a
+    core._RowChunk, which at k <= 3 solves it on those rows and at k >= 4
+    by the LAPACK chain as a strided view of them.  So no chunk allocates an
+    (S, 2k, 2k) stack or arrays of its own besides one block of weights at a
+    time (at most 0.5 MB), and a walk pays a stack's fixed cost once a
+    chunk.  Each angle is solved on its own, so out has the bits of one
+    stack per piece.  A chunk that fails raises (core._Breakdown with no
+    eigensolve at k <= 3, DomainError for values outside the float range):
+    its values are gone, and the caller solves its angles again to report
+    the error.
     """
     size = min(core._STACK_CHUNK, len(out))
     if not size:
@@ -339,5 +360,6 @@ def _solve_half_grid(symbol: TrigMatrixPolynomial, grid: GridSpec) -> np.ndarray
     try:
         return core.symplectic_eigenvalues(symbol.evaluate(grid._nodes(0, grid.G // 2 + 1)))
     except PositivityError as err:
-        theta = float(grid.nodes()[err.where[0] if err.where else 0])
+        i = err.where[0] if err.where else 0
+        theta = float(grid._nodes(i, i + 1)[0])
         raise PositivityError.report(f"symbol at theta = {theta:.6f}", err.min_eigenvalue, theta) from err

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, symbols, toeplitz
+from .core import _check_integer
 from .errors import DomainError, InvalidDimensionError
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class TestFunction:
 
 
 def monomial(power: int) -> TestFunction:
-    symbols._check_integer(power, "power", 0)
+    _check_integer(power, "power", 0)
     return TestFunction(f"x^{power}", lambda x: x ** power)
 
 
@@ -57,19 +58,20 @@ def polynomial(coeffs) -> TestFunction:
 
 def hat(left: float, peak: float, right: float) -> TestFunction:
     """Piecewise-linear bump: 0 outside [left, right], 1 at the peak."""
-    xs = core._real([left, peak, right], "hat corners")
-    if xs.shape != (3,) or not xs[0] < xs[1] < xs[2]:
+    xs = np.array([core._number(left, "hat left"), core._number(peak, "hat peak"), core._number(right, "hat right")])
+    if not xs[0] < xs[1] < xs[2]:
         raise DomainError(f"need left < peak < right, got {left}, {peak}, {right}")
     ys = np.array([0.0, 1.0, 0.0])
     return TestFunction(f"hat({xs[0]:g},{xs[1]:g},{xs[2]:g})", lambda x: np.interp(x, xs, ys))
 
 
 def _interval(interval) -> tuple:
-    """The ends (a, b) of an interval given as two real numbers; any other shape raises DomainError."""
+    """The ends (a, b) of an interval given as two real numbers; any other shape, or an end that is no
+    number by core._number (a bool included), raises DomainError."""
     ends = core._real(interval, "interval")
     if ends.shape != (2,):
         raise DomainError(f"interval must be two numbers [a, b], got shape {ends.shape}")
-    return float(ends[0]), float(ends[1])
+    return tuple(core._number(end, "interval end") for end in interval)
 
 
 def indicator(interval) -> TestFunction:
@@ -92,10 +94,9 @@ def indicator_smoothing(interval, eps: float) -> TestFunction:
     """Smoothed interval indicator exp(-dist(x, [a, b]) / eps); it dominates
     ``indicator([a, b])``, so its averages bound the counting ratios from above."""
     a, b = _interval(interval)
-    e = core._real(eps, "eps")
-    if e.ndim or not (a <= b and e > 0):
+    eps = core._number(eps, "eps")
+    if not (a <= b and eps > 0):
         raise DomainError(f"need a <= b and eps > 0, got [{a}, {b}], eps = {eps}")
-    eps = float(e)
     return TestFunction(f"exp(-dist(x,[{a:g},{b:g}])/{eps:g})",
                         lambda x: np.exp(-np.maximum(np.maximum(a - x, x - b), 0.0) / eps))
 
@@ -174,7 +175,7 @@ def _mean(values, divisor: int, f: TestFunction) -> float:
 def szego_average(spectrum, n: int, f: TestFunction) -> float:
     """(1/n) sum_j f(d_j) over the full kn-point spectrum (divided by n, not nk);
     an order n that is not an integer >= 1 raises InvalidDimensionError."""
-    symbols._check_integer(n, "order n", 1)
+    _check_integer(n, "order n", 1)
     return _mean(core._real(spectrum, "spectrum"), n, f)
 
 
@@ -259,8 +260,8 @@ def density_check(
     temporaries, not several copies of the union), then one np.add.reduceat
     of the hits at each order's offset: escape[n] = count / n, with the
     counts of one pass per order.
-    A delta that is not one real number (read by core._real: a string, a
-    complex number, an array or None), a bool or numpy bool, or not > 0
+    A delta that is not one real number (read by core._number: a string, a
+    complex number, an array, None, a bool or numpy bool), or not > 0
     (NaN included), raises DomainError.
     n_max is checked by ``toeplitz.truncation_dim`` first, so an n_max that
     is not an integer >= 1 raises InvalidDimensionError naming n_max, not
@@ -268,8 +269,7 @@ def density_check(
     truncated_spectra then reads the largest order of range(1, n_max + 1)
     from its end, in O(1).
     """
-    value = core._real(delta, "delta")
-    if isinstance(delta, (bool, np.bool_)) or value.ndim or not value > 0:
+    if not core._number(delta, "delta") > 0:
         raise DomainError(f"delta must be a positive number, got {delta!r}")
     toeplitz.truncation_dim(symbol, n_max)
     traj, union = _trajectory(symbol, range(1, n_max + 1))

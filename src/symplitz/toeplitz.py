@@ -56,8 +56,9 @@ import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
 from . import core, symbols
+from .core import _check_integer
 from .errors import DomainError, InvalidDimensionError, PositivityError, SymplitzError, TruncationSizeError
-from .symbols import TrigMatrixPolynomial, _check_integer
+from .symbols import TrigMatrixPolynomial
 
 
 def _start_worker() -> None:
@@ -447,13 +448,12 @@ def gchain_sweep(symbol: TrigMatrixPolynomial, n_max: int, tol: float):
     measures at the reported order m (n_max when every order passes).
     n_max is checked by truncation_dim's order rule before the first factor,
     but not against the guard.  A tol that is not one finite real number
-    (read by core._real: a string, a complex number, an array or None), a
-    bool or numpy bool included, raises DomainError: shifted by NaN or +inf
-    every pivot passes, and by -inf the first fails.
+    (read by core._number: a string, a complex number, an array, None, a
+    bool or numpy bool), raises DomainError: shifted by NaN or +inf every
+    pivot passes, and by -inf the first fails.
     """
     _check_integer(n_max, "n_max", 1)
-    value = core._real(tol, "tol")
-    if isinstance(tol, (bool, np.bool_)) or value.ndim or not math.isfinite(value):
+    if not math.isfinite(core._number(tol, "tol")):
         raise DomainError(f"tol must be a finite number, got {tol!r}")
     guard = _max_dim() // symbol.block_dim
     orders = []

@@ -6,7 +6,7 @@ import pytest
 
 from symplitz import (GridSpec, TestFunction, TrigMatrixPolynomial, ab_family, assemble, constant_symbol, mode_entropy,
                       scalar_symbol, symbols, symplectic_eigenvalues, symplectic_rayleigh, szego, williamson)
-from symplitz.core import random_symplectic
+from symplitz.core import _check_integer, random_symplectic
 from symplitz.errors import IndexRangeError
 
 
@@ -113,7 +113,7 @@ def min_trajectory(symbol, m: int, n_list, grid: GridSpec = GridSpec()) -> MinTr
             f"index m = {m} does not exist at the smallest order n = {ns[0]} "
             f"(spectrum has {symbol.k * ns[0]} entries)"
         )
-    symbols._check_integer(m, "index m", 1, IndexRangeError)  # 1.5 or a bool in range; a non-number skips the range
+    _check_integer(m, "index m", 1, IndexRangeError)  # 1.5 or a bool in range; a non-number skips the range
     traj = szego.truncated_spectra(symbol, ns)
     values = [float(traj.spectra[n][m - 1]) for n in ns]
     violation = 0.0

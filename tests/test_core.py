@@ -52,6 +52,12 @@ class TestSymplecticForm:
         with pytest.raises(InvalidDimensionError):
             core.symplectic_form(0)
 
+    @pytest.mark.parametrize("k", [1.5, "2", True, np.True_, 0], ids=repr)
+    def test_mode_count_that_is_no_integer_is_refused(self, k):
+        # the rule of degrees and orders (core._check_integer): a float, a string or a bool is no mode count
+        with pytest.raises(InvalidDimensionError, match="mode count"):
+            core.symplectic_form(k)
+
 
 class TestSymplecticEigenvalues:
     def test_determinant_rule(self):

@@ -638,6 +638,20 @@ class TestRowWalk:
             whole_grid_curves(s, grid)
         assert str(exc.value) == str(ref.value) == "matrix has entries outside the float range"
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_breakdown_reads_its_angle_without_the_whole_grid(self, k, monkeypatch):
+        # the failing node's angle is read as that one node, so no (G,) array of nodes is built
+        grid = symbols.GridSpec(64)
+        s = symbols.scalar_symbol([1.0, 0.6], k=k)  # 1 + 1.2 cos(theta) dips below 0 around theta = +-pi
+        with pytest.raises(PositivityError) as ref:
+            whole_grid_curves(s, grid)
+        monkeypatch.setattr(symbols.GridSpec, "nodes", lambda self: pytest.fail("the whole grid was built"))
+        with pytest.raises(PositivityError) as exc:
+            symbols.symplectic_curves(s, grid)
+        assert (str(exc.value), exc.value.where, exc.value.min_eigenvalue) == (
+            str(ref.value), ref.value.where, ref.value.min_eigenvalue)
+        assert str(exc.value).startswith("symbol at theta = -3.141593")
+
     def test_k3_curves_peak_below_the_chunked_stacks(self):
         # one core.symplectic_eigenvalues stack per chunk peaked at 19.7 MB here (values, entry rows and
         # kernel rows of each chunk); the walk holds the output and one workspace
@@ -649,6 +663,117 @@ class TestRowWalk:
         finally:
             tracemalloc.stop()
         assert peak <= 19.7e6, peak
+
+
+def loop_rows(symbol, theta):
+    """Entry rows a(theta_s)[i, j] at row i m + j by one pass per degree and entry, adding the terms
+    2 cos(n theta) A_n to 0 + A_0 in series order: an oracle that shares no line with evaluate or _rows."""
+    a = symbol.coeffs.reshape(symbol.degree + 1, -1)
+    out = np.empty((a.shape[1], len(theta)))
+    w, term = np.empty_like(theta), np.empty_like(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(a[0][:, None], 0.0, out=out)
+        for n in range(1, symbol.degree + 1):
+            np.multiply(theta, n, out=w)
+            np.cos(w, out=w)
+            w *= 2.0
+            for e in range(a.shape[1]):
+                out[e] += np.multiply(w, a[n, e], out=term)
+    return out
+
+
+def random_series(k, degree, seed):
+    """Cosine series with random symmetric blocks, no positivity asked."""
+    X = np.random.default_rng(seed).standard_normal((degree + 1, 2 * k, 2 * k))
+    return symbols.TrigMatrixPolynomial(X + X.transpose(0, 2, 1))
+
+
+def assert_one_formula(symbol, theta):
+    """evaluate and _rows (into a strided view, as a walk's last chunk) both have the bits of loop_rows."""
+    m, ref = symbol.block_dim, loop_rows(symbol, theta)
+    out = np.full((m * m, len(theta) + 3), np.nan)[:, : len(theta)]
+    assert symbol._rows(theta, out) is out
+    assert out.tobytes() == ref.tobytes()
+    assert symbol.evaluate(theta).reshape(-1, m * m).T.tobytes() == ref.tobytes()
+
+
+class TestOneSeriesFormula:
+    """evaluate and TrigMatrixPolynomial._rows are two layouts of one contraction of the coefficient
+    blocks with the weights of _weights; both keep the bits of the series summed term by term."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_evaluate_and_rows_have_the_bits_of_the_loop(self, k):
+        rng = np.random.default_rng(k)
+        for degree in [*range(10), 16, 31, 64, 200]:
+            s = random_series(k, degree, seed=1000 * k + degree)
+            for count in (1, 2, 3, 5, 8, 33, 16384):
+                assert_one_formula(s, rng.uniform(-np.pi, np.pi, count))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 11, 12, 30])
+    def test_blocks_of_the_weight_cap_keep_the_bits(self, degree, monkeypatch):
+        # chunks of 3 angles, so a cap of 12 weights: blocks of 12 // (degree + 1) angles, one angle at least
+        # (degree >= 11), so 33 angles end on a block edge or not
+        monkeypatch.setattr(core, "_STACK_CHUNK", 3)
+        sizes, weights = [], symbols.TrigMatrixPolynomial._weights
+        monkeypatch.setattr(symbols.TrigMatrixPolynomial, "_weights",
+                            lambda self, theta, *layout: sizes.append(theta.size) or weights(self, theta, *layout))
+        theta = np.random.default_rng(degree).uniform(-np.pi, np.pi, 33)
+        for k in (1, 4):  # evaluate takes degree-major weights at k = 1, angle-major ones at k = 4
+            s = random_series(k, degree, seed=degree + k)
+            step = max(1, 12 // (degree + 1))
+            sizes.clear()
+            s._rows(theta, np.empty((4 * k * k, 33)))
+            assert sizes == [step] * (33 // step) + [33 % step] * (33 % step > 0)
+            assert_one_formula(s, theta)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_evaluate_keeps_the_shape_of_theta(self, k):
+        s = random_series(k, 4, seed=k)
+        m = 2 * k
+        for theta in (0.7, np.float64(-2.5), np.array(1.25), np.linspace(-np.pi, np.pi, 5),
+                      np.linspace(-3, 3, 12).reshape(3, 4)):
+            values = s.evaluate(theta)
+            assert values.shape == np.shape(theta) + (m, m)
+            assert values.reshape(-1, m * m).T.tobytes() == loop_rows(s, np.ravel(theta).astype(float)).tobytes()
+
+    def test_negative_zero_and_trailing_zero_blocks(self):
+        # a -0.0 entry of A_0 whose higher entries are zero reads +0.0, as 0 + (-0.0) + 0 w does
+        theta = np.linspace(-np.pi, 0.0, 33)
+        for k in (1, 2, 4):
+            coeffs = random_series(k, 2, seed=k).coeffs.copy()
+            coeffs[:, 0, -1] = coeffs[:, -1, 0] = 0.0
+            coeffs[0, 0, -1] = coeffs[0, -1, 0] = -0.0
+            for zeros in (0, 1, 3):
+                s = symbols.TrigMatrixPolynomial(np.concatenate([coeffs, np.zeros((zeros,) + coeffs.shape[1:])]))
+                assert_one_formula(s, theta)
+                corner = s.evaluate(theta)[:, 0, -1]
+                assert (corner == 0.0).all() and not np.signbit(corner).any()
+
+    @pytest.mark.parametrize("coeffs", [[1e308, 0.6e308], [1e308, 0.3e308, 0.3e308], [-1e308, 0.7e308, -0.7e308]])
+    def test_overflow_is_inf_or_nan_with_no_warning(self, coeffs):
+        theta = symbols.GridSpec(64)._nodes(0, 33)
+        for k in (1, 3):
+            s = symbols.scalar_symbol(coeffs, k=k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_one_formula(s, theta)
+                assert not np.isfinite(s.evaluate(theta)).all()
+
+    def test_a_walk_holds_one_block_of_weights(self):
+        # k = 2, degree 255: one contraction of a whole chunk would hold 16,384 x 256 weights (33.6 MB); with
+        # blocks of at most 4 chunks' worth of weights the curves peak at 6.2 MB here, as a row pass per term did
+        rng = np.random.default_rng(255)
+        X = rng.standard_normal((256, 4, 4)) / 256
+        X = X + X.transpose(0, 2, 1)
+        X[0] += 4.0 * np.eye(4)
+        s = symbols.TrigMatrixPolynomial(X)
+        tracemalloc.start()
+        try:
+            symbols.symplectic_curves(s, symbols.GridSpec(2**16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5e6, peak
 
 
 class TestMinAndGSymbol:

@@ -429,13 +429,21 @@ class TestDensity:
         (lambda: szego.density_check(PHI, 4, True, symbols.GridSpec(64)), DomainError),
         (lambda: toeplitz.gchain_sweep(PHI, 4, tol=np.True_), DomainError),
         (lambda: szego.density_check(PHI, 4, np.True_, symbols.GridSpec(64)), DomainError),
+        (lambda: szego.indicator_smoothing([0, 1], True), DomainError),
+        (lambda: szego.indicator_smoothing([0, 1], np.True_), DomainError),
+        (lambda: szego.hat(True, 2, 3), DomainError),
+        (lambda: szego.hat(np.True_, 2, 3), DomainError),
+        (lambda: szego.indicator([False, True]), DomainError),
+        (lambda: szego.indicator([np.False_, np.True_]), DomainError),
     ],
     ids=["monomial-True", "monomial-2.5", "monomial--1", "gchain_sweep-tol-True", "density_check-delta-True",
-         "gchain_sweep-tol-numpy-True", "density_check-delta-numpy-True"],
+         "gchain_sweep-tol-numpy-True", "density_check-delta-numpy-True", "indicator_smoothing-eps-True",
+         "indicator_smoothing-eps-numpy-True", "hat-left-True", "hat-left-numpy-True", "indicator-ends-bool",
+         "indicator-ends-numpy-bool"],
 )
 def test_bool_or_non_integer_is_no_number(call, error):
     # the library keeps the CLI's rule: JSON true/false are no numbers, numpy booleans neither (as in
-    # symbols._check_integer), and a power is an integer >= 0
+    # core._check_integer and core._number), and a power is an integer >= 0
     with pytest.raises(error):
         call()
 
