@@ -768,17 +768,18 @@ def symplectic_eigenvalues(A) -> np.ndarray:
     entries of K are formed (_row_kernel), so every step is an array
     operation across the stack.  Every other input, each single
     matrix included, is factored by LAPACK (_factor) and solved from its
-    factor (_factor_spectrum), as a dense flip half of a truncation is, so
-    a matrix and the dense order-1 truncation of its constant symbol agree
-    bit for bit.  k <= 2 goes to closed forms that give each d_j once, so the
+    factor (_factor_spectrum), as a dense flip half of a truncation is; the
+    order-1 truncation of any symbol is its A_0, solved as this single
+    matrix.  k <= 2 goes to closed forms that give each d_j once, so the
     pairs are exact by construction and the d_j relatively accurate
     (d_1 = sqrt(det A) / d_2 for k = 2); a k = 3 stack has the normwise
     accuracy class.  Everything else takes the singular values of K, whose
     copies of each d_j are paired under PAIR_TOL.  A stack of no matrices,
     shape (0, 2k, 2k), gives shape (0, k).  Truncations are solved by
-    toeplitz.truncation_spectrum: at trimmed degree <= 1 as stacks of their
-    sine-node blocks; otherwise as two flip halves (toeplitz._spectra, which
-    also solves whole ladders).
+    toeplitz.truncation_spectrum: order 1 as the single matrix A_0, and every
+    other order at trimmed degree <= 1 as stacks of its sine-node blocks,
+    otherwise as two flip halves (toeplitz._spectra, which also solves whole
+    ladders).
 
     The one walk over chunks of nodes, symbols._walk (symbol curves and
     degree-1 ladders), writes each chunk's values as entry rows into one

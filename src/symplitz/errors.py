@@ -58,7 +58,3 @@ class WeightError(SymplitzError, ValueError):
 
 class DomainError(SymplitzError, ValueError):
     """Value lies outside the admissible domain of the evaluated function."""
-
-
-class IndexRangeError(SymplitzError, IndexError):
-    """Requested spectrum index does not exist at the given truncation."""

@@ -261,14 +261,15 @@ def sup_norm(symbol: TrigMatrixPolynomial, grid: GridSpec = GridSpec()) -> float
     nodes is evaluated and solved by eigvalsh, and the largest |eigenvalue| of
     each chunk is kept, so the result is the float of one whole-grid solve
     while the working memory is one chunk (at k = 3, G = 2^18 the call peaks
-    at 5.5 MB, against 37.7 MB for the half grid's values).
+    at 5.5 MB, against 37.7 MB for the half grid's values).  A chunk whose
+    values leave the float range raises the DomainError of symplectic_curves,
+    ``matrix has entries outside the float range``.
     """
     _check_grid(symbol, grid)
     half = grid.G // 2 + 1
-    tops = [
-        np.abs(np.linalg.eigvalsh(symbol.evaluate(grid._nodes(lo, min(lo + core._STACK_CHUNK, half))))).max()
-        for lo in range(0, half, core._STACK_CHUNK)
-    ]
+    chunks = (grid._nodes(lo, min(lo + core._STACK_CHUNK, half)) for lo in range(0, half, core._STACK_CHUNK))
+    # no name holds a chunk's values, so they are freed before the next chunk is evaluated
+    tops = [np.abs(np.linalg.eigvalsh(core._require_finite(symbol.evaluate(t), "matrix"))).max() for t in chunks]
     return float(np.max(tops))
 
 

@@ -12,10 +12,12 @@ whose spectral sum is the number of eigenvalues in K and whose integral is
 the angular measure of {theta : d_j(theta) in K}.  The reports hold
 measurements only; a verdict against a tolerance is the caller's.  Every
 ladder of orders is solved by ``toeplitz._spectra``, the route of
-``toeplitz.truncation_spectrum``, in one buffer that ``density_check``
-reads as the union of the spectra.  A truncation that is not positive
-definite stops a run with the PositivityError of
-``toeplitz.truncation_spectrum`` at that order, which names it.
+``toeplitz.truncation_spectrum``, in one buffer: ``truncated_spectra``
+reads its per-order slices, and ``density_check`` calls it itself with
+orders 1 .. n_max and reads the buffer as the union of the spectra.  A
+truncation that is not positive definite stops a run with the
+PositivityError of ``toeplitz.truncation_spectrum`` at that order, which
+names it.
 """
 
 import operator
@@ -122,26 +124,21 @@ def truncated_spectra(symbol, n_list) -> SpectrumTrajectory:
     a list, tuple or range of orders, each checked by ``_orders`` before any
     eigensolve runs.  The whole checked list goes to ``toeplitz._spectra``,
     the ladder route of ``truncation_spectrum``, with its bits at each order:
-    at trimmed degree <= 1 the sine nodes of every order in chunks of
-    ``core._STACK_CHUNK`` nodes, and every other symbol order by order, each
-    as its two flip halves.  Either way the first order whose truncation is
+    order 1 as the single matrix A_0, and every other order at trimmed
+    degree <= 1 by the sine nodes of every order in chunks of
+    ``core._STACK_CHUNK`` nodes, otherwise order by order, each as its two
+    flip halves.  Either way the first order whose truncation is
     not positive definite raises truncation_spectrum's PositivityError for
     that order, with where = n.
     """
-    return _trajectory(symbol, n_list)[0]
-
-
-def _trajectory(symbol, n_list) -> tuple:
-    """truncated_spectra's trajectory, and the buffer of toeplitz._spectra that holds its
-    spectra, which is their union in ascending order of n."""
     ns = _orders(symbol, n_list)
-    spectra, union = toeplitz._spectra(symbol, ns)
+    spectra = toeplitz._spectra(symbol, ns)[0]
     violation = 0.0
     for n_prev, n_next in zip(ns, ns[1:]):
         shared = len(spectra[n_prev])
         drift = float((spectra[n_next][:shared] - spectra[n_prev]).max())
         violation = max(violation, drift)
-    return SpectrumTrajectory(spectra, violation), union
+    return SpectrumTrajectory(spectra, violation)
 
 
 def _orders(symbol, n_list) -> list:
@@ -253,7 +250,8 @@ def density_check(
     eigenvalues that avoid the delta-neighborhood of all grid curve values
     (within the bracket [grid min, grid sup norm]) should shrink with n.
     Both read the spectra of all orders concatenated, in ascending order,
-    which is the buffer toeplitz._spectra wrote them into, with no copy:
+    which is the buffer toeplitz._spectra writes for the orders 1 .. n_max,
+    read with no copy and with no per-order trajectory:
     coverage sorts that union once, and the escapes are one pass over it, a
     bracket mask and the distance to the sorted curve values taken in
     blocks of core._STACK_CHUNK values (so the pass holds one block's
@@ -266,13 +264,14 @@ def density_check(
     n_max is checked by ``toeplitz.truncation_dim`` first, so an n_max that
     is not an integer >= 1 raises InvalidDimensionError naming n_max, not
     the error of an empty order list or the TypeError of a float range end;
-    truncated_spectra then reads the largest order of range(1, n_max + 1)
-    from its end, in O(1).
+    every order below it then passes the same check, so the orders go to
+    toeplitz._spectra with no check of their own.
     """
     if not core._number(delta, "delta") > 0:
         raise DomainError(f"delta must be a positive number, got {delta!r}")
     toeplitz.truncation_dim(symbol, n_max)
-    traj, union = _trajectory(symbol, range(1, n_max + 1))
+    ns = list(range(1, n_max + 1))
+    union = toeplitz._spectra(symbol, ns)[1]
     curves = symbols.symplectic_curves(symbol, grid)
     sorted_curve_values = np.sort(curves.values.ravel())
     distances = _distance_to_sorted(curves.values, np.sort(union))
@@ -283,10 +282,10 @@ def density_check(
         block = union[lo : lo + core._STACK_CHUNK]
         far = _distance_to_sorted(block, sorted_curve_values) >= delta
         hits[lo : lo + core._STACK_CHUNK] = (block >= lower) & (block <= upper) & far
-    offsets = np.cumsum([0] + [len(traj.spectra[n]) for n in traj.ns[:-1]])
+    offsets = symbol.k * np.cumsum([0] + ns[:-1])
     # an order holds k n < 2^31 values; int32 halves the cast of the hits that reduceat makes
     counts = np.add.reduceat(hits, offsets, dtype=np.int32)
-    escape = {n: int(count) / n for n, count in zip(traj.ns, counts)}
+    escape = {n: int(count) / n for n, count in zip(ns, counts)}
     return DensityReport(
         delta=delta,
         n_max=n_max,

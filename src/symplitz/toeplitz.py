@@ -5,20 +5,21 @@ symbols.from_samples), so block (i, j) of the order-n truncation T_n is its
 coefficient A_|i-j|.  One ladder route, _spectra, takes a list of orders
 and writes their spectra into one output buffer, so szego.density_check
 reads the buffer as the union of the spectra; szego.truncated_spectra hands
-it a whole ladder, and truncation_spectrum is its one-order case.  It routes
-on one rule, _sine_diagonal: when the last nonzero coefficient is A_0 or A_1
-(the trimmed degree is at most 1), T_n is block diagonal in the sine basis,
-which is symplectic, with blocks a(pi j / (n + 1)), j = 1 .. n, and those
-nodes go through symbols._walk, the walk of the symbol curves, as stacks of
-core.symplectic_eigenvalues, exact, with no band and no flip; a ladder's
-nodes are walked in chunks of core._STACK_CHUNK, so a whole ladder is a few
-stacks.  Everything below is the route of every other symbol
-(_flip_spectrum, one order at a time).
+it a whole ladder, and truncation_spectrum is its one-order case.  Order 1
+is A_0 at every degree, solved as the single matrix.  Every other order is
+routed on one rule, _sine_diagonal: when the last nonzero coefficient is A_0
+or A_1 (the trimmed degree is at most 1), T_n is block diagonal in the sine
+basis, which is symplectic, with blocks a(pi j / (n + 1)), j = 1 .. n, and
+those nodes go through symbols._walk, the walk of the symbol curves, as
+stacks of core.symplectic_eigenvalues, exact, with no band and no flip; a
+ladder's nodes are walked in chunks of core._STACK_CHUNK, so a whole ladder
+is a few stacks.  Everything below is the route of every other symbol's
+orders n >= 2 (_flip_spectrum, one order at a time).
 A degree-q truncation with k modes is banded (lower
 bandwidth at most 2k(q + 1) - 1), and _band writes its LAPACK lower band
 straight from the coefficients.  T_n commutes with the block flip E (block
 i to block n - 1 - i), and E with I_n (x) J, so _flip_spectrum solves
-T_n as the two halves of E's eigenspaces, of orders h = n // 2 and n - h.
+T_n as the two halves of E's eigenspaces, of orders h = n // 2 >= 1 and n - h.
 _flip_bands builds each half in reversed block order, where, with the
 block Hankel H[i, j] = A_{1 + n%2 + i + j} on the leading blocks, T-+ =
 T_h -+ H for even n; for odd n, T+ is T_{h+1} with the middle block first,
@@ -184,7 +185,7 @@ def _lowest_eigenvalue(ab: np.ndarray) -> float:
 
 
 def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
-    """Lower bands of the flip halves [T-, T+] of T_n in reversed block order; at n = 1, T_1 alone.
+    """Lower bands of the flip halves [T-, T+] of T_n, n >= 2, in reversed block order.
 
     T_n commutes with the block flip E (block i to block n - 1 - i) and E
     with I_n (x) J, so in the orthonormal bases (e_i +- e_{n-1-i}) / sqrt(2)
@@ -204,7 +205,8 @@ def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
     The corner entry of A_s sits on a diagonal nearer the main one than A_s
     does in T_n, so each half keeps a bandwidth of at most that of T_n.
     Each half is checked for finite entries where it was changed and
-    trimmed to its last nonzero diagonal.
+    trimmed to its last nonzero diagonal.  T_1 = A_0 has no T-, and _spectra
+    solves it as the single matrix, so every call here has h >= 1.
     """
     truncation_dim(symbol, n)
     h, middle = divmod(n, 2)
@@ -218,11 +220,9 @@ def _flip_bands(symbol: TrigMatrixPolynomial, n: int) -> list:
     tail = symbol.coeffs[1 + middle : 1 + middle + 2 * r]
     coeffs[: len(tail)] = tail
     hankel = coeffs[np.add.outer(np.arange(r), np.arange(r))].transpose(0, 2, 1, 3).reshape(w, w)
-    halves = [(band, hankel, m * middle)]  # T+ gets H after its middle block
-    if h:
-        halves.insert(0, (band[:, m * middle :].copy(), -hankel, 0))
     bands = []
-    for ab, corner, start in halves:
+    # T-: the band from T+'s middle block on (all of it at even n), minus H; T+: the band, H after its middle block
+    for ab, corner, start in [(band[:, m * middle :].copy(), -hankel, 0), (band, hankel, m * middle)]:
         with np.errstate(over="ignore", invalid="ignore"):
             for c in range(start):  # T+'s middle block 0, coupled to the blocks after it
                 ab[m - c :, c] *= math.sqrt(2.0)
@@ -262,13 +262,16 @@ def _spectra(symbol: TrigMatrixPolynomial, ns: list) -> tuple:
     spectrum is its slice of it, so the array is the union of the spectra in
     ascending order of n (szego.density_check reads it as such, with no
     copy).  This is the one ladder route, and truncation_spectrum its
-    one-order case.  A symbol of trimmed degree > 1 (_sine_diagonal) has
-    each order solved by its flip split (_flip_spectrum), ascending, and
-    written into its slice.  At trimmed degree <= 1 each order is the sorted
-    union of the spectra of its sine nodes a(theta_j), theta_j =
-    pi j / (n + 1), j = 1 .. n.  Order 1 is A_0 itself (cos(pi / 2) is not 0
-    in floats), a single matrix with the bits of symplectic_eigenvalues(A_0).
-    The angles of every order > 1 go, in that order, through one
+    one-order case.  Order 1 is T_1 = A_0 at every degree, solved first as
+    a single matrix with the bits of symplectic_eigenvalues(A_0); a breakdown
+    raises the PositivityError of order 1 with the lowest eigenvalue of A_0.
+    Every other order is routed by _sine_diagonal.  A symbol of trimmed
+    degree > 1 has each order solved by its flip split (_flip_spectrum),
+    ascending, and written into its slice.  At trimmed degree <= 1 each
+    order is the sorted union of the spectra of its sine nodes a(theta_j),
+    theta_j = pi j / (n + 1), j = 1 .. n (order 1 is not taken on its node:
+    cos(pi / 2) is not 0 in floats).  The angles of every order > 1 go, in
+    that order, through one
     symbols._walk, in chunks of core._STACK_CHUNK nodes written as entry rows
     into one workspace, and each order's slice is then sorted in place, so a
     ladder holds its spectra and one workspace, and pays the stack's fixed
@@ -286,19 +289,18 @@ def _spectra(symbol: TrigMatrixPolynomial, ns: list) -> tuple:
     spectra, start = {}, 0
     for n in ns:
         spectra[n], start = out[start : start + k * n], start + k * n
-    if not _sine_diagonal(symbol):
-        for n in ns:
-            spectra[n][:] = _flip_spectrum(symbol, n)
-        return spectra, out
     ladder = ns[1:] if ns[0] == 1 else ns
     if ns[0] == 1:
         spectra[1][:] = _node_stack_spectrum(symbol.coeffs[0], 1)
+    if not _sine_diagonal(symbol):
+        for n in ladder:
+            spectra[n][:] = _flip_spectrum(symbol, n)
+        return spectra, out
     try:
         symbols._walk(symbol, map(_sine_nodes, ladder), out[out.size - k * sum(ladder) :].reshape(-1, k))
     except SymplitzError:
         for n in ladder:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = symbol.evaluate(_sine_nodes(n))
+            values = symbol.evaluate(_sine_nodes(n))
             core._require_finite(values, f"sine-node stack of the order-{n} truncation")
             spectra[n][:] = _node_stack_spectrum(values, n)
         return spectra, out
@@ -326,7 +328,8 @@ def _node_stack_spectrum(values: np.ndarray, n: int) -> np.ndarray:
 def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     """Symplectic spectrum of the order-n truncation, ascending: the one-order case of _spectra.
 
-    A symbol of trimmed degree <= 1 (_sine_diagonal) is solved exactly on its
+    Order 1 is A_0, solved as the single matrix at every degree.  At n >= 2,
+    a symbol of trimmed degree <= 1 (_sine_diagonal) is solved exactly on its
     n sine nodes: T_n is block diagonal in the sine basis, so its spectrum is
     the union of those of the n blocks a(theta_j).  Every other symbol is
     solved by its flip split (_flip_spectrum).
@@ -336,7 +339,7 @@ def truncation_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
 
 
 def _flip_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
-    """Symplectic spectrum of the order-n truncation, ascending, from its flip split.
+    """Symplectic spectrum of the order-n truncation, n >= 2, ascending, from its flip split.
 
     The spectrum is the sorted union of the spectra of the two
     flip halves of T_n (_flip_bands: in reversed block order, T_{h + n%2}'s
@@ -346,8 +349,7 @@ def _flip_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     own dimension: to the band (core._band_spectrum) when its bandwidth b
     satisfies b <= _band_limit, which builds no dense array, and otherwise
     to the dense chain of its band unpacked (core._factor_spectrum), the
-    chain a single matrix takes, so a dense T_1 has bit for bit the
-    spectrum of core.symplectic_eigenvalues(A_0).  When both halves take the
+    chain a single matrix takes.  When both halves take the
     band route they are solved at the same time, on two threads
     (_band_pair), with the bits of one solve after the other.  Both halves
     are factored before either is solved; when a factor breaks down, the
@@ -364,7 +366,7 @@ def _flip_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     except np.linalg.LinAlgError:
         low = min(_lowest_eigenvalue(ab) for ab, _ in halves)
         raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
-    if len(halves) == 2 and all(band for _, band in halves):
+    if all(band for _, band in halves):
         spectra = _band_pair(*factors)
     else:
         spectra = [

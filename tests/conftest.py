@@ -7,7 +7,7 @@ import pytest
 from symplitz import (GridSpec, TestFunction, TrigMatrixPolynomial, ab_family, assemble, constant_symbol, mode_entropy,
                       scalar_symbol, symbols, symplectic_eigenvalues, symplectic_rayleigh, szego, williamson)
 from symplitz.core import _check_integer, random_symplectic
-from symplitz.errors import IndexRangeError
+from symplitz.errors import SymplitzError
 
 
 # the per-mode entropy as a spectral-average test function, zero at or below 1/2
@@ -87,6 +87,10 @@ def numerical_range_edge(A) -> EdgeProbe:
     M = williamson(A).M
     u, v = M[0], M[1]
     return EdgeProbe(symplectic_rayleigh(A, u, v), u, v)
+
+
+class IndexRangeError(SymplitzError, IndexError):
+    """Requested spectrum index does not exist at the given truncation: raised by min_trajectory."""
 
 
 @dataclass(frozen=True)

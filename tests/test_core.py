@@ -941,7 +941,7 @@ class TestHbevd:
         blocks = 0.025 * (blocks + blocks.transpose(0, 2, 1))
         blocks[0] += np.eye(2 * k)
         symbol = TrigMatrixPolynomial(blocks)
-        for n in (1, 2, 3, 7, 8, 31, 32, 63, 64):
+        for n in (2, 3, 7, 8, 31, 32, 63, 64):
             for ab in toeplitz._flip_bands(symbol, n):
                 self.check(cholesky_banded(ab, lower=True))
 

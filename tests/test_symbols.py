@@ -320,6 +320,18 @@ class TestSupNorm:
             tracemalloc.stop()
         assert peak < 0.25 * stack_bytes
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("coeffs", [[1e308, 0.6e308], [1e308, 0.3e308, 0.3e308], [-1e308, 0.7e308]])
+    def test_values_outside_the_float_range_are_domain_error(self, coeffs, k):
+        # finite coefficients whose values leave the float range: the DomainError of symplectic_curves,
+        # not a failed eigensolve of inf entries
+        s = symbols.scalar_symbol(coeffs, k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (symbols.sup_norm, symbols.symplectic_curves):
+                with pytest.raises(DomainError, match="^matrix has entries outside the float range$"):
+                    solve(s, symbols.GridSpec(256))
+
 
 class TestCurves:
     def test_constant_rows(self):

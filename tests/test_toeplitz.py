@@ -512,16 +512,17 @@ class TestFlipSplit:
     """truncation_spectrum solves T_n as its two flip halves, T- and T+, both built by
     toeplitz._flip_bands, in reversed block order, from one band _band writes and one Hankel corner."""
 
-    SMALL = [(k, degree, n) for k in (1, 2, 3) for degree in range(4) for n in range(1, 10)]
+    # the flip split serves orders n >= 2: order 1 is A_0, solved as one matrix (toeplitz._spectra)
+    SMALL = [(k, degree, n) for k in (1, 2, 3) for degree in range(4) for n in range(2, 10)]
 
     @pytest.mark.parametrize("k,degree,n", SMALL + [(2, 3, 100), (2, 3, 101)])
     def test_halves_are_the_flip_basis_blocks(self, k, degree, n):
-        # n = 1 .. 9 against degree 0 .. 3 includes every case h = n // 2 <= q
+        # n = 2 .. 9 against degree 0 .. 3 includes every case h = n // 2 <= q
         s = _split_symbol(k, degree)
         T = toeplitz.assemble(s, n)
         b = toeplitz._band(s, n).shape[0] - 1
         halves = toeplitz._flip_bands(s, n)
-        assert len(halves) == (1 if n == 1 else 2)
+        assert len(halves) == 2
         for ab, sign in zip(halves[::-1], (1, -1)):
             Q = _flip_basis(n, 2 * k, sign)
             Q = Q.reshape(Q.shape[0], -1, 2 * k)[:, ::-1].reshape(Q.shape)  # reversed block order
@@ -538,7 +539,7 @@ class TestFlipSplit:
         # _flip_bands returns each half in reversed block order, so the middle block of T+ comes first
         m = 2 * k
         s = symbols.TrigMatrixPolynomial(_random_blocks(np.random.default_rng(10 * k + degree), k, degree))
-        for n in range(1, 18):
+        for n in range(2, 18):
             h = n // 2
             T = kronecker_truncation(s, n).reshape(n, m, n, m)
             flipped = T[:, :, ::-1]  # block (i, j) is T[i, n - 1 - j]
@@ -547,10 +548,9 @@ class TestFlipSplit:
                 plus[h, :, :h] = math.sqrt(2.0) * T[h, :, :h]
                 plus[:h, :, h] = math.sqrt(2.0) * T[:h, :, h]
                 plus[h, :, h] = T[h, :, h]
-            expected = [(T - flipped)[:h, :, :h], plus] if h else [plus]
             halves = toeplitz._flip_bands(s, n)
-            assert len(halves) == len(expected), n
-            for ab, half in zip(halves, expected):
+            assert len(halves) == 2, n
+            for ab, half in zip(halves, [(T - flipped)[:h, :, :h], plus]):
                 size = half.shape[0] * m
                 expected_half = half[::-1, :, ::-1].reshape(size, size)
                 np.testing.assert_array_equal(toeplitz._dense(ab), expected_half, err_msg=f"n = {n}")
@@ -563,7 +563,7 @@ class TestFlipSplit:
         # or its columns from block 1 on (odd n), each with its sign of the Hankel corner added
         s = _split_symbol(k, degree)
         band = toeplitz._band
-        for n in range(1, 10):
+        for n in range(2, 10):
             calls = []
             monkeypatch.setattr(toeplitz, "_band", lambda *a: calls.append(a) or band(*a))
             toeplitz._flip_bands(s, n)
@@ -575,12 +575,13 @@ class TestFlipSplit:
         # diagonal blocks leave zero diagonals inside the corner's last rows (the middle block
         # of T+ for odd n adds 2k - 1 of them), which the trim removes
         s = symbols.scalar_symbol(coeffs)
-        for n in range(1, 12):
+        for n in range(2, 12):
             b = toeplitz._band(s, n).shape[0] - 1
             for ab in toeplitz._flip_bands(s, n):
                 assert ab.shape[0] - 1 <= b and ab[-1].any(), (n, ab.shape, b)
 
-    @pytest.mark.parametrize("k,degree,n", SMALL + [(2, 2, 128), (2, 2, 129)])
+    @pytest.mark.parametrize("k,degree,n", [(k, degree, 1) for k in (1, 2, 3) for degree in range(4)]
+                             + SMALL + [(2, 2, 128), (2, 2, 129)])
     def test_union_matches_eig_and_svd(self, k, degree, n):
         s = _split_symbol(k, degree)
         T = toeplitz.assemble(s, n)
@@ -668,7 +669,7 @@ class TestBandPair:
         return calls
 
     # PHI2 has lower bandwidth 4, which takes the band route from dim max(12 (4 + 2), (4 + 2)^2 / 2) = 72:
-    # halves of dim 72 / 72 at order 72, 70 / 72 at 71, 70 / 70 at 70 and 8 / 8 at 8; order 1 is T_1 alone
+    # halves of dim 72 / 72 at order 72, 70 / 72 at 71, 70 / 70 at 70 and 8 / 8 at 8; order 1 is A_0, one dense matrix
     @pytest.mark.parametrize("n, routes", [
         (128, ["band", "band"]), (72, ["band", "band"]), (71, ["band", "dense"]), (70, ["dense", "dense"]),
         (8, ["dense", "dense"]), (1, ["dense"]),
@@ -823,13 +824,37 @@ class TestSineNodes:
         assert taken == ["nodes"] * len(orders)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("degree", range(8))
     def test_order_one_is_the_single_matrix_bit_for_bit(self, k, degree):
-        # T_1 = A_0, which keeps the single-matrix chain: the node A_0 + 2 cos(pi / 2) A_1 is not A_0 in floats
+        # T_1 = A_0 at every degree, which keeps the single-matrix chain: the node A_0 + 2 cos(pi / 2) A_1
+        # is not A_0 in floats, and at degree >= 2 no flip split is made
         rng = np.random.default_rng(10 * k + degree)
         for _ in range(20):
             s = _near_identity(rng, k, degree, 0.1)
             np.testing.assert_array_equal(toeplitz.truncation_spectrum(s, 1), core.symplectic_eigenvalues(s.coeffs[0]))
+
+    @pytest.mark.parametrize("degree", [2, 3, 7])
+    def test_order_one_takes_no_flip_split(self, degree, monkeypatch):
+        monkeypatch.setattr(toeplitz, "_flip_bands", lambda *a: pytest.fail("flip bands"))
+        monkeypatch.setattr(toeplitz, "_flip_spectrum", lambda *a: pytest.fail("flip spectrum"))
+        s = _near_identity(np.random.default_rng(degree), 2, degree, 0.1)
+        np.testing.assert_array_equal(toeplitz.truncation_spectrum(s, 1), core.symplectic_eigenvalues(s.coeffs[0]))
+        np.testing.assert_array_equal(toeplitz._spectra(s, [1])[1], core.symplectic_eigenvalues(s.coeffs[0]))
+
+    def test_indefinite_order_one_at_degree_two(self):
+        # A_0 = diag(1, -0.5, 2, 1.5) with A_1, A_2 small: T_1 = A_0 is indefinite, reported as order 1 with
+        # the lowest eigenvalue of A_0, as the flip split's one-half case reported it
+        A0 = np.diag([1.0, -0.5, 2.0, 1.5])
+        s = symbols.TrigMatrixPolynomial(np.stack([A0, 0.1 * np.eye(4), 0.05 * np.ones((4, 4))]))
+        assert s.degree == 2
+        with pytest.raises(PositivityError) as exc:
+            toeplitz.truncation_spectrum(s, 1)
+        assert exc.value.where == 1
+        assert exc.value.min_eigenvalue == np.linalg.eigvalsh(A0)[0] == -0.5
+        assert str(exc.value) == "truncation of order n = 1 is not positive definite (min eigenvalue -5.000000e-01)"
+        with pytest.raises(PositivityError) as ladder:
+            toeplitz._spectra(s, [1, 2, 3, 4])
+        assert (str(ladder.value), ladder.value.where) == (str(exc.value), 1)
 
     def test_route_follows_the_trimmed_degree(self, monkeypatch):
         taken = self.record(monkeypatch)
