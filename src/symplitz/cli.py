@@ -5,11 +5,9 @@ series plus a JSON summary, and every run writes a manifest listing the
 emitted files with content digests.  Exit codes: 0 all declared tolerances
 pass, 2 config error or an output directory that cannot be written,
 3 numerical-domain error, 4 tolerance or verification failure.  Every run is
-byte-reproducible and runs in one process, whose one second thread is
-toeplitz's worker: it solves the first flip half of a degree >= 2 truncation
-order beside the caller when both halves take the band route, with the bits
-of one half after the other.  The szego, entropy-rate and counting verbs run
-one average-versus-integral path, _convergence, with f the configured test
+byte-reproducible and runs in one process, which starts no thread of its
+own.  The szego, entropy-rate and counting verbs run one
+average-versus-integral path, _convergence, with f the configured test
 function, the per-mode entropy and the interval indicator: one order check,
 one doubled-grid solve, one report, the same series.csv columns n, average,
 integral, gap (entropy-rate and counting name the average rate and ratio)

@@ -56,18 +56,16 @@ L keeps the band of A, K has half-bandwidth b + 1 and is formed on its band
 in O(N b^2), and the Hermitian band matrix iK, with eigenvalues +-d_j, is
 solved by band reduction, O(N^2 b), so the two halves cost about half as
 much as the whole truncation would.  The band reduction is LAPACK zhbevd,
-called by ctypes through the function pointer scipy.linalg.cython_lapack
-publishes (_hbevd); a ctypes call releases the GIL, so toeplitz solves the
-two band halves of an order on two threads at once.
+through scipy.linalg.eigvals_banded, and toeplitz solves the two halves of
+an order one after the other in the caller.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cython_lapack, expm, lapack, schur, solve_triangular
+from scipy.linalg import eigvals_banded, expm, lapack, schur, solve_triangular
 
 from .errors import (
     DegeneratePairError,
@@ -173,12 +171,15 @@ def _not_positive_definite(w: np.ndarray) -> PositivityError:
 
     w holds the eigenvalues of one matrix or of each matrix of a stack; the
     smallest is reported, located at the matrix of the stack with the
-    smallest relative eigenvalue.
+    smallest relative eigenvalue.  An eigensolve of entries near the top of
+    the float range can return -inf, which has no relative size: that matrix
+    is the worst one, with no -inf / inf division.
     """
     low = w[..., 0]
     where = None
     if low.ndim:
-        rel = low / np.maximum(np.abs(w).max(axis=-1), np.finfo(float).tiny)
+        scale = np.maximum(np.abs(w).max(axis=-1), np.finfo(float).tiny)
+        rel = np.divide(low, scale, out=np.full(low.shape, -np.inf), where=~np.isneginf(low))
         where = tuple(int(i) for i in np.unravel_index(np.argmin(rel), rel.shape))
         low = low[where]
     return PositivityError.report("matrix", float(low), where)
@@ -298,7 +299,7 @@ def _row_workspace(m: int, S: int) -> _RowWorkspace:
     into its rows and hands the chunk to symplectic_eigenvalues as a
     _RowChunk; symplectic_eigenvalues makes
     one for a caller's stack with m <= 6.  It is a local of its caller, so
-    two threads share nothing.
+    callers on different threads share nothing.
     """
     rows = np.empty((m * m, S))
     if m > 6:
@@ -638,68 +639,6 @@ def _band_rayleigh(ab: np.ndarray, factor: np.ndarray, pbtrs) -> float:
     return float(np.vdot(x, y).real)
 
 
-# zhbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, rwork, lrwork, iwork, liwork, info),
-# as scipy.linalg.cython_lapack publishes it: every argument is a pointer.
-_ZHBEVD_SIGNATURE = (
-    "void (char *, char *, int *, int *, __pyx_t_double_complex *, int *, "
-    "__pyx_t_5scipy_6linalg_13cython_lapack_d *, __pyx_t_double_complex *, int *, "
-    "__pyx_t_double_complex *, int *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
-    "int *, int *, int *, int *)"
-)
-
-
-def _lapack_routine(name: str, signature: str):
-    """The LAPACK routine that scipy.linalg.cython_lapack exports as ``name``, as a ctypes function.
-
-    The capsule is named by its C signature, which must read ``signature``,
-    or ImportError names both.  Every argument is passed as a pointer
-    (c_void_p).  A ctypes foreign call releases the GIL while it runs.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    found = capsule_name(capsule).decode()
-    if found != signature:
-        raise ImportError(f"scipy's LAPACK {name} has the signature {found!r}, expected {signature!r}")
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    argc = signature.count(",") + 1
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * argc)(pointer(capsule, found.encode()))
-
-
-_ZHBEVD = _lapack_routine("zhbevd", _ZHBEVD_SIGNATURE)
-
-
-def _hbevd(hb: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian band matrix with LAPACK upper band hb[b + i - j, j] = H[i, j].
-
-    One call of LAPACK zhbevd (jobz N, uplo U), the routine and workspace
-    sizes of scipy.linalg.eigvals_banded(hb, lower=False), so the
-    eigenvalues agree with it bit for bit; the call runs without the GIL.
-    hb is overwritten when it is a Fortran-ordered complex array (the band
-    reduction works in place) and copied to one otherwise.  A nonzero info
-    raises LinAlgError with scipy's message.
-    """
-    ab = np.asfortranarray(hb, dtype=complex)
-    ldab, N = ab.shape
-    w, rwork = np.empty(N), np.empty(N)
-    z, work = np.empty(1, dtype=complex), np.empty(N, dtype=complex)
-    iwork = np.empty(1, dtype=np.intc)
-    ints = np.array([N, ldab - 1, ldab, 1, N, N, 1, 0], dtype=np.intc)  # passed by address, as every argument
-    base = ints.ctypes.data
-    n, kd, lda, ldz, lwork, lrwork, liwork, info = range(base, base + ints.nbytes, ints.itemsize)
-    _ZHBEVD(
-        b"N", b"U", n, kd, ab.ctypes.data, lda, w.ctypes.data, z.ctypes.data, ldz,
-        work.ctypes.data, lwork, rwork.ctypes.data, lrwork, iwork.ctypes.data, liwork, info,
-    )
-    code = int(ints[-1])
-    if code < 0:
-        raise LinAlgError(f"illegal value in argument {-code} of internal hbevd")
-    if code > 0:
-        raise LinAlgError(f"hbevd did not converge (LAPACK info={code})")
-    return w
-
-
 def _band_spectrum(Lb: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive definite band matrix from the lower band of its Cholesky factor.
 
@@ -709,8 +648,8 @@ def _band_spectrum(Lb: np.ndarray) -> np.ndarray:
     adds a rank-2 skew term on columns 2p - b .. 2p + 1 to K = L^T J L, so K
     has half-bandwidth b + 1.  Its upper band is formed in O(N b^2), in
     Fortran order, and the Hermitian band matrix iK, with eigenvalues +-d_j,
-    is solved by band reduction (_hbevd), which runs without the GIL, so
-    two calls on two threads take two cores.
+    is solved in place by band reduction: LAPACK zhbevd, through
+    eigvals_banded, whose nonzero info raises scipy's LinAlgError.
     """
     b, N = Lb.shape[0] - 1, Lb.shape[1]
     # Lb[t, c] = L[c + t, c]; split by the parity of the row c + t, which
@@ -727,7 +666,7 @@ def _band_spectrum(Lb: np.ndarray) -> np.ndarray:
                 ku -= np.einsum("ti,ti->i", odd[u + 1 :, : N - u], Lb[: b - u, u:])
             hb[h - u, u:] = 1j * ku
     _require_finite(hb, "skew kernel L^T J L")
-    w = _hbevd(hb)
+    w = eigvals_banded(hb, lower=False, overwrite_a_band=True, check_finite=False)
     half = N // 2
     lo, hi = np.sort(np.stack([-w[half - 1 :: -1], w[half:]]), axis=0)
     return _pair_mean(lo, hi)

@@ -29,10 +29,7 @@ most that of T_n, so a band reduction, O(N^2 b), costs about half as much
 on the two halves as on T_n.
 Each half goes to the core band kernel once its dimension is large enough
 for the band to win (_band_limit), and to the dense chain of a single
-matrix otherwise.  When both halves go to the band kernel, the first is
-solved on one worker thread (_WORKER) while the caller solves the second;
-the band eigensolve runs without the GIL, so the pair takes two cores.
-Every other order is solved in the caller, and nothing configures this.
+matrix otherwise; the caller solves the two halves one after the other.
 A half, or a sine node, that is not positive definite stops the solve with
 one PositivityError, built here, that names the order.  The
 covariance (G-chain) test is the one place where a complex matrix enters:
@@ -48,10 +45,7 @@ unpack, serves assemble (matrix dumps) and the dense fallbacks of bands
 wider than the band rule.
 """
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import cholesky_banded, lapack
@@ -60,18 +54,6 @@ from . import core, symbols
 from .core import _check_integer
 from .errors import DomainError, InvalidDimensionError, PositivityError, SymplitzError, TruncationSizeError
 from .symbols import TrigMatrixPolynomial
-
-
-def _start_worker() -> None:
-    """Make _WORKER, the one-thread pool that solves a flip half beside the caller (its
-    thread starts at the first task); a forked child makes its own, since the parent's
-    thread does not exist there."""
-    global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1)
-
-
-_start_worker()
-os.register_at_fork(after_in_child=_start_worker)
 
 
 # Crossover of the band route, dense (Cholesky, L^T (J L), svdvals) against
@@ -349,13 +331,11 @@ def _flip_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     own dimension: to the band (core._band_spectrum) when its bandwidth b
     satisfies b <= _band_limit, which builds no dense array, and otherwise
     to the dense chain of its band unpacked (core._factor_spectrum), the
-    chain a single matrix takes.  When both halves take the
-    band route they are solved at the same time, on two threads
-    (_band_pair), with the bits of one solve after the other.  Both halves
-    are factored before either is solved; when a factor breaks down, the
-    PositivityError names the order, reports the smaller of the two halves'
-    lowest eigenvalues (_lowest_eigenvalue), which is lambda_min(T_n), and
-    carries where = n.
+    chain a single matrix takes.  Both halves are factored before either is
+    solved, and then solved one after the other in the caller, T- first;
+    when a factor breaks down, the PositivityError names the order, reports
+    the smaller of the two halves' lowest eigenvalues (_lowest_eigenvalue),
+    which is lambda_min(T_n), and carries where = n.
     """
     halves = [(ab, ab.shape[0] - 1 <= _band_limit(ab.shape[1])) for ab in _flip_bands(symbol, n)]
     try:
@@ -366,32 +346,8 @@ def _flip_spectrum(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
     except np.linalg.LinAlgError:
         low = min(_lowest_eigenvalue(ab) for ab, _ in halves)
         raise PositivityError.report(f"truncation of order n = {n}", low, n) from None
-    if all(band for _, band in halves):
-        spectra = _band_pair(*factors)
-    else:
-        spectra = [
-            core._band_spectrum(L) if band else core._factor_spectrum(L) for L, (_, band) in zip(factors, halves)
-        ]
+    spectra = [core._band_spectrum(L) if band else core._factor_spectrum(L) for L, (_, band) in zip(factors, halves)]
     return np.sort(np.concatenate(spectra))
-
-
-def _band_pair(first: np.ndarray, second: np.ndarray) -> list:
-    """[core._band_spectrum(first), core._band_spectrum(second)], the first solved on _WORKER
-    while the caller solves the second.
-
-    The band eigensolve (core._hbevd) runs without the GIL, so the two halves
-    take two cores.  The worker runs in a copy of the caller's context, so
-    numpy's error state (a context variable since numpy 2.0) carries over.  Nothing is raised before the worker
-    has finished; when both halves fail, the first half's error is raised,
-    as it would be one half after the other.
-    """
-    future = _WORKER.submit(contextvars.copy_context().run, core._band_spectrum, first)
-    try:
-        last = core._band_spectrum(second)
-    except BaseException:
-        future.result()  # waits for the worker, and raises its error first
-        raise
-    return [future.result(), last]
 
 
 def _shifted_band(symbol: TrigMatrixPolynomial, n: int) -> np.ndarray:
