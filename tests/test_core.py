@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, cholesky_banded, lapack
+from scipy.linalg import LinAlgError, block_diag, cholesky_banded, eigvals_banded, lapack
 
 from symplitz import TrigMatrixPolynomial, cli, constant_symbol, core, scalar_symbol, szego, toeplitz
 from symplitz.errors import (
@@ -922,6 +922,62 @@ class TestBandRoute:
             assert [len(traj.spectra[n]) for n in traj.ns] == [symbol.k * n for n in ns]
             files, _, summary = cli.cmd_spectrum(None, symbol, 128, False)  # dim 512 / 256
             assert list(files) == ["spectrum.csv"] and summary["values"] == traj.spectra[128].tolist()
+
+
+class TestHbevd:
+    """The band reduction of core._band_spectrum, LAPACK zhbevd through scipy.linalg.eigvals_banded in place
+    and unchecked, against eigvals_banded with its defaults (a copy of the band, finiteness checked), bit for bit."""
+
+    @staticmethod
+    def check(factor):
+        # the upper band of iK that _band_spectrum hands to eigvals_banded, and the spectrum it returns
+        solve, bands = core.eigvals_banded, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "eigvals_banded", lambda hb, **kw: bands.append(hb.copy(order="F")) or solve(hb, **kw))
+            d = core._band_spectrum(factor)
+            mp.setattr(core, "eigvals_banded", lambda hb, **kw: eigvals_banded(hb, lower=False))
+            reference = core._band_spectrum(factor)
+        (hb,) = bands
+        in_place = solve(hb.copy(order="F"), lower=False, overwrite_a_band=True, check_finite=False)
+        assert np.array_equal(in_place, eigvals_banded(hb, lower=False))
+        assert np.array_equal(d, reference)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(4))
+    def test_truncation_halves(self, k, degree):
+        # I + 0.05 (random symmetric cosine series); every flip half is solved on its band, whatever its size
+        rng = np.random.default_rng(10 * k + degree)
+        blocks = rng.standard_normal((degree + 1, 2 * k, 2 * k))
+        blocks = 0.025 * (blocks + blocks.transpose(0, 2, 1))
+        blocks[0] += np.eye(2 * k)
+        symbol = TrigMatrixPolynomial(blocks)
+        for n in (2, 3, 7, 8, 31, 32, 63, 64):
+            for ab in toeplitz._flip_bands(symbol, n):
+                self.check(cholesky_banded(ab, lower=True))
+
+    @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
+    def test_wide_spread(self, spread):
+        # the matrices of TestBandRoute's wide-spread cases (dim 192, b = 5)
+        d_block = np.array([0.5, 1.0, spread])
+        self.check(band_factor(block_diag(*[random_gmatrix(3, d_block, seed=15)] * 32)))
+        self.check(band_factor(block_diag(*[random_gmatrix(3, d_block, seed=s) for s in range(32)])))
+
+    def test_failed_reduction_raises_scipys_error(self, monkeypatch):
+        # a NaN put into the band after _band_spectrum's finiteness check stops LAPACK with a nonzero info, and
+        # scipy's LinAlgError reaches the caller unchanged
+        solve, bands = core.eigvals_banded, []
+
+        def poisoned(hb, **kw):
+            hb[-1, 1] = np.nan
+            bands.append(hb.copy(order="F"))
+            return solve(hb, **kw)
+
+        monkeypatch.setattr(core, "eigvals_banded", poisoned)
+        with pytest.raises(LinAlgError, match=r"^hbevd did not converge \(LAPACK info=\d+\)$") as error:
+            core._band_spectrum(band_factor(np.diag(np.arange(1.0, 9.0))))
+        with pytest.raises(LinAlgError) as scipy_error:
+            eigvals_banded(bands[0], lower=False, check_finite=False)
+        assert str(error.value) == str(scipy_error.value)
 
 
 def random_hermitian_band(rng, N, b, dtype, kind):

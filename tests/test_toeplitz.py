@@ -17,6 +17,7 @@ from symplitz import core, symbols, toeplitz
 from symplitz.errors import (
     DomainError,
     InvalidDimensionError,
+    PairingError,
     PositivityError,
     TruncationSizeError,
 )
@@ -732,6 +733,45 @@ class TestBandPair:
             toeplitz.truncation_spectrum(s, 128)
         assert str(exc.value) == str(alone.value) == "symplectic spectrum has entries outside the float range"
         assert calls == [("band", threading.get_ident())]
+
+    @pytest.mark.parametrize("error", [
+        DomainError("skew kernel L^T J L has entries outside the float range"),
+        PairingError("symplectic spectrum too ill-conditioned for the normwise route"),
+    ], ids=["domain", "pairing"])
+    def test_halfs_error_reaches_the_caller(self, monkeypatch, error):
+        # the second half raises after the first is solved: its error, unchanged, ends the order
+        calls, solve = [], core._band_spectrum
+
+        def band(L):
+            calls.append(threading.get_ident())
+            if len(calls) == 2:
+                raise error
+            return solve(L)
+
+        monkeypatch.setattr(core, "_band_spectrum", band)
+        with pytest.raises(type(error)) as exc:
+            toeplitz.truncation_spectrum(PHI2, 128)
+        assert str(exc.value) == str(error)
+        assert calls == [threading.get_ident()] * 2
+
+    def test_two_errors_raise_the_first_halfs(self, monkeypatch):
+        # the first half's error ends the order, and the second half is not solved
+        errors = [PairingError("first half"), PairingError("second half")]
+
+        def band(L):
+            raise errors.pop(0)
+
+        monkeypatch.setattr(core, "_band_spectrum", band)
+        with pytest.raises(PairingError, match="^first half$"):
+            toeplitz.truncation_spectrum(PHI2, 128)
+        assert [str(e) for e in errors] == ["second half"]
+
+    def test_halves_keep_the_callers_error_state(self, monkeypatch):
+        seen, solve = [], core._band_spectrum
+        monkeypatch.setattr(core, "_band_spectrum", lambda L: seen.append(np.geterr()["under"]) or solve(L))
+        with np.errstate(under="raise"):
+            toeplitz.truncation_spectrum(PHI2, 128)
+        assert seen == ["raise", "raise"]
 
 
 def _degree_one_symbol(k, seed):
